@@ -205,7 +205,7 @@ pub struct DurabilityConfig {
     pub dir: Option<PathBuf>,
     /// Take a full-image checkpoint of each node's store once this many
     /// records have been persisted since the last one (polled at the
-    /// runtime's batch points: eviction scans, epoch closes). `None`
+    /// runtime's batch points: reclaim-episode ends, epoch closes). `None`
     /// (default) disables periodic checkpoints; explicit
     /// `Cluster::checkpoint_all` calls still work. Requires a durable
     /// `policy`; `Some(0)` is rejected by validation.

@@ -11,7 +11,8 @@
 //! cannot own:
 //!
 //! * **cache allocation & watermark eviction** (Figure 7) — which line to
-//!   hand out, when to reclaim;
+//!   hand out, when to reclaim (one line per idle mailbox slot once the
+//!   low watermark is crossed);
 //! * **sequential prefetch policy** — the machines emit a `PrefetchHint`,
 //!   the executor decides whether the miss pattern warrants acting on it;
 //! * **deferred drains** — every rights-removing transition follows
@@ -73,6 +74,10 @@ pub(crate) struct RuntimeThread {
     ready: Vec<(ArrayId, ChunkId, Cont)>,
     /// Last read-miss chunk, for sequential-pattern prefetch detection.
     last_miss: Option<(ArrayId, ChunkId)>,
+    /// A reclaim episode is armed: an allocation left the pool below the
+    /// low watermark, and the event loop evicts one line per idle mailbox
+    /// slot until the free count reaches the high watermark.
+    reclaiming: bool,
 }
 
 impl RuntimeThread {
@@ -94,6 +99,7 @@ impl RuntimeThread {
             deferred: Vec::new(),
             ready: Vec::new(),
             last_miss: None,
+            reclaiming: false,
         }
     }
 
@@ -142,13 +148,17 @@ impl RuntimeThread {
     /// The event loop (runs until `RtMsg::Shutdown`).
     pub(crate) fn run(mut self, ctx: &mut Ctx) {
         loop {
-            let msg = if self.deferred.is_empty() {
+            let msg = if self.deferred.is_empty() && !self.reclaiming {
                 self.mailbox.recv(ctx)
             } else {
                 match self.mailbox.try_recv(ctx) {
                     Some(m) => m,
                     None => {
-                        ctx.spin_hint(50);
+                        if self.reclaiming {
+                            self.reclaim_idle(ctx);
+                        } else {
+                            ctx.spin_hint(50);
+                        }
                         self.poll_deferred();
                         self.drain_ready(ctx);
                         continue;
@@ -372,7 +382,7 @@ impl RuntimeThread {
                 // AwaitPersist and resumes the acknowledgement only now.
                 // Under the Writethrough policy the record is also fsynced
                 // here; under Writeback it reaches disk at the next batch
-                // point (eviction scan or shutdown).
+                // point (end of a reclaim episode, or shutdown).
                 let store = self.shared.stores[self.node]
                     .as_ref()
                     .expect("durable home machine without a chunk store");
@@ -385,8 +395,8 @@ impl RuntimeThread {
                     .expect("durable chunk store persist failed");
                 // Epoch-close compaction trigger (DESIGN.md §14): the
                 // persist counter just advanced, so poll the cheap
-                // threshold check. Home-heavy nodes may never run an
-                // eviction scan, so this is the trigger that actually
+                // threshold check. Home-heavy nodes may never run a
+                // reclaim episode, so this is the trigger that actually
                 // fires for them; `maybe_checkpoint` is a no-op unless
                 // `checkpoint_every_persists` is due.
                 store
@@ -869,17 +879,20 @@ impl RuntimeThread {
     // Cache allocation & eviction (Figure 7)
     // ------------------------------------------------------------------
 
+    /// Hand out a free line. Crossing the low watermark only *arms* a
+    /// reclaim episode, which the event loop runs one eviction per idle
+    /// mailbox slot, so the miss that crossed it pays nothing extra. Only
+    /// an empty pool reclaims synchronously, looping the same step.
     fn alloc_line(&mut self, ctx: &mut Ctx, arr: &Arc<ArrayShared>, chunk: ChunkId) -> u32 {
         let mut spins: u64 = 0;
         loop {
-            if self.cache.below_low() {
-                self.reclaim(ctx);
-            }
             if let Some(line) = self.cache.alloc(arr.id, chunk) {
                 ctx.charge(self.shared.cfg.cost.cacheline_alloc_ns);
+                self.reclaiming |= self.cache.below_low();
                 return line;
             }
-            self.reclaim(ctx);
+            while self.cache.below_high() && self.reclaim_step(ctx) {}
+            self.end_reclaim_episode();
             if self.cache.free_count() == 0 {
                 // Everything is pinned or in flight; wait for references to
                 // drop (bounded, to turn misuse into a diagnostic).
@@ -897,15 +910,27 @@ impl RuntimeThread {
         }
     }
 
-    /// Scan this thread's cache region from its scanning pointer, evicting
-    /// idle lines until the free count exceeds the high watermark. The
-    /// *selection* (skip referenced / mid-transition lines) is executor
-    /// policy; the per-state eviction protocol is the cache machine's.
-    fn reclaim(&mut self, ctx: &mut Ctx) {
-        let cap = self.cache.capacity();
-        let mut scanned = 0;
-        while self.cache.below_high() && scanned < cap {
-            scanned += 1;
+    /// One idle mailbox slot of an armed reclaim episode: evict one line,
+    /// then yield so that deliveries due by now become visible to the next
+    /// `try_recv` (the lax-synchronization caveat of `Mailbox::try_recv`).
+    /// The episode ends once the free count reaches the high watermark, or
+    /// when a full scan finds nothing evictable.
+    fn reclaim_idle(&mut self, ctx: &mut Ctx) {
+        if self.cache.below_high() && self.reclaim_step(ctx) && self.cache.below_high() {
+            ctx.yield_now();
+        } else {
+            self.end_reclaim_episode();
+        }
+    }
+
+    /// Advance this pool's scanning pointer to the next evictable line,
+    /// evict it and run its drain continuation at once, so the free count
+    /// moves with every eviction. Returns false when a full cycle found
+    /// nothing evictable. The *selection* (skip referenced, mid-transition
+    /// and in-flight lines) is executor policy; the per-state eviction
+    /// protocol is the cache machine's.
+    fn reclaim_step(&mut self, ctx: &mut Ctx) -> bool {
+        for _ in 0..self.cache.capacity() {
             ctx.charge(self.shared.cfg.cost.evict_scan_ns);
             let line = self.cache.scan_next();
             let Some((aid, c)) = self.cache.owner(line) else {
@@ -916,15 +941,25 @@ impl RuntimeThread {
             if d.delay_set() || d.refcnt() > 0 {
                 continue; // accessed or mid-transition: not evictable
             }
-            self.cache_event(ctx, &arr, c, CacheEvent::Evict, None);
+            let actions = CacheMachine::on_event(&self.cache_view(&arr, c), CacheEvent::Evict);
+            if actions.is_empty() {
+                continue; // fill in flight: not evictable
+            }
+            self.run_cache_actions(ctx, &arr, c, actions, None);
+            self.drain_ready(ctx);
+            return true;
         }
-        self.drain_ready(ctx);
-        // Writeback durability batch point (DESIGN.md §14): the eviction
-        // scan just pushed a burst of dirty images through the home
-        // machines (and thus into the buffered log); flush them to disk in
-        // one syscall instead of one per record. Writethrough syncs per
-        // record in `persist`, so this is a no-op there; for `None` there
-        // is no store at all.
+        false
+    }
+
+    /// Close a reclaim episode. This is the Writeback durability batch
+    /// point (DESIGN.md §14): the episode pushed a burst of dirty images
+    /// through the home machines (and thus into the buffered log); flush
+    /// them to disk in one syscall instead of one per record. Writethrough
+    /// syncs per record in `persist`, so this is a no-op there; for `None`
+    /// there is no store at all.
+    fn end_reclaim_episode(&mut self) {
+        self.reclaiming = false;
         if let Some(store) = &self.shared.stores[self.node] {
             if matches!(
                 self.shared.cfg.durability.policy,
@@ -932,7 +967,7 @@ impl RuntimeThread {
             ) {
                 store.sync().expect("durable chunk store batch sync failed");
             }
-            // Eviction-scan compaction boundary: the log is now synced (or
+            // Episode-end compaction boundary: the log is now synced (or
             // syncs per record under Writethrough), which is the cheapest
             // moment to fold it into a checkpoint and drop the covered
             // prefix. No-op unless the persist threshold is due.

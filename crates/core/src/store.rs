@@ -16,8 +16,8 @@
 //!   only the record with the highest persist epoch — later records always
 //!   win, so recovery is the last acknowledged image of every chunk;
 //! * `Writethrough` syncs the file after every record; `Writeback` buffers
-//!   appends and syncs at [`ChunkStore::sync`] points (eviction-scan
-//!   batches, epoch closes, shutdown);
+//!   appends and syncs at [`ChunkStore::sync`] points (the end of each
+//!   cache-reclaim episode, epoch closes, shutdown);
 //! * [`LogChunkStore::checkpoint`] snapshots the full live image into a
 //!   sidecar (`node<N>.ckpt`) via write-to-temp + CRC frame + atomic
 //!   rename, then (when compaction is enabled) drops the log prefix the
@@ -48,7 +48,8 @@ pub enum DurabilityPolicy {
     #[default]
     None,
     /// Flushes append to the log through a write buffer; the buffer is
-    /// synced at batch boundaries (eviction scans, epoch closes, shutdown).
+    /// synced at batch boundaries (reclaim-episode ends, epoch closes,
+    /// shutdown).
     /// A crash may lose the unsynced tail — but never an already-synced
     /// record, and never the log's integrity (the torn tail is truncated
     /// on reopen).
@@ -159,7 +160,7 @@ pub trait ChunkStore: Send + Sync {
     }
 
     /// Checkpoint only if the periodic threshold has been reached; polled
-    /// by the runtime at batch points (eviction scans, epoch closes).
+    /// by the runtime at batch points (reclaim-episode ends, epoch closes).
     /// Returns whether a checkpoint ran.
     fn maybe_checkpoint(&self) -> io::Result<bool> {
         Ok(false)

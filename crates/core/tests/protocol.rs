@@ -416,6 +416,101 @@ fn pool_stats_surface_occupancy_and_evictions() {
 }
 
 #[test]
+fn reclaim_keeps_occupancy_between_watermarks() {
+    // Figure 7: a reclaim episode starts when free lines fall below the
+    // low watermark and stops as soon as they reach the high one. Once
+    // eviction has begun, occupancy must therefore stay within
+    // [lines - high, lines - low], give or take the lines allocated
+    // before the next idle slot. A scan that evicts every idle line would
+    // empty the pool instead.
+    const LINES: u32 = 64;
+    const LOW: u32 = 19; // floor(0.30 * 64)
+    const HIGH: u32 = 32; // ceil(0.50 * 64)
+    const IN_FLIGHT: u32 = 2;
+    let mut cfg = ClusterConfig::test_config(2);
+    cfg.runtime_threads = 1;
+    cfg.cache.capacity_lines = LINES as usize;
+    cfg.cache.prefetch_lines = 0;
+    with_cluster(cfg, |ctx, cluster| {
+        // Node 1 homes chunks 256..512: four times node 0's cache.
+        let arr = cluster.alloc::<u64>(512 * 512, ArrayOptions::default());
+        for phase in 0..24 {
+            let arr = arr.clone();
+            cluster.run(ctx, 1, move |ctx, env| {
+                if env.node == 0 {
+                    let a = arr.on(env.node);
+                    for k in 0..16 {
+                        let c = 256 + (phase * 16 + k) % 256;
+                        assert_eq!(a.get(ctx, c * 512), 0);
+                    }
+                }
+            });
+            let p = cluster.pool_stats(0)[0];
+            assert_eq!(p.lines, LINES);
+            if p.evictions == 0 {
+                continue;
+            }
+            assert!(
+                (LINES - HIGH..=LINES - LOW + IN_FLIGHT).contains(&p.occupied),
+                "phase {phase}: occupancy {} outside [{}, {}]: {p:?}",
+                p.occupied,
+                LINES - HIGH,
+                LINES - LOW + IN_FLIGHT
+            );
+        }
+        assert!(
+            cluster.pool_stats(0)[0].evictions > 0,
+            "the pool never evicted"
+        );
+    });
+}
+
+#[test]
+fn reclaim_stays_off_the_miss_path() {
+    // One app thread reads uniformly over three times its cache. After
+    // warm-up no single get may cost more than twice the first cold
+    // remote miss: eviction runs in the runtime thread's idle slots, so a
+    // miss waits behind at most one eviction, never a whole-pool scan.
+    const LINES: usize = 128;
+    const REMOTE: usize = 3 * LINES;
+    let mut cfg = ClusterConfig::with_nodes(2);
+    cfg.runtime_threads = 1;
+    cfg.cache.capacity_lines = LINES;
+    cfg.cache.prefetch_lines = 0;
+    with_cluster(cfg, |ctx, cluster| {
+        // Node 1 homes chunks REMOTE..2 * REMOTE.
+        let arr = cluster.alloc::<u64>(2 * REMOTE * 512, ArrayOptions::default());
+        cluster.run(ctx, 1, move |ctx, env| {
+            if env.node != 0 {
+                return;
+            }
+            let a = arr.on(env.node);
+            let mut x = 0x9e37_79b9_7f4a_7c15u64;
+            let mut timed_random_get = |ctx: &mut Ctx| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                let c = REMOTE + (x % REMOTE as u64) as usize;
+                let t0 = ctx.now();
+                assert_eq!(a.get(ctx, c * 512), 0);
+                ctx.now() - t0
+            };
+            let cold = timed_random_get(ctx);
+            // Warm-up: fill the pool and cross the low watermark.
+            for _ in 0..2 * REMOTE {
+                timed_random_get(ctx);
+            }
+            let worst = (0..2_000).map(|_| timed_random_get(ctx)).max().unwrap();
+            assert!(
+                worst <= 2 * cold,
+                "worst warm get {worst} ns exceeds twice the cold miss {cold} ns"
+            );
+        });
+        assert!(cluster.stats(0).evictions > 0, "the workload never evicted");
+    });
+}
+
+#[test]
 fn tx_threads_mode_works() {
     let mut cfg = ClusterConfig::test_config(2);
     cfg.tx_threads = true;
