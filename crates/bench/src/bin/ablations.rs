@@ -12,9 +12,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use darray::{
-    AccessPath, ArrayOptions, CacheConfig, Cluster, ClusterConfig, PoolStats, Sim, SimConfig, VTime,
+    AccessPath, ArrayOptions, CacheConfig, Cluster, ClusterConfig, NodeStatsSnapshot, PoolStats,
+    Sim, SimConfig, VTime,
 };
-use darray_bench::report::{fmt, print_table, write_bench_json_with_metrics, ProtocolTraffic};
+use darray_bench::report::{cluster_traffic, fmt, print_table, write_bench_json_with_metrics};
 use workloads::Rng;
 
 /// Sequential scan throughput (Mops/s) and the protocol traffic it cost,
@@ -25,7 +26,7 @@ fn scan(
     elems_per_node: usize,
     ops: u64,
     random: bool,
-) -> (f64, ProtocolTraffic) {
+) -> (f64, NodeStatsSnapshot) {
     let (mops, traffic, _) = scan_pools(cfg, threads, elems_per_node, ops, random);
     (mops, traffic)
 }
@@ -38,10 +39,10 @@ fn scan_pools(
     elems_per_node: usize,
     ops: u64,
     random: bool,
-) -> (f64, ProtocolTraffic, Vec<Vec<PoolStats>>) {
+) -> (f64, NodeStatsSnapshot, Vec<Vec<PoolStats>>) {
     let nodes = cfg.nodes;
     let len = elems_per_node * nodes;
-    let (elapsed, traffic, pools): (VTime, ProtocolTraffic, Vec<Vec<PoolStats>>) =
+    let (elapsed, traffic, pools): (VTime, NodeStatsSnapshot, Vec<Vec<PoolStats>>) =
         Sim::new(SimConfig::default()).run(move |ctx| {
             let cluster = Cluster::new(ctx, cfg);
             let arr = cluster.alloc::<u64>(len, ArrayOptions::default());
@@ -63,7 +64,7 @@ fn scan_pools(
                 e2.fetch_max(ctx.now() - t0, Ordering::Relaxed);
             });
             let t = el.load(Ordering::Relaxed);
-            let traffic = ProtocolTraffic::collect(&cluster);
+            let traffic = cluster_traffic(&cluster);
             let pools = (0..nodes).map(|n| cluster.pool_stats(n)).collect();
             cluster.shutdown(ctx);
             (t, traffic, pools)
@@ -78,7 +79,7 @@ fn main() {
     // One protocol-traffic section per ablated configuration: the diff
     // harness then pins each mechanism's coherence cost, not just its
     // headline throughput.
-    let mut traffic: Vec<(String, ProtocolTraffic)> = Vec::new();
+    let mut traffic: Vec<(String, NodeStatsSnapshot)> = Vec::new();
     let mut metrics: Vec<(String, f64)> = Vec::new();
 
     // 1. Access path (the §4.1 strawman): local scans with rising thread

@@ -9,8 +9,9 @@
 //! baseline pins both, and the library's multi-threaded default
 //! (`ClusterConfig::runtime_threads`) was chosen from this sweep.
 
+use darray::NodeStatsSnapshot;
 use darray_bench::micro::{micro_rt, Op, Pattern, System};
-use darray_bench::report::{fmt, print_table, write_bench_json_with_metrics, ProtocolTraffic};
+use darray_bench::report::{fmt, print_table, write_bench_json_with_metrics};
 
 const RT_SWEEP: [usize; 3] = [1, 2, 4];
 
@@ -30,7 +31,7 @@ fn main() {
     let bcl_ops: u64 = if fast { 512 } else { 2_500 };
     let threads: &[usize] = if fast { &[1, 4] } else { &[1, 2, 4, 8] };
 
-    let mut traffic: Vec<(String, ProtocolTraffic)> = Vec::new();
+    let mut traffic: Vec<(String, NodeStatsSnapshot)> = Vec::new();
     let mut metrics: Vec<(String, f64)> = Vec::new();
     // (op, app threads) -> mops per runtime-thread count, for the summary.
     let mut rt_mops: Vec<(Op, usize, Vec<f64>)> = Vec::new();

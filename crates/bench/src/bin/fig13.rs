@@ -7,10 +7,9 @@
 //! count; throughput lands in the `metrics` object and coherence traffic
 //! in the `protocol_traffic` sections of `BENCH_fig13.json`.
 
+use darray::NodeStatsSnapshot;
 use darray_bench::micro::{micro_rt, Op, Pattern, System};
-use darray_bench::report::{
-    fmt, print_table, scalability, write_bench_json_with_metrics, ProtocolTraffic,
-};
+use darray_bench::report::{fmt, print_table, scalability, write_bench_json_with_metrics};
 
 const RT_SWEEP: [usize; 3] = [1, 2, 4];
 
@@ -33,7 +32,7 @@ fn main() {
         &[1, 2, 3, 4, 6, 8, 10, 12]
     };
 
-    let mut traffic: Vec<(String, ProtocolTraffic)> = Vec::new();
+    let mut traffic: Vec<(String, NodeStatsSnapshot)> = Vec::new();
     let mut metrics: Vec<(String, f64)> = Vec::new();
 
     for op in [Op::Read, Op::Write, Op::Operate] {

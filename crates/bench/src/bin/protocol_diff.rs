@@ -1,29 +1,35 @@
 //! Protocol-traffic regression diff.
 //!
 //! Compares a checked-in baseline `BENCH_*.json` against a freshly
-//! generated one and fails (exit code 1) when any protocol counter grew
-//! beyond the allowed threshold. Because every figure binary runs in
-//! deterministic virtual time, the JSON is byte-identical run-to-run: the
-//! default threshold of 0% catches *any* change in coherence traffic —
-//! an extra invalidation round, a lost fast-path hit, a recall storm —
-//! before it shows up as a latency regression.
+//! generated one and fails (exit code 1) when any counter moved the wrong
+//! way. Because every figure binary runs in deterministic virtual time,
+//! the JSON is byte-identical run-to-run: the default threshold of 0%
+//! catches *any* change in coherence traffic — an extra invalidation
+//! round, a lost fast-path hit, a recall storm — before it shows up as a
+//! latency regression.
 //!
 //! ```text
 //! protocol_diff <baseline.json> <current.json> [--threshold-pct <f>] [--abs-slack <n>]
 //!               [--transport-pct <f>] [--update]
 //! ```
 //!
-//! Rules:
-//! - a protocol-counter increase beyond `baseline * (1 + pct/100) + slack`
-//!   fails;
-//! - the transport byte/frame counters (`bytes_tx`, `bytes_rx`, `frames`,
-//!   `completions`) carry backend framing overhead, so they diff under
-//!   their own *symmetric* band (`--transport-pct`, default 10%): leaving
-//!   the band in either direction fails, drift inside it is a note;
-//! - a section or counter present in the baseline but missing from the
-//!   current file fails (instrumentation was dropped);
-//! - protocol-counter decreases and brand-new counters are reported but
-//!   pass (improvements and schema growth are fine).
+//! Each counter is judged by the diff class its row carries in the
+//! counter table (`darray::COUNTERS`); a name the table does not know is
+//! judged as `lower`:
+//! - `lower` (protocol traffic, faults, store activity): a rise beyond
+//!   `baseline * (1 + pct/100) + slack` fails; a drop is an improvement
+//!   note;
+//! - `higher` (work the fast path absorbed: `fast_hits`,
+//!   `local_combines`): a drop below `baseline * (1 - pct/100) - slack`
+//!   fails; a rise is an improvement note;
+//! - `band` (transport bytes, frames, completions and egress batching,
+//!   which carry backend framing): leaving the symmetric `--transport-pct`
+//!   band (default 10%) in either direction fails; drift inside it is a
+//!   note.
+//!
+//! A section or counter present in the baseline but missing from the
+//! current file fails (instrumentation was dropped); brand-new sections
+//! and counters are notes (schema growth is fine).
 //!
 //! `--update` replaces the baseline with the current file (after checking
 //! both parse) and exits 0 — the blessed way to regenerate baselines after
@@ -36,6 +42,8 @@
 
 use std::collections::BTreeMap;
 use std::process::ExitCode;
+
+use darray::{DiffClass, COUNTERS};
 
 /// `section label -> counter name -> value`, in file order (BTreeMap for
 /// stable report ordering).
@@ -226,21 +234,6 @@ struct Finding {
     msg: String,
 }
 
-/// Transport-level counters measure wire traffic and egress mechanics
-/// (payload + backend framing, doorbell batching), not protocol
-/// transitions, so they get a symmetric tolerance band of their own
-/// instead of the exact protocol threshold.
-const TRANSPORT_COUNTERS: [&str; 8] = [
-    "bytes_tx",
-    "bytes_rx",
-    "frames",
-    "completions",
-    "tx_flushes",
-    "doorbell_batches",
-    "frames_coalesced",
-    "ring_hwm",
-];
-
 /// Apply the diff rules; findings in deterministic (sorted) order.
 fn diff(
     baseline: &Traffic,
@@ -266,49 +259,54 @@ fn diff(
                 });
                 continue;
             };
-            let transport = TRANSPORT_COUNTERS.contains(&name.as_str());
-            let band = if transport { transport_pct } else { pct };
+            let class = COUNTERS
+                .iter()
+                .find(|c| c.name == name)
+                .map_or(DiffClass::Lower, |c| c.class);
+            let band = if class == DiffClass::Band {
+                transport_pct
+            } else {
+                pct
+            };
             let limit = (base as f64 * (1.0 + band / 100.0)).floor() as u64 + slack;
-            if cur > limit {
+            let floor = ((base as f64 * (1.0 - band / 100.0)).ceil() as u64).saturating_sub(slack);
+            let (finding, fatal) = if class != DiffClass::Higher && cur > limit {
                 let growth = if base == 0 {
                     "from zero".to_string()
                 } else {
                     format!("+{:.1}%", (cur as f64 / base as f64 - 1.0) * 100.0)
                 };
-                out.push(Finding {
-                    fatal: true,
-                    msg: format!(
-                        "{label}: `{name}` regressed {base} -> {cur} ({growth}, limit {limit})"
-                    ),
-                });
-            } else if transport {
-                // Symmetric band: a big byte/frame *drop* is not an
-                // improvement, it means traffic went missing.
-                let floor =
-                    ((base as f64 * (1.0 - band / 100.0)).ceil() as u64).saturating_sub(slack);
-                if cur < floor {
-                    out.push(Finding {
-                        fatal: true,
-                        msg: format!(
-                            "{label}: `{name}` left the -{band}% transport band: \
-                             {base} -> {cur} (floor {floor})"
-                        ),
-                    });
-                } else if cur != base {
-                    out.push(Finding {
-                        fatal: false,
-                        msg: format!(
-                            "{label}: `{name}` drifted {base} -> {cur} \
-                             (within ±{band}% transport band)"
-                        ),
-                    });
-                }
-            } else if cur < base {
-                out.push(Finding {
-                    fatal: false,
-                    msg: format!("{label}: `{name}` improved {base} -> {cur}"),
-                });
-            }
+                (
+                    format!("`{name}` regressed {base} -> {cur} ({growth}, limit {limit})"),
+                    true,
+                )
+            } else if class != DiffClass::Lower && cur < floor {
+                // For `band` a big byte/frame drop is not an improvement:
+                // traffic went missing.
+                let what = match class {
+                    DiffClass::Band => format!("left the -{band}% transport band:"),
+                    _ => "dropped".to_string(),
+                };
+                (
+                    format!("`{name}` {what} {base} -> {cur} (floor {floor})"),
+                    true,
+                )
+            } else if class == DiffClass::Band && cur != base {
+                (
+                    format!("`{name}` drifted {base} -> {cur} (within ±{band}% transport band)"),
+                    false,
+                )
+            } else if (class == DiffClass::Lower && cur < base)
+                || (class == DiffClass::Higher && cur > base)
+            {
+                (format!("`{name}` improved {base} -> {cur}"), false)
+            } else {
+                continue;
+            };
+            out.push(Finding {
+                fatal,
+                msg: format!("{label}: {finding}"),
+            });
         }
         for name in cur_counters.keys() {
             if !base_counters.contains_key(name) {
@@ -478,7 +476,7 @@ mod tests {
             &[("x_mops".to_string(), 1.25)],
             &[(
                 "x".to_string(),
-                darray_bench::report::ProtocolTraffic {
+                darray::NodeStatsSnapshot {
                     fills: 4,
                     ..Default::default()
                 },
@@ -625,9 +623,32 @@ mod tests {
     }
 
     #[test]
+    fn higher_counters_fail_on_a_drop_and_note_a_rise() {
+        let base = parse_bench(
+            r#"{"bench":"t","protocol_traffic":{
+                 "w_2n": {"fast_hits":100,"transitions":10}
+               }}"#,
+        )
+        .unwrap();
+        let mut cur = base.clone();
+        *cur.get_mut("w_2n").unwrap().get_mut("fast_hits").unwrap() = 99;
+        assert!(diff(&base, &cur, 0.0, 0, 10.0).iter().any(|f| f.fatal));
+        // The drop fails at the exact threshold even inside the transport
+        // band, and a matching slack forgives it.
+        assert!(!diff(&base, &cur, 0.0, 1, 10.0).iter().any(|f| f.fatal));
+        *cur.get_mut("w_2n").unwrap().get_mut("fast_hits").unwrap() = 150;
+        let f = diff(&base, &cur, 0.0, 0, 10.0);
+        assert!(
+            f.iter().all(|x| !x.fatal),
+            "a rise of a higher counter passes"
+        );
+        assert!(f.iter().any(|x| x.msg.contains("improved")));
+    }
+
+    #[test]
     fn real_report_roundtrip() {
         // The writer's own output must parse (guards format drift).
-        let t = darray_bench::report::ProtocolTraffic {
+        let t = darray::NodeStatsSnapshot {
             fills: 3,
             epochs_aborted: 1,
             ..Default::default()

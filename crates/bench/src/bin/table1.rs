@@ -8,13 +8,15 @@
 //! diff harness pins the canonical state walk alongside the figure
 //! workloads.
 
-use darray::{table1_rows, ArrayOptions, Cluster, ClusterConfig, Sim, SimConfig};
-use darray_bench::report::{print_table, write_bench_json, ProtocolTraffic};
+use darray::{
+    table1_rows, ArrayOptions, Cluster, ClusterConfig, NodeStatsSnapshot, Sim, SimConfig,
+};
+use darray_bench::report::{cluster_traffic, print_table, write_bench_json};
 
 /// Walk a chunk homed at node 0 through every Table 1 state and return the
 /// cluster-wide protocol traffic. Deterministic in virtual time: the JSON
 /// is byte-identical run-to-run.
-fn state_walk() -> ProtocolTraffic {
+fn state_walk() -> NodeStatsSnapshot {
     const NODES: usize = 2;
     let mut cfg = ClusterConfig::test_config(NODES);
     // The checked-in baseline records the single-runtime-thread walk; the
@@ -50,7 +52,7 @@ fn state_walk() -> ProtocolTraffic {
             }
             env.barrier(ctx);
         });
-        let traffic = ProtocolTraffic::collect(&cluster);
+        let traffic = cluster_traffic(&cluster);
         cluster.shutdown(ctx);
         traffic
     })

@@ -1,8 +1,8 @@
 //! Figure 16: PageRank and Connected Components running time across the
 //! four engines (DArray, DArray-Pin, GAM, Gemini).
 
-use crate::report::ProtocolTraffic;
-use darray::{Cluster, Sim, SimConfig, VTime};
+use crate::report::cluster_traffic;
+use darray::{Cluster, NodeStatsSnapshot, Sim, SimConfig, VTime};
 use darray_graph::cc::cc_darray;
 use darray_graph::gam_engine::{cc_gam, pagerank_gam};
 use darray_graph::gemini::{cc_gemini, pagerank_gemini};
@@ -70,7 +70,7 @@ pub fn graph_cell_with_traffic(
     scale: u32,
     edge_factor: usize,
     pr_iters: usize,
-) -> (VTime, Option<ProtocolTraffic>) {
+) -> (VTime, Option<NodeStatsSnapshot>) {
     let el = rmat(scale, edge_factor, 24);
     match sys {
         GraphSys::DArray | GraphSys::DArrayPin => {
@@ -81,7 +81,7 @@ pub fn graph_cell_with_traffic(
                     Algo::PageRank => pagerank_darray(ctx, &cluster, &el, pr_iters, pin).elapsed,
                     Algo::Cc => cc_darray(ctx, &cluster, &el, pin).elapsed,
                 };
-                let traffic = ProtocolTraffic::collect(&cluster);
+                let traffic = cluster_traffic(&cluster);
                 cluster.shutdown(ctx);
                 (t, Some(traffic))
             })

@@ -4,10 +4,10 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use darray::{ArrayOptions, Cluster, Ctx, Sim, SimConfig, VTime};
+use darray::{ArrayOptions, Cluster, Ctx, NodeStatsSnapshot, Sim, SimConfig, VTime};
 use darray_kvs::{DArrayBackend, GamBackend, KvBackend, Kvs, KvsConfig, KvsView};
 
-use crate::report::ProtocolTraffic;
+use crate::report::cluster_traffic;
 use gam::{gam_config, GamCluster};
 use workloads::{YcsbOp, YcsbSpec, YcsbStream};
 
@@ -34,7 +34,7 @@ pub struct KvsOut {
     pub elapsed: VTime,
     /// Cluster-wide coherence traffic behind this cell (all-zero for the
     /// GAM backend, which does not expose `NodeStats`).
-    pub protocol: ProtocolTraffic,
+    pub protocol: NodeStatsSnapshot,
 }
 
 impl KvsOut {
@@ -123,7 +123,7 @@ pub fn kvs_ycsb(
             let out = KvsOut {
                 total_ops,
                 elapsed: elapsed.load(Ordering::Relaxed),
-                protocol: ProtocolTraffic::collect(&cluster),
+                protocol: cluster_traffic(&cluster),
             };
             cluster.shutdown(ctx);
             out
@@ -146,7 +146,7 @@ pub fn kvs_ycsb(
             let out = KvsOut {
                 total_ops,
                 elapsed: elapsed.load(Ordering::Relaxed),
-                protocol: ProtocolTraffic::default(),
+                protocol: NodeStatsSnapshot::default(),
             };
             g.shutdown(ctx);
             out

@@ -11,9 +11,9 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use crate::report::ProtocolTraffic;
+use crate::report::cluster_traffic;
 use bcl::BclCluster;
-use darray::{ArrayOptions, Cluster, PinMode, Sim, SimConfig, VTime};
+use darray::{ArrayOptions, Cluster, NodeStatsSnapshot, PinMode, Sim, SimConfig, VTime};
 use gam::{gam_config, GamCluster};
 use workloads::Rng;
 
@@ -65,7 +65,7 @@ pub struct MicroOut {
     pub elapsed: VTime,
     /// Coherence traffic behind the run (all-zero for non-DArray systems,
     /// which have no protocol machines to count).
-    pub protocol: ProtocolTraffic,
+    pub protocol: NodeStatsSnapshot,
 }
 
 impl MicroOut {
@@ -171,7 +171,7 @@ fn builtin_micro(_op: Op, len: usize, ops: u64) -> MicroOut {
         MicroOut {
             total_ops: ops,
             elapsed: ctx.now(),
-            protocol: ProtocolTraffic::default(),
+            protocol: NodeStatsSnapshot::default(),
         }
     })
 }
@@ -267,7 +267,7 @@ fn darray_micro(
         let out = MicroOut {
             total_ops: ops_per_thread * (nodes * threads) as u64,
             elapsed: elapsed.load(Ordering::Relaxed),
-            protocol: ProtocolTraffic::collect(&cluster),
+            protocol: cluster_traffic(&cluster),
         };
         cluster.shutdown(ctx);
         out
@@ -315,7 +315,7 @@ fn gam_micro(
         let out = MicroOut {
             total_ops: ops_per_thread * (nodes * threads) as u64,
             elapsed: elapsed.load(Ordering::Relaxed),
-            protocol: ProtocolTraffic::default(),
+            protocol: NodeStatsSnapshot::default(),
         };
         g.shutdown(ctx);
         out
@@ -373,7 +373,7 @@ fn bcl_micro(
         MicroOut {
             total_ops: ops_per_thread * (nodes * threads) as u64,
             elapsed: elapsed.load(Ordering::Relaxed),
-            protocol: ProtocolTraffic::default(),
+            protocol: NodeStatsSnapshot::default(),
         }
     })
 }

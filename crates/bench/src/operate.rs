@@ -5,8 +5,8 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use crate::report::ProtocolTraffic;
-use darray::{ArrayOptions, Cluster, Sim, SimConfig, VTime};
+use crate::report::cluster_traffic;
+use darray::{ArrayOptions, Cluster, NodeStatsSnapshot, Sim, SimConfig, VTime};
 use workloads::{Rng, Zipfian};
 
 /// Result of one Figure-14 configuration.
@@ -17,7 +17,7 @@ pub struct Fig14Out {
     /// Coherence traffic behind the run; the Operate path shows up as
     /// `operand_flushes`/`operated_reductions`, the lock emulation as
     /// recall/invalidate ping-pong.
-    pub protocol: ProtocolTraffic,
+    pub protocol: NodeStatsSnapshot,
 }
 
 impl Fig14Out {
@@ -65,7 +65,7 @@ pub fn zipf_update(nodes: usize, len: usize, ops_per_node: u64, use_operate: boo
         let out = Fig14Out {
             total_ops: ops_per_node * nodes as u64,
             elapsed: elapsed.load(Ordering::Relaxed),
-            protocol: ProtocolTraffic::collect(&cluster),
+            protocol: cluster_traffic(&cluster),
         };
         cluster.shutdown(ctx);
         out

@@ -41,191 +41,32 @@ pub fn fmt(v: f64) -> String {
     }
 }
 
-/// Cluster-wide protocol message traffic, summed over nodes from the
-/// per-transition counters the protocol machines emit (`NodeStats`).
-/// This is the coherence cost behind a benchmark's headline number: a
-/// workload whose throughput regresses while its `invalidations`/`recalls`
-/// climb is suffering protocol ping-pong, not compute.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ProtocolTraffic {
-    /// Chunk fills sent by home nodes (shared + exclusive).
-    pub fills: u64,
-    /// Invalidation requests sent to sharers.
-    pub invalidations: u64,
-    /// Recall/downgrade messages honored by owners.
-    pub recalls: u64,
-    /// Dirty-data writebacks to home.
-    pub writebacks: u64,
-    /// Combined-operand flushes to home.
-    pub operand_flushes: u64,
-    /// Remote operand buffers reduced into a home subarray.
-    pub operated_reductions: u64,
-    /// Cachelines reclaimed by the watermark eviction scan.
-    pub evictions: u64,
-    /// Structured protocol state transitions (home + cache machines).
-    pub transitions: u64,
-    /// Sharer/wait-set slots pruned from directories by peer death.
-    pub sharers_pruned: u64,
-    /// Operated epochs closed by abort because a contributor died.
-    pub epochs_aborted: u64,
-    /// Locks reclaimed from dead holders (and waiter slots dropped).
-    pub orphaned_locks_reclaimed: u64,
-    /// Peers that entered the Suspected state (retry exhaustion).
-    pub suspicions: u64,
-    /// Suspicions withdrawn because a quorum poll or a fresh lease proved
-    /// the peer alive (parked traffic was replayed, nothing discarded).
-    pub refutations: u64,
-    /// Suspicions promoted to Dead by a quorum of the membership view.
-    pub confirmed_deaths: u64,
-    /// Highest membership-view epoch reached on any node (a gauge — taken
-    /// as the max over nodes, not a sum).
-    pub membership_epoch: u64,
-    /// Dirty flushes persisted to the durable chunk store before their
-    /// protocol acknowledgement (zero when `durability.policy` is `None`).
-    pub flush_persists: u64,
-    /// Durable-log records replayed while opening the store at bring-up.
-    pub log_replays: u64,
-    /// Distinct chunk images recovered from the durable log at bring-up.
-    pub recovered_chunks: u64,
-    /// Bytes held in the durable chunk logs, summed over nodes (zero when
-    /// `durability.policy` is `None`).
-    pub log_bytes: u64,
-    /// Bytes of the newest durable checkpoint sidecars, summed over nodes.
-    pub checkpoint_bytes: u64,
-    /// Checkpoints taken by the chunk stores (periodic + on-demand).
-    pub compactions: u64,
-    /// Log records dropped by compaction truncation, summed over nodes.
-    pub truncated_records: u64,
-    /// Chunks handed to a new home by committed migrations (elastic mode).
-    pub migrations_out: u64,
-    /// Chunk migrations adopted as the new authoritative home.
-    pub migrations_in: u64,
-    /// Requests parked behind a migration fence and replayed after it.
-    pub parked_replays: u64,
-    /// Transport bytes posted to the wire, summed over nodes (payload plus
-    /// backend framing; backend-dependent, unlike the protocol counters).
-    pub bytes_tx: u64,
-    /// Transport bytes received from the wire, summed over nodes.
-    pub bytes_rx: u64,
-    /// Transport frames (SENDs + one-sided WRITEs) posted, summed.
-    pub frames: u64,
-    /// Transport completion events observed, summed.
-    pub completions: u64,
-    /// Egress flushes committed by the transports (doorbell rings; always
-    /// `frames == tx_flushes + frames_coalesced`), summed.
-    pub tx_flushes: u64,
-    /// Flushes that carried two or more frames, summed.
-    pub doorbell_batches: u64,
-    /// Frames that rode an already-open batch instead of ringing their own
-    /// doorbell, summed.
-    pub frames_coalesced: u64,
-    /// Per-link egress-ring high-water mark in frames (a gauge — taken as
-    /// the max over nodes, not a sum).
-    pub ring_hwm: u64,
+/// Cluster-wide counters: every node's [`Cluster::stats`] merged (sums,
+/// and the max for gauges). This is the coherence cost behind a
+/// benchmark's headline number: a workload whose throughput regresses
+/// while its `invalidations`/`recalls` climb is suffering protocol
+/// ping-pong, not compute. Call before shutdown.
+pub fn cluster_traffic(cluster: &Cluster) -> NodeStatsSnapshot {
+    let mut t = NodeStatsSnapshot::default();
+    for n in 0..cluster.config().nodes {
+        t.merge(&cluster.stats(n));
+    }
+    t
 }
 
-impl ProtocolTraffic {
-    /// Accumulate one node's counters.
-    pub fn add(&mut self, s: &NodeStatsSnapshot) {
-        self.fills += s.fills;
-        self.invalidations += s.invalidations;
-        self.recalls += s.recalls;
-        self.writebacks += s.writebacks;
-        self.operand_flushes += s.operand_flushes;
-        self.operated_reductions += s.operated_reductions;
-        self.evictions += s.evictions;
-        self.transitions += s.transitions;
-        self.sharers_pruned += s.sharers_pruned;
-        self.epochs_aborted += s.epochs_aborted;
-        self.orphaned_locks_reclaimed += s.orphaned_locks_reclaimed;
-        self.suspicions += s.suspicions;
-        self.refutations += s.refutations;
-        self.confirmed_deaths += s.confirmed_deaths;
-        self.membership_epoch = self.membership_epoch.max(s.membership_epoch);
-        self.flush_persists += s.flush_persists;
-        self.log_replays += s.log_replays;
-        self.recovered_chunks += s.recovered_chunks;
-        self.log_bytes += s.log_bytes;
-        self.checkpoint_bytes += s.checkpoint_bytes;
-        self.compactions += s.compactions;
-        self.truncated_records += s.truncated_records;
-        self.migrations_out += s.migrations_out;
-        self.migrations_in += s.migrations_in;
-        self.parked_replays += s.parked_replays;
-        self.bytes_tx += s.bytes_tx;
-        self.bytes_rx += s.bytes_rx;
-        self.frames += s.frames;
-        self.completions += s.completions;
-        self.tx_flushes += s.tx_flushes;
-        self.doorbell_batches += s.doorbell_batches;
-        self.frames_coalesced += s.frames_coalesced;
-        self.ring_hwm = self.ring_hwm.max(s.ring_hwm);
-    }
-
-    /// Sum the counters of every node in a cluster (call before shutdown).
-    pub fn collect(cluster: &Cluster) -> Self {
-        let mut t = Self::default();
-        for n in 0..cluster.config().nodes {
-            t.add(&cluster.stats(n));
-        }
-        t
-    }
-
-    /// The JSON object for one BENCH_*.json section.
-    pub fn json(&self) -> String {
-        format!(
-            "{{\"fills\":{},\"invalidations\":{},\"recalls\":{},\"writebacks\":{},\
-             \"operand_flushes\":{},\"operated_reductions\":{},\"evictions\":{},\
-             \"transitions\":{},\"sharers_pruned\":{},\"epochs_aborted\":{},\
-             \"orphaned_locks_reclaimed\":{},\"suspicions\":{},\"refutations\":{},\
-             \"confirmed_deaths\":{},\"membership_epoch\":{},\
-             \"flush_persists\":{},\"log_replays\":{},\"recovered_chunks\":{},\
-             \"log_bytes\":{},\"checkpoint_bytes\":{},\"compactions\":{},\
-             \"truncated_records\":{},\
-             \"migrations_out\":{},\"migrations_in\":{},\"parked_replays\":{},\
-             \"bytes_tx\":{},\"bytes_rx\":{},\"frames\":{},\"completions\":{},\
-             \"tx_flushes\":{},\"doorbell_batches\":{},\"frames_coalesced\":{},\
-             \"ring_hwm\":{}}}",
-            self.fills,
-            self.invalidations,
-            self.recalls,
-            self.writebacks,
-            self.operand_flushes,
-            self.operated_reductions,
-            self.evictions,
-            self.transitions,
-            self.sharers_pruned,
-            self.epochs_aborted,
-            self.orphaned_locks_reclaimed,
-            self.suspicions,
-            self.refutations,
-            self.confirmed_deaths,
-            self.membership_epoch,
-            self.flush_persists,
-            self.log_replays,
-            self.recovered_chunks,
-            self.log_bytes,
-            self.checkpoint_bytes,
-            self.compactions,
-            self.truncated_records,
-            self.migrations_out,
-            self.migrations_in,
-            self.parked_replays,
-            self.bytes_tx,
-            self.bytes_rx,
-            self.frames,
-            self.completions,
-            self.tx_flushes,
-            self.doorbell_batches,
-            self.frames_coalesced,
-            self.ring_hwm
-        )
-    }
+/// The JSON object for one BENCH_*.json section: every row of the counter
+/// table, in table order.
+fn traffic_json(t: &NodeStatsSnapshot) -> String {
+    let pairs: Vec<String> = t
+        .fields()
+        .map(|(c, v)| format!("\"{}\":{v}", c.name))
+        .collect();
+    format!("{{{}}}", pairs.join(","))
 }
 
 /// Render the BENCH_*.json body: one protocol-traffic section per labelled
 /// configuration.
-pub fn render_bench_json(name: &str, sections: &[(String, ProtocolTraffic)]) -> String {
+pub fn render_bench_json(name: &str, sections: &[(String, NodeStatsSnapshot)]) -> String {
     render_bench_json_with_metrics(name, &[], sections)
 }
 
@@ -238,7 +79,7 @@ pub fn render_bench_json(name: &str, sections: &[(String, ProtocolTraffic)]) -> 
 pub fn render_bench_json_with_metrics(
     name: &str,
     metrics: &[(String, f64)],
-    sections: &[(String, ProtocolTraffic)],
+    sections: &[(String, NodeStatsSnapshot)],
 ) -> String {
     let mut s = String::new();
     s.push_str("{\n");
@@ -254,7 +95,7 @@ pub fn render_bench_json_with_metrics(
     s.push_str("  \"protocol_traffic\": {\n");
     for (i, (label, t)) in sections.iter().enumerate() {
         let comma = if i + 1 < sections.len() { "," } else { "" };
-        s.push_str(&format!("    \"{label}\": {}{comma}\n", t.json()));
+        s.push_str(&format!("    \"{label}\": {}{comma}\n", traffic_json(t)));
     }
     s.push_str("  }\n}\n");
     s
@@ -265,7 +106,7 @@ pub fn render_bench_json_with_metrics(
 /// runs of the same binary.
 pub fn write_bench_json(
     name: &str,
-    sections: &[(String, ProtocolTraffic)],
+    sections: &[(String, NodeStatsSnapshot)],
 ) -> std::io::Result<PathBuf> {
     write_bench_json_with_metrics(name, &[], sections)
 }
@@ -274,7 +115,7 @@ pub fn write_bench_json(
 pub fn write_bench_json_with_metrics(
     name: &str,
     metrics: &[(String, f64)],
-    sections: &[(String, ProtocolTraffic)],
+    sections: &[(String, NodeStatsSnapshot)],
 ) -> std::io::Result<PathBuf> {
     let path = PathBuf::from(format!("BENCH_{name}.json"));
     let mut f = std::fs::File::create(&path)?;
@@ -307,85 +148,26 @@ mod tests {
     }
 
     #[test]
-    fn protocol_traffic_json_names_every_counter() {
-        let t = ProtocolTraffic {
-            fills: 1,
-            invalidations: 2,
-            recalls: 3,
-            writebacks: 4,
-            operand_flushes: 5,
-            operated_reductions: 6,
-            evictions: 7,
-            transitions: 8,
-            sharers_pruned: 9,
-            epochs_aborted: 10,
-            orphaned_locks_reclaimed: 11,
-            suspicions: 12,
-            refutations: 13,
-            confirmed_deaths: 14,
-            membership_epoch: 15,
-            flush_persists: 16,
-            log_replays: 17,
-            recovered_chunks: 18,
-            log_bytes: 26,
-            checkpoint_bytes: 27,
-            compactions: 28,
-            truncated_records: 29,
-            migrations_out: 23,
-            migrations_in: 24,
-            parked_replays: 25,
-            bytes_tx: 19,
-            bytes_rx: 20,
-            frames: 21,
-            completions: 22,
-            tx_flushes: 30,
-            doorbell_batches: 31,
-            frames_coalesced: 32,
-            ring_hwm: 33,
-        };
-        let j = t.json();
-        for key in [
-            "\"fills\":1",
-            "\"invalidations\":2",
-            "\"recalls\":3",
-            "\"writebacks\":4",
-            "\"operand_flushes\":5",
-            "\"operated_reductions\":6",
-            "\"evictions\":7",
-            "\"transitions\":8",
-            "\"sharers_pruned\":9",
-            "\"epochs_aborted\":10",
-            "\"orphaned_locks_reclaimed\":11",
-            "\"suspicions\":12",
-            "\"refutations\":13",
-            "\"confirmed_deaths\":14",
-            "\"membership_epoch\":15",
-            "\"flush_persists\":16",
-            "\"log_replays\":17",
-            "\"recovered_chunks\":18",
-            "\"log_bytes\":26",
-            "\"checkpoint_bytes\":27",
-            "\"compactions\":28",
-            "\"truncated_records\":29",
-            "\"migrations_out\":23",
-            "\"migrations_in\":24",
-            "\"parked_replays\":25",
-            "\"bytes_tx\":19",
-            "\"bytes_rx\":20",
-            "\"frames\":21",
-            "\"completions\":22",
-            "\"tx_flushes\":30",
-            "\"doorbell_batches\":31",
-            "\"frames_coalesced\":32",
-            "\"ring_hwm\":33",
-        ] {
-            assert!(j.contains(key), "missing {key} in {j}");
+    fn traffic_json_names_every_counter_once_with_its_value() {
+        let mut t = NodeStatsSnapshot::default();
+        for (i, (_, v)) in t.fields_mut().enumerate() {
+            *v = 1000 + i as u64;
+        }
+        let j = traffic_json(&t);
+        let pairs: Vec<&str> = j[1..j.len() - 1].split(',').collect();
+        assert_eq!(pairs.len(), darray::COUNTERS.len(), "{j}");
+        for (c, v) in t.fields() {
+            assert_eq!(j.matches(&format!("\"{}\":", c.name)).count(), 1, "{j}");
+            assert!(
+                pairs.contains(&format!("\"{}\":{v}", c.name).as_str()),
+                "{j}"
+            );
         }
     }
 
     #[test]
     fn metrics_object_renders_and_empty_is_omitted() {
-        let t = ProtocolTraffic::default();
+        let t = NodeStatsSnapshot::default();
         let body = render_bench_json_with_metrics(
             "unit",
             &[("read_rt2_mops".to_string(), 12.5)],
@@ -402,7 +184,7 @@ mod tests {
 
     #[test]
     fn bench_json_body_shape() {
-        let t = ProtocolTraffic {
+        let t = NodeStatsSnapshot {
             fills: 42,
             ..Default::default()
         };
@@ -410,7 +192,7 @@ mod tests {
             "unit",
             &[
                 ("seq_read".to_string(), t),
-                ("seq_write".to_string(), ProtocolTraffic::default()),
+                ("seq_write".to_string(), NodeStatsSnapshot::default()),
             ],
         );
         assert!(body.contains("\"bench\": \"unit\""));

@@ -106,18 +106,16 @@ fn build_transports(cfg: &ClusterConfig) -> Result<Vec<Arc<dyn Transport<NetMsg>
             if let Some(n) = cfg.batch.flush_every_frames {
                 net.signal_interval = n;
             }
-            let policy = rdma_fabric::BatchPolicy {
-                send_batch_max: cfg.batch.send_batch_max,
-                flush_every_frames: cfg.batch.flush_every_frames,
-            };
             let fabric: Fabric<NetMsg> = match &cfg.fault {
                 Some(f) => Fabric::with_faults(cfg.nodes, net, f.plan.clone()),
                 None => Fabric::new(cfg.nodes, net),
             };
             Ok((0..cfg.nodes)
                 .map(|i| {
-                    Arc::new(SimTransport::with_policy(fabric.nic(i), policy))
-                        as Arc<dyn Transport<NetMsg>>
+                    Arc::new(SimTransport::with_send_batch_max(
+                        fabric.nic(i),
+                        cfg.batch.send_batch_max,
+                    )) as Arc<dyn Transport<NetMsg>>
                 })
                 .collect())
         }
@@ -232,7 +230,7 @@ impl Cluster {
                 .as_ref()
                 .expect("checked by try_validate");
             let mut v: Vec<Option<Arc<dyn ChunkStore>>> = Vec::with_capacity(nodes);
-            for (n, node_stats) in stats.iter().enumerate() {
+            for n in 0..nodes {
                 let store = LogChunkStore::open_with(
                     &dir.join(format!("node{n}.log")),
                     cfg.durability.policy,
@@ -241,13 +239,6 @@ impl Cluster {
                 .map_err(|e| crate::ConfigError::DurabilityBringUp {
                     message: e.to_string(),
                 })?;
-                let st = store.stats();
-                node_stats
-                    .log_replays
-                    .fetch_add(st.replayed_records, std::sync::atomic::Ordering::Relaxed);
-                node_stats
-                    .recovered_chunks
-                    .fetch_add(st.recovered_chunks, std::sync::atomic::Ordering::Relaxed);
                 v.push(Some(Arc::new(store)));
             }
             // First incarnation binds the directory to this cluster shape;
@@ -592,28 +583,16 @@ impl Cluster {
         }
     }
 
-    /// Statistics of one node's runtime, with the node's transport
-    /// byte/frame/completion counters overlaid (backend-agnostic; see
-    /// [`rdma_fabric::TransportStats`]).
+    /// Every counter of one node: its runtime counters plus the rows owned
+    /// by its transport (backend-agnostic; see
+    /// [`rdma_fabric::TransportStats`]) and its durable chunk store (zero
+    /// without durability).
     pub fn stats(&self, node: NodeId) -> NodeStatsSnapshot {
-        let mut snap = self.shared.stats[node].snapshot();
-        let t = self.shared.transport_stats(node);
-        snap.bytes_tx = t.bytes_tx;
-        snap.bytes_rx = t.bytes_rx;
-        snap.frames = t.frames;
-        snap.completions = t.completions;
-        snap.tx_flushes = t.tx_flushes;
-        snap.doorbell_batches = t.doorbell_batches;
-        snap.frames_coalesced = t.frames_coalesced;
-        snap.ring_hwm = t.ring_hwm;
-        if let Some(store) = &self.shared.stores[node] {
-            let st = store.stats();
-            snap.log_bytes = st.log_bytes;
-            snap.checkpoint_bytes = st.checkpoint_bytes;
-            snap.compactions = st.compactions;
-            snap.truncated_records = st.truncated_records;
-        }
-        snap
+        let store = self.shared.stores[node]
+            .as_ref()
+            .map(|s| s.stats())
+            .unwrap_or_default();
+        self.shared.stats[node].snapshot(&self.shared.transport_stats(node), &store)
     }
 
     /// Checkpoint barrier: snapshot every node's durable chunk store into

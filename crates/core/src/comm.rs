@@ -430,7 +430,6 @@ pub(crate) fn rel_thread_main(
         let Some(epoch) = shared.membership[node].confirm_dead(dst) else {
             return;
         };
-        NodeStats::bump(&stats.peers_down);
         NodeStats::bump(&stats.confirmed_deaths);
         NodeStats::raise(&stats.membership_epoch, epoch);
         parked.clear();

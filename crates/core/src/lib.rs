@@ -92,7 +92,7 @@ pub use msg::LockKind;
 pub use op::{OpId, OpRegistry};
 pub use pin::{PinMode, Pinned};
 pub use state::{table1_rows, DirState, LocalState, Rights, Table1Row};
-pub use stats::{NodeStats, NodeStatsSnapshot};
+pub use stats::{CounterRow, DiffClass, NodeStats, NodeStatsSnapshot, COUNTERS};
 pub use store::{
     CheckpointConfig, ChunkStore, DurabilityPolicy, LogChunkStore, RecoveredChunk, StoreStats,
 };
@@ -100,8 +100,8 @@ pub use store::{
 // Re-export the substrate types callers need to configure a cluster.
 pub use dsim::{Ctx, Sim, SimBarrier, SimConfig, VTime};
 pub use rdma_fabric::{
-    AsymmetricLoss, BatchPolicy, CostModel, FaultPlan, NetConfig, NodeId, Partition, SimTransport,
-    Transport, TransportStats, Wire,
+    AsymmetricLoss, CostModel, FaultPlan, NetConfig, NodeId, Partition, SimTransport, Transport,
+    TransportStats, Wire,
 };
 #[cfg(feature = "tcp-transport")]
 pub use rdma_fabric::{TcpFabric, TcpOptions, TcpTransport};

@@ -1,169 +1,45 @@
 //! Per-node runtime statistics.
+//!
+//! Every counter is one row of the `counters!` table at the bottom of this
+//! file, and everything else is generated from it: the [`NodeStats`]
+//! atomics, [`NodeStatsSnapshot`], [`NodeStats::snapshot`], the cluster-wide
+//! [`NodeStatsSnapshot::merge`], the name/value list
+//! [`NodeStatsSnapshot::fields`] the `BENCH_*.json` writer prints, and the
+//! per-counter [`DiffClass`] that `protocol_diff` and the Sim≡TCP parity
+//! tests read from [`COUNTERS`].
+//!
+//! Adding a counter is one table row plus its bump site. Every figure's
+//! BENCH json then carries it, so re-bless the checked-in baselines with
+//! `protocol_diff --update` (DESIGN.md §10 "Counters").
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Monotonic counters describing one node's DArray activity. All fields are
-/// cheap relaxed atomics; snapshot with [`NodeStats::snapshot`].
-#[derive(Debug, Default)]
-pub struct NodeStats {
-    /// Fast-path accesses that succeeded immediately.
-    pub fast_hits: AtomicU64,
-    /// Slow-path requests submitted to the runtime.
-    pub slow_misses: AtomicU64,
-    /// Cache fills completed (read, write or operate grants).
-    pub fills: AtomicU64,
-    /// Cachelines evicted by the reclamation scan.
-    pub evictions: AtomicU64,
-    /// Dirty writebacks sent (voluntary or recalled).
-    pub writebacks: AtomicU64,
-    /// Operand flushes sent (voluntary or recalled).
-    pub operand_flushes: AtomicU64,
-    /// Invalidations performed on this node's copies.
-    pub invalidations: AtomicU64,
-    /// Protocol messages handled by runtime threads.
-    pub rpcs_handled: AtomicU64,
-    /// Local requests handled by runtime threads.
-    pub local_handled: AtomicU64,
-    /// Operator applications combined locally (Operated state).
-    pub local_combines: AtomicU64,
-    /// Lock acquisitions granted by this node's lock tables.
-    pub locks_granted: AtomicU64,
-    /// Prefetch fills issued.
-    pub prefetches: AtomicU64,
-    /// Recall/downgrade messages honored by this node (home pulled back a
-    /// dirty or operated copy we held).
-    pub recalls: AtomicU64,
-    /// Operand flushes *reduced into* this node's home subarray (each is one
-    /// remote node's combined Operated contribution).
-    pub operated_reductions: AtomicU64,
-    /// Protocol state transitions executed by this node's machines (home
-    /// directory + local cache), as emitted by `protocol::Transition`.
-    pub transitions: AtomicU64,
-    /// Reliable-RPC timeout expirations (each triggers a retransmit or, at
-    /// the retry limit, a peer-down declaration). Zero unless
-    /// `ClusterConfig::fault` is set.
-    pub rpc_timeouts: AtomicU64,
-    /// Reliable-RPC retransmissions posted.
-    pub retransmits: AtomicU64,
-    /// Duplicate RPCs suppressed at the Rx/runtime boundary.
-    pub dup_rpcs: AtomicU64,
-    /// Peers this node declared down after exhausting retries.
-    pub peers_down: AtomicU64,
-    /// Locks held by (or granted to) dead peers that this node's lock
-    /// tables reclaimed during peer-down recovery.
-    pub orphaned_locks_reclaimed: AtomicU64,
-    /// Operated epochs this node's directory machines closed by abort
-    /// because a contributor died before flushing its operands.
-    pub epochs_aborted: AtomicU64,
-    /// Dead peers pruned from directory sharer sets and transient wait
-    /// sets during peer-down recovery.
-    pub sharers_pruned: AtomicU64,
-    /// Peers this node moved to *Suspected* after exhausting retries
-    /// (includes suspicions resolved instantly by a fresh incoming lease).
-    pub suspicions: AtomicU64,
-    /// Suspicions refuted — by a quorum vote naming the peer alive, or by
-    /// the suspect's own traffic refreshing its lease — after which the
-    /// peer was re-admitted and its parked traffic replayed.
-    pub refutations: AtomicU64,
-    /// Suspicions a quorum promoted to confirmed deaths. Always equal to
-    /// `peers_down` (kept separate so the membership ledger — suspicions =
-    /// refutations + confirmed + pending — balances on its own terms).
-    pub confirmed_deaths: AtomicU64,
-    /// Gauge (not a counter): this node's current membership-view epoch,
-    /// i.e. the number of deaths it has confirmed so far.
-    pub membership_epoch: AtomicU64,
-    /// Dirty-chunk flushes persisted to the durable chunk store before the
-    /// protocol acknowledged them (persist-before-ack, DESIGN.md §14).
-    /// Zero unless a durability policy is configured.
-    pub flush_persists: AtomicU64,
-    /// Log records replayed when this node's durable chunk store was
-    /// opened (includes superseded records of re-persisted chunks).
-    pub log_replays: AtomicU64,
-    /// Distinct chunk images recovered from the durable log at bring-up
-    /// (latest epoch per chunk) and overlaid onto home subarrays.
-    pub recovered_chunks: AtomicU64,
-    /// Chunks this node handed to a new home: migrations that committed and
-    /// departed (DESIGN.md §15). Zero outside elastic mode.
-    pub migrations_out: AtomicU64,
-    /// Chunk migrations that landed here: this node adopted the chunk as
-    /// its new authoritative home.
-    pub migrations_in: AtomicU64,
-    /// Requests parked behind a migration fence and later replayed —
-    /// forwarded to the new home or re-serviced once the fence lifted.
-    pub parked_replays: AtomicU64,
+use rdma_fabric::TransportStats;
+
+use crate::store::StoreStats;
+
+/// How `protocol_diff` judges a counter's change against its baseline.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum DiffClass {
+    /// Exact (within `--threshold-pct`): a rise fails, a drop is reported
+    /// as an improvement. Protocol traffic, faults and store activity.
+    Lower,
+    /// Exact (within `--threshold-pct`): a drop fails, a rise is reported
+    /// as an improvement. Work the fast path absorbed.
+    Higher,
+    /// Symmetric `--transport-pct` band: leaving it in either direction
+    /// fails, drift inside it is a note. Backend-dependent wire and egress
+    /// counters.
+    Band,
 }
 
-/// Point-in-time copy of [`NodeStats`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NodeStatsSnapshot {
-    pub fast_hits: u64,
-    pub slow_misses: u64,
-    pub fills: u64,
-    pub evictions: u64,
-    pub writebacks: u64,
-    pub operand_flushes: u64,
-    pub invalidations: u64,
-    pub rpcs_handled: u64,
-    pub local_handled: u64,
-    pub local_combines: u64,
-    pub locks_granted: u64,
-    pub prefetches: u64,
-    pub recalls: u64,
-    pub operated_reductions: u64,
-    pub transitions: u64,
-    pub rpc_timeouts: u64,
-    pub retransmits: u64,
-    pub dup_rpcs: u64,
-    pub peers_down: u64,
-    pub orphaned_locks_reclaimed: u64,
-    pub epochs_aborted: u64,
-    pub sharers_pruned: u64,
-    pub suspicions: u64,
-    pub refutations: u64,
-    pub confirmed_deaths: u64,
-    pub membership_epoch: u64,
-    pub flush_persists: u64,
-    pub log_replays: u64,
-    pub recovered_chunks: u64,
-    pub migrations_out: u64,
-    pub migrations_in: u64,
-    pub parked_replays: u64,
-    /// Bytes this node's transport handed to the wire (payload plus backend
-    /// framing). Filled in by `Cluster::stats` from the transport backend;
-    /// always zero in a bare [`NodeStats::snapshot`].
-    pub bytes_tx: u64,
-    /// Bytes this node's transport received from the wire.
-    pub bytes_rx: u64,
-    /// Frames (SENDs plus one-sided WRITEs) this node's transport posted.
-    pub frames: u64,
-    /// Completion events the transport observed for posted work.
-    pub completions: u64,
-    /// Egress flushes the transport committed (doorbell rings; always
-    /// `frames == tx_flushes + frames_coalesced`). Overlaid by
-    /// `Cluster::stats` like the other transport counters.
-    pub tx_flushes: u64,
-    /// Flushes that carried two or more frames (one doorbell amortized
-    /// over a batch).
-    pub doorbell_batches: u64,
-    /// Frames that rode an already-open batch instead of ringing their
-    /// own doorbell.
-    pub frames_coalesced: u64,
-    /// High-water mark of the per-link egress ring, in frames.
-    pub ring_hwm: u64,
-    /// Bytes currently held by this node's durable chunk log (header plus
-    /// framed records, including the not-yet-compacted suffix). Filled in
-    /// by `Cluster::stats` from the chunk store; always zero in a bare
-    /// [`NodeStats::snapshot`] and under `durability.policy = none`.
-    pub log_bytes: u64,
-    /// Bytes of this node's newest durable checkpoint sidecar (0 before
-    /// the first checkpoint).
-    pub checkpoint_bytes: u64,
-    /// Checkpoints taken by this node's chunk store (periodic trigger plus
-    /// explicit `Cluster::checkpoint_all` calls).
-    pub compactions: u64,
-    /// Log records dropped by compaction — the prefix covered by a
-    /// checkpoint generation and truncated from the log.
-    pub truncated_records: u64,
+/// One row of the counter table as data.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CounterRow {
+    /// Field name in [`NodeStatsSnapshot`], and the key in `BENCH_*.json`.
+    pub name: &'static str,
+    /// How `protocol_diff` compares the counter with a baseline.
+    pub class: DiffClass,
 }
 
 impl NodeStats {
@@ -178,76 +54,273 @@ impl NodeStats {
     pub(crate) fn raise(field: &AtomicU64, v: u64) {
         field.fetch_max(v, Ordering::Relaxed);
     }
+}
 
-    /// Copy out all counters.
-    pub fn snapshot(&self) -> NodeStatsSnapshot {
-        NodeStatsSnapshot {
-            fast_hits: self.fast_hits.load(Ordering::Relaxed),
-            slow_misses: self.slow_misses.load(Ordering::Relaxed),
-            fills: self.fills.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            writebacks: self.writebacks.load(Ordering::Relaxed),
-            operand_flushes: self.operand_flushes.load(Ordering::Relaxed),
-            invalidations: self.invalidations.load(Ordering::Relaxed),
-            rpcs_handled: self.rpcs_handled.load(Ordering::Relaxed),
-            local_handled: self.local_handled.load(Ordering::Relaxed),
-            local_combines: self.local_combines.load(Ordering::Relaxed),
-            locks_granted: self.locks_granted.load(Ordering::Relaxed),
-            prefetches: self.prefetches.load(Ordering::Relaxed),
-            recalls: self.recalls.load(Ordering::Relaxed),
-            operated_reductions: self.operated_reductions.load(Ordering::Relaxed),
-            transitions: self.transitions.load(Ordering::Relaxed),
-            rpc_timeouts: self.rpc_timeouts.load(Ordering::Relaxed),
-            retransmits: self.retransmits.load(Ordering::Relaxed),
-            dup_rpcs: self.dup_rpcs.load(Ordering::Relaxed),
-            peers_down: self.peers_down.load(Ordering::Relaxed),
-            orphaned_locks_reclaimed: self.orphaned_locks_reclaimed.load(Ordering::Relaxed),
-            epochs_aborted: self.epochs_aborted.load(Ordering::Relaxed),
-            sharers_pruned: self.sharers_pruned.load(Ordering::Relaxed),
-            suspicions: self.suspicions.load(Ordering::Relaxed),
-            refutations: self.refutations.load(Ordering::Relaxed),
-            confirmed_deaths: self.confirmed_deaths.load(Ordering::Relaxed),
-            membership_epoch: self.membership_epoch.load(Ordering::Relaxed),
-            flush_persists: self.flush_persists.load(Ordering::Relaxed),
-            log_replays: self.log_replays.load(Ordering::Relaxed),
-            recovered_chunks: self.recovered_chunks.load(Ordering::Relaxed),
-            migrations_out: self.migrations_out.load(Ordering::Relaxed),
-            migrations_in: self.migrations_in.load(Ordering::Relaxed),
-            parked_replays: self.parked_replays.load(Ordering::Relaxed),
-            // Transport counters live in the backend, not in NodeStats;
-            // `Cluster::stats` overlays them onto the snapshot.
-            bytes_tx: 0,
-            bytes_rx: 0,
-            frames: 0,
-            completions: 0,
-            tx_flushes: 0,
-            doorbell_batches: 0,
-            frames_coalesced: 0,
-            ring_hwm: 0,
-            // Store counters live in the chunk store; `Cluster::stats`
-            // overlays them too.
-            log_bytes: 0,
-            checkpoint_bytes: 0,
-            compactions: 0,
-            truncated_records: 0,
+/// Emit `NodeStats` with one atomic per `runtime` row; rows owned by the
+/// transport or the chunk store have none.
+macro_rules! node_stats {
+    ([$($atomics:tt)*]) => {
+        /// Monotonic counters describing one node's DArray activity. All
+        /// fields are cheap relaxed atomics; snapshot with
+        /// [`NodeStats::snapshot`].
+        #[derive(Debug, Default)]
+        pub struct NodeStats { $($atomics)* }
+    };
+    ([$($atomics:tt)*] $(#[$doc:meta])* $name:ident runtime; $($rest:tt)*) => {
+        node_stats!([$($atomics)* $(#[$doc])* pub $name: AtomicU64,] $($rest)*);
+    };
+    ([$($atomics:tt)*] $(#[$doc:meta])* $name:ident $owner:ident; $($rest:tt)*) => {
+        node_stats!([$($atomics)*] $($rest)*);
+    };
+}
+
+/// Read one row from its owner.
+macro_rules! read {
+    (runtime, $name:ident, $rt:ident, $transport:ident, $store:ident) => {
+        $rt.$name.load(Ordering::Relaxed)
+    };
+    (transport, $name:ident, $rt:ident, $transport:ident, $store:ident) => {
+        $transport.$name
+    };
+    (store, $name:ident, $rt:ident, $transport:ident, $store:ident) => {
+        $store.$name
+    };
+}
+
+/// Fold another node's value of one row into `$into`.
+macro_rules! aggregate {
+    (sum, $into:expr, $from:expr) => {
+        $into += $from
+    };
+    (max, $into:expr, $from:expr) => {
+        $into = $into.max($from)
+    };
+}
+
+/// The [`DiffClass`] a row names.
+macro_rules! diff_class {
+    (lower) => {
+        DiffClass::Lower
+    };
+    (higher) => {
+        DiffClass::Higher
+    };
+    (band) => {
+        DiffClass::Band
+    };
+}
+
+/// The counter table. Each row is `name: owner, aggregation, diff class;`
+/// under the counter's doc:
+/// - owner: `runtime` (an atomic in [`NodeStats`]), `transport` (a field of
+///   [`TransportStats`]) or `store` (a field of [`StoreStats`]);
+/// - aggregation across nodes: `sum`, or `max` for gauges;
+/// - diff class: `lower`, `higher` or `band` (see [`DiffClass`]).
+///
+/// Row order is the key order of every `BENCH_*.json` section.
+macro_rules! counters {
+    ($( $(#[$doc:meta])* $name:ident: $owner:ident, $agg:ident, $class:ident; )+) => {
+        node_stats!([] $( $(#[$doc])* $name $owner; )+);
+
+        /// Point-in-time copy of every counter of one node: the
+        /// [`NodeStats`] atomics plus the transport and chunk-store rows.
+        /// `Cluster::stats` returns one per node; [`NodeStatsSnapshot::merge`]
+        /// folds them into a cluster-wide total.
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+        pub struct NodeStatsSnapshot {
+            $( $(#[$doc])* pub $name: u64, )+
         }
-    }
+
+        /// Every row of the counter table, in `BENCH_*.json` key order.
+        pub const COUNTERS: &[CounterRow] = &[
+            $( CounterRow { name: stringify!($name), class: diff_class!($class) }, )+
+        ];
+
+        impl NodeStats {
+            /// Copy out every counter, taking the transport and store rows
+            /// from their owners' stats.
+            pub fn snapshot(
+                &self,
+                transport: &TransportStats,
+                store: &StoreStats,
+            ) -> NodeStatsSnapshot {
+                NodeStatsSnapshot {
+                    $( $name: read!($owner, $name, self, transport, store), )+
+                }
+            }
+        }
+
+        impl NodeStatsSnapshot {
+            /// Fold another node's counters into this one: sums, and the
+            /// max for gauges.
+            pub fn merge(&mut self, other: &Self) {
+                $( aggregate!($agg, self.$name, other.$name); )+
+            }
+
+            /// Every counter with its value, in [`COUNTERS`] order.
+            pub fn fields(&self) -> impl Iterator<Item = (CounterRow, u64)> {
+                COUNTERS.iter().copied().zip([$(self.$name),+])
+            }
+
+            /// [`NodeStatsSnapshot::fields`], writable.
+            pub fn fields_mut(&mut self) -> impl Iterator<Item = (CounterRow, &mut u64)> {
+                COUNTERS.iter().copied().zip([$(&mut self.$name),+])
+            }
+        }
+    };
+}
+
+counters! {
+    /// Chunk fills completed (read, write or operate grants).
+    fills: runtime, sum, lower;
+    /// Invalidations performed on this node's copies.
+    invalidations: runtime, sum, lower;
+    /// Recall/downgrade messages honored by this node (home pulled back a
+    /// dirty or operated copy we held).
+    recalls: runtime, sum, lower;
+    /// Dirty writebacks sent (voluntary or recalled).
+    writebacks: runtime, sum, lower;
+    /// Operand flushes sent (voluntary or recalled).
+    operand_flushes: runtime, sum, lower;
+    /// Operand flushes *reduced into* this node's home subarray (each is one
+    /// remote node's combined Operated contribution).
+    operated_reductions: runtime, sum, lower;
+    /// Cachelines evicted by the reclamation scan.
+    evictions: runtime, sum, lower;
+    /// Protocol state transitions executed by this node's machines (home
+    /// directory + local cache), as emitted by `protocol::Transition`.
+    transitions: runtime, sum, lower;
+    /// Dead peers pruned from directory sharer sets and transient wait
+    /// sets during peer-down recovery.
+    sharers_pruned: runtime, sum, lower;
+    /// Operated epochs this node's directory machines closed by abort
+    /// because a contributor died before flushing its operands.
+    epochs_aborted: runtime, sum, lower;
+    /// Locks held by (or granted to) dead peers that this node's lock
+    /// tables reclaimed during peer-down recovery.
+    orphaned_locks_reclaimed: runtime, sum, lower;
+    /// Peers this node moved to *Suspected* after exhausting retries
+    /// (includes suspicions resolved instantly by a fresh incoming lease).
+    suspicions: runtime, sum, lower;
+    /// Suspicions refuted — by a quorum vote naming the peer alive, or by
+    /// the suspect's own traffic refreshing its lease — after which the
+    /// peer was re-admitted and its parked traffic replayed.
+    refutations: runtime, sum, lower;
+    /// Suspicions a quorum promoted to confirmed deaths: the peers this
+    /// node declared down.
+    confirmed_deaths: runtime, sum, lower;
+    /// Gauge (not a counter): this node's current membership-view epoch,
+    /// i.e. the number of deaths it has confirmed so far.
+    membership_epoch: runtime, max, lower;
+    /// Dirty-chunk flushes persisted to the durable chunk store before the
+    /// protocol acknowledged them (persist-before-ack, DESIGN.md §14).
+    /// Zero unless a durability policy is configured.
+    flush_persists: runtime, sum, lower;
+    /// Log records replayed when this node's durable chunk store was
+    /// opened (includes superseded records of re-persisted chunks).
+    log_replays: store, sum, lower;
+    /// Distinct chunk images recovered from the durable log at bring-up
+    /// (latest epoch per chunk) and overlaid onto home subarrays.
+    recovered_chunks: store, sum, lower;
+    /// Bytes currently held by this node's durable chunk log (header plus
+    /// framed records, including the not-yet-compacted suffix). Zero under
+    /// `durability.policy = none`.
+    log_bytes: store, sum, lower;
+    /// Bytes of this node's newest durable checkpoint sidecar (0 before
+    /// the first checkpoint).
+    checkpoint_bytes: store, sum, lower;
+    /// Checkpoints taken by this node's chunk store (periodic trigger plus
+    /// explicit `Cluster::checkpoint_all` calls).
+    compactions: store, sum, lower;
+    /// Log records dropped by compaction — the prefix covered by a
+    /// checkpoint generation and truncated from the log.
+    truncated_records: store, sum, lower;
+    /// Chunks this node handed to a new home: migrations that committed and
+    /// departed (DESIGN.md §15). Zero outside elastic mode.
+    migrations_out: runtime, sum, lower;
+    /// Chunk migrations that landed here: this node adopted the chunk as
+    /// its new authoritative home.
+    migrations_in: runtime, sum, lower;
+    /// Requests parked behind a migration fence and later replayed —
+    /// forwarded to the new home or re-serviced once the fence lifted.
+    parked_replays: runtime, sum, lower;
+    /// Bytes this node's transport handed to the wire (payload plus backend
+    /// framing).
+    bytes_tx: transport, sum, band;
+    /// Bytes this node's transport received from the wire.
+    bytes_rx: transport, sum, band;
+    /// Frames (SENDs plus one-sided WRITEs) this node's transport posted.
+    frames: transport, sum, band;
+    /// Completion events the transport observed for posted work.
+    completions: transport, sum, band;
+    /// Egress flushes the transport committed (doorbell rings; always
+    /// `frames == tx_flushes + frames_coalesced`).
+    tx_flushes: transport, sum, band;
+    /// Flushes that carried two or more frames (one doorbell amortized
+    /// over a batch).
+    doorbell_batches: transport, sum, band;
+    /// Frames that rode an already-open batch instead of ringing their
+    /// own doorbell.
+    frames_coalesced: transport, sum, band;
+    /// Gauge: high-water mark of the per-link egress ring, in frames.
+    ring_hwm: transport, max, band;
+    /// Fast-path accesses that succeeded immediately.
+    fast_hits: runtime, sum, higher;
+    /// Slow-path requests submitted to the runtime.
+    slow_misses: runtime, sum, lower;
+    /// Prefetch fills issued.
+    prefetches: runtime, sum, lower;
+    /// Lock acquisitions granted by this node's lock tables.
+    locks_granted: runtime, sum, lower;
+    /// Protocol messages handled by runtime threads.
+    rpcs_handled: runtime, sum, lower;
+    /// Local requests handled by runtime threads.
+    local_handled: runtime, sum, lower;
+    /// Operator applications combined locally (Operated state).
+    local_combines: runtime, sum, higher;
+    /// Reliable-RPC timeout expirations (each triggers a retransmit or, at
+    /// the retry limit, a suspicion). Zero unless `ClusterConfig::fault`
+    /// is set.
+    rpc_timeouts: runtime, sum, lower;
+    /// Reliable-RPC retransmissions posted.
+    retransmits: runtime, sum, lower;
+    /// Duplicate RPCs suppressed at the Rx/runtime boundary.
+    dup_rpcs: runtime, sum, lower;
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn bare(s: &NodeStats) -> NodeStatsSnapshot {
+        s.snapshot(&TransportStats::default(), &StoreStats::default())
+    }
+
     #[test]
     fn counters_start_zero_and_bump() {
         let s = NodeStats::default();
-        assert_eq!(s.snapshot(), NodeStatsSnapshot::default());
+        assert_eq!(bare(&s), NodeStatsSnapshot::default());
         NodeStats::bump(&s.fast_hits);
         NodeStats::bump(&s.fast_hits);
         NodeStats::bump(&s.evictions);
-        let snap = s.snapshot();
+        let snap = bare(&s);
         assert_eq!(snap.fast_hits, 2);
         assert_eq!(snap.evictions, 1);
         assert_eq!(snap.fills, 0);
+    }
+
+    #[test]
+    fn merge_sums_counters_and_takes_the_max_of_gauges() {
+        let node = |v: u64| {
+            let mut s = NodeStatsSnapshot::default();
+            s.fields_mut().for_each(|(_, x)| *x = v);
+            s
+        };
+        let mut total = node(3);
+        total.merge(&node(5));
+        for (c, v) in total.fields() {
+            let gauge = matches!(c.name, "membership_epoch" | "ring_hwm");
+            assert_eq!(v, if gauge { 5 } else { 8 }, "{}", c.name);
+        }
     }
 }

@@ -117,7 +117,7 @@ pub struct StoreStats {
     /// ones). Bounded by compaction: after a checkpoint truncates the log,
     /// a reopen replays only the suffix appended since the previous
     /// checkpoint, not the store's full persist history.
-    pub replayed_records: u64,
+    pub log_replays: u64,
     /// Distinct chunks recovered on open (checkpoint image overlaid with
     /// the log suffix, latest epoch per chunk).
     pub recovered_chunks: u64,
@@ -232,7 +232,7 @@ pub struct LogChunkStore {
     /// to the log but do not alter what *this* open recovered.
     recovered: Vec<RecoveredChunk>,
     persists: AtomicU64,
-    replayed_records: u64,
+    log_replays: u64,
 }
 
 /// Sidecar paths derived from the log path: `node0.log` →
@@ -328,7 +328,7 @@ impl LogChunkStore {
         let mut body = Vec::new();
         file.read_to_end(&mut body)?;
 
-        let mut replayed_records = 0u64;
+        let mut log_replays = 0u64;
         let valid_len = if body.is_empty() {
             // Fresh log: write the file header.
             let mut hdr = Vec::with_capacity(8);
@@ -358,7 +358,7 @@ impl LogChunkStore {
                 if epoch >= e.0 || e.1.is_empty() {
                     *e = (epoch, data);
                 }
-                replayed_records += 1;
+                log_replays += 1;
                 pos += consumed;
             }
             pos
@@ -388,7 +388,7 @@ impl LogChunkStore {
                 file,
                 buf: Vec::new(),
                 file_len: valid_len as u64,
-                file_recs: replayed_records,
+                file_recs: log_replays,
                 live: index,
                 // Conservative: claim the on-disk checkpoint covers none
                 // of the current log, so the first compaction of this
@@ -405,7 +405,7 @@ impl LogChunkStore {
             }),
             recovered,
             persists: AtomicU64::new(0),
-            replayed_records,
+            log_replays,
         })
     }
 
@@ -677,7 +677,7 @@ impl ChunkStore for LogChunkStore {
         let g = self.inner.lock();
         StoreStats {
             persists: self.persists.load(Ordering::Relaxed),
-            replayed_records: self.replayed_records,
+            log_replays: self.log_replays,
             recovered_chunks: self.recovered.len() as u64,
             log_bytes: g.file_len + g.buf.len() as u64,
             checkpoint_bytes: g.ckpt_bytes,
@@ -752,7 +752,7 @@ mod tests {
         assert_eq!(rec[0].data, vec![4, 5, 6], "later record wins");
         assert_eq!(rec[1].data, vec![9]);
         let st = s.stats();
-        assert_eq!(st.replayed_records, 3);
+        assert_eq!(st.log_replays, 3);
         assert_eq!(st.recovered_chunks, 2);
         cleanup(&p);
     }
@@ -886,7 +886,7 @@ mod tests {
         let s = LogChunkStore::open(&p, DurabilityPolicy::Writethrough).unwrap();
         let st = s.stats();
         assert_eq!(
-            st.replayed_records, 5,
+            st.log_replays, 5,
             "replay is the post-truncation suffix, not the full history"
         );
         assert_eq!(s.recovered()[0].data, vec![15]);
@@ -925,9 +925,9 @@ mod tests {
         let live = 4u64;
         let suffix_bound = 2 * 8; // two checkpoint intervals (lag-by-one)
         assert!(
-            st.replayed_records <= live + suffix_bound,
+            st.log_replays <= live + suffix_bound,
             "replayed {} records for {} persists (bound {})",
-            st.replayed_records,
+            st.log_replays,
             persists,
             live + suffix_bound
         );
@@ -1085,7 +1085,7 @@ mod tests {
         assert_eq!(st.truncated_records, 0, "no truncation with compact off");
         drop(s);
         let s = LogChunkStore::open(&p, DurabilityPolicy::Writethrough).unwrap();
-        assert_eq!(s.stats().replayed_records, 5, "full log still replayed");
+        assert_eq!(s.stats().log_replays, 5, "full log still replayed");
         cleanup(&p);
     }
 }

@@ -606,6 +606,50 @@ fn stats_reflect_activity() {
     });
 }
 
+/// `Cluster::stats` fills in the rows the transport and the chunk store
+/// own, not only the runtime atomics.
+#[test]
+fn stats_include_transport_and_store_rows() {
+    let dir = std::env::temp_dir().join(format!("darray-stats-rows-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut cfg = ClusterConfig::test_config(2);
+    cfg.durability.policy = darray::DurabilityPolicy::Writeback;
+    cfg.durability.dir = Some(dir.clone());
+    with_cluster(cfg, |ctx, cluster| {
+        let arr = cluster.alloc::<u64>(4096, ArrayOptions::default());
+        cluster.run(ctx, 1, move |ctx, env| {
+            let a = arr.on(env.node);
+            // Dirty the other node's half, then read everything back: each
+            // home recalls its chunks and persists them before the ack.
+            let half = a.len() / 2;
+            let start = if env.node == 0 { half } else { 0 };
+            for i in start..start + half {
+                a.set(ctx, i, i as u64 + 1);
+            }
+            env.barrier(ctx);
+            for i in 0..a.len() {
+                assert_eq!(a.get(ctx, i), i as u64 + 1);
+            }
+        });
+        cluster.checkpoint_all().unwrap();
+        for n in 0..2 {
+            let s = cluster.stats(n);
+            assert!(s.frames > 0, "node {n}: {s:?}");
+            assert_eq!(
+                s.frames,
+                s.tx_flushes + s.frames_coalesced,
+                "node {n}: {s:?}"
+            );
+            assert!(s.flush_persists > 0 && s.log_bytes > 0, "node {n}: {s:?}");
+            assert!(
+                s.checkpoint_bytes > 0 && s.compactions == 1,
+                "node {n}: {s:?}"
+            );
+        }
+    });
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn prefetch_reduces_misses_on_sequential_scan() {
     fn scan_misses(prefetch: usize) -> u64 {

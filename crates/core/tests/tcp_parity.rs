@@ -14,8 +14,8 @@
 #![cfg(feature = "tcp-transport")]
 
 use darray::{
-    ArrayOptions, Cluster, ClusterConfig, ConfigError, DArrayError, NodeStatsSnapshot, Sim,
-    SimConfig, TransportKind, DEFAULT_CHUNK_SIZE,
+    ArrayOptions, Cluster, ClusterConfig, ConfigError, DArrayError, DiffClass, NodeStatsSnapshot,
+    Sim, SimConfig, TransportKind, DEFAULT_CHUNK_SIZE,
 };
 
 const NODES: usize = 3;
@@ -37,18 +37,15 @@ fn base(node: usize, c: usize) -> usize {
     (node * CHUNKS_PER_NODE + c) * DEFAULT_CHUNK_SIZE
 }
 
-/// The protocol-level projection of a stats snapshot: transport byte/frame
-/// and egress-batching counters (backend-specific by design) zeroed out,
-/// everything else kept.
+/// The protocol-level projection of a stats snapshot: the `band` rows
+/// (transport bytes, frames and egress batching, backend-specific by
+/// design) zeroed out, everything else kept.
 fn protocol_view(mut s: NodeStatsSnapshot) -> NodeStatsSnapshot {
-    s.bytes_tx = 0;
-    s.bytes_rx = 0;
-    s.frames = 0;
-    s.completions = 0;
-    s.tx_flushes = 0;
-    s.doorbell_batches = 0;
-    s.frames_coalesced = 0;
-    s.ring_hwm = 0;
+    for (c, v) in s.fields_mut() {
+        if c.class == DiffClass::Band {
+            *v = 0;
+        }
+    }
     s
 }
 

@@ -39,7 +39,7 @@ pub use net::NetConfig;
 pub use region::MemoryRegion;
 #[cfg(feature = "tcp-transport")]
 pub use tcp::{TcpFabric, TcpOptions, TcpTransport};
-pub use transport::{BatchPolicy, SimTransport, Transport, TransportStats, Wire};
+pub use transport::{SimTransport, Transport, TransportStats, Wire};
 
 /// Node identifier within a fabric (0-based, dense).
 pub type NodeId = usize;

@@ -75,30 +75,6 @@ pub struct TransportStats {
     pub ring_hwm: u64,
 }
 
-/// Doorbell-batching knobs shared by every backend (`ClusterConfig` maps
-/// its batching section here so Sim and TCP interpret one set of knobs).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BatchPolicy {
-    /// Most frames one egress flush may carry. A frame posted while its
-    /// link already has a full batch open starts a new batch (and a new
-    /// flush). Must be at least 1; 1 disables coalescing entirely.
-    pub send_batch_max: usize,
-    /// Selective-signaling override: count one completion every N-th
-    /// posted frame. `None` keeps the backend default (the simulated
-    /// NIC's `NetConfig::signal_interval`; one completion per flush on
-    /// TCP).
-    pub flush_every_frames: Option<u64>,
-}
-
-impl Default for BatchPolicy {
-    fn default() -> Self {
-        Self {
-            send_batch_max: 16,
-            flush_every_frames: None,
-        }
-    }
-}
-
 /// Backend-agnostic network endpoint for one node.
 ///
 /// The contract the coherence runtime relies on:
@@ -167,7 +143,10 @@ pub struct SimTransport<M: Send + 'static> {
     rx: Mailbox<(NodeId, M)>,
     bytes_rx: AtomicU64,
     frames_rx: AtomicU64,
-    policy: BatchPolicy,
+    /// Most frames one doorbell batch may carry (at least 1; 1 disables
+    /// coalescing). A frame posted while its link already has a full batch
+    /// open starts a new batch.
+    send_batch_max: usize,
     /// Doorbell accounting (pure bookkeeping — never charges virtual
     /// time): per-destination depth of the batch currently riding the
     /// link's busy window, plus the flush/batch counters derived from it.
@@ -179,23 +158,23 @@ pub struct SimTransport<M: Send + 'static> {
 }
 
 impl<M: Send + 'static> SimTransport<M> {
-    /// Wrap one node's simulated NIC with default batching knobs.
+    /// Wrap one node's simulated NIC with the default batch size (16).
     pub fn new(nic: Arc<Nic<M>>) -> Self {
-        Self::with_policy(nic, BatchPolicy::default())
+        Self::with_send_batch_max(nic, 16)
     }
 
-    /// Wrap one node's simulated NIC with explicit batching knobs. The
-    /// knobs only steer *accounting* (which frames count as coalesced
-    /// into one doorbell batch); virtual-time behaviour is untouched, so
-    /// protocol traffic stays bit-identical across policies.
-    pub fn with_policy(nic: Arc<Nic<M>>, policy: BatchPolicy) -> Self {
+    /// Wrap one node's simulated NIC with an explicit batch size. It only
+    /// steers *accounting* (which frames count as coalesced into one
+    /// doorbell batch); virtual-time behaviour is untouched, so protocol
+    /// traffic stays bit-identical across batch sizes.
+    pub fn with_send_batch_max(nic: Arc<Nic<M>>, send_batch_max: usize) -> Self {
         let rx = nic.rx();
         Self {
             nic,
             rx,
             bytes_rx: AtomicU64::new(0),
             frames_rx: AtomicU64::new(0),
-            policy,
+            send_batch_max,
             batch_depth: parking_lot::Mutex::new(Vec::new()),
             tx_flushes: AtomicU64::new(0),
             doorbell_batches: AtomicU64::new(0),
@@ -216,7 +195,7 @@ impl<M: Send + 'static> SimTransport<M> {
         if depths.len() <= dst {
             depths.resize(dst + 1, 0);
         }
-        let cap = self.policy.send_batch_max.max(1) as u64;
+        let cap = self.send_batch_max.max(1) as u64;
         let depth = &mut depths[dst];
         if busy && *depth > 0 && *depth < cap {
             *depth += 1;

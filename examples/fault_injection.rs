@@ -63,8 +63,8 @@ fn main() {
     let mut dups = 0;
     for (n, s) in snaps.iter().enumerate() {
         println!(
-            "node {n}: rpc_timeouts {:4}  retransmits {:4}  dup_rpcs {:4}  peers_down {}",
-            s.rpc_timeouts, s.retransmits, s.dup_rpcs, s.peers_down
+            "node {n}: rpc_timeouts {:4}  retransmits {:4}  dup_rpcs {:4}  confirmed_deaths {}",
+            s.rpc_timeouts, s.retransmits, s.dup_rpcs, s.confirmed_deaths
         );
         retransmits += s.retransmits;
         timeouts += s.rpc_timeouts;
@@ -121,7 +121,7 @@ fn main() {
             }
         });
         let s0 = cluster.stats(0);
-        assert_eq!(s0.peers_down, 1);
+        assert_eq!(s0.confirmed_deaths, 1);
         cluster.shutdown(ctx);
     });
 

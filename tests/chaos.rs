@@ -262,7 +262,7 @@ fn crash_is_detected_and_degrades_gracefully() {
         let s0 = cluster.stats(0);
         assert!(s0.rpc_timeouts >= 1, "no timeout recorded: {s0:?}");
         assert!(
-            s0.peers_down == 1,
+            s0.confirmed_deaths == 1,
             "node 0 should declare exactly node 1 down: {s0:?}"
         );
         cluster.shutdown(ctx);
@@ -352,8 +352,14 @@ fn kill_mid_operate_epoch_aborts_and_survivors_converge() {
             s0.sharers_pruned >= 1,
             "home never pruned the dead sharer: {s0:?}"
         );
-        assert!(s0.peers_down >= 1, "node 0 never declared node 2 down");
-        assert!(s1.peers_down >= 1, "node 1 never declared node 2 down");
+        assert!(
+            s0.confirmed_deaths >= 1,
+            "node 0 never declared node 2 down"
+        );
+        assert!(
+            s1.confirmed_deaths >= 1,
+            "node 1 never declared node 2 down"
+        );
         cluster.shutdown(ctx);
     });
 }
@@ -436,7 +442,10 @@ fn kill_mid_kvs_orphaned_lock_is_reclaimed() {
             s0.orphaned_locks_reclaimed >= 1,
             "home never reclaimed the dead holder's lock: {s0:?}"
         );
-        assert!(s0.peers_down >= 1, "node 0 never declared node 2 down");
+        assert!(
+            s0.confirmed_deaths >= 1,
+            "node 0 never declared node 2 down"
+        );
         cluster.shutdown(ctx);
     });
 }
@@ -545,8 +554,8 @@ fn false_suspicion_under_asymmetric_loss_is_refuted() {
         );
         for (n, s) in snaps.iter().enumerate() {
             assert_eq!(
-                (s.peers_down, s.confirmed_deaths, s.membership_epoch),
-                (0, 0, 0),
+                (s.confirmed_deaths, s.membership_epoch),
+                (0, 0),
                 "seed {seed}: node {n} declared a live peer dead: {s:?}"
             );
         }
@@ -586,8 +595,8 @@ fn short_partition_is_ridden_out_without_death() {
     );
     for (n, s) in snaps.iter().enumerate() {
         assert_eq!(
-            (s.suspicions, s.peers_down, s.confirmed_deaths),
-            (0, 0, 0),
+            (s.suspicions, s.confirmed_deaths),
+            (0, 0),
             "node {n}: a 250 us partition must be absorbed by retries: {s:?}"
         );
     }
@@ -661,12 +670,12 @@ fn partition_majority_excommunicates_minority() {
         });
         let (s0, s1, s2) = (cluster.stats(0), cluster.stats(1), cluster.stats(2));
         // Majority: each survivor confirmed exactly node 0, via quorum.
-        assert_eq!((s1.peers_down, s1.confirmed_deaths), (1, 1), "{s1:?}");
-        assert_eq!((s2.peers_down, s2.confirmed_deaths), (1, 1), "{s2:?}");
+        assert_eq!(s1.confirmed_deaths, 1, "{s1:?}");
+        assert_eq!(s2.confirmed_deaths, 1, "{s2:?}");
         assert_eq!(s1.membership_epoch, 1);
         assert_eq!(s2.membership_epoch, 1);
         // Minority: confirmed both peers through the degenerate electorate.
-        assert_eq!((s0.peers_down, s0.confirmed_deaths), (2, 2), "{s0:?}");
+        assert_eq!(s0.confirmed_deaths, 2, "{s0:?}");
         assert!(s0.suspicions >= 2, "{s0:?}");
         assert_eq!(s0.membership_epoch, 2);
         cluster.shutdown(ctx);
@@ -797,7 +806,10 @@ fn kill_restart_roundtrip(runtime_threads: usize, dir_name: &str) {
             s1.flush_persists >= 1,
             "node 1 never persisted the recalled chunk: {s1:?}"
         );
-        assert!(s0.peers_down >= 1, "node 0 never declared node 1 down");
+        assert!(
+            s0.confirmed_deaths >= 1,
+            "node 0 never declared node 1 down"
+        );
         cluster.shutdown(ctx);
     });
 
@@ -1062,7 +1074,7 @@ fn kill_restart_loop_with_compaction_matches_fault_free_baseline() {
         for round in 0..ROUNDS {
             let snaps = compaction_round(&dir.0, round, Some(seed));
             assert!(
-                snaps[0].peers_down >= 1,
+                snaps[0].confirmed_deaths >= 1,
                 "seed {seed} round {round}: the kill was never confirmed: {:?}",
                 snaps[0]
             );
@@ -1308,7 +1320,7 @@ fn kill_migration_target_source_reassumes_bit_identical() {
             "seed {seed}: an aborted move must not count as a migration: {s0:?}"
         );
         assert!(
-            s0.peers_down >= 1,
+            s0.confirmed_deaths >= 1,
             "seed {seed}: the stalled transfer never confirmed the death: {s0:?}"
         );
         // Node 1 only *votes* in the source's quorum poll; with no traffic
