@@ -39,7 +39,7 @@ fn bench_primitives(c: &mut Criterion) {
     g.bench_function("slab/alloc_free", |b| {
         let mut s = SlabAllocator::new(0, 1 << 24);
         b.iter(|| {
-            let off = s.alloc(100).unwrap();
+            let off = s.alloc(100).unwrap().offset;
             s.free(off, 100);
             black_box(off)
         });

@@ -21,5 +21,5 @@ mod store;
 pub use backend::{DArrayBackend, GamBackend, KvBackend};
 pub use entry::Entry;
 pub use hash::{bucket_of, tag_of};
-pub use slab::SlabAllocator;
+pub use slab::{Item, SlabAllocator};
 pub use store::{Kvs, KvsConfig, KvsError, KvsView};

@@ -231,3 +231,75 @@ fn concurrent_writers_to_same_bucket_serialize() {
         }
     });
 }
+
+/// A 100-byte value whose every word encodes `(key, version)`: byte 0 is
+/// the key and bytes 1..8 the version, repeated (the 13th word is cut to
+/// its first four bytes).
+fn stamped_value(key: u64, version: u64) -> Vec<u8> {
+    let word = (version << 8 | key).to_le_bytes();
+    word.iter().copied().cycle().take(100).collect()
+}
+
+#[test]
+fn gets_racing_puts_see_whole_values() {
+    // Gets take no lock, so a put can free and reuse the pair a get is
+    // reading. Two writers put random keys out of 8 (every put frees the
+    // key's previous pair); every other thread gets random keys and checks
+    // that each value is one whole pair of that key, and that no present
+    // key reads as absent. Real latencies widen the race.
+    const KEYS: u64 = 8;
+    const RUN_NS: u64 = 500_000;
+    let nodes = 3;
+    let cfg = small_cfg(nodes);
+    Sim::new(SimConfig::default()).run(move |ctx| {
+        let cluster = Cluster::new(ctx, ClusterConfig::with_nodes(nodes));
+        let entries = cluster.alloc::<u64>(cfg.entry_array_len(), ArrayOptions::default());
+        let bytes = cluster.alloc::<u64>(cfg.byte_array_words(), ArrayOptions::default());
+        let kvs = Kvs::new(cfg);
+        cluster.run(ctx, 2, move |ctx, env| {
+            let kv = kvs.view(
+                env.node,
+                DArrayBackend(entries.on(env.node)),
+                DArrayBackend(bytes.on(env.node)),
+            );
+            if env.node == 0 && env.thread == 0 {
+                for k in 0..KEYS {
+                    kv.put(ctx, &k.to_le_bytes(), &stamped_value(k, 0)).unwrap();
+                }
+            }
+            env.barrier(ctx);
+            let end = ctx.now() + RUN_NS;
+            let writer = env.thread == 0 && env.node < 2;
+            let mut rng = Rng::new(1 + env.node as u64 * 2 + env.thread as u64);
+            let (mut version, mut gets, mut bad) = (env.node as u64 * 1_000_000, 0, Vec::new());
+            while ctx.now() < end {
+                let k = rng.next_below(KEYS);
+                if writer {
+                    version += 1;
+                    kv.put(ctx, &k.to_le_bytes(), &stamped_value(k, version))
+                        .unwrap();
+                    continue;
+                }
+                gets += 1;
+                let got = kv.get(ctx, &k.to_le_bytes());
+                let whole = got.as_deref().is_some_and(|v| {
+                    v.len() >= 8 && {
+                        let word = u64::from_le_bytes(v[..8].try_into().unwrap());
+                        word & 0xFF == k && v == stamped_value(k, word >> 8)
+                    }
+                });
+                if !whole {
+                    bad.push((k, got));
+                }
+            }
+            assert!(writer || gets > 100, "only {gets} gets");
+            assert!(
+                bad.is_empty(),
+                "{} of {gets} gets torn or missing, first {:?}",
+                bad.len(),
+                bad[0]
+            );
+        });
+        cluster.shutdown(ctx);
+    });
+}
