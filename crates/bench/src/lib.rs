@@ -1,8 +1,7 @@
 //! # darray-bench — the evaluation harness
 //!
 //! One module per experiment family; every figure binary (`fig01` …
-//! `fig18`, `table1`, `ablations`) and the criterion benches call into
-//! these functions. All numbers are **virtual time** from the
+//! `fig18`, `table1`, `ablations`) calls into these functions. All numbers are **virtual time** from the
 //! deterministic simulation, so every run of a binary reproduces the same
 //! table bit-for-bit.
 //!

@@ -409,8 +409,10 @@ impl Cluster {
         // In elastic mode one chunk's image can exist in more than one log
         // (the old home persisted it before a migration, the new home
         // after). The record with the highest persist epoch is the
-        // authoritative one — the migration fence burns an epoch before the
-        // new home's first persist, so its records outrank the source's.
+        // authoritative one — the migration fence epoch is burned at the
+        // transfer, after every persist the old home made and before the
+        // new home's first, so the new home's records outrank the old
+        // home's. On a tie the higher node id wins.
         let mut best: std::collections::HashMap<usize, (u64, usize)> =
             std::collections::HashMap::new();
         if elastic {

@@ -56,12 +56,14 @@ pub enum Transient {
         /// The persist sequence number being awaited.
         seq: u64,
     },
-    /// This home is handing the chunk to a new home `to` (DESIGN.md §15).
-    /// The chunk is *fenced*: arriving requests park in the pending queue
-    /// and are forwarded (or replayed) once the migration resolves. The
-    /// phases run recall-everything → drain-home-refs → transfer → await
-    /// the target's ack; the source stays authoritative until it receives
-    /// the ack and commits.
+    /// This home transferred the chunk's image to a new home `to`
+    /// ([`HomeAction::TransferChunk`]) and waits for its
+    /// [`HomeEvent::MigrateAck`] (DESIGN.md §15). The revoke and the home
+    /// drain before the transfer are the ordinary transients, serving the
+    /// migration as an exclusive request. Arriving requests park in the
+    /// pending queue and are forwarded once the migration commits. The
+    /// source stays authoritative until then: if the target dies here, the
+    /// source re-assumes the chunk.
     MigratingOut {
         /// The new home the chunk is moving to.
         to: NodeId,
@@ -69,8 +71,6 @@ pub enum Transient {
         /// monotone per chunk). Stamped on every migration message so
         /// stragglers of an aborted or older migration are rejected.
         mig_epoch: u64,
-        /// Current outbound phase.
-        phase: MigOutPhase,
     },
     /// This node is adopting the chunk from its old home `from`
     /// (DESIGN.md §15). The image already landed via a one-sided WRITE;
@@ -85,26 +85,6 @@ pub enum Transient {
         /// Current inbound phase.
         phase: MigInPhase,
     },
-}
-
-/// Phase of an outbound chunk migration ([`Transient::MigratingOut`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum MigOutPhase {
-    /// Revoking every remote right (invalidations, dirty recall, or
-    /// operated recall, depending on the directory state) so the home
-    /// image becomes the single authoritative copy.
-    Recall {
-        /// Nodes whose rights have not been revoked yet.
-        waiting: Vec<NodeId>,
-    },
-    /// Draining the home dentry's local references; local threads lose
-    /// access before the image leaves.
-    Drain,
-    /// Image and directory authority transferred
-    /// ([`HomeAction::TransferChunk`]); waiting for the target's
-    /// [`HomeEvent::MigrateAck`]. The source is still authoritative — if
-    /// the target dies here, the source re-assumes the chunk.
-    AwaitAck,
 }
 
 /// Phase of an inbound chunk migration ([`Transient::MigratingIn`]).
@@ -137,11 +117,7 @@ impl Transient {
             Transient::HomeDrain => "HomeDrain",
             Transient::GraceWait => "GraceWait",
             Transient::AwaitPersist { .. } => "AwaitPersist",
-            Transient::MigratingOut { phase, .. } => match phase {
-                MigOutPhase::Recall { .. } => "MigratingOut:Recall",
-                MigOutPhase::Drain => "MigratingOut:Drain",
-                MigOutPhase::AwaitAck => "MigratingOut:AwaitAck",
-            },
+            Transient::MigratingOut { .. } => "MigratingOut",
             Transient::MigratingIn { phase, .. } => match phase {
                 MigInPhase::Persist => "MigratingIn:Persist",
                 MigInPhase::AwaitCommit => "MigratingIn:AwaitCommit",
@@ -223,9 +199,10 @@ pub enum HomeEvent<W> {
         view_epoch: u64,
     },
     /// An administrative re-homing request (DESIGN.md §15): hand this chunk
-    /// to node `to`. If a transient is pending the migration is queued and
-    /// starts as soon as the chunk stabilizes; queued requests stay parked
-    /// behind the fence until the migration resolves.
+    /// to node `to`. The migration queues as an exclusive request
+    /// ([`Requester::Migration`]) at the front of the pending queue, so it
+    /// is served next once the chunk stabilizes; requests queued behind it
+    /// stay parked until the migration resolves.
     BeginMigration {
         /// The new home.
         to: NodeId,
@@ -450,10 +427,6 @@ pub struct HomeMachine<W> {
     /// a *former* home: it forwards arriving remote requests and bounces
     /// local ones back to the (updated) home map.
     migrated_to: Option<(NodeId, u64)>,
-    /// A [`HomeEvent::BeginMigration`] that arrived while a transient was
-    /// pending; starts as soon as the chunk stabilizes, with priority over
-    /// queued requests.
-    pending_migration: Option<NodeId>,
 }
 
 impl<W> Default for HomeMachine<W> {
@@ -477,7 +450,6 @@ impl<W> HomeMachine<W> {
             durable: false,
             persist_seq: 0,
             migrated_to: None,
-            pending_migration: None,
         }
     }
 
@@ -571,6 +543,16 @@ impl<W> HomeMachine<W> {
         self.migrated_to
     }
 
+    /// The new home of the migration this machine is serving — revoking
+    /// and draining for it, or awaiting its ack — if any.
+    pub fn migrating_to(&self) -> Option<NodeId> {
+        match (&self.transient, self.current.as_ref().map(|r| &r.source)) {
+            (Transient::MigratingOut { to, .. }, _)
+            | (_, Some(Requester::Migration { to, .. })) => Some(*to),
+            _ => None,
+        }
+    }
+
     /// Feed one event; returns the actions the executor must perform, in
     /// order. `now` is the current (virtual) time and `grace_ns` the
     /// minimum-hold grace window of fresh grants (0 disables it).
@@ -584,11 +566,7 @@ impl<W> HomeMachine<W> {
         // would corrupt state a successor may already own.
         if let Some(from) = Self::event_source(&ev) {
             if self.dead.contains(&from) {
-                out.push(HomeAction::Trace(Transition {
-                    from: self.state.name(),
-                    to: self.state.name(),
-                    trigger: "stale-event-from-dead-peer",
-                }));
+                self.trace("stale-event-from-dead-peer", &mut out);
                 return out;
             }
         }
@@ -596,25 +574,11 @@ impl<W> HomeMachine<W> {
             HomeEvent::Request(req) => {
                 if let Some((to, _)) = self.migrated_to {
                     // This node is a former home: it holds no authority and
-                    // no data. Forward remote requests to the new home (the
-                    // requester also gets a HomeMoved redirect); bounce
-                    // local ones back so the application thread re-routes
-                    // via the updated home map.
-                    match req.source {
-                        Requester::Remote { node, dst_off } => {
-                            out.push(HomeAction::ForwardRequest {
-                                to,
-                                node,
-                                dst_off,
-                                kind: req.kind,
-                            });
-                            out.push(HomeAction::Trace(Transition {
-                                from: self.state.name(),
-                                to: self.state.name(),
-                                trigger: "forward-after-migration",
-                            }));
-                        }
-                        Requester::Local(w) => out.push(HomeAction::Wake(w)),
+                    // no data.
+                    let remote = matches!(req.source, Requester::Remote { .. });
+                    Self::redirect(to, req, &mut out);
+                    if remote {
+                        self.trace("forward-after-migration", &mut out);
                     }
                 } else {
                     self.pending.push_back(req);
@@ -622,13 +586,7 @@ impl<W> HomeMachine<W> {
                 }
             }
             HomeEvent::InvAck { from } => {
-                if matches!(self.transient, Transient::MigratingOut { .. }) {
-                    // A migration recall's invalidation was acknowledged.
-                    self.remove_sharer(from);
-                    if self.mig_recall_tick(from) {
-                        self.mig_recall_complete(now, grace_ns, &mut out);
-                    }
-                } else if matches!(self.transient, Transient::AwaitInvAcks { .. }) {
+                if matches!(self.transient, Transient::AwaitInvAcks { .. }) {
                     // Only a live invalidation epoch may count the ack; a
                     // stale ack (an EvictNotice already accounted for it)
                     // is ignored.
@@ -639,13 +597,6 @@ impl<W> HomeMachine<W> {
                 }
             }
             HomeEvent::EvictNotice { from } => match &self.transient {
-                Transient::MigratingOut { .. } => {
-                    // A crossing eviction satisfies the migration recall.
-                    self.remove_sharer(from);
-                    if self.mig_recall_tick(from) {
-                        self.mig_recall_complete(now, grace_ns, &mut out);
-                    }
-                }
                 Transient::AwaitInvAcks { .. } => {
                     // A crossing eviction satisfies the ack set.
                     self.remove_sharer(from);
@@ -666,20 +617,6 @@ impl<W> HomeMachine<W> {
                 }
             },
             HomeEvent::Writeback { from, downgrade } => {
-                if matches!(self.transient, Transient::MigratingOut { .. }) {
-                    // A migration recall pulled the dirty data home (the
-                    // RDMA write already landed in the home image, which is
-                    // exactly what the transfer will ship). A crossing
-                    // voluntary writeback from a node not in the recall set
-                    // is idempotent and ignored.
-                    let _ = downgrade; // a migration recall fully revokes
-                    self.remove_sharer(from);
-                    if self.mig_recall_tick(from) {
-                        self.set_state(DirState::Unshared, "migrate-recall-writeback", &mut out);
-                        self.mig_recall_complete(now, grace_ns, &mut out);
-                    }
-                    return out;
-                }
                 let expected =
                     matches!(&self.transient, Transient::AwaitWriteback { from: f } if *f == from);
                 if expected {
@@ -735,17 +672,6 @@ impl<W> HomeMachine<W> {
                     out.push(HomeAction::Count(Counter::OperatedReductions));
                 }
                 match &self.transient {
-                    // A migration recall of an Operated chunk: flushes of
-                    // the *current* operator epoch shrink the recall set
-                    // (the operand data was already reduced above, so the
-                    // home image the transfer ships is complete).
-                    Transient::MigratingOut { .. } if matches!(&self.state, DirState::Operated { op: cur, .. } if cur.0 == op) =>
-                    {
-                        self.remove_sharer(from);
-                        if self.mig_recall_tick(from) {
-                            self.mig_recall_complete(now, grace_ns, &mut out);
-                        }
-                    }
                     // Epoch check: only a flush of the operator being
                     // recalled may shrink the waiting set — a crossing flush
                     // of an older operator must not be miscounted against
@@ -792,38 +718,8 @@ impl<W> HomeMachine<W> {
                 }
             }
             HomeEvent::Drained => {
-                if let Transient::MigratingOut {
-                    to,
-                    mig_epoch,
-                    phase: MigOutPhase::Drain,
-                } = self.transient
-                {
-                    if self.dead.contains(&to) {
-                        // The target died while local references drained:
-                        // nothing left but to re-assume the chunk.
-                        self.abort_migration(
-                            now,
-                            grace_ns,
-                            "migration-aborted-target-dead",
-                            &mut out,
-                        );
-                    } else {
-                        self.transient = Transient::MigratingOut {
-                            to,
-                            mig_epoch,
-                            phase: MigOutPhase::AwaitAck,
-                        };
-                        out.push(HomeAction::TransferChunk { to, mig_epoch });
-                        out.push(HomeAction::Trace(Transition {
-                            from: self.state.name(),
-                            to: self.state.name(),
-                            trigger: "migrate-transfer",
-                        }));
-                    }
-                } else {
-                    debug_assert_eq!(self.transient, Transient::HomeDrain);
-                    self.finish_transient(now, grace_ns, &mut out);
-                }
+                debug_assert_eq!(self.transient, Transient::HomeDrain);
+                self.finish_transient(now, grace_ns, &mut out);
             }
             HomeEvent::RetryExpired => {
                 if self.transient == Transient::GraceWait {
@@ -837,11 +733,7 @@ impl<W> HomeMachine<W> {
                 // reordering of a death this machine has settled; re-running
                 // recovery for it could double-prune a successor's state.
                 if view_epoch <= self.view_epoch {
-                    out.push(HomeAction::Trace(Transition {
-                        from: self.state.name(),
-                        to: self.state.name(),
-                        trigger: "stale-peer-down-epoch",
-                    }));
+                    self.trace("stale-peer-down-epoch", &mut out);
                     return out;
                 }
                 self.view_epoch = view_epoch;
@@ -877,18 +769,10 @@ impl<W> HomeMachine<W> {
                                 to: from,
                                 mig_epoch,
                             });
-                            out.push(HomeAction::Trace(Transition {
-                                from: self.state.name(),
-                                to: self.state.name(),
-                                trigger: "migrate-in-persisted",
-                            }));
+                            self.trace("migrate-in-persisted", &mut out);
                         }
                     } else {
-                        out.push(HomeAction::Trace(Transition {
-                            from: self.state.name(),
-                            to: self.state.name(),
-                            trigger: "stale-persist-done",
-                        }));
+                        self.trace("stale-persist-done", &mut out);
                     }
                     return out;
                 }
@@ -899,18 +783,10 @@ impl<W> HomeMachine<W> {
                 // superseded by a later one) and is ignored.
                 if matches!(self.transient, Transient::AwaitPersist { seq: s } if seq >= s) {
                     out.push(HomeAction::Count(Counter::FlushPersists));
-                    out.push(HomeAction::Trace(Transition {
-                        from: self.state.name(),
-                        to: self.state.name(),
-                        trigger: "persist-done",
-                    }));
+                    self.trace("persist-done", &mut out);
                     self.finish_transient(now, grace_ns, &mut out);
                 } else {
-                    out.push(HomeAction::Trace(Transition {
-                        from: self.state.name(),
-                        to: self.state.name(),
-                        trigger: "stale-persist-done",
-                    }));
+                    self.trace("stale-persist-done", &mut out);
                 }
             }
             HomeEvent::PeerRestarted { node, view_epoch } => {
@@ -918,21 +794,13 @@ impl<W> HomeMachine<W> {
                 // must carry a strictly newer membership epoch than
                 // anything this machine has applied, else it is a replay.
                 if view_epoch <= self.view_epoch {
-                    out.push(HomeAction::Trace(Transition {
-                        from: self.state.name(),
-                        to: self.state.name(),
-                        trigger: "stale-peer-restart-epoch",
-                    }));
+                    self.trace("stale-peer-restart-epoch", &mut out);
                     return out;
                 }
                 self.view_epoch = view_epoch;
                 if let Some(pos) = self.dead.iter().position(|&n| n == node) {
                     self.dead.remove(pos);
-                    out.push(HomeAction::Trace(Transition {
-                        from: self.state.name(),
-                        to: self.state.name(),
-                        trigger: "peer-restarted",
-                    }));
+                    self.trace("peer-restarted", &mut out);
                 }
                 // The restarted identity rejoins cold (empty caches), so
                 // no directory state mentions it — `forget_peer` erased it
@@ -940,26 +808,27 @@ impl<W> HomeMachine<W> {
                 // is needed for its fresh requests to be serviced.
             }
             HomeEvent::BeginMigration { to } => {
-                if self.migrated_to.is_some()
-                    || self.pending_migration.is_some()
+                let queued = self
+                    .current
+                    .iter()
+                    .chain(&self.pending)
+                    .any(|r| matches!(r.source, Requester::Migration { .. }));
+                if queued
+                    || self.migrated_to.is_some()
                     || matches!(
                         self.transient,
                         Transient::MigratingOut { .. } | Transient::MigratingIn { .. }
                     )
                 {
-                    out.push(HomeAction::Trace(Transition {
-                        from: self.state.name(),
-                        to: self.state.name(),
-                        trigger: "stale-begin-migration",
-                    }));
+                    self.trace("stale-begin-migration", &mut out);
                 } else if self.dead.contains(&to) {
-                    out.push(HomeAction::Trace(Transition {
-                        from: self.state.name(),
-                        to: self.state.name(),
-                        trigger: "migration-target-dead",
-                    }));
+                    self.trace("migration-target-dead", &mut out);
                 } else {
-                    self.pending_migration = Some(to);
+                    self.trace("migrate-begin", &mut out);
+                    self.pending.push_front(Request {
+                        source: Requester::Migration { to, drained: false },
+                        kind: Kind::Write,
+                    });
                     if self.transient == Transient::GraceWait {
                         // The fence outweighs the minimum-hold grace window.
                         self.transient = Transient::None;
@@ -977,11 +846,7 @@ impl<W> HomeMachine<W> {
                     // colliding with live directory state this node somehow
                     // holds — either way the fence epoch or the machine
                     // state disqualifies it.
-                    out.push(HomeAction::Trace(Transition {
-                        from: self.state.name(),
-                        to: self.state.name(),
-                        trigger: "stale-migrate-data",
-                    }));
+                    self.trace("stale-migrate-data", &mut out);
                 } else {
                     // (Re-)adopting: this node stops being a former home of
                     // the chunk, if it ever was one (ping-pong migration).
@@ -996,11 +861,7 @@ impl<W> HomeMachine<W> {
                         out.push(HomeAction::PersistChunk {
                             seq: self.persist_seq,
                         });
-                        out.push(HomeAction::Trace(Transition {
-                            from: self.state.name(),
-                            to: self.state.name(),
-                            trigger: "migrate-in-begin",
-                        }));
+                        self.trace("migrate-in-begin", &mut out);
                     } else {
                         self.transient = Transient::MigratingIn {
                             from,
@@ -1011,22 +872,14 @@ impl<W> HomeMachine<W> {
                             to: from,
                             mig_epoch,
                         });
-                        out.push(HomeAction::Trace(Transition {
-                            from: self.state.name(),
-                            to: self.state.name(),
-                            trigger: "migrate-in-begin",
-                        }));
+                        self.trace("migrate-in-begin", &mut out);
                     }
                 }
             }
             HomeEvent::MigrateAck { from, mig_epoch } => {
                 let expected = matches!(
                     &self.transient,
-                    Transient::MigratingOut {
-                        to,
-                        mig_epoch: e,
-                        phase: MigOutPhase::AwaitAck,
-                    } if *to == from && *e == mig_epoch
+                    Transient::MigratingOut { to, mig_epoch: e } if *to == from && *e == mig_epoch
                 );
                 if expected {
                     // Commit: the target holds (and, when durable, has
@@ -1043,32 +896,14 @@ impl<W> HomeMachine<W> {
                         mig_epoch,
                     });
                     out.push(HomeAction::Count(Counter::MigrationsOut));
-                    out.push(HomeAction::Trace(Transition {
-                        from: self.state.name(),
-                        to: self.state.name(),
-                        trigger: "migrate-commit",
-                    }));
+                    self.trace("migrate-commit", &mut out);
                     // Replay the fence-parked traffic at the new home.
                     while let Some(req) = self.pending.pop_front() {
                         out.push(HomeAction::Count(Counter::ParkedReplays));
-                        match req.source {
-                            Requester::Remote { node, dst_off } => {
-                                out.push(HomeAction::ForwardRequest {
-                                    to: from,
-                                    node,
-                                    dst_off,
-                                    kind: req.kind,
-                                });
-                            }
-                            Requester::Local(w) => out.push(HomeAction::Wake(w)),
-                        }
+                        Self::redirect(from, req, &mut out);
                     }
                 } else {
-                    out.push(HomeAction::Trace(Transition {
-                        from: self.state.name(),
-                        to: self.state.name(),
-                        trigger: "stale-migrate-ack",
-                    }));
+                    self.trace("stale-migrate-ack", &mut out);
                 }
             }
             HomeEvent::MigrateCommit { from, mig_epoch } => {
@@ -1085,11 +920,7 @@ impl<W> HomeMachine<W> {
                 } else {
                     // Duplicate of a commit already applied, or a commit
                     // arriving after a source-death self-promotion.
-                    out.push(HomeAction::Trace(Transition {
-                        from: self.state.name(),
-                        to: self.state.name(),
-                        trigger: "stale-migrate-commit",
-                    }));
+                    self.trace("stale-migrate-commit", &mut out);
                 }
             }
         }
@@ -1116,6 +947,33 @@ impl<W> HomeMachine<W> {
             | HomeEvent::MigrateCommit { from, .. } => Some(*from),
             _ => None,
         }
+    }
+
+    /// Send a request this former home cannot serve to the chunk's new home
+    /// `to`: forward a remote one (the requester also gets a `HomeMoved`
+    /// redirect), and wake a local one so the application thread re-routes
+    /// via the updated home map.
+    fn redirect(to: NodeId, req: Request<W>, out: &mut Vec<HomeAction<W>>) {
+        out.push(match req.source {
+            Requester::Remote { node, dst_off } => HomeAction::ForwardRequest {
+                to,
+                node,
+                dst_off,
+                kind: req.kind,
+            },
+            Requester::Local(w) => HomeAction::Wake(w),
+            Requester::Migration { .. } => unreachable!("a migration is never redirected"),
+        });
+    }
+
+    /// Emit the structured trace of an event that leaves the stable state
+    /// as it is.
+    fn trace(&self, trigger: &'static str, out: &mut Vec<HomeAction<W>>) {
+        out.push(HomeAction::Trace(Transition {
+            from: self.state.name(),
+            to: self.state.name(),
+            trigger,
+        }));
     }
 
     /// Record a stable-state change and emit its structured trace.
@@ -1153,8 +1011,8 @@ impl<W> HomeMachine<W> {
     /// The parked `current` request is serviced directly rather than
     /// re-queued: the directory already committed to it (the grant paths
     /// record the new owner/sharer *before* draining home references), so
-    /// it must complete ahead of a queued migration fence. Letting the
-    /// fence cut in line would recall rights from a grantee whose fill
+    /// it must complete ahead of a migration queued meanwhile. Letting the
+    /// migration cut in line would recall rights from a grantee whose fill
     /// never left — the grantee ignores the recall as a crossing message
     /// and the migration hangs forever.
     fn finish_transient(&mut self, now: u64, grace_ns: u64, out: &mut Vec<HomeAction<W>>) {
@@ -1168,16 +1026,9 @@ impl<W> HomeMachine<W> {
     }
 
     /// Service queued requests until one starts a transient or the queue
-    /// empties. A queued migration starts first — the fence has priority
-    /// over ordinary requests, which stay parked behind it.
+    /// empties.
     fn progress(&mut self, now: u64, grace_ns: u64, out: &mut Vec<HomeAction<W>>) {
-        loop {
-            if !self.transient.is_none() {
-                return;
-            }
-            if self.start_pending_migration(out) {
-                return;
-            }
+        while self.transient.is_none() {
             let Some(req) = self.pending.pop_front() else {
                 return;
             };
@@ -1187,145 +1038,15 @@ impl<W> HomeMachine<W> {
         }
     }
 
-    /// Begin a queued migration, if any: burn the fence epoch and revoke
-    /// every remote right. Returns true iff a migration transient started
-    /// (false also when the queued migration aborts because its target
-    /// died while it waited).
-    fn start_pending_migration(&mut self, out: &mut Vec<HomeAction<W>>) -> bool {
-        let Some(to) = self.pending_migration.take() else {
-            return false;
-        };
-        if self.dead.contains(&to) {
-            out.push(HomeAction::Trace(Transition {
-                from: self.state.name(),
-                to: self.state.name(),
-                trigger: "migration-aborted-target-dead",
-            }));
-            return false;
-        }
-        // The fence epoch doubles as a burned persist sequence number:
-        // monotone per chunk, it orders this migration against every
-        // earlier persist and every earlier migration of the chunk.
-        let mig_epoch = self.persist_seq + 1;
-        self.persist_seq = mig_epoch;
-        out.push(HomeAction::Trace(Transition {
-            from: self.state.name(),
-            to: self.state.name(),
-            trigger: "migrate-begin",
-        }));
-        let waiting: Vec<NodeId> = match &self.state {
-            DirState::Unshared => Vec::new(),
-            DirState::Shared { sharers } => {
-                for &n in sharers {
-                    out.push(HomeAction::SendInvalidate { to: n });
-                }
-                sharers.clone()
-            }
-            DirState::Dirty { owner } => {
-                out.push(HomeAction::SendRecallDirty { to: *owner });
-                vec![*owner]
-            }
-            DirState::Operated { op, sharers } => {
-                if sharers.is_empty() {
-                    Vec::new()
-                } else {
-                    let op0 = op.0;
-                    for &n in sharers {
-                        out.push(HomeAction::SendRecallOperated { to: n, op: op0 });
-                    }
-                    sharers.clone()
-                }
-            }
-        };
-        if waiting.is_empty() {
-            // Nothing to recall (a home-only Operated epoch promotes
-            // implicitly — the home image already holds every operand).
-            if !matches!(self.state, DirState::Unshared) {
-                self.set_state(DirState::Unshared, "migrate-promote", out);
-            }
-            self.transient = Transient::MigratingOut {
-                to,
-                mig_epoch,
-                phase: MigOutPhase::Drain,
-            };
-            out.push(HomeAction::StartHomeDrain {
-                target: LocalState::Invalid,
-                tag: NOTAG,
-            });
-        } else {
-            self.transient = Transient::MigratingOut {
-                to,
-                mig_epoch,
-                phase: MigOutPhase::Recall { waiting },
-            };
-        }
-        true
-    }
-
-    /// Remove `node` from a [`MigOutPhase::Recall`] waiting set; returns
-    /// true iff the set just became empty (the recall completed).
-    fn mig_recall_tick(&mut self, node: NodeId) -> bool {
-        if let Transient::MigratingOut {
-            phase: MigOutPhase::Recall { waiting },
-            ..
-        } = &mut self.transient
-        {
-            if let Some(pos) = waiting.iter().position(|&n| n == node) {
-                waiting.remove(pos);
-                return waiting.is_empty();
-            }
-        }
-        false
-    }
-
-    /// Every remote right is revoked: normalize the directory to Unshared
-    /// and drain the home dentry's local references — unless the target
-    /// died meanwhile, in which case the migration aborts here.
-    fn mig_recall_complete(&mut self, now: u64, grace_ns: u64, out: &mut Vec<HomeAction<W>>) {
-        let Transient::MigratingOut { to, mig_epoch, .. } = self.transient else {
-            unreachable!("mig_recall_complete outside MigratingOut");
-        };
-        if self.dead.contains(&to) {
-            self.abort_migration(now, grace_ns, "migration-aborted-target-dead", out);
-            return;
-        }
-        if !matches!(self.state, DirState::Unshared) {
-            self.set_state(DirState::Unshared, "migrate-recall-complete", out);
-        }
-        self.transient = Transient::MigratingOut {
-            to,
-            mig_epoch,
-            phase: MigOutPhase::Drain,
-        };
-        out.push(HomeAction::StartHomeDrain {
-            target: LocalState::Invalid,
-            tag: NOTAG,
-        });
-    }
-
-    /// Abort an outbound migration (the target died before the commit):
-    /// the source re-assumes the chunk. Safe at every pre-commit phase —
-    /// the target never serves a request before [`HomeEvent::MigrateCommit`]
-    /// (or a quorum-confirmed source death) promotes it. Durable machines
-    /// re-log the re-assumed image first, so recalled dirty data cannot be
-    /// lost to a later crash of this still-authoritative home.
-    fn abort_migration(
-        &mut self,
-        now: u64,
-        grace_ns: u64,
-        trigger: &'static str,
-        out: &mut Vec<HomeAction<W>>,
-    ) {
+    /// Abort a transferred migration (the target died before its ack): the
+    /// source re-assumes the chunk. Safe because the target never serves a
+    /// request before [`HomeEvent::MigrateCommit`] (or a quorum-confirmed
+    /// source death) promotes it. Durable machines re-log the re-assumed
+    /// image past the fence epoch, so it outranks whatever the dead target
+    /// logged under that epoch.
+    fn abort_migration(&mut self, now: u64, grace_ns: u64, out: &mut Vec<HomeAction<W>>) {
         self.transient = Transient::None;
-        if !matches!(self.state, DirState::Unshared) {
-            self.set_state(DirState::Unshared, trigger, out);
-        } else {
-            out.push(HomeAction::Trace(Transition {
-                from: self.state.name(),
-                to: self.state.name(),
-                trigger,
-            }));
-        }
+        self.trace("migration-aborted-target-dead", out);
         out.push(HomeAction::SetHomeLocal {
             state: LocalState::Exclusive,
             tag: NOTAG,
@@ -1349,11 +1070,7 @@ impl<W> HomeMachine<W> {
         self.migrated_to = None;
         out.push(HomeAction::AdoptChunk { mig_epoch });
         out.push(HomeAction::Count(Counter::MigrationsIn));
-        out.push(HomeAction::Trace(Transition {
-            from: self.state.name(),
-            to: self.state.name(),
-            trigger,
-        }));
+        self.trace(trigger, out);
         for _ in 0..self.pending.len() {
             out.push(HomeAction::Count(Counter::ParkedReplays));
         }
@@ -1370,11 +1087,26 @@ impl<W> HomeMachine<W> {
         out: &mut Vec<HomeAction<W>>,
     ) -> bool {
         out.push(HomeAction::ChargeDirUpdate);
+        if let Requester::Migration { to, drained } = req.source {
+            if self.dead.contains(&to) {
+                // The target died before the transfer: drop the migration
+                // and keep serving the chunk here.
+                self.trace("migration-aborted-target-dead", out);
+                if drained {
+                    out.push(HomeAction::SetHomeLocal {
+                        state: LocalState::Exclusive,
+                        tag: NOTAG,
+                    });
+                }
+                return true;
+            }
+        }
         // Minimum-hold grace: if servicing this request would revoke rights
         // granted moments ago, let the grantee use them first. Without
         // this, a contended chunk's recall can arrive at the grantee before
         // its application thread performs a single access (observed as a
-        // write livelock on a falsely-shared flag chunk).
+        // write livelock on a falsely-shared flag chunk). A migration does
+        // not wait: the fence outweighs the window.
         let revokes = match (&self.state, req.kind) {
             (DirState::Unshared, _) => false,
             (DirState::Shared { .. }, Kind::Read) => false,
@@ -1388,7 +1120,8 @@ impl<W> HomeMachine<W> {
             (DirState::Operated { op, .. }, Kind::Operate(o2)) if op.0 == o2 => false,
             (DirState::Operated { sharers, .. }, _) => !sharers.is_empty(),
         };
-        if revokes && grace_ns > 0 && now < self.granted_at + grace_ns {
+        let migration = matches!(req.source, Requester::Migration { .. });
+        if revokes && !migration && grace_ns > 0 && now < self.granted_at + grace_ns {
             let resume_at = self.granted_at + grace_ns;
             self.pending.push_front(req);
             self.transient = Transient::GraceWait;
@@ -1402,7 +1135,7 @@ impl<W> HomeMachine<W> {
                     out.push(HomeAction::Wake(w));
                     true
                 }
-                Requester::Remote { node, dst_off } => {
+                Requester::Remote { node, .. } => {
                     self.set_state(
                         DirState::Shared {
                             sharers: vec![node],
@@ -1410,17 +1143,9 @@ impl<W> HomeMachine<W> {
                         "remote-read",
                         out,
                     );
-                    self.transient = Transient::HomeDrain;
-                    self.current = Some(Request {
-                        source: Requester::Remote { node, dst_off },
-                        kind: Kind::Read,
-                    });
-                    out.push(HomeAction::StartHomeDrain {
-                        target: LocalState::Shared,
-                        tag: NOTAG,
-                    });
-                    false
+                    self.drain_home(req, LocalState::Shared, NOTAG, out)
                 }
+                Requester::Migration { .. } => unreachable!("a migration requests Write"),
             },
             (DirState::Shared { .. }, Kind::Read) => match req.source {
                 Requester::Local(w) => {
@@ -1437,6 +1162,7 @@ impl<W> HomeMachine<W> {
                     });
                     true
                 }
+                Requester::Migration { .. } => unreachable!("a migration requests Write"),
             },
             (DirState::Dirty { owner }, Kind::Read) => {
                 let owner = *owner;
@@ -1453,19 +1179,11 @@ impl<W> HomeMachine<W> {
                     out.push(HomeAction::Wake(w));
                     true
                 }
-                Requester::Remote { node, dst_off } => {
+                Requester::Remote { node, .. } => {
                     self.set_state(DirState::Dirty { owner: node }, "remote-write", out);
-                    self.transient = Transient::HomeDrain;
-                    self.current = Some(Request {
-                        source: Requester::Remote { node, dst_off },
-                        kind: Kind::Write,
-                    });
-                    out.push(HomeAction::StartHomeDrain {
-                        target: LocalState::Invalid,
-                        tag: NOTAG,
-                    });
-                    false
+                    self.drain_home(req, LocalState::Invalid, NOTAG, out)
                 }
+                Requester::Migration { to, drained } => self.hand_off(to, drained, out),
             },
             (DirState::Shared { sharers }, Kind::Write) if sharers.is_empty() => match req.source {
                 Requester::Local(w) => {
@@ -1479,58 +1197,12 @@ impl<W> HomeMachine<W> {
                     out.push(HomeAction::Wake(w));
                     true
                 }
-                Requester::Remote { node, dst_off } => {
+                Requester::Remote { node, .. } => {
                     self.set_state(DirState::Dirty { owner: node }, "remote-write", out);
-                    self.transient = Transient::HomeDrain;
-                    self.current = Some(Request {
-                        source: Requester::Remote { node, dst_off },
-                        kind: Kind::Write,
-                    });
-                    out.push(HomeAction::StartHomeDrain {
-                        target: LocalState::Invalid,
-                        tag: NOTAG,
-                    });
-                    false
+                    self.drain_home(req, LocalState::Invalid, NOTAG, out)
                 }
+                Requester::Migration { to, drained } => self.hand_off(to, drained, out),
             },
-            (DirState::Shared { sharers }, Kind::Write) => {
-                let targets = sharers.clone();
-                self.transient = Transient::AwaitInvAcks {
-                    waiting: targets.clone(),
-                };
-                self.current = Some(req);
-                for n in targets {
-                    out.push(HomeAction::SendInvalidate { to: n });
-                }
-                false
-            }
-            (DirState::Dirty { owner }, Kind::Write) => {
-                let owner = *owner;
-                if let Requester::Remote { node, dst_off } = req.source {
-                    if node == owner {
-                        // Resume after our own HomeDrain: grant the fill.
-                        self.granted_at = now;
-                        out.push(HomeAction::SendFill {
-                            to: node,
-                            dst_off,
-                            exclusive: true,
-                        });
-                        return true;
-                    }
-                    self.transient = Transient::AwaitWriteback { from: owner };
-                    self.current = Some(Request {
-                        source: Requester::Remote { node, dst_off },
-                        kind: Kind::Write,
-                    });
-                    out.push(HomeAction::SendRecallDirty { to: owner });
-                    false
-                } else {
-                    self.transient = Transient::AwaitWriteback { from: owner };
-                    self.current = Some(req);
-                    out.push(HomeAction::SendRecallDirty { to: owner });
-                    false
-                }
-            }
 
             // ---------------- Operate ----------------
             (DirState::Operated { op, .. }, Kind::Operate(op2)) if op.0 == op2 => {
@@ -1545,6 +1217,7 @@ impl<W> HomeMachine<W> {
                         out.push(HomeAction::SendGrant { to: node, op: op2 });
                         true
                     }
+                    Requester::Migration { .. } => unreachable!("a migration requests Write"),
                 }
             }
             (DirState::Unshared, Kind::Operate(op)) => match req.source {
@@ -1553,7 +1226,7 @@ impl<W> HomeMachine<W> {
                     out.push(HomeAction::Wake(w));
                     true
                 }
-                Requester::Remote { node, dst_off } => {
+                Requester::Remote { node, .. } => {
                     self.epoch += 1;
                     self.set_state(
                         DirState::Operated {
@@ -1563,22 +1236,14 @@ impl<W> HomeMachine<W> {
                         "remote-operate",
                         out,
                     );
-                    self.transient = Transient::HomeDrain;
-                    self.current = Some(Request {
-                        source: Requester::Remote { node, dst_off },
-                        kind: Kind::Operate(op),
-                    });
-                    out.push(HomeAction::StartHomeDrain {
-                        target: LocalState::Operated,
-                        tag: op,
-                    });
-                    false
+                    self.drain_home(req, LocalState::Operated, op, out)
                 }
+                Requester::Migration { .. } => unreachable!("a migration requests Write"),
             },
             (DirState::Shared { sharers }, Kind::Operate(op)) if sharers.is_empty() => {
-                let init_sharers = match &req.source {
-                    Requester::Local(_) => vec![],
-                    Requester::Remote { node, .. } => vec![*node],
+                let init_sharers = match req.source {
+                    Requester::Remote { node, .. } => vec![node],
+                    _ => vec![],
                 };
                 self.epoch += 1;
                 self.set_state(
@@ -1589,15 +1254,13 @@ impl<W> HomeMachine<W> {
                     "operate-from-shared",
                     out,
                 );
-                self.transient = Transient::HomeDrain;
-                self.current = Some(req);
-                out.push(HomeAction::StartHomeDrain {
-                    target: LocalState::Operated,
-                    tag: op,
-                });
-                false
+                self.drain_home(req, LocalState::Operated, op, out)
             }
-            (DirState::Shared { sharers }, Kind::Operate(_)) => {
+
+            // ---------------- Revoke ----------------
+            // Write or Operate on a chunk remote nodes hold: take their
+            // rights away, then serve the request again.
+            (DirState::Shared { sharers }, _) => {
                 let targets = sharers.clone();
                 self.transient = Transient::AwaitInvAcks {
                     waiting: targets.clone(),
@@ -1608,8 +1271,23 @@ impl<W> HomeMachine<W> {
                 }
                 false
             }
-            (DirState::Dirty { owner }, Kind::Operate(_)) => {
+            (DirState::Dirty { owner }, kind) => {
                 let owner = *owner;
+                // The recorded owner resuming its write grant after our own
+                // HomeDrain gets its fill; anything else recalls the owner.
+                // A migration never resumes, so migrating to the owner
+                // still recalls it.
+                if let Requester::Remote { node, dst_off } = req.source {
+                    if node == owner && kind == Kind::Write {
+                        self.granted_at = now;
+                        out.push(HomeAction::SendFill {
+                            to: node,
+                            dst_off,
+                            exclusive: true,
+                        });
+                        return true;
+                    }
+                }
                 self.transient = Transient::AwaitWriteback { from: owner };
                 self.current = Some(req);
                 out.push(HomeAction::SendRecallDirty { to: owner });
@@ -1643,6 +1321,46 @@ impl<W> HomeMachine<W> {
                 }
             }
         }
+    }
+
+    /// Serve a migration once no remote node holds rights to the chunk:
+    /// drain the home dentry's references, then burn the fence epoch and
+    /// transfer the home image to `to` — the migration's "fill". Burned
+    /// here, after every persist the revoke made, the epoch outranks all of
+    /// this home's log records for the chunk.
+    fn hand_off(&mut self, to: NodeId, drained: bool, out: &mut Vec<HomeAction<W>>) -> bool {
+        if !drained {
+            if !matches!(self.state, DirState::Unshared) {
+                self.set_state(DirState::Unshared, "migrate-recall-complete", out);
+            }
+            let req = Request {
+                source: Requester::Migration { to, drained: true },
+                kind: Kind::Write,
+            };
+            return self.drain_home(req, LocalState::Invalid, NOTAG, out);
+        }
+        self.persist_seq += 1;
+        let mig_epoch = self.persist_seq;
+        self.transient = Transient::MigratingOut { to, mig_epoch };
+        out.push(HomeAction::TransferChunk { to, mig_epoch });
+        self.trace("migrate-transfer", out);
+        false
+    }
+
+    /// Park `req` while the home dentry drains towards `target`; the
+    /// [`HomeEvent::Drained`] that ends the drain serves `req` again.
+    /// Returns false: a transient began.
+    fn drain_home(
+        &mut self,
+        req: Request<W>,
+        target: LocalState,
+        tag: u32,
+        out: &mut Vec<HomeAction<W>>,
+    ) -> bool {
+        self.transient = Transient::HomeDrain;
+        self.current = Some(req);
+        out.push(HomeAction::StartHomeDrain { target, tag });
+        false
     }
 
     /// Home-side peer-death cleanup: erase `dead` from this chunk's
@@ -1712,32 +1430,11 @@ impl<W> HomeMachine<W> {
                     }
                 }
             }
-            Transient::MigratingOut { to, phase, .. } => {
-                let to = *to;
-                let in_recall = matches!(phase, MigOutPhase::Recall { .. });
-                let in_await_ack = matches!(phase, MigOutPhase::AwaitAck);
-                if in_recall {
-                    // The dead node may owe a recall reply (it may even BE
-                    // the target): prune it from the wait set; the
-                    // target-death check happens at the completion point,
-                    // which this prune may just have reached.
-                    self.remove_sharer(dead);
-                    if self.mig_recall_tick(dead) {
-                        self.mig_recall_complete(now, grace_ns, out);
-                    } else if matches!(&self.state, DirState::Dirty { owner } if *owner == dead) {
-                        // The dirty owner died unflushed: its data is lost
-                        // (fail-stop) and the home image is authoritative
-                        // again.
-                        self.set_state(DirState::Unshared, "peer-down", out);
-                    }
-                } else if in_await_ack && dead == to {
-                    // The target died before acking: it never served
-                    // anyone, so the source re-assumes the chunk.
-                    self.abort_migration(now, grace_ns, "migration-aborted-target-dead", out);
-                }
-                // MigOutPhase::Drain: a drain cannot be cancelled
-                // mid-flight; the Drained handler re-checks the target
-                // before transferring.
+            Transient::MigratingOut { to, .. } if *to == dead => {
+                // The target died before acking: it never served anyone, so
+                // the source re-assumes the chunk. (A migration that has not
+                // transferred yet notices the death when it is next served.)
+                self.abort_migration(now, grace_ns, out);
             }
             Transient::MigratingIn {
                 from,
@@ -1811,10 +1508,6 @@ impl<W> HomeMachine<W> {
                 waiting.contains(&node)
             }
             Transient::AwaitWriteback { from } => *from == node,
-            Transient::MigratingOut {
-                phase: MigOutPhase::Recall { waiting },
-                ..
-            } => waiting.contains(&node),
             _ => false,
         }
     }
@@ -2496,8 +2189,8 @@ mod tests {
 
     // ---- chunk migration (DESIGN.md §15) ----
 
-    /// Drive a fresh source machine through recall + drain up to the
-    /// transfer; returns the machine parked in `MigratingOut:AwaitAck`.
+    /// Drive a fresh source machine through the drain up to the transfer;
+    /// returns the machine waiting for the target's ack.
     fn source_awaiting_ack(to: NodeId) -> M {
         let mut m = M::new();
         let acts = m.on_event(0, 0, HomeEvent::BeginMigration { to });
@@ -2510,7 +2203,7 @@ mod tests {
         )));
         let acts = m.on_event(0, 0, HomeEvent::Drained);
         assert!(acts.contains(&HomeAction::TransferChunk { to, mig_epoch: 1 }));
-        assert_eq!(m.transient().name(), "MigratingOut:AwaitAck");
+        assert_eq!(m.transient(), &Transient::MigratingOut { to, mig_epoch: 1 });
         m
     }
 
@@ -2551,7 +2244,8 @@ mod tests {
             .filter(|a| matches!(a, HomeAction::SendInvalidate { .. }))
             .count();
         assert_eq!(invs, 2, "both sharers recalled: {acts:?}");
-        assert_eq!(m.transient().name(), "MigratingOut:Recall");
+        assert!(matches!(m.transient(), Transient::AwaitInvAcks { .. }));
+        assert_eq!(m.migrating_to(), Some(3));
         // No transfer may happen until the last right is revoked.
         let acts = m.on_event(0, 0, HomeEvent::InvAck { from: 1 });
         assert!(acts
@@ -2603,6 +2297,154 @@ mod tests {
             to: 2,
             mig_epoch: 1
         }));
+    }
+
+    #[test]
+    fn migration_of_an_operated_chunk_reduces_every_flush_before_transfer() {
+        let mut m = M::new();
+        // Nodes 1 and 2 both operate under operator 5.
+        m.on_event(0, 0, remote(1, Kind::Operate(5)));
+        m.on_event(0, 0, HomeEvent::Drained);
+        m.on_event(0, 0, remote(2, Kind::Operate(5)));
+        let acts = m.on_event(0, 0, HomeEvent::BeginMigration { to: 3 });
+        for n in [1, 2] {
+            assert!(
+                acts.contains(&HomeAction::SendRecallOperated { to: n, op: 5 }),
+                "operator {n} recalled: {acts:?}"
+            );
+        }
+        let flush = |from| HomeEvent::Flush {
+            from,
+            op: 5,
+            has_data: true,
+        };
+        // The first flush is reduced, but the recall still waits on node 2.
+        let acts = m.on_event(0, 0, flush(1));
+        assert!(acts.contains(&HomeAction::ApplyFlushData { op: 5 }));
+        assert!(acts
+            .iter()
+            .all(|a| !matches!(a, HomeAction::StartHomeDrain { .. })));
+        // The last flush is reduced, and only then does the home drain.
+        let acts = m.on_event(0, 0, flush(2));
+        let reduce_at = acts
+            .iter()
+            .position(|a| *a == HomeAction::ApplyFlushData { op: 5 })
+            .expect("last flush reduced");
+        let drain_at = acts
+            .iter()
+            .position(|a| {
+                matches!(
+                    a,
+                    HomeAction::StartHomeDrain {
+                        target: LocalState::Invalid,
+                        ..
+                    }
+                )
+            })
+            .expect("home drained once every operand is home");
+        assert!(reduce_at < drain_at, "{acts:?}");
+        assert_eq!(m.state(), &DirState::Unshared);
+        let acts = m.on_event(0, 0, HomeEvent::Drained);
+        assert!(acts
+            .iter()
+            .any(|a| matches!(a, HomeAction::TransferChunk { to: 3, .. })));
+    }
+
+    #[test]
+    fn migration_to_the_dirty_owner_recalls_it_first() {
+        let mut m = M::new();
+        m.on_event(0, 0, remote(1, Kind::Write));
+        m.on_event(0, 0, HomeEvent::Drained);
+        assert_eq!(m.state(), &DirState::Dirty { owner: 1 });
+        // Moving the chunk to its own Dirty owner still pulls the dirty
+        // image home: the transfer ships the home slot, not the cacheline.
+        let mut acts = m.on_event(0, 0, HomeEvent::BeginMigration { to: 1 });
+        assert!(acts.contains(&HomeAction::SendRecallDirty { to: 1 }));
+        assert!(acts
+            .iter()
+            .all(|a| !matches!(a, HomeAction::TransferChunk { .. })));
+        acts.extend(m.on_event(
+            0,
+            0,
+            HomeEvent::Writeback {
+                from: 1,
+                downgrade: false,
+            },
+        ));
+        acts.extend(m.on_event(0, 0, HomeEvent::Drained));
+        assert!(acts
+            .iter()
+            .any(|a| matches!(a, HomeAction::TransferChunk { to: 1, .. })));
+        assert!(
+            acts.iter()
+                .all(|a| !matches!(a, HomeAction::SendFill { .. })),
+            "{acts:?}"
+        );
+    }
+
+    #[test]
+    fn migration_skips_the_grace_window() {
+        let mut m = M::new();
+        m.on_event(0, 1_000, remote(1, Kind::Write));
+        m.on_event(1_000, 1_000, HomeEvent::Drained);
+        // The fresh grant's window defers a competing read...
+        m.on_event(1_010, 1_000, remote(2, Kind::Read));
+        assert_eq!(m.transient(), &Transient::GraceWait);
+        // ...but not the migration, which recalls the owner at once.
+        let acts = m.on_event(1_020, 1_000, HomeEvent::BeginMigration { to: 3 });
+        assert!(acts.contains(&HomeAction::SendRecallDirty { to: 1 }));
+        assert!(acts
+            .iter()
+            .all(|a| !matches!(a, HomeAction::ScheduleRetry { .. })));
+        assert_eq!(m.transient(), &Transient::AwaitWriteback { from: 1 });
+    }
+
+    #[test]
+    fn migration_epoch_outranks_every_source_persist() {
+        let mut m = M::new();
+        m.set_durable(true);
+        let mut persisted = Vec::new();
+        let mut transfers = Vec::new();
+        // Feed one event, answer every persist it asks for, and record the
+        // persist sequences and transfer epochs the source emitted.
+        let mut feed = |m: &mut M, ev| {
+            let mut queue = vec![ev];
+            while let Some(ev) = queue.pop() {
+                for a in m.on_event(0, 0, ev) {
+                    match a {
+                        HomeAction::PersistChunk { seq } => {
+                            persisted.push(seq);
+                            queue.push(HomeEvent::PersistDone { seq });
+                        }
+                        HomeAction::TransferChunk { mig_epoch, .. } => transfers.push(mig_epoch),
+                        _ => {}
+                    }
+                }
+            }
+        };
+        // A voluntary writeback persists before the migration starts.
+        feed(&mut m, remote(1, Kind::Write));
+        feed(&mut m, HomeEvent::Drained);
+        let wb = |from| HomeEvent::Writeback {
+            from,
+            downgrade: false,
+        };
+        feed(&mut m, wb(1));
+        // Node 2 holds the chunk Dirty when the migration asks for it, so
+        // the migration's recall pulls a writeback home first.
+        feed(&mut m, remote(2, Kind::Write));
+        feed(&mut m, HomeEvent::Drained);
+        feed(&mut m, HomeEvent::BeginMigration { to: 3 });
+        feed(&mut m, wb(2));
+        feed(&mut m, HomeEvent::Drained);
+        assert!(!persisted.is_empty());
+        let [epoch] = transfers[..] else {
+            panic!("expected one transfer, got {transfers:?}");
+        };
+        assert!(
+            persisted.iter().all(|&seq| seq < epoch),
+            "fence epoch {epoch} must outrank every persist {persisted:?}"
+        );
     }
 
     #[test]
@@ -2758,7 +2600,8 @@ mod tests {
         m.on_event(0, 0, remote(1, Kind::Read));
         m.on_event(0, 0, HomeEvent::Drained);
         m.on_event(0, 0, HomeEvent::BeginMigration { to: 2 });
-        assert_eq!(m.transient().name(), "MigratingOut:Recall");
+        assert!(matches!(m.transient(), Transient::AwaitInvAcks { .. }));
+        assert_eq!(m.migrating_to(), Some(2));
         m.on_event(
             0,
             0,
@@ -2822,7 +2665,13 @@ mod tests {
         assert!(acts
             .iter()
             .all(|a| !matches!(a, HomeAction::DepartChunk { .. })));
-        assert_eq!(m.transient().name(), "MigratingOut:AwaitAck");
+        assert_eq!(
+            m.transient(),
+            &Transient::MigratingOut {
+                to: 2,
+                mig_epoch: 1
+            }
+        );
         // A second BeginMigration under an active migration is rejected.
         let acts = m.on_event(0, 0, HomeEvent::BeginMigration { to: 3 });
         assert!(acts.iter().any(|a| matches!(
@@ -2895,14 +2744,8 @@ mod tests {
             fill_at.is_some() && recall_at.is_some() && fill_at < recall_at,
             "fill must precede the migration recall: {acts:?}"
         );
-        assert!(matches!(
-            m.transient(),
-            Transient::MigratingOut {
-                to: 1,
-                phase: MigOutPhase::Recall { .. },
-                ..
-            }
-        ));
+        assert_eq!(m.transient(), &Transient::AwaitWriteback { from: 2 });
+        assert_eq!(m.migrating_to(), Some(1));
         // The writeback answers the recall and the transfer proceeds.
         let acts = m.on_event(
             2,

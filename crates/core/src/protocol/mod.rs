@@ -34,7 +34,7 @@ pub mod home;
 pub mod locks;
 
 pub use cache::{AfterDrain, CacheAction, CacheEvent, CacheMachine, CacheView};
-pub use home::{HomeAction, HomeEvent, HomeMachine, MigInPhase, MigOutPhase, Transient};
+pub use home::{HomeAction, HomeEvent, HomeMachine, MigInPhase, Transient};
 pub use locks::{LockKind, LockSource, LockTable};
 
 /// A node identifier. Structurally identical to `rdma_fabric::NodeId`
@@ -74,6 +74,17 @@ pub enum Requester<W> {
         node: NodeId,
         /// Destination word offset in the requester's cache region.
         dst_off: u64,
+    },
+    /// A chunk migration to the new home `to` (DESIGN.md §15), queued by
+    /// [`HomeEvent::BeginMigration`] as a Write request: the directory
+    /// revokes every right for it as for any exclusive request, and its
+    /// "fill" is the transfer of the home image.
+    Migration {
+        /// The new home.
+        to: NodeId,
+        /// True once the home dentry has drained for the transfer — what a
+        /// remote grant records by pre-committing its new owner.
+        drained: bool,
     },
 }
 

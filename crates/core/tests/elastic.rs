@@ -153,6 +153,75 @@ fn join_and_migrate_under_reliable_channel() {
     });
 }
 
+/// Migrating a chunk that is Operated on two nodes recalls every operator's
+/// combined operands and reduces them into the image it ships: no operand
+/// is lost to the move.
+#[test]
+fn migrating_an_operated_chunk_reduces_every_operand() {
+    Sim::new(SimConfig::default()).run(|ctx| {
+        let cluster = Cluster::new(ctx, elastic_config());
+        let add = cluster.ops().register_add_u64();
+        let arr = cluster.alloc::<u64>(LEN, ArrayOptions::default());
+
+        // Node 0 (chunk 0's home) combines locally, node 1 in its cache.
+        let arr1 = arr.clone();
+        cluster.run(ctx, 1, move |ctx, env| {
+            if env.node < 2 {
+                let a = arr1.on(env.node);
+                for _ in 0..5 {
+                    for i in 0..8 {
+                        a.apply(ctx, i, add, 1);
+                    }
+                }
+            }
+        });
+
+        assert_eq!(cluster.join_peer(ctx, 2), NODES);
+        assert!(cluster.migrate_chunk(ctx, &arr, 0, 2));
+
+        let arr2 = arr.clone();
+        cluster.run(ctx, 1, move |ctx, env| {
+            let a = arr2.on(env.node);
+            for i in 0..8 {
+                assert_eq!(a.get(ctx, i), 10, "node {} element {i}", env.node);
+            }
+        });
+        let s2 = cluster.stats(2);
+        assert_eq!(s2.migrations_in, 1, "{s2:?}");
+        cluster.shutdown(ctx);
+    });
+}
+
+/// Element locks are routed by the static layout, not the elastic home
+/// map: after chunk 0 moves to node 2, its element locks are still granted
+/// by chunk 0's layout home, node 0 (DESIGN.md §15). Moving the lock table
+/// with the chunk is not implemented, so the locks die with node 0.
+#[test]
+fn locks_on_a_migrated_chunk_stay_on_the_layout_home() {
+    Sim::new(SimConfig::default()).run(|ctx| {
+        let cluster = Cluster::new(ctx, elastic_config());
+        let arr = cluster.alloc::<u64>(LEN, ArrayOptions::default());
+        assert_eq!(cluster.join_peer(ctx, 2), NODES);
+        assert!(cluster.migrate_chunk(ctx, &arr, 0, 2));
+
+        let arr1 = arr.clone();
+        cluster.run(ctx, 1, move |ctx, env| {
+            let a = arr1.on(env.node);
+            for _ in 0..10 {
+                a.wlock(ctx, 5);
+                let v = a.get(ctx, 5);
+                a.set(ctx, 5, v + 1);
+                a.unlock(ctx, 5);
+            }
+            env.barrier(ctx);
+            assert_eq!(a.get(ctx, 5), 30, "node {}", env.node);
+        });
+        assert_eq!(cluster.stats(0).locks_granted, 30);
+        assert_eq!(cluster.stats(2).locks_granted, 0);
+        cluster.shutdown(ctx);
+    });
+}
+
 /// Arrays allocated *after* a join include the joined node in their even
 /// partition; arrays allocated before it keep their prefix partition (plus
 /// whatever migrations moved).

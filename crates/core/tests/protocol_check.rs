@@ -2804,6 +2804,20 @@ mod migration {
         // else: lost in flight; the kill's prefix truncation modeled it.
     }
 
+    /// The survivor's migration phase for the kill-coverage tally. A
+    /// migration runs through the ordinary transients: any transient
+    /// serving it before the home drain is its revoke, the drain serving it
+    /// is its drain, and `MigratingOut` is the wait for the target's ack.
+    fn m_phase(m: &HomeMachine<u32>) -> &'static str {
+        use darray::protocol::Transient;
+        match (m.transient(), m.migrating_to()) {
+            (Transient::MigratingOut { .. }, _) => "MigratingOut:AwaitAck",
+            (Transient::HomeDrain, Some(_)) => "MigratingOut:Drain",
+            (t, Some(_)) if !t.is_none() => "MigratingOut:Recall",
+            (t, _) => t.name(),
+        }
+    }
+
     fn m_deliver_to_home(
         w: &mut MigWorld,
         ck: &mut MCk,
@@ -2860,8 +2874,7 @@ mod migration {
                     TGT => "tgt",
                     _ => "req",
                 };
-                let phase = home.m.transient().name();
-                ck.kill_phases.insert((victim, phase));
+                ck.kill_phases.insert((victim, m_phase(&home.m)));
                 let _ = survivor;
                 HomeEvent::PeerDown {
                     dead,
@@ -3305,5 +3318,11 @@ mod migration {
                 ck.kill_phases
             );
         }
+        let min_states = env_usize("DARRAY_MC_MIN_STATES", 2_000);
+        assert!(
+            ck.seen.len() >= min_states,
+            "explored only {} states (< {min_states}); the model lost coverage",
+            ck.seen.len()
+        );
     }
 }

@@ -131,6 +131,7 @@ impl World {
                 let src = match req.source {
                     Requester::Local(_) => "Local",
                     Requester::Remote { .. } => "Remote",
+                    Requester::Migration { .. } => "Migration",
                 };
                 self.request_coverage
                     .insert((self.m.state().name().to_string(), format!("{kind}:{src}")));
