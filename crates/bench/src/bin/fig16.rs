@@ -5,9 +5,12 @@
 //! The paper runs rMat24 (2²⁴ vertices, 2²⁶ edges) on up to 12 nodes with
 //! all cores; this harness defaults to rMat14 (set `FIG16_SCALE` to go
 //! bigger) — the *relative* behaviour is scale-invariant (see DESIGN.md §2).
+//!
+//! `BENCH_fig16.json` carries every cell's exact virtual ns as `metrics`
+//! (the table rounds to 3–4 digits) and the DArray engines' counters.
 
 use darray_bench::graphs::{graph_cell_with_traffic, Algo, GraphSys};
-use darray_bench::report::{fmt, print_table, scalability, write_bench_json};
+use darray_bench::report::{fmt, print_table, scalability, write_bench_json_with_metrics};
 
 fn main() {
     let fast = darray_bench::fast_mode();
@@ -25,6 +28,7 @@ fn main() {
     ];
 
     let mut traffic = Vec::new();
+    let mut metrics = Vec::new();
     for algo in [Algo::PageRank, Algo::Cc] {
         let mut rows = Vec::new();
         let mut speed: Vec<Vec<(usize, f64)>> = vec![Vec::new(); systems.len()];
@@ -39,8 +43,10 @@ fn main() {
                     continue;
                 }
                 let (t, tr) = graph_cell_with_traffic(sys, algo, n, scale, 4, iters);
+                let label = format!("{}_{}_{n}n", sys.label(), algo.label());
+                metrics.push((format!("{label}_ns"), t as f64));
                 if let Some(tr) = tr {
-                    traffic.push((format!("{}_{}_{n}n", sys.label(), algo.label()), tr));
+                    traffic.push((label, tr));
                 }
                 let ms = t as f64 / 1e6;
                 speed[si].push((n, 1.0 / ms)); // "throughput" = 1/time
@@ -63,7 +69,7 @@ fn main() {
         );
     }
     println!("\npaper: DArray 2-3 orders of magnitude faster than GAM; Gemini wins on 1 node, DArray-Pin overtakes as nodes grow (1.3x PR / 2.1x CC), with scalability 0.55/0.74 vs Gemini's 0.28/0.09.");
-    match write_bench_json("fig16", &traffic) {
+    match write_bench_json_with_metrics("fig16", &metrics, &traffic) {
         Ok(p) => println!("protocol traffic written to {}", p.display()),
         Err(e) => eprintln!("could not write BENCH_fig16.json: {e}"),
     }

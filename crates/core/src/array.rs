@@ -80,6 +80,26 @@ impl<T: Element> DArray<T> {
         self.arr.layout.node_elems(self.node)
     }
 
+    /// Split `range` into chunk windows: the consecutive pieces of `range`
+    /// that each lie in one chunk, so one [`DArray::pin`] covers each.
+    /// Homes are chunk-granular, so no window spans two homes. Panics if
+    /// `range` ends past [`DArray::len`].
+    pub fn chunk_windows(
+        &self,
+        range: std::ops::Range<usize>,
+    ) -> impl Iterator<Item = std::ops::Range<usize>> {
+        assert!(range.end <= self.len(), "range {range:?} out of bounds");
+        let chunk = self.chunk_size();
+        let mut at = range.start;
+        std::iter::from_fn(move || {
+            (at < range.end).then(|| {
+                let window = at..(at - at % chunk + chunk).min(range.end);
+                at = window.end;
+                window
+            })
+        })
+    }
+
     #[inline]
     pub(crate) fn dentry(&self, chunk: usize) -> &Dentry {
         &self.arr.per_node[self.node].dentries[chunk]
@@ -421,5 +441,75 @@ impl<T: Element> DArray<T> {
             held.remove(&(index as u64));
         }
         kind
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::ops::Range;
+
+    use crate::{ArrayOptions, Cluster, ClusterConfig, NodeId};
+    use dsim::{Sim, SimConfig};
+
+    /// The chunk windows of `range` over a 3-node array of `len` elements
+    /// (512-element chunks), each with the homes of its elements.
+    fn windows(
+        len: usize,
+        opts: ArrayOptions,
+        range: Range<usize>,
+    ) -> Vec<(Range<usize>, Vec<NodeId>)> {
+        Sim::new(SimConfig::default()).run(move |ctx| {
+            let cluster = Cluster::new(ctx, ClusterConfig::test_config(3));
+            let a = cluster.alloc::<u64>(len, opts).on(0);
+            let out = a
+                .chunk_windows(range)
+                .map(|w| (w.clone(), w.map(|i| a.home_of(i)).collect()))
+                .collect();
+            cluster.shutdown(ctx);
+            out
+        })
+    }
+
+    fn ranges(ws: &[(Range<usize>, Vec<NodeId>)]) -> Vec<Range<usize>> {
+        ws.iter().map(|(w, _)| w.clone()).collect()
+    }
+
+    #[test]
+    fn chunk_windows_start_unaligned_and_end_on_a_partial_tail_chunk() {
+        let ws = windows(1100, ArrayOptions::default(), 300..1100);
+        assert_eq!(ranges(&ws), [300..512, 512..1024, 1024..1100]);
+    }
+
+    #[test]
+    fn chunk_windows_of_an_empty_range_is_empty() {
+        assert!(windows(1100, ArrayOptions::default(), 700..700).is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "out of bounds")]
+    fn chunk_windows_panics_past_the_end() {
+        windows(1100, ArrayOptions::default(), 0..1101);
+    }
+
+    #[test]
+    fn no_chunk_window_spans_two_homes_under_a_custom_partition() {
+        // Offsets off chunk boundaries round up to 1024 and 2048.
+        let opts = ArrayOptions {
+            chunk_size: None,
+            partition_offset: Some(vec![0, 700, 1600]),
+        };
+        let ws = windows(2500, opts, 100..2500);
+        assert_eq!(
+            ranges(&ws),
+            [100..512, 512..1024, 1024..1536, 1536..2048, 2048..2500]
+        );
+        let homes: Vec<NodeId> = ws
+            .iter()
+            .map(|(w, h)| {
+                assert!(h.iter().all(|&x| x == h[0]), "window {w:?} spans {h:?}");
+                h[0]
+            })
+            .collect();
+        assert_eq!(homes, [0, 0, 1, 1, 2]);
     }
 }

@@ -55,7 +55,6 @@
 //! ```
 
 mod array;
-mod bulk;
 mod cache;
 mod cluster;
 mod comm;

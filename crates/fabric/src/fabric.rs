@@ -317,79 +317,6 @@ impl<M: Send + 'static> Nic<M> {
         self.send(ctx, dst, msg, msg_payload_bytes);
     }
 
-    /// One-sided RDMA FETCH_ADD on an 8-byte word of `region` (owned by
-    /// `dst`): atomically adds `delta` at the remote NIC and returns the
-    /// previous value after a full round trip. (DArray itself does not use
-    /// RDMA atomics — its Operate interface subsumes them — but they are
-    /// part of the verb surface and useful to alternative designs.)
-    pub fn rdma_fetch_add(
-        &self,
-        ctx: &mut Ctx,
-        dst: NodeId,
-        region: &MemoryRegion,
-        offset: usize,
-        delta: u64,
-    ) -> u64 {
-        self.charge_post(ctx);
-        self.stats.reads.fetch_add(1, Ordering::Relaxed);
-        let req_arrive = self.claim_link(ctx, dst, self.cfg.header_bytes + 8);
-        let done = req_arrive + self.cfg.tx_time(8) + self.cfg.prop_latency_ns;
-        let buf = Arc::new(Mutex::new(0u64));
-        let region = region.clone();
-        let b2 = buf.clone();
-        ctx.schedule_fn(req_arrive, move || {
-            // The remote NIC performs the atomic at request arrival.
-            loop {
-                let cur = region.load(offset);
-                if region
-                    .compare_exchange(offset, cur, cur.wrapping_add(delta))
-                    .is_ok()
-                {
-                    *b2.lock() = cur;
-                    break;
-                }
-            }
-        });
-        let oneshot: Mailbox<()> = Mailbox::new("rdma-fadd");
-        oneshot.send_at(ctx, (), done);
-        oneshot.recv(ctx);
-        let v = *buf.lock();
-        v
-    }
-
-    /// One-sided RDMA CMP_SWAP on an 8-byte word: atomically replaces the
-    /// value with `new` if it equals `expect`; returns the previous value
-    /// after a full round trip.
-    pub fn rdma_compare_swap(
-        &self,
-        ctx: &mut Ctx,
-        dst: NodeId,
-        region: &MemoryRegion,
-        offset: usize,
-        expect: u64,
-        new: u64,
-    ) -> u64 {
-        self.charge_post(ctx);
-        self.stats.reads.fetch_add(1, Ordering::Relaxed);
-        let req_arrive = self.claim_link(ctx, dst, self.cfg.header_bytes + 16);
-        let done = req_arrive + self.cfg.tx_time(8) + self.cfg.prop_latency_ns;
-        let buf = Arc::new(Mutex::new(0u64));
-        let region = region.clone();
-        let b2 = buf.clone();
-        ctx.schedule_fn(req_arrive, move || {
-            let prev = match region.compare_exchange(offset, expect, new) {
-                Ok(p) => p,
-                Err(p) => p,
-            };
-            *b2.lock() = prev;
-        });
-        let oneshot: Mailbox<()> = Mailbox::new("rdma-cas");
-        oneshot.send_at(ctx, (), done);
-        oneshot.recv(ctx);
-        let v = *buf.lock();
-        v
-    }
-
     /// Blocking one-sided RDMA READ of `len` words from `region` (owned by
     /// `dst`) at word `offset`. The memory snapshot is taken at the request's
     /// arrival at the remote NIC; the caller resumes at the full round-trip
@@ -604,35 +531,6 @@ mod tests {
             }
             assert_eq!(n0.stats().signaled, 2);
             assert_eq!(n0.stats().sends, 8);
-        });
-    }
-
-    #[test]
-    fn rdma_fetch_add_is_atomic_and_round_trip_priced() {
-        sim().run(|ctx| {
-            let fab: Fabric<()> = Fabric::new(2, NetConfig::default());
-            let region = MemoryRegion::new(4);
-            region.store(1, 10);
-            let n0 = fab.nic(0);
-            let t0 = ctx.now();
-            let prev = n0.rdma_fetch_add(ctx, 1, &region, 1, 5);
-            assert_eq!(prev, 10);
-            assert_eq!(region.load(1), 15);
-            assert!(ctx.now() - t0 >= 1_500, "rtt = {}", ctx.now() - t0);
-        });
-    }
-
-    #[test]
-    fn rdma_compare_swap_succeeds_and_fails() {
-        sim().run(|ctx| {
-            let fab: Fabric<()> = Fabric::new(2, NetConfig::default());
-            let region = MemoryRegion::new(1);
-            let n0 = fab.nic(0);
-            assert_eq!(n0.rdma_compare_swap(ctx, 1, &region, 0, 0, 42), 0);
-            assert_eq!(region.load(0), 42);
-            // Mismatched expect leaves the value unchanged.
-            assert_eq!(n0.rdma_compare_swap(ctx, 1, &region, 0, 0, 99), 42);
-            assert_eq!(region.load(0), 42);
         });
     }
 

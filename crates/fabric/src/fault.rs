@@ -43,8 +43,8 @@
 //! pair stays idempotent (the data always lands; only the notification is
 //! at risk).
 //!
-//! One-sided READ/FETCH_ADD/CMP_SWAP verbs are not perturbed — the DArray
-//! protocol path (the subject of the chaos suite) uses WRITE+SEND only.
+//! One-sided READs are not perturbed — the DArray protocol path (the
+//! subject of the chaos suite) uses WRITE+SEND only.
 
 use dsim::VTime;
 

@@ -1,18 +1,14 @@
 //! Connected Components by min-label propagation over DArray, using the
 //! `write_min` operator (§4.3) — the second graph application of §6.4.
 //!
-//! The propagation skeleton is shared with BFS: double-buffered label
-//! arrays, a scatter phase that `apply`s `min` contributions along edges,
-//! and a global convergence check through a small flag array.
+//! BFS runs through the same propagation: each round seeds the next label
+//! array, scatters `min` contributions along edges, and takes the
+//! convergence vote through a small flag array.
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
-
-use darray::{ArrayOptions, Cluster, Ctx, DArray, NodeEnv, OpId, PinMode, VTime};
-use parking_lot::Mutex;
+use darray::{ArrayOptions, Cluster, Ctx, PinMode, VTime};
 
 use crate::csr::EdgeList;
-use crate::local::LocalGraph;
+use crate::engine::{copy_owned, partition, supersteps, vote, Window};
 
 /// Result of a propagation run (CC or BFS).
 pub struct PropagateResult {
@@ -38,165 +34,34 @@ pub(crate) fn min_propagate_darray(
     pin: bool,
 ) -> PropagateResult {
     let n = el.vertices;
-    let nodes = cluster.config().nodes;
-    let (locals, offsets) = LocalGraph::partition_balanced(el, nodes);
-    let locals = Arc::new(locals);
-    let opts = ArrayOptions {
-        chunk_size: None,
-        partition_offset: Some(offsets),
-    };
+    let (locals, opts) = partition(cluster, el);
     let min = cluster.ops().register_min_u64();
     let a = cluster.alloc_with::<u64>(n, opts.clone(), init);
     let b = cluster.alloc_with::<u64>(n, opts, init);
-    let flags = cluster.alloc::<u64>(nodes, ArrayOptions::default());
-    let elapsed = Arc::new(AtomicU64::new(0));
-    let rounds_out = Arc::new(AtomicUsize::new(0));
-    let out = Arc::new(Mutex::new(Vec::new()));
-    let (e2, r2, o2) = (elapsed.clone(), rounds_out.clone(), out.clone());
-    cluster.run(ctx, 1, move |ctx, env| {
-        let g = &locals[env.node];
-        let arrs = [a.on(env.node), b.on(env.node)];
-        let fl = flags.on(env.node);
-        env.barrier(ctx);
-        let t0 = ctx.now();
-        let mut round = 0usize;
-        loop {
-            let src = &arrs[round % 2];
-            let dst = &arrs[(round + 1) % 2];
-            // Seed dst with src (owner-local copy).
-            copy_owned(ctx, g, src, dst, pin);
-            env.barrier(ctx);
-            // Scatter min contributions along owned out-edges.
-            scatter_min(ctx, g, src, dst, min, contrib, pin);
-            env.barrier(ctx);
-            // Local convergence check (reads recall outstanding combines).
-            let changed = check_changed(ctx, g, src, dst, pin);
-            fl.set(ctx, env.node, changed as u64);
-            env.barrier(ctx);
-            let mut any = false;
-            for i in 0..env.nodes {
-                any |= fl.get(ctx, i) != 0;
-            }
-            env.barrier(ctx);
-            round += 1;
-            if !any {
-                break;
-            }
-            assert!(round <= n + 2, "propagation failed to converge");
-        }
-        e2.fetch_max(ctx.now() - t0, Ordering::Relaxed);
-        env.barrier(ctx);
-        if env.node == 0 {
-            r2.store(round, Ordering::Relaxed);
-            let fin = &arrs[round % 2];
-            let mut v = Vec::with_capacity(n);
-            for i in 0..n {
-                v.push(fin.get(ctx, i));
-            }
-            *o2.lock() = v;
-        }
-    });
-    PropagateResult {
-        elapsed: elapsed.load(Ordering::Relaxed),
-        values: {
-            let mut g = out.lock();
-            std::mem::take(&mut *g)
-        },
-        rounds: rounds_out.load(Ordering::Relaxed),
-    }
-}
-
-fn windows(
-    owned: std::ops::Range<usize>,
-    chunk: usize,
-) -> impl Iterator<Item = std::ops::Range<usize>> {
-    let mut at = owned.start;
-    std::iter::from_fn(move || {
-        if at >= owned.end {
-            return None;
-        }
-        let hi = (at + chunk).min(owned.end);
-        let r = at..hi;
-        at = hi;
-        Some(r)
-    })
-}
-
-fn copy_owned(ctx: &mut Ctx, g: &LocalGraph, src: &DArray<u64>, dst: &DArray<u64>, pin: bool) {
-    let chunk = src.chunk_size();
-    if pin {
-        for w in windows(g.owned.clone(), chunk) {
-            let ps = src.pin(ctx, w.start, PinMode::Read);
-            let pd = dst.pin(ctx, w.start, PinMode::Write);
-            for v in w {
-                let x = ps.get(ctx, v);
-                pd.set(ctx, v, x);
-            }
-        }
-    } else {
-        for v in g.owned.clone() {
-            let x = src.get(ctx, v);
-            dst.set(ctx, v, x);
-        }
-    }
-}
-
-fn scatter_min(
-    ctx: &mut Ctx,
-    g: &LocalGraph,
-    src: &DArray<u64>,
-    dst: &DArray<u64>,
-    min: OpId,
-    contrib: ContribFn,
-    pin: bool,
-) {
-    let chunk = src.chunk_size();
-    if pin {
-        for w in windows(g.owned.clone(), chunk) {
-            let p = src.pin(ctx, w.start, PinMode::Read);
+    let flags = cluster.alloc::<u64>(cluster.config().nodes, ArrayOptions::default());
+    let run = supersteps(ctx, cluster, locals, [a, b], None, move |ctx, s| {
+        let (g, src, dst) = (s.local, s.src, s.dst);
+        copy_owned(ctx, g.owned.clone(), src, dst, pin);
+        s.env.barrier(ctx);
+        // Scatter min contributions along owned out-edges.
+        for w in src.chunk_windows(g.owned.clone()) {
+            let r = Window::open(ctx, src, w.start, PinMode::Read, pin);
             for u in w {
-                if let Some(c) = contrib(p.get(ctx, u)) {
+                if let Some(c) = contrib(r.get(ctx, u)) {
                     for &v in g.neighbors(u) {
                         dst.apply(ctx, v as usize, min, c);
                     }
                 }
             }
-            p.unpin();
         }
-    } else {
-        for u in g.owned.clone() {
-            if let Some(c) = contrib(src.get(ctx, u)) {
-                for &v in g.neighbors(u) {
-                    dst.apply(ctx, v as usize, min, c);
-                }
-            }
-        }
+        s.env.barrier(ctx);
+        vote(ctx, s.env, &flags, g.owned.clone(), src, dst, pin)
+    });
+    PropagateResult {
+        elapsed: run.elapsed,
+        values: run.values,
+        rounds: run.rounds,
     }
-}
-
-fn check_changed(
-    ctx: &mut Ctx,
-    g: &LocalGraph,
-    src: &DArray<u64>,
-    dst: &DArray<u64>,
-    pin: bool,
-) -> bool {
-    let chunk = src.chunk_size();
-    let mut changed = false;
-    if pin {
-        for w in windows(g.owned.clone(), chunk) {
-            let ps = src.pin(ctx, w.start, PinMode::Read);
-            let pd = dst.pin(ctx, w.start, PinMode::Read);
-            for v in w {
-                changed |= ps.get(ctx, v) != pd.get(ctx, v);
-            }
-        }
-    } else {
-        for v in g.owned.clone() {
-            changed |= src.get(ctx, v) != dst.get(ctx, v);
-        }
-    }
-    changed
 }
 
 /// Distributed Connected Components: every vertex converges to the minimum
@@ -205,9 +70,6 @@ pub fn cc_darray(ctx: &mut Ctx, cluster: &Cluster, el: &EdgeList, pin: bool) -> 
     let sym = el.symmetrized();
     min_propagate_darray(ctx, cluster, &sym, |v| v as u64, Some, pin)
 }
-
-/// The NodeEnv type is re-exported so bench code can name it.
-pub type Env = NodeEnv;
 
 #[cfg(test)]
 mod tests {

@@ -1,0 +1,289 @@
+//! The DArray graph engine (§5.1) that PageRank, CC, BFS and SSSP run on:
+//! bulk-synchronous supersteps over two double-buffered vertex arrays,
+//! where each phase walks a node's owned vertices one chunk window at a
+//! time. A [`Window`] is the plain array or a pinned chunk (§4.1); `pin`
+//! only chooses which, so each phase is written once for both variants.
+
+use std::ops::Range;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::Arc;
+
+use darray::{
+    ArrayOptions, Cluster, Ctx, DArray, Element, GlobalArray, NodeEnv, PinMode, Pinned, VTime,
+};
+use parking_lot::Mutex;
+
+use crate::csr::EdgeList;
+use crate::local::LocalGraph;
+
+/// One chunk window of an array, opened plain or pinned.
+pub(crate) enum Window<'a, T: Element> {
+    /// Every access takes the lock-free fast path.
+    Plain(&'a DArray<T>),
+    /// The chunk stays pinned until the window drops; accesses skip the
+    /// per-access atomics.
+    Pinned(Pinned<T>),
+}
+
+impl<'a, T: Element> Window<'a, T> {
+    /// Open the window of `arr` that holds `start`, pinned in `mode` when
+    /// `pin` is set.
+    pub(crate) fn open(
+        ctx: &mut Ctx,
+        arr: &'a DArray<T>,
+        start: usize,
+        mode: PinMode,
+        pin: bool,
+    ) -> Self {
+        if pin {
+            Window::Pinned(arr.pin(ctx, start, mode))
+        } else {
+            Window::Plain(arr)
+        }
+    }
+
+    pub(crate) fn get(&self, ctx: &mut Ctx, index: usize) -> T {
+        match self {
+            Window::Plain(a) => a.get(ctx, index),
+            Window::Pinned(p) => p.get(ctx, index),
+        }
+    }
+
+    pub(crate) fn set(&self, ctx: &mut Ctx, index: usize, value: T) {
+        match self {
+            Window::Plain(a) => a.set(ctx, index, value),
+            Window::Pinned(p) => p.set(ctx, index, value),
+        }
+    }
+}
+
+/// Partition `el` by edges over the cluster's nodes: the per-node
+/// subgraphs, and the options that give the vertex arrays the same homes.
+pub(crate) fn partition(cluster: &Cluster, el: &EdgeList) -> (Vec<LocalGraph>, ArrayOptions) {
+    let (locals, offsets) = LocalGraph::partition_balanced(el, cluster.config().nodes);
+    let opts = ArrayOptions {
+        chunk_size: None,
+        partition_offset: Some(offsets),
+    };
+    (locals, opts)
+}
+
+/// One node's view of one superstep.
+pub(crate) struct Step<'a, T: Element, L> {
+    pub env: &'a NodeEnv,
+    /// This node's share of the graph.
+    pub local: &'a L,
+    /// The values the previous round left.
+    pub src: &'a DArray<T>,
+    /// The values this round computes.
+    pub dst: &'a DArray<T>,
+}
+
+/// What a superstep run returns.
+pub(crate) struct Supersteps<T> {
+    /// Virtual time of the round loop (max over nodes), excluding graph
+    /// loading and the final gather.
+    pub elapsed: VTime,
+    pub rounds: usize,
+    /// The final values, gathered at node 0.
+    pub values: Vec<T>,
+}
+
+/// Run supersteps with one app thread per node, `locals[node]` being that
+/// node's share. Round `r` reads `arrays[r % 2]` and writes
+/// `arrays[(r + 1) % 2]`. `Some(k)` runs `k` rounds; `None` runs until a
+/// step returns false, which every node's step must agree on (as
+/// [`vote`] makes it), and panics after `len + 2` rounds.
+pub(crate) fn supersteps<T, L, S>(
+    ctx: &mut Ctx,
+    cluster: &Cluster,
+    locals: Vec<L>,
+    arrays: [GlobalArray<T>; 2],
+    rounds: Option<usize>,
+    step: S,
+) -> Supersteps<T>
+where
+    T: Element,
+    L: Send + Sync + 'static,
+    S: Fn(&mut Ctx, Step<'_, T, L>) -> bool + Send + Sync + 'static,
+{
+    let elapsed = Arc::new(AtomicU64::new(0));
+    let rounds_run = Arc::new(AtomicUsize::new(0));
+    let out = Arc::new(Mutex::new(Vec::new()));
+    let (e2, r2, o2) = (elapsed.clone(), rounds_run.clone(), out.clone());
+    cluster.run(ctx, 1, move |ctx, env| {
+        let arrs = [arrays[0].on(env.node), arrays[1].on(env.node)];
+        let n = arrs[0].len();
+        env.barrier(ctx);
+        let t0 = ctx.now();
+        let mut round = 0;
+        while rounds.is_none_or(|k| round < k) {
+            let more = step(
+                ctx,
+                Step {
+                    env: &env,
+                    local: &locals[env.node],
+                    src: &arrs[round % 2],
+                    dst: &arrs[(round + 1) % 2],
+                },
+            );
+            round += 1;
+            if !more {
+                break;
+            }
+            assert!(rounds.is_some() || round <= n + 2, "failed to converge");
+        }
+        e2.fetch_max(ctx.now() - t0, Ordering::Relaxed);
+        env.barrier(ctx);
+        if env.node == 0 {
+            r2.store(round, Ordering::Relaxed);
+            let fin = &arrs[round % 2];
+            *o2.lock() = (0..n).map(|i| fin.get(ctx, i)).collect();
+        }
+    });
+    let values = std::mem::take(&mut *out.lock());
+    Supersteps {
+        elapsed: elapsed.load(Ordering::Relaxed),
+        rounds: rounds_run.load(Ordering::Relaxed),
+        values,
+    }
+}
+
+/// Seed `dst` with `src` over the owned range.
+pub(crate) fn copy_owned(
+    ctx: &mut Ctx,
+    owned: Range<usize>,
+    src: &DArray<u64>,
+    dst: &DArray<u64>,
+    pin: bool,
+) {
+    for w in src.chunk_windows(owned) {
+        let s = Window::open(ctx, src, w.start, PinMode::Read, pin);
+        let d = Window::open(ctx, dst, w.start, PinMode::Write, pin);
+        for v in w {
+            let x = s.get(ctx, v);
+            d.set(ctx, v, x);
+        }
+    }
+}
+
+/// The convergence vote: each node checks whether any owned value moved
+/// from `src` to `dst` (reading an owned `dst` value first reduces its
+/// outstanding combines), publishes that in its slot of `flags`, and
+/// learns whether any node's moved.
+pub(crate) fn vote(
+    ctx: &mut Ctx,
+    env: &NodeEnv,
+    flags: &GlobalArray<u64>,
+    owned: Range<usize>,
+    src: &DArray<u64>,
+    dst: &DArray<u64>,
+    pin: bool,
+) -> bool {
+    let mut changed = false;
+    for w in src.chunk_windows(owned) {
+        let s = Window::open(ctx, src, w.start, PinMode::Read, pin);
+        let d = Window::open(ctx, dst, w.start, PinMode::Read, pin);
+        for v in w {
+            changed |= s.get(ctx, v) != d.get(ctx, v);
+        }
+    }
+    let flags = flags.on(env.node);
+    flags.set(ctx, env.node, changed as u64);
+    env.barrier(ctx);
+    let mut any = false;
+    for i in 0..env.nodes {
+        any |= flags.get(ctx, i) != 0;
+    }
+    env.barrier(ctx);
+    any
+}
+
+#[cfg(test)]
+mod tests {
+    use std::collections::BTreeSet;
+
+    use crate::bfs::bfs_darray;
+    use crate::cc::cc_darray;
+    use crate::csr::EdgeList;
+    use crate::pagerank::pagerank_darray;
+    use crate::rmat::rmat;
+    use crate::sssp::{random_weights, sssp_darray, EdgeWeights};
+    use darray::{Cluster, ClusterConfig, Ctx, Sim, SimConfig, VTime};
+
+    /// Runs one engine, returning its time and rounds.
+    type Engine = fn(&mut Ctx, &Cluster, &EdgeList, &EdgeWeights, bool) -> (VTime, usize);
+
+    /// The element accesses one round makes through owned windows, given
+    /// `n` vertices of which `nz` have out-edges.
+    type Windowed = fn(u64, u64) -> u64;
+
+    /// The value tests pass even if `pin` were ignored. Here the Pin
+    /// variant must be faster, and must take exactly one fast-path hit
+    /// fewer per windowed access, so a phase that ignored `pin` would fail.
+    #[test]
+    fn pin_reaches_every_phase() {
+        let el = rmat(11, 4, 11);
+        let w = random_weights(&el, 10, 5);
+        let n = el.vertices as u64;
+        let nz = el.edges.iter().map(|e| e.0).collect::<BTreeSet<_>>().len() as u64;
+        let engines: [(&str, Engine, Windowed); 4] = [
+            // Zero (write), scatter (read vertices with out-edges), damp
+            // (read, write).
+            (
+                "PR",
+                |ctx, c, el, _, pin| (pagerank_darray(ctx, c, el, 2, pin).elapsed, 2),
+                |n, nz| 3 * n + nz,
+            ),
+            // Copy (read, write), scatter (read), vote (read, read).
+            (
+                "CC",
+                |ctx, c, el, _, pin| {
+                    let r = cc_darray(ctx, c, el, pin);
+                    (r.elapsed, r.rounds)
+                },
+                |n, _| 5 * n,
+            ),
+            (
+                "BFS",
+                |ctx, c, el, _, pin| {
+                    let r = bfs_darray(ctx, c, el, 0, pin);
+                    (r.elapsed, r.rounds)
+                },
+                |n, _| 5 * n,
+            ),
+            // Copy (read, write); relaxation and the vote read plainly.
+            (
+                "SSSP",
+                |ctx, c, el, w, pin| {
+                    let r = sssp_darray(ctx, c, el, w, 0, pin);
+                    (r.elapsed, r.rounds)
+                },
+                |n, _| 2 * n,
+            ),
+        ];
+        for (name, engine, windowed) in engines {
+            let [plain, pinned] = [false, true].map(|pin| {
+                let (el, w) = (el.clone(), w.clone());
+                Sim::new(SimConfig::default()).run(move |ctx| {
+                    let cluster = Cluster::new(ctx, ClusterConfig::test_config(2));
+                    let (t, rounds) = engine(ctx, &cluster, &el, &w, pin);
+                    let hits: u64 = (0..2).map(|i| cluster.stats(i).fast_hits).sum();
+                    cluster.shutdown(ctx);
+                    (t, rounds, hits)
+                })
+            });
+            println!("{name}: plain {plain:?}, pin {pinned:?} (ns, rounds, fast hits)");
+            assert_eq!(plain.1, pinned.1, "{name}: rounds differ");
+            assert_eq!(
+                plain.2 - pinned.2,
+                windowed(n, nz) * plain.1 as u64,
+                "{name}: fast-path hits the Pin variant saved"
+            );
+            assert!(
+                pinned.0 < plain.0,
+                "{name}: pin {pinned:?} vs plain {plain:?}"
+            );
+        }
+    }
+}

@@ -26,6 +26,9 @@ pub fn pagerank_gam(ctx: &mut Ctx, g: &GamCluster, el: &EdgeList, iters: usize) 
     let n = el.vertices;
     let nodes = {
         // GamCluster doesn't expose its node count; derive it from an array.
+        // The probe also holds array id 0, and an array's id sets which
+        // runtime thread serves each of its chunks, so dropping the probe
+        // would move GAM's placement and timings.
         let probe = g.alloc::<u64>(1);
         probe.on(0).nodes()
     };
@@ -91,6 +94,7 @@ pub fn cc_gam(ctx: &mut Ctx, g: &GamCluster, el: &EdgeList) -> PropagateResult {
     let sym = el.symmetrized();
     let n = sym.vertices;
     let nodes = {
+        // The same probe, array id 0, as in `pagerank_gam`.
         let probe = g.alloc::<u64>(1);
         probe.on(0).nodes()
     };

@@ -14,7 +14,9 @@
 //!   range and the out-edges of its owned vertices);
 //! * [`pagerank`] / [`cc`] / [`bfs`] — PageRank, Connected Components and
 //!   BFS over DArray, in plain and Pin-optimized variants (Figure 8's
-//!   pattern: `apply(dst, add, contribution)` with local combining);
+//!   pattern: `apply(dst, add, contribution)` with local combining); they
+//!   and [`sssp`] are per-round steps of one superstep loop, and `pin`
+//!   only chooses whether each owned chunk window is pinned;
 //! * [`gam_engine`] — the same algorithms ported to the GAM baseline
 //!   (Atomic-verb neighbor updates under exclusive ownership);
 //! * [`gemini`] — a Gemini-style bulk-synchronous message-passing baseline
@@ -27,6 +29,7 @@
 pub mod bfs;
 pub mod cc;
 pub mod csr;
+mod engine;
 pub mod gam_engine;
 pub mod gemini;
 pub mod local;

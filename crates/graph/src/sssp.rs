@@ -3,15 +3,11 @@
 //! round `apply`s `min(dist[u] + w)` along owned weighted edges. The
 //! Operated state combines relaxations from all nodes locally.
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
-
-use darray::{ArrayOptions, Cluster, Ctx, PinMode};
-use parking_lot::Mutex;
+use darray::{ArrayOptions, Cluster, Ctx};
 
 use crate::cc::PropagateResult;
 use crate::csr::EdgeList;
-use crate::local::LocalGraph;
+use crate::engine::{copy_owned, partition, supersteps, vote};
 use workloads::Rng;
 
 /// Per-edge weights aligned with an [`EdgeList`]'s edge order.
@@ -73,7 +69,7 @@ pub fn sssp_darray(
     assert_eq!(weights.0.len(), el.edges.len());
     let n = el.vertices;
     let nodes = cluster.config().nodes;
-    let (locals, offsets) = LocalGraph::partition_balanced(el, nodes);
+    let (locals, opts) = partition(cluster, el);
     let ranges: Vec<std::ops::Range<usize>> = locals.iter().map(|l| l.owned.clone()).collect();
     let mut per_node: Vec<Vec<(u32, u32, u32)>> = vec![Vec::new(); nodes];
     for (k, &(u, v)) in el.edges.iter().enumerate() {
@@ -82,106 +78,37 @@ pub fn sssp_darray(
             .min(nodes - 1);
         per_node[owner].push((u, v, weights.0[k]));
     }
-    let locals: Arc<Vec<LocalWeighted>> = Arc::new(
-        ranges
-            .iter()
-            .zip(per_node)
-            .map(|(owned, edges)| LocalWeighted {
-                owned: owned.clone(),
-                edges,
-            })
-            .collect(),
-    );
-    let opts = ArrayOptions {
-        chunk_size: None,
-        partition_offset: Some(offsets),
-    };
+    let locals: Vec<LocalWeighted> = ranges
+        .into_iter()
+        .zip(per_node)
+        .map(|(owned, edges)| LocalWeighted { owned, edges })
+        .collect();
     let min = cluster.ops().register_min_u64();
     let init = move |v: usize| if v == src { 0 } else { u64::MAX };
     let a = cluster.alloc_with::<u64>(n, opts.clone(), init);
     let b = cluster.alloc_with::<u64>(n, opts, init);
     let flags = cluster.alloc::<u64>(nodes, ArrayOptions::default());
-    let elapsed = Arc::new(AtomicU64::new(0));
-    let rounds_out = Arc::new(AtomicUsize::new(0));
-    let out = Arc::new(Mutex::new(Vec::new()));
-    let (e2, r2, o2) = (elapsed.clone(), rounds_out.clone(), out.clone());
-    cluster.run(ctx, 1, move |ctx, env| {
-        let g = &locals[env.node];
-        let arrs = [a.on(env.node), b.on(env.node)];
-        let fl = flags.on(env.node);
-        let chunk = arrs[0].chunk_size();
-        env.barrier(ctx);
-        let t0 = ctx.now();
-        let mut round = 0usize;
-        loop {
-            let src_a = &arrs[round % 2];
-            let dst_a = &arrs[(round + 1) % 2];
-            // Seed dst with src over the owned range.
-            let mut at = g.owned.start;
-            while at < g.owned.end {
-                let hi = (at - at % chunk + chunk).min(g.owned.end);
-                if pin {
-                    let ps = src_a.pin(ctx, at, PinMode::Read);
-                    let pd = dst_a.pin(ctx, at, PinMode::Write);
-                    for v in at..hi {
-                        let x = ps.get(ctx, v);
-                        pd.set(ctx, v, x);
-                    }
-                } else {
-                    for v in at..hi {
-                        let x = src_a.get(ctx, v);
-                        dst_a.set(ctx, v, x);
-                    }
-                }
-                at = hi;
+    let run = supersteps(ctx, cluster, locals, [a, b], None, move |ctx, s| {
+        let g = s.local;
+        copy_owned(ctx, g.owned.clone(), s.src, s.dst, pin);
+        s.env.barrier(ctx);
+        // Relax owned edges: a flat edge list, not a window walk, so its
+        // reads stay plain. SSSP's Pin variant pins the seed copy only, so
+        // the vote reads plainly too.
+        for &(u, v, w) in &g.edges {
+            let du = s.src.get(ctx, u as usize);
+            if du == u64::MAX {
+                continue;
             }
-            env.barrier(ctx);
-            // Relax owned edges.
-            for &(u, v, w) in &g.edges {
-                let du = src_a.get(ctx, u as usize);
-                if du == u64::MAX {
-                    continue;
-                }
-                dst_a.apply(ctx, v as usize, min, du + w as u64);
-            }
-            env.barrier(ctx);
-            // Convergence check.
-            let mut changed = false;
-            for v in g.owned.clone() {
-                changed |= src_a.get(ctx, v) != dst_a.get(ctx, v);
-            }
-            fl.set(ctx, env.node, changed as u64);
-            env.barrier(ctx);
-            let mut any = false;
-            for i in 0..env.nodes {
-                any |= fl.get(ctx, i) != 0;
-            }
-            env.barrier(ctx);
-            round += 1;
-            if !any {
-                break;
-            }
-            assert!(round <= n + 2, "SSSP failed to converge");
+            s.dst.apply(ctx, v as usize, min, du + w as u64);
         }
-        e2.fetch_max(ctx.now() - t0, Ordering::Relaxed);
-        env.barrier(ctx);
-        if env.node == 0 {
-            r2.store(round, Ordering::Relaxed);
-            let fin = &arrs[round % 2];
-            let mut v = Vec::with_capacity(n);
-            for i in 0..n {
-                v.push(fin.get(ctx, i));
-            }
-            *o2.lock() = v;
-        }
+        s.env.barrier(ctx);
+        vote(ctx, s.env, &flags, g.owned.clone(), s.src, s.dst, false)
     });
     PropagateResult {
-        elapsed: elapsed.load(Ordering::Relaxed),
-        values: {
-            let mut g = out.lock();
-            std::mem::take(&mut *g)
-        },
-        rounds: rounds_out.load(Ordering::Relaxed),
+        elapsed: run.elapsed,
+        values: run.values,
+        rounds: run.rounds,
     }
 }
 
