@@ -66,45 +66,53 @@ use dsim::{Ctx, Mailbox, VTime};
 use rdma_fabric::{MemoryRegion, NodeId, Transport};
 
 use crate::membership::{quorum_needed, MembershipView, PeerHealth};
-use crate::msg::{ArrayId, NetMsg, Rpc, RtMsg};
+use crate::msg::{Envelope, NetMsg, RtMsg};
 use crate::shared::ClusterShared;
 use crate::stats::NodeStats;
 
+/// One outbound protocol message: the one-sided WRITE that must land
+/// first, if any, then the two-sided notification SEND carrying `env`.
+pub(crate) struct Post {
+    dst: NodeId,
+    write: Option<RdmaWrite>,
+    env: Envelope,
+}
+
+/// The data a [`Post`] RDMA-writes into `region` at word `offset`.
+struct RdmaWrite {
+    region: MemoryRegion,
+    offset: usize,
+    data: Vec<u64>,
+}
+
+impl Post {
+    /// Post the verbs on `transport`: the WRITE, if any, then the
+    /// notification `frame` wraps the envelope in.
+    fn transmit(
+        self,
+        ctx: &mut Ctx,
+        transport: &dyn Transport<NetMsg>,
+        frame: impl FnOnce(Envelope) -> NetMsg,
+    ) {
+        let msg = frame(self.env);
+        match self.write {
+            None => transport.send(ctx, self.dst, msg),
+            Some(w) => transport.write_send(ctx, self.dst, &w.region, w.offset, w.data, msg),
+        }
+    }
+}
+
 /// A work request on the RDMA-request queue (runtime → Tx thread).
 pub(crate) enum TxReq {
-    Send {
-        dst: NodeId,
-        array: ArrayId,
-        rpc: Rpc,
-    },
-    WriteSend {
-        dst: NodeId,
-        region: MemoryRegion,
-        offset: usize,
-        data: Vec<u64>,
-        array: ArrayId,
-        rpc: Rpc,
-    },
+    Post(Post),
     Shutdown,
 }
 
 /// A work request for the reliability agent (runtime/Rx → agent).
 pub(crate) enum RelMsg {
-    /// Reliable two-sided SEND.
-    Send {
-        dst: NodeId,
-        array: ArrayId,
-        rpc: Rpc,
-    },
-    /// One-sided WRITE + reliable notification SEND.
-    WriteSend {
-        dst: NodeId,
-        region: MemoryRegion,
-        offset: usize,
-        data: Vec<u64>,
-        array: ArrayId,
-        rpc: Rpc,
-    },
+    /// Reliable post: the WRITE (the fault model never drops one), then a
+    /// sequenced, tracked notification.
+    Post(Post),
     /// Cumulative ack from `from`, forwarded by the Rx thread.
     Ack {
         from: NodeId,
@@ -165,22 +173,19 @@ pub(crate) struct CommHandle {
 
 impl CommHandle {
     /// Two-sided protocol message.
-    pub(crate) fn send(&self, ctx: &mut Ctx, dst: NodeId, array: ArrayId, rpc: Rpc) {
-        if let Some(rel) = &self.rel {
-            if dst != self.node {
-                rel.send(ctx, RelMsg::Send { dst, array, rpc }, 0);
-                return;
-            }
-        }
-        match &self.tx {
-            Some(tx) => tx.send(ctx, TxReq::Send { dst, array, rpc }, 0),
-            None => self.transport.send(ctx, dst, NetMsg::Rpc { array, rpc }),
-        }
+    pub(crate) fn send(&self, ctx: &mut Ctx, dst: NodeId, env: Envelope) {
+        self.post(
+            ctx,
+            Post {
+                dst,
+                write: None,
+                env,
+            },
+        );
     }
 
     /// One-sided data WRITE followed by a notification message (RC FIFO
     /// guarantees the data lands first).
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn write_send(
         &self,
         ctx: &mut Ctx,
@@ -188,49 +193,30 @@ impl CommHandle {
         region: &MemoryRegion,
         offset: usize,
         data: Vec<u64>,
-        array: ArrayId,
-        rpc: Rpc,
+        env: Envelope,
     ) {
-        if let Some(rel) = &self.rel {
-            if dst != self.node {
-                rel.send(
-                    ctx,
-                    RelMsg::WriteSend {
-                        dst,
-                        region: region.clone(),
-                        offset,
-                        data,
-                        array,
-                        rpc,
-                    },
-                    0,
-                );
-                return;
-            }
-        }
-        match &self.tx {
-            Some(tx) => tx.send(
-                ctx,
-                TxReq::WriteSend {
-                    dst,
-                    region: region.clone(),
-                    offset,
-                    data,
-                    array,
-                    rpc,
-                },
-                0,
-            ),
-            None => {
-                self.transport.write_send(
-                    ctx,
-                    dst,
-                    region,
-                    offset,
-                    data,
-                    NetMsg::Rpc { array, rpc },
-                );
-            }
+        let write = RdmaWrite {
+            region: region.clone(),
+            offset,
+            data,
+        };
+        self.post(
+            ctx,
+            Post {
+                dst,
+                write: Some(write),
+                env,
+            },
+        );
+    }
+
+    /// Hand `post` to the reliability agent (remote destinations in fault
+    /// mode), else to the Tx thread, else post it inline.
+    fn post(&self, ctx: &mut Ctx, post: Post) {
+        match (&self.rel, &self.tx) {
+            (Some(rel), _) if post.dst != self.node => rel.send(ctx, RelMsg::Post(post), 0),
+            (_, Some(tx)) => tx.send(ctx, TxReq::Post(post), 0),
+            _ => post.transmit(ctx, &*self.transport, NetMsg::Rpc),
         }
     }
 }
@@ -241,31 +227,15 @@ pub(crate) fn tx_thread_main(
     transport: Arc<dyn Transport<NetMsg>>,
     queue: Mailbox<TxReq>,
 ) {
-    loop {
-        match queue.recv(ctx) {
-            TxReq::Send { dst, array, rpc } => {
-                transport.send(ctx, dst, NetMsg::Rpc { array, rpc });
-            }
-            TxReq::WriteSend {
-                dst,
-                region,
-                offset,
-                data,
-                array,
-                rpc,
-            } => {
-                transport.write_send(ctx, dst, &region, offset, data, NetMsg::Rpc { array, rpc });
-            }
-            TxReq::Shutdown => break,
-        }
+    while let TxReq::Post(post) = queue.recv(ctx) {
+        post.transmit(ctx, &*transport, NetMsg::Rpc);
     }
 }
 
 /// An unacked reliable RPC awaiting its cumulative ack.
 struct Pending {
     seq: u64,
-    array: ArrayId,
-    rpc: Rpc,
+    env: Envelope,
     deadline: VTime,
     retries: u32,
 }
@@ -407,8 +377,7 @@ pub(crate) fn rel_thread_main(
                 dst,
                 NetMsg::SeqRpc {
                     seq: p.seq,
-                    array: p.array,
-                    rpc: p.rpc.clone(),
+                    env: p.env.clone(),
                 },
             );
             NodeStats::bump(&stats.retransmits);
@@ -472,64 +441,23 @@ pub(crate) fn rel_thread_main(
             None => Some(queue.recv(ctx)),
         };
         match msg {
-            Some(RelMsg::Send { dst, array, rpc }) => {
+            Some(RelMsg::Post(post)) => {
+                let dst = post.dst;
                 if view.is_dead(dst) {
                     continue; // fail-stop: traffic to a dead peer is dropped
                 }
+                // Posted even toward a Suspected peer: a WRITE always lands
+                // (the fault model never drops one-sided verbs), and the
+                // notification is tracked like any other — parked with the
+                // queue, replayed on re-admission.
                 let seq = next_seq[dst];
                 next_seq[dst] += 1;
-                transport.send(
-                    ctx,
-                    dst,
-                    NetMsg::SeqRpc {
-                        seq,
-                        array,
-                        rpc: rpc.clone(),
-                    },
-                );
+                let env = post.env.clone();
+                post.transmit(ctx, &*transport, |env| NetMsg::SeqRpc { seq, env });
                 last_sent[dst] = ctx.now();
                 outstanding[dst].push_back(Pending {
                     seq,
-                    array,
-                    rpc,
-                    deadline: ctx.now() + timeout,
-                    retries: 0,
-                });
-            }
-            Some(RelMsg::WriteSend {
-                dst,
-                region,
-                offset,
-                data,
-                array,
-                rpc,
-            }) => {
-                if view.is_dead(dst) {
-                    continue;
-                }
-                // Posted even toward a Suspected peer: the WRITE always
-                // lands (the fault model never drops one-sided verbs), and
-                // the notification SEND is tracked like any other — parked
-                // with the queue, replayed on re-admission.
-                let seq = next_seq[dst];
-                next_seq[dst] += 1;
-                transport.write_send(
-                    ctx,
-                    dst,
-                    &region,
-                    offset,
-                    data,
-                    NetMsg::SeqRpc {
-                        seq,
-                        array,
-                        rpc: rpc.clone(),
-                    },
-                );
-                last_sent[dst] = ctx.now();
-                outstanding[dst].push_back(Pending {
-                    seq,
-                    array,
-                    rpc,
+                    env,
                     deadline: ctx.now() + timeout,
                     retries: 0,
                 });
@@ -711,8 +639,7 @@ pub(crate) fn rel_thread_main(
                         dst,
                         NetMsg::SeqRpc {
                             seq: head.seq,
-                            array: head.array,
-                            rpc: head.rpc.clone(),
+                            env: head.env.clone(),
                         },
                     );
                     last_sent[dst] = now;
@@ -824,12 +751,7 @@ pub(crate) fn rx_thread_main(ctx: &mut Ctx, shared: Arc<ClusterShared>, node: No
         shared.membership[node].note_heard(src, ctx.now());
         match msg {
             NetMsg::Halt => break,
-            NetMsg::Rpc { array, rpc } => {
-                let chunk = rpc.route_chunk();
-                shared
-                    .rt_mailbox(node, array, chunk)
-                    .send(ctx, RtMsg::Net { src, array, rpc }, 0);
-            }
+            NetMsg::Rpc(env) => route(ctx, &shared, node, src, env),
             NetMsg::Heartbeat => {
                 // Lease already renewed above; nothing else to do.
             }
@@ -851,7 +773,7 @@ pub(crate) fn rx_thread_main(ctx: &mut Ctx, shared: Arc<ClusterShared>, node: No
                     );
                 }
             }
-            NetMsg::SeqRpc { seq, array, rpc } => {
+            NetMsg::SeqRpc { seq, env } => {
                 // Link state lives in shared so `restart_peer` can reset it
                 // when a peer is re-admitted; uncontended otherwise.
                 let ack = {
@@ -859,27 +781,17 @@ pub(crate) fn rx_thread_main(ctx: &mut Ctx, shared: Arc<ClusterShared>, node: No
                     if seq < link.next_expected || link.reorder.contains_key(&seq) {
                         NodeStats::bump(&shared.stats[node].dup_rpcs);
                     } else if seq == link.next_expected {
-                        let chunk = rpc.route_chunk();
-                        shared.rt_mailbox(node, array, chunk).send(
-                            ctx,
-                            RtMsg::Net { src, array, rpc },
-                            0,
-                        );
+                        route(ctx, &shared, node, src, env);
                         link.next_expected += 1;
                         // Release any buffered successors the gap was blocking.
                         let mut next = link.next_expected;
-                        while let Some((array, rpc)) = link.reorder.remove(&next) {
-                            let chunk = rpc.route_chunk();
-                            shared.rt_mailbox(node, array, chunk).send(
-                                ctx,
-                                RtMsg::Net { src, array, rpc },
-                                0,
-                            );
+                        while let Some(env) = link.reorder.remove(&next) {
+                            route(ctx, &shared, node, src, env);
                             next += 1;
                         }
                         link.next_expected = next;
                     } else {
-                        link.reorder.insert(seq, (array, rpc));
+                        link.reorder.insert(seq, env);
                     }
                     link.next_expected
                 };
@@ -915,4 +827,12 @@ pub(crate) fn rx_thread_main(ctx: &mut Ctx, shared: Arc<ClusterShared>, node: No
             }
         }
     }
+}
+
+/// Hand a received protocol message to the runtime thread that owns its
+/// chunk.
+fn route(ctx: &mut Ctx, shared: &ClusterShared, node: NodeId, src: NodeId, env: Envelope) {
+    shared
+        .rt_mailbox(node, env.array, env.chunk)
+        .send(ctx, RtMsg::Net { src, env }, 0);
 }

@@ -127,26 +127,11 @@ impl Dentry {
         debug_assert!(prev > 0, "release without acquire");
     }
 
-    /// Figure 5 lines 2–5: the runtime's state-demotion protocol. Sets the
-    /// flag, installs the state, and *blocks* until references drain — the
-    /// literal form of the paper's pseudo-code, used by tests; the runtime
-    /// itself uses the deferred split (`begin_drain`/`drained`/`end_drain`)
-    /// to keep its message loop live.
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub(crate) fn drain_to(&self, ctx: &mut Ctx, new_state: LocalState, new_tag: u32) {
-        self.delay_flag.store(true, Ordering::SeqCst);
-        self.op_tag.store(new_tag, Ordering::SeqCst);
-        self.state.store(new_state as u8, Ordering::SeqCst);
-        while self.refcnt.load(Ordering::SeqCst) > 0 {
-            ctx.spin_hint(20);
-        }
-        self.delay_flag.store(false, Ordering::SeqCst);
-    }
-
-    /// First half of the Figure 5 protocol, for the runtime's *deferred*
-    /// drains: set the delay flag and install the new state; the runtime
-    /// polls [`Dentry::drained`] and calls [`Dentry::end_drain`] once all
-    /// references are gone, instead of blocking its message loop.
+    /// Figure 5 lines 2–3, the first half of the state-demotion protocol:
+    /// set the delay flag and install the new state. The runtime polls
+    /// [`Dentry::drained`] between messages and calls [`Dentry::end_drain`]
+    /// once all references are gone, instead of blocking its message loop
+    /// as the paper's pseudo-code does.
     #[inline]
     pub(crate) fn begin_drain(&self, new_state: LocalState, new_tag: u32) {
         self.delay_flag.store(true, Ordering::SeqCst);
@@ -271,27 +256,33 @@ mod tests {
             ctx.charge(1);
             ctx.yield_now();
             let t0 = ctx.now();
-            d.drain_to(ctx, LocalState::Invalid, u32::MAX);
+            d.begin_drain(LocalState::Invalid, u32::MAX);
+            // The runtime polls between messages until references drain.
+            while !d.drained() {
+                ctx.spin_hint(20);
+            }
+            d.end_drain();
             // The drain must have waited for the reference to drop.
             assert!(ctx.now() >= 1_000, "drain ended at {} (t0={t0})", ctx.now());
             assert_eq!(d.state(), LocalState::Invalid);
             assert_eq!(d.refcnt(), 0);
+            assert!(!d.delay_set());
             h.join(ctx);
         });
     }
 
     #[test]
     fn acquire_after_drain_sees_new_state() {
-        Sim::new(SimConfig::default()).run(|ctx| {
-            let d = Dentry::new(LocalState::Exclusive, 2);
-            d.drain_to(ctx, LocalState::Shared, u32::MAX);
-            assert_eq!(
-                d.acquire(Want::Write),
-                Acquire::NoRights(LocalState::Shared)
-            );
-            assert_eq!(d.acquire(Want::Read), Acquire::Ok(2));
-            d.release();
-        });
+        let d = Dentry::new(LocalState::Exclusive, 2);
+        d.begin_drain(LocalState::Shared, u32::MAX);
+        assert!(d.drained(), "no reference held");
+        d.end_drain();
+        assert_eq!(
+            d.acquire(Want::Write),
+            Acquire::NoRights(LocalState::Shared)
+        );
+        assert_eq!(d.acquire(Want::Read), Acquire::Ok(2));
+        d.release();
     }
 
     #[test]

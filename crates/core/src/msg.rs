@@ -1,6 +1,8 @@
-//! Protocol messages: the RPCs of the extended cache coherence protocol and
-//! the queue entries between the interface, runtime and communication
-//! layers (Figure 2).
+//! The wire around the protocol core's coherence vocabulary
+//! ([`crate::protocol::Msg`]): the envelope that routes a message to the
+//! runtime thread owning its chunk, the lock and membership frames, the
+//! codec, and the queue entries between the interface, runtime and
+//! communication layers (Figure 2).
 
 use dsim::WaitCell;
 use rdma_fabric::NodeId;
@@ -11,129 +13,63 @@ pub(crate) type ArrayId = u32;
 pub(crate) type ChunkId = u32;
 
 pub use crate::protocol::locks::LockKind;
+use crate::protocol::{Kind, Msg};
 
-/// Coherence RPCs exchanged between runtimes. Application data itself
-/// travels by one-sided RDMA WRITE; these messages carry protocol control
-/// (and combined operands, which require CPU reduction at the receiver).
+/// The protocol messages exchanged between runtimes, besides the
+/// membership frames of [`NetMsg`]: the coherence vocabulary of the
+/// protocol core, plus the element locks (§4.5), which are orthogonal to
+/// it. Application data itself travels by one-sided RDMA WRITE.
 #[derive(Debug, Clone)]
 pub(crate) enum Rpc {
-    /// Requester wants a Shared copy; home RDMA-writes the chunk into the
-    /// requester's cache region at `dst_off` then sends `FillShared`.
-    ReadReq { chunk: ChunkId, dst_off: u64 },
-    /// Requester wants exclusive (Dirty) ownership.
-    WriteReq { chunk: ChunkId, dst_off: u64 },
-    /// Requester wants to join the Operated set under operator `op`.
-    OperateReq { chunk: ChunkId, op: u32 },
-    /// Requester silently dropped its Shared copy.
-    EvictNotice { chunk: ChunkId },
-    /// Dirty data has been RDMA-written back to the home subarray; if
-    /// `downgrade`, the sender keeps a Shared copy.
-    WritebackNotice { chunk: ChunkId, downgrade: bool },
-    /// Combined operands for reduction at home (empty = nothing to flush).
-    OperandFlush {
-        chunk: ChunkId,
-        op: u32,
-        data: Vec<u64>,
-    },
-    /// Home completed a read fill (data already written one-sided).
-    FillShared { chunk: ChunkId },
-    /// Home granted exclusive ownership (data already written one-sided).
-    FillExclusive { chunk: ChunkId },
-    /// Home granted Operated access under `op` (no data transfer — the
-    /// requester initializes its operand buffer to the identity).
-    GrantOperated { chunk: ChunkId, op: u32 },
-    /// Drop your Shared copy and acknowledge.
-    InvalidateReq { chunk: ChunkId },
-    /// Acknowledgment of `InvalidateReq`.
-    InvalidateAck { chunk: ChunkId },
-    /// Write your Dirty data back and invalidate.
-    RecallDirty { chunk: ChunkId },
-    /// Write your Dirty data back but keep a Shared copy.
-    DowngradeDirty { chunk: ChunkId },
-    /// Flush your combined operands and invalidate.
-    RecallOperated { chunk: ChunkId, op: u32 },
+    /// A coherence message (Figure 9).
+    Coherence(Msg),
     /// Distributed lock protocol (home-managed, element granularity).
     LockAcquire {
-        chunk: ChunkId,
         id: u64,
         kind: LockKind,
     },
     LockGrant {
-        chunk: ChunkId,
         id: u64,
         kind: LockKind,
     },
     LockRelease {
-        chunk: ChunkId,
         id: u64,
         kind: LockKind,
     },
-    /// Migration: the chunk image has been RDMA-written into the target's
-    /// subarray slot (data travels one-sided, exactly like a fill); this
-    /// notification carries the fence epoch (DESIGN.md §15).
-    MigrateData { chunk: ChunkId, epoch: u64 },
-    /// Migration: the target persisted (if durable) and accepted the chunk;
-    /// the source may commit.
-    MigrateAck { chunk: ChunkId, epoch: u64 },
-    /// Migration: the source committed — the target is now the
-    /// authoritative home and may start serving.
-    MigrateCommit { chunk: ChunkId, epoch: u64 },
-    /// The chunk's authoritative home moved to `new_home` under migration
-    /// fence `epoch`. Broadcast by both ends at commit; receivers update
-    /// their home map monotonically (highest epoch wins) and drop stale
-    /// local rights.
-    HomeMoved {
-        chunk: ChunkId,
-        new_home: NodeId,
-        epoch: u64,
-    },
-    /// A request that reached the *old* home after migration committed,
-    /// forwarded to the new home on the requester's behalf. `op` is
-    /// meaningful only when `kind == 2` (Operate).
-    MigrateForward {
-        chunk: ChunkId,
-        requester: NodeId,
-        dst_off: u64,
-        kind: u8,
-        op: u32,
-    },
+}
+
+impl From<Msg> for Rpc {
+    fn from(msg: Msg) -> Self {
+        Rpc::Coherence(msg)
+    }
 }
 
 impl Rpc {
-    /// The chunk this message concerns — used by the Rx thread to route to
-    /// the runtime thread owning the chunk.
-    pub(crate) fn route_chunk(&self) -> ChunkId {
-        match self {
-            Rpc::ReadReq { chunk, .. }
-            | Rpc::WriteReq { chunk, .. }
-            | Rpc::OperateReq { chunk, .. }
-            | Rpc::EvictNotice { chunk }
-            | Rpc::WritebackNotice { chunk, .. }
-            | Rpc::OperandFlush { chunk, .. }
-            | Rpc::FillShared { chunk }
-            | Rpc::FillExclusive { chunk }
-            | Rpc::GrantOperated { chunk, .. }
-            | Rpc::InvalidateReq { chunk }
-            | Rpc::InvalidateAck { chunk }
-            | Rpc::RecallDirty { chunk }
-            | Rpc::DowngradeDirty { chunk }
-            | Rpc::RecallOperated { chunk, .. }
-            | Rpc::LockAcquire { chunk, .. }
-            | Rpc::LockGrant { chunk, .. }
-            | Rpc::LockRelease { chunk, .. }
-            | Rpc::MigrateData { chunk, .. }
-            | Rpc::MigrateAck { chunk, .. }
-            | Rpc::MigrateCommit { chunk, .. }
-            | Rpc::HomeMoved { chunk, .. }
-            | Rpc::MigrateForward { chunk, .. } => *chunk,
-        }
-    }
-
     /// Wire payload size in bytes (the fabric adds a fixed header).
     pub(crate) fn payload_bytes(&self) -> u64 {
         match self {
-            Rpc::OperandFlush { data, .. } => 16 + data.len() as u64 * 8,
+            Rpc::Coherence(Msg::OperandFlush { data, .. }) => 16 + data.len() as u64 * 8,
             _ => 16,
+        }
+    }
+}
+
+/// A protocol message addressed to the runtime thread that owns `chunk` of
+/// `array`: what the Rx thread needs to route it, and what the receiver
+/// needs to find the chunk's machines.
+#[derive(Debug, Clone)]
+pub(crate) struct Envelope {
+    pub array: ArrayId,
+    pub chunk: ChunkId,
+    pub rpc: Rpc,
+}
+
+impl Envelope {
+    pub(crate) fn new(array: ArrayId, chunk: ChunkId, rpc: impl Into<Rpc>) -> Self {
+        Self {
+            array,
+            chunk,
+            rpc: rpc.into(),
         }
     }
 }
@@ -142,12 +78,12 @@ impl Rpc {
 #[derive(Debug, Clone)]
 pub(crate) enum NetMsg {
     /// Unsequenced RPC: the fault-free fast path (reliable fabric assumed).
-    Rpc { array: ArrayId, rpc: Rpc },
+    Rpc(Envelope),
     /// Sequence-numbered RPC on the reliable channel (used when
     /// `ClusterConfig::fault` is set). Sequence numbers are per directed
     /// (sender → receiver) link, starting at 0; the receiver delivers in
     /// order, suppresses duplicates, and acknowledges cumulatively.
-    SeqRpc { seq: u64, array: ArrayId, rpc: Rpc },
+    SeqRpc { seq: u64, env: Envelope },
     /// Cumulative acknowledgment: "I have delivered every sequence number
     /// below `seq` from you". Unreliable itself — a lost ack is repaired by
     /// the retransmit it provokes.
@@ -216,6 +152,14 @@ impl<'a> Reader<'a> {
     }
 }
 
+fn put_u32(buf: &mut Vec<u8>, v: u32) {
+    buf.extend_from_slice(&v.to_le_bytes());
+}
+
+fn put_u64(buf: &mut Vec<u8>, v: u64) {
+    buf.extend_from_slice(&v.to_le_bytes());
+}
+
 fn lock_kind_to_u8(kind: LockKind) -> u8 {
     match kind {
         LockKind::Read => 0,
@@ -231,162 +175,130 @@ fn lock_kind_from_u8(b: u8) -> Option<LockKind> {
     }
 }
 
-impl Rpc {
+fn bool_from_u8(b: u8) -> Option<bool> {
+    match b {
+        0 => Some(false),
+        1 => Some(true),
+        _ => None,
+    }
+}
+
+impl Envelope {
     fn encode(&self, buf: &mut Vec<u8>) {
-        let put_u32 = |buf: &mut Vec<u8>, v: u32| buf.extend_from_slice(&v.to_le_bytes());
-        let put_u64 = |buf: &mut Vec<u8>, v: u64| buf.extend_from_slice(&v.to_le_bytes());
-        match self {
-            Rpc::ReadReq { chunk, dst_off } => {
+        put_u32(buf, self.array);
+        put_u32(buf, self.chunk);
+        self.rpc.encode(buf);
+    }
+
+    fn decode(r: &mut Reader<'_>) -> Option<Self> {
+        Some(Self {
+            array: r.u32()?,
+            chunk: r.u32()?,
+            rpc: Rpc::decode(r)?,
+        })
+    }
+}
+
+impl Rpc {
+    /// One tag byte, then the fields. The tag values and field widths fix
+    /// each frame's length, which the transport byte counters in the
+    /// checked-in BENCH baselines depend on.
+    fn encode(&self, buf: &mut Vec<u8>) {
+        let lock = |buf: &mut Vec<u8>, tag: u8, id: u64, kind: LockKind| {
+            buf.push(tag);
+            put_u64(buf, id);
+            buf.push(lock_kind_to_u8(kind));
+        };
+        let msg = match self {
+            Rpc::Coherence(msg) => msg,
+            Rpc::LockAcquire { id, kind } => return lock(buf, 14, *id, *kind),
+            Rpc::LockGrant { id, kind } => return lock(buf, 15, *id, *kind),
+            Rpc::LockRelease { id, kind } => return lock(buf, 16, *id, *kind),
+        };
+        match msg {
+            Msg::ReadReq { dst_off } => {
                 buf.push(0);
-                put_u32(buf, *chunk);
                 put_u64(buf, *dst_off);
             }
-            Rpc::WriteReq { chunk, dst_off } => {
+            Msg::WriteReq { dst_off } => {
                 buf.push(1);
-                put_u32(buf, *chunk);
                 put_u64(buf, *dst_off);
             }
-            Rpc::OperateReq { chunk, op } => {
+            Msg::OperateReq { op } => {
                 buf.push(2);
-                put_u32(buf, *chunk);
                 put_u32(buf, *op);
             }
-            Rpc::EvictNotice { chunk } => {
-                buf.push(3);
-                put_u32(buf, *chunk);
-            }
-            Rpc::WritebackNotice { chunk, downgrade } => {
+            Msg::EvictNotice => buf.push(3),
+            Msg::WritebackNotice { downgrade } => {
                 buf.push(4);
-                put_u32(buf, *chunk);
                 buf.push(u8::from(*downgrade));
             }
-            Rpc::OperandFlush { chunk, op, data } => {
+            Msg::OperandFlush { op, data } => {
                 buf.push(5);
-                put_u32(buf, *chunk);
                 put_u32(buf, *op);
                 put_u32(buf, data.len() as u32);
                 for w in data {
                     put_u64(buf, *w);
                 }
             }
-            Rpc::FillShared { chunk } => {
-                buf.push(6);
-                put_u32(buf, *chunk);
-            }
-            Rpc::FillExclusive { chunk } => {
-                buf.push(7);
-                put_u32(buf, *chunk);
-            }
-            Rpc::GrantOperated { chunk, op } => {
+            Msg::FillShared => buf.push(6),
+            Msg::FillExclusive => buf.push(7),
+            Msg::GrantOperated { op } => {
                 buf.push(8);
-                put_u32(buf, *chunk);
                 put_u32(buf, *op);
             }
-            Rpc::InvalidateReq { chunk } => {
-                buf.push(9);
-                put_u32(buf, *chunk);
-            }
-            Rpc::InvalidateAck { chunk } => {
-                buf.push(10);
-                put_u32(buf, *chunk);
-            }
-            Rpc::RecallDirty { chunk } => {
-                buf.push(11);
-                put_u32(buf, *chunk);
-            }
-            Rpc::DowngradeDirty { chunk } => {
-                buf.push(12);
-                put_u32(buf, *chunk);
-            }
-            Rpc::RecallOperated { chunk, op } => {
+            Msg::Invalidate => buf.push(9),
+            Msg::InvalidateAck => buf.push(10),
+            Msg::RecallDirty => buf.push(11),
+            Msg::DowngradeDirty => buf.push(12),
+            Msg::RecallOperated { op } => {
                 buf.push(13);
-                put_u32(buf, *chunk);
                 put_u32(buf, *op);
             }
-            Rpc::LockAcquire { chunk, id, kind } => {
-                buf.push(14);
-                put_u32(buf, *chunk);
-                put_u64(buf, *id);
-                buf.push(lock_kind_to_u8(*kind));
-            }
-            Rpc::LockGrant { chunk, id, kind } => {
-                buf.push(15);
-                put_u32(buf, *chunk);
-                put_u64(buf, *id);
-                buf.push(lock_kind_to_u8(*kind));
-            }
-            Rpc::LockRelease { chunk, id, kind } => {
-                buf.push(16);
-                put_u32(buf, *chunk);
-                put_u64(buf, *id);
-                buf.push(lock_kind_to_u8(*kind));
-            }
-            Rpc::MigrateData { chunk, epoch } => {
+            Msg::MigrateData { mig_epoch } => {
                 buf.push(17);
-                put_u32(buf, *chunk);
-                put_u64(buf, *epoch);
+                put_u64(buf, *mig_epoch);
             }
-            Rpc::MigrateAck { chunk, epoch } => {
+            Msg::MigrateAck { mig_epoch } => {
                 buf.push(18);
-                put_u32(buf, *chunk);
-                put_u64(buf, *epoch);
+                put_u64(buf, *mig_epoch);
             }
-            Rpc::MigrateCommit { chunk, epoch } => {
+            Msg::MigrateCommit { mig_epoch } => {
                 buf.push(19);
-                put_u32(buf, *chunk);
-                put_u64(buf, *epoch);
+                put_u64(buf, *mig_epoch);
             }
-            Rpc::HomeMoved {
-                chunk,
-                new_home,
-                epoch,
-            } => {
+            Msg::HomeMoved { new_home, epoch } => {
                 buf.push(20);
-                put_u32(buf, *chunk);
                 put_u32(buf, *new_home as u32);
                 put_u64(buf, *epoch);
             }
-            Rpc::MigrateForward {
-                chunk,
+            Msg::MigrateForward {
                 requester,
                 dst_off,
                 kind,
-                op,
             } => {
+                let (kind, op) = match kind {
+                    Kind::Read => (0, 0),
+                    Kind::Write => (1, 0),
+                    Kind::Operate(op) => (2, *op),
+                };
                 buf.push(21);
-                put_u32(buf, *chunk);
                 put_u32(buf, *requester as u32);
                 put_u64(buf, *dst_off);
-                buf.push(*kind);
-                put_u32(buf, *op);
+                buf.push(kind);
+                put_u32(buf, op);
             }
         }
     }
 
     fn decode(r: &mut Reader<'_>) -> Option<Self> {
-        let tag = r.u8()?;
-        let chunk = r.u32()?;
-        Some(match tag {
-            0 => Rpc::ReadReq {
-                chunk,
-                dst_off: r.u64()?,
-            },
-            1 => Rpc::WriteReq {
-                chunk,
-                dst_off: r.u64()?,
-            },
-            2 => Rpc::OperateReq {
-                chunk,
-                op: r.u32()?,
-            },
-            3 => Rpc::EvictNotice { chunk },
-            4 => Rpc::WritebackNotice {
-                chunk,
-                downgrade: match r.u8()? {
-                    0 => false,
-                    1 => true,
-                    _ => return None,
-                },
+        let msg = match r.u8()? {
+            0 => Msg::ReadReq { dst_off: r.u64()? },
+            1 => Msg::WriteReq { dst_off: r.u64()? },
+            2 => Msg::OperateReq { op: r.u32()? },
+            3 => Msg::EvictNotice,
+            4 => Msg::WritebackNotice {
+                downgrade: bool_from_u8(r.u8()?)?,
             },
             5 => {
                 let op = r.u32()?;
@@ -395,63 +307,55 @@ impl Rpc {
                 for _ in 0..len {
                     data.push(r.u64()?);
                 }
-                Rpc::OperandFlush { chunk, op, data }
+                Msg::OperandFlush { op, data }
             }
-            6 => Rpc::FillShared { chunk },
-            7 => Rpc::FillExclusive { chunk },
-            8 => Rpc::GrantOperated {
-                chunk,
-                op: r.u32()?,
+            6 => Msg::FillShared,
+            7 => Msg::FillExclusive,
+            8 => Msg::GrantOperated { op: r.u32()? },
+            9 => Msg::Invalidate,
+            10 => Msg::InvalidateAck,
+            11 => Msg::RecallDirty,
+            12 => Msg::DowngradeDirty,
+            13 => Msg::RecallOperated { op: r.u32()? },
+            tag @ 14..=16 => {
+                let (id, kind) = (r.u64()?, lock_kind_from_u8(r.u8()?)?);
+                return Some(match tag {
+                    14 => Rpc::LockAcquire { id, kind },
+                    15 => Rpc::LockGrant { id, kind },
+                    _ => Rpc::LockRelease { id, kind },
+                });
+            }
+            17 => Msg::MigrateData {
+                mig_epoch: r.u64()?,
             },
-            9 => Rpc::InvalidateReq { chunk },
-            10 => Rpc::InvalidateAck { chunk },
-            11 => Rpc::RecallDirty { chunk },
-            12 => Rpc::DowngradeDirty { chunk },
-            13 => Rpc::RecallOperated {
-                chunk,
-                op: r.u32()?,
+            18 => Msg::MigrateAck {
+                mig_epoch: r.u64()?,
             },
-            14 => Rpc::LockAcquire {
-                chunk,
-                id: r.u64()?,
-                kind: lock_kind_from_u8(r.u8()?)?,
+            19 => Msg::MigrateCommit {
+                mig_epoch: r.u64()?,
             },
-            15 => Rpc::LockGrant {
-                chunk,
-                id: r.u64()?,
-                kind: lock_kind_from_u8(r.u8()?)?,
-            },
-            16 => Rpc::LockRelease {
-                chunk,
-                id: r.u64()?,
-                kind: lock_kind_from_u8(r.u8()?)?,
-            },
-            17 => Rpc::MigrateData {
-                chunk,
-                epoch: r.u64()?,
-            },
-            18 => Rpc::MigrateAck {
-                chunk,
-                epoch: r.u64()?,
-            },
-            19 => Rpc::MigrateCommit {
-                chunk,
-                epoch: r.u64()?,
-            },
-            20 => Rpc::HomeMoved {
-                chunk,
+            20 => Msg::HomeMoved {
                 new_home: r.u32()? as NodeId,
                 epoch: r.u64()?,
             },
-            21 => Rpc::MigrateForward {
-                chunk,
-                requester: r.u32()? as NodeId,
-                dst_off: r.u64()?,
-                kind: r.u8()?,
-                op: r.u32()?,
-            },
+            21 => {
+                let requester = r.u32()? as NodeId;
+                let dst_off = r.u64()?;
+                let kind = match (r.u8()?, r.u32()?) {
+                    (0, _) => Kind::Read,
+                    (1, _) => Kind::Write,
+                    (2, op) => Kind::Operate(op),
+                    _ => return None,
+                };
+                Msg::MigrateForward {
+                    requester,
+                    dst_off,
+                    kind,
+                }
+            }
             _ => return None,
-        })
+        };
+        Some(Rpc::Coherence(msg))
     }
 }
 
@@ -463,7 +367,7 @@ impl rdma_fabric::Wire for NetMsg {
     /// identically.
     fn payload_bytes(&self) -> u64 {
         match self {
-            NetMsg::Rpc { rpc, .. } | NetMsg::SeqRpc { rpc, .. } => rpc.payload_bytes(),
+            NetMsg::Rpc(env) | NetMsg::SeqRpc { env, .. } => env.rpc.payload_bytes(),
             NetMsg::Ack { .. } => 8,
             NetMsg::Heartbeat | NetMsg::SuspectQuery { .. } | NetMsg::SuspectVote { .. } => 8,
             NetMsg::JoinReq { .. } | NetMsg::JoinVote { .. } => 8,
@@ -473,16 +377,14 @@ impl rdma_fabric::Wire for NetMsg {
 
     fn encode(&self, buf: &mut Vec<u8>) {
         match self {
-            NetMsg::Rpc { array, rpc } => {
+            NetMsg::Rpc(env) => {
                 buf.push(0);
-                buf.extend_from_slice(&array.to_le_bytes());
-                rpc.encode(buf);
+                env.encode(buf);
             }
-            NetMsg::SeqRpc { seq, array, rpc } => {
+            NetMsg::SeqRpc { seq, env } => {
                 buf.push(1);
-                buf.extend_from_slice(&seq.to_le_bytes());
-                buf.extend_from_slice(&array.to_le_bytes());
-                rpc.encode(buf);
+                put_u64(buf, *seq);
+                env.encode(buf);
             }
             NetMsg::Ack { seq } => {
                 buf.push(2);
@@ -514,14 +416,10 @@ impl rdma_fabric::Wire for NetMsg {
     fn decode(bytes: &[u8]) -> Option<Self> {
         let mut r = Reader::new(bytes);
         let msg = match r.u8()? {
-            0 => NetMsg::Rpc {
-                array: r.u32()?,
-                rpc: Rpc::decode(&mut r)?,
-            },
+            0 => NetMsg::Rpc(Envelope::decode(&mut r)?),
             1 => NetMsg::SeqRpc {
                 seq: r.u64()?,
-                array: r.u32()?,
-                rpc: Rpc::decode(&mut r)?,
+                env: Envelope::decode(&mut r)?,
             },
             2 => NetMsg::Ack { seq: r.u64()? },
             3 => NetMsg::Heartbeat,
@@ -530,11 +428,7 @@ impl rdma_fabric::Wire for NetMsg {
             },
             5 => NetMsg::SuspectVote {
                 suspect: r.u32()? as NodeId,
-                alive: match r.u8()? {
-                    0 => false,
-                    1 => true,
-                    _ => return None,
-                },
+                alive: bool_from_u8(r.u8()?)?,
             },
             6 => NetMsg::Halt,
             7 => NetMsg::JoinReq {
@@ -542,11 +436,7 @@ impl rdma_fabric::Wire for NetMsg {
             },
             8 => NetMsg::JoinVote {
                 node: r.u32()? as NodeId,
-                admit: match r.u8()? {
-                    0 => false,
-                    1 => true,
-                    _ => return None,
-                },
+                admit: bool_from_u8(r.u8()?)?,
             },
             _ => return None,
         };
@@ -591,8 +481,7 @@ pub(crate) enum RtMsg {
     Local(LocalReq),
     Net {
         src: NodeId,
-        array: ArrayId,
-        rpc: Rpc,
+        env: Envelope,
     },
     /// Self-scheduled directory retry after a grace window expires.
     Retry {
@@ -633,171 +522,128 @@ pub(crate) enum RtMsg {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn route_chunk_covers_all_variants() {
-        let msgs = [
-            Rpc::ReadReq {
-                chunk: 3,
-                dst_off: 0,
-            },
-            Rpc::WriteReq {
-                chunk: 3,
-                dst_off: 0,
-            },
-            Rpc::OperateReq { chunk: 3, op: 0 },
-            Rpc::EvictNotice { chunk: 3 },
-            Rpc::WritebackNotice {
-                chunk: 3,
-                downgrade: false,
-            },
-            Rpc::OperandFlush {
-                chunk: 3,
-                op: 0,
-                data: vec![],
-            },
-            Rpc::FillShared { chunk: 3 },
-            Rpc::FillExclusive { chunk: 3 },
-            Rpc::GrantOperated { chunk: 3, op: 0 },
-            Rpc::InvalidateReq { chunk: 3 },
-            Rpc::InvalidateAck { chunk: 3 },
-            Rpc::RecallDirty { chunk: 3 },
-            Rpc::DowngradeDirty { chunk: 3 },
-            Rpc::RecallOperated { chunk: 3, op: 0 },
-            Rpc::LockAcquire {
-                chunk: 3,
-                id: 9,
-                kind: LockKind::Read,
-            },
-            Rpc::LockGrant {
-                chunk: 3,
-                id: 9,
-                kind: LockKind::Write,
-            },
-            Rpc::LockRelease {
-                chunk: 3,
-                id: 9,
-                kind: LockKind::Read,
-            },
-            Rpc::MigrateData { chunk: 3, epoch: 1 },
-            Rpc::MigrateAck { chunk: 3, epoch: 1 },
-            Rpc::MigrateCommit { chunk: 3, epoch: 1 },
-            Rpc::HomeMoved {
-                chunk: 3,
-                new_home: 2,
-                epoch: 1,
-            },
-            Rpc::MigrateForward {
-                chunk: 3,
-                requester: 2,
-                dst_off: 0,
-                kind: 0,
-                op: 0,
-            },
-        ];
-        for m in msgs {
-            assert_eq!(m.route_chunk(), 3);
-        }
-    }
+    use rdma_fabric::Wire;
 
     #[test]
     fn operand_flush_payload_counts_data() {
-        let m = Rpc::OperandFlush {
-            chunk: 0,
+        let m = Rpc::Coherence(Msg::OperandFlush {
             op: 0,
             data: vec![0; 512],
-        };
+        });
         assert_eq!(m.payload_bytes(), 16 + 4096);
-        assert_eq!(Rpc::FillShared { chunk: 0 }.payload_bytes(), 16);
+        assert_eq!(Rpc::Coherence(Msg::FillShared).payload_bytes(), 16);
     }
 
+    /// Every coherence message, every lock message and every membership
+    /// frame round-trips the codec, and each RPC frame `[0][array][chunk]
+    /// [tag][fields]` has its pinned encoded length (the transport byte
+    /// counters in the BENCH baselines count these bytes).
     #[test]
     fn wire_roundtrip_covers_every_message() {
-        use rdma_fabric::Wire;
-        let rpcs = [
-            Rpc::ReadReq {
-                chunk: 3,
-                dst_off: 1 << 40,
-            },
-            Rpc::WriteReq {
-                chunk: 4,
-                dst_off: 7,
-            },
-            Rpc::OperateReq { chunk: 5, op: 2 },
-            Rpc::EvictNotice { chunk: 6 },
-            Rpc::WritebackNotice {
-                chunk: 7,
-                downgrade: true,
-            },
-            Rpc::OperandFlush {
-                chunk: 8,
-                op: 1,
-                data: vec![u64::MAX, 0, 42],
-            },
-            Rpc::OperandFlush {
-                chunk: 8,
-                op: 1,
-                data: vec![],
-            },
-            Rpc::FillShared { chunk: 9 },
-            Rpc::FillExclusive { chunk: 10 },
-            Rpc::GrantOperated { chunk: 11, op: 3 },
-            Rpc::InvalidateReq { chunk: 12 },
-            Rpc::InvalidateAck { chunk: 13 },
-            Rpc::RecallDirty { chunk: 14 },
-            Rpc::DowngradeDirty { chunk: 15 },
-            Rpc::RecallOperated { chunk: 16, op: 4 },
-            Rpc::LockAcquire {
-                chunk: 17,
-                id: 99,
-                kind: LockKind::Read,
-            },
-            Rpc::LockGrant {
-                chunk: 18,
-                id: 100,
-                kind: LockKind::Write,
-            },
-            Rpc::LockRelease {
-                chunk: 19,
-                id: 101,
-                kind: LockKind::Read,
-            },
-            Rpc::MigrateData {
-                chunk: 20,
-                epoch: u64::MAX - 3,
-            },
-            Rpc::MigrateAck {
-                chunk: 21,
-                epoch: 5,
-            },
-            Rpc::MigrateCommit {
-                chunk: 22,
-                epoch: 6,
-            },
-            Rpc::HomeMoved {
-                chunk: 23,
-                new_home: 4,
-                epoch: 7,
-            },
-            Rpc::MigrateForward {
-                chunk: 24,
-                requester: 1,
-                dst_off: 1 << 33,
-                kind: 2,
-                op: 9,
-            },
+        let frames: [(Rpc, usize); 23] = [
+            (Msg::ReadReq { dst_off: 1 << 40 }.into(), 18),
+            (Msg::WriteReq { dst_off: 7 }.into(), 18),
+            (Msg::OperateReq { op: 2 }.into(), 14),
+            (Msg::EvictNotice.into(), 10),
+            (Msg::WritebackNotice { downgrade: true }.into(), 11),
+            (
+                Msg::OperandFlush {
+                    op: 1,
+                    data: vec![u64::MAX, 0, 42],
+                }
+                .into(),
+                18 + 3 * 8,
+            ),
+            (
+                Msg::OperandFlush {
+                    op: 1,
+                    data: vec![],
+                }
+                .into(),
+                18,
+            ),
+            (Msg::FillShared.into(), 10),
+            (Msg::FillExclusive.into(), 10),
+            (Msg::GrantOperated { op: 3 }.into(), 14),
+            (Msg::Invalidate.into(), 10),
+            (Msg::InvalidateAck.into(), 10),
+            (Msg::RecallDirty.into(), 10),
+            (Msg::DowngradeDirty.into(), 10),
+            (Msg::RecallOperated { op: 4 }.into(), 14),
+            (
+                Msg::MigrateData {
+                    mig_epoch: u64::MAX - 3,
+                }
+                .into(),
+                18,
+            ),
+            (Msg::MigrateAck { mig_epoch: 5 }.into(), 18),
+            (Msg::MigrateCommit { mig_epoch: 6 }.into(), 18),
+            (
+                Msg::HomeMoved {
+                    new_home: 4,
+                    epoch: 7,
+                }
+                .into(),
+                22,
+            ),
+            (
+                Msg::MigrateForward {
+                    requester: 1,
+                    dst_off: 1 << 33,
+                    kind: Kind::Operate(9),
+                }
+                .into(),
+                27,
+            ),
+            (
+                Rpc::LockAcquire {
+                    id: 99,
+                    kind: LockKind::Read,
+                },
+                19,
+            ),
+            (
+                Rpc::LockGrant {
+                    id: 100,
+                    kind: LockKind::Write,
+                },
+                19,
+            ),
+            (
+                Rpc::LockRelease {
+                    id: 101,
+                    kind: LockKind::Read,
+                },
+                19,
+            ),
         ];
         let mut msgs: Vec<NetMsg> = Vec::new();
-        for rpc in rpcs {
-            msgs.push(NetMsg::Rpc {
-                array: 2,
-                rpc: rpc.clone(),
-            });
-            msgs.push(NetMsg::SeqRpc {
+        for (i, (rpc, len)) in frames.into_iter().enumerate() {
+            let env = Envelope::new(2, i as ChunkId, rpc);
+            let mut buf = Vec::new();
+            NetMsg::Rpc(env.clone()).encode(&mut buf);
+            assert_eq!(buf.len(), len, "{env:?}");
+            buf.clear();
+            let seq = NetMsg::SeqRpc {
                 seq: u64::MAX - 1,
-                array: 3,
-                rpc,
-            });
+                env: env.clone(),
+            };
+            seq.encode(&mut buf);
+            assert_eq!(buf.len(), len + 8, "{env:?}");
+            msgs.push(NetMsg::Rpc(env));
+            msgs.push(seq);
+        }
+        for kind in [Kind::Read, Kind::Write] {
+            msgs.push(NetMsg::Rpc(Envelope::new(
+                0,
+                1,
+                Msg::MigrateForward {
+                    requester: 2,
+                    dst_off: 8,
+                    kind,
+                },
+            )));
         }
         msgs.push(NetMsg::Ack { seq: 12345 });
         msgs.push(NetMsg::Heartbeat);
@@ -834,25 +680,21 @@ mod tests {
 
     #[test]
     fn wire_payload_bytes_match_pre_trait_call_sites() {
-        use rdma_fabric::Wire;
-        let rpc = Rpc::FillShared { chunk: 0 };
         assert_eq!(
-            NetMsg::Rpc {
-                array: 0,
-                rpc: rpc.clone()
-            }
-            .payload_bytes(),
+            NetMsg::Rpc(Envelope::new(0, 0, Msg::FillShared)).payload_bytes(),
             16
         );
         assert_eq!(
             NetMsg::SeqRpc {
                 seq: 0,
-                array: 0,
-                rpc: Rpc::OperandFlush {
-                    chunk: 0,
-                    op: 0,
-                    data: vec![0; 4]
-                }
+                env: Envelope::new(
+                    0,
+                    0,
+                    Msg::OperandFlush {
+                        op: 0,
+                        data: vec![0; 4]
+                    }
+                ),
             }
             .payload_bytes(),
             16 + 32

@@ -10,7 +10,7 @@
 
 use crate::state::LocalState;
 
-use super::{Counter, Kind, NodeId, Transition, NOTAG};
+use super::{Counter, Kind, Msg, NodeId, Transition, NOTAG};
 
 /// Snapshot of a chunk's dentry, taken by the executor right before
 /// consulting the machine.
@@ -25,6 +25,8 @@ pub struct CacheView {
     /// True if a Figure-5 drain is pending on this chunk (delay flag set or
     /// a deferred continuation queued).
     pub draining: bool,
+    /// The chunk's home as this node's home map names it.
+    pub home: NodeId,
 }
 
 /// What to do once a Figure-5 drain completes. Mirrors the runtime's
@@ -156,7 +158,7 @@ pub enum CacheEvent {
 
 /// Everything the requester-side cache machine can ask its executor to do.
 /// Actions must be executed in order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CacheAction {
     /// Park the current requester's wait-cell on the dentry.
     QueueWaiter,
@@ -210,12 +212,12 @@ pub enum CacheAction {
         /// The operator whose identity to use.
         op: u32,
     },
-    /// Send `EvictNotice` to the home.
-    SendEvictNotice,
-    /// Send `InvalidateAck` to `to`.
-    SendInvalidateAck {
-        /// The home node awaiting the ack.
+    /// Send `msg` to node `to`; the send is all the executor does.
+    Send {
+        /// The receiving node.
         to: NodeId,
+        /// The coherence message.
+        msg: Msg,
     },
     /// RDMA-write the line back to the home subarray and send
     /// `WritebackNotice`.
@@ -346,75 +348,45 @@ impl CacheMachine {
                 }
             }
             CacheEvent::Evict => Self::evict(view),
-            CacheEvent::Drained { after, home_down } => Self::drained(after, home_down),
-            CacheEvent::HomeDown => {
-                if !view.state.in_flight() || view.draining {
-                    // Stable states keep working locally; a delayed
-                    // (draining) chunk is cleaned up by its continuation's
-                    // own home-down check.
-                    vec![]
-                } else {
-                    vec![
-                        CacheAction::ReleaseLine { line: view.line },
-                        CacheAction::Promote {
-                            state: LocalState::Invalid,
-                            tag: NOTAG,
-                        },
-                        CacheAction::Trace(Transition {
-                            from: view.state.name(),
-                            to: LocalState::Invalid.name(),
-                            trigger: "home-down",
-                        }),
-                        CacheAction::WakeAllWaiters,
-                    ]
-                }
+            CacheEvent::Drained { after, home_down } => Self::drained(view, after, home_down),
+            // A delayed (draining) chunk is torn down by its continuation's
+            // own home-down check, so every reset below skips it.
+            //
+            // Stable states keep working locally against a dead home; only
+            // in-flight fills are reset.
+            CacheEvent::HomeDown if view.state.in_flight() && !view.draining => {
+                Self::reset(view, "home-down")
             }
-            CacheEvent::HomeRestarted => {
-                if view.state == LocalState::Invalid || view.draining {
-                    // Nothing held; a draining chunk was already torn down
-                    // by the home-down path (a restart is always preceded
-                    // by a death declaration) and its continuation's own
-                    // home-down check finishes the cleanup.
-                    vec![]
-                } else {
-                    vec![
-                        CacheAction::ReleaseLine { line: view.line },
-                        CacheAction::Promote {
-                            state: LocalState::Invalid,
-                            tag: NOTAG,
-                        },
-                        CacheAction::Trace(Transition {
-                            from: view.state.name(),
-                            to: LocalState::Invalid.name(),
-                            trigger: "home-restarted",
-                        }),
-                        CacheAction::WakeAllWaiters,
-                    ]
-                }
+            // A restarted home (a restart is always preceded by a death
+            // declaration) or a moved one (the recall fence already revoked
+            // every sound copy) no longer remembers granting anything this
+            // node still holds.
+            CacheEvent::HomeRestarted if view.state != LocalState::Invalid && !view.draining => {
+                Self::reset(view, "home-restarted")
             }
-            CacheEvent::HomeMoved => {
-                if view.state == LocalState::Invalid || view.draining {
-                    // Nothing held (the recall fence already revoked any
-                    // stable copy); a draining chunk finishes its teardown
-                    // through its own continuation.
-                    vec![]
-                } else {
-                    vec![
-                        CacheAction::ReleaseLine { line: view.line },
-                        CacheAction::Promote {
-                            state: LocalState::Invalid,
-                            tag: NOTAG,
-                        },
-                        CacheAction::Trace(Transition {
-                            from: view.state.name(),
-                            to: LocalState::Invalid.name(),
-                            trigger: "home-moved",
-                        }),
-                        CacheAction::WakeAllWaiters,
-                    ]
-                }
+            CacheEvent::HomeMoved if view.state != LocalState::Invalid && !view.draining => {
+                Self::reset(view, "home-moved")
             }
+            CacheEvent::HomeDown | CacheEvent::HomeRestarted | CacheEvent::HomeMoved => vec![],
         }
+    }
+
+    /// Drop every local right on the chunk: release its line, reset to
+    /// Invalid and wake the waiters so they re-check.
+    fn reset(view: &CacheView, trigger: &'static str) -> Vec<CacheAction> {
+        vec![
+            CacheAction::ReleaseLine { line: view.line },
+            CacheAction::Promote {
+                state: LocalState::Invalid,
+                tag: NOTAG,
+            },
+            CacheAction::Trace(Transition {
+                from: view.state.name(),
+                to: LocalState::Invalid.name(),
+                trigger,
+            }),
+            CacheAction::WakeAllWaiters,
+        ]
     }
 
     /// A local miss: Figure 9's requester column, keyed on current rights.
@@ -624,7 +596,11 @@ impl CacheMachine {
     /// re-check and observe `NodeUnavailable`. Dirty data and combined
     /// operands are dropped — fail-stop: data homed on a crashed node is
     /// lost.
-    fn drained(after: AfterDrain, home_down: bool) -> Vec<CacheAction> {
+    fn drained(view: &CacheView, after: AfterDrain, home_down: bool) -> Vec<CacheAction> {
+        let notice = CacheAction::Send {
+            to: view.home,
+            msg: Msg::EvictNotice,
+        };
         match after {
             AfterDrain::Invalidate { line, reply_to } => {
                 if home_down {
@@ -636,7 +612,10 @@ impl CacheMachine {
                 } else {
                     vec![
                         CacheAction::ReleaseLine { line },
-                        CacheAction::SendInvalidateAck { to: reply_to },
+                        CacheAction::Send {
+                            to: reply_to,
+                            msg: Msg::InvalidateAck,
+                        },
                         CacheAction::Count(Counter::Invalidations),
                         CacheAction::WakeAllWaiters,
                     ]
@@ -707,7 +686,7 @@ impl CacheMachine {
                 } else {
                     vec![
                         CacheAction::ReleaseLine { line },
-                        CacheAction::SendEvictNotice,
+                        notice,
                         CacheAction::WakeAllWaiters,
                     ]
                 }
@@ -726,10 +705,7 @@ impl CacheMachine {
                         CacheAction::WakeAllWaiters,
                     ]
                 } else {
-                    vec![
-                        CacheAction::SendEvictNotice,
-                        CacheAction::SendUpgrade { line, kind },
-                    ]
+                    vec![notice, CacheAction::SendUpgrade { line, kind }]
                 }
             }
             AfterDrain::FlushThenUpgrade { line, old_op, kind } => {
@@ -770,6 +746,7 @@ mod tests {
             op_tag,
             line,
             draining: false,
+            home: 0,
         }
     }
 
@@ -843,7 +820,10 @@ mod tests {
         assert_eq!(
             acts,
             vec![
-                CacheAction::SendEvictNotice,
+                CacheAction::Send {
+                    to: 0,
+                    msg: Msg::EvictNotice
+                },
                 CacheAction::SendUpgrade {
                     line: 7,
                     kind: Kind::Write
@@ -1075,10 +1055,9 @@ mod tests {
             assert!(
                 !acts.iter().any(|a| matches!(
                     a,
-                    CacheAction::SendInvalidateAck { .. }
+                    CacheAction::Send { .. }
                         | CacheAction::SendWriteback { .. }
                         | CacheAction::SendFlush { .. }
-                        | CacheAction::SendEvictNotice
                         | CacheAction::SendUpgrade { .. }
                 )),
                 "{after:?} with home_down produced a send: {acts:?}"

@@ -12,7 +12,7 @@ use std::collections::VecDeque;
 use crate::op::OpId;
 use crate::state::{DirState, LocalState};
 
-use super::{Counter, Kind, NodeId, Request, Requester, Transition, NOTAG};
+use super::{Counter, Kind, Msg, NodeId, Request, Requester, Transition, NOTAG};
 
 /// Transient phase of a home-side transition that is waiting for remote
 /// replies or a local reference drain. While a transient is pending, new
@@ -154,8 +154,8 @@ pub enum HomeEvent<W> {
         from: NodeId,
         /// The operator the operands belong to.
         op: u32,
-        /// True if the flush carries operand data to reduce.
-        has_data: bool,
+        /// The operands to reduce (empty = nothing to reduce).
+        data: Vec<u64>,
     },
     /// The home dentry's reference drain (started by
     /// [`HomeAction::StartHomeDrain`]) completed.
@@ -244,6 +244,13 @@ pub enum HomeAction<W> {
     ChargeDirUpdate,
     /// Wake a local requester: its rights are granted.
     Wake(W),
+    /// Send `msg` to node `to`; the send is all the executor does.
+    Send {
+        /// The receiving node.
+        to: NodeId,
+        /// The coherence message.
+        msg: Msg,
+    },
     /// RDMA-write the chunk's home data into the requester's cacheline at
     /// `dst_off` and send the matching fill notification.
     SendFill {
@@ -254,40 +261,13 @@ pub enum HomeAction<W> {
         /// True for `FillExclusive`, false for `FillShared`.
         exclusive: bool,
     },
-    /// Send `GrantOperated` (no data travels for grants).
-    SendGrant {
-        /// Requesting node.
-        to: NodeId,
-        /// Operator id granted.
-        op: u32,
-    },
-    /// Send `InvalidateReq`.
-    SendInvalidate {
-        /// A current sharer.
-        to: NodeId,
-    },
-    /// Send `RecallDirty`.
-    SendRecallDirty {
-        /// The Dirty owner.
-        to: NodeId,
-    },
-    /// Send `DowngradeDirty`.
-    SendDowngrade {
-        /// The Dirty owner.
-        to: NodeId,
-    },
-    /// Send `RecallOperated`.
-    SendRecallOperated {
-        /// A current Operated sharer.
-        to: NodeId,
-        /// The operator epoch being recalled.
-        op: u32,
-    },
-    /// Reduce the flush payload accompanying the current event into the
-    /// home subarray under operator `op` (operand data must never be lost).
+    /// Reduce a flush's operands into the home subarray under operator
+    /// `op` (operand data must never be lost).
     ApplyFlushData {
         /// Operator to combine under.
         op: u32,
+        /// The operands, one per chunk word.
+        data: Vec<u64>,
     },
     /// Install new local rights on the *home* dentry (a Figure-6 promotion;
     /// no drain needed).
@@ -331,20 +311,6 @@ pub enum HomeAction<W> {
         /// The fence epoch stamped on the transfer.
         mig_epoch: u64,
     },
-    /// (Target side.) Send `MigrateAck` to the old home.
-    SendMigrateAck {
-        /// The old home.
-        to: NodeId,
-        /// Echo of the fence epoch.
-        mig_epoch: u64,
-    },
-    /// (Source side.) Send `MigrateCommit` to the new home.
-    SendMigrateCommit {
-        /// The new home.
-        to: NodeId,
-        /// Echo of the fence epoch.
-        mig_epoch: u64,
-    },
     /// (Source side.) The migration committed: flip this node's home map
     /// entry to `to` under `mig_epoch`, drop the home dentry to Invalid,
     /// broadcast the stale-home redirect (`HomeMoved`) to every peer, and
@@ -364,20 +330,6 @@ pub enum HomeAction<W> {
     AdoptChunk {
         /// The fence epoch.
         mig_epoch: u64,
-    },
-    /// Forward a remote request this (former) home can no longer serve to
-    /// the chunk's new home `to`, re-stamped as if sent by the original
-    /// requester, and send the requester a `HomeMoved` redirect so it
-    /// retargets future traffic.
-    ForwardRequest {
-        /// The new home to forward to.
-        to: NodeId,
-        /// The original requester.
-        node: NodeId,
-        /// The requester's fill destination (cache-region word offset).
-        dst_off: u64,
-        /// The rights originally requested.
-        kind: Kind,
     },
     /// A state transition happened (structured trace; also counted).
     Trace(Transition),
@@ -457,11 +409,6 @@ impl<W> HomeMachine<W> {
     /// at bring-up, before the machine has seen events.
     pub fn set_durable(&mut self, durable: bool) {
         self.durable = durable;
-    }
-
-    /// Is a durable chunk store gating acknowledgements?
-    pub fn durable(&self) -> bool {
-        self.durable
     }
 
     /// Number of persists requested so far (the latest persist sequence).
@@ -572,11 +519,11 @@ impl<W> HomeMachine<W> {
         }
         match ev {
             HomeEvent::Request(req) => {
-                if let Some((to, _)) = self.migrated_to {
+                if self.migrated_to.is_some() {
                     // This node is a former home: it holds no authority and
                     // no data.
                     let remote = matches!(req.source, Requester::Remote { .. });
-                    Self::redirect(to, req, &mut out);
+                    self.redirect(req, &mut out);
                     if remote {
                         self.trace("forward-after-migration", &mut out);
                     }
@@ -664,11 +611,12 @@ impl<W> HomeMachine<W> {
                 // else: stale notice (the transient already completed via a
                 // different path); the data write is idempotent.
             }
-            HomeEvent::Flush { from, op, has_data } => {
+            HomeEvent::Flush { from, op, data } => {
                 // Reduce first — operand data must never be lost, whatever
                 // the bookkeeping below decides.
+                let has_data = !data.is_empty();
                 if has_data {
-                    out.push(HomeAction::ApplyFlushData { op });
+                    out.push(HomeAction::ApplyFlushData { op, data });
                     out.push(HomeAction::Count(Counter::OperatedReductions));
                 }
                 match &self.transient {
@@ -765,9 +713,9 @@ impl<W> HomeMachine<W> {
                                 mig_epoch,
                                 phase: MigInPhase::AwaitCommit,
                             };
-                            out.push(HomeAction::SendMigrateAck {
+                            out.push(HomeAction::Send {
                                 to: from,
-                                mig_epoch,
+                                msg: Msg::MigrateAck { mig_epoch },
                             });
                             self.trace("migrate-in-persisted", &mut out);
                         }
@@ -868,9 +816,9 @@ impl<W> HomeMachine<W> {
                             mig_epoch,
                             phase: MigInPhase::AwaitCommit,
                         };
-                        out.push(HomeAction::SendMigrateAck {
+                        out.push(HomeAction::Send {
                             to: from,
-                            mig_epoch,
+                            msg: Msg::MigrateAck { mig_epoch },
                         });
                         self.trace("migrate-in-begin", &mut out);
                     }
@@ -887,9 +835,9 @@ impl<W> HomeMachine<W> {
                     // former home.
                     self.transient = Transient::None;
                     self.migrated_to = Some((from, mig_epoch));
-                    out.push(HomeAction::SendMigrateCommit {
+                    out.push(HomeAction::Send {
                         to: from,
-                        mig_epoch,
+                        msg: Msg::MigrateCommit { mig_epoch },
                     });
                     out.push(HomeAction::DepartChunk {
                         to: from,
@@ -900,7 +848,7 @@ impl<W> HomeMachine<W> {
                     // Replay the fence-parked traffic at the new home.
                     while let Some(req) = self.pending.pop_front() {
                         out.push(HomeAction::Count(Counter::ParkedReplays));
-                        Self::redirect(from, req, &mut out);
+                        self.redirect(req, &mut out);
                     }
                 } else {
                     self.trace("stale-migrate-ack", &mut out);
@@ -949,21 +897,34 @@ impl<W> HomeMachine<W> {
         }
     }
 
-    /// Send a request this former home cannot serve to the chunk's new home
-    /// `to`: forward a remote one (the requester also gets a `HomeMoved`
-    /// redirect), and wake a local one so the application thread re-routes
-    /// via the updated home map.
-    fn redirect(to: NodeId, req: Request<W>, out: &mut Vec<HomeAction<W>>) {
-        out.push(match req.source {
-            Requester::Remote { node, dst_off } => HomeAction::ForwardRequest {
-                to,
-                node,
-                dst_off,
-                kind: req.kind,
-            },
-            Requester::Local(w) => HomeAction::Wake(w),
+    /// Send a request this former home cannot serve to the chunk's new
+    /// home: forward a remote one, and redirect its requester with the new
+    /// home and fence epoch this machine committed to, so its next miss
+    /// goes straight there; wake a local one so the application thread
+    /// re-routes via the updated home map.
+    fn redirect(&self, req: Request<W>, out: &mut Vec<HomeAction<W>>) {
+        let (to, epoch) = self.migrated_to.expect("only a former home redirects");
+        match req.source {
+            Requester::Remote { node, dst_off } => {
+                out.push(HomeAction::Send {
+                    to,
+                    msg: Msg::MigrateForward {
+                        requester: node,
+                        dst_off,
+                        kind: req.kind,
+                    },
+                });
+                out.push(HomeAction::Send {
+                    to: node,
+                    msg: Msg::HomeMoved {
+                        new_home: to,
+                        epoch,
+                    },
+                });
+            }
+            Requester::Local(w) => out.push(HomeAction::Wake(w)),
             Requester::Migration { .. } => unreachable!("a migration is never redirected"),
-        });
+        }
     }
 
     /// Emit the structured trace of an event that leaves the stable state
@@ -1168,7 +1129,10 @@ impl<W> HomeMachine<W> {
                 let owner = *owner;
                 self.transient = Transient::AwaitWriteback { from: owner };
                 self.current = Some(req);
-                out.push(HomeAction::SendDowngrade { to: owner });
+                out.push(HomeAction::Send {
+                    to: owner,
+                    msg: Msg::DowngradeDirty,
+                });
                 false
             }
 
@@ -1214,7 +1178,10 @@ impl<W> HomeMachine<W> {
                     Requester::Remote { node, .. } => {
                         self.add_sharer(node);
                         self.granted_at = now;
-                        out.push(HomeAction::SendGrant { to: node, op: op2 });
+                        out.push(HomeAction::Send {
+                            to: node,
+                            msg: Msg::GrantOperated { op: op2 },
+                        });
                         true
                     }
                     Requester::Migration { .. } => unreachable!("a migration requests Write"),
@@ -1267,7 +1234,10 @@ impl<W> HomeMachine<W> {
                 };
                 self.current = Some(req);
                 for n in targets {
-                    out.push(HomeAction::SendInvalidate { to: n });
+                    out.push(HomeAction::Send {
+                        to: n,
+                        msg: Msg::Invalidate,
+                    });
                 }
                 false
             }
@@ -1290,7 +1260,10 @@ impl<W> HomeMachine<W> {
                 }
                 self.transient = Transient::AwaitWriteback { from: owner };
                 self.current = Some(req);
-                out.push(HomeAction::SendRecallDirty { to: owner });
+                out.push(HomeAction::Send {
+                    to: owner,
+                    msg: Msg::RecallDirty,
+                });
                 false
             }
             // Operated chunk asked for Read/Write/different op: recall all
@@ -1315,7 +1288,10 @@ impl<W> HomeMachine<W> {
                     };
                     self.current = Some(req);
                     for n in targets {
-                        out.push(HomeAction::SendRecallOperated { to: n, op: op0 });
+                        out.push(HomeAction::Send {
+                            to: n,
+                            msg: Msg::RecallOperated { op: op0 },
+                        });
                     }
                     false
                 }
@@ -1619,7 +1595,15 @@ mod tests {
         let acts = m.on_event(0, 0, remote(1, Kind::Write));
         let invs: Vec<_> = acts
             .iter()
-            .filter(|a| matches!(a, HomeAction::SendInvalidate { .. }))
+            .filter(|a| {
+                matches!(
+                    a,
+                    HomeAction::Send {
+                        msg: Msg::Invalidate,
+                        ..
+                    }
+                )
+            })
             .collect();
         assert_eq!(invs.len(), 2, "both sharers invalidated: {acts:?}");
         // First ack shrinks the set; second completes and grants Dirty.
@@ -1665,9 +1649,13 @@ mod tests {
         assert!(matches!(m.state(), DirState::Operated { .. }));
         // A read arrives: recall the Operated set under op 3.
         let acts = m.on_event(0, 0, remote(2, Kind::Read));
-        assert!(acts
-            .iter()
-            .any(|a| matches!(a, HomeAction::SendRecallOperated { to: 1, op: 3 })));
+        assert!(acts.iter().any(|a| matches!(
+            a,
+            HomeAction::Send {
+                to: 1,
+                msg: Msg::RecallOperated { op: 3 }
+            }
+        )));
         // A crossing flush of a DIFFERENT operator must not close the epoch.
         m.on_event(
             1,
@@ -1675,7 +1663,7 @@ mod tests {
             HomeEvent::Flush {
                 from: 1,
                 op: 9,
-                has_data: true,
+                data: vec![1],
             },
         );
         assert!(matches!(m.transient(), Transient::AwaitFlushes { .. }));
@@ -1686,7 +1674,7 @@ mod tests {
             HomeEvent::Flush {
                 from: 1,
                 op: 3,
-                has_data: true,
+                data: vec![1],
             },
         );
         assert!(acts.iter().any(|a| matches!(
@@ -1722,9 +1710,13 @@ mod tests {
         assert_eq!(m.transient(), &Transient::GraceWait);
         // After the window the retry downgrades the owner.
         let acts = m.on_event(2_000, 1_000, HomeEvent::RetryExpired);
-        assert!(acts
-            .iter()
-            .any(|a| matches!(a, HomeAction::SendDowngrade { to: 1 })));
+        assert!(acts.iter().any(|a| matches!(
+            a,
+            HomeAction::Send {
+                to: 1,
+                msg: Msg::DowngradeDirty
+            }
+        )));
     }
 
     #[test]
@@ -1796,7 +1788,7 @@ mod tests {
             HomeEvent::Flush {
                 from: 1,
                 op: 5,
-                has_data: true,
+                data: vec![1],
             },
         );
         let acts = m.on_event(
@@ -1842,7 +1834,7 @@ mod tests {
             HomeEvent::Flush {
                 from: 1,
                 op: 5,
-                has_data: true,
+                data: vec![1],
             },
         );
         assert!(
@@ -1940,7 +1932,7 @@ mod tests {
             HomeEvent::Flush {
                 from: 1,
                 op: 5,
-                has_data: true,
+                data: vec![1],
             },
         );
         m.on_event(0, 0, HomeEvent::Drained);
@@ -2090,7 +2082,7 @@ mod tests {
             HomeEvent::Flush {
                 from: 1,
                 op: 5,
-                has_data: true,
+                data: vec![1],
             },
         );
         // Reduce first, then persist the reduced image; the read stays
@@ -2218,9 +2210,9 @@ mod tests {
                 mig_epoch: 1,
             },
         );
-        assert!(acts.contains(&HomeAction::SendMigrateCommit {
+        assert!(acts.contains(&HomeAction::Send {
             to: 2,
-            mig_epoch: 1
+            msg: Msg::MigrateCommit { mig_epoch: 1 }
         }));
         assert!(acts.contains(&HomeAction::DepartChunk {
             to: 2,
@@ -2241,7 +2233,15 @@ mod tests {
         let acts = m.on_event(0, 0, HomeEvent::BeginMigration { to: 3 });
         let invs = acts
             .iter()
-            .filter(|a| matches!(a, HomeAction::SendInvalidate { .. }))
+            .filter(|a| {
+                matches!(
+                    a,
+                    HomeAction::Send {
+                        msg: Msg::Invalidate,
+                        ..
+                    }
+                )
+            })
             .count();
         assert_eq!(invs, 2, "both sharers recalled: {acts:?}");
         assert!(matches!(m.transient(), Transient::AwaitInvAcks { .. }));
@@ -2274,7 +2274,10 @@ mod tests {
         m.on_event(0, 0, HomeEvent::Drained);
         assert_eq!(m.state(), &DirState::Dirty { owner: 1 });
         let acts = m.on_event(0, 0, HomeEvent::BeginMigration { to: 2 });
-        assert!(acts.contains(&HomeAction::SendRecallDirty { to: 1 }));
+        assert!(acts.contains(&HomeAction::Send {
+            to: 1,
+            msg: Msg::RecallDirty
+        }));
         // The owner's writeback lands the dirty image in the home slot —
         // exactly what the transfer will ship.
         let acts = m.on_event(
@@ -2309,18 +2312,24 @@ mod tests {
         let acts = m.on_event(0, 0, HomeEvent::BeginMigration { to: 3 });
         for n in [1, 2] {
             assert!(
-                acts.contains(&HomeAction::SendRecallOperated { to: n, op: 5 }),
+                acts.contains(&HomeAction::Send {
+                    to: n,
+                    msg: Msg::RecallOperated { op: 5 }
+                }),
                 "operator {n} recalled: {acts:?}"
             );
         }
         let flush = |from| HomeEvent::Flush {
             from,
             op: 5,
-            has_data: true,
+            data: vec![1],
         };
         // The first flush is reduced, but the recall still waits on node 2.
         let acts = m.on_event(0, 0, flush(1));
-        assert!(acts.contains(&HomeAction::ApplyFlushData { op: 5 }));
+        assert!(acts.contains(&HomeAction::ApplyFlushData {
+            op: 5,
+            data: vec![1]
+        }));
         assert!(acts
             .iter()
             .all(|a| !matches!(a, HomeAction::StartHomeDrain { .. })));
@@ -2328,7 +2337,12 @@ mod tests {
         let acts = m.on_event(0, 0, flush(2));
         let reduce_at = acts
             .iter()
-            .position(|a| *a == HomeAction::ApplyFlushData { op: 5 })
+            .position(|a| {
+                *a == HomeAction::ApplyFlushData {
+                    op: 5,
+                    data: vec![1],
+                }
+            })
             .expect("last flush reduced");
         let drain_at = acts
             .iter()
@@ -2359,7 +2373,10 @@ mod tests {
         // Moving the chunk to its own Dirty owner still pulls the dirty
         // image home: the transfer ships the home slot, not the cacheline.
         let mut acts = m.on_event(0, 0, HomeEvent::BeginMigration { to: 1 });
-        assert!(acts.contains(&HomeAction::SendRecallDirty { to: 1 }));
+        assert!(acts.contains(&HomeAction::Send {
+            to: 1,
+            msg: Msg::RecallDirty
+        }));
         assert!(acts
             .iter()
             .all(|a| !matches!(a, HomeAction::TransferChunk { .. })));
@@ -2392,7 +2409,10 @@ mod tests {
         assert_eq!(m.transient(), &Transient::GraceWait);
         // ...but not the migration, which recalls the owner at once.
         let acts = m.on_event(1_020, 1_000, HomeEvent::BeginMigration { to: 3 });
-        assert!(acts.contains(&HomeAction::SendRecallDirty { to: 1 }));
+        assert!(acts.contains(&HomeAction::Send {
+            to: 1,
+            msg: Msg::RecallDirty
+        }));
         assert!(acts
             .iter()
             .all(|a| !matches!(a, HomeAction::ScheduleRetry { .. })));
@@ -2467,11 +2487,13 @@ mod tests {
         // The parked remote request replays as a forward to the new home.
         assert!(acts.iter().any(|a| matches!(
             a,
-            HomeAction::ForwardRequest {
+            HomeAction::Send {
                 to: 2,
-                node: 1,
-                kind: Kind::Read,
-                ..
+                msg: Msg::MigrateForward {
+                    requester: 1,
+                    kind: Kind::Read,
+                    ..
+                }
             }
         )));
         assert!(acts.contains(&HomeAction::Count(Counter::ParkedReplays)));
@@ -2479,17 +2501,76 @@ mod tests {
         let acts = m.on_event(0, 0, remote(3, Kind::Write));
         assert!(acts.iter().any(|a| matches!(
             a,
-            HomeAction::ForwardRequest {
+            HomeAction::Send {
                 to: 2,
-                node: 3,
-                kind: Kind::Write,
-                ..
+                msg: Msg::MigrateForward {
+                    requester: 3,
+                    kind: Kind::Write,
+                    ..
+                }
             }
         )));
         // A parked *local* waiter wakes instead (the caller re-resolves the
         // home map and retries against the new home).
         let acts = m.on_event(0, 0, local(9, Kind::Read));
         assert!(acts.contains(&HomeAction::Wake(9)));
+    }
+
+    /// The redirect a former home sends pairs the new home and fence epoch
+    /// it committed to. After A→B→C, A's home map reads C at the newer
+    /// epoch; pairing B with that epoch would pin a requester to B.
+    #[test]
+    fn former_home_redirect_pairs_its_own_home_and_epoch() {
+        let mut m = M::new();
+        // A recovered log left the persist sequence at 6, so the fence
+        // epoch of this move is 7.
+        m.resume_persist_seq(6);
+        m.on_event(0, 0, HomeEvent::BeginMigration { to: 2 });
+        let acts = m.on_event(0, 0, HomeEvent::Drained);
+        assert!(acts.contains(&HomeAction::TransferChunk {
+            to: 2,
+            mig_epoch: 7
+        }));
+        m.on_event(
+            0,
+            0,
+            HomeEvent::MigrateAck {
+                from: 2,
+                mig_epoch: 7,
+            },
+        );
+        assert_eq!(m.migrated_to(), Some((2, 7)));
+        let acts = m.on_event(
+            0,
+            0,
+            HomeEvent::Request(Request {
+                source: Requester::Remote {
+                    node: 3,
+                    dst_off: 64,
+                },
+                kind: Kind::Write,
+            }),
+        );
+        assert_eq!(
+            acts[..2],
+            [
+                HomeAction::Send {
+                    to: 2,
+                    msg: Msg::MigrateForward {
+                        requester: 3,
+                        dst_off: 64,
+                        kind: Kind::Write,
+                    },
+                },
+                HomeAction::Send {
+                    to: 3,
+                    msg: Msg::HomeMoved {
+                        new_home: 2,
+                        epoch: 7,
+                    },
+                },
+            ]
+        );
     }
 
     #[test]
@@ -2504,9 +2585,9 @@ mod tests {
             },
         );
         // Non-durable: ack immediately, then wait for the commit.
-        assert!(acts.contains(&HomeAction::SendMigrateAck {
+        assert!(acts.contains(&HomeAction::Send {
             to: 0,
-            mig_epoch: 5
+            msg: Msg::MigrateAck { mig_epoch: 5 }
         }));
         assert_eq!(m.transient().name(), "MigratingIn:AwaitCommit");
         // Requests park while the source is still authoritative.
@@ -2550,14 +2631,18 @@ mod tests {
         assert!(acts
             .iter()
             .any(|a| matches!(a, HomeAction::PersistChunk { seq } if *seq >= 3)));
-        assert!(acts
-            .iter()
-            .all(|a| !matches!(a, HomeAction::SendMigrateAck { .. })));
+        assert!(acts.iter().all(|a| !matches!(
+            a,
+            HomeAction::Send {
+                msg: Msg::MigrateAck { .. },
+                ..
+            }
+        )));
         assert_eq!(m.transient().name(), "MigratingIn:Persist");
         let acts = m.on_event(0, 0, HomeEvent::PersistDone { seq: 3 });
-        assert!(acts.contains(&HomeAction::SendMigrateAck {
+        assert!(acts.contains(&HomeAction::Send {
             to: 0,
-            mig_epoch: 3
+            msg: Msg::MigrateAck { mig_epoch: 3 }
         }));
         assert_eq!(m.transient().name(), "MigratingIn:AwaitCommit");
     }
@@ -2721,9 +2806,13 @@ mod tests {
         assert_eq!(m.transient(), &Transient::HomeDrain);
         // The fence arrives mid-drain and parks.
         let acts = m.on_event(0, 0, HomeEvent::BeginMigration { to: 1 });
-        assert!(acts
-            .iter()
-            .all(|a| !matches!(a, HomeAction::SendRecallDirty { .. })));
+        assert!(acts.iter().all(|a| !matches!(
+            a,
+            HomeAction::Send {
+                msg: Msg::RecallDirty,
+                ..
+            }
+        )));
         // The drain edge grants the parked fill BEFORE the recall, on the
         // same FIFO link, so the owner sees Fill then RecallDirty in order.
         let acts = m.on_event(1, 0, HomeEvent::Drained);
@@ -2737,9 +2826,15 @@ mod tests {
                 }
             )
         });
-        let recall_at = acts
-            .iter()
-            .position(|a| matches!(a, HomeAction::SendRecallDirty { to: 2 }));
+        let recall_at = acts.iter().position(|a| {
+            matches!(
+                a,
+                HomeAction::Send {
+                    to: 2,
+                    msg: Msg::RecallDirty
+                }
+            )
+        });
         assert!(
             fill_at.is_some() && recall_at.is_some() && fill_at < recall_at,
             "fill must precede the migration recall: {acts:?}"

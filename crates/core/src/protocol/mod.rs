@@ -11,15 +11,19 @@
 //!   chunk on one non-home node: given a snapshot of the node's local
 //!   rights (a [`cache::CacheView`]), it decides how to react to local
 //!   requests, fills, invalidations and recalls.
+//! * [`msg::Msg`] — the coherence messages the two machines exchange, and
+//!   [`Msg::deliver`], the one mapping from a received message to the
+//!   event its machine consumes.
 //!
 //! Both machines consume typed events and return a list of [`home::HomeAction`]s
 //! or [`cache::CacheAction`]s. They perform **no I/O whatsoever**: no
 //! simulator context, no channels, no threads, no locks, no memory regions.
 //! Time enters only as an integer argument; randomness never enters. The
-//! runtime layer (`crate::runtime`) is a thin *executor* that translates
-//! mailbox messages into events and actions into fabric calls, and the test
-//! suite (`tests/protocol_model.rs`) drives the machines through exhaustive
-//! event interleavings with plain function calls — no cluster required.
+//! runtime layer (`crate::runtime`) is a thin *executor* that delivers
+//! received messages as events and executes actions as fabric calls, and
+//! the test suite (`tests/protocol_model.rs`, `tests/protocol_check.rs`)
+//! drives the machines through exhaustive event interleavings with plain
+//! function calls — no cluster required.
 //!
 //! The module is deliberately dependency-free with respect to the execution
 //! substrate: it imports nothing from `dsim`, `crate::comm`, `crate::msg`
@@ -32,10 +36,12 @@
 pub mod cache;
 pub mod home;
 pub mod locks;
+pub mod msg;
 
 pub use cache::{AfterDrain, CacheAction, CacheEvent, CacheMachine, CacheView};
 pub use home::{HomeAction, HomeEvent, HomeMachine, MigInPhase, Transient};
 pub use locks::{LockKind, LockSource, LockTable};
+pub use msg::{Delivery, Msg};
 
 /// A node identifier. Structurally identical to `rdma_fabric::NodeId`
 /// (both are `usize`); re-declared here so the protocol core does not

@@ -14,7 +14,7 @@ use std::sync::Arc;
 use dsim::{Ctx, WaitCell};
 use rdma_fabric::NodeId;
 
-use crate::msg::{ChunkId, LockKind, Rpc};
+use crate::msg::{ChunkId, Envelope, LockKind, Rpc};
 use crate::protocol::locks::LockSource;
 use crate::shared::ArrayShared;
 use crate::stats::NodeStats;
@@ -44,8 +44,8 @@ impl RuntimeThread {
                 LockSource::Remote(n) if !self.shared.is_peer_down(self.node, n) => {
                     NodeStats::bump(&self.stats().locks_granted);
                     let chunk = (id as usize / arr.layout.chunk_size()) as ChunkId;
-                    self.comm
-                        .send(ctx, n, arr.id, Rpc::LockGrant { chunk, id, kind });
+                    let rpc = Rpc::LockGrant { id, kind };
+                    self.comm.send(ctx, n, Envelope::new(arr.id, chunk, rpc));
                 }
                 LockSource::Remote(n) => {
                     // Grantee died before the grant left this node: take the
@@ -92,16 +92,8 @@ impl RuntimeThread {
                 .or_default()
                 .push_back(waiter);
             let chunk = (index as usize / arr.layout.chunk_size()) as ChunkId;
-            self.comm.send(
-                ctx,
-                home,
-                arr.id,
-                Rpc::LockAcquire {
-                    chunk,
-                    id: index,
-                    kind,
-                },
-            );
+            let rpc = Rpc::LockAcquire { id: index, kind };
+            self.comm.send(ctx, home, Envelope::new(arr.id, chunk, rpc));
         }
     }
 
@@ -124,16 +116,8 @@ impl RuntimeThread {
             }
         } else {
             let chunk = (index as usize / arr.layout.chunk_size()) as ChunkId;
-            self.comm.send(
-                ctx,
-                home,
-                arr.id,
-                Rpc::LockRelease {
-                    chunk,
-                    id: index,
-                    kind,
-                },
-            );
+            let rpc = Rpc::LockRelease { id: index, kind };
+            self.comm.send(ctx, home, Envelope::new(arr.id, chunk, rpc));
         }
         // Releases complete locally; the wire release is one-way.
         waiter.notify(ctx);

@@ -1,10 +1,11 @@
 //! The runtime layer (§3.1): one event loop per runtime thread.
 //!
 //! Since the protocol extraction, this file is a thin **executor** for the
-//! sans-I/O machines in [`crate::protocol`]: it translates mailbox messages
-//! into protocol events, feeds them to the per-chunk [`HomeMachine`] or the
-//! pure [`CacheMachine`], and executes the returned actions against the real
-//! world — the fabric, the cache region, the dentries, the simulator clock.
+//! sans-I/O machines in [`crate::protocol`]: it delivers each received
+//! coherence message through [`Msg::deliver`] to the per-chunk
+//! [`HomeMachine`] or the pure [`CacheMachine`], and executes the returned
+//! actions against the real world — the fabric, the cache region, the
+//! dentries, the simulator clock.
 //! All protocol *decisions* (who to invalidate, when to recall, which
 //! crossing messages to ignore) live in the machines; everything here is
 //! mechanical translation plus the executor-only concerns the machines
@@ -32,11 +33,11 @@ use rdma_fabric::NodeId;
 use crate::cache::CacheRegion;
 use crate::comm::CommHandle;
 use crate::dentry::{Dentry, LINE_HOME, LINE_NONE};
-use crate::msg::{ArrayId, ChunkId, LocalKind, LocalReq, LockKind, Rpc, RtMsg};
+use crate::msg::{ArrayId, ChunkId, Envelope, LocalKind, LocalReq, LockKind, Rpc, RtMsg};
 use crate::op::OpId;
 use crate::protocol::{
-    AfterDrain, CacheAction, CacheEvent, CacheMachine, CacheView, Counter, HomeAction, HomeEvent,
-    Kind, Request, Requester, Transition,
+    AfterDrain, CacheAction, CacheEvent, CacheMachine, CacheView, Counter, Delivery, HomeAction,
+    HomeEvent, Kind, Msg, Request, Requester, Transition,
 };
 use crate::shared::{ArrayShared, ClusterShared};
 use crate::state::LocalState;
@@ -172,10 +173,10 @@ impl RuntimeThread {
                     NodeStats::bump(&self.stats().local_handled);
                     self.handle_local(ctx, req);
                 }
-                RtMsg::Net { src, array, rpc } => {
+                RtMsg::Net { src, env } => {
                     ctx.charge(self.shared.cfg.cost.rpc_handle_ns);
                     NodeStats::bump(&self.stats().rpcs_handled);
-                    self.handle_rpc(ctx, src, array, rpc);
+                    self.handle_rpc(ctx, src, env);
                 }
                 RtMsg::Retry { array, chunk } => {
                     self.home_event(ctx, array, chunk, HomeEvent::RetryExpired);
@@ -291,19 +292,6 @@ impl RuntimeThread {
 
     /// Feed `ev` to the chunk's home machine and execute its actions.
     fn home_event(&mut self, ctx: &mut Ctx, aid: ArrayId, chunk: ChunkId, ev: HomeEvent<WaitCell>) {
-        self.home_event_with_data(ctx, aid, chunk, ev, None);
-    }
-
-    /// [`RuntimeThread::home_event`] with an optional flush payload for
-    /// [`HomeAction::ApplyFlushData`] to consume.
-    fn home_event_with_data(
-        &mut self,
-        ctx: &mut Ctx,
-        aid: ArrayId,
-        chunk: ChunkId,
-        ev: HomeEvent<WaitCell>,
-        mut flush_data: Option<Vec<u64>>,
-    ) {
         let arr = self.shared.array(aid);
         // The machine mutex is released before any action executes: actions
         // may charge time, yield, or re-enter `home_event` via a drain that
@@ -313,7 +301,7 @@ impl RuntimeThread {
             hm.on_event(ctx.now(), self.shared.cfg.grant_grace_ns, ev)
         };
         for act in actions {
-            self.run_home_action(ctx, &arr, chunk, act, &mut flush_data);
+            self.run_home_action(ctx, &arr, chunk, act);
         }
     }
 
@@ -323,37 +311,19 @@ impl RuntimeThread {
         arr: &Arc<ArrayShared>,
         chunk: ChunkId,
         act: HomeAction<WaitCell>,
-        flush_data: &mut Option<Vec<u64>>,
     ) {
         match act {
             HomeAction::ChargeDirUpdate => ctx.charge(self.shared.cfg.cost.dir_update_ns),
             HomeAction::Wake(w) => w.notify(ctx),
+            HomeAction::Send { to, msg } => {
+                self.comm.send(ctx, to, Envelope::new(arr.id, chunk, msg));
+            }
             HomeAction::SendFill {
                 to,
                 dst_off,
                 exclusive,
             } => self.send_fill(ctx, arr, chunk, to, dst_off, exclusive),
-            HomeAction::SendGrant { to, op } => {
-                self.comm
-                    .send(ctx, to, arr.id, Rpc::GrantOperated { chunk, op });
-            }
-            HomeAction::SendInvalidate { to } => {
-                self.comm
-                    .send(ctx, to, arr.id, Rpc::InvalidateReq { chunk });
-            }
-            HomeAction::SendRecallDirty { to } => {
-                self.comm.send(ctx, to, arr.id, Rpc::RecallDirty { chunk });
-            }
-            HomeAction::SendDowngrade { to } => {
-                self.comm
-                    .send(ctx, to, arr.id, Rpc::DowngradeDirty { chunk });
-            }
-            HomeAction::SendRecallOperated { to, op } => {
-                self.comm
-                    .send(ctx, to, arr.id, Rpc::RecallOperated { chunk, op });
-            }
-            HomeAction::ApplyFlushData { op } => {
-                let data = flush_data.take().expect("flush event carried no data");
+            HomeAction::ApplyFlushData { op, data } => {
                 self.apply_flush_data(ctx, arr, chunk, op, &data);
             }
             HomeAction::SetHomeLocal { state, tag } => {
@@ -418,33 +388,7 @@ impl RuntimeThread {
                     &arr.subarrays[to],
                     off,
                     data,
-                    arr.id,
-                    Rpc::MigrateData {
-                        chunk,
-                        epoch: mig_epoch,
-                    },
-                );
-            }
-            HomeAction::SendMigrateAck { to, mig_epoch } => {
-                self.comm.send(
-                    ctx,
-                    to,
-                    arr.id,
-                    Rpc::MigrateAck {
-                        chunk,
-                        epoch: mig_epoch,
-                    },
-                );
-            }
-            HomeAction::SendMigrateCommit { to, mig_epoch } => {
-                self.comm.send(
-                    ctx,
-                    to,
-                    arr.id,
-                    Rpc::MigrateCommit {
-                        chunk,
-                        epoch: mig_epoch,
-                    },
+                    Envelope::new(arr.id, chunk, Msg::MigrateData { mig_epoch }),
                 );
             }
             HomeAction::DepartChunk { to, mig_epoch } => {
@@ -465,43 +409,6 @@ impl RuntimeThread {
                 // no-ops.
                 self.broadcast_home_moved(ctx, arr, chunk, self.node, mig_epoch);
             }
-            HomeAction::ForwardRequest {
-                to,
-                node,
-                dst_off,
-                kind,
-            } => {
-                let (kind_u8, op) = match kind {
-                    Kind::Read => (0u8, 0u32),
-                    Kind::Write => (1, 0),
-                    Kind::Operate(op) => (2, op),
-                };
-                self.comm.send(
-                    ctx,
-                    to,
-                    arr.id,
-                    Rpc::MigrateForward {
-                        chunk,
-                        requester: node,
-                        dst_off,
-                        kind: kind_u8,
-                        op,
-                    },
-                );
-                // Redirect the requester so its next miss goes straight to
-                // the new home instead of bouncing off us again.
-                let epoch = arr.home_epoch_on(self.node, chunk as usize);
-                self.comm.send(
-                    ctx,
-                    node,
-                    arr.id,
-                    Rpc::HomeMoved {
-                        chunk,
-                        new_home: to,
-                        epoch,
-                    },
-                );
-            }
         }
     }
 
@@ -518,16 +425,8 @@ impl RuntimeThread {
             if peer == self.node || self.shared.is_peer_down(self.node, peer) {
                 continue;
             }
-            self.comm.send(
-                ctx,
-                peer,
-                arr.id,
-                Rpc::HomeMoved {
-                    chunk,
-                    new_home,
-                    epoch,
-                },
-            );
+            let msg = Msg::HomeMoved { new_home, epoch };
+            self.comm.send(ctx, peer, Envelope::new(arr.id, chunk, msg));
         }
     }
 
@@ -580,10 +479,10 @@ impl RuntimeThread {
         let words = arr.layout.chunk_size();
         let off = arr.chunk_off(chunk as usize);
         let data = arr.subarrays[self.node].read_vec(off, words);
-        let rpc = if exclusive {
-            Rpc::FillExclusive { chunk }
+        let msg = if exclusive {
+            Msg::FillExclusive
         } else {
-            Rpc::FillShared { chunk }
+            Msg::FillShared
         };
         self.comm.write_send(
             ctx,
@@ -591,8 +490,7 @@ impl RuntimeThread {
             &self.shared.cache_regions[node],
             dst_off as usize,
             data,
-            arr.id,
-            rpc,
+            Envelope::new(arr.id, chunk, msg),
         );
     }
 
@@ -608,6 +506,7 @@ impl RuntimeThread {
             op_tag: d.op_tag(),
             line: d.line(),
             draining: d.delay_set(),
+            home: arr.home_on(self.node, chunk as usize),
         }
     }
 
@@ -671,13 +570,8 @@ impl RuntimeThread {
                     self.shared.cache_regions[self.node].fill(self.line_off(line), words, identity);
                     ctx.charge(self.shared.cfg.cost.memcpy(words));
                 }
-                CacheAction::SendEvictNotice => {
-                    self.comm
-                        .send(ctx, home, arr.id, Rpc::EvictNotice { chunk });
-                }
-                CacheAction::SendInvalidateAck { to } => {
-                    self.comm
-                        .send(ctx, to, arr.id, Rpc::InvalidateAck { chunk });
+                CacheAction::Send { to, msg } => {
+                    self.comm.send(ctx, to, Envelope::new(arr.id, chunk, msg));
                 }
                 CacheAction::SendWriteback {
                     line,
@@ -697,8 +591,7 @@ impl RuntimeThread {
                         &arr.subarrays[home],
                         off,
                         data,
-                        arr.id,
-                        Rpc::WritebackNotice { chunk, downgrade },
+                        Envelope::new(arr.id, chunk, Msg::WritebackNotice { downgrade }),
                     );
                 }
                 CacheAction::SendFlush { line, op, release } => {
@@ -708,17 +601,12 @@ impl RuntimeThread {
                         d.set_line(LINE_NONE);
                         self.cache.free(line);
                     }
-                    self.comm
-                        .send(ctx, home, arr.id, Rpc::OperandFlush { chunk, op, data });
+                    let msg = Msg::OperandFlush { op, data };
+                    self.comm.send(ctx, home, Envelope::new(arr.id, chunk, msg));
                 }
                 CacheAction::SendUpgrade { line, kind } => {
-                    let dst_off = self.line_off(line) as u64;
-                    let rpc = match kind {
-                        Kind::Read => Rpc::ReadReq { chunk, dst_off },
-                        Kind::Write => Rpc::WriteReq { chunk, dst_off },
-                        Kind::Operate(op) => Rpc::OperateReq { chunk, op },
-                    };
-                    self.comm.send(ctx, home, arr.id, rpc);
+                    let msg = Msg::request(kind, self.line_off(line) as u64);
+                    self.comm.send(ctx, home, Envelope::new(arr.id, chunk, msg));
                 }
                 CacheAction::PrefetchHint => {
                     // Prefetch only when the miss continues a sequential
@@ -867,10 +755,11 @@ impl RuntimeThread {
             };
             d.set_line(line);
             d.set_transient(LocalState::FillingShared);
-            let dst_off = self.line_off(line) as u64;
+            let msg = Msg::ReadReq {
+                dst_off: self.line_off(line) as u64,
+            };
             let home = arr.home_on(self.node, nc as usize);
-            self.comm
-                .send(ctx, home, arr.id, Rpc::ReadReq { chunk: nc, dst_off });
+            self.comm.send(ctx, home, Envelope::new(arr.id, nc, msg));
             NodeStats::bump(&self.stats().prefetches);
         }
     }
@@ -981,186 +870,38 @@ impl RuntimeThread {
     // Remote protocol messages
     // ------------------------------------------------------------------
 
-    fn handle_rpc(&mut self, ctx: &mut Ctx, src: NodeId, aid: ArrayId, rpc: Rpc) {
+    fn handle_rpc(&mut self, ctx: &mut Ctx, src: NodeId, env: Envelope) {
         // Fail-stop: once a peer is declared down its bookkeeping has been
         // settled by `handle_peer_down`; straggler messages from it (already
         // queued when the declaration landed) must not resurrect it.
         if src != self.node && self.shared.is_peer_down(self.node, src) {
             return;
         }
-        let arr = self.shared.array(aid);
-        match rpc {
-            // Home side: directory machine events.
-            Rpc::ReadReq { chunk, dst_off } => self.home_event(
-                ctx,
-                aid,
-                chunk,
-                HomeEvent::Request(Request {
-                    source: Requester::Remote { node: src, dst_off },
-                    kind: Kind::Read,
-                }),
-            ),
-            Rpc::WriteReq { chunk, dst_off } => self.home_event(
-                ctx,
-                aid,
-                chunk,
-                HomeEvent::Request(Request {
-                    source: Requester::Remote { node: src, dst_off },
-                    kind: Kind::Write,
-                }),
-            ),
-            Rpc::OperateReq { chunk, op } => self.home_event(
-                ctx,
-                aid,
-                chunk,
-                HomeEvent::Request(Request {
-                    source: Requester::Remote {
-                        node: src,
-                        dst_off: 0,
-                    },
-                    kind: Kind::Operate(op),
-                }),
-            ),
-            Rpc::EvictNotice { chunk } => {
-                self.home_event(ctx, aid, chunk, HomeEvent::EvictNotice { from: src })
-            }
-            Rpc::WritebackNotice { chunk, downgrade } => self.home_event(
-                ctx,
-                aid,
-                chunk,
-                HomeEvent::Writeback {
-                    from: src,
-                    downgrade,
-                },
-            ),
-            Rpc::OperandFlush { chunk, op, data } => {
-                let has_data = !data.is_empty();
-                self.home_event_with_data(
-                    ctx,
-                    aid,
-                    chunk,
-                    HomeEvent::Flush {
-                        from: src,
-                        op,
-                        has_data,
-                    },
-                    has_data.then_some(data),
-                );
-            }
-            Rpc::InvalidateAck { chunk } => {
-                self.home_event(ctx, aid, chunk, HomeEvent::InvAck { from: src })
-            }
-
-            // Chunk migration (DESIGN.md §15). Data for MigrateData already
-            // landed one-sided in our subarray slot before this notification
-            // (RC FIFO ordering, same guarantee fills rely on).
-            Rpc::MigrateData { chunk, epoch } => self.home_event(
-                ctx,
-                aid,
-                chunk,
-                HomeEvent::MigrateData {
-                    from: src,
-                    mig_epoch: epoch,
-                },
-            ),
-            Rpc::MigrateAck { chunk, epoch } => self.home_event(
-                ctx,
-                aid,
-                chunk,
-                HomeEvent::MigrateAck {
-                    from: src,
-                    mig_epoch: epoch,
-                },
-            ),
-            Rpc::MigrateCommit { chunk, epoch } => self.home_event(
-                ctx,
-                aid,
-                chunk,
-                HomeEvent::MigrateCommit {
-                    from: src,
-                    mig_epoch: epoch,
-                },
-            ),
-            Rpc::HomeMoved {
-                chunk,
-                new_home,
-                epoch,
-            } => {
-                if arr.elastic {
-                    let changed = arr.note_home(self.node, chunk as usize, new_home, epoch);
-                    if changed && new_home != self.node {
-                        // Stale grants from the departed home are unsound
-                        // against the new (cold) directory — reset, exactly
-                        // like after a home restart.
-                        self.cache_event(ctx, &arr, chunk, CacheEvent::HomeMoved, None);
-                    }
-                }
-            }
-            Rpc::MigrateForward {
-                chunk,
-                requester,
-                dst_off,
-                kind,
-                op,
-            } => {
-                let kind = match kind {
-                    0 => Kind::Read,
-                    1 => Kind::Write,
-                    _ => Kind::Operate(op),
-                };
-                self.home_event(
-                    ctx,
-                    aid,
-                    chunk,
-                    HomeEvent::Request(Request {
-                        source: Requester::Remote {
-                            node: requester,
-                            dst_off,
-                        },
-                        kind,
-                    }),
-                );
-            }
-
-            // Requester side: cache machine events.
-            Rpc::FillShared { chunk } => self.cache_event(
-                ctx,
-                &arr,
-                chunk,
-                CacheEvent::FillDone {
-                    granted: LocalState::Shared,
-                },
-                None,
-            ),
-            Rpc::FillExclusive { chunk } => self.cache_event(
-                ctx,
-                &arr,
-                chunk,
-                CacheEvent::FillDone {
-                    granted: LocalState::Exclusive,
-                },
-                None,
-            ),
-            Rpc::GrantOperated { chunk, op } => {
-                self.cache_event(ctx, &arr, chunk, CacheEvent::GrantDone { op }, None)
-            }
-            Rpc::InvalidateReq { chunk } => {
-                self.cache_event(ctx, &arr, chunk, CacheEvent::Invalidate { from: src }, None)
-            }
-            Rpc::RecallDirty { chunk } => {
-                self.cache_event(ctx, &arr, chunk, CacheEvent::RecallDirty, None)
-            }
-            Rpc::DowngradeDirty { chunk } => {
-                self.cache_event(ctx, &arr, chunk, CacheEvent::DowngradeDirty, None)
-            }
-            Rpc::RecallOperated { chunk, op } => {
-                self.cache_event(ctx, &arr, chunk, CacheEvent::RecallOperated { op }, None)
-            }
-
+        let arr = self.shared.array(env.array);
+        let chunk = env.chunk;
+        let msg = match env.rpc {
+            Rpc::Coherence(msg) => msg,
             // Distributed locks (orthogonal to the coherence protocol).
-            Rpc::LockAcquire { id, kind, .. } => self.rpc_lock_acquire(ctx, &arr, id, kind, src),
-            Rpc::LockGrant { id, kind, .. } => self.rpc_lock_grant(ctx, &arr, id, kind),
-            Rpc::LockRelease { id, kind, .. } => self.rpc_lock_release(ctx, &arr, id, kind, src),
+            Rpc::LockAcquire { id, kind } => {
+                return self.rpc_lock_acquire(ctx, &arr, id, kind, src)
+            }
+            Rpc::LockGrant { id, kind } => return self.rpc_lock_grant(ctx, &arr, id, kind),
+            Rpc::LockRelease { id, kind } => {
+                return self.rpc_lock_release(ctx, &arr, id, kind, src)
+            }
+        };
+        if let Msg::HomeMoved { new_home, epoch } = msg {
+            // Advance this node's home map. Only a move that changed it to
+            // another node leaves stale grants from the departed home,
+            // which are unsound against the new (cold) directory.
+            let changed = arr.elastic && arr.note_home(self.node, chunk as usize, new_home, epoch);
+            if !changed || new_home == self.node {
+                return;
+            }
+        }
+        match msg.deliver(src) {
+            Delivery::Home(ev) => self.home_event(ctx, arr.id, chunk, ev),
+            Delivery::Cache(ev) => self.cache_event(ctx, &arr, chunk, ev, None),
         }
     }
 

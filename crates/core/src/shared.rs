@@ -17,7 +17,7 @@ use crate::dentry::{Dentry, LINE_HOME, LINE_NONE};
 use crate::error::{DArrayError, UnavailableKind};
 use crate::layout::Layout;
 use crate::membership::{MembershipView, PeerHealth};
-use crate::msg::{ArrayId, ChunkId, LockKind, NetMsg, Rpc, RtMsg};
+use crate::msg::{ArrayId, ChunkId, Envelope, LockKind, NetMsg, RtMsg};
 use crate::op::OpRegistry;
 use crate::placement::Placement;
 use crate::protocol::locks::LockTable;
@@ -139,17 +139,6 @@ impl ArrayShared {
         }
     }
 
-    /// The migration fence epoch under which `node` last saw the chunk's
-    /// home move (0 = never moved).
-    #[inline]
-    pub(crate) fn home_epoch_on(&self, node: NodeId, chunk: usize) -> u64 {
-        if self.elastic {
-            self.home_map[node][chunk].load(Ordering::Acquire) >> 32
-        } else {
-            0
-        }
-    }
-
     /// Record on `node`'s map that the chunk's home moved to `new_home`
     /// under migration fence `epoch`. Monotone: stale or duplicate notices
     /// lose the `fetch_max`. Returns true iff the map actually advanced.
@@ -190,7 +179,7 @@ pub(crate) struct RxLink {
     /// Next sequence number to deliver from this source.
     pub next_expected: u64,
     /// Frames that arrived ahead of the cursor, keyed by sequence.
-    pub reorder: BTreeMap<u64, (ArrayId, Rpc)>,
+    pub reorder: BTreeMap<u64, Envelope>,
 }
 
 impl RxLink {
@@ -380,7 +369,6 @@ mod tests {
         // A move under epoch 5 wins; a stale notice under epoch 2 loses.
         assert!(a.note_home(0, 3, 2, 5));
         assert_eq!(a.home_on(0, 3), 2);
-        assert_eq!(a.home_epoch_on(0, 3), 5);
         assert!(!a.note_home(0, 3, 1, 2));
         assert_eq!(a.home_on(0, 3), 2);
         // A duplicate of the same notice is a no-op, not an error.

@@ -409,16 +409,6 @@ impl LogChunkStore {
         })
     }
 
-    /// The log file path (diagnostics).
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
-    /// The checkpoint sidecar path (diagnostics, chaos tests).
-    pub fn checkpoint_path(&self) -> PathBuf {
-        sidecar_paths(&self.path).0
-    }
-
     /// The crash-safe snapshot → rotate → rename → truncate sequence, with
     /// the inner lock held. Invariant at every byte: either the newest
     /// checkpoint file is intact, or the previous generation plus the

@@ -53,8 +53,9 @@ use std::fmt::Write as _;
 use std::hash::{Hash, Hasher};
 
 use darray::protocol::{
-    AfterDrain, CacheAction, CacheEvent, CacheMachine, CacheView, Counter, HomeAction, HomeEvent,
-    HomeMachine, Kind, LockKind, LockSource, LockTable, Request, Requester, LINE_NONE, NOTAG,
+    AfterDrain, CacheAction, CacheEvent, CacheMachine, CacheView, Counter, Delivery, HomeAction,
+    HomeEvent, HomeMachine, Kind, LockKind, LockSource, LockTable, Msg, Request, Requester,
+    LINE_NONE, NOTAG,
 };
 use darray::{DirState, LocalState};
 
@@ -80,38 +81,17 @@ const LKINDS: [LockKind; 2] = [LockKind::Read, LockKind::Write];
 // World state
 // ---------------------------------------------------------------------------
 
-/// One in-flight message. Links are FIFO; `Down` is the failure-detector
-/// marker and is always the last message on a dead node's link.
+/// One in-flight frame. Links are FIFO; `Down` is the failure-detector
+/// marker and is always the last frame on a dead node's link.
 #[derive(Debug, Clone, PartialEq, Eq)]
-enum Msg {
+enum Frame {
+    /// A coherence message, delivered through [`Msg::deliver`].
+    Coherence(Msg),
     // home → remote
-    Fill {
-        exclusive: bool,
-    },
-    Grant {
-        op: u32,
-    },
-    Inv,
-    RecallDirty,
-    Downgrade,
-    RecallOperated {
-        op: u32,
-    },
     LockGrant {
         kind: LockKind,
     },
     // remote → home
-    Req {
-        kind: Kind,
-    },
-    InvAck,
-    EvictNotice,
-    Writeback {
-        downgrade: bool,
-    },
-    Flush {
-        op: u32,
-    },
     LockAcq {
         kind: LockKind,
     },
@@ -225,9 +205,9 @@ struct World {
     home: Option<Home>,
     rem: [Remote; NREM],
     /// FIFO link home → remote `i+1`.
-    h2r: [VecDeque<Msg>; NREM],
+    h2r: [VecDeque<Frame>; NREM],
     /// FIFO link remote `i+1` → home.
-    r2h: [VecDeque<Msg>; NREM],
+    r2h: [VecDeque<Frame>; NREM],
     now: u64,
     /// A `ScheduleRetry { at }` is pending delivery.
     retry_at: Option<u64>,
@@ -852,7 +832,7 @@ fn apply(w: &mut World, ck: &mut Ck, trace: &[String], tr: Tr) {
             let r = &mut w.rem[i];
             r.lock_budget -= 1;
             r.lock = Lock::Waiting(lk);
-            w.r2h[i].push_back(Msg::LockAcq { kind: lk });
+            w.r2h[i].push_back(Frame::LockAcq { kind: lk });
         }
         Tr::LockRemoteRel(i) => {
             let r = &mut w.rem[i];
@@ -861,7 +841,7 @@ fn apply(w: &mut World, ck: &mut Ck, trace: &[String], tr: Tr) {
             };
             r.lock = Lock::Idle;
             if w.home.is_some() {
-                w.r2h[i].push_back(Msg::LockRel { kind: lk });
+                w.r2h[i].push_back(Frame::LockRel { kind: lk });
             }
             // Home already dead: the release would be sent to a corpse; the
             // home's lock table died with it, so dropping is sound.
@@ -973,7 +953,7 @@ fn apply(w: &mut World, ck: &mut Ck, trace: &[String], tr: Tr) {
                 // learns of the death before the rebirth.
                 for (i, r) in w.rem.iter().enumerate() {
                     if r.alive {
-                        w.h2r[i].push_back(Msg::Restarted);
+                        w.h2r[i].push_back(Frame::Restarted);
                     }
                 }
             } else {
@@ -1034,7 +1014,7 @@ fn apply(w: &mut World, ck: &mut Ck, trace: &[String], tr: Tr) {
                     // survives, then the detector marker (always last).
                     w.h2r[i].truncate(kept);
                     if w.rem[i].alive {
-                        w.h2r[i].push_back(Msg::Down { dead: HOME });
+                        w.h2r[i].push_back(Frame::Down { dead: HOME });
                     } else {
                         w.h2r[i].clear();
                     }
@@ -1045,7 +1025,7 @@ fn apply(w: &mut World, ck: &mut Ck, trace: &[String], tr: Tr) {
                 w.h2r[i].clear();
                 w.r2h[i].truncate(keep[0]);
                 if w.home.is_some() {
-                    w.r2h[i].push_back(Msg::Down { dead: victim });
+                    w.r2h[i].push_back(Frame::Down { dead: victim });
                 } else {
                     w.r2h[i].clear();
                 }
@@ -1061,31 +1041,25 @@ fn apply(w: &mut World, ck: &mut Ck, trace: &[String], tr: Tr) {
                 // Generation guards on a live home; each victim's marker
                 // rides its own FIFO, so the home learns of the two deaths
                 // in either delivery order.
-                w.r2h[i].push_back(Msg::Down { dead: i + 1 });
+                w.r2h[i].push_back(Frame::Down { dead: i + 1 });
             }
         }
     }
 }
 
-/// Deliver one message to remote `i` (node id `i+1`).
-fn deliver_to_remote(w: &mut World, ck: &mut Ck, trace: &[String], i: usize, msg: Msg) {
-    match msg {
-        Msg::Fill { exclusive } => {
-            let granted = if exclusive {
-                LocalState::Exclusive
-            } else {
-                LocalState::Shared
-            };
-            run_cache_event(w, ck, trace, i, CacheEvent::FillDone { granted });
-        }
-        Msg::Grant { op } => run_cache_event(w, ck, trace, i, CacheEvent::GrantDone { op }),
-        Msg::Inv => run_cache_event(w, ck, trace, i, CacheEvent::Invalidate { from: HOME }),
-        Msg::RecallDirty => run_cache_event(w, ck, trace, i, CacheEvent::RecallDirty),
-        Msg::Downgrade => run_cache_event(w, ck, trace, i, CacheEvent::DowngradeDirty),
-        Msg::RecallOperated { op } => {
-            run_cache_event(w, ck, trace, i, CacheEvent::RecallOperated { op });
-        }
-        Msg::LockGrant { kind } => {
+/// Deliver one frame to remote `i` (node id `i+1`).
+fn deliver_to_remote(w: &mut World, ck: &mut Ck, trace: &[String], i: usize, frame: Frame) {
+    match frame {
+        Frame::Coherence(msg) => match msg.deliver::<u32>(HOME) {
+            Delivery::Cache(ev) => run_cache_event(w, ck, trace, i, ev),
+            Delivery::Home(ev) => fail(
+                ck,
+                trace,
+                w,
+                &format!("home-side event {ev:?} delivered to r{}", i + 1),
+            ),
+        },
+        Frame::LockGrant { kind } => {
             let r = &mut w.rem[i];
             if r.lock != Lock::Waiting(kind) {
                 fail(
@@ -1097,7 +1071,7 @@ fn deliver_to_remote(w: &mut World, ck: &mut Ck, trace: &[String], i: usize, msg
             }
             r.lock = Lock::Holding(kind);
         }
-        Msg::Down { dead } => {
+        Frame::Down { dead } => {
             assert_eq!(dead, HOME, "only the home's death reaches a remote");
             if w.home.is_some() {
                 // Restart gating requires every marker consumed first, so a
@@ -1124,7 +1098,7 @@ fn deliver_to_remote(w: &mut World, ck: &mut Ck, trace: &[String], i: usize, msg
                 w.rem[i].app = App::Idle;
             }
         }
-        Msg::Restarted => {
+        Frame::Restarted => {
             // FIFO put the old incarnation's Down marker first, so the
             // remote has already torn down its in-flight state; what's left
             // is to void rights granted by the dead incarnation and resume
@@ -1136,65 +1110,47 @@ fn deliver_to_remote(w: &mut World, ck: &mut Ck, trace: &[String], i: usize, msg
             ck,
             trace,
             w,
-            &format!("remote-only message {other:?} delivered to r{}", i + 1),
+            &format!("home-bound frame {other:?} delivered to r{}", i + 1),
         ),
     }
 }
 
-/// Deliver one message from remote `i` (node id `i+1`) to the home.
-fn deliver_to_home(w: &mut World, ck: &mut Ck, trace: &[String], i: usize, msg: Msg) {
+/// Deliver one frame from remote `i` (node id `i+1`) to the home.
+fn deliver_to_home(w: &mut World, ck: &mut Ck, trace: &[String], i: usize, frame: Frame) {
     let from = i + 1;
-    if w.home.as_ref().unwrap().knows_dead[i] && !matches!(msg, Msg::Down { .. }) {
+    if w.home.as_ref().unwrap().knows_dead[i] && !matches!(frame, Frame::Down { .. }) {
         // FIFO + marker-last makes this unreachable; if it fires the kill
         // model itself is broken.
         fail(
             ck,
             trace,
             w,
-            &format!("home consumed {msg:?} from r{from} after its Down marker"),
+            &format!("home consumed {frame:?} from r{from} after its Down marker"),
         );
     }
-    match msg {
-        Msg::Req { kind } => run_home_event(
-            w,
-            ck,
-            trace,
-            HomeEvent::Request(Request {
-                source: Requester::Remote {
-                    node: from,
-                    dst_off: 0,
-                },
-                kind,
-            }),
-        ),
-        Msg::InvAck => run_home_event(w, ck, trace, HomeEvent::InvAck { from }),
-        Msg::EvictNotice => run_home_event(w, ck, trace, HomeEvent::EvictNotice { from }),
-        Msg::Writeback { downgrade } => {
-            run_home_event(w, ck, trace, HomeEvent::Writeback { from, downgrade });
-        }
-        Msg::Flush { op } => run_home_event(
-            w,
-            ck,
-            trace,
-            HomeEvent::Flush {
-                from,
-                op,
-                has_data: true,
-            },
-        ),
-        Msg::LockAcq { kind } => {
+    match frame {
+        Frame::Coherence(msg) => match msg.deliver(from) {
+            Delivery::Home(ev) => run_home_event(w, ck, trace, ev),
+            Delivery::Cache(ev) => fail(
+                ck,
+                trace,
+                w,
+                &format!("cache-side event {ev:?} sent to the home"),
+            ),
+        },
+        Frame::LockAcq { kind } => {
             let h = w.home.as_mut().unwrap();
             let granted = h.locks.acquire(ELEM, kind, LockSource::Remote(from));
             if let Some(src) = granted {
                 deliver_lock_grants(w, ck, trace, vec![(src, kind)]);
             }
         }
-        Msg::LockRel { kind } => {
+        Frame::LockRel { kind } => {
             let h = w.home.as_mut().unwrap();
             let granted = h.locks.release(ELEM, kind, Some(from));
             deliver_lock_grants(w, ck, trace, granted);
         }
-        Msg::Down { dead } => {
+        Frame::Down { dead } => {
             assert_eq!(dead, from);
             if w.rem[i].alive {
                 fail(
@@ -1232,7 +1188,7 @@ fn deliver_to_home(w: &mut World, ck: &mut Ck, trace: &[String], i: usize, msg: 
             ck,
             trace,
             w,
-            &format!("home-only message {other:?} sent to the home"),
+            &format!("remote-bound frame {other:?} sent to the home"),
         ),
     }
 }
@@ -1266,7 +1222,7 @@ fn deliver_lock_grants(
                     ck.locks_reclaimed += 1;
                     queue.extend(more);
                 } else if w.rem[n - 1].alive {
-                    w.h2r[n - 1].push_back(Msg::LockGrant { kind: lk });
+                    w.h2r[n - 1].push_back(Frame::LockGrant { kind: lk });
                 }
                 // else: grantee died but the marker is still in flight; the
                 // grant message is lost with the node, and the marker's
@@ -1293,15 +1249,25 @@ fn run_home_event(w: &mut World, ck: &mut Ck, trace: &[String], ev: HomeEvent<u3
                 h.app = App::Idle;
             }
             HomeAction::SendFill { to, exclusive, .. } => {
-                send_h2r(w, ck, trace, to, Msg::Fill { exclusive });
+                let fill = if exclusive {
+                    Msg::FillExclusive
+                } else {
+                    Msg::FillShared
+                };
+                send_h2r(w, ck, trace, to, fill);
             }
-            HomeAction::SendGrant { to, op } => send_h2r(w, ck, trace, to, Msg::Grant { op }),
-            HomeAction::SendInvalidate { to } => send_h2r(w, ck, trace, to, Msg::Inv),
-            HomeAction::SendRecallDirty { to } => send_h2r(w, ck, trace, to, Msg::RecallDirty),
-            HomeAction::SendDowngrade { to } => send_h2r(w, ck, trace, to, Msg::Downgrade),
-            HomeAction::SendRecallOperated { to, op } => {
-                send_h2r(w, ck, trace, to, Msg::RecallOperated { op });
-            }
+            // Migration messages cannot be sent in this world (no
+            // `BeginMigration` is ever injected); the elastic re-homing
+            // search in the `migration` module covers them.
+            HomeAction::Send {
+                msg:
+                    Msg::MigrateAck { .. }
+                    | Msg::MigrateCommit { .. }
+                    | Msg::MigrateForward { .. }
+                    | Msg::HomeMoved { .. },
+                ..
+            } => fail(ck, trace, w, "migration message in a migration-free world"),
+            HomeAction::Send { to, msg } => send_h2r(w, ck, trace, to, msg),
             HomeAction::ApplyFlushData { .. } => ck.reductions += 1,
             HomeAction::SetHomeLocal { state, tag } => {
                 w.home.as_mut().unwrap().dentry = (state, tag);
@@ -1337,15 +1303,9 @@ fn run_home_event(w: &mut World, ck: &mut Ck, trace: &[String], ev: HomeEvent<u3
                 }
                 w.pending_persist = Some(seq);
             }
-            // Migration actions cannot fire in this world (no
-            // `BeginMigration` is ever injected); the elastic re-homing
-            // search in the `migration` module covers them.
             HomeAction::TransferChunk { .. }
-            | HomeAction::SendMigrateAck { .. }
-            | HomeAction::SendMigrateCommit { .. }
             | HomeAction::DepartChunk { .. }
-            | HomeAction::AdoptChunk { .. }
-            | HomeAction::ForwardRequest { .. } => {
+            | HomeAction::AdoptChunk { .. } => {
                 fail(ck, trace, w, "migration action in a migration-free world")
             }
         }
@@ -1365,7 +1325,7 @@ fn send_h2r(w: &mut World, ck: &mut Ck, trace: &[String], to: usize, msg: Msg) {
         );
     }
     if w.rem[to - 1].alive {
-        w.h2r[to - 1].push_back(msg);
+        w.h2r[to - 1].push_back(Frame::Coherence(msg));
     }
     // else: the node died but the detector hasn't fired yet; the message is
     // lost in flight (prefix truncation already modeled it).
@@ -1383,6 +1343,7 @@ fn run_cache_event(w: &mut World, ck: &mut Ck, trace: &[String], i: usize, first
             op_tag: r.op_tag,
             line: r.line,
             draining: r.after.is_some(),
+            home: HOME,
         };
         let mut wake = false;
         for a in CacheMachine::on_event(&view, ev) {
@@ -1414,27 +1375,26 @@ fn run_cache_event(w: &mut World, ck: &mut Ck, trace: &[String], i: usize, first
                     r.op_tag = tag;
                 }
                 CacheAction::InitOperandBuffer { .. } => {}
-                CacheAction::SendEvictNotice => send_r2h(w, ck, trace, i, Msg::EvictNotice),
-                CacheAction::SendInvalidateAck { to } => {
+                CacheAction::Send { to, msg } => {
                     assert_eq!(to, HOME);
-                    send_r2h(w, ck, trace, i, Msg::InvAck);
+                    send_r2h(w, ck, trace, i, msg);
                 }
                 CacheAction::SendWriteback {
                     downgrade, release, ..
                 } => {
-                    send_r2h(w, ck, trace, i, Msg::Writeback { downgrade });
+                    send_r2h(w, ck, trace, i, Msg::WritebackNotice { downgrade });
                     if release {
                         w.rem[i].line = LINE_NONE;
                     }
                 }
                 CacheAction::SendFlush { op, release, .. } => {
-                    send_r2h(w, ck, trace, i, Msg::Flush { op });
+                    send_r2h(w, ck, trace, i, Msg::OperandFlush { op, data: vec![1] });
                     if release {
                         w.rem[i].line = LINE_NONE;
                     }
                 }
                 CacheAction::SendUpgrade { kind, .. } => {
-                    send_r2h(w, ck, trace, i, Msg::Req { kind });
+                    send_r2h(w, ck, trace, i, Msg::request(kind, 0));
                 }
                 CacheAction::PrefetchHint | CacheAction::Trace(_) | CacheAction::Count(_) => {}
             }
@@ -1458,7 +1418,7 @@ fn send_r2h(w: &mut World, ck: &mut Ck, trace: &[String], i: usize, msg: Msg) {
         );
     }
     if w.home.is_some() {
-        w.r2h[i].push_back(msg);
+        w.r2h[i].push_back(Frame::Coherence(msg));
     }
     // else: home died, marker in flight; the message is never consumed.
 }
@@ -1599,7 +1559,7 @@ fn check_safety(w: &World, ck: &mut Ck, trace: &[String]) {
     // checks; they cannot reach quiescence (the pending `Restarted`
     // delivery keeps the world live).
     let zombie =
-        |i: usize| w.rem[i].home_down || w.h2r[i].iter().any(|m| matches!(m, Msg::Restarted));
+        |i: usize| w.rem[i].home_down || w.h2r[i].iter().any(|f| matches!(f, Frame::Restarted));
     // Single writer: at most one alive remote holds Exclusive, and nobody
     // else holds any rights while it does.
     let excl: Vec<usize> = (0..NREM)
@@ -2320,24 +2280,14 @@ mod migration {
     const TGT: usize = 1;
     const REQ: usize = 2;
 
-    /// One in-flight message on a migration-world link. Data-bearing
-    /// messages (`Fill`, `Writeback`, `MigData`) carry the value their
-    /// one-sided RDMA WRITE lands at delivery time — RC FIFO makes the
-    /// write visible exactly when the trailing notification is consumed.
+    /// One in-flight frame on a migration-world link. A data-bearing
+    /// message (a fill, a writeback, a chunk transfer) carries in `write`
+    /// the value its one-sided RDMA WRITE lands at delivery time — RC FIFO
+    /// makes the write visible exactly when the trailing notification is
+    /// consumed.
     #[derive(Debug, Clone, PartialEq, Eq)]
-    enum MMsg {
-        Req { kind: Kind },
-        FwdReq { node: usize, kind: Kind },
-        Fill { exclusive: bool, val: u64 },
-        Inv,
-        RecallDirty,
-        InvAck,
-        EvictNotice,
-        Writeback { val: u64 },
-        MigData { epoch: u64, val: u64 },
-        MigAck { epoch: u64 },
-        MigCommit { epoch: u64 },
-        HomeMoved { new_home: usize, epoch: u64 },
+    enum MFrame {
+        Coherence { msg: Msg, write: Option<u64> },
         Down { dead: usize },
     }
 
@@ -2398,7 +2348,7 @@ mod migration {
         pending_persist: [Option<(u64, u64)>; 2],
         /// FIFO links, indexed by [from][to] over {SRC, TGT, REQ}; the
         /// diagonal is unused.
-        links: [[std::collections::VecDeque<MMsg>; 3]; 3],
+        links: [[std::collections::VecDeque<MFrame>; 3]; 3],
         /// `BeginMigration` not yet injected.
         mig_pending: bool,
         kill_budget: u8,
@@ -2660,22 +2610,57 @@ mod migration {
                     mfail(ck, trace, w, "home woke a local waiter (none modeled)")
                 }
                 HomeAction::SendFill { to, exclusive, .. } => {
-                    let val = w.img[h];
-                    m_send(w, ck, trace, h, to, MMsg::Fill { exclusive, val });
+                    let fill = if exclusive {
+                        Msg::FillExclusive
+                    } else {
+                        Msg::FillShared
+                    };
+                    m_send(w, ck, trace, h, to, fill, Some(w.img[h]));
                 }
-                HomeAction::SendInvalidate { to } => m_send(w, ck, trace, h, to, MMsg::Inv),
-                HomeAction::SendRecallDirty { to } => {
-                    m_send(w, ck, trace, h, to, MMsg::RecallDirty)
+                HomeAction::Send {
+                    msg:
+                        Msg::GrantOperated { .. } | Msg::DowngradeDirty | Msg::RecallOperated { .. },
+                    ..
                 }
-                HomeAction::SendGrant { .. }
-                | HomeAction::SendDowngrade { .. }
-                | HomeAction::SendRecallOperated { .. }
                 | HomeAction::ApplyFlushData { .. } => mfail(
                     ck,
                     trace,
                     w,
                     "unreachable action for a Read/Write-only world",
                 ),
+                HomeAction::Send {
+                    to,
+                    msg: msg @ (Msg::MigrateForward { .. } | Msg::HomeMoved { .. }),
+                } => {
+                    // A former home's forward and redirect are
+                    // fire-and-forget: no liveness check, and one sent to a
+                    // corpse is lost (the requester's timeout surfaces the
+                    // unavailability).
+                    if matches!(msg, Msg::MigrateForward { .. }) {
+                        ck.forwards += 1;
+                    }
+                    if w.alive(to) {
+                        w.links[h][to].push_back(MFrame::Coherence { msg, write: None });
+                    }
+                }
+                HomeAction::Send {
+                    to,
+                    msg: Msg::MigrateAck { mig_epoch },
+                } => {
+                    // §15 persist-before-ack: a durable target may only ack
+                    // the hand-off once its log holds the transferred image
+                    // at (or past) the fence epoch.
+                    if w.durable && w.log[TGT].0 < mig_epoch {
+                        mfail(
+                            ck,
+                            trace,
+                            w,
+                            "durable target acked the hand-off before logging the image",
+                        );
+                    }
+                    m_send(w, ck, trace, h, to, Msg::MigrateAck { mig_epoch }, None);
+                }
+                HomeAction::Send { to, msg } => m_send(w, ck, trace, h, to, msg, None),
                 HomeAction::SetHomeLocal { state, tag } => {
                     w.homes[h].as_mut().unwrap().dentry = (state, tag);
                 }
@@ -2703,35 +2688,8 @@ mod migration {
                     if h != SRC || to != TGT {
                         mfail(ck, trace, w, "transfer outside the modeled migration");
                     }
-                    let val = w.img[SRC];
-                    m_send(
-                        w,
-                        ck,
-                        trace,
-                        SRC,
-                        TGT,
-                        MMsg::MigData {
-                            epoch: mig_epoch,
-                            val,
-                        },
-                    );
-                }
-                HomeAction::SendMigrateAck { to, mig_epoch } => {
-                    // §15 persist-before-ack: a durable target may only ack
-                    // the hand-off once its log holds the transferred image
-                    // at (or past) the fence epoch.
-                    if w.durable && w.log[TGT].0 < mig_epoch {
-                        mfail(
-                            ck,
-                            trace,
-                            w,
-                            "durable target acked the hand-off before logging the image",
-                        );
-                    }
-                    m_send(w, ck, trace, h, to, MMsg::MigAck { epoch: mig_epoch });
-                }
-                HomeAction::SendMigrateCommit { to, mig_epoch } => {
-                    m_send(w, ck, trace, h, to, MMsg::MigCommit { epoch: mig_epoch });
+                    let data = Msg::MigrateData { mig_epoch };
+                    m_send(w, ck, trace, SRC, TGT, data, Some(w.img[SRC]));
                 }
                 HomeAction::DepartChunk { to, mig_epoch } => {
                     if h != SRC || to != TGT {
@@ -2740,10 +2698,7 @@ mod migration {
                     w.homes[h].as_mut().unwrap().departed = true;
                     // HomeMoved broadcast (the runtime's broadcast_home_moved).
                     if w.r_alive {
-                        w.links[h][REQ].push_back(MMsg::HomeMoved {
-                            new_home: TGT,
-                            epoch: mig_epoch,
-                        });
+                        w.links[h][REQ].push_back(home_moved(mig_epoch));
                     }
                 }
                 HomeAction::AdoptChunk { mig_epoch } => {
@@ -2754,27 +2709,7 @@ mod migration {
                     home.adopted = true;
                     home.dentry = (LocalState::Exclusive, NOTAG);
                     if w.r_alive {
-                        w.links[h][REQ].push_back(MMsg::HomeMoved {
-                            new_home: TGT,
-                            epoch: mig_epoch,
-                        });
-                    }
-                }
-                HomeAction::ForwardRequest { to, node, kind, .. } => {
-                    ck.forwards += 1;
-                    // Fire-and-forget: the former home forwards without a
-                    // liveness check; a forward to a corpse is lost and the
-                    // requester's timeout surfaces the unavailability.
-                    if w.alive(to) {
-                        w.links[h][to].push_back(MMsg::FwdReq { node, kind });
-                    }
-                    // HomeMoved redirect to the original requester.
-                    let (new_home, epoch) = match w.homes[h].as_ref().unwrap().m.migrated_to() {
-                        Some((n, e)) => (n, e),
-                        None => mfail(ck, trace, w, "forward from a non-departed home"),
-                    };
-                    if node == REQ && w.r_alive {
-                        w.links[h][REQ].push_back(MMsg::HomeMoved { new_home, epoch });
+                        w.links[h][REQ].push_back(home_moved(mig_epoch));
                     }
                 }
                 HomeAction::Count(c) => match c {
@@ -2787,9 +2722,30 @@ mod migration {
         }
     }
 
-    /// Send a directory message from home `h`. Sends to a node the home has
-    /// already declared dead are recovery bugs (`forget_peer`'s contract).
-    fn m_send(w: &mut MigWorld, ck: &mut MCk, trace: &[String], from: usize, to: usize, msg: MMsg) {
+    /// The stale-home redirect both ends of a committed migration
+    /// broadcast to the requester.
+    fn home_moved(epoch: u64) -> MFrame {
+        MFrame::Coherence {
+            msg: Msg::HomeMoved {
+                new_home: TGT,
+                epoch,
+            },
+            write: None,
+        }
+    }
+
+    /// Send a directory message from home `from`, with the value its WRITE
+    /// lands, if any. Sends to a node the home has already declared dead
+    /// are recovery bugs (`forget_peer`'s contract).
+    fn m_send(
+        w: &mut MigWorld,
+        ck: &mut MCk,
+        trace: &[String],
+        from: usize,
+        to: usize,
+        msg: Msg,
+        write: Option<u64>,
+    ) {
         if w.homes[from].as_ref().unwrap().knows_dead[to] {
             mfail(
                 ck,
@@ -2799,7 +2755,7 @@ mod migration {
             );
         }
         if w.alive(to) {
-            w.links[from][to].push_back(msg);
+            w.links[from][to].push_back(MFrame::Coherence { msg, write });
         }
         // else: lost in flight; the kill's prefix truncation modeled it.
     }
@@ -2824,46 +2780,23 @@ mod migration {
         trace: &[String],
         h: usize,
         from: usize,
-        msg: MMsg,
+        frame: MFrame,
     ) {
-        let ev: HomeEvent<u32> = match msg {
-            MMsg::Req { kind } => HomeEvent::Request(Request {
-                source: Requester::Remote {
-                    node: from,
-                    dst_off: 0,
-                },
-                kind,
-            }),
-            MMsg::FwdReq { node, kind } => HomeEvent::Request(Request {
-                source: Requester::Remote { node, dst_off: 0 },
-                kind,
-            }),
-            MMsg::InvAck => HomeEvent::InvAck { from },
-            MMsg::EvictNotice => HomeEvent::EvictNotice { from },
-            MMsg::Writeback { val } => {
-                // The writeback's RDMA WRITE lands in the home image first.
-                w.img[h] = val;
-                HomeEvent::Writeback {
-                    from,
-                    downgrade: false,
+        let ev: HomeEvent<u32> = match frame {
+            MFrame::Coherence { msg, write } => {
+                // A writeback's or a transfer's RDMA WRITE lands in the
+                // home image first.
+                if let Some(val) = write {
+                    w.img[h] = val;
+                }
+                match msg.deliver(from) {
+                    Delivery::Home(ev) => ev,
+                    Delivery::Cache(_) => {
+                        mfail(ck, trace, w, "home received a remote-only message")
+                    }
                 }
             }
-            MMsg::MigData { epoch, val } => {
-                w.img[h] = val;
-                HomeEvent::MigrateData {
-                    from,
-                    mig_epoch: epoch,
-                }
-            }
-            MMsg::MigAck { epoch } => HomeEvent::MigrateAck {
-                from,
-                mig_epoch: epoch,
-            },
-            MMsg::MigCommit { epoch } => HomeEvent::MigrateCommit {
-                from,
-                mig_epoch: epoch,
-            },
-            MMsg::Down { dead } => {
+            MFrame::Down { dead } => {
                 let home = w.homes[h].as_mut().unwrap();
                 home.knows_dead[dead] = true;
                 let epoch = home.view_epoch + 1;
@@ -2881,23 +2814,51 @@ mod migration {
                     view_epoch: epoch,
                 }
             }
-            MMsg::Fill { .. } | MMsg::Inv | MMsg::RecallDirty | MMsg::HomeMoved { .. } => {
-                mfail(ck, trace, w, "home received a remote-only message")
-            }
         };
         m_run_home(w, ck, trace, h, ev);
     }
 
-    fn m_deliver_to_req(w: &mut MigWorld, ck: &mut MCk, trace: &[String], from: usize, msg: MMsg) {
-        match msg {
-            MMsg::Fill { exclusive, val } => {
+    fn m_deliver_to_req(
+        w: &mut MigWorld,
+        ck: &mut MCk,
+        trace: &[String],
+        from: usize,
+        frame: MFrame,
+    ) {
+        let (msg, write) = match frame {
+            MFrame::Coherence { msg, write } => (msg, write),
+            MFrame::Down { dead } => {
+                w.r_knows_dead[dead] = true;
+                // A parked request may have been lost with the corpse (or
+                // forwarded into it); the runtime's RPC timeout surfaces
+                // the retry/unavailable path rather than hanging.
+                if matches!(w.r_app, App::Waiting(_)) {
+                    w.r_app = App::Idle;
+                }
+                return;
+            }
+        };
+        // The home-map update is the runtime's own, ahead of delivery.
+        if let Msg::HomeMoved { new_home, epoch } = msg {
+            if epoch > w.r_home_epoch {
+                w.r_home = new_home;
+                w.r_home_epoch = epoch;
+            }
+            // The redirect names a home this node already knows is
+            // dead: the runtime's retry resolves against the updated
+            // map, sees the peer down, and surfaces NodeUnavailable
+            // instead of re-sending into the corpse.
+            if matches!(w.r_app, App::Waiting(_)) && w.r_knows_dead[w.r_home] {
+                w.r_app = App::Idle;
+            }
+            return;
+        }
+        match msg.deliver::<u32>(from) {
+            Delivery::Cache(CacheEvent::FillDone { granted }) => {
+                let exclusive = granted == LocalState::Exclusive;
                 w.r_inflight = false;
-                w.r_state = if exclusive {
-                    LocalState::Exclusive
-                } else {
-                    LocalState::Shared
-                };
-                w.r_val = val;
+                w.r_state = granted;
+                w.r_val = write.expect("a fill carries its data");
                 match w.r_app {
                     App::Waiting(Kind::Write) => {
                         if exclusive {
@@ -2918,7 +2879,7 @@ mod migration {
                     App::Idle => {}
                 }
             }
-            MMsg::Inv => {
+            Delivery::Cache(CacheEvent::Invalidate { from }) => {
                 // Mirrors CacheMachine::on_event(Invalidate): only a Shared
                 // copy is invalidated and acked. Any other state means the
                 // invalidate crossed with our own EvictNotice/Writeback (or
@@ -2928,50 +2889,34 @@ mod migration {
                 if w.r_state == LocalState::Shared {
                     w.r_state = LocalState::Invalid;
                     if w.alive(from) {
-                        w.links[REQ][from].push_back(MMsg::InvAck);
+                        w.links[REQ][from].push_back(MFrame::Coherence {
+                            msg: Msg::InvalidateAck,
+                            write: None,
+                        });
                     }
                 }
             }
-            MMsg::RecallDirty => {
+            Delivery::Cache(CacheEvent::RecallDirty) => {
                 if w.r_state == LocalState::Exclusive {
                     let val = w.r_val;
                     w.r_state = LocalState::Invalid;
                     w.r_dirty = false;
                     if w.alive(from) {
-                        w.links[REQ][from].push_back(MMsg::Writeback { val });
+                        w.links[REQ][from].push_back(writeback(val));
                     }
                 }
                 // else: crossed with our own eviction; the in-flight
                 // writeback/evict-notice satisfies the recall.
             }
-            MMsg::HomeMoved { new_home, epoch } => {
-                if epoch > w.r_home_epoch {
-                    w.r_home = new_home;
-                    w.r_home_epoch = epoch;
-                }
-                // The redirect names a home this node already knows is
-                // dead: the runtime's retry resolves against the updated
-                // map, sees the peer down, and surfaces NodeUnavailable
-                // instead of re-sending into the corpse.
-                if matches!(w.r_app, App::Waiting(_)) && w.r_knows_dead[w.r_home] {
-                    w.r_app = App::Idle;
-                }
-            }
-            MMsg::Down { dead } => {
-                w.r_knows_dead[dead] = true;
-                // A parked request may have been lost with the corpse (or
-                // forwarded into it); the runtime's RPC timeout surfaces
-                // the retry/unavailable path rather than hanging.
-                if matches!(w.r_app, App::Waiting(_)) {
-                    w.r_app = App::Idle;
-                }
-            }
-            other => mfail(
-                ck,
-                trace,
-                w,
-                &format!("requester received a home-only message {other:?}"),
-            ),
+            other => mfail(ck, trace, w, &format!("requester received {other:?}")),
+        }
+    }
+
+    /// The requester's writeback of Dirty value `val`.
+    fn writeback(val: u64) -> MFrame {
+        MFrame::Coherence {
+            msg: Msg::WritebackNotice { downgrade: false },
+            write: Some(val),
         }
     }
 
@@ -3021,7 +2966,10 @@ mod migration {
                 w.r_inflight = true;
                 let home = w.r_home;
                 if w.alive(home) {
-                    w.links[REQ][home].push_back(MMsg::Req { kind });
+                    w.links[REQ][home].push_back(MFrame::Coherence {
+                        msg: Msg::request(kind, 0),
+                        write: None,
+                    });
                 }
             }
             MTr::WriteHit => {
@@ -3043,11 +2991,14 @@ mod migration {
                 // actually written, so its eviction is always a writeback.
                 let home = w.r_home;
                 if w.alive(home) {
-                    if state == LocalState::Exclusive {
-                        w.links[REQ][home].push_back(MMsg::Writeback { val });
+                    w.links[REQ][home].push_back(if state == LocalState::Exclusive {
+                        writeback(val)
                     } else {
-                        w.links[REQ][home].push_back(MMsg::EvictNotice);
-                    }
+                        MFrame::Coherence {
+                            msg: Msg::EvictNotice,
+                            write: None,
+                        }
+                    });
                 }
             }
             MTr::Kill {
@@ -3083,7 +3034,7 @@ mod migration {
                 for (i, (from, to)) in out_links(victim).into_iter().enumerate() {
                     w.links[from][to].truncate(keep[i]);
                     if w.alive(to) {
-                        w.links[from][to].push_back(MMsg::Down { dead: victim });
+                        w.links[from][to].push_back(MFrame::Down { dead: victim });
                     } else {
                         w.links[from][to].clear();
                     }

@@ -6,7 +6,8 @@
 //! Every action the machine emits is turned into the reply a correct cache
 //! would send (invalidate -> ack, recall -> writeback, recall-operated ->
 //! flush, drain -> drained), and the world tracks the access rights each
-//! grant conveys. After every delivered event the world checks the protocol
+//! grant conveys. Replies travel as [`Msg`]s and reach the machine through
+//! [`Msg::deliver`], the mapping the runtime runs. After every delivered event the world checks the protocol
 //! invariants:
 //!
 //! * **single writer** — at most one node holds write rights, and while one
@@ -25,8 +26,8 @@
 use std::collections::BTreeSet;
 
 use darray::protocol::{
-    AfterDrain, CacheAction, CacheEvent, CacheMachine, CacheView, HomeAction, HomeEvent,
-    HomeMachine, Kind, Request, Requester, LINE_NONE, NOTAG,
+    AfterDrain, CacheAction, CacheEvent, CacheMachine, CacheView, Delivery, HomeAction, HomeEvent,
+    HomeMachine, Kind, Msg, Request, Requester, LINE_NONE, NOTAG,
 };
 use darray::{DirState, LocalState};
 
@@ -43,16 +44,34 @@ enum R {
     Op(u32),
 }
 
-/// A reply the modelled cluster owes the home machine.
-#[derive(Debug, Clone, Copy)]
+/// A reply the modelled cluster owes the home machine: a message from a
+/// remote node, or the completion of a drain, retry or persist.
+#[derive(Debug, Clone)]
 enum Reply {
-    InvAck(usize),
-    WritebackFull(usize),
-    WritebackDown(usize),
-    Flush(usize, u32),
+    Msg(usize, Msg),
     Drained,
     Retry(u64),
     PersistDone(u64),
+}
+
+/// The operands a modelled flush carries (any non-empty payload).
+fn operands() -> Vec<u64> {
+    vec![1]
+}
+
+/// Coverage label of a home event.
+fn event_name(ev: &HomeEvent<u32>) -> &'static str {
+    match ev {
+        HomeEvent::Request(_) => "Request",
+        HomeEvent::InvAck { .. } => "InvAck",
+        HomeEvent::EvictNotice { .. } => "EvictNotice",
+        HomeEvent::Writeback { .. } => "Writeback",
+        HomeEvent::Flush { .. } => "Flush",
+        HomeEvent::Drained => "Drained",
+        HomeEvent::RetryExpired => "RetryExpired",
+        HomeEvent::PersistDone { .. } => "PersistDone",
+        other => panic!("{other:?} is not modelled"),
+    }
 }
 
 /// Deterministic splitmix-style PRNG (no external deps).
@@ -118,9 +137,19 @@ impl World {
         }
     }
 
-    fn feed(&mut self, ev: HomeEvent<u32>, label: &str) {
-        self.transient_coverage
-            .insert((self.m.transient().name().to_string(), label.to_string()));
+    /// Deliver `msg` from remote `from` to the home machine.
+    fn feed_msg(&mut self, from: usize, msg: Msg) {
+        match msg.deliver(from) {
+            Delivery::Home(ev) => self.feed(ev),
+            Delivery::Cache(ev) => panic!("cache event {ev:?} delivered to the home"),
+        }
+    }
+
+    fn feed(&mut self, ev: HomeEvent<u32>) {
+        self.transient_coverage.insert((
+            self.m.transient().name().to_string(),
+            event_name(&ev).to_string(),
+        ));
         if let HomeEvent::Request(req) = &ev {
             if self.m.transient().is_none() && !self.m.has_current() {
                 let kind = match req.kind {
@@ -155,17 +184,7 @@ impl World {
                 HomeAction::SendFill { to, exclusive, .. } => {
                     self.rights[*to] = if *exclusive { R::Write } else { R::Read };
                 }
-                HomeAction::SendGrant { to, op } => self.rights[*to] = R::Op(*op),
-                HomeAction::SendInvalidate { to } => self.inflight.push(Reply::InvAck(*to)),
-                HomeAction::SendRecallDirty { to } => {
-                    self.inflight.push(Reply::WritebackFull(*to));
-                }
-                HomeAction::SendDowngrade { to } => {
-                    self.inflight.push(Reply::WritebackDown(*to));
-                }
-                HomeAction::SendRecallOperated { to, op } => {
-                    self.inflight.push(Reply::Flush(*to, *op));
-                }
+                HomeAction::Send { to, msg } => self.receive(*to, msg),
                 HomeAction::SetHomeLocal { state, .. } => self.home_local = *state,
                 HomeAction::StartHomeDrain { target, .. } => {
                     self.drain_target = Some(*target);
@@ -179,15 +198,32 @@ impl World {
                 // family has its own explicit-state search
                 // (protocol_check.rs::migration).
                 HomeAction::TransferChunk { .. }
-                | HomeAction::SendMigrateAck { .. }
-                | HomeAction::SendMigrateCommit { .. }
                 | HomeAction::DepartChunk { .. }
-                | HomeAction::AdoptChunk { .. }
-                | HomeAction::ForwardRequest { .. } => {
+                | HomeAction::AdoptChunk { .. } => {
                     panic!("migration action in a migration-free harness: {a:?}")
                 }
             }
         }
+    }
+
+    /// What a correct cache at `node` does with `msg` from the home: take
+    /// the rights a grant conveys, or owe the reply a revocation asks for.
+    fn receive(&mut self, node: usize, msg: &Msg) {
+        let reply = match msg {
+            Msg::GrantOperated { op } => {
+                self.rights[node] = R::Op(*op);
+                return;
+            }
+            Msg::Invalidate => Msg::InvalidateAck,
+            Msg::RecallDirty => Msg::WritebackNotice { downgrade: false },
+            Msg::DowngradeDirty => Msg::WritebackNotice { downgrade: true },
+            Msg::RecallOperated { op } => Msg::OperandFlush {
+                op: *op,
+                data: operands(),
+            },
+            other => panic!("migration message in a migration-free harness: {other:?}"),
+        };
+        self.inflight.push(Reply::Msg(node, reply));
     }
 
     /// Deliver the `i`-th in-flight reply, mimicking what a correct cache
@@ -196,54 +232,27 @@ impl World {
         let reply = self.inflight.swap_remove(i);
         self.now += 1;
         match reply {
-            Reply::InvAck(n) => {
-                self.rights[n] = R::None;
-                self.feed(HomeEvent::InvAck { from: n }, "InvAck");
-            }
-            Reply::WritebackFull(n) => {
-                self.rights[n] = R::None;
-                self.feed(
-                    HomeEvent::Writeback {
-                        from: n,
-                        downgrade: false,
-                    },
-                    "Writeback",
-                );
-            }
-            Reply::WritebackDown(n) => {
-                self.rights[n] = R::Read;
-                self.feed(
-                    HomeEvent::Writeback {
-                        from: n,
-                        downgrade: true,
-                    },
-                    "Writeback",
-                );
-            }
-            Reply::Flush(n, op) => {
-                self.rights[n] = R::None;
-                self.feed(
-                    HomeEvent::Flush {
-                        from: n,
-                        op,
-                        has_data: true,
-                    },
-                    "Flush",
-                );
+            Reply::Msg(n, msg) => {
+                // The cache gave up what it replies for; a downgrade keeps
+                // a Shared copy.
+                self.rights[n] = if msg == (Msg::WritebackNotice { downgrade: true }) {
+                    R::Read
+                } else {
+                    R::None
+                };
+                self.feed_msg(n, msg);
             }
             Reply::Drained => {
                 if let Some(t) = self.drain_target.take() {
                     self.home_local = t;
                 }
-                self.feed(HomeEvent::Drained, "Drained");
+                self.feed(HomeEvent::Drained);
             }
             Reply::Retry(at) => {
                 self.now = self.now.max(at);
-                self.feed(HomeEvent::RetryExpired, "RetryExpired");
+                self.feed(HomeEvent::RetryExpired);
             }
-            Reply::PersistDone(seq) => {
-                self.feed(HomeEvent::PersistDone { seq }, "PersistDone");
-            }
+            Reply::PersistDone(seq) => self.feed(HomeEvent::PersistDone { seq }),
         }
     }
 
@@ -251,13 +260,10 @@ impl World {
         let w = self.next_waiter;
         self.next_waiter += 1;
         self.issued_waiters.insert(w);
-        self.feed(
-            HomeEvent::Request(Request {
-                source: Requester::Local(w),
-                kind,
-            }),
-            "Request",
-        );
+        self.feed(HomeEvent::Request(Request {
+            source: Requester::Local(w),
+            kind,
+        }));
     }
 
     fn remote_request(&mut self, node: usize, kind: Kind) {
@@ -266,13 +272,7 @@ impl World {
             R::None,
             "model only issues requests from nodes without rights"
         );
-        self.feed(
-            HomeEvent::Request(Request {
-                source: Requester::Remote { node, dst_off: 0 },
-                kind,
-            }),
-            "Request",
-        );
+        self.feed_msg(node, Msg::request(kind, 0));
     }
 
     fn check_invariants(&self) {
@@ -496,7 +496,7 @@ fn random_interleavings_preserve_invariants() {
                     if w.m.transient().is_none() {
                         if let Some(&n) = REMOTES.iter().find(|&&n| w.rights[n] == R::Read) {
                             w.rights[n] = R::None;
-                            w.feed(HomeEvent::EvictNotice { from: n }, "EvictNotice");
+                            w.feed_msg(n, Msg::EvictNotice);
                         }
                     }
                 }
@@ -505,13 +505,7 @@ fn random_interleavings_preserve_invariants() {
                     if w.m.transient().is_none() {
                         if let Some(&n) = REMOTES.iter().find(|&&n| w.rights[n] == R::Write) {
                             w.rights[n] = R::None;
-                            w.feed(
-                                HomeEvent::Writeback {
-                                    from: n,
-                                    downgrade: false,
-                                },
-                                "Writeback",
-                            );
+                            w.feed_msg(n, Msg::WritebackNotice { downgrade: false });
                         }
                     }
                 }
@@ -524,13 +518,12 @@ fn random_interleavings_preserve_invariants() {
                         });
                         if let Some((n, o)) = holder {
                             w.rights[n] = R::None;
-                            w.feed(
-                                HomeEvent::Flush {
-                                    from: n,
+                            w.feed_msg(
+                                n,
+                                Msg::OperandFlush {
                                     op: o,
-                                    has_data: true,
+                                    data: operands(),
                                 },
-                                "Flush",
                             );
                         }
                     }
@@ -539,12 +532,7 @@ fn random_interleavings_preserve_invariants() {
                 _ => {
                     if w.m.transient().is_none() {
                         let before = w.m.state().clone();
-                        w.feed(
-                            HomeEvent::InvAck {
-                                from: REMOTES[rng.below(2)],
-                            },
-                            "InvAck",
-                        );
+                        w.feed_msg(REMOTES[rng.below(2)], Msg::InvalidateAck);
                         assert_eq!(w.m.state(), &before, "stale InvAck changed state");
                     }
                 }
@@ -649,6 +637,7 @@ fn cache_machine_total_over_view_event_product() {
                         op_tag,
                         line,
                         draining,
+                        home: HOME,
                     };
                     for ev in all_cache_events() {
                         let is_request = matches!(ev, CacheEvent::Request { .. });

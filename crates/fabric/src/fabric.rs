@@ -135,11 +135,6 @@ impl<M: Send + 'static> Nic<M> {
         self.fault.as_ref().and_then(|f| f.crash_of[self.node])
     }
 
-    /// Crash time scheduled for `peer` under this fabric's fault plan.
-    pub fn peer_crash_time(&self, peer: NodeId) -> Option<VTime> {
-        self.fault.as_ref().and_then(|f| f.crash_of[peer])
-    }
-
     /// True once `node` has halted (its crash time has passed `now`).
     pub fn node_crashed(&self, node: NodeId, now: VTime) -> bool {
         self.fault
@@ -652,7 +647,6 @@ mod tests {
             n1.send(ctx, 1, 4, 8);
             assert_eq!(n1.rx().recv(ctx).1, 4);
             assert_eq!(n1.crash_time(), Some(10_000));
-            assert_eq!(n0.peer_crash_time(1), Some(10_000));
         });
     }
 

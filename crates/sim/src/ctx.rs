@@ -236,11 +236,6 @@ impl JoinHandle {
         }
         ctx.bump(self.end_time.load(AO::Acquire));
     }
-
-    /// Non-blocking check.
-    pub fn is_finished(&self) -> bool {
-        self.done.load(AO::Acquire)
-    }
 }
 
 #[cfg(test)]
@@ -270,7 +265,6 @@ mod tests {
             let h = ctx.spawn("fast", |c| c.charge(2_000));
             // Let the child finish first.
             ctx.sleep(10_000);
-            assert!(h.is_finished());
             h.join(ctx);
             assert_eq!(ctx.now(), 10_000); // joiner was already later
         });

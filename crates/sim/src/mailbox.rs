@@ -142,13 +142,6 @@ impl<T: Send + 'static> Mailbox<T> {
         }
     }
 
-    /// Receive with a relative timeout of `ns` nanoseconds; see
-    /// [`Mailbox::recv_deadline`].
-    pub fn recv_timeout(&self, ctx: &mut Ctx, ns: VTime) -> Option<T> {
-        let deadline = ctx.now() + ns;
-        self.recv_deadline(ctx, deadline)
-    }
-
     /// Non-blocking receive. Note the lax-synchronization caveat: a message
     /// whose delivery event has not yet been processed (because this thread
     /// is running ahead) is not visible; `try_recv` is intended for receiver
@@ -263,16 +256,6 @@ mod tests {
             assert_eq!(mb.recv(ctx), 2);
             assert_eq!(ctx.now(), 90_000);
             h.join(ctx);
-        });
-    }
-
-    #[test]
-    fn recv_timeout_is_relative() {
-        Sim::new(SimConfig::default()).run(|ctx| {
-            let mb: Mailbox<u8> = Mailbox::new("rel");
-            ctx.sleep(1_000);
-            assert_eq!(mb.recv_timeout(ctx, 2_000), None);
-            assert!(ctx.now() >= 3_000);
         });
     }
 

@@ -58,12 +58,6 @@ impl Rng {
         x.wrapping_mul(0x2545_F491_4F6C_DD1D)
     }
 
-    /// Next 32-bit draw (upper half of the 64-bit stream).
-    #[inline]
-    pub fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
     /// Uniform draw in `[0, n)`. `n` must be nonzero. The modulo bias is
     /// negligible for the fault-schedule ranges used here (`n << 2^64`).
     #[inline]
