@@ -33,7 +33,7 @@ impl Ctx {
         }
     }
 
-    fn new_child(inner: Arc<SimInner>, tid: ThreadId) -> Self {
+    pub(crate) fn new_child(inner: Arc<SimInner>, tid: ThreadId) -> Self {
         let clock = inner.sched.lock().clock_handle(tid);
         let quantum = inner.cfg.quantum;
         Self {
@@ -154,44 +154,26 @@ impl Ctx {
     }
 
     /// Spawn a simulated thread named `name` whose clock starts at the
-    /// spawner's current virtual time.
+    /// spawner's current virtual time. It runs as a fiber on this OS thread.
     pub fn spawn<F>(&mut self, name: &str, f: F) -> JoinHandle
     where
         F: FnOnce(&mut Ctx) + Send + 'static,
     {
-        let start = self.now();
-        let tid = {
-            let mut s = self.inner.sched.lock();
-            s.spawn_runnable(name.to_string(), start)
-        };
-        let parker = {
-            let s = self.inner.sched.lock();
-            s.parker_handle(tid)
-        };
-        let inner = self.inner.clone();
         let done = Arc::new(AtomicBool::new(false));
         let end_time = Arc::new(AtomicU64::new(0));
         let cell = WaitCell::new();
         let h_done = done.clone();
         let h_end = end_time.clone();
         let h_cell = cell.clone();
-        std::thread::Builder::new()
-            .name(format!("dsim-{name}"))
-            .spawn(move || {
-                // Wait for the first dispatch.
-                parker.park();
-                let mut ctx = Ctx::new_child(inner.clone(), tid);
-                let result = catch_unwind(AssertUnwindSafe(|| f(&mut ctx)));
-                if let Err(p) = result {
-                    let msg = panic_message(&*p);
-                    inner.record_panic(msg);
-                }
-                h_end.store(ctx.now(), AO::Release);
-                h_done.store(true, AO::Release);
-                h_cell.notify(&mut ctx);
-                inner.retire(tid);
-            })
-            .expect("spawn OS thread for simulated thread");
+        let body = move |mut ctx: Ctx| {
+            if let Err(p) = catch_unwind(AssertUnwindSafe(|| f(&mut ctx))) {
+                ctx.inner.record_panic(ctx.tid, &panic_message(&*p));
+            }
+            h_end.store(ctx.now(), AO::Release);
+            h_done.store(true, AO::Release);
+            h_cell.notify(&mut ctx);
+        };
+        self.inner.spawn(name, self.now(), Box::new(body));
         JoinHandle {
             cell,
             done,

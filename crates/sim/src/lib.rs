@@ -2,11 +2,12 @@
 //!
 //! `dsim` is the substrate under the whole DArray reproduction. It runs a
 //! *simulated cluster* inside one process: every simulated thread
-//! (application thread, runtime thread, NIC agent) is a real OS thread, but
-//! only **one of them executes at any instant**. A single-token scheduler
-//! hands control to the runnable thread with the smallest *virtual clock*,
-//! and all latencies (network propagation, CPU costs, lock hold times) are
-//! charged in virtual nanoseconds.
+//! (application thread, runtime thread, NIC agent) is a stackful fiber on
+//! the OS thread that called [`Sim::run`], so **one of them executes at any
+//! instant**. A single-token scheduler hands control to the runnable thread
+//! with the smallest *virtual clock* by switching stacks, and all latencies
+//! (network propagation, CPU costs, lock hold times) are charged in virtual
+//! nanoseconds.
 //!
 //! Because scheduling decisions depend only on virtual clocks — and those
 //! are produced deterministically by the program itself — a `dsim` run is
@@ -27,6 +28,12 @@
 //!   points (lax synchronization, in the style of the Graphite simulator);
 //!   the run-ahead is bounded by a configurable quantum after which the
 //!   thread voluntarily yields.
+//! * Fibers share their OS thread, so simulated code must not hold a host
+//!   lock across an interaction point (the next fiber to take it would
+//!   block the whole simulation) and must not keep state in `thread_local!`.
+//!   Each fiber has a 2 MiB stack over a guard page: overflowing it kills
+//!   the process with SIGSEGV rather than Rust's "stack overflow" message.
+//!   Only x86_64 Linux is supported.
 //!
 //! ## Example
 //!
@@ -54,6 +61,7 @@
 //! ```
 
 mod ctx;
+mod fiber;
 mod mailbox;
 mod rng;
 mod sched;

@@ -5,19 +5,21 @@
 //! which drains every event due before the earliest runnable thread and then
 //! hands the token to that thread (possibly itself).
 //!
-//! All cross-thread memory accesses are serialized through the scheduler
-//! mutex and parker handoffs, so simulated threads may freely share state;
-//! the atomics used by the DArray fast path are exercised for their
-//! *semantics*, not because `dsim` requires them.
+//! Every simulated thread but the root is a fiber on the OS thread that
+//! called [`Sim::run`], and handing over the token is a stack switch
+//! ([`fiber::switch`]). Only one thread ever executes, so simulated threads
+//! may freely share state; the atomics used by the DArray fast path are
+//! exercised for their *semantics*, not because `dsim` requires them.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicU64, Ordering as AO};
 use std::sync::Arc;
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 
 use crate::ctx::Ctx;
+use crate::fiber::{self, Context, Stack};
 use crate::time::VTime;
 
 /// Identifier of a simulated thread. The root thread is always 0.
@@ -53,8 +55,12 @@ pub struct SimStats {
     pub events: u64,
     /// Total simulated threads ever spawned (including the root).
     pub spawned: u64,
-    /// Threads still live when the root closure returned (abandoned).
+    /// Threads still live when the root closure returned (abandoned). They
+    /// never run again, and `Sim::run` unmaps their stacks as it returns.
     pub abandoned: u64,
+    /// Fiber stacks mapped. A finished fiber's stack is reused by the next
+    /// spawn, so this is the peak number of spawned threads live at once.
+    pub stacks: u64,
 }
 
 /// A discrete event: at `time`, perform `action`. Ordered by `(time, seq)`
@@ -99,40 +105,16 @@ pub(crate) enum TState {
     Done,
 }
 
-pub(crate) struct Parker {
-    flag: Mutex<bool>,
-    cv: Condvar,
-}
-
-impl Parker {
-    fn new() -> Self {
-        Self {
-            flag: Mutex::new(false),
-            cv: Condvar::new(),
-        }
-    }
-
-    pub(crate) fn park(&self) {
-        let mut g = self.flag.lock();
-        while !*g {
-            self.cv.wait(&mut g);
-        }
-        *g = false;
-    }
-
-    pub(crate) fn unpark(&self) {
-        let mut g = self.flag.lock();
-        *g = true;
-        self.cv.notify_one();
-    }
-}
-
 pub(crate) struct Tcb {
     /// Virtual clock of the thread, shared with its `Ctx` so the fast path
     /// (`charge`) is a single relaxed RMW without taking the scheduler lock.
     pub(crate) clock: Arc<AtomicU64>,
     pub(crate) state: TState,
-    pub(crate) parker: Arc<Parker>,
+    /// Where the thread's registers were saved when it last gave up the
+    /// token (or its start frame, before its first dispatch).
+    context: Context,
+    /// The fiber's stack while it lives; the root runs on the caller's.
+    stack: Option<Stack>,
     pub(crate) name: String,
 }
 
@@ -166,6 +148,8 @@ pub struct SchedState {
     pub(crate) poisoned: Option<String>,
     pub(crate) stats: SimStats,
     max_vtime: VTime,
+    /// Stacks of finished fibers, for the next spawns to reuse.
+    free_stacks: Vec<Stack>,
 }
 
 impl SchedState {
@@ -195,7 +179,8 @@ impl SchedState {
         self.tcbs.push(Tcb {
             clock: Arc::new(AtomicU64::new(clock)),
             state,
-            parker: Arc::new(Parker::new()),
+            context: Context::default(),
+            stack: None,
             name,
         });
         self.live += 1;
@@ -242,8 +227,19 @@ impl SchedState {
         self.tcbs[tid].clock.clone()
     }
 
-    pub(crate) fn parker_handle(&self, tid: ThreadId) -> Arc<Parker> {
-        self.tcbs[tid].parker.clone()
+    /// The two ends of a token handoff from `from` to `to`, which the
+    /// caller has just marked Running: where the switch saves `from`'s
+    /// registers, and the context it resumes.
+    ///
+    /// Once the scheduler lock is dropped they meet [`fiber::switch`]'s
+    /// contract. `to` holds the token now, so it is resumed exactly once, at
+    /// the context it saved when it last gave up the token (or its start
+    /// frame), and its stack stays mapped until `Sim::run` ends. `save`
+    /// points into `from`'s TCB and stays valid up to the switch's write:
+    /// `tcbs` only grows in `spawn`, and nothing else runs on this OS thread
+    /// in between.
+    fn handoff(&mut self, from: ThreadId, to: ThreadId) -> (*mut Context, Context) {
+        (&raw mut self.tcbs[from].context, self.tcbs[to].context)
     }
 
     pub(crate) fn stats_snapshot(&self) -> SimStats {
@@ -314,100 +310,74 @@ impl SimInner {
         }
     }
 
+    /// Drain due events and give the token to the next thread: mark it
+    /// Running and return it (possibly `self_tid` itself). When nothing can
+    /// run, the simulation is stuck: see [`Self::handle_idle`].
+    fn next_thread(&self, s: &mut SchedState, self_tid: ThreadId) -> ThreadId {
+        match Self::advance(s) {
+            NextStep::Thread(tid) => {
+                s.runnable.pop();
+                s.tcbs[tid].state = TState::Running;
+                if tid != self_tid {
+                    s.stats.switches += 1;
+                }
+                tid
+            }
+            NextStep::Idle => self.handle_idle(s, self_tid),
+        }
+    }
+
     /// Give up the token. The caller must already have set its own TCB state
     /// (Runnable to keep competing, Blocked to wait). Returns once this
     /// thread holds the token again.
     pub(crate) fn reschedule(&self, self_tid: ThreadId) {
         let mut s = self.sched.lock();
-        match Self::advance(&mut s) {
-            NextStep::Thread(tid) => {
-                s.runnable.pop();
-                s.tcbs[tid].state = TState::Running;
-                if tid == self_tid {
-                    return;
-                }
-                s.stats.switches += 1;
-                let next = s.tcbs[tid].parker.clone();
-                let own = s.tcbs[self_tid].parker.clone();
-                drop(s);
-                next.unpark();
-                own.park();
-            }
-            NextStep::Idle => {
-                self.handle_idle(s, self_tid, false);
-            }
+        let next = self.next_thread(&mut s, self_tid);
+        if next == self_tid {
+            return;
         }
+        let (save, resume) = s.handoff(self_tid, next);
+        drop(s);
+        // SAFETY: the ends come from `handoff` and the lock is dropped.
+        unsafe { fiber::switch(save, resume) };
     }
 
-    /// Mark the calling thread finished and hand the token onward. The OS
-    /// thread exits after this returns.
-    pub(crate) fn retire(&self, self_tid: ThreadId) {
+    /// Mark the calling fiber finished, put its stack on the free list, and
+    /// pick the thread to hand the token to for good. Returns the ends of
+    /// the fiber's last switch (see [`SchedState::handoff`]).
+    fn retire(&self, self_tid: ThreadId) -> (*mut Context, Context) {
         let mut s = self.sched.lock();
         s.tcbs[self_tid].state = TState::Done;
         s.live -= 1;
-        if s.live == 0 {
-            return;
-        }
-        match Self::advance(&mut s) {
-            NextStep::Thread(tid) => {
-                s.runnable.pop();
-                s.tcbs[tid].state = TState::Running;
-                s.stats.switches += 1;
-                let next = s.tcbs[tid].parker.clone();
-                drop(s);
-                next.unpark();
-            }
-            NextStep::Idle => {
-                self.handle_idle(s, self_tid, true);
-            }
-        }
+        let stack = s.tcbs[self_tid]
+            .stack
+            .take()
+            .expect("a fiber owns its stack");
+        s.free_stacks.push(stack);
+        let next = self.next_thread(&mut s, self_tid);
+        s.handoff(self_tid, next)
     }
 
     /// The simulation is stuck: no runnable thread, no pending event, yet
-    /// live threads remain. Poison the simulation and wake the root so the
-    /// failure surfaces as a panic in the user's test/bench thread.
-    fn handle_idle(
-        &self,
-        mut s: parking_lot::MutexGuard<'_, SchedState>,
-        self_tid: ThreadId,
-        retiring: bool,
-    ) {
-        if s.live == 0 {
-            return;
-        }
-        let child_panic = self.panic_msg.lock().clone();
-        let msg = match child_panic {
-            Some(p) => format!("simulated thread panicked: {p}"),
-            None => format!(
+    /// live threads remain. The root panics at once; any other thread
+    /// poisons the simulation and hands the token to the root (which must
+    /// be the one waiting), so the failure surfaces as a panic in the
+    /// caller of [`Sim::run`]. The stuck thread is never resumed.
+    fn handle_idle(&self, s: &mut SchedState, self_tid: ThreadId) -> ThreadId {
+        let msg = self.panic_msg.lock().clone().unwrap_or_else(|| {
+            format!(
                 "simulation deadlock: {} live thread(s), none runnable, no events pending{}",
                 s.live,
                 s.blocked_dump()
-            ),
-        };
+            )
+        });
         if self_tid == 0 {
             panic!("{msg}");
         }
         s.poisoned = Some(msg);
-        // Force-wake the root thread so the panic surfaces there.
-        if s.tcbs[0].state == TState::Blocked {
-            s.tcbs[0].state = TState::Running;
-            let root = s.tcbs[0].parker.clone();
-            drop(s);
-            root.unpark();
-        } else {
-            drop(s);
-        }
-        if !retiring {
-            // This thread can never make progress; park it forever. The OS
-            // thread leaks, but the process is about to fail the test anyway.
-            let own = {
-                let s = self.sched.lock();
-                s.tcbs[self_tid].parker.clone()
-            };
-            loop {
-                own.park();
-            }
-        }
+        debug_assert_eq!(s.tcbs[0].state, TState::Blocked);
+        s.tcbs[0].state = TState::Running;
+        0
     }
 
     /// Panic in the current simulated thread if the simulation was poisoned.
@@ -418,17 +388,91 @@ impl SimInner {
         }
     }
 
-    pub(crate) fn record_panic(&self, msg: String) {
+    /// Record that thread `tid` panicked with `msg`; the first panic wins.
+    /// The message names the thread, since every fiber shares the OS thread
+    /// (and so the name) the host's panic hook reports.
+    pub(crate) fn record_panic(&self, tid: ThreadId, msg: &str) {
+        let name = self.sched.lock().tcbs[tid].name.clone();
         let mut g = self.panic_msg.lock();
         if g.is_none() {
-            *g = Some(msg);
+            *g = Some(format!("simulated thread '{name}' panicked: {msg}"));
+        }
+    }
+
+    /// Create a runnable fiber named `name`, its clock at `clock`, whose
+    /// first dispatch runs `body` on a stack of its own. The stack is the
+    /// most recently freed one, or a new mapping when none is free.
+    pub(crate) fn spawn(
+        self: &Arc<Self>,
+        name: &str,
+        clock: VTime,
+        body: Box<dyn FnOnce(Ctx)>,
+    ) -> ThreadId {
+        let mut s = self.sched.lock();
+        let tid = s.spawn_runnable(name.to_string(), clock);
+        let mut stack = s.free_stacks.pop().unwrap_or_else(|| {
+            s.stats.stacks += 1;
+            Stack::new()
+        });
+        let start = Box::new(FiberStart {
+            inner: self.clone(),
+            tid,
+            body,
+        });
+        s.tcbs[tid].context = stack.start(fiber_main, Box::into_raw(start).cast());
+        s.tcbs[tid].stack = Some(stack);
+        tid
+    }
+}
+
+/// What a fiber's first frame needs, handed over through [`Stack::start`]
+/// as a raw `Box`.
+struct FiberStart {
+    inner: Arc<SimInner>,
+    tid: ThreadId,
+    body: Box<dyn FnOnce(Ctx)>,
+}
+
+/// The first frame of every spawned fiber: run its body, then retire it.
+extern "C" fn fiber_main(start: *mut u8) -> ! {
+    // SAFETY: `SimInner::spawn` made `start` with `Box::into_raw` for this
+    // fiber alone, and a fiber starts once.
+    let FiberStart { inner, tid, body } = *unsafe { Box::from_raw(start.cast::<FiberStart>()) };
+    let sim = Arc::as_ptr(&inner);
+    body(Ctx::new_child(inner, tid));
+    // The body has consumed its `Ctx` and with it this fiber's `Arc`:
+    // nothing left on this stack owns anything, so never unwinding it after
+    // the switch below leaks nothing.
+    // SAFETY: `Sim::run` holds an `Arc<SimInner>` until the root returns,
+    // and the root cannot return while this fiber holds the token.
+    let (save, resume) = unsafe { &*sim }.retire(tid);
+    // SAFETY: the ends come from `handoff` and `retire` dropped the lock.
+    // Switching from the stack `retire` just freed is sound: its next user
+    // is a later spawn, which only a thread resumed by this switch can make.
+    unsafe { fiber::switch(save, resume) };
+    unreachable!("a retired fiber is resumed");
+}
+
+/// Unmaps every fiber stack of a run when `Sim::run` returns or unwinds,
+/// the stacks of blocked and abandoned fibers included. Nothing can resume
+/// those fibers afterwards: wait lists and events hold `ThreadId`s, never
+/// pointers into a stack.
+struct StackReaper<'a>(&'a SimInner);
+
+impl Drop for StackReaper<'_> {
+    fn drop(&mut self) {
+        let mut s = self.0.sched.lock();
+        s.free_stacks.clear();
+        for tcb in &mut s.tcbs {
+            tcb.stack = None;
         }
     }
 }
 
 /// A simulation instance. Construct with [`Sim::new`] and start it with
 /// [`Sim::run`], which turns the calling OS thread into simulated thread 0
-/// (the *root*). The simulation ends when the root closure returns; any
+/// (the *root*) and runs every thread spawned from it as a fiber on that OS
+/// thread. The simulation ends when the root closure returns; any
 /// simulated threads still live at that point are abandoned (reported in
 /// [`SimStats::abandoned`]).
 pub struct Sim {
@@ -461,6 +505,7 @@ impl Sim {
                 poisoned: None,
                 stats: SimStats::default(),
                 max_vtime,
+                free_stacks: Vec::new(),
             }),
             panic_msg: Mutex::new(None),
         });
@@ -469,6 +514,7 @@ impl Sim {
             let tid = s.spawn_tcb("root".to_string(), 0, TState::Running);
             debug_assert_eq!(tid, 0);
         }
+        let _reaper = StackReaper(&inner);
         let mut ctx = Ctx::new_root(inner.clone());
         let out = f(&mut ctx);
         {
@@ -478,7 +524,7 @@ impl Sim {
             s.stats.abandoned = s.live as u64;
         }
         if let Some(msg) = inner.panic_msg.lock().take() {
-            panic!("simulated thread panicked: {msg}");
+            panic!("{msg}");
         }
         out
     }
@@ -626,7 +672,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "boom")]
+    #[should_panic(expected = "simulated thread 'bad' panicked: boom")]
     fn child_panic_propagates_to_root() {
         Sim::new(SimConfig::default()).run(|ctx| {
             let h = ctx.spawn("bad", |_c| panic!("boom"));
