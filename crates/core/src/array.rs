@@ -1,5 +1,6 @@
 //! The `DArray` public API (Figure 3): `get`/`set`, `apply` (Operate),
-//! distributed `rlock`/`wlock`/`unlock`, and `pin`.
+//! distributed `rlock`/`wlock`/`unlock` (plus `wlock_for_write`, a writer
+//! lock that also moves the element's chunk), and `pin`.
 //!
 //! `get`/`set`/`apply` follow the lock-free data access path of Figure 4:
 //! check `delay_flag`, take a reference, check rights, touch the data,
@@ -342,7 +343,7 @@ impl<T: Element> DArray<T> {
     /// Fallible [`DArray::rlock`]: errors when the lock's home node has been
     /// declared down rather than waiting for a grant that can never come.
     pub fn try_rlock(&self, ctx: &mut Ctx, index: usize) -> Result<(), DArrayError> {
-        self.try_lock_acquire(ctx, index, LockKind::Read)
+        self.try_lock_acquire(ctx, index, LockKind::Read, false)
     }
 
     /// Shared implementation of the fallible lock acquires. The home is
@@ -354,6 +355,7 @@ impl<T: Element> DArray<T> {
         ctx: &mut Ctx,
         index: usize,
         kind: LockKind,
+        intent: bool,
     ) -> Result<(), DArrayError> {
         assert!(index < self.len());
         let home = self.arr.layout.home_of(index);
@@ -368,6 +370,7 @@ impl<T: Element> DArray<T> {
             LocalKind::LockAcquire {
                 index: index as u64,
                 kind,
+                intent,
             },
         );
         if let Some(message) = self.shared.protocol_fault.get() {
@@ -376,7 +379,7 @@ impl<T: Element> DArray<T> {
         if home != self.node && self.shared.is_peer_down(self.node, home) {
             return Err(self.shared.unavailable_error(self.node, home));
         }
-        self.note_held(index, kind);
+        self.note_held(index, kind, intent);
         Ok(())
     }
 
@@ -408,39 +411,65 @@ impl<T: Element> DArray<T> {
 
     /// Fallible [`DArray::wlock`]; see [`DArray::try_rlock`].
     pub fn try_wlock(&self, ctx: &mut Ctx, index: usize) -> Result<(), DArrayError> {
-        self.try_lock_acquire(ctx, index, LockKind::Write)
+        self.try_lock_acquire(ctx, index, LockKind::Write, false)
+    }
+
+    /// Acquire the distributed writer lock of element `index` for a write
+    /// to its chunk (a write-intent lock, DESIGN.md §4.5). The grant moves
+    /// the chunk to this node: the lock's home pulls it from any other
+    /// holder while the grant is in flight, and this node's write miss goes
+    /// out before the caller wakes, so the first access after the lock
+    /// waits on that fill and writes hit. [`DArray::unlock`] then writes
+    /// the chunk back home if no thread here is using it. A lock homed on
+    /// this node, or whose chunk has migrated away from the lock's layout
+    /// home, is taken as a plain [`DArray::wlock`].
+    pub fn wlock_for_write(&self, ctx: &mut Ctx, index: usize) {
+        self.try_wlock_for_write(ctx, index)
+            .unwrap_or_else(|e| panic!("wlock_for_write({index}): {e}"))
+    }
+
+    /// Fallible [`DArray::wlock_for_write`]; see [`DArray::try_rlock`].
+    pub fn try_wlock_for_write(&self, ctx: &mut Ctx, index: usize) -> Result<(), DArrayError> {
+        let home = self.arr.layout.home_of(index);
+        let intent = home != self.node && self.home_of(index) == home;
+        self.try_lock_acquire(ctx, index, LockKind::Write, intent)
     }
 
     /// Release the lock this node holds on element `index`.
     pub fn unlock(&self, ctx: &mut Ctx, index: usize) {
-        let kind = self.take_held(index);
+        let (kind, intent) = self.take_held(index);
         self.slow_request(
             ctx,
             LocalKind::LockRelease {
                 index: index as u64,
                 kind,
+                intent,
             },
         );
     }
 
-    fn note_held(&self, index: usize, kind: LockKind) {
+    fn note_held(&self, index: usize, kind: LockKind, intent: bool) {
         let mut held = self.arr.per_node[self.node].held.lock();
-        let e = held.entry(index as u64).or_insert((kind, 0));
-        debug_assert_eq!(e.0, kind, "mixed lock kinds held on index {index}");
-        e.1 += 1;
+        let e = held.entry(index as u64).or_insert((kind, intent, 0));
+        debug_assert_eq!(
+            (e.0, e.1),
+            (kind, intent),
+            "mixed lock kinds held on index {index}"
+        );
+        e.2 += 1;
     }
 
-    fn take_held(&self, index: usize) -> LockKind {
+    fn take_held(&self, index: usize) -> (LockKind, bool) {
         let mut held = self.arr.per_node[self.node].held.lock();
         let e = held
             .get_mut(&(index as u64))
             .unwrap_or_else(|| panic!("unlock({index}) without a held lock"));
-        let kind = e.0;
-        e.1 -= 1;
-        if e.1 == 0 {
+        let taken = (e.0, e.1);
+        e.2 -= 1;
+        if e.2 == 0 {
             held.remove(&(index as u64));
         }
-        kind
+        taken
     }
 }
 

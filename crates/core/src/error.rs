@@ -7,7 +7,8 @@ use std::fmt;
 use rdma_fabric::NodeId;
 
 /// Errors surfaced by the fallible DArray operations (`try_get`, `try_set`,
-/// `try_apply`, `try_update`, `try_rlock`, `try_wlock`, `try_pin`).
+/// `try_apply`, `try_update`, `try_rlock`, `try_wlock`,
+/// `try_wlock_for_write`, `try_pin`).
 ///
 /// The infallible variants (`get` & co.) panic on these — appropriate for
 /// workloads that assume a healthy cluster. Fault-tolerant applications use

@@ -24,13 +24,17 @@ pub(crate) enum Rpc {
     /// A coherence message (Figure 9).
     Coherence(Msg),
     /// Distributed lock protocol (home-managed, element granularity).
+    /// `intent` marks a writer lock taken for a write to the element's
+    /// chunk (DESIGN.md §4.5); it travels under its own tags.
     LockAcquire {
         id: u64,
         kind: LockKind,
+        intent: bool,
     },
     LockGrant {
         id: u64,
         kind: LockKind,
+        intent: bool,
     },
     LockRelease {
         id: u64,
@@ -211,8 +215,12 @@ impl Rpc {
         };
         let msg = match self {
             Rpc::Coherence(msg) => msg,
-            Rpc::LockAcquire { id, kind } => return lock(buf, 14, *id, *kind),
-            Rpc::LockGrant { id, kind } => return lock(buf, 15, *id, *kind),
+            Rpc::LockAcquire { id, kind, intent } => {
+                return lock(buf, if *intent { 22 } else { 14 }, *id, *kind)
+            }
+            Rpc::LockGrant { id, kind, intent } => {
+                return lock(buf, if *intent { 23 } else { 15 }, *id, *kind)
+            }
             Rpc::LockRelease { id, kind } => return lock(buf, 16, *id, *kind),
         };
         match msg {
@@ -317,11 +325,12 @@ impl Rpc {
             11 => Msg::RecallDirty,
             12 => Msg::DowngradeDirty,
             13 => Msg::RecallOperated { op: r.u32()? },
-            tag @ 14..=16 => {
+            tag @ (14..=16 | 22 | 23) => {
                 let (id, kind) = (r.u64()?, lock_kind_from_u8(r.u8()?)?);
+                let intent = tag >= 22;
                 return Some(match tag {
-                    14 => Rpc::LockAcquire { id, kind },
-                    15 => Rpc::LockGrant { id, kind },
+                    14 | 22 => Rpc::LockAcquire { id, kind, intent },
+                    15 | 23 => Rpc::LockGrant { id, kind, intent },
                     _ => Rpc::LockRelease { id, kind },
                 });
             }
@@ -448,11 +457,26 @@ impl rdma_fabric::Wire for NetMsg {
 /// local-request queue (Figure 2).
 #[derive(Debug, Clone)]
 pub(crate) enum LocalKind {
-    Read { chunk: ChunkId },
-    Write { chunk: ChunkId },
-    Operate { chunk: ChunkId, op: u32 },
-    LockAcquire { index: u64, kind: LockKind },
-    LockRelease { index: u64, kind: LockKind },
+    Read {
+        chunk: ChunkId,
+    },
+    Write {
+        chunk: ChunkId,
+    },
+    Operate {
+        chunk: ChunkId,
+        op: u32,
+    },
+    LockAcquire {
+        index: u64,
+        kind: LockKind,
+        intent: bool,
+    },
+    LockRelease {
+        index: u64,
+        kind: LockKind,
+        intent: bool,
+    },
 }
 
 impl LocalKind {
@@ -540,7 +564,7 @@ mod tests {
     /// counters in the BENCH baselines count these bytes).
     #[test]
     fn wire_roundtrip_covers_every_message() {
-        let frames: [(Rpc, usize); 23] = [
+        let frames: [(Rpc, usize); 25] = [
             (Msg::ReadReq { dst_off: 1 << 40 }.into(), 18),
             (Msg::WriteReq { dst_off: 7 }.into(), 18),
             (Msg::OperateReq { op: 2 }.into(), 14),
@@ -600,6 +624,7 @@ mod tests {
                 Rpc::LockAcquire {
                     id: 99,
                     kind: LockKind::Read,
+                    intent: false,
                 },
                 19,
             ),
@@ -607,6 +632,23 @@ mod tests {
                 Rpc::LockGrant {
                     id: 100,
                     kind: LockKind::Write,
+                    intent: false,
+                },
+                19,
+            ),
+            (
+                Rpc::LockAcquire {
+                    id: 102,
+                    kind: LockKind::Write,
+                    intent: true,
+                },
+                19,
+            ),
+            (
+                Rpc::LockGrant {
+                    id: 103,
+                    kind: LockKind::Write,
+                    intent: true,
                 },
                 19,
             ),
@@ -727,6 +769,7 @@ mod tests {
         let k = LocalKind::LockAcquire {
             index: 1_000,
             kind: LockKind::Write,
+            intent: true,
         };
         assert_eq!(k.route_chunk(512), 1);
         let k = LocalKind::Read { chunk: 7 };

@@ -35,7 +35,14 @@ pub enum LockSource<W> {
     /// An application thread on the home node.
     Local(W),
     /// A remote requester node, granted by a `LockGrant` message.
-    Remote(NodeId),
+    Remote {
+        /// The requesting node.
+        node: NodeId,
+        /// A writer lock taken for a write to the element's chunk (write
+        /// intent): its grant also moves the chunk to the grantee. The
+        /// table treats it as any writer lock.
+        intent: bool,
+    },
 }
 
 impl<W> LockSource<W> {
@@ -43,7 +50,7 @@ impl<W> LockSource<W> {
     fn node(&self) -> Option<NodeId> {
         match self {
             LockSource::Local(_) => None,
-            LockSource::Remote(n) => Some(*n),
+            LockSource::Remote { node, .. } => Some(*node),
         }
     }
 }
@@ -275,6 +282,13 @@ mod tests {
         LockSource::Local(w)
     }
 
+    fn remote(node: NodeId) -> LockSource<u32> {
+        LockSource::Remote {
+            node,
+            intent: false,
+        }
+    }
+
     #[test]
     fn uncontended_read_and_write_grant_immediately() {
         let mut t = LockTable::default();
@@ -328,20 +342,14 @@ mod tests {
     #[test]
     fn writer_chain_is_fifo() {
         let mut t: LockTable<u32> = LockTable::default();
-        assert!(t
-            .acquire(9, LockKind::Write, LockSource::Remote(1))
-            .is_some());
-        assert!(t
-            .acquire(9, LockKind::Write, LockSource::Remote(2))
-            .is_none());
-        assert!(t
-            .acquire(9, LockKind::Write, LockSource::Remote(3))
-            .is_none());
+        assert!(t.acquire(9, LockKind::Write, remote(1)).is_some());
+        assert!(t.acquire(9, LockKind::Write, remote(2)).is_none());
+        assert!(t.acquire(9, LockKind::Write, remote(3)).is_none());
         let g = t.release(9, LockKind::Write, Some(1));
         assert_eq!(g.len(), 1);
-        assert!(matches!(g[0].0, LockSource::Remote(2)));
+        assert_eq!(g[0].0, remote(2));
         let g = t.release(9, LockKind::Write, Some(2));
-        assert!(matches!(g[0].0, LockSource::Remote(3)));
+        assert_eq!(g[0].0, remote(3));
         t.release(9, LockKind::Write, Some(3));
         assert_eq!(t.active(), 0);
     }
@@ -349,13 +357,9 @@ mod tests {
     #[test]
     fn dead_writer_is_reclaimed_and_waiters_granted() {
         let mut t: LockTable<u32> = LockTable::default();
-        assert!(t
-            .acquire(5, LockKind::Write, LockSource::Remote(1))
-            .is_some());
+        assert!(t.acquire(5, LockKind::Write, remote(1)).is_some());
         assert!(t.acquire(5, LockKind::Read, local(7)).is_none());
-        assert!(t
-            .acquire(5, LockKind::Read, LockSource::Remote(2))
-            .is_none());
+        assert!(t.acquire(5, LockKind::Read, remote(2)).is_none());
         let p = t.forget_peer(1);
         assert_eq!(p.reclaimed, 1);
         assert_eq!(p.dropped_waiters, 0);
@@ -370,18 +374,10 @@ mod tests {
     #[test]
     fn dead_readers_and_queued_requests_are_purged() {
         let mut t: LockTable<u32> = LockTable::default();
-        assert!(t
-            .acquire(4, LockKind::Read, LockSource::Remote(1))
-            .is_some());
-        assert!(t
-            .acquire(4, LockKind::Read, LockSource::Remote(2))
-            .is_some());
-        assert!(t
-            .acquire(4, LockKind::Write, LockSource::Remote(1))
-            .is_none());
-        assert!(t
-            .acquire(4, LockKind::Write, LockSource::Remote(3))
-            .is_none());
+        assert!(t.acquire(4, LockKind::Read, remote(1)).is_some());
+        assert!(t.acquire(4, LockKind::Read, remote(2)).is_some());
+        assert!(t.acquire(4, LockKind::Write, remote(1)).is_none());
+        assert!(t.acquire(4, LockKind::Write, remote(3)).is_none());
         let p = t.forget_peer(1);
         // Reader slot reclaimed, queued write dropped; node 3's write still
         // blocked by node 2's live reader.
@@ -390,7 +386,7 @@ mod tests {
         assert!(p.granted.is_empty());
         let g = t.release(4, LockKind::Read, Some(2));
         assert_eq!(g.len(), 1);
-        assert!(matches!(g[0].0, LockSource::Remote(3)));
+        assert_eq!(g[0].0, remote(3));
         t.release(4, LockKind::Write, Some(3));
         assert_eq!(t.active(), 0);
     }
@@ -398,9 +394,7 @@ mod tests {
     #[test]
     fn forget_peer_is_idempotent() {
         let mut t: LockTable<u32> = LockTable::default();
-        assert!(t
-            .acquire(8, LockKind::Write, LockSource::Remote(2))
-            .is_some());
+        assert!(t.acquire(8, LockKind::Write, remote(2)).is_some());
         assert!(t.acquire(8, LockKind::Write, local(1)).is_none());
         let p = t.forget_peer(2);
         assert_eq!(p.reclaimed, 1);
@@ -414,12 +408,8 @@ mod tests {
     #[test]
     fn stale_release_from_reclaimed_holder_is_ignored() {
         let mut t: LockTable<u32> = LockTable::default();
-        assert!(t
-            .acquire(6, LockKind::Write, LockSource::Remote(1))
-            .is_some());
-        assert!(t
-            .acquire(6, LockKind::Write, LockSource::Remote(2))
-            .is_none());
+        assert!(t.acquire(6, LockKind::Write, remote(1)).is_some());
+        assert!(t.acquire(6, LockKind::Write, remote(2)).is_none());
         let p = t.forget_peer(1);
         // Node 2 now holds the lock.
         assert_eq!(p.granted.len(), 1);
@@ -434,12 +424,8 @@ mod tests {
     #[test]
     fn cascaded_grant_to_another_dead_node_is_reclaimed_by_its_sweep() {
         let mut t: LockTable<u32> = LockTable::default();
-        assert!(t
-            .acquire(2, LockKind::Write, LockSource::Remote(1))
-            .is_some());
-        assert!(t
-            .acquire(2, LockKind::Write, LockSource::Remote(2))
-            .is_none());
+        assert!(t.acquire(2, LockKind::Write, remote(1)).is_some());
+        assert!(t.acquire(2, LockKind::Write, remote(2)).is_none());
         assert!(t.acquire(2, LockKind::Write, local(9)).is_none());
         // Node 1 dies: the table grants to node 2 (the executor's send will
         // go nowhere if 2 is also dead)...

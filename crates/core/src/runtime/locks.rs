@@ -7,6 +7,11 @@
 //! The table itself is sans-I/O (`crate::protocol::locks`); this file is the
 //! executor glue that turns grants into `LockGrant` messages or wait-cell
 //! notifications, and drives `forget_peer` when a peer is declared dead.
+//!
+//! A write-intent lock (DESIGN.md §4.5) also moves the element's chunk,
+//! through events the coherence protocol already runs: its grant makes the
+//! home pull the chunk from other holders and the grantee issue its write
+//! miss, and its release writes the grantee's copy back home.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -16,7 +21,9 @@ use rdma_fabric::NodeId;
 
 use crate::msg::{ChunkId, Envelope, LockKind, Rpc};
 use crate::protocol::locks::LockSource;
+use crate::protocol::Kind;
 use crate::shared::ArrayShared;
+use crate::state::LocalState;
 use crate::stats::NodeStats;
 
 use super::RuntimeThread;
@@ -25,7 +32,7 @@ impl RuntimeThread {
     fn deliver_grant(
         &mut self,
         ctx: &mut Ctx,
-        arr: &ArrayShared,
+        arr: &Arc<ArrayShared>,
         id: u64,
         kind: LockKind,
         src: LockSource<WaitCell>,
@@ -41,13 +48,18 @@ impl RuntimeThread {
                     NodeStats::bump(&self.stats().locks_granted);
                     w.notify(ctx);
                 }
-                LockSource::Remote(n) if !self.shared.is_peer_down(self.node, n) => {
+                LockSource::Remote { node: n, intent }
+                    if !self.shared.is_peer_down(self.node, n) =>
+                {
                     NodeStats::bump(&self.stats().locks_granted);
                     let chunk = (id as usize / arr.layout.chunk_size()) as ChunkId;
-                    let rpc = Rpc::LockGrant { id, kind };
+                    let rpc = Rpc::LockGrant { id, kind, intent };
                     self.comm.send(ctx, n, Envelope::new(arr.id, chunk, rpc));
+                    if intent {
+                        self.pull_for(ctx, arr, chunk, n);
+                    }
                 }
-                LockSource::Remote(n) => {
+                LockSource::Remote { node: n, .. } => {
                     // Grantee died before the grant left this node: take the
                     // lock back so survivors are not blocked on a corpse.
                     NodeStats::bump(&self.stats().orphaned_locks_reclaimed);
@@ -62,12 +74,36 @@ impl RuntimeThread {
         }
     }
 
+    /// The home half of an intent grant to `grantee`: unless it already
+    /// holds `chunk` alone, run the home node's own write miss, so the
+    /// revoke round (invalidations, or the recall of the last writer)
+    /// overlaps the grant's flight. Only the chunk's current home pulls (a
+    /// chunk migrated away from its lock's layout home is left to the
+    /// grantee's miss), and only on the runtime thread that owns the chunk:
+    /// a peer-down sweep delivers every element's grants from whichever
+    /// thread runs it first.
+    fn pull_for(&mut self, ctx: &mut Ctx, arr: &Arc<ArrayShared>, chunk: ChunkId, grantee: NodeId) {
+        if arr.home_on(self.node, chunk as usize) != self.node
+            || self.shared.rt_index(arr.id, chunk) != self.rt_idx
+        {
+            return;
+        }
+        let alone = arr.per_node[self.node].home[chunk as usize]
+            .lock()
+            .state()
+            .held_alone_by(grantee);
+        if !alone {
+            self.local_data_req(ctx, arr, chunk, Kind::Write, WaitCell::new());
+        }
+    }
+
     pub(super) fn local_lock_acquire(
         &mut self,
         ctx: &mut Ctx,
         arr: &Arc<ArrayShared>,
         index: u64,
         kind: LockKind,
+        intent: bool,
         waiter: WaitCell,
     ) {
         let home = arr.layout.home_of(index as usize);
@@ -92,7 +128,11 @@ impl RuntimeThread {
                 .or_default()
                 .push_back(waiter);
             let chunk = (index as usize / arr.layout.chunk_size()) as ChunkId;
-            let rpc = Rpc::LockAcquire { id: index, kind };
+            let rpc = Rpc::LockAcquire {
+                id: index,
+                kind,
+                intent,
+            };
             self.comm.send(ctx, home, Envelope::new(arr.id, chunk, rpc));
         }
     }
@@ -103,9 +143,11 @@ impl RuntimeThread {
         arr: &Arc<ArrayShared>,
         index: u64,
         kind: LockKind,
+        intent: bool,
         waiter: WaitCell,
     ) {
         let home = arr.layout.home_of(index as usize);
+        let chunk = (index as usize / arr.layout.chunk_size()) as ChunkId;
         if home == self.node {
             let woken = arr.per_node[self.node]
                 .lock_table
@@ -115,12 +157,21 @@ impl RuntimeThread {
                 self.deliver_grant(ctx, arr, index, k, src);
             }
         } else {
-            let chunk = (index as usize / arr.layout.chunk_size()) as ChunkId;
             let rpc = Rpc::LockRelease { id: index, kind };
             self.comm.send(ctx, home, Envelope::new(arr.id, chunk, rpc));
         }
         // Releases complete locally; the wire release is one-way.
         waiter.notify(ctx);
+        // The release half of an intent lock: write this node's unused
+        // Exclusive copy back home (the ordinary eviction), so the next
+        // holder or reader is served by the home rather than by a recall.
+        let d = &arr.per_node[self.node].dentries[chunk as usize];
+        if intent
+            && d.state() == LocalState::Exclusive
+            && arr.home_on(self.node, chunk as usize) != self.node
+        {
+            self.evict_unused(ctx, arr, chunk);
+        }
     }
 
     pub(super) fn rpc_lock_acquire(
@@ -129,13 +180,14 @@ impl RuntimeThread {
         arr: &Arc<ArrayShared>,
         id: u64,
         kind: LockKind,
+        intent: bool,
         src: NodeId,
     ) {
-        let granted =
-            arr.per_node[self.node]
-                .lock_table
-                .lock()
-                .acquire(id, kind, LockSource::Remote(src));
+        let granted = arr.per_node[self.node].lock_table.lock().acquire(
+            id,
+            kind,
+            LockSource::Remote { node: src, intent },
+        );
         if let Some(s) = granted {
             self.deliver_grant(ctx, arr, id, kind, s);
         }
@@ -158,12 +210,16 @@ impl RuntimeThread {
         }
     }
 
+    /// A grant arrived. For an intent grant, the ordinary write miss for
+    /// the element's chunk goes out before the application thread wakes,
+    /// so its first access waits on that fill.
     pub(super) fn rpc_lock_grant(
         &mut self,
         ctx: &mut Ctx,
         arr: &Arc<ArrayShared>,
         id: u64,
         kind: LockKind,
+        intent: bool,
     ) {
         let popped = {
             let mut lw = arr.per_node[self.node].lock_waiters.lock();
@@ -173,10 +229,14 @@ impl RuntimeThread {
             }
             popped
         };
-        match popped {
-            Some(w) => w.notify(ctx),
-            None => self.lock_grant_invariant_violated(arr, id, kind),
+        let Some(w) = popped else {
+            return self.lock_grant_invariant_violated(arr, id, kind);
+        };
+        if intent {
+            let chunk = (id as usize / arr.layout.chunk_size()) as ChunkId;
+            self.local_data_req(ctx, arr, chunk, Kind::Write, WaitCell::new());
         }
+        w.notify(ctx);
     }
 
     /// A peer was declared dead: reclaim every lock it held in this node's
@@ -230,5 +290,157 @@ impl RuntimeThread {
              registered: {waiting:?}",
             self.node, self.rt_idx, arr.id,
         ));
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use dsim::{Sim, SimConfig};
+
+    use crate::dentry::LINE_NONE;
+    use crate::msg::{Envelope, LockKind, Rpc, RtMsg};
+    use crate::state::{DirState, LocalState};
+    use crate::{ArrayOptions, Cluster, ClusterConfig, DEFAULT_CHUNK_SIZE};
+
+    /// 3 nodes × 2 application threads run read-modify-writes under
+    /// write-intent locks, each thread cycling through `elems`. All of
+    /// them lie in chunk 1, homed on node 1, so nodes 0 and 2 take intent
+    /// locks and node 1 plain ones. Every increment must land.
+    fn intent_rmw(elems: &'static [usize]) {
+        const ROUNDS: usize = 12;
+        Sim::new(SimConfig::default()).run(move |ctx| {
+            let cluster = Cluster::new(ctx, ClusterConfig::with_nodes(3));
+            let arr = cluster.alloc::<u64>(3 * DEFAULT_CHUNK_SIZE, ArrayOptions::default());
+            cluster.run(ctx, 2, move |ctx, env| {
+                let a = arr.on(env.node);
+                for r in 0..ROUNDS {
+                    let e = elems[(env.thread + r) % elems.len()];
+                    a.wlock_for_write(ctx, e);
+                    let v = a.get(ctx, e);
+                    a.set(ctx, e, v + 1);
+                    a.unlock(ctx, e);
+                }
+                env.barrier(ctx);
+                let each = (env.nodes * env.threads_per_node * ROUNDS / elems.len()) as u64;
+                for &e in elems {
+                    assert_eq!(a.home_of(e), 1);
+                    assert_eq!(a.get(ctx, e), each, "element {e}");
+                }
+            });
+            cluster.shutdown(ctx);
+        });
+    }
+
+    #[test]
+    fn intent_locks_on_one_element_complete_every_increment() {
+        intent_rmw(&[600]);
+    }
+
+    /// Two locks in one chunk: while one thread holds a lock and its
+    /// chunk, another thread's grant for the other element pulls the same
+    /// chunk away. This is the shape that deadlocks a design which parks
+    /// the grantee's write request at the lock home until the grant.
+    #[test]
+    fn intent_locks_on_two_elements_of_one_chunk_complete_every_increment() {
+        intent_rmw(&[600, 700]);
+    }
+
+    /// The grant brings the chunk along and the release hands it back: the
+    /// grant pulls a third node's copy, the caller is Exclusive after its
+    /// first access under the lock, and once it unlocks with no reference
+    /// held its line is free and the home holds the chunk alone again.
+    #[test]
+    fn intent_lock_brings_the_chunk_and_unlock_hands_it_back() {
+        const E: usize = DEFAULT_CHUNK_SIZE + 3; // chunk 1, homed on node 1
+        Sim::new(SimConfig::default()).run(|ctx| {
+            let cluster = Cluster::new(ctx, ClusterConfig::with_nodes(3));
+            let arr = cluster.alloc::<u64>(3 * DEFAULT_CHUNK_SIZE, ArrayOptions::default());
+            cluster.run(ctx, 1, move |ctx, env| {
+                let a = arr.on(env.node);
+                let chunk = E / DEFAULT_CHUNK_SIZE;
+                if env.node == 2 {
+                    assert_eq!(a.get(ctx, E), 0); // a copy for the grant to pull
+                }
+                env.barrier(ctx);
+                if env.node == 0 {
+                    a.wlock_for_write(ctx, E);
+                    assert_eq!(a.get(ctx, E), 0);
+                    assert_eq!(a.dentry(chunk).state(), LocalState::Exclusive);
+                    a.set(ctx, E, 9);
+                    a.unlock(ctx, E);
+                    ctx.sleep(100_000);
+                    let d = a.dentry(chunk);
+                    assert_eq!((d.state(), d.line()), (LocalState::Invalid, LINE_NONE));
+                    let home = a.arr.per_node[1].home[chunk].lock();
+                    assert_eq!(*home.state(), DirState::Unshared);
+                }
+                env.barrier(ctx);
+                assert_eq!(a.get(ctx, E), 9);
+            });
+            assert_eq!(cluster.stats(2).invalidations, 1);
+            assert_eq!(cluster.stats(0).evictions, 1);
+            assert_eq!(cluster.stats(0).recalls, 0);
+            cluster.shutdown(ctx);
+        });
+    }
+
+    /// An intent grant to a node the home has declared dead is released
+    /// straight back: it pulls nothing, and the next waiter gets the lock.
+    #[test]
+    fn intent_grant_to_a_dead_node_pulls_nothing_and_passes_the_lock_on() {
+        const X: usize = 5; // chunk 0, homed on node 0
+        Sim::new(SimConfig::default()).run(|ctx| {
+            let cluster = Cluster::new(ctx, ClusterConfig::test_config(3));
+            let arr = cluster.alloc::<u64>(3 * DEFAULT_CHUNK_SIZE, ArrayOptions::default());
+            cluster.run(ctx, 1, move |ctx, env| {
+                let a = arr.on(env.node);
+                match env.node {
+                    1 => {
+                        // Hold the lock with the chunk Dirty here.
+                        a.wlock(ctx, X);
+                        a.set(ctx, X, 1);
+                        ctx.sleep(1_000_000);
+                        a.unlock(ctx, X);
+                    }
+                    0 => {
+                        ctx.sleep(200_000);
+                        // Node 2 queues a write-intent acquire behind node
+                        // 1, then node 0's view declares node 2 dead before
+                        // its runtime has swept node 2's locks.
+                        let env2 = Envelope::new(
+                            a.arr.id,
+                            0,
+                            Rpc::LockAcquire {
+                                id: X as u64,
+                                kind: LockKind::Write,
+                                intent: true,
+                            },
+                        );
+                        let mb = a.shared.rt_mailbox(0, a.arr.id, 0);
+                        mb.send(ctx, RtMsg::Net { src: 2, env: env2 }, 0);
+                        ctx.sleep(50_000);
+                        let view = &a.shared.membership[0];
+                        assert!(view.suspect(2));
+                        assert!(view.confirm_dead(2).is_some());
+                        // Queued behind node 2: node 1's release grants
+                        // node 2, which goes straight to this waiter.
+                        a.wlock(ctx, X);
+                        {
+                            let home = a.arr.per_node[0].home[0].lock();
+                            assert_eq!(*home.state(), DirState::Dirty { owner: 1 });
+                            assert!(home.transient().is_none() && home.pending_len() == 0);
+                        }
+                        assert_eq!(a.get(ctx, X), 1);
+                        a.unlock(ctx, X);
+                    }
+                    _ => {}
+                }
+            });
+            let s0 = cluster.stats(0);
+            assert_eq!(s0.orphaned_locks_reclaimed, 1);
+            assert_eq!(s0.locks_granted, 2);
+            assert_eq!(cluster.stats(1).recalls, 1);
+            cluster.shutdown(ctx);
+        });
     }
 }

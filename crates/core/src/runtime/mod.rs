@@ -652,12 +652,16 @@ impl RuntimeThread {
             LocalKind::Operate { chunk, op } => {
                 self.local_data_req(ctx, &arr, chunk, Kind::Operate(op), req.waiter)
             }
-            LocalKind::LockAcquire { index, kind } => {
-                self.local_lock_acquire(ctx, &arr, index, kind, req.waiter)
-            }
-            LocalKind::LockRelease { index, kind } => {
-                self.local_lock_release(ctx, &arr, index, kind, req.waiter)
-            }
+            LocalKind::LockAcquire {
+                index,
+                kind,
+                intent,
+            } => self.local_lock_acquire(ctx, &arr, index, kind, intent, req.waiter),
+            LocalKind::LockRelease {
+                index,
+                kind,
+                intent,
+            } => self.local_lock_release(ctx, &arr, index, kind, intent, req.waiter),
         }
     }
 
@@ -812,12 +816,9 @@ impl RuntimeThread {
         }
     }
 
-    /// Advance this pool's scanning pointer to the next evictable line,
-    /// evict it and run its drain continuation at once, so the free count
-    /// moves with every eviction. Returns false when a full cycle found
-    /// nothing evictable. The *selection* (skip referenced, mid-transition
-    /// and in-flight lines) is executor policy; the per-state eviction
-    /// protocol is the cache machine's.
+    /// Advance this pool's scanning pointer to the next evictable line and
+    /// evict it, so the free count moves with every eviction. Returns false
+    /// when a full cycle found nothing evictable.
     fn reclaim_step(&mut self, ctx: &mut Ctx) -> bool {
         for _ in 0..self.cache.capacity() {
             ctx.charge(self.shared.cfg.cost.evict_scan_ns);
@@ -825,20 +826,29 @@ impl RuntimeThread {
             let Some((aid, c)) = self.cache.owner(line) else {
                 continue;
             };
-            let arr = self.shared.array(aid);
-            let d = &arr.per_node[self.node].dentries[c as usize];
-            if d.delay_set() || d.refcnt() > 0 {
-                continue; // accessed or mid-transition: not evictable
+            if self.evict_unused(ctx, &self.shared.array(aid), c) {
+                return true;
             }
-            let actions = CacheMachine::on_event(&self.cache_view(&arr, c), CacheEvent::Evict);
-            if actions.is_empty() {
-                continue; // fill in flight: not evictable
-            }
-            self.run_cache_actions(ctx, &arr, c, actions, None);
-            self.drain_ready(ctx);
-            return true;
         }
         false
+    }
+
+    /// Evict this node's copy of `chunk` and run its drain continuation at
+    /// once; false when it is not evictable. The *selection* (skip
+    /// referenced, mid-transition and in-flight lines) is executor policy;
+    /// the per-state eviction protocol is the cache machine's.
+    fn evict_unused(&mut self, ctx: &mut Ctx, arr: &Arc<ArrayShared>, chunk: ChunkId) -> bool {
+        let d = &arr.per_node[self.node].dentries[chunk as usize];
+        if d.delay_set() || d.refcnt() > 0 {
+            return false; // accessed or mid-transition: not evictable
+        }
+        let actions = CacheMachine::on_event(&self.cache_view(arr, chunk), CacheEvent::Evict);
+        if actions.is_empty() {
+            return false; // fill in flight: not evictable
+        }
+        self.run_cache_actions(ctx, arr, chunk, actions, None);
+        self.drain_ready(ctx);
+        true
     }
 
     /// Close a reclaim episode. This is the Writeback durability batch
@@ -882,10 +892,12 @@ impl RuntimeThread {
         let msg = match env.rpc {
             Rpc::Coherence(msg) => msg,
             // Distributed locks (orthogonal to the coherence protocol).
-            Rpc::LockAcquire { id, kind } => {
-                return self.rpc_lock_acquire(ctx, &arr, id, kind, src)
+            Rpc::LockAcquire { id, kind, intent } => {
+                return self.rpc_lock_acquire(ctx, &arr, id, kind, intent, src)
             }
-            Rpc::LockGrant { id, kind } => return self.rpc_lock_grant(ctx, &arr, id, kind),
+            Rpc::LockGrant { id, kind, intent } => {
+                return self.rpc_lock_grant(ctx, &arr, id, kind, intent)
+            }
             Rpc::LockRelease { id, kind } => {
                 return self.rpc_lock_release(ctx, &arr, id, kind, src)
             }

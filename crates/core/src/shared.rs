@@ -40,8 +40,8 @@ pub(crate) struct ArrayNode {
     /// Local waiters for grants from remote lock tables, FIFO per (id, kind).
     pub lock_waiters: Mutex<HashMap<(u64, LockKind), VecDeque<WaitCell>>>,
     /// Locks held by application threads of this node, for `unlock(index)`
-    /// (kind + recursion count for multiple local readers).
-    pub held: Mutex<HashMap<u64, (LockKind, u32)>>,
+    /// (kind, write intent, and a count for multiple local readers).
+    pub held: Mutex<HashMap<u64, (LockKind, bool, u32)>>,
 }
 
 /// Cluster-global state of one distributed array.

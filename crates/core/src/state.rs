@@ -157,6 +157,17 @@ impl DirState {
             DirState::Operated { .. } => LocalState::Operated,
         }
     }
+
+    /// Does `node` hold the chunk alone, as its Dirty owner or its only
+    /// sharer? A write-intent lock grant pulls the chunk home for its
+    /// grantee unless this holds (DESIGN.md §4.5).
+    pub fn held_alone_by(&self, node: NodeId) -> bool {
+        match self {
+            DirState::Dirty { owner } => *owner == node,
+            DirState::Shared { sharers } => sharers[..] == [node],
+            DirState::Unshared | DirState::Operated { .. } => false,
+        }
+    }
 }
 
 /// Access-rights set (Table 1 cells).

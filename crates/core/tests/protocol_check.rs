@@ -11,7 +11,10 @@
 //! * message deliveries (one per FIFO link),
 //! * local drains (remote Figure-5 drains, the home drain, the grace retry),
 //! * application requests (Read / Write / Operate, budget-limited),
-//! * element-lock acquire/release (budget-limited),
+//! * element-lock acquire/release (budget-limited), including write-intent
+//!   locks (DESIGN.md §4.5) in the combined search: the grant also runs the
+//!   home's write miss for the lock's chunk and the grantee's, and the
+//!   release evicts the grantee's Exclusive copy,
 //! * evictions (budget-limited), and
 //! * **node kills** — fail-stop crashes modeled exactly as the runtime sees
 //!   them: every surviving prefix of the victim's in-flight messages is
@@ -71,6 +74,9 @@ const OP: u32 = 7;
 const APP_TOKEN: u32 = 100;
 /// Completion token for the home node's lock slot.
 const LOCK_TOKEN: u32 = 200;
+/// Completion token of the home-local Write an intent grant runs; nothing
+/// waits on it.
+const PULL_TOKEN: u32 = 300;
 /// The one cacheline index the model allocates.
 const LINE: u32 = 1;
 
@@ -90,10 +96,12 @@ enum Frame {
     // home → remote
     LockGrant {
         kind: LockKind,
+        intent: bool,
     },
     // remote → home
     LockAcq {
         kind: LockKind,
+        intent: bool,
     },
     LockRel {
         kind: LockKind,
@@ -137,6 +145,8 @@ struct Remote {
     home_down: bool,
     app: App,
     lock: Lock,
+    /// The lock slot's request is a write-intent lock.
+    intent: bool,
     req_budget: u8,
     lock_budget: u8,
     evict_budget: u8,
@@ -153,6 +163,7 @@ impl Remote {
             home_down: false,
             app: App::Idle,
             lock: Lock::Idle,
+            intent: false,
             req_budget,
             lock_budget,
             evict_budget,
@@ -171,6 +182,7 @@ impl Remote {
             home_down: false,
             app: App::Idle,
             lock: Lock::Idle,
+            intent: false,
             req_budget: 0,
             lock_budget: 0,
             evict_budget: 0,
@@ -251,6 +263,8 @@ struct World {
     compacting: Option<(u64, CkPhase)>,
     /// How many compaction sequences may still be started.
     compact_budget: u8,
+    /// Remote lock acquires may also take write-intent locks.
+    intent_locks: bool,
 }
 
 /// The crash-atomic phases of `LogChunkStore::checkpoint` (DESIGN.md §14),
@@ -357,6 +371,12 @@ struct Ck {
     double_kills: usize,
     /// Reachable states in which the home had confirmed BOTH remote deaths.
     both_dead_states: usize,
+    /// Write-intent grants sent to a live grantee.
+    intent_grants: usize,
+    /// Intent grants that ran the home's write miss for the lock's chunk.
+    intent_pulls: usize,
+    /// Intent releases that evicted the grantee's Exclusive copy.
+    hand_backs: usize,
 }
 
 impl Ck {
@@ -390,6 +410,9 @@ impl Ck {
             restarts_from_checkpoint: 0,
             double_kills: 0,
             both_dead_states: 0,
+            intent_grants: 0,
+            intent_pulls: 0,
+            hand_backs: 0,
         }
     }
 }
@@ -451,6 +474,8 @@ enum Tr {
     LockHomeAcq(LockKind),
     LockHomeRel,
     LockRemoteAcq(usize, LockKind),
+    /// Remote `i+1` takes a write-intent lock.
+    LockRemoteIntent(usize),
     LockRemoteRel(usize),
     Evict(usize),
     /// Kill `victim`, keeping the first `keep[i]` messages of each of its
@@ -579,6 +604,9 @@ fn external_transitions(w: &World) -> Vec<Tr> {
             Lock::Idle if r.lock_budget > 0 && !r.home_down => {
                 for lk in LKINDS {
                     out.push(Tr::LockRemoteAcq(i, lk));
+                }
+                if w.intent_locks {
+                    out.push(Tr::LockRemoteIntent(i));
                 }
             }
             Lock::Holding(_) => out.push(Tr::LockRemoteRel(i)),
@@ -721,6 +749,7 @@ fn label(w: &World, tr: Tr) -> String {
         Tr::LockHomeAcq(k) => format!("home acquires {k:?} lock"),
         Tr::LockHomeRel => "home releases its lock".to_string(),
         Tr::LockRemoteAcq(i, k) => format!("r{} acquires {k:?} lock", i + 1),
+        Tr::LockRemoteIntent(i) => format!("r{} acquires a write-intent lock", i + 1),
         Tr::LockRemoteRel(i) => format!("r{} releases its lock", i + 1),
         Tr::Evict(i) => format!("eviction scan hits r{}", i + 1),
         Tr::Kill {
@@ -828,23 +857,28 @@ fn apply(w: &mut World, ck: &mut Ck, trace: &[String], tr: Tr) {
             let granted = h.locks.release(ELEM, lk, None);
             deliver_lock_grants(w, ck, trace, granted);
         }
-        Tr::LockRemoteAcq(i, lk) => {
-            let r = &mut w.rem[i];
-            r.lock_budget -= 1;
-            r.lock = Lock::Waiting(lk);
-            w.r2h[i].push_back(Frame::LockAcq { kind: lk });
-        }
+        Tr::LockRemoteAcq(i, lk) => lock_remote_acquire(w, i, lk, false),
+        Tr::LockRemoteIntent(i) => lock_remote_acquire(w, i, LockKind::Write, true),
         Tr::LockRemoteRel(i) => {
             let r = &mut w.rem[i];
             let Lock::Holding(lk) = r.lock else {
                 unreachable!()
             };
             r.lock = Lock::Idle;
+            let intent = std::mem::take(&mut r.intent);
             if w.home.is_some() {
                 w.r2h[i].push_back(Frame::LockRel { kind: lk });
             }
             // Home already dead: the release would be sent to a corpse; the
             // home's lock table died with it, so dropping is sound.
+            //
+            // An intent release then hands an unused Exclusive copy back
+            // with the ordinary eviction.
+            let r = &w.rem[i];
+            if intent && r.state == LocalState::Exclusive && r.after.is_none() {
+                ck.hand_backs += 1;
+                run_cache_event(w, ck, trace, i, CacheEvent::Evict);
+            }
         }
         Tr::Evict(i) => {
             w.rem[i].evict_budget -= 1;
@@ -1059,9 +1093,9 @@ fn deliver_to_remote(w: &mut World, ck: &mut Ck, trace: &[String], i: usize, fra
                 &format!("home-side event {ev:?} delivered to r{}", i + 1),
             ),
         },
-        Frame::LockGrant { kind } => {
+        Frame::LockGrant { kind, intent } => {
             let r = &mut w.rem[i];
-            if r.lock != Lock::Waiting(kind) {
+            if r.lock != Lock::Waiting(kind) || r.intent != intent {
                 fail(
                     ck,
                     trace,
@@ -1070,6 +1104,12 @@ fn deliver_to_remote(w: &mut World, ck: &mut Ck, trace: &[String], i: usize, fra
                 );
             }
             r.lock = Lock::Holding(kind);
+            // The grantee's half of an intent grant: the runtime's write
+            // miss for the lock's chunk, unless its rights already allow
+            // the write.
+            if intent {
+                write_miss_remote(w, ck, trace, i);
+            }
         }
         Frame::Down { dead } => {
             assert_eq!(dead, HOME, "only the home's death reaches a remote");
@@ -1089,6 +1129,7 @@ fn deliver_to_remote(w: &mut World, ck: &mut Ck, trace: &[String], i: usize, fra
             // Lock slots waiting on (or holding locks managed by) the dead
             // home are meaningless now: the table died with the home.
             r.lock = Lock::Idle;
+            r.intent = false;
             run_cache_event(w, ck, trace, i, CacheEvent::HomeDown);
             // An application wait with no fill in flight will never be woken
             // by the protocol again — the runtime wakes it on the detector
@@ -1138,9 +1179,11 @@ fn deliver_to_home(w: &mut World, ck: &mut Ck, trace: &[String], i: usize, frame
                 &format!("cache-side event {ev:?} sent to the home"),
             ),
         },
-        Frame::LockAcq { kind } => {
+        Frame::LockAcq { kind, intent } => {
             let h = w.home.as_mut().unwrap();
-            let granted = h.locks.acquire(ELEM, kind, LockSource::Remote(from));
+            let granted = h
+                .locks
+                .acquire(ELEM, kind, LockSource::Remote { node: from, intent });
             if let Some(src) = granted {
                 deliver_lock_grants(w, ck, trace, vec![(src, kind)]);
             }
@@ -1213,23 +1256,84 @@ fn deliver_lock_grants(
                 }
                 h.lock = Lock::Holding(lk);
             }
-            LockSource::Remote(n) => {
+            LockSource::Remote { node: n, intent } => {
                 let h = w.home.as_mut().unwrap();
                 if h.knows_dead[n - 1] {
                     // Runtime cascade: deliver_grant sees the grantee is
-                    // dead and releases straight back.
+                    // dead and releases straight back, pulling nothing.
                     let more = h.locks.release(ELEM, lk, Some(n));
                     ck.locks_reclaimed += 1;
                     queue.extend(more);
-                } else if w.rem[n - 1].alive {
-                    w.h2r[n - 1].push_back(Frame::LockGrant { kind: lk });
+                    continue;
+                }
+                if w.rem[n - 1].alive {
+                    w.h2r[n - 1].push_back(Frame::LockGrant { kind: lk, intent });
                 }
                 // else: grantee died but the marker is still in flight; the
                 // grant message is lost with the node, and the marker's
                 // forget_peer sweep will reclaim the table slot.
+                if intent {
+                    ck.intent_grants += 1;
+                    pull_for(w, ck, trace, n);
+                }
             }
         }
     }
+}
+
+/// Remote `i` asks the home for a lock; `intent` marks a write-intent
+/// writer lock.
+fn lock_remote_acquire(w: &mut World, i: usize, kind: LockKind, intent: bool) {
+    let r = &mut w.rem[i];
+    r.lock_budget -= 1;
+    r.lock = Lock::Waiting(kind);
+    r.intent = intent;
+    w.r2h[i].push_back(Frame::LockAcq { kind, intent });
+}
+
+/// The home's half of an intent grant to node `grantee`, as the runtime's
+/// `pull_for` runs it: unless the grantee holds the chunk alone, the home
+/// node's own write miss (skipped, like any home-local miss, when the home
+/// dentry already allows the write).
+fn pull_for(w: &mut World, ck: &mut Ck, trace: &[String], grantee: usize) {
+    let h = w.home.as_ref().unwrap();
+    let home_has_it = !h.draining && satisfied(h.dentry.0, h.dentry.1, Kind::Write);
+    if h.m.state().held_alone_by(grantee) || home_has_it {
+        return;
+    }
+    ck.intent_pulls += 1;
+    run_home_event(
+        w,
+        ck,
+        trace,
+        HomeEvent::Request(Request {
+            source: Requester::Local(PULL_TOKEN),
+            kind: Kind::Write,
+        }),
+    );
+}
+
+/// The grantee's half of an intent grant on remote `i`: the runtime's write
+/// miss for the lock's chunk, issued unless the dentry already allows the
+/// write. Nothing waits on it; the application slot re-checks on its wake.
+fn write_miss_remote(w: &mut World, ck: &mut Ck, trace: &[String], i: usize) {
+    let r = &w.rem[i];
+    let drain_pending = r.after.is_some();
+    if !drain_pending && satisfied(r.state, r.op_tag, Kind::Write) {
+        return;
+    }
+    let home_down = r.home_down;
+    run_cache_event(
+        w,
+        ck,
+        trace,
+        i,
+        CacheEvent::Request {
+            kind: Kind::Write,
+            home_down,
+            drain_pending,
+        },
+    );
 }
 
 /// Feed one event to the home machine and execute its actions.
@@ -1240,6 +1344,7 @@ fn run_home_event(w: &mut World, ck: &mut Ck, trace: &[String], ev: HomeEvent<u3
     for a in actions {
         match a {
             HomeAction::ChargeDirUpdate => {}
+            HomeAction::Wake(PULL_TOKEN) => {}
             HomeAction::Wake(tok) => {
                 assert_eq!(tok, APP_TOKEN, "unknown home wake token");
                 let h = w.home.as_mut().unwrap();
@@ -1623,6 +1728,26 @@ fn check_safety(w: &World, ck: &mut Ck, trace: &[String]) {
             );
         }
     }
+    // Lock exclusion: a held writer lock excludes every other holder.
+    // (A remote that learned of the home's death dropped its slot.)
+    let holders: Vec<LockKind> = w
+        .home
+        .iter()
+        .map(|h| h.lock)
+        .chain(w.rem.iter().filter(|r| r.alive).map(|r| r.lock))
+        .filter_map(|l| match l {
+            Lock::Holding(k) => Some(k),
+            _ => None,
+        })
+        .collect();
+    if holders.contains(&LockKind::Write) && holders.len() > 1 {
+        fail(
+            ck,
+            trace,
+            w,
+            &format!("a writer lock is held alongside others: {holders:?}"),
+        );
+    }
     let Some(h) = &w.home else { return };
     // The machine's dead set and the executor's detector agree.
     for n in 1..=NREM {
@@ -1909,6 +2034,7 @@ fn initial_world(
         trunc_floor: 0,
         compacting: None,
         compact_budget: 0,
+        intent_locks: false,
     }
 }
 
@@ -1965,6 +2091,12 @@ fn summarize(ck: &Ck, name: &str) {
         ck.double_kills,
         ck.both_dead_states,
     );
+    if ck.intent_grants > 0 {
+        println!(
+            "[{name}-intent] intent_grants={} intent_pulls={} hand_backs={}",
+            ck.intent_grants, ck.intent_pulls, ck.hand_backs
+        );
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -2046,15 +2178,32 @@ fn crash_model_locks() {
 
 /// Cross-subsystem search: one remote drives coherence *and* lock traffic
 /// at once with a kill, so the `PeerDown` sweep (directory cleanup followed
-/// by the lock purge) is exercised with both subsystems mid-flight.
+/// by the lock purge) is exercised with both subsystems mid-flight. Remote
+/// locks may be write-intent locks (DESIGN.md §4.5), whose grant runs the
+/// home's and the grantee's write misses for the chunk and whose release
+/// evicts the grantee's copy: single writer and lock exclusion must hold
+/// through every interleaving of those with the data traffic and the kill.
 #[test]
 fn crash_model_combined() {
     let mut ck = Ck::new(0);
-    let w = initial_world([1, 1], [1, 1], [0, 0], 0, 1, 1, 0);
+    let mut w = initial_world([1, 1], [1, 1], [0, 0], 0, 1, 1, 0);
+    w.intent_locks = true;
     let mut trace = Vec::new();
     dfs(&w, 0, &mut ck, &mut trace);
     summarize(&ck, "combined");
 
+    assert!(
+        ck.intent_grants > 0,
+        "no write-intent lock was ever granted"
+    );
+    assert!(
+        ck.intent_pulls > 0,
+        "no intent grant ever pulled the chunk from another holder"
+    );
+    assert!(
+        ck.hand_backs > 0,
+        "no intent release ever handed the chunk back"
+    );
     assert!(
         ck.quiescent_states > 0,
         "the search never reached quiescence"

@@ -287,6 +287,94 @@ fn tcp_matches_sim_through_join_and_migration() {
     assert_eq!(sim[NODES - 1].migrations_in, 2, "{:?}", sim[NODES - 1]);
 }
 
+/// The KVS put's pattern under write-intent locks (DESIGN.md §4.5): in
+/// turn `t`, every node first reads chunk 3 of every partition (the probe
+/// reads that leave Shared copies), then node `t` alone takes intent locks
+/// on its own element of each of those chunks, probes, writes one word and
+/// unlocks, twice per chunk. The first grant pulls the other nodes' copies;
+/// the second finds node `t` the sole sharer and pulls nothing; each unlock
+/// hands the chunk back. A blocking read of the same chunk after each
+/// unlock queues behind the release and the writeback on the same link and
+/// runtime thread, so every phase ends with no traffic in flight and the
+/// counts do not depend on the schedule. Node `t`'s lock on its own
+/// partition takes the plain path.
+fn run_intent_workload(cfg: ClusterConfig) -> Vec<NodeStatsSnapshot> {
+    Sim::new(SimConfig::default()).run(move |ctx| {
+        let cluster = Cluster::new(ctx, cfg);
+        let arr = cluster.alloc::<u64>(
+            NODES * CHUNKS_PER_NODE * DEFAULT_CHUNK_SIZE,
+            ArrayOptions::default(),
+        );
+        cluster.run(ctx, 1, move |ctx, env| {
+            let a = arr.on(env.node);
+            for t in 0..NODES {
+                for h in 0..NODES {
+                    for k in 0..4 {
+                        a.get(ctx, base(h, 3) + 16 * k);
+                    }
+                }
+                env.barrier(ctx);
+                if env.node == t {
+                    for h in 0..NODES {
+                        let head = base(h, 3) + 16 * t;
+                        for round in 1..=2 {
+                            a.wlock_for_write(ctx, head);
+                            for k in 0..4 {
+                                a.get(ctx, head + k);
+                            }
+                            let v = a.get(ctx, head + 1);
+                            a.set(ctx, head + 1, v + 1);
+                            a.unlock(ctx, head);
+                            assert_eq!(a.get(ctx, head + 1), round);
+                        }
+                    }
+                }
+                env.barrier(ctx);
+            }
+            for d in 1..NODES {
+                let h = (env.node + d) % NODES;
+                assert_eq!(a.get(ctx, base(h, 5) + env.node), 0);
+            }
+            env.barrier(ctx);
+        });
+        let stats = (0..NODES).map(|n| cluster.stats(n)).collect();
+        cluster.shutdown(ctx);
+        stats
+    })
+}
+
+/// Write-intent locks move chunks through the ordinary protocol events
+/// (the home's and the grantee's write misses, the release's eviction),
+/// so their transition counts are as backend-independent as any other.
+/// Only the grantee's first access after the grant races its fill: over
+/// TCP the fill may land before the application thread runs, so that
+/// access hits instead of handing a miss to the runtime. The two counters
+/// of that handoff (`slow_misses`, `local_handled`) are left out; every
+/// protocol counter is compared.
+#[test]
+fn tcp_matches_sim_with_write_intent_locks() {
+    let view = |s: NodeStatsSnapshot| NodeStatsSnapshot {
+        slow_misses: 0,
+        local_handled: 0,
+        ..protocol_view(s)
+    };
+    let sim = run_intent_workload(parity_config(TransportKind::Sim));
+    let tcp = run_intent_workload(parity_config(TransportKind::Tcp));
+    for node in 0..NODES {
+        assert_eq!(
+            view(sim[node]),
+            view(tcp[node]),
+            "node {node}: intent-lock protocol counters must not depend on the backend"
+        );
+    }
+    let sum = |f: fn(&NodeStatsSnapshot) -> u64| sim.iter().map(f).sum::<u64>();
+    // Two intent locks per (locker, remote home) pair, each handed back.
+    let intent_locks = (NODES * (NODES - 1) * 2) as u64;
+    assert_eq!(sum(|s| s.evictions), intent_locks);
+    assert!(sum(|s| s.invalidations) > 0, "no grant pulled a copy");
+    assert_eq!(sum(|s| s.recalls), 0, "a hand-back left a copy to recall");
+}
+
 /// [`parity_config`] with the async pump's batching knobs turned all the
 /// way from their defaults: a shallow 4-frame egress ring, selective
 /// signaling every 8th frame, and a single pump thread multiplexing every

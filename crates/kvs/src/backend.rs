@@ -10,7 +10,8 @@ pub trait KvBackend: Clone + Send + Sync + 'static {
     fn get(&self, ctx: &mut Ctx, i: usize) -> u64;
     /// Write one element.
     fn set(&self, ctx: &mut Ctx, i: usize, v: u64);
-    /// Acquire the distributed writer lock of element `i`.
+    /// Acquire the distributed writer lock of element `i`, which the
+    /// caller takes to write `i`'s slot (a bucket's entries).
     fn wlock(&self, ctx: &mut Ctx, i: usize);
     /// Release the lock held on element `i`.
     fn unlock(&self, ctx: &mut Ctx, i: usize);
@@ -35,8 +36,11 @@ impl KvBackend for DArrayBackend {
     fn set(&self, ctx: &mut Ctx, i: usize, v: u64) {
         self.0.set(ctx, i, v)
     }
+    /// A write-intent lock: the grant brings the bucket's entry chunk
+    /// along and the unlock hands it back, so the put's probe and entry
+    /// write are local.
     fn wlock(&self, ctx: &mut Ctx, i: usize) {
-        self.0.wlock(ctx, i)
+        self.0.wlock_for_write(ctx, i)
     }
     fn unlock(&self, ctx: &mut Ctx, i: usize) {
         self.0.unlock(ctx, i)
