@@ -39,24 +39,32 @@ pub(crate) fn min_propagate_darray(
     let a = cluster.alloc_with::<u64>(n, opts.clone(), init);
     let b = cluster.alloc_with::<u64>(n, opts, init);
     let flags = cluster.alloc::<u64>(cluster.config().nodes, ArrayOptions::default());
-    let run = supersteps(ctx, cluster, locals, [a, b], None, move |ctx, s| {
-        let (g, src, dst) = (s.local, s.src, s.dst);
-        copy_owned(ctx, g.owned.clone(), src, dst, pin);
-        s.env.barrier(ctx);
-        // Scatter min contributions along owned out-edges.
-        for w in src.chunk_windows(g.owned.clone()) {
-            let r = Window::open(ctx, src, w.start, PinMode::Read, pin);
-            for u in w {
-                if let Some(c) = contrib(r.get(ctx, u)) {
-                    for &v in g.neighbors(u) {
-                        dst.apply(ctx, v as usize, min, c);
+    let run = supersteps(
+        ctx,
+        cluster,
+        locals,
+        [a, b],
+        None,
+        move |ctx, s| {
+            let (g, src, dst) = (s.local, s.src, s.dst);
+            copy_owned(ctx, g.owned.clone(), src, dst, pin);
+            s.env.barrier(ctx);
+            // Scatter min contributions along owned out-edges.
+            for w in src.chunk_windows(g.owned.clone()) {
+                let r = Window::open(ctx, src, w.start, PinMode::Read, pin);
+                for u in w {
+                    if let Some(c) = contrib(r.get(ctx, u)) {
+                        for &v in g.neighbors(u) {
+                            dst.apply(ctx, v as usize, min, c);
+                        }
                     }
                 }
             }
-        }
-        s.env.barrier(ctx);
-        vote(ctx, s.env, &flags, g.owned.clone(), src, dst, pin)
-    });
+            s.env.barrier(ctx);
+            vote(ctx, s.env, &flags, g.owned.clone(), src, dst, pin)
+        },
+        |_, _, _| {},
+    );
     PropagateResult {
         elapsed: run.elapsed,
         values: run.values,

@@ -16,7 +16,10 @@
 //!   BFS over DArray, in plain and Pin-optimized variants (Figure 8's
 //!   pattern: `apply(dst, add, contribution)` with local combining); they
 //!   and [`sssp`] are per-round steps of one superstep loop, and `pin`
-//!   only chooses whether each owned chunk window is pinned;
+//!   only chooses whether each owned chunk window is pinned. A PageRank
+//!   round is one walk of the owned vertices and one barrier; a CC, BFS
+//!   or SSSP round is a seed copy, a scatter and a convergence vote, with
+//!   three barriers;
 //! * [`gam_engine`] — the same algorithms ported to the GAM baseline
 //!   (Atomic-verb neighbor updates under exclusive ownership);
 //! * [`gemini`] — a Gemini-style bulk-synchronous message-passing baseline

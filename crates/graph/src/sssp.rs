@@ -88,23 +88,31 @@ pub fn sssp_darray(
     let a = cluster.alloc_with::<u64>(n, opts.clone(), init);
     let b = cluster.alloc_with::<u64>(n, opts, init);
     let flags = cluster.alloc::<u64>(nodes, ArrayOptions::default());
-    let run = supersteps(ctx, cluster, locals, [a, b], None, move |ctx, s| {
-        let g = s.local;
-        copy_owned(ctx, g.owned.clone(), s.src, s.dst, pin);
-        s.env.barrier(ctx);
-        // Relax owned edges: a flat edge list, not a window walk, so its
-        // reads stay plain. SSSP's Pin variant pins the seed copy only, so
-        // the vote reads plainly too.
-        for &(u, v, w) in &g.edges {
-            let du = s.src.get(ctx, u as usize);
-            if du == u64::MAX {
-                continue;
+    let run = supersteps(
+        ctx,
+        cluster,
+        locals,
+        [a, b],
+        None,
+        move |ctx, s| {
+            let g = s.local;
+            copy_owned(ctx, g.owned.clone(), s.src, s.dst, pin);
+            s.env.barrier(ctx);
+            // Relax owned edges: a flat edge list, not a window walk, so its
+            // reads stay plain. SSSP's Pin variant pins the seed copy only, so
+            // the vote reads plainly too.
+            for &(u, v, w) in &g.edges {
+                let du = s.src.get(ctx, u as usize);
+                if du == u64::MAX {
+                    continue;
+                }
+                s.dst.apply(ctx, v as usize, min, du + w as u64);
             }
-            s.dst.apply(ctx, v as usize, min, du + w as u64);
-        }
-        s.env.barrier(ctx);
-        vote(ctx, s.env, &flags, g.owned.clone(), s.src, s.dst, false)
-    });
+            s.env.barrier(ctx);
+            vote(ctx, s.env, &flags, g.owned.clone(), s.src, s.dst, false)
+        },
+        |_, _, _| {},
+    );
     PropagateResult {
         elapsed: run.elapsed,
         values: run.values,
