@@ -46,23 +46,13 @@ fn main() {
     // selective signaling every 8th frame.
     let sweep_t = *threads.last().unwrap();
     let mut sweep_rows = Vec::new();
-    for (label, batch) in [
-        (
-            "batch1",
-            darray::BatchConfig {
-                send_batch_max: 1,
-                flush_every_frames: None,
-            },
-        ),
-        (
-            "batch16_sig8",
-            darray::BatchConfig {
-                send_batch_max: 16,
-                flush_every_frames: Some(8),
-            },
-        ),
-    ] {
-        darray_bench::set_batch_override(Some(batch));
+    let batch1: fn(&mut darray::ClusterConfig) = |cfg| cfg.batch.send_batch_max = 1;
+    let batch16_sig8: fn(&mut darray::ClusterConfig) = |cfg| {
+        cfg.batch.send_batch_max = 16;
+        cfg.net.signal_interval = 8;
+    };
+    for (label, knobs) in [("batch1", batch1), ("batch16_sig8", batch16_sig8)] {
+        darray_bench::set_config_override(Some(knobs));
         let d = kvs_ycsb(KvSys::DArray, nodes, sweep_t, 0.5, records, ops);
         sweep_rows.push(vec![
             label.to_string(),
@@ -73,7 +63,7 @@ fn main() {
         ]);
         traffic.push((format!("{label}_get50_t{sweep_t}_{nodes}n"), d.protocol));
     }
-    darray_bench::set_batch_override(None);
+    darray_bench::set_config_override(None);
     print_table(
         &format!("Figure 17 — doorbell-batching sweep, get ratio 50% ({nodes} nodes)"),
         &[

@@ -69,23 +69,13 @@ fn main() {
     // egress coalescing counters respond in BENCH json.
     let sweep_n = *node_counts.last().unwrap();
     let mut sweep_rows = Vec::new();
-    for (label, batch) in [
-        (
-            "batch1",
-            darray::BatchConfig {
-                send_batch_max: 1,
-                flush_every_frames: None,
-            },
-        ),
-        (
-            "batch16_sig8",
-            darray::BatchConfig {
-                send_batch_max: 16,
-                flush_every_frames: Some(8),
-            },
-        ),
-    ] {
-        darray_bench::set_batch_override(Some(batch));
+    let batch1: fn(&mut darray::ClusterConfig) = |cfg| cfg.batch.send_batch_max = 1;
+    let batch16_sig8: fn(&mut darray::ClusterConfig) = |cfg| {
+        cfg.batch.send_batch_max = 16;
+        cfg.net.signal_interval = 8;
+    };
+    for (label, knobs) in [("batch1", batch1), ("batch16_sig8", batch16_sig8)] {
+        darray_bench::set_config_override(Some(knobs));
         let d = micro(
             System::DArray,
             Op::Write,
@@ -104,7 +94,7 @@ fn main() {
         ]);
         traffic.push((format!("{label}_write_{sweep_n}n"), d.protocol));
     }
-    darray_bench::set_batch_override(None);
+    darray_bench::set_config_override(None);
     print_table(
         &format!("Figure 18 — doorbell-batching sweep, random write ({sweep_n} nodes)"),
         &[

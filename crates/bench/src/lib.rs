@@ -18,20 +18,18 @@ pub use darray::TransportKind;
 
 use std::sync::Mutex;
 
-/// Process-wide doorbell-batching override for benchmark cells. The
-/// figure binaries' workload functions (`kvs_ycsb`, `micro::*`) build
-/// their clusters through [`bench_cluster_config`] with fixed signatures,
-/// so sweeps over the batching knobs set this instead of threading a
-/// config through every call. `None` (the default) keeps
-/// `BatchConfig::default()`.
-static BATCH_OVERRIDE: Mutex<Option<darray::BatchConfig>> = Mutex::new(None);
+/// Process-wide config override for benchmark cells. The figure
+/// binaries' workload functions (`kvs_ycsb`, `micro::*`) build their
+/// clusters through [`bench_cluster_config`] with fixed signatures, so
+/// sweeps over transport knobs set this instead of threading a config
+/// through every call. `None` (the default) leaves the config alone.
+static CONFIG_OVERRIDE: Mutex<Option<fn(&mut darray::ClusterConfig)>> = Mutex::new(None);
 
-/// Set (or with `None`, clear) the [`darray::BatchConfig`] that
-/// [`bench_cluster_config`] applies to every cluster built until the next
-/// call. Figure binaries run their cells sequentially, so scoping is by
-/// call order.
-pub fn set_batch_override(batch: Option<darray::BatchConfig>) {
-    *BATCH_OVERRIDE.lock().unwrap() = batch;
+/// Set (or with `None`, clear) the edit that [`bench_cluster_config`]
+/// applies to every cluster config built until the next call. Figure
+/// binaries run their cells sequentially, so scoping is by call order.
+pub fn set_config_override(edit: Option<fn(&mut darray::ClusterConfig)>) {
+    *CONFIG_OVERRIDE.lock().unwrap() = edit;
 }
 
 /// True when `FIG_FAST=1`: figure binaries shrink workloads for smoke runs.
@@ -82,8 +80,8 @@ pub fn bench_cluster_config_rt(nodes: usize, runtime_threads: usize) -> darray::
     let mut cfg = darray::ClusterConfig::with_nodes(nodes);
     cfg.runtime_threads = runtime_threads;
     cfg.transport = transport_kind();
-    if let Some(batch) = *BATCH_OVERRIDE.lock().unwrap() {
-        cfg.batch = batch;
+    if let Some(edit) = *CONFIG_OVERRIDE.lock().unwrap() {
+        edit(&mut cfg);
     }
     cfg
 }

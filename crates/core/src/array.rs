@@ -15,11 +15,12 @@ use dsim::{Ctx, WaitCell};
 use rdma_fabric::NodeId;
 
 use crate::config::AccessPath;
-use crate::dentry::{Acquire, Dentry, Want};
+use crate::dentry::{Acquire, Dentry};
 use crate::element::Element;
 use crate::error::DArrayError;
 use crate::msg::{ChunkId, LocalKind, LocalReq, LockKind, RtMsg};
 use crate::op::OpId;
+use crate::protocol::Kind;
 use crate::shared::{data_location, ArrayShared, ClusterShared};
 use crate::stats::NodeStats;
 
@@ -106,16 +107,17 @@ impl<T: Element> DArray<T> {
         &self.arr.per_node[self.node].dentries[chunk]
     }
 
-    /// Submit a request to the runtime and wait for completion (the slow
-    /// path of Figure 4, lines 10-12).
-    pub(crate) fn slow_request(&self, ctx: &mut Ctx, kind: LocalKind) {
+    /// Submit a request on `chunk` to the runtime thread that owns it and
+    /// wait for completion (the slow path of Figure 4, lines 10-12).
+    pub(crate) fn slow_request(&self, ctx: &mut Ctx, chunk: usize, kind: LocalKind) {
         NodeStats::bump(&self.shared.stats[self.node].slow_misses);
         let waiter = WaitCell::new();
-        let chunk = kind.route_chunk(self.arr.layout.chunk_size());
+        let chunk = chunk as ChunkId;
         self.shared.rt_mailbox(self.node, self.arr.id, chunk).send(
             ctx,
             RtMsg::Local(LocalReq {
                 array: self.arr.id,
+                chunk,
                 kind,
                 waiter: waiter.clone(),
             }),
@@ -124,7 +126,7 @@ impl<T: Element> DArray<T> {
         waiter.wait(ctx);
     }
 
-    /// Fast-path access skeleton: acquire rights for `want`, run `body` on
+    /// Fast-path access skeleton: acquire rights for `kind`, run `body` on
     /// the data word, release. Retries through the slow path on a miss;
     /// fails with [`DArrayError::NodeUnavailable`] instead of retrying
     /// forever when the chunk's home node has been declared down.
@@ -133,8 +135,7 @@ impl<T: Element> DArray<T> {
         &self,
         ctx: &mut Ctx,
         index: usize,
-        want: Want,
-        miss: impl Fn() -> LocalKind,
+        kind: Kind,
         body: impl Fn(&rdma_fabric::MemoryRegion, usize, &Self, &mut Ctx) -> R,
     ) -> Result<R, DArrayError> {
         assert!(index < self.len(), "index {index} out of bounds");
@@ -156,7 +157,7 @@ impl<T: Element> DArray<T> {
                 d.chunk_lock.lock(ctx, cost.mutex_pair_ns);
             }
             ctx.charge(path_cost);
-            match d.acquire(want) {
+            match d.acquire(kind) {
                 Acquire::Ok(line) => {
                     let (region, word) =
                         data_location(&self.shared, &self.arr, self.node, line, chunk, off);
@@ -183,7 +184,7 @@ impl<T: Element> DArray<T> {
                         chunk as u32,
                         self.node,
                         ctx.now(),
-                        format_args!("APP-MISS want={:?} state={:?}", want, st),
+                        format_args!("APP-MISS want={:?} state={:?}", kind, st),
                     );
                     if let Some(message) = self.shared.protocol_fault.get() {
                         return Err(DArrayError::ProtocolInvariant { message });
@@ -192,7 +193,7 @@ impl<T: Element> DArray<T> {
                     if home != self.node && self.shared.is_peer_down(self.node, home) {
                         return Err(self.shared.unavailable_error(self.node, home));
                     }
-                    self.slow_request(ctx, miss());
+                    self.slow_request(ctx, chunk, LocalKind::Access(kind));
                 }
             }
         }
@@ -209,14 +210,9 @@ impl<T: Element> DArray<T> {
     /// when the element's home node has been declared down and no local copy
     /// is cached (only possible when `ClusterConfig::fault` is set).
     pub fn try_get(&self, ctx: &mut Ctx, index: usize) -> Result<T, DArrayError> {
-        let chunk = self.arr.layout.chunk_of(index) as ChunkId;
-        let bits = self.try_access(
-            ctx,
-            index,
-            Want::Read,
-            || LocalKind::Read { chunk },
-            |region, word, _, _| region.load(word),
-        )?;
+        let bits = self.try_access(ctx, index, Kind::Read, |region, word, _, _| {
+            region.load(word)
+        })?;
         Ok(T::from_bits(bits))
     }
 
@@ -229,15 +225,10 @@ impl<T: Element> DArray<T> {
 
     /// Fallible [`DArray::set`].
     pub fn try_set(&self, ctx: &mut Ctx, index: usize, value: T) -> Result<(), DArrayError> {
-        let chunk = self.arr.layout.chunk_of(index) as ChunkId;
         let bits = value.to_bits();
-        self.try_access(
-            ctx,
-            index,
-            Want::Write,
-            || LocalKind::Write { chunk },
-            move |region, word, _, _| region.store(word, bits),
-        )
+        self.try_access(ctx, index, Kind::Write, move |region, word, _, _| {
+            region.store(word, bits)
+        })
     }
 
     /// Apply a registered operator to element `index` (Figure 3 line 9, the
@@ -274,15 +265,13 @@ impl<T: Element> DArray<T> {
         op: OpId,
         operand: T,
     ) -> Result<(), DArrayError> {
-        let chunk = self.arr.layout.chunk_of(index) as ChunkId;
         let bits = operand.to_bits();
         let registry = self.shared.registry.clone();
         let op_cost = self.shared.cfg.cost.op_apply_ns;
         self.try_access(
             ctx,
             index,
-            Want::Operate(op.0),
-            || LocalKind::Operate { chunk, op: op.0 },
+            Kind::Operate(op.0),
             move |region, word, this, ctx| {
                 loop {
                     let cur = region.load(word);
@@ -314,20 +303,13 @@ impl<T: Element> DArray<T> {
         index: usize,
         f: impl Fn(T) -> T,
     ) -> Result<(), DArrayError> {
-        let chunk = self.arr.layout.chunk_of(index) as ChunkId;
-        self.try_access(
-            ctx,
-            index,
-            Want::Write,
-            || LocalKind::Write { chunk },
-            move |region, word, _, _| loop {
-                let cur = region.load(word);
-                let new = f(T::from_bits(cur)).to_bits();
-                if region.compare_exchange(word, cur, new).is_ok() {
-                    break;
-                }
-            },
-        )
+        self.try_access(ctx, index, Kind::Write, move |region, word, _, _| loop {
+            let cur = region.load(word);
+            let new = f(T::from_bits(cur)).to_bits();
+            if region.compare_exchange(word, cur, new).is_ok() {
+                break;
+            }
+        })
     }
 
     // ------------------------------------------------------------------
@@ -365,8 +347,9 @@ impl<T: Element> DArray<T> {
         if home != self.node && self.shared.is_peer_down(self.node, home) {
             return Err(self.shared.unavailable_error(self.node, home));
         }
-        self.slow_request(
+        self.lock_request(
             ctx,
+            index,
             LocalKind::LockAcquire {
                 index: index as u64,
                 kind,
@@ -438,14 +421,21 @@ impl<T: Element> DArray<T> {
     /// Release the lock this node holds on element `index`.
     pub fn unlock(&self, ctx: &mut Ctx, index: usize) {
         let (kind, intent) = self.take_held(index);
-        self.slow_request(
+        self.lock_request(
             ctx,
+            index,
             LocalKind::LockRelease {
                 index: index as u64,
                 kind,
                 intent,
             },
         );
+    }
+
+    /// Submit lock request `req` on element `index` and wait for it. A
+    /// lock goes to the runtime thread that owns its element's chunk.
+    fn lock_request(&self, ctx: &mut Ctx, index: usize, req: LocalKind) {
+        self.slow_request(ctx, self.arr.layout.chunk_of(index), req);
     }
 
     fn note_held(&self, index: usize, kind: LockKind, intent: bool) {
@@ -477,7 +467,8 @@ impl<T: Element> DArray<T> {
 mod tests {
     use std::ops::Range;
 
-    use crate::{ArrayOptions, Cluster, ClusterConfig, NodeId};
+    use crate::msg::{LocalKind, RtMsg};
+    use crate::{ArrayOptions, Cluster, ClusterConfig, LockKind, NodeId};
     use dsim::{Sim, SimConfig};
 
     /// The chunk windows of `range` over a 3-node array of `len` elements
@@ -540,5 +531,35 @@ mod tests {
             })
             .collect();
         assert_eq!(homes, [0, 0, 1, 1, 2]);
+    }
+
+    /// A lock request goes with its element's chunk: a lock on element
+    /// 1,000 of 512-element chunks reaches chunk 1's runtime thread. The
+    /// runtime is shut down first, so the request stays in its mailbox.
+    #[test]
+    fn lock_requests_route_by_element_chunk() {
+        Sim::new(SimConfig::default()).run(|ctx| {
+            let cluster = Cluster::new(ctx, ClusterConfig::test_config(2));
+            let a = cluster.alloc::<u64>(2048, ArrayOptions::default()).on(0);
+            cluster.shutdown(ctx);
+            let app = a.clone();
+            let h = ctx.spawn("app", move |c| app.wlock(c, 1_000));
+            ctx.sleep(1);
+            let mailbox = a.shared.rt_mailbox(0, a.arr.id, 1);
+            let Some(RtMsg::Local(req)) = mailbox.try_recv(ctx) else {
+                panic!("no lock request in chunk 1's mailbox");
+            };
+            assert_eq!(req.chunk, 1);
+            assert!(matches!(
+                req.kind,
+                LocalKind::LockAcquire {
+                    index: 1_000,
+                    kind: LockKind::Write,
+                    intent: false
+                }
+            ));
+            req.waiter.notify(ctx);
+            h.join(ctx);
+        });
     }
 }

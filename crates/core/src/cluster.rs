@@ -99,16 +99,9 @@ pub struct Cluster {
 fn build_transports(cfg: &ClusterConfig) -> Result<Vec<Arc<dyn Transport<NetMsg>>>, DArrayError> {
     match cfg.transport {
         TransportKind::Sim => {
-            // The selective-signaling knob maps onto the simulated NIC's
-            // native signal interval; the default `None` leaves `net`
-            // untouched (bit-identical to the pre-batching build).
-            let mut net = cfg.net.clone();
-            if let Some(n) = cfg.batch.flush_every_frames {
-                net.signal_interval = n;
-            }
             let fabric: Fabric<NetMsg> = match &cfg.fault {
-                Some(f) => Fabric::with_faults(cfg.nodes, net, f.plan.clone()),
-                None => Fabric::new(cfg.nodes, net),
+                Some(f) => Fabric::with_faults(cfg.nodes, cfg.net.clone(), f.plan.clone()),
+                None => Fabric::new(cfg.nodes, cfg.net.clone()),
             };
             Ok((0..cfg.nodes)
                 .map(|i| {
@@ -138,7 +131,7 @@ fn build_tcp_transports(
         addrs,
         pump_threads: cfg.tcp.pump_threads,
         send_batch_max: cfg.batch.send_batch_max,
-        flush_every_frames: cfg.batch.flush_every_frames,
+        signal_interval: cfg.net.signal_interval,
     };
     let mesh = rdma_fabric::TcpFabric::new(cfg.nodes, opts).map_err(|e| {
         crate::ConfigError::TransportBringUp {

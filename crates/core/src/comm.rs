@@ -216,7 +216,7 @@ impl CommHandle {
         match (&self.rel, &self.tx) {
             (Some(rel), _) if post.dst != self.node => rel.send(ctx, RelMsg::Post(post), 0),
             (_, Some(tx)) => tx.send(ctx, TxReq::Post(post), 0),
-            _ => post.transmit(ctx, &*self.transport, NetMsg::Rpc),
+            _ => post.transmit(ctx, &*self.transport, |env| NetMsg::Rpc { env }),
         }
     }
 }
@@ -228,7 +228,7 @@ pub(crate) fn tx_thread_main(
     queue: Mailbox<TxReq>,
 ) {
     while let TxReq::Post(post) = queue.recv(ctx) {
-        post.transmit(ctx, &*transport, NetMsg::Rpc);
+        post.transmit(ctx, &*transport, |env| NetMsg::Rpc { env });
     }
 }
 
@@ -751,7 +751,7 @@ pub(crate) fn rx_thread_main(ctx: &mut Ctx, shared: Arc<ClusterShared>, node: No
         shared.membership[node].note_heard(src, ctx.now());
         match msg {
             NetMsg::Halt => break,
-            NetMsg::Rpc(env) => route(ctx, &shared, node, src, env),
+            NetMsg::Rpc { env } => route(ctx, &shared, node, src, env),
             NetMsg::Heartbeat => {
                 // Lease already renewed above; nothing else to do.
             }

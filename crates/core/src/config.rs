@@ -161,30 +161,22 @@ impl Default for TcpTransportConfig {
 }
 
 /// Doorbell-batching knobs, applied uniformly to every transport backend
-/// (DESIGN.md §13 "Async pump"). On TCP these steer the egress-ring
-/// mechanics (frames per writev-style flush, completion signaling); on the
-/// simulated backend they steer the equivalent accounting over the NIC's
-/// link-busy windows (and `flush_every_frames` overrides the simulated
-/// `NetConfig::signal_interval`), so `BENCH` json reports the same
-/// batching counters whichever backend ran.
+/// (DESIGN.md §13 "Async pump"). On TCP they steer the egress-ring
+/// mechanics (frames per writev-style flush); on the simulated backend
+/// they steer the equivalent accounting over the NIC's link-busy windows,
+/// so `BENCH` json reports the same batching counters whichever backend
+/// ran. Completion signaling is `NetConfig::signal_interval`, on both
+/// backends.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BatchConfig {
     /// Most frames one egress flush may carry. 1 disables coalescing;
     /// 0 is rejected by validation.
     pub send_batch_max: usize,
-    /// Selective signaling: count one completion every N-th flushed frame.
-    /// `None` (default) keeps each backend's native policy — the simulated
-    /// NIC's `signal_interval`, one completion per flush on TCP. `Some(0)`
-    /// is rejected by validation.
-    pub flush_every_frames: Option<u64>,
 }
 
 impl Default for BatchConfig {
     fn default() -> Self {
-        Self {
-            send_batch_max: 16,
-            flush_every_frames: None,
-        }
+        Self { send_batch_max: 16 }
     }
 }
 
@@ -411,8 +403,8 @@ impl ClusterConfig {
         if self.batch.send_batch_max == 0 {
             return Err(ConfigError::ZeroSendBatch);
         }
-        if self.batch.flush_every_frames == Some(0) {
-            return Err(ConfigError::ZeroFlushInterval);
+        if self.net.signal_interval == 0 {
+            return Err(ConfigError::ZeroSignalInterval);
         }
         if self.transport == TransportKind::Tcp {
             if !cfg!(feature = "tcp-transport") {
@@ -729,20 +721,20 @@ mod tests {
 
     #[test]
     fn batching_knobs_are_validated() {
-        // The batching knobs apply to every backend, so they are checked
-        // even on the simulated transport.
+        // The batching and signaling knobs apply to every backend, so they
+        // are checked even on the simulated transport.
         let mut c = ClusterConfig::default();
         c.batch.send_batch_max = 0;
         assert_eq!(c.try_validate(), Err(ConfigError::ZeroSendBatch));
 
         let mut c = ClusterConfig::default();
-        c.batch.flush_every_frames = Some(0);
-        assert_eq!(c.try_validate(), Err(ConfigError::ZeroFlushInterval));
+        c.net.signal_interval = 0;
+        assert_eq!(c.try_validate(), Err(ConfigError::ZeroSignalInterval));
 
         // 1 (no coalescing / signal every frame) is the legal minimum.
         let mut c = ClusterConfig::default();
         c.batch.send_batch_max = 1;
-        c.batch.flush_every_frames = Some(1);
+        c.net.signal_interval = 1;
         assert_eq!(c.try_validate(), Ok(()));
     }
 

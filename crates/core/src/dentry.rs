@@ -13,20 +13,12 @@ use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU8, Ordering};
 use dsim::{Ctx, VirtualLock, WaitCell};
 use parking_lot::Mutex;
 
+use crate::protocol::Kind;
 use crate::state::LocalState;
 
 // Line sentinels are part of the protocol vocabulary; re-exported here for
 // the executor and interface layers that index dentries.
 pub(crate) use crate::protocol::{LINE_HOME, LINE_NONE};
-
-/// What an application thread wants from a chunk.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Want {
-    Read,
-    Write,
-    /// Operate under this operator id.
-    Operate(u32),
-}
 
 /// Outcome of a fast-path acquisition attempt.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -97,22 +89,13 @@ impl Dentry {
     /// Figure 4 lines 6–15: the lock-free acquisition. On `Ok`, the
     /// reference is held and pins the chunk's state until `release`.
     #[inline]
-    pub(crate) fn acquire(&self, want: Want) -> Acquire {
+    pub(crate) fn acquire(&self, kind: Kind) -> Acquire {
         if self.delay_flag.load(Ordering::SeqCst) {
             return Acquire::Delayed;
         }
         self.refcnt.fetch_add(1, Ordering::SeqCst);
         let s = LocalState::from_u8(self.state.load(Ordering::SeqCst));
-        let ok = match want {
-            Want::Read => s.readable(),
-            Want::Write => s.writable(),
-            Want::Operate(tag) => match s {
-                LocalState::Exclusive => true,
-                LocalState::Operated => self.op_tag.load(Ordering::SeqCst) == tag,
-                _ => false,
-            },
-        };
-        if ok {
+        if s.permits(kind, || self.op_tag.load(Ordering::SeqCst)) {
             Acquire::Ok(self.line.load(Ordering::Acquire))
         } else {
             self.refcnt.fetch_sub(1, Ordering::SeqCst);
@@ -196,10 +179,10 @@ mod tests {
     #[test]
     fn acquire_respects_rights() {
         let d = Dentry::new(LocalState::Shared, 7);
-        assert_eq!(d.acquire(Want::Read), Acquire::Ok(7));
+        assert_eq!(d.acquire(Kind::Read), Acquire::Ok(7));
         d.release();
         assert_eq!(
-            d.acquire(Want::Write),
+            d.acquire(Kind::Write),
             Acquire::NoRights(LocalState::Shared)
         );
         assert_eq!(d.refcnt(), 0);
@@ -208,8 +191,8 @@ mod tests {
     #[test]
     fn exclusive_allows_everything() {
         let d = Dentry::new(LocalState::Exclusive, LINE_HOME);
-        for w in [Want::Read, Want::Write, Want::Operate(3)] {
-            assert_eq!(d.acquire(w), Acquire::Ok(LINE_HOME));
+        for k in [Kind::Read, Kind::Write, Kind::Operate(3)] {
+            assert_eq!(d.acquire(k), Acquire::Ok(LINE_HOME));
             d.release();
         }
     }
@@ -218,14 +201,14 @@ mod tests {
     fn operated_requires_matching_tag() {
         let d = Dentry::new(LocalState::Invalid, 0);
         d.promote_to(LocalState::Operated, 5);
-        assert_eq!(d.acquire(Want::Operate(5)), Acquire::Ok(0));
+        assert_eq!(d.acquire(Kind::Operate(5)), Acquire::Ok(0));
         d.release();
         assert_eq!(
-            d.acquire(Want::Operate(6)),
+            d.acquire(Kind::Operate(6)),
             Acquire::NoRights(LocalState::Operated)
         );
         assert_eq!(
-            d.acquire(Want::Read),
+            d.acquire(Kind::Read),
             Acquire::NoRights(LocalState::Operated)
         );
     }
@@ -234,9 +217,9 @@ mod tests {
     fn delay_flag_defers_acquisition() {
         let d = Dentry::new(LocalState::Shared, 0);
         d.delay_flag.store(true, Ordering::SeqCst);
-        assert_eq!(d.acquire(Want::Read), Acquire::Delayed);
+        assert_eq!(d.acquire(Kind::Read), Acquire::Delayed);
         d.delay_flag.store(false, Ordering::SeqCst);
-        assert_eq!(d.acquire(Want::Read), Acquire::Ok(0));
+        assert_eq!(d.acquire(Kind::Read), Acquire::Ok(0));
         d.release();
     }
 
@@ -247,7 +230,7 @@ mod tests {
             // An application thread holds a reference for 1 µs.
             let d2 = d.clone();
             let h = ctx.spawn("app", move |c| {
-                assert_eq!(d2.acquire(Want::Read), Acquire::Ok(1));
+                assert_eq!(d2.acquire(Kind::Read), Acquire::Ok(1));
                 c.sleep(1_000); // hold the reference across a blocking point
                 d2.release();
             });
@@ -278,10 +261,10 @@ mod tests {
         assert!(d.drained(), "no reference held");
         d.end_drain();
         assert_eq!(
-            d.acquire(Want::Write),
+            d.acquire(Kind::Write),
             Acquire::NoRights(LocalState::Shared)
         );
-        assert_eq!(d.acquire(Want::Read), Acquire::Ok(2));
+        assert_eq!(d.acquire(Kind::Read), Acquire::Ok(2));
         d.release();
     }
 

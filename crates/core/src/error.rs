@@ -145,9 +145,9 @@ pub enum ConfigError {
     /// `batch.send_batch_max == 0`: no egress flush could ever carry a
     /// frame, so the doorbell ring would back up forever.
     ZeroSendBatch,
-    /// `batch.flush_every_frames == Some(0)`: the selective-signaling
-    /// interval would divide by zero (use `None` for the backend default).
-    ZeroFlushInterval,
+    /// `net.signal_interval == 0`: the selective-signaling interval would
+    /// divide by zero.
+    ZeroSignalInterval,
     /// The static TCP address map has the wrong number of entries.
     TransportAddrCount { expected: usize, got: usize },
     /// An entry in the static TCP address map is not a parseable
@@ -246,10 +246,7 @@ impl fmt::Display for ConfigError {
             ConfigError::ZeroTransportPoll => write!(f, "tcp.poll_ns must be nonzero"),
             ConfigError::ZeroPumpThreads => write!(f, "tcp.pump_threads must be nonzero"),
             ConfigError::ZeroSendBatch => write!(f, "batch.send_batch_max must be nonzero"),
-            ConfigError::ZeroFlushInterval => write!(
-                f,
-                "batch.flush_every_frames must be nonzero (None selects the backend default)"
-            ),
+            ConfigError::ZeroSignalInterval => write!(f, "net.signal_interval must be nonzero"),
             ConfigError::TransportAddrCount { expected, got } => write!(
                 f,
                 "tcp.addrs must list one address per node ({expected} nodes, {got} addresses)"

@@ -82,7 +82,7 @@ impl Envelope {
 #[derive(Debug, Clone)]
 pub(crate) enum NetMsg {
     /// Unsequenced RPC: the fault-free fast path (reliable fabric assumed).
-    Rpc(Envelope),
+    Rpc { env: Envelope },
     /// Sequence-numbered RPC on the reliable channel (used when
     /// `ClusterConfig::fault` is set). Sequence numbers are per directed
     /// (sender → receiver) link, starting at 0; the receiver delivers in
@@ -128,243 +128,260 @@ struct Reader<'a> {
     pos: usize,
 }
 
-impl<'a> Reader<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Self { buf, pos: 0 }
+impl Reader<'_> {
+    fn take<const N: usize>(&mut self) -> Option<[u8; N]> {
+        let bytes = self.buf.get(self.pos..self.pos + N)?;
+        self.pos += N;
+        Some(bytes.try_into().expect("a slice of N bytes"))
     }
 
     fn u8(&mut self) -> Option<u8> {
-        let b = *self.buf.get(self.pos)?;
-        self.pos += 1;
-        Some(b)
+        self.take().map(|[b]| b)
     }
 
-    fn u32(&mut self) -> Option<u32> {
-        let bytes = self.buf.get(self.pos..self.pos + 4)?;
-        self.pos += 4;
-        Some(u32::from_le_bytes(bytes.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Option<u64> {
-        let bytes = self.buf.get(self.pos..self.pos + 8)?;
-        self.pos += 8;
-        Some(u64::from_le_bytes(bytes.try_into().unwrap()))
-    }
-
-    fn done(&self) -> bool {
-        self.pos == self.buf.len()
+    fn left(&self) -> usize {
+        self.buf.len() - self.pos
     }
 }
 
-fn put_u32(buf: &mut Vec<u8>, v: u32) {
-    buf.extend_from_slice(&v.to_le_bytes());
+/// The wire form of one field type. Each implementation is the one
+/// statement of how its type is written and read back; `get` fails, and
+/// never panics or over-allocates, on bytes that `put` could not have
+/// written.
+trait Codec: Sized {
+    fn put(&self, buf: &mut Vec<u8>);
+    fn get(r: &mut Reader<'_>) -> Option<Self>;
 }
 
-fn put_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn lock_kind_to_u8(kind: LockKind) -> u8 {
-    match kind {
-        LockKind::Read => 0,
-        LockKind::Write => 1,
+impl Codec for u32 {
+    fn put(&self, buf: &mut Vec<u8>) {
+        buf.extend_from_slice(&self.to_le_bytes());
+    }
+    fn get(r: &mut Reader<'_>) -> Option<Self> {
+        r.take().map(u32::from_le_bytes)
     }
 }
 
-fn lock_kind_from_u8(b: u8) -> Option<LockKind> {
-    match b {
-        0 => Some(LockKind::Read),
-        1 => Some(LockKind::Write),
-        _ => None,
+impl Codec for u64 {
+    fn put(&self, buf: &mut Vec<u8>) {
+        buf.extend_from_slice(&self.to_le_bytes());
+    }
+    fn get(r: &mut Reader<'_>) -> Option<Self> {
+        r.take().map(u64::from_le_bytes)
     }
 }
 
-fn bool_from_u8(b: u8) -> Option<bool> {
-    match b {
-        0 => Some(false),
-        1 => Some(true),
-        _ => None,
+/// One byte, 0 or 1.
+impl Codec for bool {
+    fn put(&self, buf: &mut Vec<u8>) {
+        buf.push(u8::from(*self));
+    }
+    fn get(r: &mut Reader<'_>) -> Option<Self> {
+        match r.u8()? {
+            0 => Some(false),
+            1 => Some(true),
+            _ => None,
+        }
     }
 }
 
-impl Envelope {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        put_u32(buf, self.array);
-        put_u32(buf, self.chunk);
-        self.rpc.encode(buf);
+/// One byte: 0 for a reader lock, 1 for a writer lock.
+impl Codec for LockKind {
+    fn put(&self, buf: &mut Vec<u8>) {
+        buf.push(match self {
+            LockKind::Read => 0,
+            LockKind::Write => 1,
+        });
     }
+    fn get(r: &mut Reader<'_>) -> Option<Self> {
+        match r.u8()? {
+            0 => Some(LockKind::Read),
+            1 => Some(LockKind::Write),
+            _ => None,
+        }
+    }
+}
 
-    fn decode(r: &mut Reader<'_>) -> Option<Self> {
+/// A node id as a u32.
+impl Codec for NodeId {
+    fn put(&self, buf: &mut Vec<u8>) {
+        (*self as u32).put(buf);
+    }
+    fn get(r: &mut Reader<'_>) -> Option<Self> {
+        u32::get(r).map(|n| n as NodeId)
+    }
+}
+
+/// A u8 (0 read, 1 write, 2 operate), then a u32 operator id (0 unless
+/// operate).
+impl Codec for Kind {
+    fn put(&self, buf: &mut Vec<u8>) {
+        let (kind, op) = match *self {
+            Kind::Read => (0, 0),
+            Kind::Write => (1, 0),
+            Kind::Operate(op) => (2, op),
+        };
+        buf.push(kind);
+        op.put(buf);
+    }
+    fn get(r: &mut Reader<'_>) -> Option<Self> {
+        match (r.u8()?, u32::get(r)?) {
+            (0, _) => Some(Kind::Read),
+            (1, _) => Some(Kind::Write),
+            (2, op) => Some(Kind::Operate(op)),
+            _ => None,
+        }
+    }
+}
+
+/// A u32 word count, then the words.
+impl Codec for Vec<u64> {
+    fn put(&self, buf: &mut Vec<u8>) {
+        (self.len() as u32).put(buf);
+        for w in self {
+            w.put(buf);
+        }
+    }
+    fn get(r: &mut Reader<'_>) -> Option<Self> {
+        let len = u32::get(r)? as usize;
+        // A count the frame cannot hold fails the frame before anything
+        // is allocated for it.
+        if len > r.left() / 8 {
+            return None;
+        }
+        let mut words = Vec::with_capacity(len);
+        for _ in 0..len {
+            words.push(u64::get(r)?);
+        }
+        Some(words)
+    }
+}
+
+/// The array, the chunk, then the RPC frame.
+impl Codec for Envelope {
+    fn put(&self, buf: &mut Vec<u8>) {
+        self.array.put(buf);
+        self.chunk.put(buf);
+        self.rpc.put(buf);
+    }
+    fn get(r: &mut Reader<'_>) -> Option<Self> {
         Some(Self {
-            array: r.u32()?,
-            chunk: r.u32()?,
-            rpc: Rpc::decode(r)?,
+            array: Codec::get(r)?,
+            chunk: Codec::get(r)?,
+            rpc: Codec::get(r)?,
         })
     }
 }
 
-impl Rpc {
-    /// One tag byte, then the fields. The tag values and field widths fix
-    /// each frame's length, which the transport byte counters in the
-    /// checked-in BENCH baselines depend on.
-    fn encode(&self, buf: &mut Vec<u8>) {
-        let lock = |buf: &mut Vec<u8>, tag: u8, id: u64, kind: LockKind| {
-            buf.push(tag);
-            put_u64(buf, id);
-            buf.push(lock_kind_to_u8(kind));
-        };
-        let msg = match self {
-            Rpc::Coherence(msg) => msg,
-            Rpc::LockAcquire { id, kind, intent } => {
-                return lock(buf, if *intent { 22 } else { 14 }, *id, *kind)
-            }
-            Rpc::LockGrant { id, kind, intent } => {
-                return lock(buf, if *intent { 23 } else { 15 }, *id, *kind)
-            }
-            Rpc::LockRelease { id, kind } => return lock(buf, 16, *id, *kind),
-        };
-        match msg {
-            Msg::ReadReq { dst_off } => {
-                buf.push(0);
-                put_u64(buf, *dst_off);
-            }
-            Msg::WriteReq { dst_off } => {
-                buf.push(1);
-                put_u64(buf, *dst_off);
-            }
-            Msg::OperateReq { op } => {
-                buf.push(2);
-                put_u32(buf, *op);
-            }
-            Msg::EvictNotice => buf.push(3),
-            Msg::WritebackNotice { downgrade } => {
-                buf.push(4);
-                buf.push(u8::from(*downgrade));
-            }
-            Msg::OperandFlush { op, data } => {
-                buf.push(5);
-                put_u32(buf, *op);
-                put_u32(buf, data.len() as u32);
-                for w in data {
-                    put_u64(buf, *w);
+/// One frame of the table as a pattern or a constructor:
+/// `Enum::Variant { fields }`, or `Enum::Wrapper(Inner::Variant { fields })`
+/// for a row whose variant wraps another enum's.
+macro_rules! frame {
+    ($enum:ident :: $variant:ident [] { $($fields:tt)* }) => {
+        $enum::$variant { $($fields)* }
+    };
+    ($enum:ident :: $variant:ident [$($inner:tt)+] { $($fields:tt)* }) => {
+        $enum::$variant($($inner)+ { $($fields)* })
+    };
+}
+
+/// One field of a frame: written and read through its [`Codec`], or, for
+/// `name: Type = value`, fixed by the frame's tag and absent from the wire.
+macro_rules! field {
+    (put $buf:ident, $name:ident: $codec:ty) => {
+        <$codec as Codec>::put($name, $buf)
+    };
+    (put $buf:ident, $name:ident: $codec:ty = $fixed:literal) => {};
+    (get $r:ident, $codec:ty) => {
+        <$codec as Codec>::get($r)?
+    };
+    (get $r:ident, $codec:ty = $fixed:literal) => {
+        $fixed
+    };
+}
+
+/// The frame table. Each enum's frames are rows of
+/// `tag => Variant { field: Codec, .. }`: one tag byte, then the fields in
+/// row order, each through its [`Codec`]. `Variant(Inner::Variant)` names
+/// a variant that wraps another enum's, and `field: Type = value` is fixed
+/// by the tag rather than written. The table generates both halves of
+/// each enum's [`Codec`]; an unassigned tag, a short frame or a trailing
+/// byte decodes to `None`. The tags and field widths fix each frame's
+/// length, which the TCP backend's byte counters count.
+macro_rules! frames {
+    ($(
+        $enum:ident {
+            $( $tag:literal => $variant:ident $(($($inner:ident)::+))?
+               $({ $($name:ident: $codec:ty $(= $fixed:literal)?),* })?, )*
+        }
+    )*) => {$(
+        impl Codec for $enum {
+            fn put(&self, buf: &mut Vec<u8>) {
+                match self {
+                    $( frame!($enum::$variant [$($($inner)::+)?] {
+                        $($($name $(: $fixed)?),*)?
+                    }) => {
+                        buf.push($tag);
+                        $($( field!(put buf, $name: $codec $(= $fixed)?); )*)?
+                    } )*
                 }
             }
-            Msg::FillShared => buf.push(6),
-            Msg::FillExclusive => buf.push(7),
-            Msg::GrantOperated { op } => {
-                buf.push(8);
-                put_u32(buf, *op);
-            }
-            Msg::Invalidate => buf.push(9),
-            Msg::InvalidateAck => buf.push(10),
-            Msg::RecallDirty => buf.push(11),
-            Msg::DowngradeDirty => buf.push(12),
-            Msg::RecallOperated { op } => {
-                buf.push(13);
-                put_u32(buf, *op);
-            }
-            Msg::MigrateData { mig_epoch } => {
-                buf.push(17);
-                put_u64(buf, *mig_epoch);
-            }
-            Msg::MigrateAck { mig_epoch } => {
-                buf.push(18);
-                put_u64(buf, *mig_epoch);
-            }
-            Msg::MigrateCommit { mig_epoch } => {
-                buf.push(19);
-                put_u64(buf, *mig_epoch);
-            }
-            Msg::HomeMoved { new_home, epoch } => {
-                buf.push(20);
-                put_u32(buf, *new_home as u32);
-                put_u64(buf, *epoch);
-            }
-            Msg::MigrateForward {
-                requester,
-                dst_off,
-                kind,
-            } => {
-                let (kind, op) = match kind {
-                    Kind::Read => (0, 0),
-                    Kind::Write => (1, 0),
-                    Kind::Operate(op) => (2, *op),
-                };
-                buf.push(21);
-                put_u32(buf, *requester as u32);
-                put_u64(buf, *dst_off);
-                buf.push(kind);
-                put_u32(buf, op);
+
+            fn get(r: &mut Reader<'_>) -> Option<Self> {
+                Some(match r.u8()? {
+                    $( $tag => frame!($enum::$variant [$($($inner)::+)?] {
+                        $($($name: field!(get r, $codec $(= $fixed)?)),*)?
+                    }), )*
+                    _ => return None,
+                })
             }
         }
-    }
 
-    fn decode(r: &mut Reader<'_>) -> Option<Self> {
-        let msg = match r.u8()? {
-            0 => Msg::ReadReq { dst_off: r.u64()? },
-            1 => Msg::WriteReq { dst_off: r.u64()? },
-            2 => Msg::OperateReq { op: r.u32()? },
-            3 => Msg::EvictNotice,
-            4 => Msg::WritebackNotice {
-                downgrade: bool_from_u8(r.u8()?)?,
-            },
-            5 => {
-                let op = r.u32()?;
-                let len = r.u32()? as usize;
-                let mut data = Vec::with_capacity(len);
-                for _ in 0..len {
-                    data.push(r.u64()?);
-                }
-                Msg::OperandFlush { op, data }
-            }
-            6 => Msg::FillShared,
-            7 => Msg::FillExclusive,
-            8 => Msg::GrantOperated { op: r.u32()? },
-            9 => Msg::Invalidate,
-            10 => Msg::InvalidateAck,
-            11 => Msg::RecallDirty,
-            12 => Msg::DowngradeDirty,
-            13 => Msg::RecallOperated { op: r.u32()? },
-            tag @ (14..=16 | 22 | 23) => {
-                let (id, kind) = (r.u64()?, lock_kind_from_u8(r.u8()?)?);
-                let intent = tag >= 22;
-                return Some(match tag {
-                    14 | 22 => Rpc::LockAcquire { id, kind, intent },
-                    15 | 23 => Rpc::LockGrant { id, kind, intent },
-                    _ => Rpc::LockRelease { id, kind },
-                });
-            }
-            17 => Msg::MigrateData {
-                mig_epoch: r.u64()?,
-            },
-            18 => Msg::MigrateAck {
-                mig_epoch: r.u64()?,
-            },
-            19 => Msg::MigrateCommit {
-                mig_epoch: r.u64()?,
-            },
-            20 => Msg::HomeMoved {
-                new_home: r.u32()? as NodeId,
-                epoch: r.u64()?,
-            },
-            21 => {
-                let requester = r.u32()? as NodeId;
-                let dst_off = r.u64()?;
-                let kind = match (r.u8()?, r.u32()?) {
-                    (0, _) => Kind::Read,
-                    (1, _) => Kind::Write,
-                    (2, op) => Kind::Operate(op),
-                    _ => return None,
-                };
-                Msg::MigrateForward {
-                    requester,
-                    dst_off,
-                    kind,
-                }
-            }
-            _ => return None,
-        };
-        Some(Rpc::Coherence(msg))
+        #[cfg(test)]
+        impl $enum {
+            /// Every tag the frame table assigns.
+            const TAGS: &[u8] = &[$($tag),*];
+        }
+    )*};
+}
+
+frames! {
+    Rpc {
+        0 => Coherence(Msg::ReadReq) { dst_off: u64 },
+        1 => Coherence(Msg::WriteReq) { dst_off: u64 },
+        2 => Coherence(Msg::OperateReq) { op: u32 },
+        3 => Coherence(Msg::EvictNotice),
+        4 => Coherence(Msg::WritebackNotice) { downgrade: bool },
+        5 => Coherence(Msg::OperandFlush) { op: u32, data: Vec<u64> },
+        6 => Coherence(Msg::FillShared),
+        7 => Coherence(Msg::FillExclusive),
+        8 => Coherence(Msg::GrantOperated) { op: u32 },
+        9 => Coherence(Msg::Invalidate),
+        10 => Coherence(Msg::InvalidateAck),
+        11 => Coherence(Msg::RecallDirty),
+        12 => Coherence(Msg::DowngradeDirty),
+        13 => Coherence(Msg::RecallOperated) { op: u32 },
+        14 => LockAcquire { id: u64, kind: LockKind, intent: bool = false },
+        15 => LockGrant { id: u64, kind: LockKind, intent: bool = false },
+        16 => LockRelease { id: u64, kind: LockKind },
+        17 => Coherence(Msg::MigrateData) { mig_epoch: u64 },
+        18 => Coherence(Msg::MigrateAck) { mig_epoch: u64 },
+        19 => Coherence(Msg::MigrateCommit) { mig_epoch: u64 },
+        20 => Coherence(Msg::HomeMoved) { new_home: NodeId, epoch: u64 },
+        21 => Coherence(Msg::MigrateForward) { requester: NodeId, dst_off: u64, kind: Kind },
+        22 => LockAcquire { id: u64, kind: LockKind, intent: bool = true },
+        23 => LockGrant { id: u64, kind: LockKind, intent: bool = true },
+    }
+    NetMsg {
+        0 => Rpc { env: Envelope },
+        1 => SeqRpc { seq: u64, env: Envelope },
+        2 => Ack { seq: u64 },
+        3 => Heartbeat,
+        4 => SuspectQuery { suspect: NodeId },
+        5 => SuspectVote { suspect: NodeId, alive: bool },
+        6 => Halt,
+        7 => JoinReq { node: NodeId },
+        8 => JoinVote { node: NodeId, admit: bool },
     }
 }
 
@@ -376,7 +393,7 @@ impl rdma_fabric::Wire for NetMsg {
     /// identically.
     fn payload_bytes(&self) -> u64 {
         match self {
-            NetMsg::Rpc(env) | NetMsg::SeqRpc { env, .. } => env.rpc.payload_bytes(),
+            NetMsg::Rpc { env } | NetMsg::SeqRpc { env, .. } => env.rpc.payload_bytes(),
             NetMsg::Ack { .. } => 8,
             NetMsg::Heartbeat | NetMsg::SuspectQuery { .. } | NetMsg::SuspectVote { .. } => 8,
             NetMsg::JoinReq { .. } | NetMsg::JoinVote { .. } => 8,
@@ -385,71 +402,13 @@ impl rdma_fabric::Wire for NetMsg {
     }
 
     fn encode(&self, buf: &mut Vec<u8>) {
-        match self {
-            NetMsg::Rpc(env) => {
-                buf.push(0);
-                env.encode(buf);
-            }
-            NetMsg::SeqRpc { seq, env } => {
-                buf.push(1);
-                put_u64(buf, *seq);
-                env.encode(buf);
-            }
-            NetMsg::Ack { seq } => {
-                buf.push(2);
-                buf.extend_from_slice(&seq.to_le_bytes());
-            }
-            NetMsg::Heartbeat => buf.push(3),
-            NetMsg::SuspectQuery { suspect } => {
-                buf.push(4);
-                buf.extend_from_slice(&(*suspect as u32).to_le_bytes());
-            }
-            NetMsg::SuspectVote { suspect, alive } => {
-                buf.push(5);
-                buf.extend_from_slice(&(*suspect as u32).to_le_bytes());
-                buf.push(u8::from(*alive));
-            }
-            NetMsg::Halt => buf.push(6),
-            NetMsg::JoinReq { node } => {
-                buf.push(7);
-                buf.extend_from_slice(&(*node as u32).to_le_bytes());
-            }
-            NetMsg::JoinVote { node, admit } => {
-                buf.push(8);
-                buf.extend_from_slice(&(*node as u32).to_le_bytes());
-                buf.push(u8::from(*admit));
-            }
-        }
+        self.put(buf);
     }
 
     fn decode(bytes: &[u8]) -> Option<Self> {
-        let mut r = Reader::new(bytes);
-        let msg = match r.u8()? {
-            0 => NetMsg::Rpc(Envelope::decode(&mut r)?),
-            1 => NetMsg::SeqRpc {
-                seq: r.u64()?,
-                env: Envelope::decode(&mut r)?,
-            },
-            2 => NetMsg::Ack { seq: r.u64()? },
-            3 => NetMsg::Heartbeat,
-            4 => NetMsg::SuspectQuery {
-                suspect: r.u32()? as NodeId,
-            },
-            5 => NetMsg::SuspectVote {
-                suspect: r.u32()? as NodeId,
-                alive: bool_from_u8(r.u8()?)?,
-            },
-            6 => NetMsg::Halt,
-            7 => NetMsg::JoinReq {
-                node: r.u32()? as NodeId,
-            },
-            8 => NetMsg::JoinVote {
-                node: r.u32()? as NodeId,
-                admit: bool_from_u8(r.u8()?)?,
-            },
-            _ => return None,
-        };
-        r.done().then_some(msg)
+        let mut r = Reader { buf: bytes, pos: 0 };
+        let msg = Self::get(&mut r)?;
+        (r.left() == 0).then_some(msg)
     }
 }
 
@@ -457,16 +416,8 @@ impl rdma_fabric::Wire for NetMsg {
 /// local-request queue (Figure 2).
 #[derive(Debug, Clone)]
 pub(crate) enum LocalKind {
-    Read {
-        chunk: ChunkId,
-    },
-    Write {
-        chunk: ChunkId,
-    },
-    Operate {
-        chunk: ChunkId,
-        op: u32,
-    },
+    /// A miss: the application thread wants these rights on the chunk.
+    Access(Kind),
     LockAcquire {
         index: u64,
         kind: LockKind,
@@ -479,23 +430,12 @@ pub(crate) enum LocalKind {
     },
 }
 
-impl LocalKind {
-    /// Chunk used to route the request to a runtime thread.
-    pub(crate) fn route_chunk(&self, chunk_size: usize) -> ChunkId {
-        match self {
-            LocalKind::Read { chunk }
-            | LocalKind::Write { chunk }
-            | LocalKind::Operate { chunk, .. } => *chunk,
-            LocalKind::LockAcquire { index, .. } | LocalKind::LockRelease { index, .. } => {
-                (*index as usize / chunk_size) as ChunkId
-            }
-        }
-    }
-}
-
-/// A local request plus its completion token.
+/// A local request plus its completion token. It goes to the runtime
+/// thread that owns `chunk`: the chunk a miss is on, or the element's
+/// chunk for a lock request.
 pub(crate) struct LocalReq {
     pub array: ArrayId,
+    pub chunk: ChunkId,
     pub kind: LocalKind,
     pub waiter: WaitCell,
 }
@@ -558,172 +498,166 @@ mod tests {
         assert_eq!(Rpc::Coherence(Msg::FillShared).payload_bytes(), 16);
     }
 
-    /// Every coherence message, every lock message and every membership
-    /// frame round-trips the codec, and each RPC frame `[0][array][chunk]
-    /// [tag][fields]` has its pinned encoded length (the transport byte
-    /// counters in the BENCH baselines count these bytes).
-    #[test]
-    fn wire_roundtrip_covers_every_message() {
-        let frames: [(Rpc, usize); 25] = [
-            (Msg::ReadReq { dst_off: 1 << 40 }.into(), 18),
-            (Msg::WriteReq { dst_off: 7 }.into(), 18),
-            (Msg::OperateReq { op: 2 }.into(), 14),
-            (Msg::EvictNotice.into(), 10),
-            (Msg::WritebackNotice { downgrade: true }.into(), 11),
-            (
-                Msg::OperandFlush {
-                    op: 1,
-                    data: vec![u64::MAX, 0, 42],
-                }
-                .into(),
-                18 + 3 * 8,
-            ),
-            (
-                Msg::OperandFlush {
-                    op: 1,
-                    data: vec![],
-                }
-                .into(),
-                18,
-            ),
-            (Msg::FillShared.into(), 10),
-            (Msg::FillExclusive.into(), 10),
-            (Msg::GrantOperated { op: 3 }.into(), 14),
-            (Msg::Invalidate.into(), 10),
-            (Msg::InvalidateAck.into(), 10),
-            (Msg::RecallDirty.into(), 10),
-            (Msg::DowngradeDirty.into(), 10),
-            (Msg::RecallOperated { op: 4 }.into(), 14),
-            (
-                Msg::MigrateData {
-                    mig_epoch: u64::MAX - 3,
-                }
-                .into(),
-                18,
-            ),
-            (Msg::MigrateAck { mig_epoch: 5 }.into(), 18),
-            (Msg::MigrateCommit { mig_epoch: 6 }.into(), 18),
-            (
-                Msg::HomeMoved {
-                    new_home: 4,
-                    epoch: 7,
-                }
-                .into(),
-                22,
-            ),
-            (
-                Msg::MigrateForward {
-                    requester: 1,
-                    dst_off: 1 << 33,
-                    kind: Kind::Operate(9),
-                }
-                .into(),
-                27,
-            ),
-            (
-                Rpc::LockAcquire {
-                    id: 99,
-                    kind: LockKind::Read,
-                    intent: false,
-                },
-                19,
-            ),
-            (
-                Rpc::LockGrant {
-                    id: 100,
-                    kind: LockKind::Write,
-                    intent: false,
-                },
-                19,
-            ),
-            (
-                Rpc::LockAcquire {
-                    id: 102,
-                    kind: LockKind::Write,
-                    intent: true,
-                },
-                19,
-            ),
-            (
-                Rpc::LockGrant {
-                    id: 103,
-                    kind: LockKind::Write,
-                    intent: true,
-                },
-                19,
-            ),
-            (
-                Rpc::LockRelease {
-                    id: 101,
-                    kind: LockKind::Read,
-                },
-                19,
-            ),
-        ];
-        let mut msgs: Vec<NetMsg> = Vec::new();
-        for (i, (rpc, len)) in frames.into_iter().enumerate() {
-            let env = Envelope::new(2, i as ChunkId, rpc);
-            let mut buf = Vec::new();
-            NetMsg::Rpc(env.clone()).encode(&mut buf);
-            assert_eq!(buf.len(), len, "{env:?}");
-            buf.clear();
-            let seq = NetMsg::SeqRpc {
-                seq: u64::MAX - 1,
+    fn encoded(msg: &NetMsg) -> Vec<u8> {
+        let mut buf = Vec::new();
+        msg.encode(&mut buf);
+        buf
+    }
+
+    /// A frame for every row of the table, each with its pinned encoded
+    /// length. An RPC frame `[0][array][chunk][tag][fields]` is 10 bytes
+    /// plus its fields, and 8 more as a `SeqRpc`. The TCP backend's byte
+    /// counters count these bytes, so the lengths are written out here,
+    /// not derived from the table.
+    fn every_frame() -> Vec<(NetMsg, usize)> {
+        fn rpc(rpc: impl Into<Rpc>, len: usize) -> [(NetMsg, usize); 2] {
+            let env = Envelope::new(2, 9, rpc);
+            let seq = u64::MAX - 1;
+            let seq_rpc = NetMsg::SeqRpc {
+                seq,
                 env: env.clone(),
             };
-            seq.encode(&mut buf);
-            assert_eq!(buf.len(), len + 8, "{env:?}");
-            msgs.push(NetMsg::Rpc(env));
-            msgs.push(seq);
+            [(NetMsg::Rpc { env }, len), (seq_rpc, len + 8)]
         }
-        for kind in [Kind::Read, Kind::Write] {
-            msgs.push(NetMsg::Rpc(Envelope::new(
-                0,
-                1,
-                Msg::MigrateForward {
-                    requester: 2,
-                    dst_off: 8,
-                    kind,
-                },
-            )));
-        }
-        msgs.push(NetMsg::Ack { seq: 12345 });
-        msgs.push(NetMsg::Heartbeat);
-        msgs.push(NetMsg::SuspectQuery { suspect: 2 });
-        msgs.push(NetMsg::SuspectVote {
-            suspect: 1,
-            alive: true,
-        });
-        msgs.push(NetMsg::Halt);
-        msgs.push(NetMsg::JoinReq { node: 3 });
-        msgs.push(NetMsg::JoinVote {
-            node: 3,
-            admit: true,
-        });
-        msgs.push(NetMsg::JoinVote {
-            node: 2,
-            admit: false,
-        });
-        for msg in msgs {
-            let mut buf = Vec::new();
-            msg.encode(&mut buf);
+        let lock = |id, kind, intent| Rpc::LockAcquire { id, kind, intent };
+        let grant = |id, kind, intent| Rpc::LockGrant { id, kind, intent };
+        let release = |id, kind| Rpc::LockRelease { id, kind };
+        let moved = |new_home, epoch| Msg::HomeMoved { new_home, epoch };
+        let forward = |kind| Msg::MigrateForward {
+            requester: 1,
+            dst_off: 1 << 33,
+            kind,
+        };
+        let flush = |data| Msg::OperandFlush { op: 1, data };
+        let rpcs = [
+            rpc(Msg::ReadReq { dst_off: 1 << 40 }, 18),
+            rpc(Msg::WriteReq { dst_off: 7 }, 18),
+            rpc(Msg::OperateReq { op: 2 }, 14),
+            rpc(Msg::EvictNotice, 10),
+            rpc(Msg::WritebackNotice { downgrade: true }, 11),
+            rpc(flush(vec![u64::MAX, 0, 42]), 42),
+            rpc(flush(vec![]), 18),
+            rpc(Msg::FillShared, 10),
+            rpc(Msg::FillExclusive, 10),
+            rpc(Msg::GrantOperated { op: 3 }, 14),
+            rpc(Msg::Invalidate, 10),
+            rpc(Msg::InvalidateAck, 10),
+            rpc(Msg::RecallDirty, 10),
+            rpc(Msg::DowngradeDirty, 10),
+            rpc(Msg::RecallOperated { op: 4 }, 14),
+            rpc(lock(99, LockKind::Read, false), 19),
+            rpc(grant(100, LockKind::Write, false), 19),
+            rpc(release(101, LockKind::Read), 19),
+            rpc(Msg::MigrateData { mig_epoch: 1 << 60 }, 18),
+            rpc(Msg::MigrateAck { mig_epoch: 5 }, 18),
+            rpc(Msg::MigrateCommit { mig_epoch: 6 }, 18),
+            rpc(moved(4, 7), 22),
+            rpc(forward(Kind::Read), 27),
+            rpc(forward(Kind::Write), 27),
+            rpc(forward(Kind::Operate(9)), 27),
+            rpc(lock(102, LockKind::Write, true), 19),
+            rpc(grant(103, LockKind::Write, true), 19),
+        ];
+        let vote = |suspect, alive| NetMsg::SuspectVote { suspect, alive };
+        let join = |node, admit| NetMsg::JoinVote { node, admit };
+        rpcs.into_iter()
+            .flatten()
+            .chain([
+                (NetMsg::Ack { seq: 12345 }, 9),
+                (NetMsg::Heartbeat, 1),
+                (NetMsg::SuspectQuery { suspect: 2 }, 5),
+                (vote(1, true), 6),
+                (vote(3, false), 6),
+                (NetMsg::Halt, 1),
+                (NetMsg::JoinReq { node: 3 }, 5),
+                (join(3, true), 6),
+                (join(2, false), 6),
+            ])
+            .collect()
+    }
+
+    /// Every frame encodes to its pinned length and decodes back to
+    /// itself, and the frames cover every tag of the table.
+    #[test]
+    fn every_frame_round_trips_at_its_pinned_length() {
+        let (mut rpc_tags, mut net_tags) = (Vec::new(), Vec::new());
+        for (msg, len) in every_frame() {
+            let buf = encoded(&msg);
+            assert_eq!(buf.len(), len, "{msg:?}");
             let back = NetMsg::decode(&buf).expect("decode");
             assert_eq!(format!("{msg:?}"), format!("{back:?}"));
+            net_tags.push(buf[0]);
+            if let NetMsg::Rpc { .. } = msg {
+                rpc_tags.push(buf[9]);
+            }
         }
-        // Truncated and trailing-garbage inputs must fail, not panic.
-        let mut buf = Vec::new();
-        NetMsg::Ack { seq: 7 }.encode(&mut buf);
-        assert!(NetMsg::decode(&buf[..buf.len() - 1]).is_none());
-        buf.push(0);
-        assert!(NetMsg::decode(&buf).is_none());
-        assert!(NetMsg::decode(&[]).is_none());
-        assert!(NetMsg::decode(&[250]).is_none());
+        for (seen, table) in [(rpc_tags, Rpc::TAGS), (net_tags, NetMsg::TAGS)] {
+            let mut seen = seen;
+            seen.sort_unstable();
+            seen.dedup();
+            let mut table = table.to_vec();
+            table.sort_unstable();
+            assert_eq!(seen, table);
+        }
+    }
+
+    /// Every frame fails to decode when cut short anywhere or followed by
+    /// one more byte.
+    #[test]
+    fn every_frame_rejects_its_prefixes_and_a_trailing_byte() {
+        for (msg, _) in every_frame() {
+            let mut buf = encoded(&msg);
+            for end in 0..buf.len() {
+                assert!(
+                    NetMsg::decode(&buf[..end]).is_none(),
+                    "{msg:?} cut at {end}"
+                );
+            }
+            buf.push(0);
+            assert!(NetMsg::decode(&buf).is_none(), "{msg:?} plus a byte");
+        }
+    }
+
+    /// A tag the table does not assign fails whatever follows it.
+    #[test]
+    fn unassigned_tags_are_rejected() {
+        for tail in 0..=32 {
+            let tail = vec![0u8; tail];
+            for tag in 24..=255u8 {
+                let frame = [&[0, 2, 0, 0, 0, 9, 0, 0, 0, tag], &tail[..]].concat();
+                assert!(NetMsg::decode(&frame).is_none(), "RPC tag {tag}");
+            }
+            for tag in 9..=255u8 {
+                let frame = [&[tag], &tail[..]].concat();
+                assert!(NetMsg::decode(&frame).is_none(), "tag {tag}");
+            }
+        }
+    }
+
+    /// `[0][array][chunk][5][op][u32::MAX]`: an operand flush whose word
+    /// count no frame could hold fails to decode instead of asking for a
+    /// 32 GiB allocation, with or without a few trailing bytes.
+    #[test]
+    fn an_operand_flush_count_past_the_frame_is_rejected() {
+        let mut frame = vec![0];
+        frame.extend(2u32.to_le_bytes());
+        frame.extend(9u32.to_le_bytes());
+        frame.push(5);
+        frame.extend(1u32.to_le_bytes());
+        frame.extend(u32::MAX.to_le_bytes());
+        for tail in 0..=8 {
+            let frame = [&frame[..], &vec![0u8; tail]].concat();
+            assert!(NetMsg::decode(&frame).is_none(), "tail {tail}");
+        }
     }
 
     #[test]
     fn wire_payload_bytes_match_pre_trait_call_sites() {
         assert_eq!(
-            NetMsg::Rpc(Envelope::new(0, 0, Msg::FillShared)).payload_bytes(),
+            NetMsg::Rpc {
+                env: Envelope::new(0, 0, Msg::FillShared)
+            }
+            .payload_bytes(),
             16
         );
         assert_eq!(
@@ -762,17 +696,5 @@ mod tests {
             8
         );
         assert_eq!(NetMsg::Halt.payload_bytes(), 0);
-    }
-
-    #[test]
-    fn lock_local_kind_routes_by_element_chunk() {
-        let k = LocalKind::LockAcquire {
-            index: 1_000,
-            kind: LockKind::Write,
-            intent: true,
-        };
-        assert_eq!(k.route_chunk(512), 1);
-        let k = LocalKind::Read { chunk: 7 };
-        assert_eq!(k.route_chunk(512), 7);
     }
 }

@@ -10,11 +10,12 @@ use dsim::Ctx;
 use rdma_fabric::MemoryRegion;
 
 use crate::array::DArray;
-use crate::dentry::{Acquire, Want};
+use crate::dentry::Acquire;
 use crate::element::Element;
 use crate::error::DArrayError;
-use crate::msg::{ChunkId, LocalKind};
+use crate::msg::LocalKind;
 use crate::op::OpId;
+use crate::protocol::Kind;
 use crate::shared::data_location;
 
 /// What rights a pin holds.
@@ -27,6 +28,17 @@ pub enum PinMode {
     /// Operate under this operator (`Operated` with a matching tag, or
     /// `Exclusive`).
     Operate(OpId),
+}
+
+impl PinMode {
+    /// The access the pin holds the chunk's rights for.
+    fn kind(self) -> Kind {
+        match self {
+            PinMode::Read => Kind::Read,
+            PinMode::Write => Kind::Write,
+            PinMode::Operate(op) => Kind::Operate(op.0),
+        }
+    }
 }
 
 /// A pinned chunk: holds a dentry reference until dropped or
@@ -86,14 +98,10 @@ impl<T: Element> DArray<T> {
         let chunk = layout.chunk_of(index);
         let d = self.dentry(chunk);
         let cost = self.shared.cfg.cost.clone();
-        let want = match mode {
-            PinMode::Read => Want::Read,
-            PinMode::Write => Want::Write,
-            PinMode::Operate(op) => Want::Operate(op.0),
-        };
+        let kind = mode.kind();
         loop {
             ctx.charge(cost.darray_fast_path());
-            match d.acquire(want) {
+            match d.acquire(kind) {
                 Acquire::Ok(line) => {
                     // Keep the reference: that is the pin.
                     let (region, base_word) =
@@ -116,19 +124,7 @@ impl<T: Element> DArray<T> {
                     if home != self.node && self.shared.is_peer_down(self.node, home) {
                         return Err(self.shared.unavailable_error(self.node, home));
                     }
-                    let kind = match mode {
-                        PinMode::Read => LocalKind::Read {
-                            chunk: chunk as ChunkId,
-                        },
-                        PinMode::Write => LocalKind::Write {
-                            chunk: chunk as ChunkId,
-                        },
-                        PinMode::Operate(op) => LocalKind::Operate {
-                            chunk: chunk as ChunkId,
-                            op: op.0,
-                        },
-                    };
-                    self.slow_request(ctx, kind);
+                    self.slow_request(ctx, chunk, LocalKind::Access(kind));
                 }
             }
         }

@@ -32,7 +32,7 @@ use rdma_fabric::NodeId;
 
 use crate::cache::CacheRegion;
 use crate::comm::CommHandle;
-use crate::dentry::{Dentry, LINE_HOME, LINE_NONE};
+use crate::dentry::{LINE_HOME, LINE_NONE};
 use crate::msg::{ArrayId, ChunkId, Envelope, LocalKind, LocalReq, LockKind, Rpc, RtMsg};
 use crate::op::OpId;
 use crate::protocol::{
@@ -643,15 +643,7 @@ impl RuntimeThread {
     fn handle_local(&mut self, ctx: &mut Ctx, req: LocalReq) {
         let arr = self.shared.array(req.array);
         match req.kind {
-            LocalKind::Read { chunk } => {
-                self.local_data_req(ctx, &arr, chunk, Kind::Read, req.waiter)
-            }
-            LocalKind::Write { chunk } => {
-                self.local_data_req(ctx, &arr, chunk, Kind::Write, req.waiter)
-            }
-            LocalKind::Operate { chunk, op } => {
-                self.local_data_req(ctx, &arr, chunk, Kind::Operate(op), req.waiter)
-            }
+            LocalKind::Access(kind) => self.local_data_req(ctx, &arr, req.chunk, kind, req.waiter),
             LocalKind::LockAcquire {
                 index,
                 kind,
@@ -662,17 +654,6 @@ impl RuntimeThread {
                 kind,
                 intent,
             } => self.local_lock_release(ctx, &arr, index, kind, intent, req.waiter),
-        }
-    }
-
-    fn rights_satisfied(d: &Dentry, kind: Kind) -> bool {
-        let s = d.state();
-        match kind {
-            Kind::Read => s.readable(),
-            Kind::Write => s.writable(),
-            Kind::Operate(op) => {
-                s == LocalState::Exclusive || (s == LocalState::Operated && d.op_tag() == op)
-            }
         }
     }
 
@@ -687,7 +668,7 @@ impl RuntimeThread {
         let d = &arr.per_node[self.node].dentries[chunk as usize];
         // Re-check: the state may have changed between the app thread's miss
         // and us dequeuing the request.
-        if !d.delay_set() && Self::rights_satisfied(d, kind) {
+        if !d.delay_set() && d.state().permits(kind, || d.op_tag()) {
             waiter.notify(ctx);
             return;
         }

@@ -8,6 +8,7 @@
 //!   dentry, which is what the lock-free fast path consults.
 
 use crate::op::OpId;
+use crate::protocol::Kind;
 use rdma_fabric::NodeId;
 
 /// Local access rights a node holds on a chunk, stored in the dentry as an
@@ -49,24 +50,19 @@ impl LocalState {
         }
     }
 
-    /// Reads permitted?
+    /// Do these rights cover an access of `kind` (Figure 4's rights
+    /// check)? Exclusive covers every kind, since its holder can run an
+    /// Operate as a local read-modify-write; Shared covers reads; Operated
+    /// covers an Operate under the operator it was granted for. `op_tag`
+    /// reads that operator; it is called only for an Operated state, so
+    /// the fast path loads the dentry's tag only then.
     #[inline]
-    pub fn readable(self) -> bool {
-        matches!(self, Self::Shared | Self::Exclusive)
-    }
-
-    /// Writes permitted?
-    #[inline]
-    pub fn writable(self) -> bool {
-        matches!(self, Self::Exclusive)
-    }
-
-    /// Operate permitted (under the dentry's current op tag, checked
-    /// separately)? Exclusive rights subsume Operate, since the holder can
-    /// perform the read-modify-write locally.
-    #[inline]
-    pub fn operable(self) -> bool {
-        matches!(self, Self::Operated | Self::Exclusive)
+    pub fn permits(self, kind: Kind, op_tag: impl FnOnce() -> u32) -> bool {
+        match (self, kind) {
+            (Self::Exclusive, _) | (Self::Shared, Kind::Read) => true,
+            (Self::Operated, Kind::Operate(op)) => op_tag() == op,
+            _ => false,
+        }
     }
 
     /// An intermediate (in-flight) state, which the eviction scan must skip
@@ -249,16 +245,36 @@ mod tests {
         }
     }
 
+    /// The one rights predicate over every state and kind: Read, Write,
+    /// Operate under the granted tag (5) and under another (6). The tag is
+    /// read only when the state is Operated.
     #[test]
-    fn readable_writable_operable_predicates() {
+    fn permits_truth_table() {
         use LocalState::*;
-        assert!(Shared.readable() && !Shared.writable() && !Shared.operable());
-        assert!(Exclusive.readable() && Exclusive.writable() && Exclusive.operable());
-        assert!(!Operated.readable() && !Operated.writable() && Operated.operable());
-        assert!(!Invalid.readable() && !Invalid.writable() && !Invalid.operable());
+        let kinds = [Kind::Read, Kind::Write, Kind::Operate(5), Kind::Operate(6)];
+        let table = [
+            (Invalid, [false, false, false, false]),
+            (Shared, [true, false, false, false]),
+            (Exclusive, [true, true, true, true]),
+            (Operated, [false, false, true, false]),
+            (FillingShared, [false, false, false, false]),
+            (FillingExclusive, [false, false, false, false]),
+            (FillingOperated, [false, false, false, false]),
+        ];
+        for (state, row) in table {
+            for (kind, want) in kinds.into_iter().zip(row) {
+                let reads = std::cell::Cell::new(0);
+                let tag = || {
+                    reads.set(reads.get() + 1);
+                    5
+                };
+                assert_eq!(state.permits(kind, tag), want, "{state:?} {kind:?}");
+                let operated = state == Operated && matches!(kind, Kind::Operate(_));
+                assert_eq!(reads.get(), u32::from(operated), "{state:?} {kind:?}");
+            }
+        }
         for s in [FillingShared, FillingExclusive, FillingOperated] {
             assert!(s.in_flight());
-            assert!(!s.readable() && !s.writable() && !s.operable());
         }
     }
 

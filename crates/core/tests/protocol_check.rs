@@ -514,16 +514,6 @@ enum Tr {
     Refute(usize),
 }
 
-/// Does `state`/`tag` already satisfy a request of `kind` locally (the
-/// fast-path hit the runtime would take without consulting the protocol)?
-fn satisfied(state: LocalState, tag: u32, kind: Kind) -> bool {
-    match kind {
-        Kind::Read => state.readable(),
-        Kind::Write => state.writable(),
-        Kind::Operate(op) => state.writable() || (state == LocalState::Operated && tag == op),
-    }
-}
-
 fn internal_transitions(w: &World) -> Vec<Tr> {
     let mut out = Vec::new();
     for i in 0..NREM {
@@ -574,7 +564,7 @@ fn external_transitions(w: &World) -> Vec<Tr> {
     if let Some(h) = &w.home {
         if h.app == App::Idle && h.req_budget > 0 {
             for kind in KINDS {
-                if !satisfied(h.dentry.0, h.dentry.1, kind) {
+                if !h.dentry.0.permits(kind, || h.dentry.1) {
                     out.push(Tr::AppHome(kind));
                 }
             }
@@ -595,7 +585,7 @@ fn external_transitions(w: &World) -> Vec<Tr> {
         }
         if r.app == App::Idle && r.req_budget > 0 && !r.home_down {
             for kind in KINDS {
-                if !satisfied(r.state, r.op_tag, kind) {
+                if !r.state.permits(kind, || r.op_tag) {
                     out.push(Tr::AppRemote(i, kind));
                 }
             }
@@ -1297,7 +1287,7 @@ fn lock_remote_acquire(w: &mut World, i: usize, kind: LockKind, intent: bool) {
 /// dentry already allows the write).
 fn pull_for(w: &mut World, ck: &mut Ck, trace: &[String], grantee: usize) {
     let h = w.home.as_ref().unwrap();
-    let home_has_it = !h.draining && satisfied(h.dentry.0, h.dentry.1, Kind::Write);
+    let home_has_it = !h.draining && h.dentry.0.permits(Kind::Write, || h.dentry.1);
     if h.m.state().held_alone_by(grantee) || home_has_it {
         return;
     }
@@ -1319,7 +1309,7 @@ fn pull_for(w: &mut World, ck: &mut Ck, trace: &[String], grantee: usize) {
 fn write_miss_remote(w: &mut World, ck: &mut Ck, trace: &[String], i: usize) {
     let r = &w.rem[i];
     let drain_pending = r.after.is_some();
-    if !drain_pending && satisfied(r.state, r.op_tag, Kind::Write) {
+    if !drain_pending && r.state.permits(Kind::Write, || r.op_tag) {
         return;
     }
     let home_down = r.home_down;
@@ -1536,7 +1526,7 @@ fn recheck_app(w: &mut World, i: usize, events: &mut VecDeque<CacheEvent>) {
     let App::Waiting(kind) = r.app else {
         return;
     };
-    if satisfied(r.state, r.op_tag, kind) || r.home_down {
+    if r.state.permits(kind, || r.op_tag) || r.home_down {
         r.app = App::Idle;
     } else {
         let drain_pending = r.after.is_some();
@@ -2673,7 +2663,7 @@ mod migration {
             && !w.r_knows_dead[w.r_home]
         {
             for kind in [Kind::Read, Kind::Write] {
-                if !satisfied(w.r_state, NOTAG, kind) {
+                if !w.r_state.permits(kind, || NOTAG) {
                     out.push(MTr::AppReq(kind));
                 }
             }

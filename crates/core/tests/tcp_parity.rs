@@ -382,7 +382,7 @@ fn tcp_matches_sim_with_write_intent_locks() {
 fn batched_config(kind: TransportKind) -> ClusterConfig {
     let mut cfg = parity_config(kind);
     cfg.batch.send_batch_max = 4;
-    cfg.batch.flush_every_frames = Some(8);
+    cfg.net.signal_interval = 8;
     cfg.tcp.pump_threads = 1;
     cfg
 }

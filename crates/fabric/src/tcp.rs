@@ -136,9 +136,10 @@ pub struct TcpOptions {
     pub pump_threads: usize,
     /// Most frames one egress flush (`write_vectored` call) may carry.
     pub send_batch_max: usize,
-    /// Selective signaling: count one completion every N-th flushed frame
-    /// instead of one per flush. `None` keeps the per-flush default.
-    pub flush_every_frames: Option<u64>,
+    /// Selective signaling: count one completion per `signal_interval`
+    /// flushed frames, as the simulated NIC does with
+    /// [`NetConfig::signal_interval`](crate::NetConfig::signal_interval).
+    pub signal_interval: u64,
 }
 
 impl Default for TcpOptions {
@@ -149,7 +150,7 @@ impl Default for TcpOptions {
             addrs: None,
             pump_threads: 2,
             send_batch_max: 16,
-            flush_every_frames: None,
+            signal_interval: crate::NetConfig::default().signal_interval,
         }
     }
 }
@@ -197,28 +198,18 @@ struct TcpCounters {
 
 impl TcpCounters {
     /// Account one committed flush of `nframes` frames: the flush/batch
-    /// counters plus completions under the selected signaling policy.
-    fn flush(&self, nframes: u64, flush_every: Option<u64>) {
+    /// counters, plus one completion per `signal_interval` flushed frames.
+    fn flush(&self, nframes: u64, signal_interval: u64) {
         self.tx_flushes.fetch_add(1, Ordering::Relaxed);
         if nframes >= 2 {
             self.doorbell_batches.fetch_add(1, Ordering::Relaxed);
             self.frames_coalesced
                 .fetch_add(nframes - 1, Ordering::Relaxed);
         }
-        match flush_every {
-            // Default: the flush itself is the signaled completion.
-            None => {
-                self.completions.fetch_add(1, Ordering::Relaxed);
-            }
-            // Selective signaling: one completion per N-th flushed frame.
-            Some(n) => {
-                let n = n.max(1);
-                let before = self.signaled_cursor.fetch_add(nframes, Ordering::Relaxed);
-                let crossed = (before + nframes) / n - before / n;
-                if crossed > 0 {
-                    self.completions.fetch_add(crossed, Ordering::Relaxed);
-                }
-            }
+        let before = self.signaled_cursor.fetch_add(nframes, Ordering::Relaxed);
+        let crossed = (before + nframes) / signal_interval - before / signal_interval;
+        if crossed > 0 {
+            self.completions.fetch_add(crossed, Ordering::Relaxed);
         }
     }
 }
@@ -253,7 +244,7 @@ pub struct TcpTransport<M: Wire> {
     inbox: Arc<Mutex<VecDeque<(NodeId, M)>>>,
     regions: Arc<RegionTable>,
     counters: Arc<TcpCounters>,
-    flush_every: Option<u64>,
+    signal_interval: u64,
     pumps: Mutex<Vec<JoinHandle<()>>>,
     down: Arc<AtomicBool>,
 }
@@ -289,7 +280,7 @@ struct PumpShared<M: Wire> {
     counters: Arc<TcpCounters>,
     down: Arc<AtomicBool>,
     send_batch_max: u64,
-    flush_every: Option<u64>,
+    signal_interval: u64,
 }
 
 /// One link as seen by its owning pump: the socket, the Rx reassembly
@@ -430,7 +421,7 @@ fn flush_link<M: Wire>(link: &mut PumpLink, sh: &PumpShared<M>) -> bool {
             ring.depth_frames -= batched;
             drop(ring);
             link.inflight_off = 0;
-            sh.counters.flush(batched, sh.flush_every);
+            sh.counters.flush(batched, sh.signal_interval);
         }
         // Write the in-flight batch outside the ring lock: senders keep
         // enqueueing while the syscall runs.
@@ -583,7 +574,7 @@ impl<M: Wire> TcpTransport<M> {
             .fetch_add(frame_bytes, Ordering::Relaxed);
         self.counters.frames.fetch_add(1, Ordering::Relaxed);
         // A self-delivery is its own single-frame flush.
-        self.counters.flush(1, self.flush_every);
+        self.counters.flush(1, self.signal_interval);
         self.inbox.lock().push_back((self.node, msg));
     }
 
@@ -663,7 +654,7 @@ impl<M: Wire> Transport<M> for TcpTransport<M> {
         if dst == self.node {
             region.write_slice(offset, &data);
             self.counters.frames.fetch_add(1, Ordering::Relaxed);
-            self.counters.flush(1, self.flush_every);
+            self.counters.flush(1, self.signal_interval);
             self.deliver_local(msg);
             return;
         }
@@ -773,6 +764,7 @@ impl<M: Wire> TcpFabric<M> {
         assert!(nodes > 0, "tcp fabric needs at least one node");
         assert!(opts.pump_threads > 0, "tcp fabric needs at least one pump");
         assert!(opts.send_batch_max > 0, "send_batch_max must be nonzero");
+        assert!(opts.signal_interval > 0, "signal_interval must be nonzero");
         if let Some(addrs) = &opts.addrs {
             assert_eq!(addrs.len(), nodes, "one listen address per node");
         }
@@ -881,7 +873,7 @@ impl<M: Wire> TcpFabric<M> {
                     counters: counters.clone(),
                     down: down.clone(),
                     send_batch_max: opts.send_batch_max.max(1) as u64,
-                    flush_every: opts.flush_every_frames,
+                    signal_interval: opts.signal_interval,
                 };
                 pumps.push(std::thread::spawn(move || {
                     pump_loop::<M>(my_links, wake_rx, sh);
@@ -895,7 +887,7 @@ impl<M: Wire> TcpFabric<M> {
                 inbox,
                 regions: regions.clone(),
                 counters,
-                flush_every: opts.flush_every_frames,
+                signal_interval: opts.signal_interval,
                 pumps: Mutex::new(pumps),
                 down,
             }));
@@ -1168,15 +1160,14 @@ mod tests {
         );
     }
 
-    /// `flush_every_frames` switches completion accounting to selective
-    /// signaling: one completion per N-th flushed frame.
+    /// `signal_interval` counts one completion per N flushed frames.
     #[test]
     fn tcp_selective_signaling_counts_every_nth_frame() {
         dsim::Sim::new(dsim::SimConfig::default()).run(|ctx| {
             let fabric = TcpFabric::<Ping>::new(
                 2,
                 TcpOptions {
-                    flush_every_frames: Some(4),
+                    signal_interval: 4,
                     ..TcpOptions::default()
                 },
             )

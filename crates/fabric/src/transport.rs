@@ -55,9 +55,9 @@ pub struct TransportStats {
     pub bytes_rx: u64,
     /// Frames (SENDs plus WRITEs) posted by this endpoint.
     pub frames: u64,
-    /// Completion events observed for posted work (selective signaling on
-    /// the simulated NIC; per-flush — or every `flush_every_frames`-th
-    /// frame — on TCP).
+    /// Completion events observed for posted work: one per
+    /// `NetConfig::signal_interval` verbs on the simulated NIC, and one per
+    /// `signal_interval` flushed frames on TCP.
     pub completions: u64,
     /// Egress flushes: doorbell rings on the TCP pump (each a single
     /// writev-style syscall train), batch openings on the simulated NIC.
