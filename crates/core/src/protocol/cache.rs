@@ -32,7 +32,7 @@ pub struct CacheView {
 /// What to do once a Figure-5 drain completes. Mirrors the runtime's
 /// drain continuations one-to-one; the machine decides the follow-up via
 /// [`CacheEvent::Drained`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AfterDrain {
     /// Invalidate a Shared copy and acknowledge to `reply_to`.
     Invalidate {

@@ -17,7 +17,7 @@ use super::{Counter, Kind, Msg, NodeId, Request, Requester, Transition, NOTAG};
 /// Transient phase of a home-side transition that is waiting for remote
 /// replies or a local reference drain. While a transient is pending, new
 /// requests queue.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Transient {
     /// The chunk is stable; requests are serviced immediately.
     None,
@@ -88,7 +88,7 @@ pub enum Transient {
 }
 
 /// Phase of an inbound chunk migration ([`Transient::MigratingIn`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum MigInPhase {
     /// Persisting the received image to the durable log before
     /// acknowledging (persist-before-ack extends to migration: the ack
@@ -341,7 +341,7 @@ pub enum HomeAction<W> {
 /// local-waiter token `W` (a wait-cell in the runtime, a plain integer in
 /// tests). `Clone` (for `W: Clone`) lets the model checker branch a world
 /// state; the runtime never clones a machine.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Hash)]
 pub struct HomeMachine<W> {
     state: DirState,
     transient: Transient,

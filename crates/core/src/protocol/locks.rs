@@ -30,7 +30,7 @@ pub enum LockKind {
 /// Where a lock request came from. `W` is the opaque completion token the
 /// executor wakes for home-local requesters (a wait-cell in the runtime,
 /// a plain integer in tests).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum LockSource<W> {
     /// An application thread on the home node.
     Local(W),
@@ -58,7 +58,7 @@ impl<W> LockSource<W> {
 /// State of one element's distributed lock. Holders are tagged with their
 /// origin (`None` = a home-local thread, `Some(n)` = remote node `n`) so
 /// orphaned locks can be reclaimed when their holder dies.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Hash)]
 struct ElemLock<W> {
     /// Current reader holders.
     readers: Vec<Option<NodeId>>,
@@ -147,7 +147,7 @@ pub struct PeerPurge<W> {
 /// ([`Self::forget_peer`]) wake survivors in a deterministic order — a
 /// requirement for bit-identical replay of runs that include a crash.
 /// `Clone` (for `W: Clone`) lets the model checker branch a world state.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Hash)]
 pub struct LockTable<W> {
     locks: BTreeMap<u64, ElemLock<W>>,
 }

@@ -57,7 +57,7 @@ pub const LINE_HOME: u32 = u32::MAX - 1;
 pub const NOTAG: u32 = u32::MAX;
 
 /// What a requester wants from a chunk.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Kind {
     /// A readable (Shared) copy.
     Read,
@@ -68,7 +68,7 @@ pub enum Kind {
 }
 
 /// Where a directory request came from.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Requester<W> {
     /// An application thread on the home node; `W` is the opaque completion
     /// token the executor will wake.
@@ -95,7 +95,7 @@ pub enum Requester<W> {
 }
 
 /// One directory request: who wants the chunk, and how.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Request<W> {
     /// Origin of the request.
     pub source: Requester<W>,

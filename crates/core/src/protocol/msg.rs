@@ -18,7 +18,7 @@ use super::{CacheEvent, HomeEvent, Kind, NodeId, Request, Requester};
 /// in the envelope around the message; data travels by one-sided RDMA
 /// WRITE ahead of the notifications that say so, except combined operands,
 /// which need CPU reduction at the receiver.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Msg {
     /// Requester → home: a Shared copy, filled at `dst_off`.
     ReadReq {

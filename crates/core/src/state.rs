@@ -13,7 +13,7 @@ use rdma_fabric::NodeId;
 
 /// Local access rights a node holds on a chunk, stored in the dentry as an
 /// atomic byte for the lock-free fast path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(u8)]
 pub enum LocalState {
     /// No rights; any access takes the slow path.
@@ -92,7 +92,7 @@ impl LocalState {
 /// Directory (home-node) state of a chunk: the four stable states of
 /// Table 1. Transient phases during multi-message transitions are tracked
 /// separately by the home-side machine (`protocol::Transient`).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum DirState {
     /// Exclusively owned by the home node (R/W/O at home, nothing
     /// elsewhere).

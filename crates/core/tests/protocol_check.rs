@@ -36,24 +36,25 @@
 //!   peer is never declared dead, so no reachable interleaving reclaims a
 //!   live peer's locks or discards its Dirty writes.
 //!
-//! States are memoized by a canonical encoding (the derived `Debug` string,
-//! hashed), so the search explores each reachable world once. At every
-//! state the checker asserts crash-safety invariants (single writer, no
-//! bookkeeping references to known-dead nodes, no orphaned lock holders);
-//! at every *quiescent* state (no internal transition enabled) it asserts
-//! liveness: no transient pending, no application thread parked forever,
-//! every lock waiter has a live holder to wait on, and the directory agrees
-//! with every survivor's dentry. Any violation prints (and writes to
-//! `DARRAY_MC_TRACE_FILE`) the full transition trace that reached it — a
-//! minimized counterexample by construction, since DFS reports the first
-//! path found at the shallowest unexplored depth.
-//!
-//! Knobs (env): `DARRAY_MC_MAX_DEPTH`, `DARRAY_MC_MIN_STATES`,
-//! `DARRAY_MC_MAX_STATES`, `DARRAY_MC_TRACE_FILE`.
+//! One engine ([`Search`]) runs the depth-first search for every world that
+//! implements [`Model`]: this `World` and the elastic re-homing world of
+//! [`migration`]. It memoizes each world by its derived `Hash`, so the
+//! search explores each reachable world once. At every state the checker
+//! asserts crash-safety invariants (single writer, no bookkeeping references
+//! to known-dead nodes, no orphaned lock holders); at every *quiescent*
+//! state (no internal transition enabled) it asserts liveness: no transient
+//! pending, no application thread parked forever, every lock waiter has a
+//! live holder to wait on, and the directory agrees with every survivor's
+//! dentry. Any violation panics with the transition trace that reached it
+//! and writes it to `DARRAY_MC_TRACE_FILE` (default
+//! `target/model-check-counterexample.txt`), the one knob. The trace is the
+//! first path the search found, not necessarily the shortest. A search that
+//! reaches [`MAX_DEPTH`] or [`MAX_STATES`] fails too, so a passing search
+//! has explored its whole world.
 
-use std::collections::{HashSet, VecDeque};
-use std::fmt::Write as _;
-use std::hash::{Hash, Hasher};
+use std::collections::{BTreeSet, HashSet, VecDeque};
+use std::fmt::{self, Debug, Display, Write as _};
+use std::hash::{DefaultHasher, Hash, Hasher};
 
 use darray::protocol::{
     AfterDrain, CacheAction, CacheEvent, CacheMachine, CacheView, Counter, Delivery, HomeAction,
@@ -84,12 +85,145 @@ const KINDS: [Kind; 3] = [Kind::Read, Kind::Write, Kind::Operate(OP)];
 const LKINDS: [LockKind; 2] = [LockKind::Read, LockKind::Write];
 
 // ---------------------------------------------------------------------------
+// Search engine
+// ---------------------------------------------------------------------------
+
+/// Longest path a search follows. Reaching it fails the search.
+const MAX_DEPTH: usize = 96;
+/// Most states one search may memoize.
+const MAX_STATES: usize = 5_000_000;
+
+/// A world the engine can search: its transitions, how one executes, and
+/// the invariants it must keep. The derived `Hash` is the memo key, so
+/// every field that influences future behavior must live in the world, and
+/// nothing else: accounting lives in [`Model::Ck`]. `Debug` is formatted
+/// only for a counterexample.
+trait Model: Clone + Debug + Hash {
+    /// One atomic step of the world.
+    type Tr: Copy;
+    /// Coverage tallies, kept outside the world so that accounting never
+    /// splits otherwise-identical states.
+    type Ck: Default;
+    /// Protocol progress. A world with none enabled is *quiescent*.
+    fn internal(&self) -> Vec<Self::Tr>;
+    /// External stimuli.
+    fn external(&self) -> Vec<Self::Tr>;
+    /// Human-readable label for `tr`, used in counterexample traces.
+    fn label(&self, tr: Self::Tr) -> String;
+    /// Execute `tr` on this world.
+    fn apply(&mut self, s: &mut Search<Self>, tr: Self::Tr);
+    /// Safety: must hold in **every** reachable state.
+    fn check_safety(&self, s: &mut Search<Self>);
+    /// Liveness: must hold whenever no internal transition is enabled. The
+    /// world has quiesced: nothing makes progress again without a new
+    /// external stimulus, so anything still pending is stuck forever.
+    fn check_quiescence(&self, s: &mut Search<Self>);
+}
+
+/// One depth-first search over every interleaving of a world's
+/// transitions.
+struct Search<M: Model> {
+    /// Hashes of the worlds reached so far.
+    seen: HashSet<u64>,
+    /// Labels of the transitions that led to the current world.
+    trace: Vec<String>,
+    quiescent: usize,
+    ck: M::Ck,
+    /// Where a counterexample is written, if anywhere.
+    report_file: Option<String>,
+}
+
+impl<M: Model> Search<M> {
+    fn new(report_file: Option<String>) -> Self {
+        Search {
+            seen: HashSet::new(),
+            trace: Vec::new(),
+            quiescent: 0,
+            ck: M::Ck::default(),
+            report_file,
+        }
+    }
+
+    fn dfs(&mut self, w: &M, depth: usize) {
+        // `DefaultHasher::new()` uses fixed keys, so runs are reproducible.
+        let mut h = DefaultHasher::new();
+        w.hash(&mut h);
+        if !self.seen.insert(h.finish()) {
+            return;
+        }
+        if self.seen.len() > MAX_STATES {
+            self.fail(w, "state-space budget exceeded");
+        }
+        w.check_safety(self);
+        let mut all = w.internal();
+        if all.is_empty() {
+            self.quiescent += 1;
+            w.check_quiescence(self);
+        }
+        if depth == MAX_DEPTH {
+            self.fail(w, "depth bound reached before the world was explored");
+        }
+        all.extend(w.external());
+        for tr in all {
+            let mut child = w.clone();
+            self.trace.push(w.label(tr));
+            child.apply(self, tr);
+            self.dfs(&child, depth + 1);
+            self.trace.pop();
+        }
+    }
+
+    /// Report a violation: the transition trace that reached it and the
+    /// final world, written to `report_file` and carried by the panic.
+    fn fail(&self, w: &M, msg: &str) -> ! {
+        let mut report = format!(
+            "states explored: {}\ncounterexample trace ({} steps):\n",
+            self.seen.len(),
+            self.trace.len()
+        );
+        for (i, step) in self.trace.iter().enumerate() {
+            let _ = writeln!(report, "  {:3}. {step}", i + 1);
+        }
+        let _ = writeln!(report, "final world:\n{w:#?}");
+        if let Some(path) = &self.report_file {
+            let _ = std::fs::write(path, format!("MODEL CHECK FAILED: {msg}\n{report}"));
+            eprintln!("(trace written to {path})");
+        }
+        panic!("model check failed: {msg}\n{report}");
+    }
+}
+
+/// Search every world reachable from `w`, then print the `[name]` summary
+/// line. A search that prunes a state fails, so `depth_pruned` is always 0.
+fn explore<M: Model>(name: &str, w: M) -> Search<M>
+where
+    M::Ck: Display,
+{
+    let path = std::env::var("DARRAY_MC_TRACE_FILE").unwrap_or_else(|_| {
+        concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../target/model-check-counterexample.txt"
+        )
+        .to_string()
+    });
+    let mut s = Search::new(Some(path));
+    s.dfs(&w, 0);
+    println!(
+        "[{name}] states={} quiescent={} depth_pruned=0 {}",
+        s.seen.len(),
+        s.quiescent,
+        s.ck
+    );
+    s
+}
+
+// ---------------------------------------------------------------------------
 // World state
 // ---------------------------------------------------------------------------
 
 /// One in-flight frame. Links are FIFO; `Down` is the failure-detector
 /// marker and is always the last frame on a dead node's link.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 enum Frame {
     /// A coherence message, delivered through [`Msg::deliver`].
     Coherence(Msg),
@@ -117,14 +251,14 @@ enum Frame {
 }
 
 /// One node's application slot: at most one outstanding data request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 enum App {
     Idle,
     Waiting(Kind),
 }
 
 /// One node's lock slot: at most one outstanding element-lock request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 enum Lock {
     Idle,
     Waiting(LockKind),
@@ -133,7 +267,7 @@ enum Lock {
 
 /// A remote node: the dentry the cache machine sees, plus app/lock slots
 /// and the budgets bounding how many external stimuli it may still issue.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Hash)]
 struct Remote {
     alive: bool,
     state: LocalState,
@@ -192,7 +326,7 @@ impl Remote {
 
 /// The home node: the real directory machine and lock table, the home
 /// dentry, and the home's own app/lock slots.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Hash)]
 struct Home {
     m: HomeMachine<u32>,
     locks: LockTable<u32>,
@@ -208,10 +342,10 @@ struct Home {
     lock_budget: u8,
 }
 
-/// One explorable world state. The derived `Debug` string is the canonical
-/// encoding used for memoization — every field that influences future
-/// behavior must live here (and nothing else: accounting lives in [`Ck`]).
-#[derive(Debug, Clone)]
+/// One explorable world state, memoized by its derived `Hash`: every field
+/// that influences future behavior must live here (and nothing else:
+/// accounting lives in [`Ck`]).
+#[derive(Debug, Clone, Hash)]
 struct World {
     /// `None` once the home node has been killed.
     home: Option<Home>,
@@ -220,6 +354,9 @@ struct World {
     h2r: [VecDeque<Frame>; NREM],
     /// FIFO link remote `i+1` → home.
     r2h: [VecDeque<Frame>; NREM],
+    /// The home's minimum-hold grace window (`grace_ns`), constant within
+    /// a search.
+    grace: u64,
     now: u64,
     /// A `ScheduleRetry { at }` is pending delivery.
     retry_at: Option<u64>,
@@ -272,7 +409,7 @@ struct World {
 /// write + fsync, or a rename); the checker kills the home *between* any
 /// two of them, which — together with each operation's own atomicity — is
 /// exactly "a crash at any byte of the compaction sequence".
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 enum CkPhase {
     /// Write the full image to `.ckpt.tmp` and fsync it. Invisible to
     /// recovery: reopen deletes stale tmp files.
@@ -315,26 +452,21 @@ fn recoverable(w: &World) -> u64 {
 }
 
 // ---------------------------------------------------------------------------
-// Checker context (not part of the state key)
+// Coverage tallies (not part of the state key)
 // ---------------------------------------------------------------------------
 
-/// Search bookkeeping and coverage tallies, deliberately *outside* the
-/// memoized state so accounting never splits otherwise-identical worlds.
+/// Coverage tallies of a [`World`] search. `Display` prints all but the
+/// write-intent tallies, which only the combined search reports.
+#[derive(Default)]
 struct Ck {
-    grace: u64,
-    max_depth: usize,
-    max_states: usize,
-    seen: HashSet<u64>,
-    depth_pruned: usize,
-    quiescent_states: usize,
     /// Home transient name at the instant each `Down` marker was consumed.
-    pd_transients: HashSet<&'static str>,
+    pd_transients: BTreeSet<&'static str>,
     /// Home directory-state name at the instant each `Down` was consumed.
-    pd_states: HashSet<&'static str>,
+    pd_states: BTreeSet<&'static str>,
     /// Remote dentry state at the instant the home's `Down` was consumed.
-    homedown_states: HashSet<&'static str>,
+    homedown_states: BTreeSet<&'static str>,
     /// Home transient name at each `RetryExpired` delivery.
-    retry_transients: HashSet<&'static str>,
+    retry_transients: BTreeSet<&'static str>,
     epochs_aborted: usize,
     sharers_pruned: usize,
     locks_reclaimed: usize,
@@ -363,7 +495,7 @@ struct Ck {
     compactions_completed: usize,
     /// Phase names a home kill landed in while a compaction was in flight —
     /// the snapshot→rename→truncate crash matrix must cover all four.
-    killed_mid_compaction: HashSet<&'static str>,
+    killed_mid_compaction: BTreeSet<&'static str>,
     /// Home restarts that recovered through a checkpoint generation (not
     /// pure log replay).
     restarts_from_checkpoint: usize,
@@ -379,79 +511,40 @@ struct Ck {
     hand_backs: usize,
 }
 
-impl Ck {
-    fn new(grace: u64) -> Self {
-        Ck {
-            grace,
-            max_depth: env_usize("DARRAY_MC_MAX_DEPTH", 96),
-            max_states: env_usize("DARRAY_MC_MAX_STATES", 5_000_000),
-            seen: HashSet::new(),
-            depth_pruned: 0,
-            quiescent_states: 0,
-            pd_transients: HashSet::new(),
-            pd_states: HashSet::new(),
-            homedown_states: HashSet::new(),
-            retry_transients: HashSet::new(),
-            epochs_aborted: 0,
-            sharers_pruned: 0,
-            locks_reclaimed: 0,
-            reductions: 0,
-            suspect_refutes: 0,
-            suspect_confirms: 0,
-            suspected_dirty_states: 0,
-            persists: 0,
-            persist_acks: 0,
-            killed_mid_persist: 0,
-            home_restarts: 0,
-            remote_restarts: 0,
-            compactions_started: 0,
-            compactions_completed: 0,
-            killed_mid_compaction: HashSet::new(),
-            restarts_from_checkpoint: 0,
-            double_kills: 0,
-            both_dead_states: 0,
-            intent_grants: 0,
-            intent_pulls: 0,
-            hand_backs: 0,
-        }
-    }
-}
-
-fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
-/// Report a violation: compose the counterexample (transition trace + final
-/// world), write it to `DARRAY_MC_TRACE_FILE` (or the default path under
-/// `target/`), print it, and abort the test.
-fn fail(ck: &Ck, trace: &[String], w: &World, msg: &str) -> ! {
-    let mut report = String::new();
-    let _ = writeln!(report, "MODEL CHECK FAILED: {msg}");
-    let _ = writeln!(
-        report,
-        "states explored: {} (grace={}ns)",
-        ck.seen.len(),
-        ck.grace
-    );
-    let _ = writeln!(report, "counterexample trace ({} steps):", trace.len());
-    for (i, step) in trace.iter().enumerate() {
-        let _ = writeln!(report, "  {:3}. {step}", i + 1);
-    }
-    let _ = writeln!(report, "final world:\n{w:#?}");
-    let path = std::env::var("DARRAY_MC_TRACE_FILE").unwrap_or_else(|_| {
-        concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/../../target/model-check-counterexample.txt"
+impl Display for Ck {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "pd_transients={:?} pd_states={:?} homedown_states={:?} retry_transients={:?} \
+             epochs_aborted={} sharers_pruned={} locks_reclaimed={} reductions={} \
+             suspect_refutes={} suspect_confirms={} suspected_dirty_states={} \
+             persists={} persist_acks={} killed_mid_persist={} home_restarts={} \
+             remote_restarts={} compactions={}/{} killed_mid_compaction={:?} \
+             restarts_from_checkpoint={} double_kills={} both_dead_states={}",
+            self.pd_transients,
+            self.pd_states,
+            self.homedown_states,
+            self.retry_transients,
+            self.epochs_aborted,
+            self.sharers_pruned,
+            self.locks_reclaimed,
+            self.reductions,
+            self.suspect_refutes,
+            self.suspect_confirms,
+            self.suspected_dirty_states,
+            self.persists,
+            self.persist_acks,
+            self.killed_mid_persist,
+            self.home_restarts,
+            self.remote_restarts,
+            self.compactions_completed,
+            self.compactions_started,
+            self.killed_mid_compaction,
+            self.restarts_from_checkpoint,
+            self.double_kills,
+            self.both_dead_states,
         )
-        .to_string()
-    });
-    let _ = std::fs::write(&path, &report);
-    eprintln!("{report}");
-    eprintln!("(trace written to {path})");
-    panic!("model check failed: {msg}");
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -461,7 +554,7 @@ fn fail(ck: &Ck, trace: &[String], w: &World, msg: &str) -> ! {
 /// One atomic step of the world. `Deliver*`, `Drain*` and `Retry` are
 /// *internal* (protocol progress); the rest are external stimuli. A state
 /// with no internal transition enabled is *quiescent* and must satisfy the
-/// liveness conditions of [`check_quiescence`].
+/// liveness conditions of [`Model::check_quiescence`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Tr {
     DeliverH2R(usize),
@@ -514,571 +607,921 @@ enum Tr {
     Refute(usize),
 }
 
-fn internal_transitions(w: &World) -> Vec<Tr> {
-    let mut out = Vec::new();
-    for i in 0..NREM {
-        // A suspected remote's inbound link is parked at the home's
-        // reliability agent — deliverable again only after the suspicion
-        // resolves.
-        let parked = w.home.is_some() && w.suspected[i];
-        if w.rem[i].alive && !w.h2r[i].is_empty() && !parked {
-            out.push(Tr::DeliverH2R(i));
-        }
-        if w.home.is_some() && !w.r2h[i].is_empty() {
-            out.push(Tr::DeliverR2H(i));
-        }
-        if w.rem[i].alive && w.rem[i].after.is_some() {
-            out.push(Tr::DrainRemote(i));
-        }
-        // A live suspect keeps heartbeating, so refutation is *guaranteed*
-        // progress in the real system — which makes it an internal
-        // transition here (a suspicion of a live peer can never be the end
-        // state, so a parked world is not quiescent).
-        if parked && w.rem[i].alive {
-            out.push(Tr::Refute(i));
-        }
-    }
-    if let Some(h) = &w.home {
-        if h.draining {
-            out.push(Tr::DrainHome);
-        }
-        if w.retry_at.is_some() {
-            out.push(Tr::Retry);
-        }
-        // Disk completion is guaranteed progress: a pending persist always
-        // resolves (crash-during-persist is the Kill branch's job).
-        if w.pending_persist.is_some() {
-            out.push(Tr::PersistDone);
-        }
-        // A compaction in flight always advances to its next phase
-        // (crash-mid-compaction is, again, the Kill branch's job).
-        if w.compacting.is_some() {
-            out.push(Tr::CompactStep);
-        }
-    }
-    out
-}
+impl Model for World {
+    type Tr = Tr;
+    type Ck = Ck;
 
-fn external_transitions(w: &World) -> Vec<Tr> {
-    let mut out = Vec::new();
-    if let Some(h) = &w.home {
-        if h.app == App::Idle && h.req_budget > 0 {
-            for kind in KINDS {
-                if !h.dentry.0.permits(kind, || h.dentry.1) {
-                    out.push(Tr::AppHome(kind));
-                }
-            }
-        }
-        match h.lock {
-            Lock::Idle if h.lock_budget > 0 => {
-                for lk in LKINDS {
-                    out.push(Tr::LockHomeAcq(lk));
-                }
-            }
-            Lock::Holding(_) => out.push(Tr::LockHomeRel),
-            _ => {}
-        }
-    }
-    for (i, r) in w.rem.iter().enumerate() {
-        if !r.alive {
-            continue;
-        }
-        if r.app == App::Idle && r.req_budget > 0 && !r.home_down {
-            for kind in KINDS {
-                if !r.state.permits(kind, || r.op_tag) {
-                    out.push(Tr::AppRemote(i, kind));
-                }
-            }
-        }
-        match r.lock {
-            Lock::Idle if r.lock_budget > 0 && !r.home_down => {
-                for lk in LKINDS {
-                    out.push(Tr::LockRemoteAcq(i, lk));
-                }
-                if w.intent_locks {
-                    out.push(Tr::LockRemoteIntent(i));
-                }
-            }
-            Lock::Holding(_) => out.push(Tr::LockRemoteRel(i)),
-            _ => {}
-        }
-        if r.evict_budget > 0
-            && r.after.is_none()
-            && matches!(
-                r.state,
-                LocalState::Shared | LocalState::Exclusive | LocalState::Operated
-            )
-        {
-            out.push(Tr::Evict(i));
-        }
-    }
-    // Suspect a live remote: the false-suspicion stimulus. (Suspecting a
-    // node that is already dead is the Kill path — its marker is the
-    // confirmation — so the stimulus targets live peers, where a unilateral
-    // declaration would be unsound.)
-    if w.home.is_some() && w.suspect_budget > 0 {
+    fn internal(&self) -> Vec<Tr> {
+        let mut out = Vec::new();
         for i in 0..NREM {
-            if w.rem[i].alive && !w.suspected[i] {
-                out.push(Tr::Suspect(i));
+            // A suspected remote's inbound link is parked at the home's
+            // reliability agent — deliverable again only after the suspicion
+            // resolves.
+            let parked = self.home.is_some() && self.suspected[i];
+            if self.rem[i].alive && !self.h2r[i].is_empty() && !parked {
+                out.push(Tr::DeliverH2R(i));
+            }
+            if self.home.is_some() && !self.r2h[i].is_empty() {
+                out.push(Tr::DeliverR2H(i));
+            }
+            if self.rem[i].alive && self.rem[i].after.is_some() {
+                out.push(Tr::DrainRemote(i));
+            }
+            // A live suspect keeps heartbeating, so refutation is *guaranteed*
+            // progress in the real system — which makes it an internal
+            // transition here (a suspicion of a live peer can never be the end
+            // state, so a parked world is not quiescent).
+            if parked && self.rem[i].alive {
+                out.push(Tr::Refute(i));
             }
         }
+        if let Some(h) = &self.home {
+            if h.draining {
+                out.push(Tr::DrainHome);
+            }
+            if self.retry_at.is_some() {
+                out.push(Tr::Retry);
+            }
+            // Disk completion is guaranteed progress: a pending persist always
+            // resolves (crash-during-persist is the Kill branch's job).
+            if self.pending_persist.is_some() {
+                out.push(Tr::PersistDone);
+            }
+            // A compaction in flight always advances to its next phase
+            // (crash-mid-compaction is, again, the Kill branch's job).
+            if self.compacting.is_some() {
+                out.push(Tr::CompactStep);
+            }
+        }
+        out
     }
-    if w.kill_budget > 0 {
-        // Kill the home: branch over every surviving prefix of each
-        // home→remote link (the product; each link truncates independently).
-        // With a persist pending, also branch on whether its record reached
-        // the log before the crash.
-        if w.home.is_some() {
-            for k0 in 0..=w.h2r[0].len() {
-                for k1 in 0..=w.h2r[1].len() {
-                    out.push(Tr::Kill {
-                        victim: HOME,
-                        keep: [k0, k1],
-                        flush_disk: false,
-                    });
-                    if w.pending_persist.is_some() {
+
+    fn external(&self) -> Vec<Tr> {
+        let mut out = Vec::new();
+        if let Some(h) = &self.home {
+            if h.app == App::Idle && h.req_budget > 0 {
+                for kind in KINDS {
+                    if !h.dentry.0.permits(kind, || h.dentry.1) {
+                        out.push(Tr::AppHome(kind));
+                    }
+                }
+            }
+            match h.lock {
+                Lock::Idle if h.lock_budget > 0 => {
+                    for lk in LKINDS {
+                        out.push(Tr::LockHomeAcq(lk));
+                    }
+                }
+                Lock::Holding(_) => out.push(Tr::LockHomeRel),
+                _ => {}
+            }
+        }
+        for (i, r) in self.rem.iter().enumerate() {
+            if !r.alive {
+                continue;
+            }
+            if r.app == App::Idle && r.req_budget > 0 && !r.home_down {
+                for kind in KINDS {
+                    if !r.state.permits(kind, || r.op_tag) {
+                        out.push(Tr::AppRemote(i, kind));
+                    }
+                }
+            }
+            match r.lock {
+                Lock::Idle if r.lock_budget > 0 && !r.home_down => {
+                    for lk in LKINDS {
+                        out.push(Tr::LockRemoteAcq(i, lk));
+                    }
+                    if self.intent_locks {
+                        out.push(Tr::LockRemoteIntent(i));
+                    }
+                }
+                Lock::Holding(_) => out.push(Tr::LockRemoteRel(i)),
+                _ => {}
+            }
+            if r.evict_budget > 0
+                && r.after.is_none()
+                && matches!(
+                    r.state,
+                    LocalState::Shared | LocalState::Exclusive | LocalState::Operated
+                )
+            {
+                out.push(Tr::Evict(i));
+            }
+        }
+        // Suspect a live remote: the false-suspicion stimulus. (Suspecting a
+        // node that is already dead is the Kill path — its marker is the
+        // confirmation — so the stimulus targets live peers, where a unilateral
+        // declaration would be unsound.)
+        if self.home.is_some() && self.suspect_budget > 0 {
+            for i in 0..NREM {
+                if self.rem[i].alive && !self.suspected[i] {
+                    out.push(Tr::Suspect(i));
+                }
+            }
+        }
+        if self.kill_budget > 0 {
+            // Kill the home: branch over every surviving prefix of each
+            // home→remote link (the product; each link truncates independently).
+            // With a persist pending, also branch on whether its record reached
+            // the log before the crash.
+            if self.home.is_some() {
+                for k0 in 0..=self.h2r[0].len() {
+                    for k1 in 0..=self.h2r[1].len() {
                         out.push(Tr::Kill {
                             victim: HOME,
                             keep: [k0, k1],
-                            flush_disk: true,
+                            flush_disk: false,
                         });
+                        if self.pending_persist.is_some() {
+                            out.push(Tr::Kill {
+                                victim: HOME,
+                                keep: [k0, k1],
+                                flush_disk: true,
+                            });
+                        }
                     }
                 }
             }
-        }
-        // Kill remote node 1 (the protagonist remote; killing node 2 adds
-        // symmetric states without new behavior since budgets differ).
-        if w.rem[0].alive && w.home.is_some() {
-            for k0 in 0..=w.r2h[0].len() {
-                out.push(Tr::Kill {
-                    victim: 1,
-                    keep: [k0, 0],
-                    flush_disk: false,
-                });
-            }
-        }
-        // Double kill: the quorum confirms TWO simultaneous deaths — the
-        // membership axis a single-kill budget can never reach. Both
-        // remotes die at once, each in-flight link keeping an independent
-        // surviving prefix; the home consumes the two Down markers in
-        // either order, burning one view epoch per death.
-        if w.kill_budget >= 2 && w.home.is_some() && w.rem[0].alive && w.rem[1].alive {
-            for k0 in 0..=w.r2h[0].len() {
-                for k1 in 0..=w.r2h[1].len() {
-                    out.push(Tr::KillBoth { keep: [k0, k1] });
+            // Kill remote node 1 (the protagonist remote; killing node 2 adds
+            // symmetric states without new behavior since budgets differ).
+            if self.rem[0].alive && self.home.is_some() {
+                for k0 in 0..=self.r2h[0].len() {
+                    out.push(Tr::Kill {
+                        victim: 1,
+                        keep: [k0, 0],
+                        flush_disk: false,
+                    });
                 }
             }
-        }
-    }
-    // Start a compaction at any point the store could: the runtime polls
-    // `maybe_checkpoint` after each persist and at every eviction-scan
-    // batch point, so between any two protocol steps is fair game. An
-    // empty store has nothing to snapshot (the real trigger counts
-    // persists), and the store lock serializes sequences.
-    if w.durable
-        && w.compact_budget > 0
-        && w.compacting.is_none()
-        && w.home.is_some()
-        && w.disk_seq > 0
-    {
-        out.push(Tr::StartCompaction);
-    }
-    if w.durable && w.restart_budget > 0 {
-        // Restarts model `Cluster::restart_peer`, whose contract is a
-        // *settled* death: every survivor has consumed the declaration and
-        // has nothing in flight against the corpse (in the runtime this is
-        // guaranteed by re-admitting between `run` phases — a still-parked
-        // app thread would have kept the previous phase from joining).
-        // Racing an unsettled death is out of contract: a survivor could
-        // address the new incarnation before processing the stale death
-        // declaration of the old one.
-        let settled = |i: usize| {
-            let r = &w.rem[i];
-            !r.alive
-                || (r.home_down
-                    && w.h2r[i].is_empty()
-                    && w.r2h[i].is_empty()
-                    && r.after.is_none()
-                    && !r.state.in_flight()
-                    && r.app == App::Idle
-                    && matches!(r.lock, Lock::Idle | Lock::Holding(_)))
-        };
-        // Restart the home: only meaningful durable — a new incarnation
-        // replays the log and re-announces itself to the survivors.
-        if w.home.is_none() && (0..NREM).all(settled) {
-            out.push(Tr::Restart { victim: HOME });
-        }
-        // Restart remote 1: the home un-fences the identity at a bumped
-        // view epoch and serves its fresh (cold) requests again.
-        if !w.rem[0].alive
-            && w.home.as_ref().is_some_and(|h| h.knows_dead[0])
-            && w.h2r[0].is_empty()
-            && w.r2h[0].is_empty()
-        {
-            out.push(Tr::Restart { victim: 1 });
-        }
-    }
-    out
-}
-
-/// Human-readable label for one transition (peeking the message about to be
-/// delivered), used in counterexample traces.
-fn label(w: &World, tr: Tr) -> String {
-    match tr {
-        Tr::DeliverH2R(i) => format!("deliver home->r{}: {:?}", i + 1, w.h2r[i].front().unwrap()),
-        Tr::DeliverR2H(i) => format!("deliver r{}->home: {:?}", i + 1, w.r2h[i].front().unwrap()),
-        Tr::DrainRemote(i) => format!(
-            "drain completes on r{}: {:?}",
-            i + 1,
-            w.rem[i].after.as_ref().unwrap()
-        ),
-        Tr::DrainHome => "home dentry drain completes".to_string(),
-        Tr::Retry => format!("grace retry fires (at={:?})", w.retry_at.unwrap()),
-        Tr::AppHome(k) => format!("home app requests {k:?}"),
-        Tr::AppRemote(i, k) => format!("r{} app requests {k:?}", i + 1),
-        Tr::LockHomeAcq(k) => format!("home acquires {k:?} lock"),
-        Tr::LockHomeRel => "home releases its lock".to_string(),
-        Tr::LockRemoteAcq(i, k) => format!("r{} acquires {k:?} lock", i + 1),
-        Tr::LockRemoteIntent(i) => format!("r{} acquires a write-intent lock", i + 1),
-        Tr::LockRemoteRel(i) => format!("r{} releases its lock", i + 1),
-        Tr::Evict(i) => format!("eviction scan hits r{}", i + 1),
-        Tr::Kill {
-            victim,
-            keep,
-            flush_disk,
-        } => format!(
-            "KILL node {victim} (kept prefixes {keep:?}, pending persist {})",
-            if flush_disk { "flushed" } else { "lost" }
-        ),
-        Tr::KillBoth { keep } => {
-            format!("KILL BOTH remotes (kept prefixes {keep:?}, two confirmed deaths)")
-        }
-        Tr::StartCompaction => format!("compaction starts (snapshot seq {})", w.disk_seq),
-        Tr::CompactStep => format!(
-            "compaction phase {} executes",
-            w.compacting.unwrap().1.name()
-        ),
-        Tr::Suspect(i) => format!("home SUSPECTS r{} (link parked)", i + 1),
-        Tr::Refute(i) => format!("suspicion of r{} refuted (link replayed)", i + 1),
-        Tr::PersistDone => format!("disk completes persist seq {}", w.pending_persist.unwrap()),
-        Tr::Restart { victim } => format!(
-            "RESTART node {victim} (log replay, disk_seq={})",
-            w.disk_seq
-        ),
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Execution: apply a transition to a world
-// ---------------------------------------------------------------------------
-
-fn apply(w: &mut World, ck: &mut Ck, trace: &[String], tr: Tr) {
-    match tr {
-        Tr::DeliverH2R(i) => {
-            let msg = w.h2r[i].pop_front().unwrap();
-            deliver_to_remote(w, ck, trace, i, msg);
-        }
-        Tr::DeliverR2H(i) => {
-            let msg = w.r2h[i].pop_front().unwrap();
-            deliver_to_home(w, ck, trace, i, msg);
-        }
-        Tr::DrainRemote(i) => {
-            let after = w.rem[i].after.take().unwrap();
-            let home_down = w.rem[i].home_down;
-            run_cache_event(w, ck, trace, i, CacheEvent::Drained { after, home_down });
-        }
-        Tr::DrainHome => {
-            w.home.as_mut().unwrap().draining = false;
-            run_home_event(w, ck, trace, HomeEvent::Drained);
-        }
-        Tr::Retry => {
-            let at = w.retry_at.take().unwrap();
-            w.now = w.now.max(at);
-            ck.retry_transients
-                .insert(w.home.as_ref().unwrap().m.transient().name());
-            run_home_event(w, ck, trace, HomeEvent::RetryExpired);
-        }
-        Tr::AppHome(kind) => {
-            let h = w.home.as_mut().unwrap();
-            h.app = App::Waiting(kind);
-            h.req_budget -= 1;
-            run_home_event(
-                w,
-                ck,
-                trace,
-                HomeEvent::Request(Request {
-                    source: Requester::Local(APP_TOKEN),
-                    kind,
-                }),
-            );
-        }
-        Tr::AppRemote(i, kind) => {
-            let r = &mut w.rem[i];
-            r.app = App::Waiting(kind);
-            r.req_budget -= 1;
-            let drain_pending = r.after.is_some();
-            run_cache_event(
-                w,
-                ck,
-                trace,
-                i,
-                CacheEvent::Request {
-                    kind,
-                    home_down: false,
-                    drain_pending,
-                },
-            );
-        }
-        Tr::LockHomeAcq(lk) => {
-            let h = w.home.as_mut().unwrap();
-            h.lock_budget -= 1;
-            h.lock = Lock::Waiting(lk);
-            let granted = h.locks.acquire(ELEM, lk, LockSource::Local(LOCK_TOKEN));
-            if let Some(src) = granted {
-                deliver_lock_grants(w, ck, trace, vec![(src, lk)]);
-            }
-        }
-        Tr::LockHomeRel => {
-            let h = w.home.as_mut().unwrap();
-            let Lock::Holding(lk) = h.lock else {
-                unreachable!()
-            };
-            h.lock = Lock::Idle;
-            let granted = h.locks.release(ELEM, lk, None);
-            deliver_lock_grants(w, ck, trace, granted);
-        }
-        Tr::LockRemoteAcq(i, lk) => lock_remote_acquire(w, i, lk, false),
-        Tr::LockRemoteIntent(i) => lock_remote_acquire(w, i, LockKind::Write, true),
-        Tr::LockRemoteRel(i) => {
-            let r = &mut w.rem[i];
-            let Lock::Holding(lk) = r.lock else {
-                unreachable!()
-            };
-            r.lock = Lock::Idle;
-            let intent = std::mem::take(&mut r.intent);
-            if w.home.is_some() {
-                w.r2h[i].push_back(Frame::LockRel { kind: lk });
-            }
-            // Home already dead: the release would be sent to a corpse; the
-            // home's lock table died with it, so dropping is sound.
-            //
-            // An intent release then hands an unused Exclusive copy back
-            // with the ordinary eviction.
-            let r = &w.rem[i];
-            if intent && r.state == LocalState::Exclusive && r.after.is_none() {
-                ck.hand_backs += 1;
-                run_cache_event(w, ck, trace, i, CacheEvent::Evict);
-            }
-        }
-        Tr::Evict(i) => {
-            w.rem[i].evict_budget -= 1;
-            run_cache_event(w, ck, trace, i, CacheEvent::Evict);
-        }
-        Tr::Suspect(i) => {
-            w.suspect_budget -= 1;
-            w.suspected[i] = true;
-        }
-        Tr::Refute(i) => {
-            ck.suspect_refutes += 1;
-            w.suspected[i] = false;
-        }
-        Tr::PersistDone => {
-            let seq = w.pending_persist.take().unwrap();
-            w.disk_seq = w.disk_seq.max(seq);
-            // The machine will acknowledge its awaited sequence (the fed
-            // seq covers it — persists are cumulative); record the ack for
-            // the persist-before-ack theorem *before* the protocol resumes.
-            if let darray::protocol::Transient::AwaitPersist { seq: s } =
-                w.home.as_ref().unwrap().m.transient()
+            // Double kill: the quorum confirms TWO simultaneous deaths — the
+            // membership axis a single-kill budget can never reach. Both
+            // remotes die at once, each in-flight link keeping an independent
+            // surviving prefix; the home consumes the two Down markers in
+            // either order, burning one view epoch per death.
+            if self.kill_budget >= 2
+                && self.home.is_some()
+                && self.rem[0].alive
+                && self.rem[1].alive
             {
-                if seq >= *s {
-                    w.acked_seq = w.acked_seq.max(*s);
-                }
-            }
-            run_home_event(w, ck, trace, HomeEvent::PersistDone { seq });
-        }
-        Tr::StartCompaction => {
-            w.compact_budget -= 1;
-            ck.compactions_started += 1;
-            // Phase zero of `checkpoint`: flush + sync the log. The model's
-            // `disk_seq` is already the synced log (persists land there via
-            // PersistDone / flush_disk), so the snapshot is just its
-            // current value.
-            w.compacting = Some((w.disk_seq, CkPhase::WriteTmp));
-        }
-        Tr::CompactStep => {
-            let (snap, phase) = w.compacting.unwrap();
-            match phase {
-                CkPhase::WriteTmp => {
-                    // `.ckpt.tmp` written + fsynced: no durable-state
-                    // change visible to recovery (reopen deletes tmps).
-                    w.compacting = Some((snap, CkPhase::Rotate));
-                }
-                CkPhase::Rotate => {
-                    // `.ckpt` → `.ckpt.prev` (skipped when no newest
-                    // generation exists, exactly like the store).
-                    if let Some(c) = w.ckpt.take() {
-                        w.ckpt_prev = Some(c);
+                for k0 in 0..=self.r2h[0].len() {
+                    for k1 in 0..=self.r2h[1].len() {
+                        out.push(Tr::KillBoth { keep: [k0, k1] });
                     }
-                    w.compacting = Some((snap, CkPhase::Rename));
-                }
-                CkPhase::Rename => {
-                    // `.ckpt.tmp` → `.ckpt`, atomic: the new generation —
-                    // covering every persist up to the snapshot — lands.
-                    w.ckpt = Some(snap);
-                    w.compacting = Some((snap, CkPhase::Truncate));
-                }
-                CkPhase::Truncate => {
-                    // Lag-by-one: drop only the log prefix covered by the
-                    // generation just rotated to `.prev`, so a torn newest
-                    // checkpoint plus the truncated log still recovers
-                    // every record. (Truncating up to `snap` here instead
-                    // is the classic lost-window bug — the checker's
-                    // Rotate-phase kill would catch it via `recoverable`.)
-                    w.trunc_floor = w.trunc_floor.max(w.ckpt_prev.unwrap_or(0));
-                    w.compacting = None;
-                    ck.compactions_completed += 1;
                 }
             }
         }
-        Tr::Restart { victim } => {
-            w.restart_budget -= 1;
-            if victim == HOME {
-                ck.home_restarts += 1;
-                if w.ckpt.or(w.ckpt_prev).is_some() {
-                    ck.restarts_from_checkpoint += 1;
-                }
-                // Reopen recovers checkpoint-then-log-suffix: the new
-                // incarnation's replay frontier is exactly what the disk
-                // yields. In a sound store this equals `disk_seq`; if
-                // compaction ever truncated a window no checkpoint covers,
-                // this drops below `acked_seq` and safety fails on the
-                // next state.
-                w.disk_seq = recoverable(w);
-                // A new incarnation: fresh machine, cold directory, persist
-                // sequence resumed from the replayed log (exactly what
-                // `LogChunkStore::open` + the allocation overlay do).
-                let mut m = HomeMachine::new();
-                m.set_durable(true);
-                m.resume_persist_seq(w.disk_seq);
-                w.home = Some(Home {
-                    m,
-                    locks: LockTable::default(),
-                    dentry: (LocalState::Exclusive, NOTAG),
-                    draining: false,
-                    knows_dead: [false; NREM],
-                    app: App::Idle,
-                    lock: Lock::Idle,
-                    req_budget: 0,
-                    lock_budget: 0,
-                });
-                // Announce the new incarnation to every survivor, FIFO
-                // *after* the old incarnation's Down marker: a remote always
-                // learns of the death before the rebirth.
-                for (i, r) in w.rem.iter().enumerate() {
-                    if r.alive {
-                        w.h2r[i].push_back(Frame::Restarted);
-                    }
-                }
-            } else {
-                let i = victim - 1;
-                ck.remote_restarts += 1;
-                // The restarted remote rejoins cold with a small budget to
-                // prove the un-fenced home serves it again.
-                w.rem[i] = Remote::fresh(1, 0, 0);
-                w.h2r[i].clear();
-                w.r2h[i].clear();
-                let h = w.home.as_mut().unwrap();
-                h.knows_dead[i] = false;
-                // The restart admission burns a fresh membership epoch on
-                // top of whatever deaths the view has already applied
-                // (`MembershipView::restart`).
-                let view_epoch = h.m.view_epoch() + 1;
+        // Start a compaction at any point the store could: the runtime polls
+        // `maybe_checkpoint` after each persist and at every eviction-scan
+        // batch point, so between any two protocol steps is fair game. An
+        // empty store has nothing to snapshot (the real trigger counts
+        // persists), and the store lock serializes sequences.
+        if self.durable
+            && self.compact_budget > 0
+            && self.compacting.is_none()
+            && self.home.is_some()
+            && self.disk_seq > 0
+        {
+            out.push(Tr::StartCompaction);
+        }
+        if self.durable && self.restart_budget > 0 {
+            // Restarts model `Cluster::restart_peer`, whose contract is a
+            // *settled* death: every survivor has consumed the declaration and
+            // has nothing in flight against the corpse (in the runtime this is
+            // guaranteed by re-admitting between `run` phases — a still-parked
+            // app thread would have kept the previous phase from joining).
+            // Racing an unsettled death is out of contract: a survivor could
+            // address the new incarnation before processing the stale death
+            // declaration of the old one.
+            let settled = |i: usize| {
+                let r = &self.rem[i];
+                !r.alive
+                    || (r.home_down
+                        && self.h2r[i].is_empty()
+                        && self.r2h[i].is_empty()
+                        && r.after.is_none()
+                        && !r.state.in_flight()
+                        && r.app == App::Idle
+                        && matches!(r.lock, Lock::Idle | Lock::Holding(_)))
+            };
+            // Restart the home: only meaningful durable — a new incarnation
+            // replays the log and re-announces itself to the survivors.
+            if self.home.is_none() && (0..NREM).all(settled) {
+                out.push(Tr::Restart { victim: HOME });
+            }
+            // Restart remote 1: the home un-fences the identity at a bumped
+            // view epoch and serves its fresh (cold) requests again.
+            if !self.rem[0].alive
+                && self.home.as_ref().is_some_and(|h| h.knows_dead[0])
+                && self.h2r[0].is_empty()
+                && self.r2h[0].is_empty()
+            {
+                out.push(Tr::Restart { victim: 1 });
+            }
+        }
+        out
+    }
+
+    /// Peeks at the message a delivery is about to consume.
+    fn label(&self, tr: Tr) -> String {
+        match tr {
+            Tr::DeliverH2R(i) => format!(
+                "deliver home->r{}: {:?}",
+                i + 1,
+                self.h2r[i].front().unwrap()
+            ),
+            Tr::DeliverR2H(i) => format!(
+                "deliver r{}->home: {:?}",
+                i + 1,
+                self.r2h[i].front().unwrap()
+            ),
+            Tr::DrainRemote(i) => format!(
+                "drain completes on r{}: {:?}",
+                i + 1,
+                self.rem[i].after.as_ref().unwrap()
+            ),
+            Tr::DrainHome => "home dentry drain completes".to_string(),
+            Tr::Retry => format!("grace retry fires (at={:?})", self.retry_at.unwrap()),
+            Tr::AppHome(k) => format!("home app requests {k:?}"),
+            Tr::AppRemote(i, k) => format!("r{} app requests {k:?}", i + 1),
+            Tr::LockHomeAcq(k) => format!("home acquires {k:?} lock"),
+            Tr::LockHomeRel => "home releases its lock".to_string(),
+            Tr::LockRemoteAcq(i, k) => format!("r{} acquires {k:?} lock", i + 1),
+            Tr::LockRemoteIntent(i) => format!("r{} acquires a write-intent lock", i + 1),
+            Tr::LockRemoteRel(i) => format!("r{} releases its lock", i + 1),
+            Tr::Evict(i) => format!("eviction scan hits r{}", i + 1),
+            Tr::Kill {
+                victim,
+                keep,
+                flush_disk,
+            } => format!(
+                "KILL node {victim} (kept prefixes {keep:?}, pending persist {})",
+                if flush_disk { "flushed" } else { "lost" }
+            ),
+            Tr::KillBoth { keep } => {
+                format!("KILL BOTH remotes (kept prefixes {keep:?}, two confirmed deaths)")
+            }
+            Tr::StartCompaction => format!("compaction starts (snapshot seq {})", self.disk_seq),
+            Tr::CompactStep => format!(
+                "compaction phase {} executes",
+                self.compacting.unwrap().1.name()
+            ),
+            Tr::Suspect(i) => format!("home SUSPECTS r{} (link parked)", i + 1),
+            Tr::Refute(i) => format!("suspicion of r{} refuted (link replayed)", i + 1),
+            Tr::PersistDone => format!(
+                "disk completes persist seq {}",
+                self.pending_persist.unwrap()
+            ),
+            Tr::Restart { victim } => format!(
+                "RESTART node {victim} (log replay, disk_seq={})",
+                self.disk_seq
+            ),
+        }
+    }
+
+    fn apply(&mut self, s: &mut Search<Self>, tr: Tr) {
+        match tr {
+            Tr::DeliverH2R(i) => {
+                let msg = self.h2r[i].pop_front().unwrap();
+                deliver_to_remote(self, s, i, msg);
+            }
+            Tr::DeliverR2H(i) => {
+                let msg = self.r2h[i].pop_front().unwrap();
+                deliver_to_home(self, s, i, msg);
+            }
+            Tr::DrainRemote(i) => {
+                let after = self.rem[i].after.take().unwrap();
+                let home_down = self.rem[i].home_down;
+                run_cache_event(self, s, i, CacheEvent::Drained { after, home_down });
+            }
+            Tr::DrainHome => {
+                self.home.as_mut().unwrap().draining = false;
+                run_home_event(self, s, HomeEvent::Drained);
+            }
+            Tr::Retry => {
+                let at = self.retry_at.take().unwrap();
+                self.now = self.now.max(at);
+                s.ck.retry_transients
+                    .insert(self.home.as_ref().unwrap().m.transient().name());
+                run_home_event(self, s, HomeEvent::RetryExpired);
+            }
+            Tr::AppHome(kind) => {
+                let h = self.home.as_mut().unwrap();
+                h.app = App::Waiting(kind);
+                h.req_budget -= 1;
                 run_home_event(
-                    w,
-                    ck,
-                    trace,
-                    HomeEvent::PeerRestarted {
-                        node: victim,
-                        view_epoch,
+                    self,
+                    s,
+                    HomeEvent::Request(Request {
+                        source: Requester::Local(APP_TOKEN),
+                        kind,
+                    }),
+                );
+            }
+            Tr::AppRemote(i, kind) => {
+                let r = &mut self.rem[i];
+                r.app = App::Waiting(kind);
+                r.req_budget -= 1;
+                let drain_pending = r.after.is_some();
+                run_cache_event(
+                    self,
+                    s,
+                    i,
+                    CacheEvent::Request {
+                        kind,
+                        home_down: false,
+                        drain_pending,
                     },
                 );
             }
-        }
-        Tr::Kill {
-            victim,
-            keep,
-            flush_disk,
-        } => {
-            w.kill_budget -= 1;
-            if victim == HOME {
-                // A pending persist dies with the executor; `flush_disk`
-                // decides whether its record made the log first.
-                if let Some(seq) = w.pending_persist.take() {
-                    ck.killed_mid_persist += 1;
-                    if flush_disk {
-                        w.disk_seq = w.disk_seq.max(seq);
+            Tr::LockHomeAcq(lk) => {
+                let h = self.home.as_mut().unwrap();
+                h.lock_budget -= 1;
+                h.lock = Lock::Waiting(lk);
+                let granted = h.locks.acquire(ELEM, lk, LockSource::Local(LOCK_TOKEN));
+                if let Some(src) = granted {
+                    deliver_lock_grants(self, s, vec![(src, lk)]);
+                }
+            }
+            Tr::LockHomeRel => {
+                let h = self.home.as_mut().unwrap();
+                let Lock::Holding(lk) = h.lock else {
+                    unreachable!()
+                };
+                h.lock = Lock::Idle;
+                let granted = h.locks.release(ELEM, lk, None);
+                deliver_lock_grants(self, s, granted);
+            }
+            Tr::LockRemoteAcq(i, lk) => lock_remote_acquire(self, i, lk, false),
+            Tr::LockRemoteIntent(i) => lock_remote_acquire(self, i, LockKind::Write, true),
+            Tr::LockRemoteRel(i) => {
+                let r = &mut self.rem[i];
+                let Lock::Holding(lk) = r.lock else {
+                    unreachable!()
+                };
+                r.lock = Lock::Idle;
+                let intent = std::mem::take(&mut r.intent);
+                if self.home.is_some() {
+                    self.r2h[i].push_back(Frame::LockRel { kind: lk });
+                }
+                // Home already dead: the release would be sent to a corpse; the
+                // home's lock table died with it, so dropping is sound.
+                //
+                // An intent release then hands an unused Exclusive copy back
+                // with the ordinary eviction.
+                let r = &self.rem[i];
+                if intent && r.state == LocalState::Exclusive && r.after.is_none() {
+                    s.ck.hand_backs += 1;
+                    run_cache_event(self, s, i, CacheEvent::Evict);
+                }
+            }
+            Tr::Evict(i) => {
+                self.rem[i].evict_budget -= 1;
+                run_cache_event(self, s, i, CacheEvent::Evict);
+            }
+            Tr::Suspect(i) => {
+                self.suspect_budget -= 1;
+                self.suspected[i] = true;
+            }
+            Tr::Refute(i) => {
+                s.ck.suspect_refutes += 1;
+                self.suspected[i] = false;
+            }
+            Tr::PersistDone => {
+                let seq = self.pending_persist.take().unwrap();
+                self.disk_seq = self.disk_seq.max(seq);
+                // The machine will acknowledge its awaited sequence (the fed
+                // seq covers it — persists are cumulative); record the ack for
+                // the persist-before-ack theorem *before* the protocol resumes.
+                if let darray::protocol::Transient::AwaitPersist { seq: s } =
+                    self.home.as_ref().unwrap().m.transient()
+                {
+                    if seq >= *s {
+                        self.acked_seq = self.acked_seq.max(*s);
                     }
                 }
-                // A compaction in flight dies mid-sequence: the phases
-                // already executed are durably on disk, the rest never
-                // happen — this is the snapshot→rename→truncate crash
-                // matrix. (Reopen cleans the stale tmp, not modeled.)
-                if let Some((_, phase)) = w.compacting.take() {
-                    ck.killed_mid_compaction.insert(phase.name());
-                }
-                w.home = None;
-                w.retry_at = None;
-                // The suspector died with its suspicions.
-                w.suspected = [false; NREM];
-                for (i, &kept) in keep.iter().enumerate() {
-                    // Messages to the corpse are never consumed.
-                    w.r2h[i].clear();
-                    // The victim's in-flight sends: an arbitrary prefix
-                    // survives, then the detector marker (always last).
-                    w.h2r[i].truncate(kept);
-                    if w.rem[i].alive {
-                        w.h2r[i].push_back(Frame::Down { dead: HOME });
-                    } else {
-                        w.h2r[i].clear();
+                run_home_event(self, s, HomeEvent::PersistDone { seq });
+            }
+            Tr::StartCompaction => {
+                self.compact_budget -= 1;
+                s.ck.compactions_started += 1;
+                // Phase zero of `checkpoint`: flush + sync the log. The model's
+                // `disk_seq` is already the synced log (persists land there via
+                // PersistDone / flush_disk), so the snapshot is just its
+                // current value.
+                self.compacting = Some((self.disk_seq, CkPhase::WriteTmp));
+            }
+            Tr::CompactStep => {
+                let (snap, phase) = self.compacting.unwrap();
+                match phase {
+                    CkPhase::WriteTmp => {
+                        // `.ckpt.tmp` written + fsynced: no durable-state
+                        // change visible to recovery (reopen deletes tmps).
+                        self.compacting = Some((snap, CkPhase::Rotate));
+                    }
+                    CkPhase::Rotate => {
+                        // `.ckpt` → `.ckpt.prev` (skipped when no newest
+                        // generation exists, exactly like the store).
+                        if let Some(c) = self.ckpt.take() {
+                            self.ckpt_prev = Some(c);
+                        }
+                        self.compacting = Some((snap, CkPhase::Rename));
+                    }
+                    CkPhase::Rename => {
+                        // `.ckpt.tmp` → `.ckpt`, atomic: the new generation —
+                        // covering every persist up to the snapshot — lands.
+                        self.ckpt = Some(snap);
+                        self.compacting = Some((snap, CkPhase::Truncate));
+                    }
+                    CkPhase::Truncate => {
+                        // Lag-by-one: drop only the log prefix covered by the
+                        // generation just rotated to `.prev`, so a torn newest
+                        // checkpoint plus the truncated log still recovers
+                        // every record. (Truncating up to `snap` here instead
+                        // is the classic lost-window bug — the checker's
+                        // Rotate-phase kill would catch it via `recoverable`.)
+                        self.trunc_floor = self.trunc_floor.max(self.ckpt_prev.unwrap_or(0));
+                        self.compacting = None;
+                        s.ck.compactions_completed += 1;
                     }
                 }
-            } else {
-                let i = victim - 1;
-                w.rem[i] = Remote::dead();
-                w.h2r[i].clear();
-                w.r2h[i].truncate(keep[0]);
-                if w.home.is_some() {
-                    w.r2h[i].push_back(Frame::Down { dead: victim });
+            }
+            Tr::Restart { victim } => {
+                self.restart_budget -= 1;
+                if victim == HOME {
+                    s.ck.home_restarts += 1;
+                    if self.ckpt.or(self.ckpt_prev).is_some() {
+                        s.ck.restarts_from_checkpoint += 1;
+                    }
+                    // Reopen recovers checkpoint-then-log-suffix: the new
+                    // incarnation's replay frontier is exactly what the disk
+                    // yields. In a sound store this equals `disk_seq`; if
+                    // compaction ever truncated a window no checkpoint covers,
+                    // this drops below `acked_seq` and safety fails on the
+                    // next state.
+                    self.disk_seq = recoverable(self);
+                    // A new incarnation: fresh machine, cold directory, persist
+                    // sequence resumed from the replayed log (exactly what
+                    // `LogChunkStore::open` + the allocation overlay do).
+                    let mut m = HomeMachine::new();
+                    m.set_durable(true);
+                    m.resume_persist_seq(self.disk_seq);
+                    self.home = Some(Home {
+                        m,
+                        locks: LockTable::default(),
+                        dentry: (LocalState::Exclusive, NOTAG),
+                        draining: false,
+                        knows_dead: [false; NREM],
+                        app: App::Idle,
+                        lock: Lock::Idle,
+                        req_budget: 0,
+                        lock_budget: 0,
+                    });
+                    // Announce the new incarnation to every survivor, FIFO
+                    // *after* the old incarnation's Down marker: a remote always
+                    // learns of the death before the rebirth.
+                    for (i, r) in self.rem.iter().enumerate() {
+                        if r.alive {
+                            self.h2r[i].push_back(Frame::Restarted);
+                        }
+                    }
                 } else {
-                    w.r2h[i].clear();
+                    let i = victim - 1;
+                    s.ck.remote_restarts += 1;
+                    // The restarted remote rejoins cold with a small budget to
+                    // prove the un-fenced home serves it again.
+                    self.rem[i] = Remote::fresh(1, 0, 0);
+                    self.h2r[i].clear();
+                    self.r2h[i].clear();
+                    let h = self.home.as_mut().unwrap();
+                    h.knows_dead[i] = false;
+                    // The restart admission burns a fresh membership epoch on
+                    // top of whatever deaths the view has already applied
+                    // (`MembershipView::restart`).
+                    let view_epoch = h.m.view_epoch() + 1;
+                    run_home_event(
+                        self,
+                        s,
+                        HomeEvent::PeerRestarted {
+                            node: victim,
+                            view_epoch,
+                        },
+                    );
+                }
+            }
+            Tr::Kill {
+                victim,
+                keep,
+                flush_disk,
+            } => {
+                self.kill_budget -= 1;
+                if victim == HOME {
+                    // A pending persist dies with the executor; `flush_disk`
+                    // decides whether its record made the log first.
+                    if let Some(seq) = self.pending_persist.take() {
+                        s.ck.killed_mid_persist += 1;
+                        if flush_disk {
+                            self.disk_seq = self.disk_seq.max(seq);
+                        }
+                    }
+                    // A compaction in flight dies mid-sequence: the phases
+                    // already executed are durably on disk, the rest never
+                    // happen — this is the snapshot→rename→truncate crash
+                    // matrix. (Reopen cleans the stale tmp, not modeled.)
+                    if let Some((_, phase)) = self.compacting.take() {
+                        s.ck.killed_mid_compaction.insert(phase.name());
+                    }
+                    self.home = None;
+                    self.retry_at = None;
+                    // The suspector died with its suspicions.
+                    self.suspected = [false; NREM];
+                    for (i, &kept) in keep.iter().enumerate() {
+                        // Messages to the corpse are never consumed.
+                        self.r2h[i].clear();
+                        // The victim's in-flight sends: an arbitrary prefix
+                        // survives, then the detector marker (always last).
+                        self.h2r[i].truncate(kept);
+                        if self.rem[i].alive {
+                            self.h2r[i].push_back(Frame::Down { dead: HOME });
+                        } else {
+                            self.h2r[i].clear();
+                        }
+                    }
+                } else {
+                    let i = victim - 1;
+                    self.rem[i] = Remote::dead();
+                    self.h2r[i].clear();
+                    self.r2h[i].truncate(keep[0]);
+                    if self.home.is_some() {
+                        self.r2h[i].push_back(Frame::Down { dead: victim });
+                    } else {
+                        self.r2h[i].clear();
+                    }
+                }
+            }
+            Tr::KillBoth { keep } => {
+                self.kill_budget -= 2;
+                s.ck.double_kills += 1;
+                for (i, &kept) in keep.iter().enumerate() {
+                    self.rem[i] = Remote::dead();
+                    self.h2r[i].clear();
+                    self.r2h[i].truncate(kept);
+                    // Generation guards on a live home; each victim's marker
+                    // rides its own FIFO, so the home learns of the two deaths
+                    // in either delivery order.
+                    self.r2h[i].push_back(Frame::Down { dead: i + 1 });
                 }
             }
         }
-        Tr::KillBoth { keep } => {
-            w.kill_budget -= 2;
-            ck.double_kills += 1;
-            for (i, &kept) in keep.iter().enumerate() {
-                w.rem[i] = Remote::dead();
-                w.h2r[i].clear();
-                w.r2h[i].truncate(kept);
-                // Generation guards on a live home; each victim's marker
-                // rides its own FIFO, so the home learns of the two deaths
-                // in either delivery order.
-                w.r2h[i].push_back(Frame::Down { dead: i + 1 });
+    }
+
+    fn check_safety(&self, s: &mut Search<Self>) {
+        // THE durability theorem (DESIGN.md §14), as a world invariant: no
+        // write is ever acknowledged before its image is durably in the log.
+        // Kills erase the volatile machine but never `disk_seq`, and restarts
+        // recover exactly `disk_seq` — so this single check is "every write
+        // acked before the kill is recovered, and only those".
+        if self.acked_seq > self.disk_seq {
+            s.fail(
+                self,
+                &format!(
+                    "persist-before-ack violated: acked seq {} but disk only has {}",
+                    self.acked_seq, self.disk_seq
+                ),
+            );
+        }
+        // Compaction lag-by-one theorem: the truncated log prefix must be
+        // covered by the FALLBACK checkpoint generation, not merely the newest
+        // one — so a torn `.ckpt` at any instant still recovers every dropped
+        // record from `.prev` + the remaining log.
+        if self.trunc_floor > self.ckpt_prev.unwrap_or(0) {
+            s.fail(
+                self,
+                &format!(
+                    "compaction truncated the log past the fallback checkpoint \
+                     (trunc_floor {} > prev generation {:?})",
+                    self.trunc_floor, self.ckpt_prev
+                ),
+            );
+        }
+        // And the full recovery theorem in every state, every phase: what a
+        // reopen would reconstruct from the disk as it is RIGHT NOW — newest
+        // readable checkpoint + log suffix — covers every acknowledged write.
+        if self.acked_seq > recoverable(self) {
+            s.fail(
+                self,
+                &format!(
+                    "acked seq {} not recoverable from ckpt {:?}/prev {:?} + log ({}, {}]",
+                    self.acked_seq, self.ckpt, self.ckpt_prev, self.trunc_floor, self.disk_seq
+                ),
+            );
+        }
+        if let Some(h) = &self.home {
+            // The executor's pending persist and the machine's AwaitPersist
+            // transient must agree exactly.
+            use darray::protocol::Transient;
+            let awaited = match h.m.transient() {
+                Transient::AwaitPersist { seq } => Some(*seq),
+                _ => None,
+            };
+            if awaited != self.pending_persist {
+                s.fail(
+                    self,
+                    &format!(
+                        "machine awaits persist {awaited:?} but executor has {:?} pending",
+                        self.pending_persist
+                    ),
+                );
+            }
+            // Epoch monotonicity across restarts: a new record must never be
+            // stamped below the log's replay frontier, or a later replay would
+            // resurrect a pre-restart image.
+            if h.m.persist_seq() < self.disk_seq {
+                s.fail(self, "persist sequence regressed below the durable log");
+            }
+        }
+        // The quorum guarantee, stated as a world invariant: no live peer is
+        // ever declared dead. Everything destructive (lock reclaim, Dirty
+        // ownership reclaim, sharer pruning) happens only behind `knows_dead`,
+        // so this single check covers "no reachable interleaving discards a
+        // live peer's writes".
+        if let Some(h) = &self.home {
+            for i in 0..NREM {
+                if h.knows_dead[i] && self.rem[i].alive {
+                    s.fail(self, "home declared a LIVE remote dead");
+                }
+                if self.suspected[i]
+                    && self.rem[i].alive
+                    && self.rem[i].state == LocalState::Exclusive
+                {
+                    // Coverage: the dangerous state — a live suspect holding
+                    // unwritten Dirty data — was actually reached.
+                    s.ck.suspected_dirty_states += 1;
+                }
+            }
+            if h.knows_dead.iter().all(|&d| d) {
+                // Coverage: the home survived a confirmed double death and its
+                // directory/lock sweeps ran for both victims.
+                s.ck.both_dead_states += 1;
+            }
+        }
+        // A *zombie* remote consumed the home's `Down` marker (or is about to:
+        // FIFO has the marker ahead of the `Restarted` announcement) and has
+        // not yet learned of the rebirth. Its rights come from the dead
+        // incarnation — the restarted directory neither knows nor honors them,
+        // and consuming `Restarted` voids them. Pre-existing semantics: cached
+        // copies of a dead home's chunks stay locally usable (graceful
+        // degradation) but their post-death writes were never promised
+        // durability. Zombies are therefore excluded from directory-agreement
+        // checks; they cannot reach quiescence (the pending `Restarted`
+        // delivery keeps the world live).
+        let zombie = |i: usize| {
+            self.rem[i].home_down || self.h2r[i].iter().any(|f| matches!(f, Frame::Restarted))
+        };
+        // Single writer: at most one alive remote holds Exclusive, and nobody
+        // else holds any rights while it does.
+        let excl: Vec<usize> = (0..NREM)
+            .filter(|&i| {
+                self.rem[i].alive && !zombie(i) && self.rem[i].state == LocalState::Exclusive
+            })
+            .collect();
+        if excl.len() > 1 {
+            s.fail(self, "two alive remotes hold Exclusive");
+        }
+        if let Some(&e) = excl.first() {
+            for (i, r) in self.rem.iter().enumerate() {
+                if i != e
+                    && r.alive
+                    && !zombie(i)
+                    && matches!(
+                        r.state,
+                        LocalState::Shared | LocalState::Exclusive | LocalState::Operated
+                    )
+                {
+                    s.fail(
+                        self,
+                        &format!("r{} holds rights while r{} is Exclusive", i + 1, e + 1),
+                    );
+                }
+            }
+            if let Some(h) = &self.home {
+                if !matches!(h.m.state(), DirState::Dirty { owner } if *owner == e + 1) {
+                    s.fail(
+                        self,
+                        &format!("r{} is Exclusive but directory is {:?}", e + 1, h.m.state()),
+                    );
+                }
+            }
+        }
+        // Operated epoch agreement: all alive Operated remotes carry one tag.
+        let tags: Vec<u32> = (0..NREM)
+            .filter(|&i| {
+                self.rem[i].alive && !zombie(i) && self.rem[i].state == LocalState::Operated
+            })
+            .map(|i| self.rem[i].op_tag)
+            .collect();
+        if tags.windows(2).any(|t| t[0] != t[1]) {
+            s.fail(self, "two alive remotes Operated under different ops");
+        }
+        // Dentry/line consistency (drains excepted: the line detaches at the
+        // continuation, not at drain start).
+        for (i, r) in self.rem.iter().enumerate() {
+            if r.alive
+                && r.after.is_none()
+                && (r.state == LocalState::Invalid) != (r.line == LINE_NONE)
+            {
+                s.fail(
+                    self,
+                    &format!("r{} dentry/line mismatch: {:?}/{}", i + 1, r.state, r.line),
+                );
+            }
+        }
+        // Lock exclusion: a held writer lock excludes every other holder.
+        // (A remote that learned of the home's death dropped its slot.)
+        let holders: Vec<LockKind> = self
+            .home
+            .iter()
+            .map(|h| h.lock)
+            .chain(self.rem.iter().filter(|r| r.alive).map(|r| r.lock))
+            .filter_map(|l| match l {
+                Lock::Holding(k) => Some(k),
+                _ => None,
+            })
+            .collect();
+        if holders.contains(&LockKind::Write) && holders.len() > 1 {
+            s.fail(
+                self,
+                &format!("a writer lock is held alongside others: {holders:?}"),
+            );
+        }
+        let Some(h) = &self.home else { return };
+        // The machine's dead set and the executor's detector agree.
+        for n in 1..=NREM {
+            if h.m.is_dead(n) != h.knows_dead[n - 1] {
+                s.fail(self, "machine dead set out of sync with detector");
+            }
+        }
+        // No directory bookkeeping references a known-dead node.
+        let dead_ref = |n: &usize| h.knows_dead[*n - 1];
+        let state_refs_dead = match h.m.state() {
+            DirState::Shared { sharers } | DirState::Operated { sharers, .. } => {
+                sharers.iter().any(&dead_ref)
+            }
+            DirState::Dirty { owner } => dead_ref(owner),
+            DirState::Unshared => false,
+        };
+        if state_refs_dead {
+            s.fail(self, "directory state references a known-dead node");
+        }
+        use darray::protocol::Transient;
+        let transient_refs_dead = match h.m.transient() {
+            Transient::AwaitInvAcks { waiting } | Transient::AwaitFlushes { waiting, .. } => {
+                waiting.iter().any(&dead_ref)
+            }
+            Transient::AwaitWriteback { from } => dead_ref(from),
+            _ => false,
+        };
+        if transient_refs_dead {
+            s.fail(self, "transient wait set references a known-dead node");
+        }
+        // No orphaned lock holders.
+        if !h.locks.holders_all_satisfy(|n| !h.knows_dead[n - 1]) {
+            s.fail(self, "lock table holds a lock for a known-dead node");
+        }
+    }
+
+    fn check_quiescence(&self, s: &mut Search<Self>) {
+        let live_holder = matches!(self.home.as_ref().map(|h| h.lock), Some(Lock::Holding(_)))
+            || self
+                .rem
+                .iter()
+                .any(|r| r.alive && matches!(r.lock, Lock::Holding(_)));
+
+        if let Some(h) = &self.home {
+            if !h.m.transient().is_none() {
+                s.fail(
+                    self,
+                    &format!(
+                        "quiescent with transient {} pending",
+                        h.m.transient().name()
+                    ),
+                );
+            }
+            if h.m.pending_len() != 0 || h.m.has_current() {
+                s.fail(self, "quiescent with directory requests still queued");
+            }
+            if matches!(h.app, App::Waiting(_)) {
+                s.fail(self, "home app thread parked forever");
+            }
+            if matches!(h.lock, Lock::Waiting(_)) && !live_holder {
+                s.fail(self, "home lock waiter blocked with no live holder");
+            }
+            // Home dentry must mirror the directory state.
+            let want = (
+                h.m.state().home_local(),
+                match h.m.state() {
+                    DirState::Operated { op, .. } => op.0,
+                    _ => NOTAG,
+                },
+            );
+            if h.dentry != want {
+                s.fail(
+                    self,
+                    &format!(
+                        "home dentry {:?} disagrees with directory (want {want:?})",
+                        h.dentry
+                    ),
+                );
+            }
+            // Directory ↔ survivor dentries, both directions.
+            for (i, r) in self.rem.iter().enumerate() {
+                let n = i + 1;
+                let (in_sharers, as_owner, op_of) = match h.m.state() {
+                    DirState::Shared { sharers } => (sharers.contains(&n), false, None),
+                    DirState::Dirty { owner } => (false, *owner == n, None),
+                    DirState::Operated { op, sharers } => (sharers.contains(&n), false, Some(op.0)),
+                    DirState::Unshared => (false, false, None),
+                };
+                if !r.alive {
+                    continue;
+                }
+                match r.state {
+                    LocalState::Shared => {
+                        if !(in_sharers && op_of.is_none()) {
+                            s.fail(
+                                self,
+                                &format!("r{n} is Shared but directory is {:?}", h.m.state()),
+                            );
+                        }
+                    }
+                    LocalState::Exclusive => {
+                        if !as_owner {
+                            s.fail(
+                                self,
+                                &format!("r{n} is Exclusive but directory is {:?}", h.m.state()),
+                            );
+                        }
+                    }
+                    LocalState::Operated => {
+                        if op_of != Some(r.op_tag) || !in_sharers {
+                            s.fail(
+                                self,
+                                &format!(
+                                    "r{n} Operated({}) but directory is {:?}",
+                                    r.op_tag,
+                                    h.m.state()
+                                ),
+                            );
+                        }
+                    }
+                    LocalState::Invalid => {
+                        if in_sharers || as_owner {
+                            s.fail(
+                                self,
+                                &format!("directory lists Invalid r{n}: {:?}", h.m.state()),
+                            );
+                        }
+                    }
+                    st => s.fail(
+                        self,
+                        &format!("r{n} stuck in transient state {st:?} at quiescence"),
+                    ),
+                }
+            }
+        }
+        for (i, r) in self.rem.iter().enumerate() {
+            if !r.alive {
+                continue;
+            }
+            if matches!(r.app, App::Waiting(_)) {
+                s.fail(self, &format!("r{} app thread parked forever", i + 1));
+            }
+            if matches!(r.lock, Lock::Waiting(_)) && (self.home.is_none() || !live_holder) {
+                s.fail(
+                    self,
+                    &format!("r{} lock waiter blocked with no live grantor", i + 1),
+                );
+            }
+            if self.home.is_none() && (r.state.in_flight() || r.after.is_some()) {
+                s.fail(
+                    self,
+                    &format!("r{} stuck in-flight after home death", i + 1),
+                );
             }
         }
     }
 }
 
+// ---------------------------------------------------------------------------
+// Execution: the steps `apply` is made of
+// ---------------------------------------------------------------------------
+
 /// Deliver one frame to remote `i` (node id `i+1`).
-fn deliver_to_remote(w: &mut World, ck: &mut Ck, trace: &[String], i: usize, frame: Frame) {
+fn deliver_to_remote(w: &mut World, s: &mut Search<World>, i: usize, frame: Frame) {
     match frame {
         Frame::Coherence(msg) => match msg.deliver::<u32>(HOME) {
-            Delivery::Cache(ev) => run_cache_event(w, ck, trace, i, ev),
-            Delivery::Home(ev) => fail(
-                ck,
-                trace,
+            Delivery::Cache(ev) => run_cache_event(w, s, i, ev),
+            Delivery::Home(ev) => s.fail(
                 w,
                 &format!("home-side event {ev:?} delivered to r{}", i + 1),
             ),
@@ -1086,9 +1529,7 @@ fn deliver_to_remote(w: &mut World, ck: &mut Ck, trace: &[String], i: usize, fra
         Frame::LockGrant { kind, intent } => {
             let r = &mut w.rem[i];
             if r.lock != Lock::Waiting(kind) || r.intent != intent {
-                fail(
-                    ck,
-                    trace,
+                s.fail(
                     w,
                     &format!("r{} got a {kind:?} lock grant it never asked for", i + 1),
                 );
@@ -1098,7 +1539,7 @@ fn deliver_to_remote(w: &mut World, ck: &mut Ck, trace: &[String], i: usize, fra
             // miss for the lock's chunk, unless its rights already allow
             // the write.
             if intent {
-                write_miss_remote(w, ck, trace, i);
+                write_miss_remote(w, s, i);
             }
         }
         Frame::Down { dead } => {
@@ -1106,21 +1547,16 @@ fn deliver_to_remote(w: &mut World, ck: &mut Ck, trace: &[String], i: usize, fra
             if w.home.is_some() {
                 // Restart gating requires every marker consumed first, so a
                 // marker outliving the rebirth means the model is broken.
-                fail(
-                    ck,
-                    trace,
-                    w,
-                    "Down marker consumed after the home restarted",
-                );
+                s.fail(w, "Down marker consumed after the home restarted");
             }
-            ck.homedown_states.insert(w.rem[i].state.name());
+            s.ck.homedown_states.insert(w.rem[i].state.name());
             let r = &mut w.rem[i];
             r.home_down = true;
             // Lock slots waiting on (or holding locks managed by) the dead
             // home are meaningless now: the table died with the home.
             r.lock = Lock::Idle;
             r.intent = false;
-            run_cache_event(w, ck, trace, i, CacheEvent::HomeDown);
+            run_cache_event(w, s, i, CacheEvent::HomeDown);
             // An application wait with no fill in flight will never be woken
             // by the protocol again — the runtime wakes it on the detector
             // edge so it re-checks and observes NodeUnavailable.
@@ -1135,11 +1571,9 @@ fn deliver_to_remote(w: &mut World, ck: &mut Ck, trace: &[String], i: usize, fra
             // is to void rights granted by the dead incarnation and resume
             // talking to the new one.
             w.rem[i].home_down = false;
-            run_cache_event(w, ck, trace, i, CacheEvent::HomeRestarted);
+            run_cache_event(w, s, i, CacheEvent::HomeRestarted);
         }
-        other => fail(
-            ck,
-            trace,
+        other => s.fail(
             w,
             &format!("home-bound frame {other:?} delivered to r{}", i + 1),
         ),
@@ -1147,27 +1581,20 @@ fn deliver_to_remote(w: &mut World, ck: &mut Ck, trace: &[String], i: usize, fra
 }
 
 /// Deliver one frame from remote `i` (node id `i+1`) to the home.
-fn deliver_to_home(w: &mut World, ck: &mut Ck, trace: &[String], i: usize, frame: Frame) {
+fn deliver_to_home(w: &mut World, s: &mut Search<World>, i: usize, frame: Frame) {
     let from = i + 1;
     if w.home.as_ref().unwrap().knows_dead[i] && !matches!(frame, Frame::Down { .. }) {
         // FIFO + marker-last makes this unreachable; if it fires the kill
         // model itself is broken.
-        fail(
-            ck,
-            trace,
+        s.fail(
             w,
             &format!("home consumed {frame:?} from r{from} after its Down marker"),
         );
     }
     match frame {
         Frame::Coherence(msg) => match msg.deliver(from) {
-            Delivery::Home(ev) => run_home_event(w, ck, trace, ev),
-            Delivery::Cache(ev) => fail(
-                ck,
-                trace,
-                w,
-                &format!("cache-side event {ev:?} sent to the home"),
-            ),
+            Delivery::Home(ev) => run_home_event(w, s, ev),
+            Delivery::Cache(ev) => s.fail(w, &format!("cache-side event {ev:?} sent to the home")),
         },
         Frame::LockAcq { kind, intent } => {
             let h = w.home.as_mut().unwrap();
@@ -1175,20 +1602,18 @@ fn deliver_to_home(w: &mut World, ck: &mut Ck, trace: &[String], i: usize, frame
                 .locks
                 .acquire(ELEM, kind, LockSource::Remote { node: from, intent });
             if let Some(src) = granted {
-                deliver_lock_grants(w, ck, trace, vec![(src, kind)]);
+                deliver_lock_grants(w, s, vec![(src, kind)]);
             }
         }
         Frame::LockRel { kind } => {
             let h = w.home.as_mut().unwrap();
             let granted = h.locks.release(ELEM, kind, Some(from));
-            deliver_lock_grants(w, ck, trace, granted);
+            deliver_lock_grants(w, s, granted);
         }
         Frame::Down { dead } => {
             assert_eq!(dead, from);
             if w.rem[i].alive {
-                fail(
-                    ck,
-                    trace,
+                s.fail(
                     w,
                     &format!("quorum confirmed the death of LIVE node {dead}"),
                 );
@@ -1196,33 +1621,27 @@ fn deliver_to_home(w: &mut World, ck: &mut Ck, trace: &[String], i: usize, frame
             if w.suspected[i] {
                 // The home's own suspicion was resolved by the suspect's
                 // actual death rather than a refutation.
-                ck.suspect_confirms += 1;
+                s.ck.suspect_confirms += 1;
                 w.suspected[i] = false;
             }
             let h = w.home.as_mut().unwrap();
-            ck.pd_transients.insert(h.m.transient().name());
-            ck.pd_states.insert(h.m.state().name());
+            s.ck.pd_transients.insert(h.m.transient().name());
+            s.ck.pd_states.insert(h.m.state().name());
             h.knows_dead[i] = true;
             // Each confirmed death burns one membership epoch, in marker
             // consumption order (a double kill burns 1 then 2).
             let view_epoch = h.m.view_epoch() + 1;
-            run_home_event(w, ck, trace, HomeEvent::PeerDown { dead, view_epoch });
+            run_home_event(w, s, HomeEvent::PeerDown { dead, view_epoch });
             let h = w.home.as_mut().unwrap();
             let purge = h.locks.forget_peer(dead);
-            ck.locks_reclaimed += purge.reclaimed;
+            s.ck.locks_reclaimed += purge.reclaimed;
             deliver_lock_grants(
                 w,
-                ck,
-                trace,
+                s,
                 purge.granted.into_iter().map(|(_, s, k)| (s, k)).collect(),
             );
         }
-        other => fail(
-            ck,
-            trace,
-            w,
-            &format!("remote-bound frame {other:?} sent to the home"),
-        ),
+        other => s.fail(w, &format!("remote-bound frame {other:?} sent to the home")),
     }
 }
 
@@ -1231,8 +1650,7 @@ fn deliver_to_home(w: &mut World, ck: &mut Ck, trace: &[String], i: usize, frame
 /// back (the table re-pumps to the next waiter).
 fn deliver_lock_grants(
     w: &mut World,
-    ck: &mut Ck,
-    trace: &[String],
+    s: &mut Search<World>,
     granted: Vec<(LockSource<u32>, LockKind)>,
 ) {
     let mut queue: VecDeque<(LockSource<u32>, LockKind)> = granted.into();
@@ -1242,7 +1660,7 @@ fn deliver_lock_grants(
                 assert_eq!(tok, LOCK_TOKEN, "unknown local lock token");
                 let h = w.home.as_mut().unwrap();
                 if h.lock != Lock::Waiting(lk) {
-                    fail(ck, trace, w, "home lock slot granted while not waiting");
+                    s.fail(w, "home lock slot granted while not waiting");
                 }
                 h.lock = Lock::Holding(lk);
             }
@@ -1252,7 +1670,7 @@ fn deliver_lock_grants(
                     // Runtime cascade: deliver_grant sees the grantee is
                     // dead and releases straight back, pulling nothing.
                     let more = h.locks.release(ELEM, lk, Some(n));
-                    ck.locks_reclaimed += 1;
+                    s.ck.locks_reclaimed += 1;
                     queue.extend(more);
                     continue;
                 }
@@ -1263,8 +1681,8 @@ fn deliver_lock_grants(
                 // grant message is lost with the node, and the marker's
                 // forget_peer sweep will reclaim the table slot.
                 if intent {
-                    ck.intent_grants += 1;
-                    pull_for(w, ck, trace, n);
+                    s.ck.intent_grants += 1;
+                    pull_for(w, s, n);
                 }
             }
         }
@@ -1285,17 +1703,16 @@ fn lock_remote_acquire(w: &mut World, i: usize, kind: LockKind, intent: bool) {
 /// `pull_for` runs it: unless the grantee holds the chunk alone, the home
 /// node's own write miss (skipped, like any home-local miss, when the home
 /// dentry already allows the write).
-fn pull_for(w: &mut World, ck: &mut Ck, trace: &[String], grantee: usize) {
+fn pull_for(w: &mut World, s: &mut Search<World>, grantee: usize) {
     let h = w.home.as_ref().unwrap();
     let home_has_it = !h.draining && h.dentry.0.permits(Kind::Write, || h.dentry.1);
     if h.m.state().held_alone_by(grantee) || home_has_it {
         return;
     }
-    ck.intent_pulls += 1;
+    s.ck.intent_pulls += 1;
     run_home_event(
         w,
-        ck,
-        trace,
+        s,
         HomeEvent::Request(Request {
             source: Requester::Local(PULL_TOKEN),
             kind: Kind::Write,
@@ -1306,7 +1723,7 @@ fn pull_for(w: &mut World, ck: &mut Ck, trace: &[String], grantee: usize) {
 /// The grantee's half of an intent grant on remote `i`: the runtime's write
 /// miss for the lock's chunk, issued unless the dentry already allows the
 /// write. Nothing waits on it; the application slot re-checks on its wake.
-fn write_miss_remote(w: &mut World, ck: &mut Ck, trace: &[String], i: usize) {
+fn write_miss_remote(w: &mut World, s: &mut Search<World>, i: usize) {
     let r = &w.rem[i];
     let drain_pending = r.after.is_some();
     if !drain_pending && r.state.permits(Kind::Write, || r.op_tag) {
@@ -1315,8 +1732,7 @@ fn write_miss_remote(w: &mut World, ck: &mut Ck, trace: &[String], i: usize) {
     let home_down = r.home_down;
     run_cache_event(
         w,
-        ck,
-        trace,
+        s,
         i,
         CacheEvent::Request {
             kind: Kind::Write,
@@ -1327,9 +1743,8 @@ fn write_miss_remote(w: &mut World, ck: &mut Ck, trace: &[String], i: usize) {
 }
 
 /// Feed one event to the home machine and execute its actions.
-fn run_home_event(w: &mut World, ck: &mut Ck, trace: &[String], ev: HomeEvent<u32>) {
-    let now = w.now;
-    let grace = ck.grace;
+fn run_home_event(w: &mut World, s: &mut Search<World>, ev: HomeEvent<u32>) {
+    let (now, grace) = (w.now, w.grace);
     let actions = w.home.as_mut().unwrap().m.on_event(now, grace, ev);
     for a in actions {
         match a {
@@ -1339,7 +1754,7 @@ fn run_home_event(w: &mut World, ck: &mut Ck, trace: &[String], ev: HomeEvent<u3
                 assert_eq!(tok, APP_TOKEN, "unknown home wake token");
                 let h = w.home.as_mut().unwrap();
                 if !matches!(h.app, App::Waiting(_)) {
-                    fail(ck, trace, w, "home app woken while not waiting");
+                    s.fail(w, "home app woken while not waiting");
                 }
                 h.app = App::Idle;
             }
@@ -1349,7 +1764,7 @@ fn run_home_event(w: &mut World, ck: &mut Ck, trace: &[String], ev: HomeEvent<u3
                 } else {
                     Msg::FillShared
                 };
-                send_h2r(w, ck, trace, to, fill);
+                send_h2r(w, s, to, fill);
             }
             // Migration messages cannot be sent in this world (no
             // `BeginMigration` is ever injected); the elastic re-homing
@@ -1361,47 +1776,47 @@ fn run_home_event(w: &mut World, ck: &mut Ck, trace: &[String], ev: HomeEvent<u3
                     | Msg::MigrateForward { .. }
                     | Msg::HomeMoved { .. },
                 ..
-            } => fail(ck, trace, w, "migration message in a migration-free world"),
-            HomeAction::Send { to, msg } => send_h2r(w, ck, trace, to, msg),
-            HomeAction::ApplyFlushData { .. } => ck.reductions += 1,
+            } => s.fail(w, "migration message in a migration-free world"),
+            HomeAction::Send { to, msg } => send_h2r(w, s, to, msg),
+            HomeAction::ApplyFlushData { .. } => s.ck.reductions += 1,
             HomeAction::SetHomeLocal { state, tag } => {
                 w.home.as_mut().unwrap().dentry = (state, tag);
             }
             HomeAction::StartHomeDrain { target, tag } => {
                 let h = w.home.as_mut().unwrap();
                 if h.draining {
-                    fail(ck, trace, w, "overlapping home drains");
+                    s.fail(w, "overlapping home drains");
                 }
                 h.dentry = (target, tag);
                 h.draining = true;
             }
             HomeAction::ScheduleRetry { at } => {
                 if w.retry_at.is_some() {
-                    fail(ck, trace, w, "two grace retries scheduled at once");
+                    s.fail(w, "two grace retries scheduled at once");
                 }
                 w.retry_at = Some(at);
             }
             HomeAction::Trace(_) => {}
             HomeAction::Count(c) => match c {
-                Counter::EpochsAborted => ck.epochs_aborted += 1,
-                Counter::SharersPruned => ck.sharers_pruned += 1,
-                Counter::FlushPersists => ck.persist_acks += 1,
+                Counter::EpochsAborted => s.ck.epochs_aborted += 1,
+                Counter::SharersPruned => s.ck.sharers_pruned += 1,
+                Counter::FlushPersists => s.ck.persist_acks += 1,
                 _ => {}
             },
             HomeAction::PersistChunk { seq } => {
-                ck.persists += 1;
+                s.ck.persists += 1;
                 if w.pending_persist.is_some() {
-                    fail(ck, trace, w, "two persists pending at once");
+                    s.fail(w, "two persists pending at once");
                 }
                 if !w.durable {
-                    fail(ck, trace, w, "a non-durable machine emitted PersistChunk");
+                    s.fail(w, "a non-durable machine emitted PersistChunk");
                 }
                 w.pending_persist = Some(seq);
             }
             HomeAction::TransferChunk { .. }
             | HomeAction::DepartChunk { .. }
             | HomeAction::AdoptChunk { .. } => {
-                fail(ck, trace, w, "migration action in a migration-free world")
+                s.fail(w, "migration action in a migration-free world")
             }
         }
     }
@@ -1410,11 +1825,9 @@ fn run_home_event(w: &mut World, ck: &mut Ck, trace: &[String], ev: HomeEvent<u3
 /// Send a protocol message from the home to remote node `to`. A send to a
 /// node the home has already declared dead is a recovery bug — the whole
 /// point of `forget_peer` is that no action ever references a corpse.
-fn send_h2r(w: &mut World, ck: &mut Ck, trace: &[String], to: usize, msg: Msg) {
+fn send_h2r(w: &mut World, s: &mut Search<World>, to: usize, msg: Msg) {
     if w.home.as_ref().unwrap().knows_dead[to - 1] {
-        fail(
-            ck,
-            trace,
+        s.fail(
             w,
             &format!("home sent {msg:?} to node {to} it knows is dead"),
         );
@@ -1429,7 +1842,7 @@ fn send_h2r(w: &mut World, ck: &mut Ck, trace: &[String], to: usize, msg: Msg) {
 /// Feed one event to the cache machine of remote `i` and execute its
 /// actions. Uses a worklist because some actions (line allocation, waiter
 /// rechecks) synchronously produce follow-up events.
-fn run_cache_event(w: &mut World, ck: &mut Ck, trace: &[String], i: usize, first: CacheEvent) {
+fn run_cache_event(w: &mut World, s: &mut Search<World>, i: usize, first: CacheEvent) {
     let mut events = VecDeque::from([first]);
     while let Some(ev) = events.pop_front() {
         let r = &w.rem[i];
@@ -1448,7 +1861,7 @@ fn run_cache_event(w: &mut World, ck: &mut Ck, trace: &[String], i: usize, first
                 CacheAction::BeginDrain { target, tag, after } => {
                     let r = &mut w.rem[i];
                     if r.after.is_some() {
-                        fail(ck, trace, w, "overlapping drains on one dentry");
+                        s.fail(w, "overlapping drains on one dentry");
                     }
                     r.state = target;
                     r.op_tag = tag;
@@ -1472,24 +1885,24 @@ fn run_cache_event(w: &mut World, ck: &mut Ck, trace: &[String], i: usize, first
                 CacheAction::InitOperandBuffer { .. } => {}
                 CacheAction::Send { to, msg } => {
                     assert_eq!(to, HOME);
-                    send_r2h(w, ck, trace, i, msg);
+                    send_r2h(w, s, i, msg);
                 }
                 CacheAction::SendWriteback {
                     downgrade, release, ..
                 } => {
-                    send_r2h(w, ck, trace, i, Msg::WritebackNotice { downgrade });
+                    send_r2h(w, s, i, Msg::WritebackNotice { downgrade });
                     if release {
                         w.rem[i].line = LINE_NONE;
                     }
                 }
                 CacheAction::SendFlush { op, release, .. } => {
-                    send_r2h(w, ck, trace, i, Msg::OperandFlush { op, data: vec![1] });
+                    send_r2h(w, s, i, Msg::OperandFlush { op, data: vec![1] });
                     if release {
                         w.rem[i].line = LINE_NONE;
                     }
                 }
                 CacheAction::SendUpgrade { kind, .. } => {
-                    send_r2h(w, ck, trace, i, Msg::request(kind, 0));
+                    send_r2h(w, s, i, Msg::request(kind, 0));
                 }
                 CacheAction::PrefetchHint | CacheAction::Trace(_) | CacheAction::Count(_) => {}
             }
@@ -1503,11 +1916,9 @@ fn run_cache_event(w: &mut World, ck: &mut Ck, trace: &[String], i: usize, first
 /// Send a protocol message from remote `i` to the home. A send after the
 /// node consumed the home's `Down` marker is a recovery bug: every cache
 /// path must go local-only once the home is known dead.
-fn send_r2h(w: &mut World, ck: &mut Ck, trace: &[String], i: usize, msg: Msg) {
+fn send_r2h(w: &mut World, s: &mut Search<World>, i: usize, msg: Msg) {
     if w.rem[i].home_down {
-        fail(
-            ck,
-            trace,
+        s.fail(
             w,
             &format!("r{} sent {msg:?} to a home it knows is dead", i + 1),
         );
@@ -1539,448 +1950,8 @@ fn recheck_app(w: &mut World, i: usize, events: &mut VecDeque<CacheEvent>) {
 }
 
 // ---------------------------------------------------------------------------
-// Invariants
+// Worlds
 // ---------------------------------------------------------------------------
-
-/// Safety: must hold in **every** reachable state.
-fn check_safety(w: &World, ck: &mut Ck, trace: &[String]) {
-    // THE durability theorem (DESIGN.md §14), as a world invariant: no
-    // write is ever acknowledged before its image is durably in the log.
-    // Kills erase the volatile machine but never `disk_seq`, and restarts
-    // recover exactly `disk_seq` — so this single check is "every write
-    // acked before the kill is recovered, and only those".
-    if w.acked_seq > w.disk_seq {
-        fail(
-            ck,
-            trace,
-            w,
-            &format!(
-                "persist-before-ack violated: acked seq {} but disk only has {}",
-                w.acked_seq, w.disk_seq
-            ),
-        );
-    }
-    // Compaction lag-by-one theorem: the truncated log prefix must be
-    // covered by the FALLBACK checkpoint generation, not merely the newest
-    // one — so a torn `.ckpt` at any instant still recovers every dropped
-    // record from `.prev` + the remaining log.
-    if w.trunc_floor > w.ckpt_prev.unwrap_or(0) {
-        fail(
-            ck,
-            trace,
-            w,
-            &format!(
-                "compaction truncated the log past the fallback checkpoint \
-                 (trunc_floor {} > prev generation {:?})",
-                w.trunc_floor, w.ckpt_prev
-            ),
-        );
-    }
-    // And the full recovery theorem in every state, every phase: what a
-    // reopen would reconstruct from the disk as it is RIGHT NOW — newest
-    // readable checkpoint + log suffix — covers every acknowledged write.
-    if w.acked_seq > recoverable(w) {
-        fail(
-            ck,
-            trace,
-            w,
-            &format!(
-                "acked seq {} not recoverable from ckpt {:?}/prev {:?} + log ({}, {}]",
-                w.acked_seq, w.ckpt, w.ckpt_prev, w.trunc_floor, w.disk_seq
-            ),
-        );
-    }
-    if let Some(h) = &w.home {
-        // The executor's pending persist and the machine's AwaitPersist
-        // transient must agree exactly.
-        use darray::protocol::Transient;
-        let awaited = match h.m.transient() {
-            Transient::AwaitPersist { seq } => Some(*seq),
-            _ => None,
-        };
-        if awaited != w.pending_persist {
-            fail(
-                ck,
-                trace,
-                w,
-                &format!(
-                    "machine awaits persist {awaited:?} but executor has {:?} pending",
-                    w.pending_persist
-                ),
-            );
-        }
-        // Epoch monotonicity across restarts: a new record must never be
-        // stamped below the log's replay frontier, or a later replay would
-        // resurrect a pre-restart image.
-        if h.m.persist_seq() < w.disk_seq {
-            fail(
-                ck,
-                trace,
-                w,
-                "persist sequence regressed below the durable log",
-            );
-        }
-    }
-    // The quorum guarantee, stated as a world invariant: no live peer is
-    // ever declared dead. Everything destructive (lock reclaim, Dirty
-    // ownership reclaim, sharer pruning) happens only behind `knows_dead`,
-    // so this single check covers "no reachable interleaving discards a
-    // live peer's writes".
-    if let Some(h) = &w.home {
-        for i in 0..NREM {
-            if h.knows_dead[i] && w.rem[i].alive {
-                fail(ck, trace, w, "home declared a LIVE remote dead");
-            }
-            if w.suspected[i] && w.rem[i].alive && w.rem[i].state == LocalState::Exclusive {
-                // Coverage: the dangerous state — a live suspect holding
-                // unwritten Dirty data — was actually reached.
-                ck.suspected_dirty_states += 1;
-            }
-        }
-        if h.knows_dead.iter().all(|&d| d) {
-            // Coverage: the home survived a confirmed double death and its
-            // directory/lock sweeps ran for both victims.
-            ck.both_dead_states += 1;
-        }
-    }
-    // A *zombie* remote consumed the home's `Down` marker (or is about to:
-    // FIFO has the marker ahead of the `Restarted` announcement) and has
-    // not yet learned of the rebirth. Its rights come from the dead
-    // incarnation — the restarted directory neither knows nor honors them,
-    // and consuming `Restarted` voids them. Pre-existing semantics: cached
-    // copies of a dead home's chunks stay locally usable (graceful
-    // degradation) but their post-death writes were never promised
-    // durability. Zombies are therefore excluded from directory-agreement
-    // checks; they cannot reach quiescence (the pending `Restarted`
-    // delivery keeps the world live).
-    let zombie =
-        |i: usize| w.rem[i].home_down || w.h2r[i].iter().any(|f| matches!(f, Frame::Restarted));
-    // Single writer: at most one alive remote holds Exclusive, and nobody
-    // else holds any rights while it does.
-    let excl: Vec<usize> = (0..NREM)
-        .filter(|&i| w.rem[i].alive && !zombie(i) && w.rem[i].state == LocalState::Exclusive)
-        .collect();
-    if excl.len() > 1 {
-        fail(ck, trace, w, "two alive remotes hold Exclusive");
-    }
-    if let Some(&e) = excl.first() {
-        for (i, r) in w.rem.iter().enumerate() {
-            if i != e
-                && r.alive
-                && !zombie(i)
-                && matches!(
-                    r.state,
-                    LocalState::Shared | LocalState::Exclusive | LocalState::Operated
-                )
-            {
-                fail(
-                    ck,
-                    trace,
-                    w,
-                    &format!("r{} holds rights while r{} is Exclusive", i + 1, e + 1),
-                );
-            }
-        }
-        if let Some(h) = &w.home {
-            if !matches!(h.m.state(), DirState::Dirty { owner } if *owner == e + 1) {
-                fail(
-                    ck,
-                    trace,
-                    w,
-                    &format!("r{} is Exclusive but directory is {:?}", e + 1, h.m.state()),
-                );
-            }
-        }
-    }
-    // Operated epoch agreement: all alive Operated remotes carry one tag.
-    let tags: Vec<u32> = (0..NREM)
-        .filter(|&i| w.rem[i].alive && !zombie(i) && w.rem[i].state == LocalState::Operated)
-        .map(|i| w.rem[i].op_tag)
-        .collect();
-    if tags.windows(2).any(|t| t[0] != t[1]) {
-        fail(
-            ck,
-            trace,
-            w,
-            "two alive remotes Operated under different ops",
-        );
-    }
-    // Dentry/line consistency (drains excepted: the line detaches at the
-    // continuation, not at drain start).
-    for (i, r) in w.rem.iter().enumerate() {
-        if r.alive && r.after.is_none() && (r.state == LocalState::Invalid) != (r.line == LINE_NONE)
-        {
-            fail(
-                ck,
-                trace,
-                w,
-                &format!("r{} dentry/line mismatch: {:?}/{}", i + 1, r.state, r.line),
-            );
-        }
-    }
-    // Lock exclusion: a held writer lock excludes every other holder.
-    // (A remote that learned of the home's death dropped its slot.)
-    let holders: Vec<LockKind> = w
-        .home
-        .iter()
-        .map(|h| h.lock)
-        .chain(w.rem.iter().filter(|r| r.alive).map(|r| r.lock))
-        .filter_map(|l| match l {
-            Lock::Holding(k) => Some(k),
-            _ => None,
-        })
-        .collect();
-    if holders.contains(&LockKind::Write) && holders.len() > 1 {
-        fail(
-            ck,
-            trace,
-            w,
-            &format!("a writer lock is held alongside others: {holders:?}"),
-        );
-    }
-    let Some(h) = &w.home else { return };
-    // The machine's dead set and the executor's detector agree.
-    for n in 1..=NREM {
-        if h.m.is_dead(n) != h.knows_dead[n - 1] {
-            fail(ck, trace, w, "machine dead set out of sync with detector");
-        }
-    }
-    // No directory bookkeeping references a known-dead node.
-    let dead_ref = |n: &usize| h.knows_dead[*n - 1];
-    let state_refs_dead = match h.m.state() {
-        DirState::Shared { sharers } | DirState::Operated { sharers, .. } => {
-            sharers.iter().any(&dead_ref)
-        }
-        DirState::Dirty { owner } => dead_ref(owner),
-        DirState::Unshared => false,
-    };
-    if state_refs_dead {
-        fail(ck, trace, w, "directory state references a known-dead node");
-    }
-    use darray::protocol::Transient;
-    let transient_refs_dead = match h.m.transient() {
-        Transient::AwaitInvAcks { waiting } | Transient::AwaitFlushes { waiting, .. } => {
-            waiting.iter().any(&dead_ref)
-        }
-        Transient::AwaitWriteback { from } => dead_ref(from),
-        _ => false,
-    };
-    if transient_refs_dead {
-        fail(
-            ck,
-            trace,
-            w,
-            "transient wait set references a known-dead node",
-        );
-    }
-    // No orphaned lock holders.
-    if !h.locks.holders_all_satisfy(|n| !h.knows_dead[n - 1]) {
-        fail(
-            ck,
-            trace,
-            w,
-            "lock table holds a lock for a known-dead node",
-        );
-    }
-}
-
-/// Liveness: must hold whenever **no internal transition is enabled** (the
-/// system has quiesced — nothing will ever make progress again without a
-/// new external stimulus, so anything still pending is stuck forever).
-fn check_quiescence(w: &World, ck: &Ck, trace: &[String]) {
-    let live_holder = matches!(w.home.as_ref().map(|h| h.lock), Some(Lock::Holding(_)))
-        || w.rem
-            .iter()
-            .any(|r| r.alive && matches!(r.lock, Lock::Holding(_)));
-
-    if let Some(h) = &w.home {
-        if !h.m.transient().is_none() {
-            fail(
-                ck,
-                trace,
-                w,
-                &format!(
-                    "quiescent with transient {} pending",
-                    h.m.transient().name()
-                ),
-            );
-        }
-        if h.m.pending_len() != 0 || h.m.has_current() {
-            fail(
-                ck,
-                trace,
-                w,
-                "quiescent with directory requests still queued",
-            );
-        }
-        if matches!(h.app, App::Waiting(_)) {
-            fail(ck, trace, w, "home app thread parked forever");
-        }
-        if matches!(h.lock, Lock::Waiting(_)) && !live_holder {
-            fail(ck, trace, w, "home lock waiter blocked with no live holder");
-        }
-        // Home dentry must mirror the directory state.
-        let want = (
-            h.m.state().home_local(),
-            match h.m.state() {
-                DirState::Operated { op, .. } => op.0,
-                _ => NOTAG,
-            },
-        );
-        if h.dentry != want {
-            fail(
-                ck,
-                trace,
-                w,
-                &format!(
-                    "home dentry {:?} disagrees with directory (want {want:?})",
-                    h.dentry
-                ),
-            );
-        }
-        // Directory ↔ survivor dentries, both directions.
-        for (i, r) in w.rem.iter().enumerate() {
-            let n = i + 1;
-            let (in_sharers, as_owner, op_of) = match h.m.state() {
-                DirState::Shared { sharers } => (sharers.contains(&n), false, None),
-                DirState::Dirty { owner } => (false, *owner == n, None),
-                DirState::Operated { op, sharers } => (sharers.contains(&n), false, Some(op.0)),
-                DirState::Unshared => (false, false, None),
-            };
-            if !r.alive {
-                continue;
-            }
-            match r.state {
-                LocalState::Shared => {
-                    if !(in_sharers && op_of.is_none()) {
-                        fail(
-                            ck,
-                            trace,
-                            w,
-                            &format!("r{n} is Shared but directory is {:?}", h.m.state()),
-                        );
-                    }
-                }
-                LocalState::Exclusive => {
-                    if !as_owner {
-                        fail(
-                            ck,
-                            trace,
-                            w,
-                            &format!("r{n} is Exclusive but directory is {:?}", h.m.state()),
-                        );
-                    }
-                }
-                LocalState::Operated => {
-                    if op_of != Some(r.op_tag) || !in_sharers {
-                        fail(
-                            ck,
-                            trace,
-                            w,
-                            &format!(
-                                "r{n} Operated({}) but directory is {:?}",
-                                r.op_tag,
-                                h.m.state()
-                            ),
-                        );
-                    }
-                }
-                LocalState::Invalid => {
-                    if in_sharers || as_owner {
-                        fail(
-                            ck,
-                            trace,
-                            w,
-                            &format!("directory lists Invalid r{n}: {:?}", h.m.state()),
-                        );
-                    }
-                }
-                s => fail(
-                    ck,
-                    trace,
-                    w,
-                    &format!("r{n} stuck in transient state {s:?} at quiescence"),
-                ),
-            }
-        }
-    }
-    for (i, r) in w.rem.iter().enumerate() {
-        if !r.alive {
-            continue;
-        }
-        if matches!(r.app, App::Waiting(_)) {
-            fail(
-                ck,
-                trace,
-                w,
-                &format!("r{} app thread parked forever", i + 1),
-            );
-        }
-        if matches!(r.lock, Lock::Waiting(_)) && (w.home.is_none() || !live_holder) {
-            fail(
-                ck,
-                trace,
-                w,
-                &format!("r{} lock waiter blocked with no live grantor", i + 1),
-            );
-        }
-        if w.home.is_none() && (r.state.in_flight() || r.after.is_some()) {
-            fail(
-                ck,
-                trace,
-                w,
-                &format!("r{} stuck in-flight after home death", i + 1),
-            );
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Search
-// ---------------------------------------------------------------------------
-
-fn state_key(w: &World) -> u64 {
-    // The derived Debug string is a canonical encoding of the world (every
-    // behavioral field is in it, in a deterministic order); hashing it keeps
-    // the memo table small. DefaultHasher::new() uses fixed keys, so runs
-    // are reproducible.
-    let mut h = std::hash::DefaultHasher::new();
-    format!("{w:?}").hash(&mut h);
-    h.finish()
-}
-
-fn dfs(w: &World, depth: usize, ck: &mut Ck, trace: &mut Vec<String>) {
-    if !ck.seen.insert(state_key(w)) {
-        return;
-    }
-    if ck.seen.len() > ck.max_states {
-        fail(
-            ck,
-            trace,
-            w,
-            "state-space budget exceeded (raise DARRAY_MC_MAX_STATES)",
-        );
-    }
-    check_safety(w, ck, trace);
-    let internal = internal_transitions(w);
-    if internal.is_empty() {
-        ck.quiescent_states += 1;
-        check_quiescence(w, ck, trace);
-    }
-    if depth >= ck.max_depth {
-        ck.depth_pruned += 1;
-        return;
-    }
-    let mut all = internal;
-    all.extend(external_transitions(w));
-    for tr in all {
-        let mut child = w.clone();
-        trace.push(label(w, tr));
-        apply(&mut child, ck, trace, tr);
-        dfs(&child, depth + 1, ck, trace);
-        trace.pop();
-    }
-}
 
 fn initial_world(
     req: [u8; NREM],
@@ -2009,6 +1980,7 @@ fn initial_world(
         ],
         h2r: [VecDeque::new(), VecDeque::new()],
         r2h: [VecDeque::new(), VecDeque::new()],
+        grace: 0,
         now: 0,
         retry_at: None,
         kill_budget: kills,
@@ -2046,52 +2018,12 @@ fn compaction_world(mut w: World, compactions: u8) -> World {
     w
 }
 
-fn summarize(ck: &Ck, name: &str) {
-    println!(
-        "[{name}] states={} quiescent={} depth_pruned={} \
-         pd_transients={:?} pd_states={:?} homedown_states={:?} retry_transients={:?} \
-         epochs_aborted={} sharers_pruned={} locks_reclaimed={} reductions={} \
-         suspect_refutes={} suspect_confirms={} suspected_dirty_states={} \
-         persists={} persist_acks={} killed_mid_persist={} home_restarts={} \
-         remote_restarts={} compactions={}/{} killed_mid_compaction={:?} \
-         restarts_from_checkpoint={} double_kills={} both_dead_states={}",
-        ck.seen.len(),
-        ck.quiescent_states,
-        ck.depth_pruned,
-        ck.pd_transients,
-        ck.pd_states,
-        ck.homedown_states,
-        ck.retry_transients,
-        ck.epochs_aborted,
-        ck.sharers_pruned,
-        ck.locks_reclaimed,
-        ck.reductions,
-        ck.suspect_refutes,
-        ck.suspect_confirms,
-        ck.suspected_dirty_states,
-        ck.persists,
-        ck.persist_acks,
-        ck.killed_mid_persist,
-        ck.home_restarts,
-        ck.remote_restarts,
-        ck.compactions_completed,
-        ck.compactions_started,
-        ck.killed_mid_compaction,
-        ck.restarts_from_checkpoint,
-        ck.double_kills,
-        ck.both_dead_states,
-    );
-    if ck.intent_grants > 0 {
-        println!(
-            "[{name}-intent] intent_grants={} intent_pulls={} hand_backs={}",
-            ck.intent_grants, ck.intent_pulls, ck.hand_backs
-        );
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Tests
 // ---------------------------------------------------------------------------
+
+// Every search pins its exact state count: a change that moves one re-pins
+// it on purpose and says why, as a re-blessed baseline does.
 
 /// The main coherence search: no grace window (every transient is reachable
 /// without time passing), two remotes issuing Read/Write/Operate plus one
@@ -2102,18 +2034,12 @@ fn summarize(ck: &Ck, name: &str) {
 /// separately sums the state spaces instead of multiplying them).
 #[test]
 fn crash_model_coherence_no_grace() {
-    let mut ck = Ck::new(0);
-    let w = initial_world([2, 2], [0, 0], [1, 1], 2, 0, 1, 0);
-    let mut trace = Vec::new();
-    dfs(&w, 0, &mut ck, &mut trace);
-    summarize(&ck, "coherence");
-
-    let min_states = env_usize("DARRAY_MC_MIN_STATES", 10_000);
-    assert!(
-        ck.seen.len() >= min_states,
-        "explored only {} states (< {min_states}); the model lost coverage",
-        ck.seen.len()
+    let s = explore(
+        "coherence",
+        initial_world([2, 2], [0, 0], [1, 1], 2, 0, 1, 0),
     );
+    assert_eq!(s.seen.len(), 407_207);
+
     // A PeerDown must have been injected into every transient phase the
     // protocol can be in (GraceWait needs grace > 0; see the other test).
     for t in [
@@ -2124,24 +2050,21 @@ fn crash_model_coherence_no_grace() {
         "HomeDrain",
     ] {
         assert!(
-            ck.pd_transients.contains(t),
+            s.ck.pd_transients.contains(t),
             "no kill was consumed during transient {t}: {:?}",
-            ck.pd_transients
+            s.ck.pd_transients
         );
     }
     assert!(
-        ck.pd_states.contains("Operated"),
+        s.ck.pd_states.contains("Operated"),
         "no kill landed during an Operated epoch: {:?}",
-        ck.pd_states
+        s.ck.pd_states
     );
     assert!(
-        ck.epochs_aborted > 0,
+        s.ck.epochs_aborted > 0,
         "no Operated epoch was ever closed by abort"
     );
-    assert!(
-        ck.quiescent_states > 0,
-        "the search never reached quiescence"
-    );
+    assert!(s.quiescent > 0, "the search never reached quiescence");
 }
 
 /// Lock-subsystem search: both remotes and the home contend on one element
@@ -2150,20 +2073,14 @@ fn crash_model_coherence_no_grace() {
 /// blocked on a dead grantor or dead holder.
 #[test]
 fn crash_model_locks() {
-    let mut ck = Ck::new(0);
-    let w = initial_world([0, 0], [2, 2], [0, 0], 0, 2, 1, 0);
-    let mut trace = Vec::new();
-    dfs(&w, 0, &mut ck, &mut trace);
-    summarize(&ck, "locks");
+    let s = explore("locks", initial_world([0, 0], [2, 2], [0, 0], 0, 2, 1, 0));
+    assert_eq!(s.seen.len(), 8_209);
 
     assert!(
-        ck.locks_reclaimed > 0,
+        s.ck.locks_reclaimed > 0,
         "no orphaned lock was ever reclaimed"
     );
-    assert!(
-        ck.quiescent_states > 0,
-        "the search never reached quiescence"
-    );
+    assert!(s.quiescent > 0, "the search never reached quiescence");
 }
 
 /// Cross-subsystem search: one remote drives coherence *and* lock traffic
@@ -2175,29 +2092,28 @@ fn crash_model_locks() {
 /// through every interleaving of those with the data traffic and the kill.
 #[test]
 fn crash_model_combined() {
-    let mut ck = Ck::new(0);
     let mut w = initial_world([1, 1], [1, 1], [0, 0], 0, 1, 1, 0);
     w.intent_locks = true;
-    let mut trace = Vec::new();
-    dfs(&w, 0, &mut ck, &mut trace);
-    summarize(&ck, "combined");
+    let s = explore("combined", w);
+    assert_eq!(s.seen.len(), 1_009_535);
+    println!(
+        "[combined-intent] intent_grants={} intent_pulls={} hand_backs={}",
+        s.ck.intent_grants, s.ck.intent_pulls, s.ck.hand_backs
+    );
 
     assert!(
-        ck.intent_grants > 0,
+        s.ck.intent_grants > 0,
         "no write-intent lock was ever granted"
     );
     assert!(
-        ck.intent_pulls > 0,
+        s.ck.intent_pulls > 0,
         "no intent grant ever pulled the chunk from another holder"
     );
     assert!(
-        ck.hand_backs > 0,
+        s.ck.hand_backs > 0,
         "no intent release ever handed the chunk back"
     );
-    assert!(
-        ck.quiescent_states > 0,
-        "the search never reached quiescence"
-    );
+    assert!(s.quiescent > 0, "the search never reached quiescence");
 }
 
 /// Suspected-but-alive search (DESIGN.md §12): the home may falsely suspect
@@ -2212,28 +2128,25 @@ fn crash_model_combined() {
 /// writes of a peer that was merely suspected.
 #[test]
 fn crash_model_suspected_but_alive() {
-    let mut ck = Ck::new(0);
-    let w = initial_world([2, 1], [0, 0], [1, 0], 1, 0, 1, 2);
-    let mut trace = Vec::new();
-    dfs(&w, 0, &mut ck, &mut trace);
-    summarize(&ck, "suspected");
+    let s = explore(
+        "suspected",
+        initial_world([2, 1], [0, 0], [1, 0], 1, 0, 1, 2),
+    );
+    assert_eq!(s.seen.len(), 140_413);
 
     assert!(
-        ck.suspect_refutes > 0,
+        s.ck.suspect_refutes > 0,
         "no suspicion of a live remote was ever refuted"
     );
     assert!(
-        ck.suspect_confirms > 0,
+        s.ck.suspect_confirms > 0,
         "no suspicion was ever resolved by the suspect's actual death"
     );
     assert!(
-        ck.suspected_dirty_states > 0,
+        s.ck.suspected_dirty_states > 0,
         "no reachable state had a live suspect holding unwritten Dirty data"
     );
-    assert!(
-        ck.quiescent_states > 0,
-        "the search never reached quiescence"
-    );
+    assert!(s.quiescent > 0, "the search never reached quiescence");
 }
 
 /// Durable kill-then-restart search (DESIGN.md §14): the home gates every
@@ -2251,32 +2164,29 @@ fn crash_model_suspected_but_alive() {
 /// bumped view epoch.
 #[test]
 fn crash_model_durable_restart() {
-    let mut ck = Ck::new(0);
-    let w = durable_world(initial_world([2, 1], [0, 0], [1, 0], 1, 0, 1, 0), 1);
-    let mut trace = Vec::new();
-    dfs(&w, 0, &mut ck, &mut trace);
-    summarize(&ck, "durable");
+    let s = explore(
+        "durable",
+        durable_world(initial_world([2, 1], [0, 0], [1, 0], 1, 0, 1, 0), 1),
+    );
+    assert_eq!(s.seen.len(), 58_190);
 
-    assert!(ck.persists > 0, "no flush was ever persisted");
+    assert!(s.ck.persists > 0, "no flush was ever persisted");
     assert!(
-        ck.persist_acks > 0,
+        s.ck.persist_acks > 0,
         "no persist was ever acknowledged by the machine"
     );
     assert!(
-        ck.killed_mid_persist > 0,
+        s.ck.killed_mid_persist > 0,
         "no kill ever landed while a persist was pending"
     );
     assert!(
-        ck.pd_transients.contains("AwaitPersist"),
+        s.ck.pd_transients.contains("AwaitPersist"),
         "no remote death was consumed during AwaitPersist: {:?}",
-        ck.pd_transients
+        s.ck.pd_transients
     );
-    assert!(ck.home_restarts > 0, "the home was never restarted");
-    assert!(ck.remote_restarts > 0, "a remote was never restarted");
-    assert!(
-        ck.quiescent_states > 0,
-        "the search never reached quiescence"
-    );
+    assert!(s.ck.home_restarts > 0, "the home was never restarted");
+    assert!(s.ck.remote_restarts > 0, "a remote was never restarted");
+    assert!(s.quiescent > 0, "the search never reached quiescence");
 }
 
 /// Checkpoint/compaction crash-matrix search (DESIGN.md §14): on top of
@@ -2295,36 +2205,33 @@ fn crash_model_durable_restart() {
 /// populated `.prev` and a non-trivial truncation.
 #[test]
 fn crash_model_durable_compaction() {
-    let mut ck = Ck::new(0);
-    let w = compaction_world(
-        durable_world(initial_world([2, 1], [0, 0], [1, 0], 1, 0, 1, 0), 1),
-        2,
+    let s = explore(
+        "compaction",
+        compaction_world(
+            durable_world(initial_world([2, 1], [0, 0], [1, 0], 1, 0, 1, 0), 1),
+            2,
+        ),
     );
-    let mut trace = Vec::new();
-    dfs(&w, 0, &mut ck, &mut trace);
-    summarize(&ck, "compaction");
+    assert_eq!(s.seen.len(), 488_732);
 
-    assert!(ck.persists > 0, "no flush was ever persisted");
+    assert!(s.ck.persists > 0, "no flush was ever persisted");
     assert!(
-        ck.compactions_completed > 0,
+        s.ck.compactions_completed > 0,
         "no compaction sequence ever ran to completion"
     );
     for phase in ["WriteTmp", "Rotate", "Rename", "Truncate"] {
         assert!(
-            ck.killed_mid_compaction.contains(phase),
+            s.ck.killed_mid_compaction.contains(phase),
             "no kill landed before compaction phase {phase}: {:?}",
-            ck.killed_mid_compaction
+            s.ck.killed_mid_compaction
         );
     }
     assert!(
-        ck.restarts_from_checkpoint > 0,
+        s.ck.restarts_from_checkpoint > 0,
         "no restart ever recovered through a checkpoint generation"
     );
-    assert!(ck.home_restarts > 0, "the home was never restarted");
-    assert!(
-        ck.quiescent_states > 0,
-        "the search never reached quiescence"
-    );
+    assert!(s.ck.home_restarts > 0, "the home was never restarted");
+    assert!(s.quiescent > 0, "the search never reached quiescence");
 }
 
 /// Double-kill membership search: with a kill budget of two, the quorum
@@ -2338,28 +2245,25 @@ fn crash_model_durable_compaction() {
 /// protocol messages.
 #[test]
 fn crash_model_double_kill() {
-    let mut ck = Ck::new(0);
-    let w = initial_world([1, 1], [1, 1], [1, 0], 1, 0, 2, 0);
-    let mut trace = Vec::new();
-    dfs(&w, 0, &mut ck, &mut trace);
-    summarize(&ck, "double-kill");
+    let s = explore(
+        "double-kill",
+        initial_world([1, 1], [1, 1], [1, 0], 1, 0, 2, 0),
+    );
+    assert_eq!(s.seen.len(), 503_650);
 
     assert!(
-        ck.double_kills > 0,
+        s.ck.double_kills > 0,
         "no simultaneous double kill was injected"
     );
     assert!(
-        ck.both_dead_states > 0,
+        s.ck.both_dead_states > 0,
         "the home never survived both remote deaths confirmed"
     );
     assert!(
-        ck.locks_reclaimed > 0,
+        s.ck.locks_reclaimed > 0,
         "no orphaned lock was reclaimed across the double death"
     );
-    assert!(
-        ck.quiescent_states > 0,
-        "the search never reached quiescence"
-    );
+    assert!(s.quiescent > 0, "the search never reached quiescence");
 }
 
 /// Grace-window variant: with `grace_ns = 1` every fresh grant opens a
@@ -2367,24 +2271,22 @@ fn crash_model_double_kill() {
 /// keep the (now time-carrying) state space in check.
 #[test]
 fn crash_model_grace_window() {
-    let mut ck = Ck::new(1);
-    ck.max_depth = env_usize("DARRAY_MC_MAX_DEPTH", 64);
-    let w = initial_world([1, 1], [0, 0], [0, 0], 1, 0, 1, 0);
-    let mut trace = Vec::new();
-    dfs(&w, 0, &mut ck, &mut trace);
-    summarize(&ck, "grace");
+    let mut w = initial_world([1, 1], [0, 0], [0, 0], 1, 0, 1, 0);
+    w.grace = 1;
+    let s = explore("grace", w);
+    assert_eq!(s.seen.len(), 4_361);
 
     assert!(
-        ck.retry_transients.contains("GraceWait"),
+        s.ck.retry_transients.contains("GraceWait"),
         "no retry ever fired inside a grace window: {:?}",
-        ck.retry_transients
+        s.ck.retry_transients
     );
     assert!(
-        ck.pd_transients.contains("GraceWait"),
+        s.ck.pd_transients.contains("GraceWait"),
         "no kill was consumed during GraceWait: {:?}",
-        ck.pd_transients
+        s.ck.pd_transients
     );
-    assert!(ck.quiescent_states > 0);
+    assert!(s.quiescent > 0);
 }
 
 // ===========================================================================
@@ -2424,14 +2326,14 @@ mod migration {
     /// the value its one-sided RDMA WRITE lands at delivery time — RC FIFO
     /// makes the write visible exactly when the trailing notification is
     /// consumed.
-    #[derive(Debug, Clone, PartialEq, Eq)]
+    #[derive(Debug, Clone, PartialEq, Eq, Hash)]
     enum MFrame {
         Coherence { msg: Msg, write: Option<u64> },
         Down { dead: usize },
     }
 
     /// One home node of the migration world.
-    #[derive(Debug, Clone)]
+    #[derive(Debug, Clone, Hash)]
     struct MHome {
         m: HomeMachine<u32>,
         dentry: (LocalState, u32),
@@ -2458,7 +2360,7 @@ mod migration {
         }
     }
 
-    #[derive(Debug, Clone)]
+    #[derive(Debug, Clone, Hash)]
     struct MigWorld {
         homes: [Option<MHome>; 2],
         // The requester's minimal cache: one line, one app slot.
@@ -2541,14 +2443,10 @@ mod migration {
     }
 
     /// Coverage tallies for the migration search.
+    #[derive(Default)]
     struct MCk {
-        max_depth: usize,
-        max_states: usize,
-        seen: HashSet<u64>,
-        quiescent: usize,
-        depth_pruned: usize,
         /// `(victim, survivor transient name)` at each `Down` consumption.
-        kill_phases: HashSet<(&'static str, &'static str)>,
+        kill_phases: BTreeSet<(&'static str, &'static str)>,
         /// Quiescent states where the migration fully committed.
         completed: usize,
         /// Quiescent states where the source re-assumed after a target death.
@@ -2559,45 +2457,21 @@ mod migration {
         forwards: usize,
     }
 
-    impl MCk {
-        fn new() -> Self {
-            MCk {
-                max_depth: env_usize("DARRAY_MC_MAX_DEPTH", 96),
-                max_states: env_usize("DARRAY_MC_MAX_STATES", 5_000_000),
-                seen: HashSet::new(),
-                quiescent: 0,
-                depth_pruned: 0,
-                kill_phases: HashSet::new(),
-                completed: 0,
-                aborted: 0,
-                migrations_out: 0,
-                migrations_in: 0,
-                parked_replays: 0,
-                forwards: 0,
-            }
-        }
-    }
-
-    fn mfail(ck: &MCk, trace: &[String], w: &MigWorld, msg: &str) -> ! {
-        let mut report = String::new();
-        let _ = writeln!(report, "MIGRATION MODEL CHECK FAILED: {msg}");
-        let _ = writeln!(report, "states explored: {}", ck.seen.len());
-        let _ = writeln!(report, "counterexample trace ({} steps):", trace.len());
-        for (i, step) in trace.iter().enumerate() {
-            let _ = writeln!(report, "  {:3}. {step}", i + 1);
-        }
-        let _ = writeln!(report, "final world:\n{w:#?}");
-        let path = std::env::var("DARRAY_MC_TRACE_FILE").unwrap_or_else(|_| {
-            concat!(
-                env!("CARGO_MANIFEST_DIR"),
-                "/../../target/model-check-counterexample.txt"
+    impl Display for MCk {
+        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+            write!(
+                f,
+                "completed={} aborted={} migrations_out={} migrations_in={} \
+                 parked_replays={} forwards={} kill_phases={:?}",
+                self.completed,
+                self.aborted,
+                self.migrations_out,
+                self.migrations_in,
+                self.parked_replays,
+                self.forwards,
+                self.kill_phases,
             )
-            .to_string()
-        });
-        let _ = std::fs::write(&path, &report);
-        eprintln!("{report}");
-        eprintln!("(trace written to {path})");
-        panic!("migration model check failed: {msg}");
+        }
     }
 
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -2620,6 +2494,15 @@ mod migration {
         },
     }
 
+    /// A node's name in labels and kill tallies.
+    fn name(node: usize) -> &'static str {
+        match node {
+            SRC => "src",
+            TGT => "tgt",
+            _ => "req",
+        }
+    }
+
     /// The two outgoing links of `victim`, in `keep[]` order.
     fn out_links(victim: usize) -> [(usize, usize); 2] {
         match victim {
@@ -2629,144 +2512,335 @@ mod migration {
         }
     }
 
-    fn m_internal(w: &MigWorld) -> Vec<MTr> {
-        let mut out = Vec::new();
-        for from in 0..3 {
-            for to in 0..3 {
-                if from != to && w.alive(to) && !w.links[from][to].is_empty() {
-                    out.push(MTr::Deliver { from, to });
-                }
-            }
-        }
-        for h in 0..2 {
-            if let Some(home) = &w.homes[h] {
-                if home.draining {
-                    out.push(MTr::DrainHome(h));
-                }
-                if w.pending_persist[h].is_some() {
-                    out.push(MTr::PersistDone(h));
-                }
-            }
-        }
-        out
-    }
+    impl Model for MigWorld {
+        type Tr = MTr;
+        type Ck = MCk;
 
-    fn m_external(w: &MigWorld) -> Vec<MTr> {
-        let mut out = Vec::new();
-        if w.mig_pending && w.homes[SRC].is_some() {
-            out.push(MTr::BeginMigration);
-        }
-        if w.r_alive
-            && w.r_app == App::Idle
-            && w.r_req_budget > 0
-            && !w.r_inflight
-            && !w.r_knows_dead[w.r_home]
-        {
-            for kind in [Kind::Read, Kind::Write] {
-                if !w.r_state.permits(kind, || NOTAG) {
-                    out.push(MTr::AppReq(kind));
+        fn internal(&self) -> Vec<MTr> {
+            let mut out = Vec::new();
+            for from in 0..3 {
+                for to in 0..3 {
+                    if from != to && self.alive(to) && !self.links[from][to].is_empty() {
+                        out.push(MTr::Deliver { from, to });
+                    }
                 }
             }
-            if w.r_state == LocalState::Exclusive {
-                out.push(MTr::WriteHit);
-            }
-        }
-        if w.r_alive
-            && w.r_evict_budget > 0
-            && matches!(w.r_state, LocalState::Shared | LocalState::Exclusive)
-        {
-            out.push(MTr::Evict);
-        }
-        if w.kill_budget > 0 {
-            for victim in 0..3 {
-                if !w.alive(victim) {
-                    continue;
+            for h in 0..2 {
+                if let Some(home) = &self.homes[h] {
+                    if home.draining {
+                        out.push(MTr::DrainHome(h));
+                    }
+                    if self.pending_persist[h].is_some() {
+                        out.push(MTr::PersistDone(h));
+                    }
                 }
-                let [l0, l1] = out_links(victim);
-                for k0 in 0..=w.links[l0.0][l0.1].len() {
-                    for k1 in 0..=w.links[l1.0][l1.1].len() {
-                        out.push(MTr::Kill {
-                            victim,
-                            keep: [k0, k1],
-                            flush_disk: false,
-                        });
-                        if victim < 2 && w.pending_persist[victim].is_some() {
+            }
+            out
+        }
+
+        fn external(&self) -> Vec<MTr> {
+            let mut out = Vec::new();
+            if self.mig_pending && self.homes[SRC].is_some() {
+                out.push(MTr::BeginMigration);
+            }
+            if self.r_alive
+                && self.r_app == App::Idle
+                && self.r_req_budget > 0
+                && !self.r_inflight
+                && !self.r_knows_dead[self.r_home]
+            {
+                for kind in [Kind::Read, Kind::Write] {
+                    if !self.r_state.permits(kind, || NOTAG) {
+                        out.push(MTr::AppReq(kind));
+                    }
+                }
+                if self.r_state == LocalState::Exclusive {
+                    out.push(MTr::WriteHit);
+                }
+            }
+            if self.r_alive
+                && self.r_evict_budget > 0
+                && matches!(self.r_state, LocalState::Shared | LocalState::Exclusive)
+            {
+                out.push(MTr::Evict);
+            }
+            if self.kill_budget > 0 {
+                for victim in 0..3 {
+                    if !self.alive(victim) {
+                        continue;
+                    }
+                    let [l0, l1] = out_links(victim);
+                    for k0 in 0..=self.links[l0.0][l0.1].len() {
+                        for k1 in 0..=self.links[l1.0][l1.1].len() {
                             out.push(MTr::Kill {
                                 victim,
                                 keep: [k0, k1],
-                                flush_disk: true,
+                                flush_disk: false,
                             });
+                            if victim < 2 && self.pending_persist[victim].is_some() {
+                                out.push(MTr::Kill {
+                                    victim,
+                                    keep: [k0, k1],
+                                    flush_disk: true,
+                                });
+                            }
+                        }
+                    }
+                }
+            }
+            out
+        }
+
+        fn label(&self, tr: MTr) -> String {
+            match tr {
+                MTr::Deliver { from, to } => format!(
+                    "deliver {}->{}: {:?}",
+                    name(from),
+                    name(to),
+                    self.links[from][to].front().unwrap()
+                ),
+                MTr::DrainHome(h) => format!("{} home drain completes", name(h)),
+                MTr::PersistDone(h) => format!(
+                    "{} disk completes persist {:?}",
+                    name(h),
+                    self.pending_persist[h].unwrap()
+                ),
+                MTr::BeginMigration => "BeginMigration(src -> tgt) injected".to_string(),
+                MTr::AppReq(k) => format!("req app requests {k:?} from {}", name(self.r_home)),
+                MTr::WriteHit => "req fast-path write (Exclusive hit)".to_string(),
+                MTr::Evict => "eviction scan hits req".to_string(),
+                MTr::Kill {
+                    victim,
+                    keep,
+                    flush_disk,
+                } => format!(
+                    "KILL {} (kept prefixes {keep:?}, pending persist {})",
+                    name(victim),
+                    if flush_disk { "flushed" } else { "lost" }
+                ),
+            }
+        }
+
+        fn apply(&mut self, s: &mut Search<Self>, tr: MTr) {
+            match tr {
+                MTr::Deliver { from, to } => {
+                    let msg = self.links[from][to].pop_front().unwrap();
+                    if to == REQ {
+                        m_deliver_to_req(self, s, from, msg);
+                    } else {
+                        m_deliver_to_home(self, s, to, from, msg);
+                    }
+                }
+                MTr::DrainHome(h) => {
+                    self.homes[h].as_mut().unwrap().draining = false;
+                    m_run_home(self, s, h, HomeEvent::Drained);
+                }
+                MTr::PersistDone(h) => {
+                    let (seq, val) = self.pending_persist[h].take().unwrap();
+                    if seq > self.log[h].0 {
+                        self.log[h] = (seq, val);
+                    }
+                    // Record the acknowledgement for the no-lost-write theorem
+                    // *before* the protocol resumes, mirroring the machine's
+                    // own completion checks.
+                    let awaited = match self.homes[h].as_ref().unwrap().m.transient() {
+                        darray::protocol::Transient::AwaitPersist { seq: s } => seq >= *s,
+                        darray::protocol::Transient::MigratingIn {
+                            mig_epoch,
+                            phase: darray::protocol::MigInPhase::Persist,
+                            ..
+                        } => seq >= *mig_epoch,
+                        _ => false,
+                    };
+                    if awaited {
+                        self.acked_val = self.acked_val.max(val);
+                    }
+                    m_run_home(self, s, h, HomeEvent::PersistDone { seq });
+                }
+                MTr::BeginMigration => {
+                    self.mig_pending = false;
+                    m_run_home(self, s, SRC, HomeEvent::BeginMigration { to: TGT });
+                }
+                MTr::AppReq(kind) => {
+                    self.r_app = App::Waiting(kind);
+                    self.r_req_budget -= 1;
+                    self.r_inflight = true;
+                    let home = self.r_home;
+                    if self.alive(home) {
+                        self.links[REQ][home].push_back(MFrame::Coherence {
+                            msg: Msg::request(kind, 0),
+                            write: None,
+                        });
+                    }
+                }
+                MTr::WriteHit => {
+                    self.r_req_budget -= 1;
+                    self.r_val = self.next_val;
+                    self.next_val += 1;
+                    self.r_dirty = true;
+                }
+                MTr::Evict => {
+                    self.r_evict_budget -= 1;
+                    let val = self.r_val;
+                    let state = self.r_state;
+                    self.r_state = LocalState::Invalid;
+                    self.r_dirty = false;
+                    // Evict notices go to the node the requester believes is
+                    // home; a migration recall crossing with this is exactly
+                    // the race the protocol must absorb. An Exclusive line is
+                    // the directory's Dirty owner whether or not it was
+                    // actually written, so its eviction is always a writeback.
+                    let home = self.r_home;
+                    if self.alive(home) {
+                        self.links[REQ][home].push_back(if state == LocalState::Exclusive {
+                            writeback(val)
+                        } else {
+                            MFrame::Coherence {
+                                msg: Msg::EvictNotice,
+                                write: None,
+                            }
+                        });
+                    }
+                }
+                MTr::Kill {
+                    victim,
+                    keep,
+                    flush_disk,
+                } => {
+                    self.kill_budget -= 1;
+                    if victim < 2 {
+                        if let Some((seq, val)) = self.pending_persist[victim].take() {
+                            if flush_disk && seq > self.log[victim].0 {
+                                self.log[victim] = (seq, val);
+                            }
+                        }
+                        self.homes[victim] = None;
+                    } else {
+                        self.r_alive = false;
+                        self.r_state = LocalState::Invalid;
+                        self.r_dirty = false;
+                        self.r_app = App::Idle;
+                        self.r_inflight = false;
+                        self.r_req_budget = 0;
+                        self.r_evict_budget = 0;
+                    }
+                    // Inbound links to the corpse are never consumed.
+                    for from in 0..3 {
+                        if from != victim {
+                            self.links[from][victim].clear();
+                        }
+                    }
+                    // Outgoing links: an arbitrary prefix survives, then the
+                    // quorum-confirmed Down marker (always last, FIFO).
+                    for (i, (from, to)) in out_links(victim).into_iter().enumerate() {
+                        self.links[from][to].truncate(keep[i]);
+                        if self.alive(to) {
+                            self.links[from][to].push_back(MFrame::Down { dead: victim });
+                        } else {
+                            self.links[from][to].clear();
                         }
                     }
                 }
             }
         }
-        out
-    }
 
-    fn m_label(w: &MigWorld, tr: MTr) -> String {
-        let name = |n: usize| match n {
-            SRC => "src",
-            TGT => "tgt",
-            _ => "req",
-        };
-        match tr {
-            MTr::Deliver { from, to } => format!(
-                "deliver {}->{}: {:?}",
-                name(from),
-                name(to),
-                w.links[from][to].front().unwrap()
-            ),
-            MTr::DrainHome(h) => format!("{} home drain completes", name(h)),
-            MTr::PersistDone(h) => format!(
-                "{} disk completes persist {:?}",
-                name(h),
-                w.pending_persist[h].unwrap()
-            ),
-            MTr::BeginMigration => "BeginMigration(src -> tgt) injected".to_string(),
-            MTr::AppReq(k) => format!("req app requests {k:?} from {}", name(w.r_home)),
-            MTr::WriteHit => "req fast-path write (Exclusive hit)".to_string(),
-            MTr::Evict => "eviction scan hits req".to_string(),
-            MTr::Kill {
-                victim,
-                keep,
-                flush_disk,
-            } => format!(
-                "KILL {} (kept prefixes {keep:?}, pending persist {})",
-                name(victim),
-                if flush_disk { "flushed" } else { "lost" }
-            ),
+        /// §15 safety, checked in every reachable state.
+        fn check_safety(&self, s: &mut Search<Self>) {
+            let src_auth = self.homes[SRC]
+                .as_ref()
+                .is_some_and(|h| h.m.migrated_to().is_none() && !h.departed);
+            let tgt_auth = self.homes[TGT].as_ref().is_some_and(|h| h.adopted);
+            if src_auth && tgt_auth {
+                s.fail(self, "two homes simultaneously authoritative");
+            }
+            // Executor/machine agreement on departure.
+            if let Some(h) = &self.homes[SRC] {
+                if h.departed != h.m.migrated_to().is_some() {
+                    s.fail(self, "departed flag out of sync with migrated_to");
+                }
+            }
+            // No acked write lost (durable): the newest acknowledged value is
+            // recoverable — in a live authoritative home's image, or in the
+            // log record best-epoch-wins replay would pick.
+            if self.durable {
+                let recoverable = if src_auth {
+                    self.img[SRC]
+                } else if tgt_auth {
+                    self.img[TGT]
+                } else if self.log[TGT].0 >= self.log[SRC].0 {
+                    self.log[TGT].1
+                } else {
+                    self.log[SRC].1
+                };
+                if recoverable < self.acked_val {
+                    s.fail(
+                        self,
+                        &format!(
+                            "acked write lost: acked value {} but only {recoverable} recoverable",
+                            self.acked_val
+                        ),
+                    );
+                }
+            }
+        }
+
+        /// Liveness at quiescence: nothing parked forever.
+        fn check_quiescence(&self, s: &mut Search<Self>) {
+            if self.r_alive && matches!(self.r_app, App::Waiting(_)) {
+                s.fail(self, "requester app parked forever at quiescence");
+            }
+            for h in 0..2 {
+                if let Some(home) = &self.homes[h] {
+                    if !home.m.transient().is_none() {
+                        s.fail(self, &format!("home {h} transient pending at quiescence"));
+                    }
+                    if home.m.pending_len() != 0 {
+                        s.fail(
+                            self,
+                            &format!("home {h} still holds parked requests at quiescence"),
+                        );
+                    }
+                }
+            }
+            let departed = self.homes[SRC].as_ref().is_some_and(|h| h.departed);
+            let adopted = self.homes[TGT].as_ref().is_some_and(|h| h.adopted);
+            if departed && adopted {
+                s.ck.completed += 1;
+            }
+            // A target death must leave the source authoritative again.
+            if self.homes[TGT].is_none() && !self.mig_pending {
+                if let Some(src) = &self.homes[SRC] {
+                    if src.m.migrated_to().is_none() {
+                        s.ck.aborted += 1;
+                    }
+                }
+            }
         }
     }
 
     /// Feed one event to home `h`'s machine and execute its actions.
-    fn m_run_home(w: &mut MigWorld, ck: &mut MCk, trace: &[String], h: usize, ev: HomeEvent<u32>) {
+    fn m_run_home(w: &mut MigWorld, s: &mut Search<MigWorld>, h: usize, ev: HomeEvent<u32>) {
         let actions = w.homes[h].as_mut().unwrap().m.on_event(0, 0, ev);
         for a in actions {
             match a {
                 HomeAction::ChargeDirUpdate | HomeAction::Trace(_) => {}
-                HomeAction::Wake(_) => {
-                    mfail(ck, trace, w, "home woke a local waiter (none modeled)")
-                }
+                HomeAction::Wake(_) => s.fail(w, "home woke a local waiter (none modeled)"),
                 HomeAction::SendFill { to, exclusive, .. } => {
                     let fill = if exclusive {
                         Msg::FillExclusive
                     } else {
                         Msg::FillShared
                     };
-                    m_send(w, ck, trace, h, to, fill, Some(w.img[h]));
+                    m_send(w, s, h, to, fill, Some(w.img[h]));
                 }
                 HomeAction::Send {
                     msg:
                         Msg::GrantOperated { .. } | Msg::DowngradeDirty | Msg::RecallOperated { .. },
                     ..
                 }
-                | HomeAction::ApplyFlushData { .. } => mfail(
-                    ck,
-                    trace,
-                    w,
-                    "unreachable action for a Read/Write-only world",
-                ),
+                | HomeAction::ApplyFlushData { .. } => {
+                    s.fail(w, "unreachable action for a Read/Write-only world")
+                }
                 HomeAction::Send {
                     to,
                     msg: msg @ (Msg::MigrateForward { .. } | Msg::HomeMoved { .. }),
@@ -2776,7 +2850,7 @@ mod migration {
                     // corpse is lost (the requester's timeout surfaces the
                     // unavailability).
                     if matches!(msg, Msg::MigrateForward { .. }) {
-                        ck.forwards += 1;
+                        s.ck.forwards += 1;
                     }
                     if w.alive(to) {
                         w.links[h][to].push_back(MFrame::Coherence { msg, write: None });
@@ -2790,49 +2864,45 @@ mod migration {
                     // the hand-off once its log holds the transferred image
                     // at (or past) the fence epoch.
                     if w.durable && w.log[TGT].0 < mig_epoch {
-                        mfail(
-                            ck,
-                            trace,
+                        s.fail(
                             w,
                             "durable target acked the hand-off before logging the image",
                         );
                     }
-                    m_send(w, ck, trace, h, to, Msg::MigrateAck { mig_epoch }, None);
+                    m_send(w, s, h, to, Msg::MigrateAck { mig_epoch }, None);
                 }
-                HomeAction::Send { to, msg } => m_send(w, ck, trace, h, to, msg, None),
+                HomeAction::Send { to, msg } => m_send(w, s, h, to, msg, None),
                 HomeAction::SetHomeLocal { state, tag } => {
                     w.homes[h].as_mut().unwrap().dentry = (state, tag);
                 }
                 HomeAction::StartHomeDrain { target, tag } => {
                     let home = w.homes[h].as_mut().unwrap();
                     if home.draining {
-                        mfail(ck, trace, w, "overlapping home drains");
+                        s.fail(w, "overlapping home drains");
                     }
                     home.dentry = (target, tag);
                     home.draining = true;
                 }
-                HomeAction::ScheduleRetry { .. } => {
-                    mfail(ck, trace, w, "grace retry scheduled with grace=0")
-                }
+                HomeAction::ScheduleRetry { .. } => s.fail(w, "grace retry scheduled with grace=0"),
                 HomeAction::PersistChunk { seq } => {
                     if !w.durable {
-                        mfail(ck, trace, w, "non-durable machine emitted PersistChunk");
+                        s.fail(w, "non-durable machine emitted PersistChunk");
                     }
                     if w.pending_persist[h].is_some() {
-                        mfail(ck, trace, w, "two persists pending at once");
+                        s.fail(w, "two persists pending at once");
                     }
                     w.pending_persist[h] = Some((seq, w.img[h]));
                 }
                 HomeAction::TransferChunk { to, mig_epoch } => {
                     if h != SRC || to != TGT {
-                        mfail(ck, trace, w, "transfer outside the modeled migration");
+                        s.fail(w, "transfer outside the modeled migration");
                     }
                     let data = Msg::MigrateData { mig_epoch };
-                    m_send(w, ck, trace, SRC, TGT, data, Some(w.img[SRC]));
+                    m_send(w, s, SRC, TGT, data, Some(w.img[SRC]));
                 }
                 HomeAction::DepartChunk { to, mig_epoch } => {
                     if h != SRC || to != TGT {
-                        mfail(ck, trace, w, "departure outside the modeled migration");
+                        s.fail(w, "departure outside the modeled migration");
                     }
                     w.homes[h].as_mut().unwrap().departed = true;
                     // HomeMoved broadcast (the runtime's broadcast_home_moved).
@@ -2842,7 +2912,7 @@ mod migration {
                 }
                 HomeAction::AdoptChunk { mig_epoch } => {
                     if h != TGT {
-                        mfail(ck, trace, w, "adoption outside the modeled migration");
+                        s.fail(w, "adoption outside the modeled migration");
                     }
                     let home = w.homes[h].as_mut().unwrap();
                     home.adopted = true;
@@ -2852,9 +2922,9 @@ mod migration {
                     }
                 }
                 HomeAction::Count(c) => match c {
-                    Counter::MigrationsOut => ck.migrations_out += 1,
-                    Counter::MigrationsIn => ck.migrations_in += 1,
-                    Counter::ParkedReplays => ck.parked_replays += 1,
+                    Counter::MigrationsOut => s.ck.migrations_out += 1,
+                    Counter::MigrationsIn => s.ck.migrations_in += 1,
+                    Counter::ParkedReplays => s.ck.parked_replays += 1,
                     _ => {}
                 },
             }
@@ -2878,17 +2948,14 @@ mod migration {
     /// are recovery bugs (`forget_peer`'s contract).
     fn m_send(
         w: &mut MigWorld,
-        ck: &mut MCk,
-        trace: &[String],
+        s: &mut Search<MigWorld>,
         from: usize,
         to: usize,
         msg: Msg,
         write: Option<u64>,
     ) {
         if w.homes[from].as_ref().unwrap().knows_dead[to] {
-            mfail(
-                ck,
-                trace,
+            s.fail(
                 w,
                 &format!("home {from} sent {msg:?} to node {to} it knows is dead"),
             );
@@ -2915,8 +2982,7 @@ mod migration {
 
     fn m_deliver_to_home(
         w: &mut MigWorld,
-        ck: &mut MCk,
-        trace: &[String],
+        s: &mut Search<MigWorld>,
         h: usize,
         from: usize,
         frame: MFrame,
@@ -2930,9 +2996,7 @@ mod migration {
                 }
                 match msg.deliver(from) {
                     Delivery::Home(ev) => ev,
-                    Delivery::Cache(_) => {
-                        mfail(ck, trace, w, "home received a remote-only message")
-                    }
+                    Delivery::Cache(_) => s.fail(w, "home received a remote-only message"),
                 }
             }
             MFrame::Down { dead } => {
@@ -2940,30 +3004,17 @@ mod migration {
                 home.knows_dead[dead] = true;
                 let epoch = home.view_epoch + 1;
                 home.view_epoch = epoch;
-                let survivor = if h == SRC { "src" } else { "tgt" };
-                let victim = match dead {
-                    SRC => "src",
-                    TGT => "tgt",
-                    _ => "req",
-                };
-                ck.kill_phases.insert((victim, m_phase(&home.m)));
-                let _ = survivor;
+                s.ck.kill_phases.insert((name(dead), m_phase(&home.m)));
                 HomeEvent::PeerDown {
                     dead,
                     view_epoch: epoch,
                 }
             }
         };
-        m_run_home(w, ck, trace, h, ev);
+        m_run_home(w, s, h, ev);
     }
 
-    fn m_deliver_to_req(
-        w: &mut MigWorld,
-        ck: &mut MCk,
-        trace: &[String],
-        from: usize,
-        frame: MFrame,
-    ) {
+    fn m_deliver_to_req(w: &mut MigWorld, s: &mut Search<MigWorld>, from: usize, frame: MFrame) {
         let (msg, write) = match frame {
             MFrame::Coherence { msg, write } => (msg, write),
             MFrame::Down { dead } => {
@@ -3047,7 +3098,7 @@ mod migration {
                 // else: crossed with our own eviction; the in-flight
                 // writeback/evict-notice satisfies the recall.
             }
-            other => mfail(ck, trace, w, &format!("requester received {other:?}")),
+            other => s.fail(w, &format!("requester received {other:?}")),
         }
     }
 
@@ -3059,267 +3110,6 @@ mod migration {
         }
     }
 
-    fn m_apply(w: &mut MigWorld, ck: &mut MCk, trace: &[String], tr: MTr) {
-        match tr {
-            MTr::Deliver { from, to } => {
-                let msg = w.links[from][to].pop_front().unwrap();
-                if to == REQ {
-                    m_deliver_to_req(w, ck, trace, from, msg);
-                } else {
-                    m_deliver_to_home(w, ck, trace, to, from, msg);
-                }
-            }
-            MTr::DrainHome(h) => {
-                w.homes[h].as_mut().unwrap().draining = false;
-                m_run_home(w, ck, trace, h, HomeEvent::Drained);
-            }
-            MTr::PersistDone(h) => {
-                let (seq, val) = w.pending_persist[h].take().unwrap();
-                if seq > w.log[h].0 {
-                    w.log[h] = (seq, val);
-                }
-                // Record the acknowledgement for the no-lost-write theorem
-                // *before* the protocol resumes, mirroring the machine's
-                // own completion checks.
-                let awaited = match w.homes[h].as_ref().unwrap().m.transient() {
-                    darray::protocol::Transient::AwaitPersist { seq: s } => seq >= *s,
-                    darray::protocol::Transient::MigratingIn {
-                        mig_epoch,
-                        phase: darray::protocol::MigInPhase::Persist,
-                        ..
-                    } => seq >= *mig_epoch,
-                    _ => false,
-                };
-                if awaited {
-                    w.acked_val = w.acked_val.max(val);
-                }
-                m_run_home(w, ck, trace, h, HomeEvent::PersistDone { seq });
-            }
-            MTr::BeginMigration => {
-                w.mig_pending = false;
-                m_run_home(w, ck, trace, SRC, HomeEvent::BeginMigration { to: TGT });
-            }
-            MTr::AppReq(kind) => {
-                w.r_app = App::Waiting(kind);
-                w.r_req_budget -= 1;
-                w.r_inflight = true;
-                let home = w.r_home;
-                if w.alive(home) {
-                    w.links[REQ][home].push_back(MFrame::Coherence {
-                        msg: Msg::request(kind, 0),
-                        write: None,
-                    });
-                }
-            }
-            MTr::WriteHit => {
-                w.r_req_budget -= 1;
-                w.r_val = w.next_val;
-                w.next_val += 1;
-                w.r_dirty = true;
-            }
-            MTr::Evict => {
-                w.r_evict_budget -= 1;
-                let val = w.r_val;
-                let state = w.r_state;
-                w.r_state = LocalState::Invalid;
-                w.r_dirty = false;
-                // Evict notices go to the node the requester believes is
-                // home; a migration recall crossing with this is exactly
-                // the race the protocol must absorb. An Exclusive line is
-                // the directory's Dirty owner whether or not it was
-                // actually written, so its eviction is always a writeback.
-                let home = w.r_home;
-                if w.alive(home) {
-                    w.links[REQ][home].push_back(if state == LocalState::Exclusive {
-                        writeback(val)
-                    } else {
-                        MFrame::Coherence {
-                            msg: Msg::EvictNotice,
-                            write: None,
-                        }
-                    });
-                }
-            }
-            MTr::Kill {
-                victim,
-                keep,
-                flush_disk,
-            } => {
-                w.kill_budget -= 1;
-                if victim < 2 {
-                    if let Some((seq, val)) = w.pending_persist[victim].take() {
-                        if flush_disk && seq > w.log[victim].0 {
-                            w.log[victim] = (seq, val);
-                        }
-                    }
-                    w.homes[victim] = None;
-                } else {
-                    w.r_alive = false;
-                    w.r_state = LocalState::Invalid;
-                    w.r_dirty = false;
-                    w.r_app = App::Idle;
-                    w.r_inflight = false;
-                    w.r_req_budget = 0;
-                    w.r_evict_budget = 0;
-                }
-                // Inbound links to the corpse are never consumed.
-                for from in 0..3 {
-                    if from != victim {
-                        w.links[from][victim].clear();
-                    }
-                }
-                // Outgoing links: an arbitrary prefix survives, then the
-                // quorum-confirmed Down marker (always last, FIFO).
-                for (i, (from, to)) in out_links(victim).into_iter().enumerate() {
-                    w.links[from][to].truncate(keep[i]);
-                    if w.alive(to) {
-                        w.links[from][to].push_back(MFrame::Down { dead: victim });
-                    } else {
-                        w.links[from][to].clear();
-                    }
-                }
-            }
-        }
-    }
-
-    /// §15 safety, checked in every reachable state.
-    fn m_check_safety(w: &MigWorld, ck: &mut MCk, trace: &[String]) {
-        let src_auth = w.homes[SRC]
-            .as_ref()
-            .is_some_and(|h| h.m.migrated_to().is_none() && !h.departed);
-        let tgt_auth = w.homes[TGT].as_ref().is_some_and(|h| h.adopted);
-        if src_auth && tgt_auth {
-            mfail(ck, trace, w, "two homes simultaneously authoritative");
-        }
-        // Executor/machine agreement on departure.
-        if let Some(h) = &w.homes[SRC] {
-            if h.departed != h.m.migrated_to().is_some() {
-                mfail(ck, trace, w, "departed flag out of sync with migrated_to");
-            }
-        }
-        // No acked write lost (durable): the newest acknowledged value is
-        // recoverable — in a live authoritative home's image, or in the
-        // log record best-epoch-wins replay would pick.
-        if w.durable {
-            let recoverable = if src_auth {
-                w.img[SRC]
-            } else if tgt_auth {
-                w.img[TGT]
-            } else if w.log[TGT].0 >= w.log[SRC].0 {
-                w.log[TGT].1
-            } else {
-                w.log[SRC].1
-            };
-            if recoverable < w.acked_val {
-                mfail(
-                    ck,
-                    trace,
-                    w,
-                    &format!(
-                        "acked write lost: acked value {} but only {recoverable} recoverable",
-                        w.acked_val
-                    ),
-                );
-            }
-        }
-    }
-
-    /// Liveness at quiescence: nothing parked forever.
-    fn m_check_quiescence(w: &MigWorld, ck: &mut MCk, trace: &[String]) {
-        if w.r_alive && matches!(w.r_app, App::Waiting(_)) {
-            mfail(ck, trace, w, "requester app parked forever at quiescence");
-        }
-        for h in 0..2 {
-            if let Some(home) = &w.homes[h] {
-                if !home.m.transient().is_none() {
-                    mfail(
-                        ck,
-                        trace,
-                        w,
-                        &format!("home {h} transient pending at quiescence"),
-                    );
-                }
-                if home.m.pending_len() != 0 {
-                    mfail(
-                        ck,
-                        trace,
-                        w,
-                        &format!("home {h} still holds parked requests at quiescence"),
-                    );
-                }
-            }
-        }
-        let departed = w.homes[SRC].as_ref().is_some_and(|h| h.departed);
-        let adopted = w.homes[TGT].as_ref().is_some_and(|h| h.adopted);
-        if departed && adopted {
-            ck.completed += 1;
-        }
-        // A target death must leave the source authoritative again.
-        if w.homes[TGT].is_none() && !w.mig_pending {
-            if let Some(src) = &w.homes[SRC] {
-                if src.m.migrated_to().is_none() {
-                    ck.aborted += 1;
-                }
-            }
-        }
-    }
-
-    fn m_state_key(w: &MigWorld) -> u64 {
-        let mut h = std::hash::DefaultHasher::new();
-        format!("{w:?}").hash(&mut h);
-        h.finish()
-    }
-
-    fn m_dfs(w: &MigWorld, depth: usize, ck: &mut MCk, trace: &mut Vec<String>) {
-        if !ck.seen.insert(m_state_key(w)) {
-            return;
-        }
-        if ck.seen.len() > ck.max_states {
-            mfail(
-                ck,
-                trace,
-                w,
-                "state-space budget exceeded (raise DARRAY_MC_MAX_STATES)",
-            );
-        }
-        m_check_safety(w, ck, trace);
-        let internal = m_internal(w);
-        if internal.is_empty() {
-            ck.quiescent += 1;
-            m_check_quiescence(w, ck, trace);
-        }
-        if depth >= ck.max_depth {
-            ck.depth_pruned += 1;
-            return;
-        }
-        let mut all = internal;
-        all.extend(m_external(w));
-        for tr in all {
-            let mut child = w.clone();
-            trace.push(m_label(w, tr));
-            m_apply(&mut child, ck, trace, tr);
-            m_dfs(&child, depth + 1, ck, trace);
-            trace.pop();
-        }
-    }
-
-    fn m_summarize(ck: &MCk, name: &str) {
-        println!(
-            "[{name}] states={} quiescent={} depth_pruned={} completed={} aborted={} \
-             migrations_out={} migrations_in={} parked_replays={} forwards={} kill_phases={:?}",
-            ck.seen.len(),
-            ck.quiescent,
-            ck.depth_pruned,
-            ck.completed,
-            ck.aborted,
-            ck.migrations_out,
-            ck.migrations_in,
-            ck.parked_replays,
-            ck.forwards,
-            ck.kill_phases,
-        );
-    }
-
     /// Non-durable search: one migration, a requester issuing two
     /// Read/Write requests plus one eviction, and one kill of source,
     /// target, or requester injected at every point (with every surviving
@@ -3327,20 +3117,26 @@ mod migration {
     /// and covers kills in every non-persist migration phase.
     #[test]
     fn migration_model_single_authority() {
-        let mut ck = MCk::new();
-        let w = MigWorld::new(2, 1, 1, false);
-        let mut trace = Vec::new();
-        m_dfs(&w, 0, &mut ck, &mut trace);
-        m_summarize(&ck, "migration");
+        let s = explore("migration", MigWorld::new(2, 1, 1, false));
+        assert_eq!(s.seen.len(), 7_008);
 
-        assert!(ck.completed > 0, "no interleaving committed the migration");
-        assert!(ck.aborted > 0, "no target death was ever absorbed by abort");
-        assert!(ck.migrations_out > 0 && ck.migrations_in > 0);
         assert!(
-            ck.parked_replays > 0,
+            s.ck.completed > 0,
+            "no interleaving committed the migration"
+        );
+        assert!(
+            s.ck.aborted > 0,
+            "no target death was ever absorbed by abort"
+        );
+        assert!(s.ck.migrations_out > 0 && s.ck.migrations_in > 0);
+        assert!(
+            s.ck.parked_replays > 0,
             "no request was ever parked behind the fence and replayed"
         );
-        assert!(ck.forwards > 0, "no stale-home request was ever forwarded");
+        assert!(
+            s.ck.forwards > 0,
+            "no stale-home request was ever forwarded"
+        );
         // Kills must land in every migration phase of the survivor that
         // observes them: the source sees target/requester deaths in every
         // outbound phase, the target sees source deaths while awaiting the
@@ -3351,26 +3147,21 @@ mod migration {
             "MigratingOut:AwaitAck",
         ] {
             assert!(
-                ck.kill_phases.contains(&("tgt", phase)),
+                s.ck.kill_phases.contains(&("tgt", phase)),
                 "no target kill consumed during {phase}: {:?}",
-                ck.kill_phases
+                s.ck.kill_phases
             );
         }
         assert!(
-            ck.kill_phases.contains(&("req", "MigratingOut:Recall")),
+            s.ck.kill_phases.contains(&("req", "MigratingOut:Recall")),
             "no requester kill consumed during the migration recall: {:?}",
-            ck.kill_phases
+            s.ck.kill_phases
         );
         assert!(
-            ck.kill_phases.contains(&("src", "MigratingIn:AwaitCommit")),
+            s.ck.kill_phases
+                .contains(&("src", "MigratingIn:AwaitCommit")),
             "no source kill consumed while the target awaited the commit: {:?}",
-            ck.kill_phases
-        );
-        let min_states = env_usize("DARRAY_MC_MIN_STATES", 2_000);
-        assert!(
-            ck.seen.len() >= min_states,
-            "explored only {} states (< {min_states}); the model lost coverage",
-            ck.seen.len()
+            s.ck.kill_phases
         );
     }
 
@@ -3380,22 +3171,23 @@ mod migration {
     /// target's persist phase.
     #[test]
     fn migration_model_durable_no_lost_write() {
-        let mut ck = MCk::new();
-        let w = MigWorld::new(2, 1, 1, true);
-        let mut trace = Vec::new();
-        m_dfs(&w, 0, &mut ck, &mut trace);
-        m_summarize(&ck, "migration-durable");
+        let s = explore("migration-durable", MigWorld::new(2, 1, 1, true));
+        assert_eq!(s.seen.len(), 8_929);
 
-        assert!(ck.completed > 0, "no interleaving committed the migration");
         assert!(
-            ck.kill_phases.contains(&("src", "MigratingIn:Persist")),
-            "no source kill consumed during the target's adopt-persist: {:?}",
-            ck.kill_phases
+            s.ck.completed > 0,
+            "no interleaving committed the migration"
         );
         assert!(
-            ck.kill_phases.contains(&("src", "MigratingIn:AwaitCommit")),
+            s.ck.kill_phases.contains(&("src", "MigratingIn:Persist")),
+            "no source kill consumed during the target's adopt-persist: {:?}",
+            s.ck.kill_phases
+        );
+        assert!(
+            s.ck.kill_phases
+                .contains(&("src", "MigratingIn:AwaitCommit")),
             "no source kill consumed while the target awaited the commit: {:?}",
-            ck.kill_phases
+            s.ck.kill_phases
         );
         for phase in [
             "MigratingOut:Recall",
@@ -3403,16 +3195,92 @@ mod migration {
             "MigratingOut:AwaitAck",
         ] {
             assert!(
-                ck.kill_phases.contains(&("tgt", phase)),
+                s.ck.kill_phases.contains(&("tgt", phase)),
                 "no target kill consumed during {phase}: {:?}",
-                ck.kill_phases
+                s.ck.kill_phases
             );
         }
-        let min_states = env_usize("DARRAY_MC_MIN_STATES", 2_000);
-        assert!(
-            ck.seen.len() >= min_states,
-            "explored only {} states (< {min_states}); the model lost coverage",
-            ck.seen.len()
-        );
+    }
+}
+
+// ===========================================================================
+// Engine self-test
+// ===========================================================================
+
+/// The engine itself, on a toy world: a counter that steps by one
+/// (internal) or by two (external) up to `top`, with a safety violation
+/// planted at `bad`.
+mod engine_self_test {
+    use super::*;
+
+    #[derive(Debug, Clone, Hash)]
+    struct Counter {
+        n: u8,
+        top: u8,
+        bad: u8,
+    }
+
+    impl Model for Counter {
+        type Tr = u8;
+        type Ck = ();
+
+        fn internal(&self) -> Vec<u8> {
+            (self.n < self.top).then_some(1).into_iter().collect()
+        }
+
+        fn external(&self) -> Vec<u8> {
+            (self.n + 2 <= self.top).then_some(2).into_iter().collect()
+        }
+
+        fn label(&self, step: u8) -> String {
+            format!("{} -> {}", self.n, self.n + step)
+        }
+
+        fn apply(&mut self, _: &mut Search<Self>, step: u8) {
+            self.n += step;
+        }
+
+        fn check_safety(&self, s: &mut Search<Self>) {
+            if self.n == self.bad {
+                s.fail(self, "planted violation");
+            }
+        }
+
+        fn check_quiescence(&self, s: &mut Search<Self>) {
+            if self.n != self.top {
+                s.fail(self, "quiescent below the top");
+            }
+        }
+    }
+
+    /// Search a counter from 0 without writing a report file, returning
+    /// its state and quiescent counts, or its panic message.
+    fn run(top: u8, bad: u8) -> Result<(usize, usize), String> {
+        std::panic::catch_unwind(move || {
+            let mut s = Search::new(None);
+            s.dfs(&Counter { n: 0, top, bad }, 0);
+            (s.seen.len(), s.quiescent)
+        })
+        .map_err(|e| *e.downcast::<String>().unwrap())
+    }
+
+    #[test]
+    fn clean_world_is_explored_exactly() {
+        assert_eq!(run(10, 11), Ok((11, 1)));
+    }
+
+    #[test]
+    fn planted_violation_is_reported_with_its_trace() {
+        let msg = run(10, 4).unwrap_err();
+        assert!(msg.starts_with("model check failed: planted violation\n"));
+        let steps = "counterexample trace (4 steps):\n    1. 0 -> 1\n    2. 1 -> 2\n    \
+                     3. 2 -> 3\n    4. 3 -> 4\nfinal world:\n";
+        assert!(msg.contains(steps), "{msg}");
+    }
+
+    #[test]
+    fn reaching_the_depth_bound_fails() {
+        let msg = run(200, 255).unwrap_err();
+        assert!(msg.starts_with("model check failed: depth bound reached"));
     }
 }
