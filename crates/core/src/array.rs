@@ -6,7 +6,7 @@
 //! check `delay_flag`, take a reference, check rights, touch the data,
 //! release. A miss submits a request to the runtime through the
 //! local-request queue and blocks (in virtual time) until filled, then
-//! retries.
+//! retries. `prefetch` submits the same request without blocking.
 
 use std::marker::PhantomData;
 use std::sync::Arc;
@@ -20,6 +20,7 @@ use crate::element::Element;
 use crate::error::DArrayError;
 use crate::msg::{ChunkId, LocalKind, LocalReq, LockKind, RtMsg};
 use crate::op::OpId;
+use crate::pin::PinMode;
 use crate::protocol::Kind;
 use crate::shared::{data_location, ArrayShared, ClusterShared};
 use crate::stats::NodeStats;
@@ -111,6 +112,12 @@ impl<T: Element> DArray<T> {
     /// wait for completion (the slow path of Figure 4, lines 10-12).
     pub(crate) fn slow_request(&self, ctx: &mut Ctx, chunk: usize, kind: LocalKind) {
         NodeStats::bump(&self.shared.stats[self.node].slow_misses);
+        self.submit(ctx, chunk, kind).wait(ctx);
+    }
+
+    /// Submit a request on `chunk` to the runtime thread that owns it and
+    /// return the cell the runtime notifies once the request completes.
+    fn submit(&self, ctx: &mut Ctx, chunk: usize, kind: LocalKind) -> WaitCell {
         let waiter = WaitCell::new();
         let chunk = chunk as ChunkId;
         self.shared.rt_mailbox(self.node, self.arr.id, chunk).send(
@@ -123,7 +130,60 @@ impl<T: Element> DArray<T> {
             }),
             0,
         );
-        waiter.wait(ctx);
+        waiter
+    }
+
+    /// Hint that this node will soon access the chunk holding `index` in
+    /// `mode` (an extension beyond Figure 3). Sends the runtime the request
+    /// a miss on that chunk would send, then returns without waiting, so
+    /// the fill, Operate grant or recall is in flight while the caller
+    /// works elsewhere. A later access waits only for what is still
+    /// outstanding: the runtime queues it behind the hinted request.
+    ///
+    /// Nothing is sent when the dentry already permits `mode`, a transition
+    /// is in flight on the chunk, a protocol fault is latched, or the
+    /// chunk's home is declared down; the later access reports any error.
+    /// The hint charges its rights check (a dentry load and branches), and
+    /// a request it sends counts in `prefetches`, not in `slow_misses`.
+    ///
+    /// ```
+    /// use darray::{ArrayOptions, Cluster, ClusterConfig, PinMode, Sim, SimConfig};
+    /// Sim::new(SimConfig::default()).run(|ctx| {
+    ///     let cluster = Cluster::new(ctx, ClusterConfig::test_config(2));
+    ///     let arr = cluster.alloc_with::<u64>(1024, ArrayOptions::default(), |i| i as u64);
+    ///     cluster.run(ctx, 1, move |ctx, env| {
+    ///         let a = arr.on(env.node);
+    ///         // Request the other node's chunk, work, then read it.
+    ///         let remote = if env.node == 0 { 512 } else { 0 };
+    ///         a.prefetch(ctx, remote, PinMode::Read);
+    ///         ctx.sleep(50_000);
+    ///         assert_eq!(a.get(ctx, remote + 7), remote as u64 + 7);
+    ///     });
+    ///     // The fills arrived before the reads: neither read missed.
+    ///     assert_eq!((0..2).map(|n| cluster.stats(n).slow_misses).sum::<u64>(), 0);
+    ///     cluster.shutdown(ctx);
+    /// });
+    /// ```
+    pub fn prefetch(&self, ctx: &mut Ctx, index: usize, mode: PinMode) {
+        assert!(index < self.len(), "index {index} out of bounds");
+        let chunk = self.arr.layout.chunk_of(index);
+        let d = self.dentry(chunk);
+        let cost = &self.shared.cfg.cost;
+        ctx.charge(cost.atomic_load_ns + 2 * cost.branch_ns);
+        let kind = mode.kind();
+        let state = d.state();
+        if d.delay_set() || state.in_flight() || state.permits(kind, || d.op_tag()) {
+            return;
+        }
+        if self.shared.protocol_fault.get().is_some() {
+            return;
+        }
+        let home = self.arr.home_on(self.node, chunk);
+        if home != self.node && self.shared.is_peer_down(self.node, home) {
+            return;
+        }
+        NodeStats::bump(&self.shared.stats[self.node].prefetches);
+        self.submit(ctx, chunk, LocalKind::Access(kind));
     }
 
     /// Fast-path access skeleton: acquire rights for `kind`, run `body` on
@@ -468,7 +528,10 @@ mod tests {
     use std::ops::Range;
 
     use crate::msg::{LocalKind, RtMsg};
-    use crate::{ArrayOptions, Cluster, ClusterConfig, LockKind, NodeId};
+    use crate::{
+        ArrayOptions, Cluster, ClusterConfig, DArrayError, FaultConfig, FaultPlan, LockKind,
+        NodeId, NodeStatsSnapshot, PinMode,
+    };
     use dsim::{Sim, SimConfig};
 
     /// The chunk windows of `range` over a 3-node array of `len` elements
@@ -531,6 +594,128 @@ mod tests {
             })
             .collect();
         assert_eq!(homes, [0, 0, 1, 1, 2]);
+    }
+
+    /// Longer than any request's round trip under `test_config`.
+    const PAST_A_ROUND_TRIP: u64 = 50_000;
+
+    /// Run `body` as node 0's application thread on a 2-node cluster with
+    /// one 1,024-element array (chunk 0 homed on node 0, chunk 1 on node
+    /// 1), then return both nodes' counters.
+    fn on_node0(
+        cfg: ClusterConfig,
+        body: impl FnOnce(&mut dsim::Ctx, &Cluster, &crate::DArray<u64>) + Send + 'static,
+    ) -> [NodeStatsSnapshot; 2] {
+        Sim::new(SimConfig::default()).run(move |ctx| {
+            let cluster = Cluster::new(ctx, cfg);
+            let a = cluster.alloc_with::<u64>(1024, ArrayOptions::default(), |i| i as u64);
+            body(ctx, &cluster, &a.on(0));
+            let stats = [cluster.stats(0), cluster.stats(1)];
+            cluster.shutdown(ctx);
+            stats
+        })
+    }
+
+    #[test]
+    fn a_hint_on_rights_already_held_sends_nothing() {
+        on_node0(ClusterConfig::test_config(2), |ctx, cluster, a| {
+            let add = cluster.ops().register_add_u64();
+            a.get(ctx, 512); // chunk 1 is now Shared here
+            let before = [cluster.stats(0), cluster.stats(1)];
+            // The home chunk is Exclusive: every mode is held.
+            for mode in [PinMode::Read, PinMode::Write, PinMode::Operate(add)] {
+                a.prefetch(ctx, 0, mode);
+            }
+            a.prefetch(ctx, 1023, PinMode::Read);
+            ctx.sleep(PAST_A_ROUND_TRIP);
+            assert_eq!([cluster.stats(0), cluster.stats(1)], before);
+            assert_eq!(before[0].prefetches, 0);
+        });
+    }
+
+    /// A hint on a remote Invalid chunk, a round trip of other work, then
+    /// the access: it hits, and the run makes exactly one fill (a read
+    /// fill, or an Operate grant).
+    #[test]
+    fn a_hinted_access_does_not_miss() {
+        for operate in [false, true] {
+            let s = on_node0(ClusterConfig::test_config(2), move |ctx, cluster, a| {
+                let add = cluster.ops().register_add_u64();
+                let mode = if operate {
+                    PinMode::Operate(add)
+                } else {
+                    PinMode::Read
+                };
+                a.prefetch(ctx, 600, mode);
+                ctx.sleep(PAST_A_ROUND_TRIP);
+                if operate {
+                    a.apply(ctx, 600, add, 5);
+                } else {
+                    assert_eq!(a.get(ctx, 600), 600);
+                }
+            });
+            let what = if operate { "apply" } else { "get" };
+            assert_eq!(s[0].slow_misses, 0, "{what}");
+            assert_eq!(s[0].prefetches, 1, "{what}");
+            assert_eq!(s[0].fills + s[1].fills, 1, "{what}");
+        }
+    }
+
+    /// Two hints in a row both reach the runtime before it has served
+    /// either, so both count, but the second finds the first's fill in
+    /// flight and queues behind it: the wire carries one request, exactly
+    /// the traffic of a single hint.
+    #[test]
+    fn two_hints_in_a_row_send_one_request() {
+        let [one, two] = [1, 2].map(|hints| {
+            on_node0(ClusterConfig::test_config(2), move |ctx, _, a| {
+                for _ in 0..hints {
+                    a.prefetch(ctx, 600, PinMode::Read);
+                }
+                ctx.sleep(PAST_A_ROUND_TRIP);
+                assert_eq!(a.get(ctx, 600), 600);
+            })
+        });
+        assert_eq!((one[0].prefetches, two[0].prefetches), (1, 2));
+        assert_eq!((one[0].local_handled, two[0].local_handled), (1, 2));
+        for n in 0..2 {
+            assert_eq!(two[n].fills, one[n].fills, "node {n}");
+            assert_eq!(two[n].frames, one[n].frames, "node {n}");
+            assert_eq!(two[n].rpcs_handled, one[n].rpcs_handled, "node {n}");
+        }
+        assert_eq!(two[0].fills, 1);
+    }
+
+    /// A hint on a chunk whose home is declared down sends nothing, and
+    /// the access still reports the home unavailable.
+    #[test]
+    fn a_hint_to_a_dead_home_sends_nothing() {
+        let mut plan = FaultPlan::new(7);
+        plan.crash_at = vec![(1, 2_000_000)];
+        let mut fc = FaultConfig::new(plan);
+        fc.rpc_timeout_ns = 50_000;
+        fc.max_retries = 3;
+        let mut cfg = ClusterConfig::with_nodes(2);
+        cfg.fault = Some(fc);
+        on_node0(cfg, |ctx, cluster, a| {
+            ctx.sleep(3_000_000);
+            // The first access after the crash times out and the node is
+            // declared down.
+            assert!(matches!(
+                a.try_get(ctx, 512),
+                Err(DArrayError::NodeUnavailable { node: 1, .. })
+            ));
+            let before = cluster.stats(0);
+            a.prefetch(ctx, 700, PinMode::Read);
+            ctx.sleep(PAST_A_ROUND_TRIP);
+            let after = cluster.stats(0);
+            assert_eq!(after.prefetches, before.prefetches);
+            assert_eq!(after.local_handled, before.local_handled);
+            assert!(matches!(
+                a.try_get(ctx, 700),
+                Err(DArrayError::NodeUnavailable { node: 1, .. })
+            ));
+        });
     }
 
     /// A lock request goes with its element's chunk: a lock on element

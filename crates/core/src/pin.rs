@@ -32,7 +32,7 @@ pub enum PinMode {
 
 impl PinMode {
     /// The access the pin holds the chunk's rights for.
-    fn kind(self) -> Kind {
+    pub(crate) fn kind(self) -> Kind {
         match self {
             PinMode::Read => Kind::Read,
             PinMode::Write => Kind::Write,

@@ -266,9 +266,12 @@ counters! {
     ring_hwm: transport, max, band;
     /// Fast-path accesses that succeeded immediately.
     fast_hits: runtime, sum, higher;
-    /// Slow-path requests submitted to the runtime.
+    /// Slow-path requests an application thread submitted to the runtime
+    /// and blocked on.
     slow_misses: runtime, sum, lower;
-    /// Prefetch fills issued.
+    /// Requests sent ahead of use, which no thread waits on: the runtime's
+    /// sequential read prefetches, plus the requests `DArray::prefetch`
+    /// hints send.
     prefetches: runtime, sum, lower;
     /// Lock acquisitions granted by this node's lock tables.
     locks_granted: runtime, sum, lower;

@@ -8,7 +8,7 @@
 use darray::{ArrayOptions, Cluster, Ctx, PinMode, VTime};
 
 use crate::csr::EdgeList;
-use crate::engine::{copy_owned, partition, supersteps, vote, Window};
+use crate::engine::{copy_owned, partition, prefetch_targets, supersteps, vote, walk_owned};
 
 /// Result of a propagation run (CC or BFS).
 pub struct PropagateResult {
@@ -50,16 +50,15 @@ pub(crate) fn min_propagate_darray(
             copy_owned(ctx, g.owned.clone(), src, dst, pin);
             s.env.barrier(ctx);
             // Scatter min contributions along owned out-edges.
-            for w in src.chunk_windows(g.owned.clone()) {
-                let r = Window::open(ctx, src, w.start, PinMode::Read, pin);
-                for u in w {
-                    if let Some(c) = contrib(r.get(ctx, u)) {
-                        for &v in g.neighbors(u) {
-                            dst.apply(ctx, v as usize, min, c);
-                        }
+            prefetch_targets(ctx, g, dst, min);
+            let walk = [(src, PinMode::Read)];
+            walk_owned(ctx, g.owned.clone(), walk, pin, |ctx, [r], u| {
+                if let Some(c) = contrib(r.get(ctx, u)) {
+                    for &v in g.neighbors(u) {
+                        dst.apply(ctx, v as usize, min, c);
                     }
                 }
-            }
+            });
             s.env.barrier(ctx);
             vote(ctx, s.env, &flags, g.owned.clone(), src, dst, pin)
         },

@@ -1,15 +1,17 @@
 //! The DArray graph engine (§5.1) that PageRank, CC, BFS and SSSP run on:
 //! bulk-synchronous supersteps over two double-buffered vertex arrays,
 //! where each phase walks a node's owned vertices one chunk window at a
-//! time. A [`Window`] is the plain array or a pinned chunk (§4.1); `pin`
-//! only chooses which, so each phase is written once for both variants.
+//! time ([`walk_owned`]). A [`Window`] is the plain array or a pinned chunk
+//! (§4.1); `pin` only chooses which, so each phase is written once for
+//! both variants. A walk hints the next window's rights before it opens
+//! the current one, so the next window's recall overlaps this one's work.
 
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use darray::{
-    ArrayOptions, Cluster, Ctx, DArray, Element, GlobalArray, NodeEnv, PinMode, Pinned, VTime,
+    ArrayOptions, Cluster, Ctx, DArray, Element, GlobalArray, NodeEnv, OpId, PinMode, Pinned, VTime,
 };
 use parking_lot::Mutex;
 
@@ -28,13 +30,7 @@ pub(crate) enum Window<'a, T: Element> {
 impl<'a, T: Element> Window<'a, T> {
     /// Open the window of `arr` that holds `start`, pinned in `mode` when
     /// `pin` is set.
-    pub(crate) fn open(
-        ctx: &mut Ctx,
-        arr: &'a DArray<T>,
-        start: usize,
-        mode: PinMode,
-        pin: bool,
-    ) -> Self {
+    fn open(ctx: &mut Ctx, arr: &'a DArray<T>, start: usize, mode: PinMode, pin: bool) -> Self {
         if pin {
             Window::Pinned(arr.pin(ctx, start, mode))
         } else {
@@ -54,6 +50,48 @@ impl<'a, T: Element> Window<'a, T> {
             Window::Plain(a) => a.set(ctx, index, value),
             Window::Pinned(p) => p.set(ctx, index, value),
         }
+    }
+}
+
+/// Walk `owned` one chunk window at a time, calling `body` on each vertex
+/// with that window of every array in `arrays` open in its mode (pinned
+/// when `pin` is set). Before opening window k it hints window k+1 of
+/// every array in the same mode ([`DArray::prefetch`]), so the next
+/// window's recall or fill is in flight while this one is walked.
+pub(crate) fn walk_owned<T: Element, const N: usize>(
+    ctx: &mut Ctx,
+    owned: Range<usize>,
+    arrays: [(&DArray<T>, PinMode); N],
+    pin: bool,
+    mut body: impl FnMut(&mut Ctx, &[Window<'_, T>; N], usize),
+) {
+    let mut windows = arrays[0].0.chunk_windows(owned).peekable();
+    while let Some(w) = windows.next() {
+        if let Some(next) = windows.peek() {
+            for (a, mode) in arrays {
+                a.prefetch(ctx, next.start, mode);
+            }
+        }
+        let open = arrays.map(|(a, mode)| Window::open(ctx, a, w.start, mode, pin));
+        for v in w {
+            body(ctx, &open, v);
+        }
+    }
+}
+
+/// Hint Operate rights under `op` on every chunk of `dst` that another
+/// node homes and this node's out-edges reach ([`LocalGraph::targets`]),
+/// so a scatter's grants are in flight before its first `apply`. Call it
+/// after the barrier that opens the scatter: before it, a target's home
+/// may still be reading the chunk.
+pub(crate) fn prefetch_targets<T: Element>(
+    ctx: &mut Ctx,
+    g: &LocalGraph,
+    dst: &DArray<T>,
+    op: OpId,
+) {
+    for &t in &g.targets {
+        dst.prefetch(ctx, t, PinMode::Operate(op));
     }
 }
 
@@ -164,14 +202,11 @@ pub(crate) fn copy_owned(
     dst: &DArray<u64>,
     pin: bool,
 ) {
-    for w in src.chunk_windows(owned) {
-        let s = Window::open(ctx, src, w.start, PinMode::Read, pin);
-        let d = Window::open(ctx, dst, w.start, PinMode::Write, pin);
-        for v in w {
-            let x = s.get(ctx, v);
-            d.set(ctx, v, x);
-        }
-    }
+    let arrays = [(src, PinMode::Read), (dst, PinMode::Write)];
+    walk_owned(ctx, owned, arrays, pin, |ctx, [s, d], v| {
+        let x = s.get(ctx, v);
+        d.set(ctx, v, x);
+    });
 }
 
 /// The convergence vote: each node checks whether any owned value moved
@@ -194,13 +229,10 @@ pub(crate) fn vote(
     pin: bool,
 ) -> bool {
     let mut changed = false;
-    for w in src.chunk_windows(owned) {
-        let s = Window::open(ctx, src, w.start, PinMode::Read, pin);
-        let d = Window::open(ctx, dst, w.start, PinMode::Read, pin);
-        for v in w {
-            changed |= s.get(ctx, v) != d.get(ctx, v);
-        }
-    }
+    let arrays = [(src, PinMode::Read), (dst, PinMode::Read)];
+    walk_owned(ctx, owned, arrays, pin, |ctx, [s, d], v| {
+        changed |= s.get(ctx, v) != d.get(ctx, v);
+    });
     let flags = flags.on(env.node);
     flags.set(ctx, env.node, changed as u64);
     env.barrier(ctx);
@@ -218,10 +250,13 @@ mod tests {
     use crate::bfs::bfs_darray;
     use crate::cc::cc_darray;
     use crate::csr::EdgeList;
+    use crate::local::LocalGraph;
     use crate::pagerank::pagerank_darray;
     use crate::rmat::rmat;
     use crate::sssp::{random_weights, sssp_darray, EdgeWeights};
-    use darray::{Cluster, ClusterConfig, Ctx, Sim, SimConfig, VTime};
+    use darray::{
+        Cluster, ClusterConfig, Ctx, NodeStatsSnapshot, Sim, SimConfig, VTime, DEFAULT_CHUNK_SIZE,
+    };
 
     /// Runs one engine, returning its time and rounds.
     type Engine = fn(&mut Ctx, &Cluster, &EdgeList, &EdgeWeights, bool) -> (VTime, usize);
@@ -296,6 +331,111 @@ mod tests {
                 pinned.0 < plain.0,
                 "{name}: pin {pinned:?} vs plain {plain:?}"
             );
+        }
+    }
+
+    /// Runs PageRank (`Some(rounds)`) or CC (`None`) on 8 nodes and
+    /// returns the rounds run and each node's counters.
+    fn on_8_nodes(
+        el: &EdgeList,
+        pr_rounds: Option<usize>,
+        pin: bool,
+    ) -> (usize, Vec<NodeStatsSnapshot>) {
+        let el = el.clone();
+        Sim::new(SimConfig::default()).run(move |ctx| {
+            let cluster = Cluster::new(ctx, ClusterConfig::with_nodes(8));
+            let rounds = match pr_rounds {
+                Some(k) => {
+                    pagerank_darray(ctx, &cluster, &el, k, pin);
+                    k
+                }
+                None => cc_darray(ctx, &cluster, &el, pin).rounds,
+            };
+            let stats = (0..8).map(|n| cluster.stats(n)).collect();
+            cluster.shutdown(ctx);
+            (rounds, stats)
+        })
+    }
+
+    /// (fills, recalls, operand flushes, frames), summed over nodes.
+    fn traffic(stats: &[NodeStatsSnapshot]) -> [u64; 4] {
+        let mut t = NodeStatsSnapshot::default();
+        stats.iter().for_each(|s| t.merge(s));
+        [t.fills, t.recalls, t.operand_flushes, t.frames]
+    }
+
+    /// Owned chunk windows and targets of each node's share of `el`.
+    fn shares(el: &EdgeList) -> Vec<(u64, u64)> {
+        let (locals, _) = LocalGraph::partition_balanced(el, 8);
+        locals
+            .iter()
+            .map(|g| {
+                let windows = g.owned.len().div_ceil(DEFAULT_CHUNK_SIZE) as u64;
+                (windows, g.targets.len() as u64)
+            })
+            .collect()
+    }
+
+    /// FIG_FAST's fig16 stops at 2 nodes, where every node's edges reach
+    /// every chunk the other node homes. On 8 nodes some do not, so a hint
+    /// on a chunk no owned edge reaches would show here as an extra grant,
+    /// recall and flush. The hints only move requests earlier: fills,
+    /// recalls, operand flushes and frames equal the counts the engines
+    /// made before they hinted at all (pinned here, the same at 1, 2 and 4
+    /// runtime threads), while the waits fall.
+    #[test]
+    fn hints_add_no_traffic_on_8_nodes() {
+        let el = rmat(14, 2, 24);
+        let chunks = el.vertices.div_ceil(DEFAULT_CHUNK_SIZE) as u64;
+        let pr = shares(&el);
+        assert!(
+            pr.iter().any(|&(owned, targets)| owned + targets < chunks),
+            "every node's edges reach every chunk: {pr:?}"
+        );
+        for pin in [false, true] {
+            let (_, two) = on_8_nodes(&el, Some(2), pin);
+            let (_, three) = on_8_nodes(&el, Some(3), pin);
+            assert_eq!(
+                traffic(&two),
+                [413, 382, 382, 1621],
+                "PageRank, 2 rounds, pin {pin}"
+            );
+            assert_eq!(
+                traffic(&three),
+                [604, 573, 573, 2385],
+                "PageRank, 3 rounds, pin {pin}"
+            );
+            // Without hints a steady round waits on every owned window's
+            // recall and every target's grant. With them a node waits at
+            // most once per window (a short window can outrun the next
+            // one's recall) and once on a grant, and the cluster waits on
+            // fewer windows than it owns.
+            let waits: Vec<u64> = (0..8)
+                .map(|n| three[n].slow_misses - two[n].slow_misses)
+                .collect();
+            for (n, (&w, &(owned, _))) in waits.iter().zip(&pr).enumerate() {
+                assert!(
+                    w <= owned + 1,
+                    "PageRank node {n}, pin {pin}: {w} waits in a round"
+                );
+            }
+            let windows: u64 = pr.iter().map(|&(owned, _)| owned).sum();
+            assert!(
+                waits.iter().sum::<u64>() < windows,
+                "PageRank, pin {pin}: {waits:?} waits in a round on {windows} windows"
+            );
+            let (rounds, cc) = on_8_nodes(&el, None, pin);
+            assert_eq!(rounds, 6);
+            assert_eq!(traffic(&cc), [1261, 1194, 1152, 5126], "CC, pin {pin}");
+            // Without hints each round's scatter alone waits once per
+            // target. CC partitions the symmetrized graph.
+            for (n, &(_, targets)) in shares(&el.symmetrized()).iter().enumerate() {
+                let per_round = cc[n].slow_misses / rounds as u64;
+                assert!(
+                    targets == 0 || per_round < targets,
+                    "CC node {n}, pin {pin}: {per_round} waits a round, {targets} targets"
+                );
+            }
         }
     }
 }

@@ -19,7 +19,9 @@
 //!   only chooses whether each owned chunk window is pinned. A PageRank
 //!   round is one walk of the owned vertices and one barrier; a CC, BFS
 //!   or SSSP round is a seed copy, a scatter and a convergence vote, with
-//!   three barriers;
+//!   three barriers. Each walk hints its next window's rights, and each
+//!   scatter its targets' Operate grants, ahead of use
+//!   (`DArray::prefetch`);
 //! * [`gam_engine`] — the same algorithms ported to the GAM baseline
 //!   (Atomic-verb neighbor updates under exclusive ownership);
 //! * [`gemini`] — a Gemini-style bulk-synchronous message-passing baseline

@@ -14,6 +14,10 @@ pub struct LocalGraph {
     pub owned: std::ops::Range<usize>,
     /// Total vertices in the global graph.
     pub vertices: usize,
+    /// The first index of each chunk that an owned vertex's out-edge
+    /// reaches and another node homes, ascending: the chunks a scatter
+    /// over this node's edges needs Operate rights on from other homes.
+    pub targets: Vec<usize>,
     /// CSR restricted to owned sources; `csr.neighbors(u - owned.start)`
     /// are the out-neighbors of global vertex `u`.
     csr: Csr,
@@ -24,29 +28,7 @@ impl LocalGraph {
     /// node. The partition matches `Layout::even(vertices, nodes, 512)`,
     /// i.e. the default DArray partition of the vertex arrays.
     pub fn partition(el: &EdgeList, nodes: usize) -> Vec<LocalGraph> {
-        let layout = Layout::even(el.vertices, nodes, DEFAULT_CHUNK_SIZE);
-        let mut per_node_edges: Vec<Vec<(u32, u32)>> = vec![Vec::new(); nodes];
-        for &(u, v) in &el.edges {
-            let owner = layout.home_of(u as usize);
-            per_node_edges[owner].push((u, v));
-        }
-        (0..nodes)
-            .map(|n| {
-                let owned = layout.node_elems(n);
-                let local_el = EdgeList {
-                    vertices: owned.len(),
-                    edges: per_node_edges[n]
-                        .iter()
-                        .map(|&(u, v)| (u - owned.start as u32, v))
-                        .collect(),
-                };
-                LocalGraph {
-                    owned,
-                    vertices: el.vertices,
-                    csr: Csr::from_edges(&local_el),
-                }
-            })
-            .collect()
+        Self::split(el, &Layout::even(el.vertices, nodes, DEFAULT_CHUNK_SIZE))
     }
 
     /// Edge-balanced partition: chunk-aligned contiguous vertex ranges with
@@ -85,11 +67,21 @@ impl LocalGraph {
             }
         }
         let layout = Layout::custom(el.vertices, nodes, chunk, &offsets);
+        (Self::split(el, &layout), offsets)
+    }
+
+    /// Give each node of `layout` the out-edges of its owned vertices,
+    /// and record which other homes' chunks those edges reach.
+    fn split(el: &EdgeList, layout: &Layout) -> Vec<LocalGraph> {
+        let nodes = layout.nodes();
         let mut per_node_edges: Vec<Vec<(u32, u32)>> = vec![Vec::new(); nodes];
+        let mut reached = vec![vec![false; layout.num_chunks()]; nodes];
         for &(u, v) in &el.edges {
-            per_node_edges[layout.home_of(u as usize)].push((u, v));
+            let owner = layout.home_of(u as usize);
+            per_node_edges[owner].push((u, v));
+            reached[owner][layout.chunk_of(v as usize)] = true;
         }
-        let locals = (0..nodes)
+        (0..nodes)
             .map(|n| {
                 let owned = layout.node_elems(n);
                 let local_el = EdgeList {
@@ -99,14 +91,18 @@ impl LocalGraph {
                         .map(|&(u, v)| (u - owned.start as u32, v))
                         .collect(),
                 };
+                let targets = (0..layout.num_chunks())
+                    .filter(|&c| reached[n][c] && layout.home_of_chunk(c) != n)
+                    .map(|c| layout.chunk_first_elem(c))
+                    .collect();
                 LocalGraph {
                     owned,
                     vertices: el.vertices,
+                    targets,
                     csr: Csr::from_edges(&local_el),
                 }
             })
-            .collect();
-        (locals, offsets)
+            .collect()
     }
 
     /// Out-degree of owned global vertex `u`.

@@ -10,12 +10,15 @@
 //! owner reads its slot and nobody applies to it within the round, so the
 //! reset needs no barrier of its own; the round's closing barrier orders it
 //! before any node's next-round `apply`. One damp pass over the owned final
-//! sums ends the run, inside the timed window.
+//! sums ends the run, inside the timed window. A round first hints the
+//! Operate grants of its targets, and its walk hints each next window's
+//! recall, so they are in flight while the walk works instead of each
+//! blocking it for a round trip.
 
 use darray::{Cluster, Ctx, PinMode, VTime};
 
 use crate::csr::EdgeList;
-use crate::engine::{partition, supersteps, Window};
+use crate::engine::{partition, prefetch_targets, supersteps, walk_owned};
 
 /// Result of a distributed PageRank run.
 pub struct PrResult {
@@ -51,32 +54,29 @@ pub fn pagerank_darray(
         Some(iters),
         move |ctx, s| {
             let (g, src, dst) = (s.local, s.src, s.dst);
+            prefetch_targets(ctx, g, dst, add);
             // Reading an owned sum recalls any outstanding Operated state
             // and reduces it.
-            for w in src.chunk_windows(g.owned.clone()) {
-                let r = Window::open(ctx, src, w.start, PinMode::Write, pin);
-                for u in w {
-                    let d = g.degree(u);
-                    if d > 0 {
-                        let c = damp(r.get(ctx, u)) / d as f64;
-                        for &v in g.neighbors(u) {
-                            dst.apply(ctx, v as usize, add, c);
-                        }
+            let walk = [(src, PinMode::Write)];
+            walk_owned(ctx, g.owned.clone(), walk, pin, |ctx, [r], u| {
+                let d = g.degree(u);
+                if d > 0 {
+                    let c = damp(r.get(ctx, u)) / d as f64;
+                    for &v in g.neighbors(u) {
+                        dst.apply(ctx, v as usize, add, c);
                     }
-                    r.set(ctx, u, 0.0);
                 }
-            }
+                r.set(ctx, u, 0.0);
+            });
             s.env.barrier(ctx);
             true
         },
         move |ctx, g, fin| {
-            for w in fin.chunk_windows(g.owned.clone()) {
-                let d = Window::open(ctx, fin, w.start, PinMode::Write, pin);
-                for v in w {
-                    let x = d.get(ctx, v);
-                    d.set(ctx, v, damp(x));
-                }
-            }
+            let walk = [(fin, PinMode::Write)];
+            walk_owned(ctx, g.owned.clone(), walk, pin, |ctx, [d], v| {
+                let x = d.get(ctx, v);
+                d.set(ctx, v, damp(x));
+            });
         },
     );
     PrResult {
