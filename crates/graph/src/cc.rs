@@ -9,6 +9,7 @@ use darray::{ArrayOptions, Cluster, Ctx, PinMode, VTime};
 
 use crate::csr::EdgeList;
 use crate::engine::{copy_owned, partition, prefetch_targets, supersteps, vote, walk_owned};
+use crate::local::Partition;
 
 /// Result of a propagation run (CC or BFS).
 pub struct PropagateResult {
@@ -24,20 +25,22 @@ pub struct PropagateResult {
 /// `None` means "nothing" (e.g. unreached BFS vertices).
 pub(crate) type ContribFn = fn(u64) -> Option<u64>;
 
-/// Generic min-propagation engine; `init(v)` seeds the value array.
+/// Generic min-propagation engine; `init(v)` seeds input vertex `v`'s
+/// value.
 pub(crate) fn min_propagate_darray(
     ctx: &mut Ctx,
     cluster: &Cluster,
     el: &EdgeList,
-    init: impl Fn(usize) -> u64 + Copy + Send + Sync + 'static,
+    init: impl Fn(usize) -> u64,
     contrib: ContribFn,
     pin: bool,
 ) -> PropagateResult {
     let n = el.vertices;
-    let (locals, opts) = partition(cluster, el);
+    let (Partition { locals, ids, .. }, opts) = partition(cluster, el);
     let min = cluster.ops().register_min_u64();
-    let a = cluster.alloc_with::<u64>(n, opts.clone(), init);
-    let b = cluster.alloc_with::<u64>(n, opts, init);
+    let seed = |i| init(ids.input(i));
+    let a = cluster.alloc_with::<u64>(n, opts.clone(), seed);
+    let b = cluster.alloc_with::<u64>(n, opts, seed);
     let flags = cluster.alloc::<u64>(cluster.config().nodes, ArrayOptions::default());
     let run = supersteps(
         ctx,
@@ -66,7 +69,7 @@ pub(crate) fn min_propagate_darray(
     );
     PropagateResult {
         elapsed: run.elapsed,
-        values: run.values,
+        values: ids.to_input_order(&run.values),
         rounds: run.rounds,
     }
 }

@@ -18,7 +18,7 @@ use parking_lot::Mutex;
 
 use crate::cc::PropagateResult;
 use crate::csr::EdgeList;
-use crate::local::LocalGraph;
+use crate::local::{LocalGraph, Partition};
 use crate::pagerank::PrResult;
 
 /// PageRank over GAM.
@@ -32,7 +32,11 @@ pub fn pagerank_gam(ctx: &mut Ctx, g: &GamCluster, el: &EdgeList, iters: usize) 
         let probe = g.alloc::<u64>(1);
         probe.on(0).nodes()
     };
-    let (locals, offsets) = LocalGraph::partition_balanced(el, nodes);
+    let Partition {
+        locals,
+        offsets,
+        ids,
+    } = LocalGraph::partition_balanced(el, nodes);
     let locals = Arc::new(locals);
     let a = g.alloc_partitioned::<f64>(n, offsets.clone(), |_| 1.0 / n as f64);
     let b = g.alloc_partitioned::<f64>(n, offsets, |_| 0.0);
@@ -80,12 +84,10 @@ pub fn pagerank_gam(ctx: &mut Ctx, g: &GamCluster, el: &EdgeList, iters: usize) 
             *o2.lock() = v;
         }
     });
+    let ranks = ids.to_input_order(&out.lock());
     PrResult {
         elapsed: elapsed.load(Ordering::Relaxed),
-        ranks: {
-            let mut guard = out.lock();
-            std::mem::take(&mut *guard)
-        },
+        ranks,
     }
 }
 
@@ -98,10 +100,15 @@ pub fn cc_gam(ctx: &mut Ctx, g: &GamCluster, el: &EdgeList) -> PropagateResult {
         let probe = g.alloc::<u64>(1);
         probe.on(0).nodes()
     };
-    let (locals, offsets) = LocalGraph::partition_balanced(&sym, nodes);
+    let Partition {
+        locals,
+        offsets,
+        ids,
+    } = LocalGraph::partition_balanced(&sym, nodes);
     let locals = Arc::new(locals);
-    let a = g.alloc_partitioned::<u64>(n, offsets.clone(), |v| v as u64);
-    let b = g.alloc_partitioned::<u64>(n, offsets, |v| v as u64);
+    let label = |i| ids.input(i) as u64;
+    let a = g.alloc_partitioned::<u64>(n, offsets.clone(), label);
+    let b = g.alloc_partitioned::<u64>(n, offsets, label);
     let flags = g.alloc::<u64>(nodes);
     let elapsed = Arc::new(AtomicU64::new(0));
     let rounds_out = Arc::new(AtomicUsize::new(0));
@@ -158,12 +165,10 @@ pub fn cc_gam(ctx: &mut Ctx, g: &GamCluster, el: &EdgeList) -> PropagateResult {
             *o2.lock() = v;
         }
     });
+    let values = ids.to_input_order(&out.lock());
     PropagateResult {
         elapsed: elapsed.load(Ordering::Relaxed),
-        values: {
-            let mut guard = out.lock();
-            std::mem::take(&mut *guard)
-        },
+        values,
         rounds: rounds_out.load(Ordering::Relaxed),
     }
 }

@@ -22,7 +22,7 @@ use rdma_fabric::{CostModel, Fabric, NetConfig, Nic, NodeId};
 
 use crate::cc::PropagateResult;
 use crate::csr::EdgeList;
-use crate::local::LocalGraph;
+use crate::local::{LocalGraph, Partition};
 use crate::pagerank::PrResult;
 
 /// Messages between Gemini workers.
@@ -147,7 +147,7 @@ pub fn pagerank_gemini(
     net: NetConfig,
 ) -> PrResult {
     let n = el.vertices;
-    let (locals, _offsets) = LocalGraph::partition_balanced(el, nodes);
+    let Partition { locals, ids, .. } = LocalGraph::partition_balanced(el, nodes);
     let locals = Arc::new(locals);
     let ranges: Arc<Vec<std::ops::Range<usize>>> =
         Arc::new(locals.iter().map(|l| l.owned.clone()).collect());
@@ -211,12 +211,10 @@ pub fn pagerank_gemini(
         // Gather (host-side; outside the timed window).
         o2.lock()[owned.clone()].copy_from_slice(&rank);
     });
+    let ranks = ids.to_input_order(&out.lock());
     PrResult {
         elapsed: elapsed.load(Ordering::Relaxed),
-        ranks: {
-            let mut g = out.lock();
-            std::mem::take(&mut *g)
-        },
+        ranks,
     }
 }
 
@@ -225,7 +223,8 @@ pub fn pagerank_gemini(
 pub fn cc_gemini(ctx: &mut Ctx, el: &EdgeList, nodes: usize, net: NetConfig) -> PropagateResult {
     let sym = el.symmetrized();
     let n = sym.vertices;
-    let (locals, _offsets) = LocalGraph::partition_balanced(&sym, nodes);
+    let Partition { locals, ids, .. } = LocalGraph::partition_balanced(&sym, nodes);
+    let ids = Arc::new(ids);
     let locals = Arc::new(locals);
     let ranges: Arc<Vec<std::ops::Range<usize>>> =
         Arc::new(locals.iter().map(|l| l.owned.clone()).collect());
@@ -233,6 +232,7 @@ pub fn cc_gemini(ctx: &mut Ctx, el: &EdgeList, nodes: usize, net: NetConfig) -> 
     let rounds_out = Arc::new(AtomicUsize::new(0));
     let out = Arc::new(Mutex::new(vec![0u64; n]));
     let (e2, r2, o2) = (elapsed.clone(), rounds_out.clone(), out.clone());
+    let ids2 = ids.clone();
     spawn_workers(ctx, nodes, net, move |ctx, mut w, barrier| {
         let me = w.node;
         let g = &locals[me];
@@ -241,7 +241,7 @@ pub fn cc_gemini(ctx: &mut Ctx, el: &EdgeList, nodes: usize, net: NetConfig) -> 
         // Per-edge: rank read, owner lookup, and an atomic add into the
         // mirror buffer (Gemini's scatter is multi-threaded in reality).
         let edge_ns = cost.native_access_ns * 2 + cost.atomic_rmw_ns;
-        let mut label: Vec<u64> = owned.clone().map(|v| v as u64).collect();
+        let mut label: Vec<u64> = owned.clone().map(|i| ids2.input(i) as u64).collect();
         barrier.wait(ctx);
         let t0 = ctx.now();
         let mut round = 0u32;
@@ -303,12 +303,10 @@ pub fn cc_gemini(ctx: &mut Ctx, el: &EdgeList, nodes: usize, net: NetConfig) -> 
         }
         o2.lock()[owned.clone()].copy_from_slice(&label);
     });
+    let values = ids.to_input_order(&out.lock());
     PropagateResult {
         elapsed: elapsed.load(Ordering::Relaxed),
-        values: {
-            let mut g = out.lock();
-            std::mem::take(&mut *g)
-        },
+        values,
         rounds: rounds_out.load(Ordering::Relaxed),
     }
 }

@@ -11,7 +11,9 @@
 //!   scales, same structure);
 //! * [`csr`] — compressed sparse row graphs;
 //! * [`local`] — per-node subgraphs (each node owns a chunk-aligned vertex
-//!   range and the out-edges of its owned vertices);
+//!   range and the out-edges of its owned vertices), and the one partition
+//!   every engine shares: internal vertex ids that deal high-degree
+//!   vertices over all chunks, split by edges;
 //! * [`pagerank`] / [`cc`] / [`bfs`] — PageRank, Connected Components and
 //!   BFS over DArray, in plain and Pin-optimized variants (Figure 8's
 //!   pattern: `apply(dst, add, contribution)` with local combining); they

@@ -19,6 +19,7 @@ use darray::{Cluster, Ctx, PinMode, VTime};
 
 use crate::csr::EdgeList;
 use crate::engine::{partition, prefetch_targets, supersteps, walk_owned};
+use crate::local::Partition;
 
 /// Result of a distributed PageRank run.
 pub struct PrResult {
@@ -39,7 +40,7 @@ pub fn pagerank_darray(
     pin: bool,
 ) -> PrResult {
     let n = el.vertices;
-    let (locals, opts) = partition(cluster, el);
+    let (Partition { locals, ids, .. }, opts) = partition(cluster, el);
     let add = cluster.ops().register_add_f64();
     // The sum 1/n damps to the initial rank 1/n.
     let a = cluster.alloc_with::<f64>(n, opts.clone(), |_| 1.0 / n as f64);
@@ -81,7 +82,7 @@ pub fn pagerank_darray(
     );
     PrResult {
         elapsed: run.elapsed,
-        ranks: run.values,
+        ranks: ids.to_input_order(&run.values),
     }
 }
 

@@ -8,6 +8,7 @@ use darray::{ArrayOptions, Cluster, Ctx};
 use crate::cc::PropagateResult;
 use crate::csr::EdgeList;
 use crate::engine::{copy_owned, partition, supersteps, vote};
+use crate::local::Partition;
 use workloads::Rng;
 
 /// Per-edge weights aligned with an [`EdgeList`]'s edge order.
@@ -53,7 +54,7 @@ pub fn sssp_ref(el: &EdgeList, w: &EdgeWeights, src: usize) -> Vec<u64> {
 /// edge-oriented anyway).
 struct LocalWeighted {
     owned: std::ops::Range<usize>,
-    edges: Vec<(u32, u32, u32)>, // (src, dst, weight)
+    edges: Vec<(u32, u32, u32)>, // (src, dst, weight), internal ids
 }
 
 /// Distributed SSSP; returns distances (unreachable = `u64::MAX`).
@@ -69,14 +70,13 @@ pub fn sssp_darray(
     assert_eq!(weights.0.len(), el.edges.len());
     let n = el.vertices;
     let nodes = cluster.config().nodes;
-    let (locals, opts) = partition(cluster, el);
+    let (Partition { locals, ids, .. }, opts) = partition(cluster, el);
     let ranges: Vec<std::ops::Range<usize>> = locals.iter().map(|l| l.owned.clone()).collect();
     let mut per_node: Vec<Vec<(u32, u32, u32)>> = vec![Vec::new(); nodes];
     for (k, &(u, v)) in el.edges.iter().enumerate() {
-        let owner = ranges
-            .partition_point(|r| r.end <= u as usize)
-            .min(nodes - 1);
-        per_node[owner].push((u, v, weights.0[k]));
+        let (u, v) = (ids.internal(u as usize), ids.internal(v as usize));
+        let owner = ranges.partition_point(|r| r.end <= u).min(nodes - 1);
+        per_node[owner].push((u as u32, v as u32, weights.0[k]));
     }
     let locals: Vec<LocalWeighted> = ranges
         .into_iter()
@@ -84,6 +84,7 @@ pub fn sssp_darray(
         .map(|(owned, edges)| LocalWeighted { owned, edges })
         .collect();
     let min = cluster.ops().register_min_u64();
+    let src = ids.internal(src);
     let init = move |v: usize| if v == src { 0 } else { u64::MAX };
     let a = cluster.alloc_with::<u64>(n, opts.clone(), init);
     let b = cluster.alloc_with::<u64>(n, opts, init);
@@ -115,7 +116,7 @@ pub fn sssp_darray(
     );
     PropagateResult {
         elapsed: run.elapsed,
-        values: run.values,
+        values: ids.to_input_order(&run.values),
         rounds: run.rounds,
     }
 }

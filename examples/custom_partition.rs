@@ -2,16 +2,20 @@
 //! §3.2): place data where the work is.
 //!
 //! An R-MAT graph concentrates high-degree vertices at low ids, so an even
-//! vertex split leaves node 0 with most of the edges. This example builds
-//! the vertex arrays twice — even vs. edge-balanced custom partition — and
-//! shows both the ownership layout and the PageRank running-time
-//! difference.
+//! split of the input ids leaves node 0 with most of the edges. The graph
+//! engines first give the vertices internal ids that deal the heavy ones
+//! over every chunk, then split the internal ids by edges and pass that
+//! split to the array constructor as `partition_offset`. This example
+//! prints both layouts side by side, checks that the engines' partition
+//! is the more balanced one, and runs PageRank on it against the
+//! sequential reference.
 //!
 //! Run with: `cargo run --release --example custom_partition`
 
 use darray::{Cluster, ClusterConfig, Sim, SimConfig};
 use darray_graph::local::LocalGraph;
 use darray_graph::pagerank::pagerank_darray;
+use darray_graph::reference::pagerank_ref;
 use darray_graph::rmat;
 
 fn main() {
@@ -23,41 +27,51 @@ fn main() {
         el.edges.len()
     );
 
-    // Show the imbalance an even split would produce...
+    // The even split of the input ids (what you get without
+    // partition_offset), beside the engines' partition of internal ids.
     let even = LocalGraph::partition(&el, nodes);
-    println!("even vertex partition (what you get without partition_offset):");
-    for (n, p) in even.iter().enumerate() {
+    let engine = LocalGraph::partition_balanced(&el, nodes);
+    println!("        even split of input ids    engines' partition of internal ids");
+    println!("node    vertices          edges    vertices          edges");
+    for (n, (e, b)) in even.iter().zip(&engine.locals).enumerate() {
         println!(
-            "  node {n}: vertices {:>6}..{:<6}  edges {:>7}",
-            p.owned.start,
-            p.owned.end,
-            p.local_edges()
+            "{n:>4}    {:>6}..{:<6} {:>8}    {:>6}..{:<6} {:>8}",
+            e.owned.start,
+            e.owned.end,
+            e.local_edges(),
+            b.owned.start,
+            b.owned.end,
+            b.local_edges()
         );
     }
+    println!("partition_offset = {:?}", engine.offsets);
+    let max_edges = |parts: &[LocalGraph]| parts.iter().map(|p| p.local_edges()).max();
+    let (max_even, max_engine) = (max_edges(&even), max_edges(&engine.locals));
+    assert!(
+        max_engine < max_even,
+        "the engines' partition must balance edges better: {max_engine:?} vs {max_even:?}"
+    );
 
-    // ...and the balanced one (chunk-aligned offsets fed to the array
-    // constructor).
-    let (balanced, offsets) = LocalGraph::partition_balanced(&el, nodes);
-    println!("\nedge-balanced partition (partition_offset = {offsets:?}):");
-    for (n, p) in balanced.iter().enumerate() {
-        println!(
-            "  node {n}: vertices {:>6}..{:<6}  edges {:>7}",
-            p.owned.start,
-            p.owned.end,
-            p.local_edges()
-        );
-    }
-
-    // The engine uses the balanced layout internally; the virtual running
-    // time reflects the straggler effect the custom partition removes.
-    let t = Sim::new(SimConfig::default()).run(move |ctx| {
+    // The engine runs on that partition and returns the ranks in input
+    // order.
+    let iters = 3;
+    let input = el.clone();
+    let pr = Sim::new(SimConfig::default()).run(move |ctx| {
         let cluster = Cluster::new(ctx, ClusterConfig::with_nodes(nodes));
-        let r = pagerank_darray(ctx, &cluster, &el, 3, true);
+        let r = pagerank_darray(ctx, &cluster, &input, iters, true);
         cluster.shutdown(ctx);
-        r.elapsed
+        r
     });
+    let want = pagerank_ref(&el, iters);
+    assert_eq!(pr.ranks.len(), want.len());
+    for (v, (got, want)) in pr.ranks.iter().zip(&want).enumerate() {
+        assert!(
+            (got - want).abs() <= 1e-9 * got.abs().max(want.abs()),
+            "vertex {v}: rank {got} vs reference {want}"
+        );
+    }
     println!(
-        "\nPageRank (3 iterations, 4 nodes, DArray-Pin, balanced partition): {:.3} ms virtual",
-        t as f64 / 1e6
+        "\nPageRank ({iters} iterations, {nodes} nodes, DArray-Pin): {:.3} ms virtual; every rank matches the reference",
+        pr.elapsed as f64 / 1e6
     );
 }
