@@ -326,7 +326,6 @@ impl<T: Element> DArray<T> {
         operand: T,
     ) -> Result<(), DArrayError> {
         let bits = operand.to_bits();
-        let registry = self.shared.registry.clone();
         let op_cost = self.shared.cfg.cost.op_apply_ns;
         self.try_access(
             ctx,
@@ -335,7 +334,7 @@ impl<T: Element> DArray<T> {
             move |region, word, this, ctx| {
                 loop {
                     let cur = region.load(word);
-                    let new = registry.combine(op, cur, bits);
+                    let new = this.shared.registry.combine(op, cur, bits);
                     if region.compare_exchange(word, cur, new).is_ok() {
                         break;
                     }

@@ -270,7 +270,7 @@ impl Cluster {
         let shared = Arc::new(ClusterShared {
             cfg: cfg.clone(),
             placement,
-            registry: Arc::new(OpRegistry::new()),
+            registry: OpRegistry::new(),
             transports,
             arrays: RwLock::new(Vec::new()),
             cache_regions,

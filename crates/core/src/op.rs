@@ -6,7 +6,9 @@
 //! cachelines in the Operated state and the combine function both for local
 //! combining and for the home-node reduction.
 
-use parking_lot::RwLock;
+use std::sync::OnceLock;
+
+use parking_lot::Mutex;
 
 use crate::element::Element;
 
@@ -21,12 +23,34 @@ struct RegisteredOp {
     combine: Box<dyn Fn(u64, u64) -> u64 + Send + Sync>,
 }
 
+/// Slots in segment 0. Segment `s` holds `FIRST << s`, so the segments
+/// double and [`SEGMENTS`] of them cover every `u32` id.
+const FIRST: usize = 8;
+const SEGMENTS: usize = 30;
+
+/// Segment and slot of operator `id`: ids `FIRST·(2ˢ − 1) ..
+/// FIRST·(2ˢ⁺¹ − 1)` live in segment `s`.
+fn slot(id: usize) -> (usize, usize) {
+    let j = id + FIRST;
+    let s = (j.ilog2() - FIRST.ilog2()) as usize;
+    (s, j - (FIRST << s))
+}
+
 /// Cluster-wide operator registry. Registration typically happens during
-/// application start-up (Figure 8, line 2); lookups on the combining fast
-/// path are read-lock only.
+/// application start-up (Figure 8, line 2) and takes a lock; lookups on
+/// the combining fast path take none.
+///
+/// Operators live in doubling segments, each allocated by the registration
+/// that first needs it and never moved or freed while the registry lives.
+/// A slot is a [`OnceLock`] written once, so a lookup is two acquire loads
+/// (the segment, then the slot) and sees either nothing or the complete
+/// operator.
 #[derive(Default)]
 pub struct OpRegistry {
-    ops: RwLock<Vec<RegisteredOp>>,
+    segments: [OnceLock<Box<[OnceLock<RegisteredOp>]>>; SEGMENTS],
+    /// Operators registered so far; held across a registration so ids are
+    /// sequential.
+    len: Mutex<usize>,
 }
 
 impl OpRegistry {
@@ -41,6 +65,8 @@ impl OpRegistry {
     /// The identity must satisfy `combine(identity, x) == x`; this is
     /// checked probabilistically in debug builds via the registry tests and
     /// by property tests in this module.
+    ///
+    /// Panics once every `u32` id is taken.
     pub fn register<T, F>(&self, name: &str, identity: T, combine: F) -> OpId
     where
         T: Element,
@@ -48,43 +74,65 @@ impl OpRegistry {
     {
         let f =
             move |a: u64, b: u64| -> u64 { combine(T::from_bits(a), T::from_bits(b)).to_bits() };
-        let mut ops = self.ops.write();
-        let id = OpId(ops.len() as u32);
-        ops.push(RegisteredOp {
-            name: name.to_string(),
-            identity: identity.to_bits(),
-            combine: Box::new(f),
-        });
-        id
+        let mut len = self.len.lock();
+        let id = u32::try_from(*len)
+            .unwrap_or_else(|_| panic!("operator registry full: every u32 id is taken"));
+        let (s, i) = slot(*len);
+        let segment =
+            self.segments[s].get_or_init(|| (0..FIRST << s).map(|_| OnceLock::new()).collect());
+        let fresh = segment[i]
+            .set(RegisteredOp {
+                name: name.to_string(),
+                identity: identity.to_bits(),
+                combine: Box::new(f),
+            })
+            .is_ok();
+        assert!(fresh, "operator id {id} registered twice");
+        *len += 1;
+        OpId(id)
+    }
+
+    /// The operator registered under `op`; panics if there is none.
+    #[inline]
+    fn get(&self, op: OpId) -> &RegisteredOp {
+        let (s, i) = slot(op.0 as usize);
+        match self.segments[s].get().and_then(|segment| segment[i].get()) {
+            Some(registered) => registered,
+            None => unregistered(op),
+        }
     }
 
     /// Combine two raw words under `op`.
     #[inline]
     pub fn combine(&self, op: OpId, a: u64, b: u64) -> u64 {
-        let ops = self.ops.read();
-        (ops[op.0 as usize].combine)(a, b)
+        (self.get(op).combine)(a, b)
     }
 
     /// The identity word of `op`.
     #[inline]
     pub fn identity(&self, op: OpId) -> u64 {
-        self.ops.read()[op.0 as usize].identity
+        self.get(op).identity
     }
 
     /// Registered operator name (diagnostics).
     pub fn name(&self, op: OpId) -> String {
-        self.ops.read()[op.0 as usize].name.clone()
+        self.get(op).name.clone()
     }
 
     /// Number of registered operators.
     pub fn len(&self) -> usize {
-        self.ops.read().len()
+        *self.len.lock()
     }
 
     /// True if no operator has been registered.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
+}
+
+#[cold]
+fn unregistered(op: OpId) -> ! {
+    panic!("unregistered operator {op:?}")
 }
 
 /// Convenience constructors for the operators the paper uses.
@@ -157,6 +205,89 @@ mod tests {
         let op = r.register("sub_abs", 0i64, |a: i64, b: i64| (a - b).abs());
         let out = r.combine(op, (-5i64).to_bits(), 3i64.to_bits());
         assert_eq!(i64::from_bits(out), 8);
+    }
+
+    #[test]
+    fn slots_tile_the_segments() {
+        let mut next = (0, 0);
+        for id in 0..10_000 {
+            assert_eq!(slot(id), next, "id {id}");
+            next = if next.1 + 1 == FIRST << next.0 {
+                (next.0 + 1, 0)
+            } else {
+                (next.0, next.1 + 1)
+            };
+        }
+        assert_eq!(slot(u32::MAX as usize).0, SEGMENTS - 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "unregistered operator OpId(3)")]
+    fn unregistered_id_panics() {
+        let r = OpRegistry::new();
+        r.register_add_u64();
+        r.combine(OpId(3), 1, 2);
+    }
+
+    /// Registrations from several OS threads race lookups of every id
+    /// registered so far. Operator `tag` has identity `tag` and combines
+    /// as `a ^ b ^ tag`, so a lookup that saw half an operator, or another
+    /// id's, breaks `combine(identity, x) == x` or `combine(0, 0) ==
+    /// identity`.
+    #[test]
+    fn registrations_race_lookups() {
+        const WRITERS: u64 = 3;
+        const PER_WRITER: u64 = 150; // ids 0..450 span six segments
+        let r = OpRegistry::new();
+        let start = std::sync::Barrier::new(WRITERS as usize + 2);
+        let registered = std::thread::scope(|scope| {
+            let writers: Vec<_> = (0..WRITERS)
+                .map(|w| {
+                    let (r, start) = (&r, &start);
+                    scope.spawn(move || {
+                        start.wait();
+                        (0..PER_WRITER)
+                            .map(|k| {
+                                let tag = w << 32 | k;
+                                (
+                                    r.register("xor_tag", tag, move |a: u64, b| a ^ b ^ tag),
+                                    tag,
+                                )
+                            })
+                            .collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            for _ in 0..2 {
+                let (r, start) = (&r, &start);
+                scope.spawn(move || {
+                    start.wait();
+                    loop {
+                        let seen = r.len();
+                        for id in 0..seen as u32 {
+                            let op = OpId(id);
+                            let identity = r.identity(op);
+                            assert_eq!(r.combine(op, 0, 0), identity);
+                            assert_eq!(r.combine(op, identity, 0x5a5a), 0x5a5a);
+                        }
+                        if seen == (WRITERS * PER_WRITER) as usize {
+                            break;
+                        }
+                    }
+                });
+            }
+            writers
+                .into_iter()
+                .flat_map(|w| w.join().unwrap())
+                .collect::<Vec<_>>()
+        });
+        let mut ids: Vec<u32> = registered.iter().map(|(op, _)| op.0).collect();
+        ids.sort_unstable();
+        assert_eq!(ids, (0..(WRITERS * PER_WRITER) as u32).collect::<Vec<_>>());
+        for (op, tag) in registered {
+            assert_eq!(r.identity(op), tag);
+            assert_eq!(r.combine(op, 6, 3), 6 ^ 3 ^ tag);
+        }
     }
 
     #[test]

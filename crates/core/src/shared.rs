@@ -196,7 +196,7 @@ pub(crate) struct ClusterShared {
     /// The cluster-wide chunk→runtime-thread mapping, shared by the
     /// runtime executor, the comm Rx dispatch and bring-up pool sizing.
     pub placement: Placement,
-    pub registry: Arc<OpRegistry>,
+    pub registry: OpRegistry,
     /// Per-node network endpoint, behind the backend-agnostic transport
     /// trait (simulated NIC or real sockets — DESIGN.md §13).
     pub transports: Vec<Arc<dyn Transport<NetMsg>>>,

@@ -2,7 +2,7 @@
 //!
 //! Every counter is one row of the `counters!` table at the bottom of this
 //! file, and everything else is generated from it: the [`NodeStats`]
-//! atomics, [`NodeStatsSnapshot`], [`NodeStats::snapshot`], the cluster-wide
+//! words, [`NodeStatsSnapshot`], [`NodeStats::snapshot`], the cluster-wide
 //! [`NodeStatsSnapshot::merge`], the name/value list
 //! [`NodeStatsSnapshot::fields`] the `BENCH_*.json` writer prints, and the
 //! per-counter [`DiffClass`] that `protocol_diff` and the Sim≡TCP parity
@@ -12,8 +12,7 @@
 //! BENCH json then carries it, so re-bless the checked-in baselines with
 //! `protocol_diff --update` (DESIGN.md §10 "Counters").
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
+use dsim::SingleWriterU64;
 use rdma_fabric::TransportStats;
 
 use crate::store::StoreStats;
@@ -44,40 +43,45 @@ pub struct CounterRow {
 
 impl NodeStats {
     #[inline]
-    pub(crate) fn bump(field: &AtomicU64) {
-        field.fetch_add(1, Ordering::Relaxed);
+    pub(crate) fn bump(field: &SingleWriterU64) {
+        field.add(1);
     }
 
     /// Raise a gauge-style field to `v` (monotone; used for
     /// `membership_epoch`, which tracks a level rather than a count).
     #[inline]
-    pub(crate) fn raise(field: &AtomicU64, v: u64) {
-        field.fetch_max(v, Ordering::Relaxed);
+    pub(crate) fn raise(field: &SingleWriterU64, v: u64) {
+        field.raise(v);
     }
 }
 
-/// Emit `NodeStats` with one atomic per `runtime` row; rows owned by the
+/// Emit `NodeStats` with one word per `runtime` row; rows owned by the
 /// transport or the chunk store have none.
 macro_rules! node_stats {
-    ([$($atomics:tt)*]) => {
-        /// Monotonic counters describing one node's DArray activity. All
-        /// fields are cheap relaxed atomics; snapshot with
-        /// [`NodeStats::snapshot`].
+    ([$($words:tt)*]) => {
+        /// Monotonic counters describing one node's DArray activity.
+        ///
+        /// Only simulated code bumps them, and every simulated thread runs
+        /// on the OS thread of the cluster's `Sim`, so each counter has one
+        /// writer and a bump is a relaxed load and store
+        /// ([`SingleWriterU64`]; debug builds check the writer). Build them
+        /// on that OS thread, as `Cluster::new` does. Any thread may
+        /// snapshot with [`NodeStats::snapshot`].
         #[derive(Debug, Default)]
-        pub struct NodeStats { $($atomics)* }
+        pub struct NodeStats { $($words)* }
     };
-    ([$($atomics:tt)*] $(#[$doc:meta])* $name:ident runtime; $($rest:tt)*) => {
-        node_stats!([$($atomics)* $(#[$doc])* pub $name: AtomicU64,] $($rest)*);
+    ([$($words:tt)*] $(#[$doc:meta])* $name:ident runtime; $($rest:tt)*) => {
+        node_stats!([$($words)* $(#[$doc])* pub $name: SingleWriterU64,] $($rest)*);
     };
-    ([$($atomics:tt)*] $(#[$doc:meta])* $name:ident $owner:ident; $($rest:tt)*) => {
-        node_stats!([$($atomics)*] $($rest)*);
+    ([$($words:tt)*] $(#[$doc:meta])* $name:ident $owner:ident; $($rest:tt)*) => {
+        node_stats!([$($words)*] $($rest)*);
     };
 }
 
 /// Read one row from its owner.
 macro_rules! read {
     (runtime, $name:ident, $rt:ident, $transport:ident, $store:ident) => {
-        $rt.$name.load(Ordering::Relaxed)
+        $rt.$name.get()
     };
     (transport, $name:ident, $rt:ident, $transport:ident, $store:ident) => {
         $transport.$name
@@ -112,7 +116,7 @@ macro_rules! diff_class {
 
 /// The counter table. Each row is `name: owner, aggregation, diff class;`
 /// under the counter's doc:
-/// - owner: `runtime` (an atomic in [`NodeStats`]), `transport` (a field of
+/// - owner: `runtime` (a word in [`NodeStats`]), `transport` (a field of
 ///   [`TransportStats`]) or `store` (a field of [`StoreStats`]);
 /// - aggregation across nodes: `sum`, or `max` for gauges;
 /// - diff class: `lower`, `higher` or `band` (see [`DiffClass`]).
@@ -123,7 +127,7 @@ macro_rules! counters {
         node_stats!([] $( $(#[$doc])* $name $owner; )+);
 
         /// Point-in-time copy of every counter of one node: the
-        /// [`NodeStats`] atomics plus the transport and chunk-store rows.
+        /// [`NodeStats`] words plus the transport and chunk-store rows.
         /// `Cluster::stats` returns one per node; [`NodeStatsSnapshot::merge`]
         /// folds them into a cluster-wide total.
         #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -310,6 +314,56 @@ mod tests {
         assert_eq!(snap.fast_hits, 2);
         assert_eq!(snap.evictions, 1);
         assert_eq!(snap.fills, 0);
+    }
+
+    /// Two clusters, each in its own `Sim` on its own OS thread at the same
+    /// time, count exactly what each counts alone: every counter of every
+    /// node, and one combine and one fast hit per apply.
+    #[test]
+    fn two_sims_on_two_os_threads_count_exactly() {
+        use crate::{ArrayOptions, Cluster, ClusterConfig, Sim, SimConfig};
+
+        const NODES: usize = 3;
+        const THREADS: usize = 2;
+        fn workload(rounds: usize) -> Vec<NodeStatsSnapshot> {
+            Sim::new(SimConfig::default()).run(|ctx| {
+                let cluster = Cluster::new(ctx, ClusterConfig::test_config(NODES));
+                let add = cluster.ops().register_add_u64();
+                let arr = cluster.alloc::<u64>(4096, ArrayOptions::default());
+                cluster.run(ctx, THREADS, move |ctx, env| {
+                    let a = arr.on(env.node);
+                    for i in 0..rounds {
+                        a.apply(ctx, (i * 97 + env.node) % 4096, add, 1);
+                    }
+                });
+                let stats = (0..NODES).map(|n| cluster.stats(n)).collect();
+                cluster.shutdown(ctx);
+                stats
+            })
+        }
+        let rounds = [300, 500];
+        let alone = rounds.map(workload);
+        let start = std::sync::Barrier::new(rounds.len());
+        let together = std::thread::scope(|s| {
+            rounds
+                .map(|r| {
+                    let start = &start;
+                    s.spawn(move || {
+                        start.wait();
+                        workload(r)
+                    })
+                })
+                .map(|h| h.join().unwrap())
+        });
+        assert_eq!(together, alone);
+        for (nodes, r) in together.iter().zip(rounds) {
+            let mut total = NodeStatsSnapshot::default();
+            nodes.iter().for_each(|n| total.merge(n));
+            let applies = (NODES * THREADS * r) as u64;
+            assert_eq!(total.local_combines, applies);
+            assert_eq!(total.fast_hits, applies);
+            assert!(total.fills > 0 && total.rpcs_handled > 0, "{total:?}");
+        }
     }
 
     #[test]

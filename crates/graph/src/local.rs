@@ -127,6 +127,19 @@ impl LocalGraph {
     /// the head over every chunk. Every node takes at least one chunk when
     /// there are as many chunks as nodes.
     pub fn partition_balanced(el: &EdgeList, nodes: usize) -> Partition {
+        let (ids, offsets) = Self::balance(el, nodes);
+        let layout = Layout::custom(el.vertices, nodes, DEFAULT_CHUNK_SIZE, &offsets);
+        let locals = Self::split(el, &layout, |v| ids.internal(v as usize) as u32);
+        Partition {
+            locals,
+            offsets,
+            ids,
+        }
+    }
+
+    /// The internal ids of [`LocalGraph::partition_balanced`] and the first
+    /// internal id each node owns, without the subgraphs.
+    pub(crate) fn balance(el: &EdgeList, nodes: usize) -> (Numbering, Vec<usize>) {
         let chunk = DEFAULT_CHUNK_SIZE;
         let ids = Numbering::deal(el, chunk);
         let num_chunks = el.vertices.div_ceil(chunk).max(1);
@@ -152,13 +165,7 @@ impl LocalGraph {
                 c += 1;
             }
         }
-        let layout = Layout::custom(el.vertices, nodes, chunk, &offsets);
-        let locals = Self::split(el, &layout, |v| ids.internal(v as usize) as u32);
-        Partition {
-            locals,
-            offsets,
-            ids,
-        }
+        (ids, offsets)
     }
 
     /// Give each node of `layout` the out-edges of its owned vertices,

@@ -7,8 +7,8 @@ use darray::{ArrayOptions, Cluster, Ctx};
 
 use crate::cc::PropagateResult;
 use crate::csr::EdgeList;
-use crate::engine::{copy_owned, partition, supersteps, vote};
-use crate::local::Partition;
+use crate::engine::{copy_owned, homes, supersteps, vote};
+use crate::local::LocalGraph;
 use workloads::Rng;
 
 /// Per-edge weights aligned with an [`EdgeList`]'s edge order.
@@ -70,25 +70,26 @@ pub fn sssp_darray(
     assert_eq!(weights.0.len(), el.edges.len());
     let n = el.vertices;
     let nodes = cluster.config().nodes;
-    let (Partition { locals, ids, .. }, opts) = partition(cluster, el);
-    let ranges: Vec<std::ops::Range<usize>> = locals.iter().map(|l| l.owned.clone()).collect();
-    let mut per_node: Vec<Vec<(u32, u32, u32)>> = vec![Vec::new(); nodes];
-    for (k, &(u, v)) in el.edges.iter().enumerate() {
-        let (u, v) = (ids.internal(u as usize), ids.internal(v as usize));
-        let owner = ranges.partition_point(|r| r.end <= u).min(nodes - 1);
-        per_node[owner].push((u as u32, v as u32, weights.0[k]));
-    }
-    let locals: Vec<LocalWeighted> = ranges
-        .into_iter()
-        .zip(per_node)
-        .map(|(owned, edges)| LocalWeighted { owned, edges })
-        .collect();
+    let (ids, offsets) = LocalGraph::balance(el, nodes);
+    let opts = homes(offsets);
     let min = cluster.ops().register_min_u64();
     let src = ids.internal(src);
     let init = move |v: usize| if v == src { 0 } else { u64::MAX };
     let a = cluster.alloc_with::<u64>(n, opts.clone(), init);
     let b = cluster.alloc_with::<u64>(n, opts, init);
     let flags = cluster.alloc::<u64>(nodes, ArrayOptions::default());
+    // Each node relaxes the out-edges of the vertices the arrays home on it.
+    let mut locals: Vec<LocalWeighted> = (0..nodes)
+        .map(|node| LocalWeighted {
+            owned: a.on(node).local_range(),
+            edges: Vec::new(),
+        })
+        .collect();
+    for (k, &(u, v)) in el.edges.iter().enumerate() {
+        let (u, v) = (ids.internal(u as usize), ids.internal(v as usize));
+        let owner = locals.partition_point(|l| l.owned.end <= u).min(nodes - 1);
+        locals[owner].edges.push((u as u32, v as u32, weights.0[k]));
+    }
     let run = supersteps(
         ctx,
         cluster,

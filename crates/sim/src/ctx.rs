@@ -6,6 +6,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering as AO};
 use std::sync::Arc;
 
 use crate::sched::{Action, SimInner, SimStats, ThreadId};
+use crate::single_writer::SingleWriterU64;
 use crate::sync::WaitCell;
 use crate::time::VTime;
 
@@ -15,7 +16,7 @@ use crate::time::VTime;
 pub struct Ctx {
     pub(crate) inner: Arc<SimInner>,
     pub(crate) tid: ThreadId,
-    clock: Arc<AtomicU64>,
+    clock: Arc<SingleWriterU64>,
     runahead: VTime,
     quantum: VTime,
 }
@@ -54,16 +55,16 @@ impl Ctx {
     /// Current virtual time of this thread, in nanoseconds.
     #[inline]
     pub fn now(&self) -> VTime {
-        self.clock.load(AO::Relaxed)
+        self.clock.get()
     }
 
     /// Account `ns` nanoseconds of virtual work. This is the hot path of the
-    /// whole simulator: a relaxed add plus a branch. Crossing the run-ahead
+    /// whole simulator: an unlocked add plus a branch. Crossing the run-ahead
     /// quantum triggers a cooperative yield so other (virtually earlier)
     /// threads and events catch up.
     #[inline]
     pub fn charge(&mut self, ns: VTime) {
-        self.clock.fetch_add(ns, AO::Relaxed);
+        self.clock.add(ns);
         self.runahead += ns;
         if self.runahead >= self.quantum {
             self.runahead = 0;
@@ -75,7 +76,7 @@ impl Ctx {
     /// message delivered at `t`).
     #[inline]
     pub(crate) fn bump(&mut self, t: VTime) {
-        self.clock.fetch_max(t, AO::Relaxed);
+        self.clock.raise(t);
     }
 
     /// Cooperatively yield the token; resumes once this thread again has the
@@ -93,7 +94,7 @@ impl Ctx {
     /// (e.g. waiting on `delay_flag` in the DArray fast path).
     #[inline]
     pub fn spin_hint(&mut self, ns: VTime) {
-        self.clock.fetch_add(ns, AO::Relaxed);
+        self.clock.add(ns);
         self.yield_now();
     }
 

@@ -19,7 +19,9 @@
 //!
 //! * A simulated thread runs *natively* (direct execution) and calls
 //!   [`Ctx::charge`] to account for the virtual cost of the work it just
-//!   performed. Pure computation therefore costs one `u64` add per charge.
+//!   performed. Pure computation therefore costs one `u64` add per charge:
+//!   only the simulation's OS thread writes a clock, so the add is a plain
+//!   load and store ([`SingleWriterU64`]).
 //! * Interaction points — [`Mailbox::recv`], [`WaitCell::wait`],
 //!   [`Ctx::sleep`], [`SimBarrier::wait`], [`Ctx::yield_now`] — synchronize
 //!   with the global event queue. Message sends schedule *delivery events*
@@ -65,6 +67,7 @@ mod fiber;
 mod mailbox;
 mod rng;
 mod sched;
+mod single_writer;
 mod sync;
 mod time;
 
@@ -72,5 +75,6 @@ pub use ctx::{Ctx, JoinHandle};
 pub use mailbox::Mailbox;
 pub use rng::Rng;
 pub use sched::{Sim, SimConfig, SimStats, ThreadId};
+pub use single_writer::SingleWriterU64;
 pub use sync::{SimBarrier, VirtualLock, WaitCell};
 pub use time::{to_secs, VTime, MICROSECOND, MILLISECOND, SECOND};

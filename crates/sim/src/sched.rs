@@ -13,13 +13,13 @@
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
-use std::sync::atomic::{AtomicU64, Ordering as AO};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 
 use crate::ctx::Ctx;
 use crate::fiber::{self, Context, Stack};
+use crate::single_writer::SingleWriterU64;
 use crate::time::VTime;
 
 /// Identifier of a simulated thread. The root thread is always 0.
@@ -107,8 +107,10 @@ pub(crate) enum TState {
 
 pub(crate) struct Tcb {
     /// Virtual clock of the thread, shared with its `Ctx` so the fast path
-    /// (`charge`) is a single relaxed RMW without taking the scheduler lock.
-    pub(crate) clock: Arc<AtomicU64>,
+    /// (`charge`) is an unlocked add without taking the scheduler lock. The
+    /// thread and the scheduler waking it both run on the simulation's OS
+    /// thread, which is the clock's one writer.
+    pub(crate) clock: Arc<SingleWriterU64>,
     pub(crate) state: TState,
     /// Where the thread's registers were saved when it last gave up the
     /// token (or its start frame, before its first dispatch).
@@ -161,9 +163,9 @@ impl SchedState {
         if tcb.state != TState::Blocked {
             return;
         }
-        tcb.clock.fetch_max(at, AO::Relaxed);
+        tcb.clock.raise(at);
         tcb.state = TState::Runnable;
-        let clk = tcb.clock.load(AO::Relaxed);
+        let clk = tcb.clock.get();
         self.runnable.push(RunKey(clk, tid));
     }
 
@@ -177,7 +179,7 @@ impl SchedState {
     fn spawn_tcb(&mut self, name: String, clock: VTime, state: TState) -> ThreadId {
         let tid = self.tcbs.len();
         self.tcbs.push(Tcb {
-            clock: Arc::new(AtomicU64::new(clock)),
+            clock: Arc::new(SingleWriterU64::new(clock)),
             state,
             context: Context::default(),
             stack: None,
@@ -205,7 +207,7 @@ impl SchedState {
         let tcb = &mut self.tcbs[tid];
         debug_assert_eq!(tcb.state, TState::Running);
         tcb.state = TState::Runnable;
-        let clk = tcb.clock.load(AO::Relaxed);
+        let clk = tcb.clock.get();
         self.runnable.push(RunKey(clk, tid));
     }
 
@@ -223,7 +225,7 @@ impl SchedState {
         tid
     }
 
-    pub(crate) fn clock_handle(&self, tid: ThreadId) -> Arc<AtomicU64> {
+    pub(crate) fn clock_handle(&self, tid: ThreadId) -> Arc<SingleWriterU64> {
         self.tcbs[tid].clock.clone()
     }
 
@@ -255,7 +257,7 @@ impl SchedState {
                     tid,
                     tcb.name,
                     tcb.state,
-                    tcb.clock.load(AO::Relaxed)
+                    tcb.clock.get()
                 ));
             }
         }
