@@ -296,6 +296,17 @@ impl<T: Element> DArray<T> {
     /// into the local operand buffer; under Exclusive rights it is applied
     /// to the value directly — both are the same commutative combine.
     ///
+    /// Evicting an Operated line sends its operands home but keeps the
+    /// node's Operate rights (DESIGN.md §4.2): the chunk goes idle, and
+    /// the next `apply` under the same operator rebuilds an identity
+    /// buffer in a fresh line without a message or a wait on the home,
+    /// counted in `operate_reacquires` rather than `fills`. The rights end
+    /// when the home recalls them (an idle node answers at once with an
+    /// empty flush) or when the node asks for other rights. The cost of
+    /// keeping them: a Read or Write of an Operated chunk whose holders
+    /// have all evicted recalls them, one empty flush each, where the home
+    /// could otherwise promote the chunk at once.
+    ///
     /// ```
     /// use darray::{ArrayOptions, Cluster, ClusterConfig, Sim, SimConfig};
     /// Sim::new(SimConfig::default()).run(|ctx| {
@@ -527,9 +538,10 @@ mod tests {
     use std::ops::Range;
 
     use crate::msg::{LocalKind, RtMsg};
+    use crate::state::LocalState;
     use crate::{
         ArrayOptions, Cluster, ClusterConfig, DArrayError, FaultConfig, FaultPlan, LockKind,
-        NodeId, NodeStatsSnapshot, PinMode,
+        NodeId, NodeStatsSnapshot, OpId, PinMode,
     };
     use dsim::{Sim, SimConfig};
 
@@ -714,6 +726,138 @@ mod tests {
                 a.try_get(ctx, 700),
                 Err(DArrayError::NodeUnavailable { node: 1, .. })
             ));
+        });
+    }
+
+    /// A 2-node cluster (`cfg`) with a 24-line cache and no prefetch: node
+    /// 1's reads of node 0's 32 chunks make the eviction scan run, and one
+    /// allocation just after a reclaim episode arms none (every pool keeps
+    /// at least 6 lines, so a pool at its high watermark stays above its
+    /// low one after one more line), at 1, 2 or 4 runtime threads.
+    fn evicting(
+        ctx: &mut dsim::Ctx,
+        mut cfg: ClusterConfig,
+    ) -> (Cluster, crate::DArray<u64>, crate::DArray<u64>) {
+        cfg.cache.capacity_lines = 24;
+        cfg.cache.prefetch_lines = 0;
+        let cluster = Cluster::new(ctx, cfg);
+        let arr = cluster.alloc_with::<u64>(64 * 512, ArrayOptions::default(), |i| i as u64);
+        let (a0, a1) = (arr.on(0), arr.on(1));
+        (cluster, a0, a1)
+    }
+
+    /// Node 1 applies `op` with `operand` to element 7 of chunk 0, which
+    /// node 0 homes, then reads node 0's other chunks until the eviction
+    /// scan has taken chunk 0's line: its operands went home in a keep
+    /// flush and its Operate rights stayed.
+    fn apply_then_evict(ctx: &mut dsim::Ctx, a1: &crate::DArray<u64>, op: OpId, operand: u64) {
+        a1.apply(ctx, 7, op, operand);
+        assert_eq!(a1.dentry(0).state(), LocalState::Operated);
+        for c in 1..32 {
+            if a1.dentry(0).state() == LocalState::OperatedIdle {
+                break;
+            }
+            a1.get(ctx, c * 512);
+        }
+        // Let the reclaim episode finish before anything is measured.
+        ctx.sleep(PAST_A_ROUND_TRIP);
+        assert_eq!(a1.dentry(0).state(), LocalState::OperatedIdle);
+        assert_eq!(a1.dentry(0).op_tag(), op.0);
+    }
+
+    /// An apply to an idle Operated chunk re-acquires it locally: no frame
+    /// leaves either node and no fill is counted, one re-acquire is; the
+    /// home then reads both applies.
+    #[test]
+    fn an_idle_operated_chunk_reapplies_with_no_message() {
+        Sim::new(SimConfig::default()).run(|ctx| {
+            let (cluster, a0, a1) = evicting(ctx, ClusterConfig::test_config(2));
+            let add = cluster.ops().register_add_u64();
+            apply_then_evict(ctx, &a1, add, 1);
+            let before = [cluster.stats(0), cluster.stats(1)];
+            a1.apply(ctx, 7, add, 1);
+            let after = [cluster.stats(0), cluster.stats(1)];
+            for n in 0..2 {
+                assert_eq!(after[n].frames, before[n].frames, "node {n} sent a frame");
+                assert_eq!(after[n].fills, before[n].fills, "node {n} counted a fill");
+            }
+            assert_eq!(
+                after[1].operate_reacquires,
+                before[1].operate_reacquires + 1
+            );
+            assert_eq!(after[1].slow_misses, before[1].slow_misses + 1);
+            assert_eq!(a1.dentry(0).state(), LocalState::Operated);
+            assert_eq!(a0.get(ctx, 7), 7 + 2);
+            cluster.shutdown(ctx);
+        });
+    }
+
+    /// Each way out of the idle state keeps every operand: node 1 reading
+    /// the chunk (its leaving flush goes first), node 0 reading it (the
+    /// recall finds node 1 idle and takes an empty flush), and node 1
+    /// applying under a second operator.
+    #[test]
+    fn every_exit_from_the_idle_state_keeps_the_sum() {
+        for exit in ["node 1 reads", "node 0 recalls", "node 1 changes operator"] {
+            Sim::new(SimConfig::default()).run(move |ctx| {
+                let (cluster, a0, a1) = evicting(ctx, ClusterConfig::test_config(2));
+                let add = cluster.ops().register_add_u64();
+                let max = cluster.ops().register_max_u64();
+                apply_then_evict(ctx, &a1, add, 5);
+                let flushes = cluster.stats(1).operand_flushes;
+                match exit {
+                    "node 1 reads" => assert_eq!(a1.get(ctx, 7), 7 + 5, "{exit}"),
+                    "node 0 recalls" => {
+                        assert_eq!(a0.get(ctx, 7), 7 + 5, "{exit}");
+                        assert_eq!(cluster.stats(1).recalls, 1, "{exit}");
+                    }
+                    _ => a1.apply(ctx, 7, max, 100),
+                }
+                // One empty flush left node 1 in each case.
+                assert_eq!(cluster.stats(1).operand_flushes, flushes + 1, "{exit}");
+                assert_ne!(a1.dentry(0).state(), LocalState::OperatedIdle, "{exit}");
+                let want = if exit == "node 1 changes operator" {
+                    100
+                } else {
+                    7 + 5
+                };
+                assert_eq!(a0.get(ctx, 7), want, "{exit}");
+                assert_eq!(cluster.stats(1).operate_reacquires, 0, "{exit}");
+                cluster.shutdown(ctx);
+            });
+        }
+    }
+
+    /// An idle chunk whose home is declared down keeps its rights, but an
+    /// apply reports the home unavailable instead of re-acquiring.
+    #[test]
+    fn an_idle_chunk_of_a_dead_home_is_unavailable() {
+        let mut plan = FaultPlan::new(7);
+        plan.crash_at = vec![(0, 2_000_000)];
+        let mut fc = FaultConfig::new(plan);
+        fc.rpc_timeout_ns = 50_000;
+        fc.max_retries = 3;
+        let mut cfg = ClusterConfig::with_nodes(2);
+        cfg.fault = Some(fc);
+        Sim::new(SimConfig::default()).run(move |ctx| {
+            let (cluster, _, a1) = evicting(ctx, cfg);
+            let add = cluster.ops().register_add_u64();
+            apply_then_evict(ctx, &a1, add, 1);
+            ctx.sleep(3_000_000);
+            // The first write after the crash (no copy node 1 holds allows
+            // one) times out and the node is declared down.
+            assert!(matches!(
+                a1.try_set(ctx, 31 * 512, 0),
+                Err(DArrayError::NodeUnavailable { node: 0, .. })
+            ));
+            let reacquires = cluster.stats(1).operate_reacquires;
+            assert!(matches!(
+                a1.try_apply(ctx, 7, add, 1),
+                Err(DArrayError::NodeUnavailable { node: 0, .. })
+            ));
+            assert_eq!(a1.dentry(0).state(), LocalState::OperatedIdle);
+            assert_eq!(cluster.stats(1).operate_reacquires, reacquires);
+            cluster.shutdown(ctx);
         });
     }
 

@@ -352,7 +352,7 @@ frames! {
         2 => Coherence(Msg::OperateReq) { op: u32 },
         3 => Coherence(Msg::EvictNotice),
         4 => Coherence(Msg::WritebackNotice) { downgrade: bool },
-        5 => Coherence(Msg::OperandFlush) { op: u32, data: Vec<u64> },
+        5 => Coherence(Msg::OperandFlush) { op: u32, data: Vec<u64>, keep: bool = false },
         6 => Coherence(Msg::FillShared),
         7 => Coherence(Msg::FillExclusive),
         8 => Coherence(Msg::GrantOperated) { op: u32 },
@@ -371,6 +371,7 @@ frames! {
         21 => Coherence(Msg::MigrateForward) { requester: NodeId, dst_off: u64, kind: Kind },
         22 => LockAcquire { id: u64, kind: LockKind, intent: bool = true },
         23 => LockGrant { id: u64, kind: LockKind, intent: bool = true },
+        24 => Coherence(Msg::OperandFlush) { op: u32, data: Vec<u64>, keep: bool = true },
     }
     NetMsg {
         0 => Rpc { env: Envelope },
@@ -493,6 +494,7 @@ mod tests {
         let m = Rpc::Coherence(Msg::OperandFlush {
             op: 0,
             data: vec![0; 512],
+            keep: false,
         });
         assert_eq!(m.payload_bytes(), 16 + 4096);
         assert_eq!(Rpc::Coherence(Msg::FillShared).payload_bytes(), 16);
@@ -528,15 +530,15 @@ mod tests {
             dst_off: 1 << 33,
             kind,
         };
-        let flush = |data| Msg::OperandFlush { op: 1, data };
+        let flush = |data, keep| Msg::OperandFlush { op: 1, data, keep };
         let rpcs = [
             rpc(Msg::ReadReq { dst_off: 1 << 40 }, 18),
             rpc(Msg::WriteReq { dst_off: 7 }, 18),
             rpc(Msg::OperateReq { op: 2 }, 14),
             rpc(Msg::EvictNotice, 10),
             rpc(Msg::WritebackNotice { downgrade: true }, 11),
-            rpc(flush(vec![u64::MAX, 0, 42]), 42),
-            rpc(flush(vec![]), 18),
+            rpc(flush(vec![u64::MAX, 0, 42], false), 42),
+            rpc(flush(vec![], false), 18),
             rpc(Msg::FillShared, 10),
             rpc(Msg::FillExclusive, 10),
             rpc(Msg::GrantOperated { op: 3 }, 14),
@@ -557,6 +559,8 @@ mod tests {
             rpc(forward(Kind::Operate(9)), 27),
             rpc(lock(102, LockKind::Write, true), 19),
             rpc(grant(103, LockKind::Write, true), 19),
+            rpc(flush(vec![7, u64::MAX], true), 34),
+            rpc(flush(vec![], true), 18),
         ];
         let vote = |suspect, alive| NetMsg::SuspectVote { suspect, alive };
         let join = |node, admit| NetMsg::JoinVote { node, admit };
@@ -623,7 +627,7 @@ mod tests {
     fn unassigned_tags_are_rejected() {
         for tail in 0..=32 {
             let tail = vec![0u8; tail];
-            for tag in 24..=255u8 {
+            for tag in 25..=255u8 {
                 let frame = [&[0, 2, 0, 0, 0, 9, 0, 0, 0, tag], &tail[..]].concat();
                 assert!(NetMsg::decode(&frame).is_none(), "RPC tag {tag}");
             }
@@ -668,7 +672,8 @@ mod tests {
                     0,
                     Msg::OperandFlush {
                         op: 0,
-                        data: vec![0; 4]
+                        data: vec![0; 4],
+                        keep: true,
                     }
                 ),
             }

@@ -51,7 +51,10 @@ pub enum AfterDrain {
         /// The cacheline holding the dirty data.
         line: u32,
     },
-    /// Flush combined operands and invalidate (recall or eviction).
+    /// Flush combined operands and free the line. A recall drains to
+    /// Invalid; an eviction drains to [`LocalState::OperatedIdle`] and
+    /// keeps its Operate rights, unless a recall, home restart or home move
+    /// reaches the drain first.
     FlushInvalidate {
         /// The cacheline holding the combined operands.
         line: u32,
@@ -237,6 +240,9 @@ pub enum CacheAction {
         op: u32,
         /// True to detach and free the line afterwards.
         release: bool,
+        /// True to keep the Operate rights (an eviction to
+        /// [`LocalState::OperatedIdle`]).
+        keep: bool,
     },
     /// Send the upgrade request matching `kind` (fill lands in `line`).
     SendUpgrade {
@@ -269,7 +275,7 @@ impl CacheMachine {
                 home_down,
                 drain_pending,
             } => Self::request(view, kind, home_down, drain_pending),
-            CacheEvent::LineAllocated { line, kind } => Self::line_allocated(line, kind),
+            CacheEvent::LineAllocated { line, kind } => Self::line_allocated(view, line, kind),
             CacheEvent::FillDone { granted } => Self::fill_done(view, granted),
             CacheEvent::GrantDone { op } => Self::grant_done(view, op),
             CacheEvent::Invalidate { from } => {
@@ -322,8 +328,8 @@ impl CacheMachine {
                     vec![]
                 }
             }
-            CacheEvent::RecallOperated { op } => {
-                if view.state == LocalState::Operated && !view.draining && view.op_tag == op {
+            CacheEvent::RecallOperated { op } if view.op_tag == op => match view.state {
+                LocalState::Operated if !view.draining => {
                     vec![
                         CacheAction::Count(Counter::Recalls),
                         CacheAction::BeginDrain {
@@ -335,18 +341,37 @@ impl CacheMachine {
                             },
                         },
                     ]
-                } else {
-                    // Nothing to flush — a voluntary flush of this operator
-                    // is already in flight on the same FIFO link (eviction
-                    // or operator change always flushes before leaving the
-                    // Operated state) and will satisfy the home's flush
-                    // set. Replying with an extra empty flush would be a
-                    // *stale* message that could remove us from a LATER
-                    // Operated epoch's sharer set (observed in property
-                    // testing as a lost operand).
-                    vec![]
                 }
-            }
+                // Idle: the operands already went home in keep flushes,
+                // which the home does not count toward the epoch's close.
+                // Answer at once with an empty flush that does. Every
+                // recall reaching an idle chunk is for its current epoch:
+                // an older epoch's recall arrived before this epoch's
+                // grant, on the same FIFO link.
+                LocalState::OperatedIdle if !view.draining => {
+                    let mut out = vec![CacheAction::Count(Counter::Recalls)];
+                    out.extend(Self::leave_idle(view, "recall-idle", true));
+                    out
+                }
+                // Mid-eviction: the drain's own flush answers the recall
+                // once it leaves as an ordinary flush.
+                LocalState::OperatedIdle => {
+                    let mut out = vec![CacheAction::Count(Counter::Recalls)];
+                    out.extend(Self::leave_idle(view, "recall-evicting", false));
+                    out
+                }
+                // Nothing to flush — this node left the epoch with a flush
+                // that is already in flight on the same FIFO link (every
+                // way out of the Operated and idle states sends one) and
+                // will satisfy the home's flush set. Replying with an extra empty flush would be a *stale*
+                // message that could remove us from a LATER Operated
+                // epoch's sharer set (observed in property testing as a
+                // lost operand).
+                _ => vec![],
+            },
+            // Another operator's recall is a stale one, for an epoch this
+            // node already left.
+            CacheEvent::RecallOperated { .. } => vec![],
             CacheEvent::Evict => Self::evict(view),
             CacheEvent::Drained { after, home_down } => Self::drained(view, after, home_down),
             // A delayed (draining) chunk is torn down by its continuation's
@@ -356,6 +381,19 @@ impl CacheMachine {
             // in-flight fills are reset.
             CacheEvent::HomeDown if view.state.in_flight() && !view.draining => {
                 Self::reset(view, "home-down")
+            }
+            // A restarted or moved home that reaches an eviction drain
+            // toward idle: the drain's flush must leave rather than keep
+            // rights the new directory never granted.
+            CacheEvent::HomeRestarted | CacheEvent::HomeMoved
+                if view.state == LocalState::OperatedIdle && view.draining =>
+            {
+                let trigger = if ev == CacheEvent::HomeMoved {
+                    "home-moved-evicting"
+                } else {
+                    "home-restarted-evicting"
+                };
+                Self::leave_idle(view, trigger, false)
             }
             // A restarted home (a restart is always preceded by a death
             // declaration) or a moved one (the recall fence already revoked
@@ -369,6 +407,34 @@ impl CacheMachine {
             }
             CacheEvent::HomeDown | CacheEvent::HomeRestarted | CacheEvent::HomeMoved => vec![],
         }
+    }
+
+    /// An idle chunk gives up its Operate rights and goes Invalid. With
+    /// `flush`, an empty non-keep flush takes it out of the home's sharer
+    /// set; without, the pending eviction drain's flush will.
+    fn leave_idle(view: &CacheView, trigger: &'static str, flush: bool) -> Vec<CacheAction> {
+        let mut out = Vec::new();
+        if flush {
+            out.push(CacheAction::Send {
+                to: view.home,
+                msg: Msg::OperandFlush {
+                    op: view.op_tag,
+                    data: Vec::new(),
+                    keep: false,
+                },
+            });
+            out.push(CacheAction::Count(Counter::OperandFlushes));
+        }
+        out.push(CacheAction::Trace(Transition {
+            from: view.state.name(),
+            to: LocalState::Invalid.name(),
+            trigger,
+        }));
+        out.push(CacheAction::Promote {
+            state: LocalState::Invalid,
+            tag: NOTAG,
+        });
+        out
     }
 
     /// Drop every local right on the chunk: release its line, reset to
@@ -462,6 +528,18 @@ impl CacheMachine {
                     },
                 ]
             }
+            // The same operator re-acquires: a line and an identity buffer,
+            // built locally once the line is allocated.
+            LocalState::OperatedIdle if kind == Kind::Operate(view.op_tag) => {
+                vec![CacheAction::QueueWaiter, CacheAction::AllocLine { kind }]
+            }
+            // Other rights: leave the epoch with an empty flush, as
+            // `FlushThenUpgrade` does with a line, then miss as Invalid.
+            LocalState::OperatedIdle => {
+                let mut out = Self::leave_idle(view, "leave-idle", true);
+                out.extend([CacheAction::QueueWaiter, CacheAction::AllocLine { kind }]);
+                out
+            }
             LocalState::Invalid => vec![CacheAction::QueueWaiter, CacheAction::AllocLine { kind }],
             LocalState::FillingShared
             | LocalState::FillingExclusive
@@ -469,10 +547,32 @@ impl CacheMachine {
         }
     }
 
-    /// The executor allocated a line for an Invalid-miss: enter the
-    /// matching Filling state and send the request.
-    fn line_allocated(line: u32, kind: Kind) -> Vec<CacheAction> {
+    /// The executor allocated a line for a miss. An idle Operated chunk
+    /// re-acquiring under its operator fills the line with the identity and
+    /// is Operated again, with no message and no wait on the home; an
+    /// Invalid one enters the matching Filling state and sends the request.
+    fn line_allocated(view: &CacheView, line: u32, kind: Kind) -> Vec<CacheAction> {
         let mut out = vec![CacheAction::SetLine { line }];
+        if view.state == LocalState::OperatedIdle && kind == Kind::Operate(view.op_tag) {
+            out.extend([
+                CacheAction::InitOperandBuffer {
+                    line,
+                    op: view.op_tag,
+                },
+                CacheAction::Promote {
+                    state: LocalState::Operated,
+                    tag: view.op_tag,
+                },
+                CacheAction::Count(Counter::OperateReacquires),
+                CacheAction::Trace(Transition {
+                    from: view.state.name(),
+                    to: LocalState::Operated.name(),
+                    trigger: "reacquire",
+                }),
+                CacheAction::WakeAllWaiters,
+            ]);
+            return out;
+        }
         match kind {
             Kind::Read => {
                 out.push(CacheAction::SetTransient {
@@ -564,8 +664,9 @@ impl CacheMachine {
     }
 
     /// The eviction scan picked this line (executor already checked the
-    /// delay flag and refcount): drain towards Invalid with the follow-up
-    /// the current state requires.
+    /// delay flag and refcount): drain with the follow-up the current state
+    /// requires. Shared and Exclusive copies drain towards Invalid; an
+    /// Operated one drains towards idle, keeping its Operate rights.
     fn evict(view: &CacheView) -> Vec<CacheAction> {
         let after = match view.state {
             LocalState::Shared => AfterDrain::EvictShared { line: view.line },
@@ -574,15 +675,15 @@ impl CacheMachine {
                 line: view.line,
                 op: view.op_tag,
             },
-            _ => return vec![], // in-flight or Invalid: not evictable
+            _ => return vec![], // in-flight, idle or Invalid: not evictable
+        };
+        let (target, tag) = match view.state {
+            LocalState::Operated => (LocalState::OperatedIdle, view.op_tag),
+            _ => (LocalState::Invalid, NOTAG),
         };
         vec![
             CacheAction::Count(Counter::Evictions),
-            CacheAction::BeginDrain {
-                target: LocalState::Invalid,
-                tag: NOTAG,
-                after,
-            },
+            CacheAction::BeginDrain { target, tag, after },
         ]
     }
 
@@ -660,17 +761,24 @@ impl CacheMachine {
             }
             AfterDrain::FlushInvalidate { line, op } => {
                 if home_down {
-                    let _ = op;
+                    // An eviction's idle rights go too.
                     vec![
                         CacheAction::ReleaseLine { line },
+                        CacheAction::Promote {
+                            state: LocalState::Invalid,
+                            tag: NOTAG,
+                        },
                         CacheAction::WakeAllWaiters,
                     ]
                 } else {
+                    // Still idle: an eviction that nothing has revoked since.
+                    let keep = view.state == LocalState::OperatedIdle;
                     vec![
                         CacheAction::SendFlush {
                             line,
                             op,
                             release: true,
+                            keep,
                         },
                         CacheAction::Count(Counter::OperandFlushes),
                         CacheAction::WakeAllWaiters,
@@ -726,6 +834,7 @@ impl CacheMachine {
                             line,
                             op: old_op,
                             release: false,
+                            keep: false,
                         },
                         CacheAction::Count(Counter::OperandFlushes),
                         CacheAction::SendUpgrade { line, kind },
@@ -1091,5 +1200,169 @@ mod tests {
         ));
         let filling = view(LocalState::FillingShared, NOTAG, 3);
         assert!(CacheMachine::on_event(&filling, CacheEvent::Evict).is_empty());
+        let idle = view(LocalState::OperatedIdle, 4, super::super::LINE_NONE);
+        assert!(CacheMachine::on_event(&idle, CacheEvent::Evict).is_empty());
+    }
+
+    fn request(kind: Kind) -> CacheEvent {
+        CacheEvent::Request {
+            kind,
+            home_down: false,
+            drain_pending: false,
+        }
+    }
+
+    fn empty_flush(op: u32) -> CacheAction {
+        CacheAction::Send {
+            to: 0,
+            msg: Msg::OperandFlush {
+                op,
+                data: Vec::new(),
+                keep: false,
+            },
+        }
+    }
+
+    /// An evicted Operated line drains to idle under its operator and goes
+    /// home in a keep flush; a chunk the drain finds Invalid again (a
+    /// recall, restart or move reached it) flushes without keeping, and a
+    /// dead home leaves it Invalid.
+    #[test]
+    fn an_evicted_operated_line_keeps_its_rights() {
+        let acts = CacheMachine::on_event(&view(LocalState::Operated, 4, 2), CacheEvent::Evict);
+        let after = AfterDrain::FlushInvalidate { line: 2, op: 4 };
+        assert_eq!(
+            acts[1],
+            CacheAction::BeginDrain {
+                target: LocalState::OperatedIdle,
+                tag: 4,
+                after,
+            }
+        );
+        let drained = |state, tag, home_down| {
+            let mut v = view(state, tag, 2);
+            v.draining = true;
+            CacheMachine::on_event(&v, CacheEvent::Drained { after, home_down })
+        };
+        for (state, tag, keep) in [
+            (LocalState::OperatedIdle, 4, true),
+            (LocalState::Invalid, NOTAG, false),
+        ] {
+            assert_eq!(
+                drained(state, tag, false)[0],
+                CacheAction::SendFlush {
+                    line: 2,
+                    op: 4,
+                    release: true,
+                    keep,
+                }
+            );
+        }
+        assert_eq!(
+            drained(LocalState::OperatedIdle, 4, true),
+            vec![
+                CacheAction::ReleaseLine { line: 2 },
+                CacheAction::Promote {
+                    state: LocalState::Invalid,
+                    tag: NOTAG,
+                },
+                CacheAction::WakeAllWaiters,
+            ]
+        );
+    }
+
+    /// The same operator re-acquires an idle chunk with a line and an
+    /// identity buffer, and no message; it counts no fill.
+    #[test]
+    fn an_idle_chunk_reacquires_locally() {
+        let v = view(LocalState::OperatedIdle, 4, super::super::LINE_NONE);
+        let op = Kind::Operate(4);
+        assert_eq!(
+            CacheMachine::on_event(&v, request(op)),
+            vec![
+                CacheAction::QueueWaiter,
+                CacheAction::AllocLine { kind: op }
+            ]
+        );
+        let acts = CacheMachine::on_event(&v, CacheEvent::LineAllocated { line: 6, kind: op });
+        assert_eq!(
+            acts[..3],
+            [
+                CacheAction::SetLine { line: 6 },
+                CacheAction::InitOperandBuffer { line: 6, op: 4 },
+                CacheAction::Promote {
+                    state: LocalState::Operated,
+                    tag: 4,
+                },
+            ]
+        );
+        assert!(acts.contains(&CacheAction::Count(Counter::OperateReacquires)));
+        assert!(!acts.contains(&CacheAction::Count(Counter::Fills)));
+        assert_eq!(acts.last(), Some(&CacheAction::WakeAllWaiters));
+        assert!(!acts.iter().any(|a| matches!(
+            a,
+            CacheAction::Send { .. } | CacheAction::SendUpgrade { .. }
+        )));
+    }
+
+    /// Other rights leave the epoch with an empty flush first, then miss as
+    /// an Invalid chunk does.
+    #[test]
+    fn an_idle_chunk_leaves_with_an_empty_flush() {
+        let v = view(LocalState::OperatedIdle, 4, super::super::LINE_NONE);
+        for kind in [Kind::Read, Kind::Write, Kind::Operate(9)] {
+            let acts = CacheMachine::on_event(&v, request(kind));
+            assert_eq!(acts[0], empty_flush(4), "{kind:?}");
+            assert!(acts.contains(&CacheAction::Promote {
+                state: LocalState::Invalid,
+                tag: NOTAG,
+            }));
+            assert_eq!(
+                acts[acts.len() - 2..],
+                [CacheAction::QueueWaiter, CacheAction::AllocLine { kind }]
+            );
+        }
+        // With the home down the requester wakes to see it unavailable.
+        let acts = CacheMachine::on_event(
+            &v,
+            CacheEvent::Request {
+                kind: Kind::Operate(4),
+                home_down: true,
+                drain_pending: false,
+            },
+        );
+        assert_eq!(acts, vec![CacheAction::WakeRequester]);
+    }
+
+    /// A recall that finds the chunk idle is answered at once; one that
+    /// reaches the eviction drain marks the chunk Invalid so the drain's
+    /// own flush answers it; another operator's recall is stale.
+    #[test]
+    fn a_recall_of_an_idle_chunk_is_answered_at_once() {
+        let mut v = view(LocalState::OperatedIdle, 4, super::super::LINE_NONE);
+        let invalid = CacheAction::Promote {
+            state: LocalState::Invalid,
+            tag: NOTAG,
+        };
+        let acts = CacheMachine::on_event(&v, CacheEvent::RecallOperated { op: 4 });
+        assert_eq!(acts[1], empty_flush(4));
+        assert!(acts.contains(&invalid));
+        assert!(CacheMachine::on_event(&v, CacheEvent::RecallOperated { op: 9 }).is_empty());
+        v.draining = true;
+        v.line = 2;
+        for ev in [
+            CacheEvent::RecallOperated { op: 4 },
+            CacheEvent::HomeRestarted,
+            CacheEvent::HomeMoved,
+        ] {
+            let acts = CacheMachine::on_event(&v, ev);
+            assert_eq!(acts.last(), Some(&invalid), "{ev:?}");
+            assert!(!acts.iter().any(|a| matches!(a, CacheAction::Send { .. })));
+        }
+        // Stable rights kept against a dead home; a restart drops them.
+        v.draining = false;
+        v.line = super::super::LINE_NONE;
+        assert!(CacheMachine::on_event(&v, CacheEvent::HomeDown).is_empty());
+        assert!(CacheMachine::on_event(&v, CacheEvent::HomeRestarted).contains(&invalid));
     }
 }

@@ -156,6 +156,9 @@ pub enum HomeEvent<W> {
         op: u32,
         /// The operands to reduce (empty = nothing to reduce).
         data: Vec<u64>,
+        /// The sender evicted its line but keeps its Operate rights
+        /// ([`LocalState::OperatedIdle`]).
+        keep: bool,
     },
     /// The home dentry's reference drain (started by
     /// [`HomeAction::StartHomeDrain`]) completed.
@@ -611,7 +614,12 @@ impl<W> HomeMachine<W> {
                 // else: stale notice (the transient already completed via a
                 // different path); the data write is idempotent.
             }
-            HomeEvent::Flush { from, op, data } => {
+            HomeEvent::Flush {
+                from,
+                op,
+                data,
+                keep,
+            } => {
                 // Reduce first — operand data must never be lost, whatever
                 // the bookkeeping below decides.
                 let has_data = !data.is_empty();
@@ -623,8 +631,10 @@ impl<W> HomeMachine<W> {
                     // Epoch check: only a flush of the operator being
                     // recalled may shrink the waiting set — a crossing flush
                     // of an older operator must not be miscounted against
-                    // the current epoch.
-                    Transient::AwaitFlushes { op: top, .. } if *top == op => {
+                    // the current epoch. Nor may a keep flush: its sender
+                    // kept its rights, may apply again, and answers the
+                    // recall with a flush of its own.
+                    Transient::AwaitFlushes { op: top, .. } if *top == op && !keep => {
                         self.remove_sharer(from);
                         if self.transient_remove(from) {
                             self.set_state(DirState::Unshared, "flushes-complete", &mut out);
@@ -643,11 +653,15 @@ impl<W> HomeMachine<W> {
                     _ => {
                         if matches!(&self.state, DirState::Operated { op: cur, .. } if cur.0 == op)
                         {
-                            // Voluntary eviction flush of the current epoch:
-                            // the home keeps the Operated state (it may
-                            // still be combining locally); the next
+                            // Voluntary flush of the current epoch: a sharer
+                            // leaving it for other rights, or evicting its
+                            // line and keeping them (`keep`, so it stays a
+                            // sharer). The home keeps the Operated state (it
+                            // may still be combining locally); the next
                             // Read/Write promotes lazily.
-                            self.remove_sharer(from);
+                            if !keep {
+                                self.remove_sharer(from);
+                            }
                             // Operand data was just reduced into the home
                             // image; persist it while the chunk is idle so
                             // an "operated-promotion" (which has no flush of
@@ -1664,6 +1678,7 @@ mod tests {
                 from: 1,
                 op: 9,
                 data: vec![1],
+                keep: false,
             },
         );
         assert!(matches!(m.transient(), Transient::AwaitFlushes { .. }));
@@ -1675,6 +1690,7 @@ mod tests {
                 from: 1,
                 op: 3,
                 data: vec![1],
+                keep: false,
             },
         );
         assert!(acts.iter().any(|a| matches!(
@@ -1684,6 +1700,49 @@ mod tests {
                 ..
             }
         )));
+    }
+
+    /// A keep flush is reduced (and persisted while the chunk is idle) but
+    /// never shrinks the sharer set or an epoch's wait set: only the
+    /// sender's later non-keep flush closes the epoch.
+    #[test]
+    fn a_keep_flush_neither_removes_its_sender_nor_closes_the_epoch() {
+        let flush = |data: Vec<u64>, keep| HomeEvent::Flush {
+            from: 1,
+            op: 3,
+            data,
+            keep,
+        };
+        let mut m = M::new();
+        m.set_durable(true);
+        m.on_event(0, 0, remote(1, Kind::Operate(3)));
+        m.on_event(0, 0, HomeEvent::Drained);
+        let acts = m.on_event(0, 0, flush(vec![1], true));
+        assert!(acts.contains(&HomeAction::ApplyFlushData {
+            op: 3,
+            data: vec![1]
+        }));
+        assert_eq!(acts.last(), Some(&HomeAction::PersistChunk { seq: 1 }));
+        assert_eq!(
+            m.state(),
+            &DirState::Operated {
+                op: OpId(3),
+                sharers: vec![1]
+            }
+        );
+        m.on_event(0, 0, HomeEvent::PersistDone { seq: 1 });
+        // A read recalls the idle sharer; its keep flushes do not answer.
+        m.on_event(0, 0, remote(2, Kind::Read));
+        m.on_event(0, 0, flush(vec![1], true));
+        assert!(
+            matches!(m.transient(), Transient::AwaitFlushes { waiting, .. } if waiting[..] == [1])
+        );
+        // The idle sharer's empty answer does.
+        let acts = m.on_event(0, 0, flush(Vec::new(), false));
+        assert!(!acts
+            .iter()
+            .any(|a| matches!(a, HomeAction::ApplyFlushData { .. })));
+        assert_eq!(m.state(), &DirState::Unshared);
     }
 
     #[test]
@@ -1789,6 +1848,7 @@ mod tests {
                 from: 1,
                 op: 5,
                 data: vec![1],
+                keep: false,
             },
         );
         let acts = m.on_event(
@@ -1835,6 +1895,7 @@ mod tests {
                 from: 1,
                 op: 5,
                 data: vec![1],
+                keep: false,
             },
         );
         assert!(
@@ -1933,6 +1994,7 @@ mod tests {
                 from: 1,
                 op: 5,
                 data: vec![1],
+                keep: false,
             },
         );
         m.on_event(0, 0, HomeEvent::Drained);
@@ -2083,6 +2145,7 @@ mod tests {
                 from: 1,
                 op: 5,
                 data: vec![1],
+                keep: false,
             },
         );
         // Reduce first, then persist the reduced image; the read stays
@@ -2323,6 +2386,7 @@ mod tests {
             from,
             op: 5,
             data: vec![1],
+            keep: false,
         };
         // The first flush is reduced, but the recall still waits on node 2.
         let acts = m.on_event(0, 0, flush(1));

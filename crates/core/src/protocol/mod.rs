@@ -123,6 +123,9 @@ pub struct Transition {
 pub enum Counter {
     /// A fill or Operated grant completed on this node.
     Fills,
+    /// An idle Operated chunk rebuilt its operand buffer locally, with no
+    /// message to the home (not a fill: nothing arrived).
+    OperateReacquires,
     /// A Shared copy was invalidated on this node.
     Invalidations,
     /// Dirty data was written back to its home.

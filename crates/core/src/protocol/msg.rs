@@ -49,6 +49,10 @@ pub enum Msg {
         op: u32,
         /// One operand per chunk word (empty = nothing to reduce).
         data: Vec<u64>,
+        /// The sender evicted its line but keeps its Operate rights: it
+        /// stays in the sharer set, and the flush does not count toward
+        /// closing the epoch.
+        keep: bool,
     },
     /// Home → requester: a read fill landed in the requester's line.
     FillShared,
@@ -151,7 +155,12 @@ impl Msg {
             } => request(requester, dst_off, kind),
             Msg::EvictNotice => Home(HomeEvent::EvictNotice { from }),
             Msg::WritebackNotice { downgrade } => Home(HomeEvent::Writeback { from, downgrade }),
-            Msg::OperandFlush { op, data } => Home(HomeEvent::Flush { from, op, data }),
+            Msg::OperandFlush { op, data, keep } => Home(HomeEvent::Flush {
+                from,
+                op,
+                data,
+                keep,
+            }),
             Msg::InvalidateAck => Home(HomeEvent::InvAck { from }),
             Msg::MigrateData { mig_epoch } => Home(HomeEvent::MigrateData { from, mig_epoch }),
             Msg::MigrateAck { mig_epoch } => Home(HomeEvent::MigrateAck { from, mig_epoch }),
@@ -234,11 +243,13 @@ mod tests {
                 Msg::OperandFlush {
                     op: 2,
                     data: vec![7, 0, 9],
+                    keep: true,
                 },
                 Delivery::Home(HomeEvent::Flush {
                     from: FROM,
                     op: 2,
                     data: vec![7, 0, 9],
+                    keep: true,
                 }),
             ),
             (

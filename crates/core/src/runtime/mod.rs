@@ -124,6 +124,7 @@ impl RuntimeThread {
         let s = self.stats();
         NodeStats::bump(match c {
             Counter::Fills => &s.fills,
+            Counter::OperateReacquires => &s.operate_reacquires,
             Counter::Invalidations => &s.invalidations,
             Counter::Writebacks => &s.writebacks,
             Counter::OperandFlushes => &s.operand_flushes,
@@ -594,14 +595,19 @@ impl RuntimeThread {
                         Envelope::new(arr.id, chunk, Msg::WritebackNotice { downgrade }),
                     );
                 }
-                CacheAction::SendFlush { line, op, release } => {
+                CacheAction::SendFlush {
+                    line,
+                    op,
+                    release,
+                    keep,
+                } => {
                     let words = arr.layout.chunk_size();
                     let data = self.read_line(ctx, line, words);
                     if release {
                         d.set_line(LINE_NONE);
                         self.cache.free(line);
                     }
-                    let msg = Msg::OperandFlush { op, data };
+                    let msg = Msg::OperandFlush { op, data, keep };
                     self.comm.send(ctx, home, Envelope::new(arr.id, chunk, msg));
                 }
                 CacheAction::SendUpgrade { line, kind } => {

@@ -32,6 +32,12 @@ pub enum LocalState {
     FillingExclusive = 5,
     /// Transient: an Operated grant is in flight.
     FillingOperated = 6,
+    /// Operate rights kept across an eviction: the node is still in the
+    /// home's Operated sharer set under the dentry's `op_tag`, but its
+    /// line (and the operands in it) went home in a keep flush. The fast
+    /// path rejects it; the next Operate under the same operator rebuilds
+    /// an identity buffer in a fresh line with no message to the home.
+    OperatedIdle = 7,
 }
 
 impl LocalState {
@@ -46,6 +52,7 @@ impl LocalState {
             4 => Self::FillingShared,
             5 => Self::FillingExclusive,
             6 => Self::FillingOperated,
+            7 => Self::OperatedIdle,
             _ => unreachable!("invalid LocalState byte {v}"),
         }
     }
@@ -53,9 +60,10 @@ impl LocalState {
     /// Do these rights cover an access of `kind` (Figure 4's rights
     /// check)? Exclusive covers every kind, since its holder can run an
     /// Operate as a local read-modify-write; Shared covers reads; Operated
-    /// covers an Operate under the operator it was granted for. `op_tag`
-    /// reads that operator; it is called only for an Operated state, so
-    /// the fast path loads the dentry's tag only then.
+    /// covers an Operate under the operator it was granted for; an idle
+    /// Operated chunk covers nothing, since it has no line. `op_tag` reads
+    /// that operator; it is called only for an Operated state, so the fast
+    /// path loads the dentry's tag only then.
     #[inline]
     pub fn permits(self, kind: Kind, op_tag: impl FnOnce() -> u32) -> bool {
         match (self, kind) {
@@ -85,6 +93,7 @@ impl LocalState {
             Self::FillingShared => "FillingShared",
             Self::FillingExclusive => "FillingExclusive",
             Self::FillingOperated => "FillingOperated",
+            Self::OperatedIdle => "OperatedIdle",
         }
     }
 }
@@ -240,7 +249,7 @@ mod tests {
 
     #[test]
     fn local_state_byte_roundtrip() {
-        for v in 0..=6u8 {
+        for v in 0..=7u8 {
             assert_eq!(LocalState::from_u8(v) as u8, v);
         }
     }
@@ -260,6 +269,7 @@ mod tests {
             (FillingShared, [false, false, false, false]),
             (FillingExclusive, [false, false, false, false]),
             (FillingOperated, [false, false, false, false]),
+            (OperatedIdle, [false, false, false, false]),
         ];
         for (state, row) in table {
             for (kind, want) in kinds.into_iter().zip(row) {
@@ -276,6 +286,7 @@ mod tests {
         for s in [FillingShared, FillingExclusive, FillingOperated] {
             assert!(s.in_flight());
         }
+        assert!(!OperatedIdle.in_flight());
     }
 
     #[test]

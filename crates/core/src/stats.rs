@@ -177,6 +177,10 @@ macro_rules! counters {
 counters! {
     /// Chunk fills completed (read, write or operate grants).
     fills: runtime, sum, lower;
+    /// Operate rights re-acquired without a message: an apply to a chunk
+    /// whose Operated line was evicted (its rights kept) rebuilt the
+    /// operand buffer in a fresh line. Not counted in `fills`.
+    operate_reacquires: runtime, sum, lower;
     /// Invalidations performed on this node's copies.
     invalidations: runtime, sum, lower;
     /// Recall/downgrade messages honored by this node (home pulled back a

@@ -509,6 +509,10 @@ struct Ck {
     intent_pulls: usize,
     /// Intent releases that evicted the grantee's Exclusive copy.
     hand_backs: usize,
+    /// How remote chunks left the idle Operated state (the trigger of each
+    /// transition out of `OperatedIdle`: a re-acquire, an idle recall, a
+    /// request for other rights, a home restart).
+    idle_exits: BTreeSet<&'static str>,
 }
 
 impl Display for Ck {
@@ -520,7 +524,7 @@ impl Display for Ck {
              suspect_refutes={} suspect_confirms={} suspected_dirty_states={} \
              persists={} persist_acks={} killed_mid_persist={} home_restarts={} \
              remote_restarts={} compactions={}/{} killed_mid_compaction={:?} \
-             restarts_from_checkpoint={} double_kills={} both_dead_states={}",
+             restarts_from_checkpoint={} double_kills={} both_dead_states={} idle_exits={:?}",
             self.pd_transients,
             self.pd_states,
             self.homedown_states,
@@ -543,6 +547,7 @@ impl Display for Ck {
             self.restarts_from_checkpoint,
             self.double_kills,
             self.both_dead_states,
+            self.idle_exits,
         )
     }
 }
@@ -1295,7 +1300,10 @@ impl Model for World {
                     && !zombie(i)
                     && matches!(
                         r.state,
-                        LocalState::Shared | LocalState::Exclusive | LocalState::Operated
+                        LocalState::Shared
+                            | LocalState::Exclusive
+                            | LocalState::Operated
+                            | LocalState::OperatedIdle
                     )
                 {
                     s.fail(
@@ -1313,10 +1321,16 @@ impl Model for World {
                 }
             }
         }
-        // Operated epoch agreement: all alive Operated remotes carry one tag.
+        // Operated epoch agreement: all alive Operated remotes, with a line
+        // or idle, carry one tag.
         let tags: Vec<u32> = (0..NREM)
             .filter(|&i| {
-                self.rem[i].alive && !zombie(i) && self.rem[i].state == LocalState::Operated
+                self.rem[i].alive
+                    && !zombie(i)
+                    && matches!(
+                        self.rem[i].state,
+                        LocalState::Operated | LocalState::OperatedIdle
+                    )
             })
             .map(|i| self.rem[i].op_tag)
             .collect();
@@ -1324,12 +1338,11 @@ impl Model for World {
             s.fail(self, "two alive remotes Operated under different ops");
         }
         // Dentry/line consistency (drains excepted: the line detaches at the
-        // continuation, not at drain start).
+        // continuation, not at drain start): only Invalid and idle chunks
+        // have no line.
         for (i, r) in self.rem.iter().enumerate() {
-            if r.alive
-                && r.after.is_none()
-                && (r.state == LocalState::Invalid) != (r.line == LINE_NONE)
-            {
+            let lineless = matches!(r.state, LocalState::Invalid | LocalState::OperatedIdle);
+            if r.alive && r.after.is_none() && lineless != (r.line == LINE_NONE) {
                 s.fail(
                     self,
                     &format!("r{} dentry/line mismatch: {:?}/{}", i + 1, r.state, r.line),
@@ -1462,12 +1475,13 @@ impl Model for World {
                             );
                         }
                     }
-                    LocalState::Operated => {
+                    LocalState::Operated | LocalState::OperatedIdle => {
                         if op_of != Some(r.op_tag) || !in_sharers {
                             s.fail(
                                 self,
                                 &format!(
-                                    "r{n} Operated({}) but directory is {:?}",
+                                    "r{n} {}({}) but directory is {:?}",
+                                    r.state.name(),
                                     r.op_tag,
                                     h.m.state()
                                 ),
@@ -1895,14 +1909,28 @@ fn run_cache_event(w: &mut World, s: &mut Search<World>, i: usize, first: CacheE
                         w.rem[i].line = LINE_NONE;
                     }
                 }
-                CacheAction::SendFlush { op, release, .. } => {
-                    send_r2h(w, s, i, Msg::OperandFlush { op, data: vec![1] });
+                CacheAction::SendFlush {
+                    op, release, keep, ..
+                } => {
+                    send_r2h(
+                        w,
+                        s,
+                        i,
+                        Msg::OperandFlush {
+                            op,
+                            data: vec![1],
+                            keep,
+                        },
+                    );
                     if release {
                         w.rem[i].line = LINE_NONE;
                     }
                 }
                 CacheAction::SendUpgrade { kind, .. } => {
                     send_r2h(w, s, i, Msg::request(kind, 0));
+                }
+                CacheAction::Trace(t) if t.from == LocalState::OperatedIdle.name() => {
+                    s.ck.idle_exits.insert(t.trigger);
                 }
                 CacheAction::PrefetchHint | CacheAction::Trace(_) | CacheAction::Count(_) => {}
             }
@@ -2038,7 +2066,7 @@ fn crash_model_coherence_no_grace() {
         "coherence",
         initial_world([2, 2], [0, 0], [1, 1], 2, 0, 1, 0),
     );
-    assert_eq!(s.seen.len(), 407_207);
+    assert_eq!(s.seen.len(), 431_605);
 
     // A PeerDown must have been injected into every transient phase the
     // protocol can be in (GraceWait needs grace > 0; see the other test).
@@ -2064,6 +2092,16 @@ fn crash_model_coherence_no_grace() {
         s.ck.epochs_aborted > 0,
         "no Operated epoch was ever closed by abort"
     );
+    // An evicted Operated line kept its rights, and the idle chunk left
+    // them every way it can: re-acquired, recalled while idle or while
+    // its eviction drained, or asked for other rights.
+    for exit in ["reacquire", "recall-idle", "recall-evicting", "leave-idle"] {
+        assert!(
+            s.ck.idle_exits.contains(exit),
+            "no idle chunk left by {exit}: {:?}",
+            s.ck.idle_exits
+        );
+    }
     assert!(s.quiescent > 0, "the search never reached quiescence");
 }
 
@@ -2132,7 +2170,7 @@ fn crash_model_suspected_but_alive() {
         "suspected",
         initial_world([2, 1], [0, 0], [1, 0], 1, 0, 1, 2),
     );
-    assert_eq!(s.seen.len(), 140_413);
+    assert_eq!(s.seen.len(), 147_531);
 
     assert!(
         s.ck.suspect_refutes > 0,
@@ -2168,7 +2206,7 @@ fn crash_model_durable_restart() {
         "durable",
         durable_world(initial_world([2, 1], [0, 0], [1, 0], 1, 0, 1, 0), 1),
     );
-    assert_eq!(s.seen.len(), 58_190);
+    assert_eq!(s.seen.len(), 64_564);
 
     assert!(s.ck.persists > 0, "no flush was ever persisted");
     assert!(
@@ -2186,6 +2224,14 @@ fn crash_model_durable_restart() {
     );
     assert!(s.ck.home_restarts > 0, "the home was never restarted");
     assert!(s.ck.remote_restarts > 0, "a remote was never restarted");
+    // A restarted home voids idle rights, also while their eviction drains.
+    for exit in ["home-restarted", "home-restarted-evicting"] {
+        assert!(
+            s.ck.idle_exits.contains(exit),
+            "no idle chunk left by {exit}: {:?}",
+            s.ck.idle_exits
+        );
+    }
     assert!(s.quiescent > 0, "the search never reached quiescence");
 }
 
@@ -2212,7 +2258,7 @@ fn crash_model_durable_compaction() {
             2,
         ),
     );
-    assert_eq!(s.seen.len(), 488_732);
+    assert_eq!(s.seen.len(), 621_864);
 
     assert!(s.ck.persists > 0, "no flush was ever persisted");
     assert!(
@@ -2249,7 +2295,7 @@ fn crash_model_double_kill() {
         "double-kill",
         initial_world([1, 1], [1, 1], [1, 0], 1, 0, 2, 0),
     );
-    assert_eq!(s.seen.len(), 503_650);
+    assert_eq!(s.seen.len(), 541_226);
 
     assert!(
         s.ck.double_kills > 0,
@@ -2298,8 +2344,11 @@ fn crash_model_grace_window() {
 /// Three nodes: the **source** home (node 0), the **target** home (node 1 —
 /// a freshly joined node, so its machine starts cold exactly as
 /// `Cluster::join_peer` brings it up), and one **requester** (node 2)
-/// issuing Read/Write traffic against whichever home its home-map view
-/// names. The search drives one `BeginMigration` through every
+/// issuing Read/Write/Operate traffic against whichever home its home-map
+/// view names, and evicting its line, through the real [`CacheMachine`].
+/// An evicted Operated line keeps its rights (`OperatedIdle`), so
+/// `HomeMoved` reaches the requester during and after that eviction's
+/// drain. The search drives one `BeginMigration` through every
 /// interleaving of requests, recalls, transfers, acks, commits, persists
 /// and **kills of source, target, or requester** (with every surviving
 /// prefix of the victim's in-flight messages), and checks the two §15
@@ -2363,20 +2412,21 @@ mod migration {
     #[derive(Debug, Clone, Hash)]
     struct MigWorld {
         homes: [Option<MHome>; 2],
-        // The requester's minimal cache: one line, one app slot.
+        // The requester's minimal cache: one dentry driven by the cache
+        // machine, one line, one app slot.
         r_alive: bool,
         r_state: LocalState,
+        r_op: u32,
+        r_line: u32,
+        /// `Some` while a Figure-5 drain is pending (the continuation).
+        r_after: Option<AfterDrain>,
+        /// The value in the requester's line while it holds a copy.
         r_val: u64,
-        r_dirty: bool,
         /// The requester's home-map view of the chunk (`home_on`).
         r_home: usize,
         r_home_epoch: u64,
         r_knows_dead: [bool; 2],
         r_app: App,
-        /// A protocol request is outstanding: the requester's dentry is
-        /// in-flight, so the runtime parks retries on the pending fill
-        /// instead of issuing a duplicate request.
-        r_inflight: bool,
         r_req_budget: u8,
         r_evict_budget: u8,
         /// Home images (the chunk's home slot per node).
@@ -2413,13 +2463,14 @@ mod migration {
                 homes: [Some(src), Some(tgt)],
                 r_alive: true,
                 r_state: LocalState::Invalid,
+                r_op: NOTAG,
+                r_line: LINE_NONE,
+                r_after: None,
                 r_val: 0,
-                r_dirty: false,
                 r_home: SRC,
                 r_home_epoch: 0,
                 r_knows_dead: [false; 2],
                 r_app: App::Idle,
-                r_inflight: false,
                 r_req_budget: req_budget,
                 r_evict_budget: evict_budget,
                 img: [0, 0],
@@ -2455,6 +2506,11 @@ mod migration {
         migrations_in: usize,
         parked_replays: usize,
         forwards: usize,
+        /// Operand flushes the requester sent keeping its rights.
+        keep_flushes: usize,
+        /// The requester's dentry state at each `HomeMoved` its cache
+        /// machine consumed, `+drain` while a drain was pending.
+        moved_states: BTreeSet<String>,
     }
 
     impl Display for MCk {
@@ -2462,13 +2518,16 @@ mod migration {
             write!(
                 f,
                 "completed={} aborted={} migrations_out={} migrations_in={} \
-                 parked_replays={} forwards={} kill_phases={:?}",
+                 parked_replays={} forwards={} keep_flushes={} moved_states={:?} \
+                 kill_phases={:?}",
                 self.completed,
                 self.aborted,
                 self.migrations_out,
                 self.migrations_in,
                 self.parked_replays,
                 self.forwards,
+                self.keep_flushes,
+                self.moved_states,
                 self.kill_phases,
             )
         }
@@ -2481,6 +2540,8 @@ mod migration {
             to: usize,
         },
         DrainHome(usize),
+        /// The requester's pending drain completes.
+        DrainReq,
         PersistDone(usize),
         BeginMigration,
         AppReq(Kind),
@@ -2535,6 +2596,9 @@ mod migration {
                     }
                 }
             }
+            if self.r_alive && self.r_after.is_some() {
+                out.push(MTr::DrainReq);
+            }
             out
         }
 
@@ -2543,24 +2607,30 @@ mod migration {
             if self.mig_pending && self.homes[SRC].is_some() {
                 out.push(MTr::BeginMigration);
             }
+            // An in-flight request stays outstanding: the runtime parks
+            // retries on the pending fill instead of issuing another.
             if self.r_alive
                 && self.r_app == App::Idle
                 && self.r_req_budget > 0
-                && !self.r_inflight
+                && !self.r_state.in_flight()
                 && !self.r_knows_dead[self.r_home]
             {
-                for kind in [Kind::Read, Kind::Write] {
-                    if !self.r_state.permits(kind, || NOTAG) {
+                for kind in KINDS {
+                    if !self.r_state.permits(kind, || self.r_op) {
                         out.push(MTr::AppReq(kind));
                     }
                 }
-                if self.r_state == LocalState::Exclusive {
+                if self.r_state == LocalState::Exclusive && self.r_after.is_none() {
                     out.push(MTr::WriteHit);
                 }
             }
             if self.r_alive
                 && self.r_evict_budget > 0
-                && matches!(self.r_state, LocalState::Shared | LocalState::Exclusive)
+                && self.r_after.is_none()
+                && matches!(
+                    self.r_state,
+                    LocalState::Shared | LocalState::Exclusive | LocalState::Operated
+                )
             {
                 out.push(MTr::Evict);
             }
@@ -2600,6 +2670,9 @@ mod migration {
                     self.links[from][to].front().unwrap()
                 ),
                 MTr::DrainHome(h) => format!("{} home drain completes", name(h)),
+                MTr::DrainReq => {
+                    format!("req drain completes: {:?}", self.r_after.as_ref().unwrap())
+                }
                 MTr::PersistDone(h) => format!(
                     "{} disk completes persist {:?}",
                     name(h),
@@ -2635,6 +2708,11 @@ mod migration {
                     self.homes[h].as_mut().unwrap().draining = false;
                     m_run_home(self, s, h, HomeEvent::Drained);
                 }
+                MTr::DrainReq => {
+                    let after = self.r_after.take().unwrap();
+                    let home_down = self.r_knows_dead[self.r_home];
+                    m_run_req(self, s, CacheEvent::Drained { after, home_down });
+                }
                 MTr::PersistDone(h) => {
                     let (seq, val) = self.pending_persist[h].take().unwrap();
                     if seq > self.log[h].0 {
@@ -2664,43 +2742,29 @@ mod migration {
                 MTr::AppReq(kind) => {
                     self.r_app = App::Waiting(kind);
                     self.r_req_budget -= 1;
-                    self.r_inflight = true;
-                    let home = self.r_home;
-                    if self.alive(home) {
-                        self.links[REQ][home].push_back(MFrame::Coherence {
-                            msg: Msg::request(kind, 0),
-                            write: None,
-                        });
-                    }
+                    let drain_pending = self.r_after.is_some();
+                    m_run_req(
+                        self,
+                        s,
+                        CacheEvent::Request {
+                            kind,
+                            home_down: false,
+                            drain_pending,
+                        },
+                    );
                 }
                 MTr::WriteHit => {
                     self.r_req_budget -= 1;
                     self.r_val = self.next_val;
                     self.next_val += 1;
-                    self.r_dirty = true;
                 }
+                // Eviction notices, writebacks and flushes go to the node
+                // the requester believes is home; a migration recall
+                // crossing with them is exactly the race the protocol must
+                // absorb.
                 MTr::Evict => {
                     self.r_evict_budget -= 1;
-                    let val = self.r_val;
-                    let state = self.r_state;
-                    self.r_state = LocalState::Invalid;
-                    self.r_dirty = false;
-                    // Evict notices go to the node the requester believes is
-                    // home; a migration recall crossing with this is exactly
-                    // the race the protocol must absorb. An Exclusive line is
-                    // the directory's Dirty owner whether or not it was
-                    // actually written, so its eviction is always a writeback.
-                    let home = self.r_home;
-                    if self.alive(home) {
-                        self.links[REQ][home].push_back(if state == LocalState::Exclusive {
-                            writeback(val)
-                        } else {
-                            MFrame::Coherence {
-                                msg: Msg::EvictNotice,
-                                write: None,
-                            }
-                        });
-                    }
+                    m_run_req(self, s, CacheEvent::Evict);
                 }
                 MTr::Kill {
                     victim,
@@ -2718,9 +2782,11 @@ mod migration {
                     } else {
                         self.r_alive = false;
                         self.r_state = LocalState::Invalid;
-                        self.r_dirty = false;
+                        self.r_op = NOTAG;
+                        self.r_line = LINE_NONE;
+                        self.r_after = None;
+                        self.r_val = 0;
                         self.r_app = App::Idle;
-                        self.r_inflight = false;
                         self.r_req_budget = 0;
                         self.r_evict_budget = 0;
                     }
@@ -2833,14 +2899,9 @@ mod migration {
                     };
                     m_send(w, s, h, to, fill, Some(w.img[h]));
                 }
-                HomeAction::Send {
-                    msg:
-                        Msg::GrantOperated { .. } | Msg::DowngradeDirty | Msg::RecallOperated { .. },
-                    ..
-                }
-                | HomeAction::ApplyFlushData { .. } => {
-                    s.fail(w, "unreachable action for a Read/Write-only world")
-                }
+                // Operands combine into the image; the no-lost-write theorem
+                // tracks written values only.
+                HomeAction::ApplyFlushData { .. } => {}
                 HomeAction::Send {
                     to,
                     msg: msg @ (Msg::MigrateForward { .. } | Msg::HomeMoved { .. }),
@@ -3021,19 +3082,23 @@ mod migration {
                 w.r_knows_dead[dead] = true;
                 // A parked request may have been lost with the corpse (or
                 // forwarded into it); the runtime's RPC timeout surfaces
-                // the retry/unavailable path rather than hanging.
+                // the retry/unavailable path rather than hanging. This
+                // world feeds no `HomeDown`: a request the old home
+                // forwarded may still be answered by the new one.
                 if matches!(w.r_app, App::Waiting(_)) {
                     w.r_app = App::Idle;
                 }
                 return;
             }
         };
-        // The home-map update is the runtime's own, ahead of delivery.
+        // The home-map update is the runtime's own, ahead of delivery, and
+        // only a move that changed the map reaches the cache machine.
         if let Msg::HomeMoved { new_home, epoch } = msg {
-            if epoch > w.r_home_epoch {
-                w.r_home = new_home;
-                w.r_home_epoch = epoch;
+            if epoch <= w.r_home_epoch {
+                return;
             }
+            w.r_home = new_home;
+            w.r_home_epoch = epoch;
             // The redirect names a home this node already knows is
             // dead: the runtime's retry resolves against the updated
             // map, sees the peer down, and surfaces NodeUnavailable
@@ -3041,84 +3106,164 @@ mod migration {
             if matches!(w.r_app, App::Waiting(_)) && w.r_knows_dead[w.r_home] {
                 w.r_app = App::Idle;
             }
-            return;
+            // An in-flight request is left to the copy the old home
+            // forwarded. The runtime instead resets the fill and asks the
+            // new home again, which can leave two requests for one miss at
+            // the new home and deadlock its directory; this world does not
+            // model that reset.
+            if w.r_state.in_flight() {
+                return;
+            }
+            let drain = if w.r_after.is_some() { "+drain" } else { "" };
+            s.ck.moved_states
+                .insert(format!("{}{drain}", w.r_state.name()));
         }
         match msg.deliver::<u32>(from) {
-            Delivery::Cache(CacheEvent::FillDone { granted }) => {
-                let exclusive = granted == LocalState::Exclusive;
-                w.r_inflight = false;
-                w.r_state = granted;
-                w.r_val = write.expect("a fill carries its data");
-                match w.r_app {
-                    App::Waiting(Kind::Write) => {
-                        if exclusive {
-                            w.r_val = w.next_val;
-                            w.next_val += 1;
-                            w.r_dirty = true;
-                            w.r_app = App::Idle;
-                        }
-                        // else: the stale shared completion of an aborted
-                        // earlier read (the runtime matches completions to
-                        // wait-cells); the rights are recorded, the write
-                        // keeps waiting for its exclusive fill.
-                    }
-                    App::Waiting(_) => w.r_app = App::Idle,
-                    // A fill for a request whose app already errored out
-                    // (timeout after a death): the rights are real, the
-                    // completion is spurious.
-                    App::Idle => {}
-                }
-            }
-            Delivery::Cache(CacheEvent::Invalidate { from }) => {
-                // Mirrors CacheMachine::on_event(Invalidate): only a Shared
-                // copy is invalidated and acked. Any other state means the
-                // invalidate crossed with our own EvictNotice/Writeback (or
-                // with a fresh grant from the chunk's NEW home after a
-                // migration) — the in-flight notice satisfies the old
-                // home's ack set, and an extra ack here would be stale.
-                if w.r_state == LocalState::Shared {
-                    w.r_state = LocalState::Invalid;
-                    if w.alive(from) {
-                        w.links[REQ][from].push_back(MFrame::Coherence {
-                            msg: Msg::InvalidateAck,
-                            write: None,
-                        });
+            Delivery::Cache(ev) => {
+                // A fill's RDMA WRITE lands in the line it was sent for.
+                if let (CacheEvent::FillDone { granted }, Some(val)) = (ev, write) {
+                    let filling = match granted {
+                        LocalState::Shared => LocalState::FillingShared,
+                        _ => LocalState::FillingExclusive,
+                    };
+                    if w.r_state == filling {
+                        w.r_val = val;
                     }
                 }
+                m_run_req(w, s, ev);
             }
-            Delivery::Cache(CacheEvent::RecallDirty) => {
-                if w.r_state == LocalState::Exclusive {
-                    let val = w.r_val;
-                    w.r_state = LocalState::Invalid;
-                    w.r_dirty = false;
-                    if w.alive(from) {
-                        w.links[REQ][from].push_back(writeback(val));
-                    }
-                }
-                // else: crossed with our own eviction; the in-flight
-                // writeback/evict-notice satisfies the recall.
-            }
-            other => s.fail(w, &format!("requester received {other:?}")),
+            Delivery::Home(ev) => s.fail(w, &format!("requester received {ev:?}")),
         }
     }
 
-    /// The requester's writeback of Dirty value `val`.
-    fn writeback(val: u64) -> MFrame {
-        MFrame::Coherence {
-            msg: Msg::WritebackNotice { downgrade: false },
-            write: Some(val),
+    /// Feed one event to the requester's cache machine and execute its
+    /// actions, as the main world's `run_cache_event` does.
+    fn m_run_req(w: &mut MigWorld, s: &mut Search<MigWorld>, first: CacheEvent) {
+        let mut events = VecDeque::from([first]);
+        while let Some(ev) = events.pop_front() {
+            let view = CacheView {
+                state: w.r_state,
+                op_tag: w.r_op,
+                line: w.r_line,
+                draining: w.r_after.is_some(),
+                home: w.r_home,
+            };
+            let mut wake = false;
+            for a in CacheMachine::on_event(&view, ev) {
+                match a {
+                    CacheAction::QueueWaiter => {}
+                    CacheAction::WakeRequester | CacheAction::WakeAllWaiters => wake = true,
+                    CacheAction::BeginDrain { target, tag, after } => {
+                        if w.r_after.is_some() {
+                            s.fail(w, "overlapping drains on the requester");
+                        }
+                        w.r_state = target;
+                        w.r_op = tag;
+                        w.r_after = Some(after);
+                    }
+                    CacheAction::AllocLine { kind } => {
+                        events.push_back(CacheEvent::LineAllocated { line: LINE, kind });
+                    }
+                    CacheAction::SetLine { line } => w.r_line = line,
+                    CacheAction::ReleaseLine { .. } => w.r_line = LINE_NONE,
+                    CacheAction::SetTransient { state } => w.r_state = state,
+                    CacheAction::Promote { state, tag } => {
+                        w.r_state = state;
+                        w.r_op = tag;
+                    }
+                    CacheAction::InitOperandBuffer { .. } => {}
+                    CacheAction::Send { to, msg } => m_req_send(w, to, msg, None),
+                    CacheAction::SendWriteback {
+                        downgrade, release, ..
+                    } => {
+                        let (to, val) = (w.r_home, w.r_val);
+                        m_req_send(w, to, Msg::WritebackNotice { downgrade }, Some(val));
+                        if release {
+                            w.r_line = LINE_NONE;
+                        }
+                    }
+                    CacheAction::SendFlush {
+                        op, release, keep, ..
+                    } => {
+                        s.ck.keep_flushes += usize::from(keep);
+                        let msg = Msg::OperandFlush {
+                            op,
+                            data: vec![1],
+                            keep,
+                        };
+                        m_req_send(w, w.r_home, msg, None);
+                        if release {
+                            w.r_line = LINE_NONE;
+                        }
+                    }
+                    CacheAction::SendUpgrade { kind, .. } => {
+                        m_req_send(w, w.r_home, Msg::request(kind, 0), None);
+                    }
+                    CacheAction::PrefetchHint | CacheAction::Trace(_) | CacheAction::Count(_) => {}
+                }
+            }
+            if wake {
+                m_recheck(w, &mut events);
+            }
         }
+    }
+
+    /// A send from the requester, with the value its WRITE lands, if any;
+    /// one to a dead node is lost.
+    fn m_req_send(w: &mut MigWorld, to: usize, msg: Msg, write: Option<u64>) {
+        if w.alive(to) {
+            w.links[REQ][to].push_back(MFrame::Coherence { msg, write });
+        }
+    }
+
+    /// A wake fired on the requester: its parked access re-checks its
+    /// rights, as the runtime's retry loop does. It completes (a write
+    /// writes a fresh value), fails against a dead home, or asks again.
+    fn m_recheck(w: &mut MigWorld, events: &mut VecDeque<CacheEvent>) {
+        let App::Waiting(kind) = w.r_app else {
+            return;
+        };
+        if w.r_state.permits(kind, || w.r_op) {
+            if kind == Kind::Write {
+                w.r_val = w.next_val;
+                w.next_val += 1;
+            }
+            w.r_app = App::Idle;
+        } else if w.r_knows_dead[w.r_home] {
+            w.r_app = App::Idle;
+        } else {
+            events.push_back(CacheEvent::Request {
+                kind,
+                home_down: false,
+                drain_pending: w.r_after.is_some(),
+            });
+        }
+    }
+
+    /// The requester evicted Operated lines and kept their rights, and yet
+    /// every `HomeMoved` it consumed found it Invalid and not draining: the
+    /// migration's recall takes idle rights (an empty flush) and the
+    /// eviction drain's flush before the chunk moves.
+    fn fence_revokes_idle_rights(ck: &MCk) {
+        assert!(ck.keep_flushes > 0, "no Operated line was evicted to idle");
+        assert_eq!(
+            ck.moved_states,
+            BTreeSet::from(["Invalid".to_string()]),
+            "HomeMoved found the requester holding rights"
+        );
     }
 
     /// Non-durable search: one migration, a requester issuing two
-    /// Read/Write requests plus one eviction, and one kill of source,
-    /// target, or requester injected at every point (with every surviving
-    /// message prefix). Proves single authority in every reachable state
-    /// and covers kills in every non-persist migration phase.
+    /// Read/Write/Operate requests plus one eviction, and one kill of
+    /// source, target, or requester injected at every point (with every
+    /// surviving message prefix). Proves single authority in every
+    /// reachable state and covers kills in every non-persist migration
+    /// phase.
     #[test]
     fn migration_model_single_authority() {
         let s = explore("migration", MigWorld::new(2, 1, 1, false));
-        assert_eq!(s.seen.len(), 7_008);
+        assert_eq!(s.seen.len(), 14_687);
+        fence_revokes_idle_rights(&s.ck);
 
         assert!(
             s.ck.completed > 0,
@@ -3172,7 +3317,8 @@ mod migration {
     #[test]
     fn migration_model_durable_no_lost_write() {
         let s = explore("migration-durable", MigWorld::new(2, 1, 1, true));
-        assert_eq!(s.seen.len(), 8_929);
+        assert_eq!(s.seen.len(), 22_280);
+        fence_revokes_idle_rights(&s.ck);
 
         assert!(
             s.ck.completed > 0,

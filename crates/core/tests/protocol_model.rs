@@ -17,9 +17,11 @@
 //! * **progress** — a stable directory never sits on queued requests.
 //!
 //! Two drivers exercise the machine: an exhaustive pass over every stable
-//! state x request kind x requester (with all 3-node sharer sets), and a
-//! randomized interleaving pass that mixes requests, voluntary evictions,
-//! grace-window retries and stale messages over hundreds of steps.
+//! state x request kind x requester (with all 3-node sharer sets, and
+//! Operated sharers whose lines were evicted with their rights kept), and
+//! a randomized interleaving pass that mixes requests, voluntary
+//! evictions, keep flushes, local re-acquires, grace-window retries and
+//! stale messages over hundreds of steps.
 //! A third test sweeps the requester-side [`CacheMachine`] over its full
 //! view x event cross-product.
 
@@ -42,6 +44,8 @@ enum R {
     Read,
     Write,
     Op(u32),
+    /// Operate rights kept across an eviction: still a sharer, no line.
+    Idle(u32),
 }
 
 /// A reply the modelled cluster owes the home machine: a message from a
@@ -105,6 +109,8 @@ struct World {
     request_coverage: BTreeSet<(String, String)>,
     /// (transient name at delivery, event name) pairs observed.
     transient_coverage: BTreeSet<(String, String)>,
+    /// Recalls that reached an idle holder, answered with an empty flush.
+    idle_recalls: usize,
 }
 
 impl World {
@@ -134,6 +140,7 @@ impl World {
             next_waiter: 0,
             request_coverage: BTreeSet::new(),
             transient_coverage: BTreeSet::new(),
+            idle_recalls: 0,
         }
     }
 
@@ -217,9 +224,20 @@ impl World {
             Msg::Invalidate => Msg::InvalidateAck,
             Msg::RecallDirty => Msg::WritebackNotice { downgrade: false },
             Msg::DowngradeDirty => Msg::WritebackNotice { downgrade: true },
+            // An idle holder's operands already went home in keep
+            // flushes: it answers at once with an empty one.
+            Msg::RecallOperated { op } if self.rights[node] == R::Idle(*op) => {
+                self.idle_recalls += 1;
+                Msg::OperandFlush {
+                    op: *op,
+                    data: Vec::new(),
+                    keep: false,
+                }
+            }
             Msg::RecallOperated { op } => Msg::OperandFlush {
                 op: *op,
                 data: operands(),
+                keep: false,
             },
             other => panic!("migration message in a migration-free harness: {other:?}"),
         };
@@ -267,10 +285,51 @@ impl World {
     }
 
     fn remote_request(&mut self, node: usize, kind: Kind) {
+        if let R::Idle(op) = self.rights[node] {
+            self.idle_request(node, op, kind);
+            return;
+        }
         assert_eq!(
             self.rights[node],
             R::None,
             "model only issues requests from nodes without rights"
+        );
+        self.feed_msg(node, Msg::request(kind, 0));
+    }
+
+    /// An Operated holder evicts its line and keeps its rights.
+    fn keep_flush(&mut self, node: usize) {
+        let R::Op(op) = self.rights[node] else {
+            panic!("only an Operated holder evicts to idle: {:?}", self.rights);
+        };
+        self.rights[node] = R::Idle(op);
+        self.feed_msg(
+            node,
+            Msg::OperandFlush {
+                op,
+                data: operands(),
+                keep: true,
+            },
+        );
+    }
+
+    /// A request from an idle holder: the same operator re-acquires with no
+    /// message; anything else leaves the epoch with an empty flush and then
+    /// asks as a node without rights.
+    fn idle_request(&mut self, node: usize, op: u32, kind: Kind) {
+        if kind == Kind::Operate(op) {
+            self.rights[node] = R::Op(op);
+            self.check_invariants();
+            return;
+        }
+        self.rights[node] = R::None;
+        self.feed_msg(
+            node,
+            Msg::OperandFlush {
+                op,
+                data: Vec::new(),
+                keep: false,
+            },
         );
         self.feed_msg(node, Msg::request(kind, 0));
     }
@@ -296,11 +355,11 @@ impl World {
                 }
             }
         }
-        // All concurrent operators agree.
+        // All concurrent operators agree, idle holders included.
         let ops: BTreeSet<u32> = REMOTES
             .iter()
             .filter_map(|&n| match self.rights[n] {
-                R::Op(o) => Some(o),
+                R::Op(o) | R::Idle(o) => Some(o),
                 _ => None,
             })
             .collect();
@@ -337,12 +396,13 @@ impl World {
                     let set: BTreeSet<usize> = sharers.iter().copied().collect();
                     assert_eq!(set.len(), sharers.len(), "duplicate sharers: {sharers:?}");
                     for n in REMOTES {
-                        let expect = if set.contains(&n) {
-                            R::Op(op.0)
+                        // A sharer holds the rights with a line or idle.
+                        if set.contains(&n) {
+                            let held = [R::Op(op.0), R::Idle(op.0)];
+                            assert!(held.contains(&self.rights[n]), "Operated{sharers:?}");
                         } else {
-                            R::None
-                        };
-                        assert_eq!(self.rights[n], expect, "Operated{sharers:?}");
+                            assert_eq!(self.rights[n], R::None, "Operated{sharers:?}");
+                        }
                     }
                 }
             }
@@ -397,6 +457,16 @@ fn operated(world: &mut World, op: u32, sharers: &[usize]) {
     assert_eq!(world.m.state().name(), "Operated");
 }
 
+/// Operated, with the `idle` sharers' lines evicted and their rights kept.
+fn operated_idle(world: &mut World, op: u32, sharers: &[usize], idle: &[usize]) {
+    operated(world, op, sharers);
+    for &n in idle {
+        world.keep_flush(n);
+        world.quiesce();
+    }
+    assert_eq!(world.m.state().name(), "Operated");
+}
+
 #[test]
 fn exhaustive_state_by_request_matrix() {
     const OP: u32 = 5;
@@ -411,11 +481,23 @@ fn exhaustive_state_by_request_matrix() {
         configs.push(Box::new(move |w| shared(w, s)));
         configs.push(Box::new(move |w| operated(w, OP, s)));
     }
+    // The idle row: some or all Operated sharers evicted to idle.
+    let idle_sets: [(&[usize], &[usize]); 4] = [
+        (&[1], &[1]),
+        (&[1, 2], &[1]),
+        (&[1, 2], &[2]),
+        (&[1, 2], &[1, 2]),
+    ];
+    for (s, idle) in idle_sets {
+        configs.push(Box::new(move |w| operated_idle(w, OP, s, idle)));
+    }
     for owner in REMOTES {
         configs.push(Box::new(move |w| dirty(w, owner)));
     }
 
     // ...crossed with every request kind from every requester.
+    let mut idle_recalls = 0;
+    let mut idle_requests = 0;
     for build in &configs {
         for kind in kinds {
             // Local requester.
@@ -424,20 +506,27 @@ fn exhaustive_state_by_request_matrix() {
             w.local_request(kind);
             w.quiesce();
             coverage.extend(w.request_coverage);
+            idle_recalls += w.idle_recalls;
 
-            // Every remote requester that does not already hold rights.
+            // Every remote requester that holds no rights, or only idle
+            // ones.
             for node in REMOTES {
                 let mut w = World::new(0);
                 build(&mut w);
-                if w.rights[node] != R::None {
-                    continue;
+                match w.rights[node] {
+                    R::None => {}
+                    R::Idle(_) => idle_requests += 1,
+                    _ => continue,
                 }
                 w.remote_request(node, kind);
                 w.quiesce();
                 coverage.extend(w.request_coverage);
+                idle_recalls += w.idle_recalls;
             }
         }
     }
+    assert!(idle_recalls > 0, "no recall ever reached an idle holder");
+    assert!(idle_requests > 0, "no idle holder ever requested");
 
     // Every stable state saw every request kind from both requester sides.
     for state in ["Unshared", "Shared", "Dirty", "Operated"] {
@@ -509,23 +598,34 @@ fn random_interleavings_preserve_invariants() {
                         }
                     }
                 }
-                // Voluntary flush by an Operated sharer.
+                // Voluntary flush by an Operated sharer: an eviction that
+                // keeps the rights (any time, even while the home recalls
+                // them), or one that leaves the epoch. An idle holder may
+                // instead re-acquire, with no message.
                 7 => {
-                    if w.m.transient().is_none() {
-                        let holder = REMOTES.iter().find_map(|&n| match w.rights[n] {
-                            R::Op(o) => Some((n, o)),
-                            _ => None,
-                        });
-                        if let Some((n, o)) = holder {
+                    let holder = REMOTES.iter().find_map(|&n| match w.rights[n] {
+                        R::Op(o) => Some((n, o)),
+                        _ => None,
+                    });
+                    let idle = REMOTES.iter().find_map(|&n| match w.rights[n] {
+                        R::Idle(o) => Some((n, o)),
+                        _ => None,
+                    });
+                    match (holder, idle, rng.below(3)) {
+                        (Some((n, _)), _, 0) => w.keep_flush(n),
+                        (_, Some((n, o)), 1) => w.idle_request(n, o, Kind::Operate(o)),
+                        (Some((n, o)), _, _) if w.m.transient().is_none() => {
                             w.rights[n] = R::None;
                             w.feed_msg(
                                 n,
                                 Msg::OperandFlush {
                                     op: o,
                                     data: operands(),
+                                    keep: false,
                                 },
                             );
                         }
+                        _ => {}
                     }
                 }
                 // Stale ack noise: must be ignored outside an epoch.
@@ -613,6 +713,8 @@ fn all_cache_events() -> Vec<CacheEvent> {
         }
     }
     v.push(HomeDown);
+    v.push(HomeRestarted);
+    v.push(HomeMoved);
     v
 }
 
@@ -626,6 +728,7 @@ fn cache_machine_total_over_view_event_product() {
         LocalState::FillingShared,
         LocalState::FillingExclusive,
         LocalState::FillingOperated,
+        LocalState::OperatedIdle,
     ];
     let mut pairs = 0usize;
     for state in states {
@@ -680,6 +783,6 @@ fn cache_machine_total_over_view_event_product() {
             }
         }
     }
-    // 7 states x 2 lines x 2 drain flags x 2 tags x |events|.
+    // 8 states x 2 lines x 2 drain flags x 2 tags x |events|.
     assert!(pairs > 1_500, "sweep unexpectedly small: {pairs} pairs");
 }
