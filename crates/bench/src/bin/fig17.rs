@@ -2,26 +2,30 @@
 //! Zipfian(0.99) key distribution, varying thread count and get ratio.
 
 use darray_bench::kvsbench::{kvs_ycsb, KvSys};
-use darray_bench::report::{fmt, print_table, write_bench_json};
+use darray_bench::report::{fmt, print_table, write_bench_json_with_metrics};
 
 fn main() {
     let fast = darray_bench::fast_mode();
-    let nodes = if fast { 2 } else { 6 };
+    // Three nodes at least, so that a put's write-intent grant can pull
+    // the chunk from a reader other than the writer (DESIGN.md §4.5).
+    let nodes = if fast { 3 } else { 6 };
     let records: u64 = if fast { 512 } else { 2_048 };
     let ops: u64 = if fast { 300 } else { 1_200 };
     let threads: &[usize] = if fast { &[1] } else { &[1, 2, 4] };
     let ratios = [1.0f64, 0.95, 0.5];
 
     let mut traffic = Vec::new();
+    let mut metrics = Vec::new();
     for &get_ratio in &ratios {
         let mut rows = Vec::new();
         for &t in threads {
             let d = kvs_ycsb(KvSys::DArray, nodes, t, get_ratio, records, ops);
             let g = kvs_ycsb(KvSys::Gam, nodes, t, get_ratio, records, ops);
-            traffic.push((
-                format!("get{:02.0}_t{t}_{nodes}n", get_ratio * 100.0),
-                d.protocol,
-            ));
+            let label = format!("get{:02.0}_t{t}_{nodes}n", get_ratio * 100.0);
+            metrics.push((format!("{label}_kops"), d.kops()));
+            metrics.push((format!("{label}_gam_kops"), g.kops()));
+            metrics.push((format!("{label}_speedup"), d.kops() / g.kops()));
+            traffic.push((label, d.protocol));
             rows.push(vec![
                 t.to_string(),
                 fmt(d.kops()),
@@ -76,7 +80,7 @@ fn main() {
         &sweep_rows,
     );
     println!("\npaper: 20x-41x at 100% gets; 2x-3.8x under put-heavy contention; DArray-KVS also scales better intra-node (0.63-0.96 vs 0.48-0.64).");
-    match write_bench_json("fig17", &traffic) {
+    match write_bench_json_with_metrics("fig17", &metrics, &traffic) {
         Ok(p) => println!("protocol traffic written to {}", p.display()),
         Err(e) => eprintln!("could not write BENCH_fig17.json: {e}"),
     }

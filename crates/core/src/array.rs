@@ -472,10 +472,13 @@ impl<T: Element> DArray<T> {
     /// the chunk to this node: the lock's home pulls it from any other
     /// holder while the grant is in flight, and this node's write miss goes
     /// out before the caller wakes, so the first access after the lock
-    /// waits on that fill and writes hit. [`DArray::unlock`] then writes
-    /// the chunk back home if no thread here is using it. A lock homed on
-    /// this node, or whose chunk has migrated away from the lock's layout
-    /// home, is taken as a plain [`DArray::wlock`].
+    /// waits on that fill and writes hit. The grant also carries how
+    /// [`DArray::unlock`] releases the chunk: it keeps a Shared copy here
+    /// when the pull revoked another node's Shared copy and no writer of
+    /// another node holds or waits for a lock in the chunk, and otherwise
+    /// hands the chunk back whole. A lock homed on this node, or whose
+    /// chunk has migrated away from the lock's layout home, is taken as a
+    /// plain [`DArray::wlock`].
     pub fn wlock_for_write(&self, ctx: &mut Ctx, index: usize) {
         self.try_wlock_for_write(ctx, index)
             .unwrap_or_else(|e| panic!("wlock_for_write({index}): {e}"))
@@ -488,7 +491,12 @@ impl<T: Element> DArray<T> {
         self.try_lock_acquire(ctx, index, LockKind::Write, intent)
     }
 
-    /// Release the lock this node holds on element `index`.
+    /// Release the lock this node holds on element `index`. Releasing a
+    /// write-intent lock ([`DArray::wlock_for_write`]) also writes this
+    /// node's Exclusive copy of the element's chunk home, if no thread
+    /// here is using it: it keeps a Shared copy when the grant said so,
+    /// and otherwise frees the line. Either way the next holder or reader
+    /// is served by the home rather than by a recall.
     pub fn unlock(&self, ctx: &mut Ctx, index: usize) {
         let (kind, intent) = self.take_held(index);
         self.lock_request(

@@ -34,13 +34,28 @@ pub(crate) enum Rpc {
     LockGrant {
         id: u64,
         kind: LockKind,
-        intent: bool,
+        intent: Intent,
     },
     LockRelease {
         id: u64,
         kind: LockKind,
     },
 }
+
+/// What a lock grant asks of its grantee besides the lock (DESIGN.md
+/// §4.5). Each value travels under its own tag.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Intent {
+    /// A plain grant.
+    Plain,
+    /// A write-intent grant: the grantee issues its write miss for the
+    /// element's chunk, and its unlock hands the chunk back home.
+    HandBack,
+    /// A write-intent grant whose unlock keeps a Shared copy and writes
+    /// the data home.
+    Keep,
+}
+use Intent::{HandBack, Keep, Plain};
 
 impl From<Msg> for Rpc {
     fn from(msg: Msg) -> Self {
@@ -287,15 +302,16 @@ macro_rules! frame {
 
 /// One field of a frame: written and read through its [`Codec`], or, for
 /// `name: Type = value`, fixed by the frame's tag and absent from the wire.
+/// A fixed value is one token: a literal, or a unit variant in scope.
 macro_rules! field {
     (put $buf:ident, $name:ident: $codec:ty) => {
         <$codec as Codec>::put($name, $buf)
     };
-    (put $buf:ident, $name:ident: $codec:ty = $fixed:literal) => {};
+    (put $buf:ident, $name:ident: $codec:ty = $fixed:tt) => {};
     (get $r:ident, $codec:ty) => {
         <$codec as Codec>::get($r)?
     };
-    (get $r:ident, $codec:ty = $fixed:literal) => {
+    (get $r:ident, $codec:ty = $fixed:tt) => {
         $fixed
     };
 }
@@ -312,7 +328,7 @@ macro_rules! frames {
     ($(
         $enum:ident {
             $( $tag:literal => $variant:ident $(($($inner:ident)::+))?
-               $({ $($name:ident: $codec:ty $(= $fixed:literal)?),* })?, )*
+               $({ $($name:ident: $codec:ty $(= $fixed:tt)?),* })?, )*
         }
     )*) => {$(
         impl Codec for $enum {
@@ -362,7 +378,7 @@ frames! {
         12 => Coherence(Msg::DowngradeDirty),
         13 => Coherence(Msg::RecallOperated) { op: u32 },
         14 => LockAcquire { id: u64, kind: LockKind, intent: bool = false },
-        15 => LockGrant { id: u64, kind: LockKind, intent: bool = false },
+        15 => LockGrant { id: u64, kind: LockKind, intent: Intent = Plain },
         16 => LockRelease { id: u64, kind: LockKind },
         17 => Coherence(Msg::MigrateData) { mig_epoch: u64 },
         18 => Coherence(Msg::MigrateAck) { mig_epoch: u64 },
@@ -370,8 +386,9 @@ frames! {
         20 => Coherence(Msg::HomeMoved) { new_home: NodeId, epoch: u64 },
         21 => Coherence(Msg::MigrateForward) { requester: NodeId, dst_off: u64, kind: Kind },
         22 => LockAcquire { id: u64, kind: LockKind, intent: bool = true },
-        23 => LockGrant { id: u64, kind: LockKind, intent: bool = true },
+        23 => LockGrant { id: u64, kind: LockKind, intent: Intent = HandBack },
         24 => Coherence(Msg::OperandFlush) { op: u32, data: Vec<u64>, keep: bool = true },
+        25 => LockGrant { id: u64, kind: LockKind, intent: Intent = Keep },
     }
     NetMsg {
         0 => Rpc { env: Envelope },
@@ -548,7 +565,7 @@ mod tests {
             rpc(Msg::DowngradeDirty, 10),
             rpc(Msg::RecallOperated { op: 4 }, 14),
             rpc(lock(99, LockKind::Read, false), 19),
-            rpc(grant(100, LockKind::Write, false), 19),
+            rpc(grant(100, LockKind::Write, Plain), 19),
             rpc(release(101, LockKind::Read), 19),
             rpc(Msg::MigrateData { mig_epoch: 1 << 60 }, 18),
             rpc(Msg::MigrateAck { mig_epoch: 5 }, 18),
@@ -558,9 +575,10 @@ mod tests {
             rpc(forward(Kind::Write), 27),
             rpc(forward(Kind::Operate(9)), 27),
             rpc(lock(102, LockKind::Write, true), 19),
-            rpc(grant(103, LockKind::Write, true), 19),
+            rpc(grant(103, LockKind::Write, HandBack), 19),
             rpc(flush(vec![7, u64::MAX], true), 34),
             rpc(flush(vec![], true), 18),
+            rpc(grant(104, LockKind::Write, Keep), 19),
         ];
         let vote = |suspect, alive| NetMsg::SuspectVote { suspect, alive };
         let join = |node, admit| NetMsg::JoinVote { node, admit };
@@ -627,7 +645,7 @@ mod tests {
     fn unassigned_tags_are_rejected() {
         for tail in 0..=32 {
             let tail = vec![0u8; tail];
-            for tag in 25..=255u8 {
+            for tag in 26..=255u8 {
                 let frame = [&[0, 2, 0, 0, 0, 9, 0, 0, 0, tag], &tail[..]].concat();
                 assert!(NetMsg::decode(&frame).is_none(), "RPC tag {tag}");
             }

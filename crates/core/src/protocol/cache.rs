@@ -132,6 +132,10 @@ pub enum CacheEvent {
     },
     /// The eviction scan picked this chunk's line for reclamation.
     Evict,
+    /// The unlock of a write-intent lock keeps its copy, as its grant said
+    /// (DESIGN.md §4.5): write an Exclusive copy back and keep it Shared,
+    /// the voluntary form of [`CacheEvent::DowngradeDirty`].
+    Downgrade,
     /// A drain started by [`CacheAction::BeginDrain`] completed.
     Drained {
         /// The follow-up recorded at drain start.
@@ -373,6 +377,17 @@ impl CacheMachine {
             // node already left.
             CacheEvent::RecallOperated { .. } => vec![],
             CacheEvent::Evict => Self::evict(view),
+            CacheEvent::Downgrade => {
+                if view.state == LocalState::Exclusive && !view.draining {
+                    vec![CacheAction::BeginDrain {
+                        target: LocalState::Shared,
+                        tag: NOTAG,
+                        after: AfterDrain::Downgrade { line: view.line },
+                    }]
+                } else {
+                    vec![]
+                }
+            }
             CacheEvent::Drained { after, home_down } => Self::drained(view, after, home_down),
             // A delayed (draining) chunk is torn down by its continuation's
             // own home-down check, so every reset below skips it.
@@ -1018,6 +1033,47 @@ mod tests {
                 release: true
             }
         );
+    }
+
+    /// An intent unlock's downgrade drains an Exclusive copy to Shared,
+    /// counting no recall, then writes it back keeping the line; any other
+    /// copy, or one already draining, is left alone.
+    #[test]
+    fn a_voluntary_downgrade_keeps_the_line_shared() {
+        let v = view(LocalState::Exclusive, NOTAG, 5);
+        let acts = CacheMachine::on_event(&v, CacheEvent::Downgrade);
+        assert_eq!(
+            acts,
+            [CacheAction::BeginDrain {
+                target: LocalState::Shared,
+                tag: NOTAG,
+                after: AfterDrain::Downgrade { line: 5 },
+            }]
+        );
+        let v = view(LocalState::Shared, NOTAG, 5);
+        let acts = CacheMachine::on_event(
+            &v,
+            CacheEvent::Drained {
+                after: AfterDrain::Downgrade { line: 5 },
+                home_down: false,
+            },
+        );
+        assert_eq!(
+            acts[0],
+            CacheAction::SendWriteback {
+                line: 5,
+                downgrade: true,
+                release: false
+            }
+        );
+        for state in [LocalState::Shared, LocalState::FillingExclusive] {
+            assert!(
+                CacheMachine::on_event(&view(state, NOTAG, 5), CacheEvent::Downgrade).is_empty()
+            );
+        }
+        let mut v = view(LocalState::Exclusive, NOTAG, 5);
+        v.draining = true;
+        assert!(CacheMachine::on_event(&v, CacheEvent::Downgrade).is_empty());
     }
 
     #[test]

@@ -569,47 +569,48 @@ impl<W> HomeMachine<W> {
             HomeEvent::Writeback { from, downgrade } => {
                 let expected =
                     matches!(&self.transient, Transient::AwaitWriteback { from: f } if *f == from);
-                if expected {
-                    if downgrade {
-                        self.set_state(
-                            DirState::Shared {
-                                sharers: vec![from],
-                            },
-                            "writeback-downgrade",
-                            &mut out,
-                        );
-                        out.push(HomeAction::SetHomeLocal {
-                            state: LocalState::Shared,
-                            tag: NOTAG,
-                        });
+                // Unsolicited, from the Dirty owner: a voluntary eviction, or
+                // an intent unlock that keeps a Shared copy (a downgrade,
+                // DESIGN.md §4.5).
+                let voluntary =
+                    !expected && matches!(self.state, DirState::Dirty { owner } if owner == from);
+                if expected || voluntary {
+                    let state = if downgrade {
+                        DirState::Shared {
+                            sharers: vec![from],
+                        }
                     } else {
-                        self.set_state(DirState::Unshared, "writeback", &mut out);
-                        out.push(HomeAction::SetHomeLocal {
-                            state: LocalState::Exclusive,
-                            tag: NOTAG,
-                        });
-                    }
+                        DirState::Unshared
+                    };
+                    let trigger = match (downgrade, expected) {
+                        (true, true) => "writeback-downgrade",
+                        (true, false) => "voluntary-downgrade",
+                        (false, true) => "writeback",
+                        (false, false) => "voluntary-writeback",
+                    };
+                    let local = state.home_local();
+                    self.set_state(state, trigger, &mut out);
+                    out.push(HomeAction::SetHomeLocal {
+                        state: local,
+                        tag: NOTAG,
+                    });
+                }
+                if expected {
                     // Persist-before-ack: the recalled dirty image must be
                     // on the log before the parked requester resumes.
                     if !self.begin_persist(&mut out) {
                         self.finish_transient(now, grace_ns, &mut out);
                     }
-                } else if matches!(self.state, DirState::Dirty { owner } if owner == from) {
-                    // Voluntary eviction writeback.
-                    self.set_state(DirState::Unshared, "voluntary-writeback", &mut out);
-                    out.push(HomeAction::SetHomeLocal {
-                        state: LocalState::Exclusive,
-                        tag: NOTAG,
-                    });
+                } else if voluntary
+                    && matches!(self.transient, Transient::None | Transient::GraceWait)
+                {
                     // The home image just changed; durable machines persist
                     // it before servicing anything further, so no later
                     // grant can expose data newer than the log. (Only the
                     // stable/grace phases can be interrupted here — a
                     // voluntary writeback requires the sender to *be* the
                     // Dirty owner, which rules out every other transient.)
-                    if matches!(self.transient, Transient::None | Transient::GraceWait) {
-                        self.begin_persist(&mut out);
-                    }
+                    self.begin_persist(&mut out);
                 }
                 // else: stale notice (the transient already completed via a
                 // different path); the data write is idempotent.
@@ -2107,6 +2108,70 @@ mod tests {
         m.on_event(0, 0, HomeEvent::PersistDone { seq: 1 });
         assert!(m.transient().is_none());
         assert_eq!(m.state(), &DirState::Unshared);
+    }
+
+    /// An unsolicited downgrade writeback from the Dirty owner (an intent
+    /// unlock that keeps its copy) leaves the owner the one sharer and the
+    /// home dentry Shared.
+    #[test]
+    fn a_voluntary_downgrade_leaves_the_owner_sharing() {
+        let mut m = M::new();
+        m.on_event(0, 0, remote(1, Kind::Write));
+        m.on_event(0, 0, HomeEvent::Drained);
+        let downgrade = HomeEvent::Writeback {
+            from: 1,
+            downgrade: true,
+        };
+        let acts = m.on_event(0, 0, downgrade.clone());
+        assert_eq!(
+            acts,
+            [
+                HomeAction::Trace(Transition {
+                    from: "Dirty",
+                    to: "Shared",
+                    trigger: "voluntary-downgrade",
+                }),
+                HomeAction::SetHomeLocal {
+                    state: LocalState::Shared,
+                    tag: NOTAG,
+                },
+            ]
+        );
+        assert_eq!(m.state(), &DirState::Shared { sharers: vec![1] });
+        assert!(m.transient().is_none());
+        // A second notice is stale: the sender no longer owns the chunk.
+        assert!(m.on_event(0, 0, downgrade).is_empty());
+        assert_eq!(m.state(), &DirState::Shared { sharers: vec![1] });
+    }
+
+    /// A durable machine persists a voluntary downgrade before it serves
+    /// the next request: node 2's write queues behind the persist, and
+    /// only then invalidates node 1's kept copy.
+    #[test]
+    fn durable_voluntary_downgrade_persists_before_the_next_request() {
+        let mut m = M::new();
+        m.set_durable(true);
+        m.on_event(0, 0, remote(1, Kind::Write));
+        m.on_event(0, 0, HomeEvent::Drained);
+        let acts = m.on_event(
+            0,
+            0,
+            HomeEvent::Writeback {
+                from: 1,
+                downgrade: true,
+            },
+        );
+        assert!(acts.contains(&HomeAction::PersistChunk { seq: 1 }));
+        assert_eq!(m.transient(), &Transient::AwaitPersist { seq: 1 });
+        assert!(m.on_event(0, 0, remote(2, Kind::Write)).is_empty());
+        assert_eq!(m.pending_len(), 1);
+        let acts = m.on_event(0, 0, HomeEvent::PersistDone { seq: 1 });
+        assert!(acts.contains(&HomeAction::Count(Counter::FlushPersists)));
+        assert!(acts.contains(&HomeAction::Send {
+            to: 1,
+            msg: Msg::Invalidate
+        }));
+        assert_eq!(m.transient(), &Transient::AwaitInvAcks { waiting: vec![1] });
     }
 
     #[test]

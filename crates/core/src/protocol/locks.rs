@@ -15,6 +15,9 @@
 //! element forever.
 
 use std::collections::{BTreeMap, VecDeque};
+use std::ops::Range;
+
+use crate::state::DirState;
 
 use super::NodeId;
 
@@ -256,6 +259,32 @@ impl<W> LockTable<W> {
         purge
     }
 
+    /// The release rule of a write-intent grant of element `id` to
+    /// `grantee` (DESIGN.md §4.5): does the grantee keep a Shared copy of
+    /// the element's chunk when it unlocks? `dir` is the chunk's directory
+    /// state as the grant leaves, and `chunk` the ids of the chunk's
+    /// elements. It keeps when the grant's pull revokes another node's
+    /// Shared copy, so the chunk is being read elsewhere, and no writer of
+    /// another node (the home's threads included) holds or waits for a
+    /// lock on an element of the chunk: its grant would revoke the kept
+    /// copy again. A writer on the grantee's own node shares the copy.
+    pub fn intent_keeps(
+        &self,
+        id: u64,
+        chunk: Range<u64>,
+        dir: &DirState,
+        grantee: NodeId,
+    ) -> bool {
+        let other = |holder: Option<NodeId>| holder != Some(grantee);
+        matches!(dir, DirState::Shared { sharers } if sharers.iter().any(|&s| other(Some(s))))
+            && !self.locks.range(chunk).any(|(&e, l)| {
+                (e != id && l.writer.is_some_and(other))
+                    || l.queue
+                        .iter()
+                        .any(|(s, k)| *k == LockKind::Write && other(s.node()))
+            })
+    }
+
     /// Number of elements with active lock state (diagnostics).
     pub fn active(&self) -> usize {
         self.locks.len()
@@ -419,6 +448,43 @@ mod tests {
         assert_eq!(t.active(), 1);
         t.release(6, LockKind::Write, Some(2));
         assert_eq!(t.active(), 0);
+    }
+
+    /// The release rule of an intent grant of element 5 (chunk 0..8) to
+    /// node 1: it keeps only when the grant displaces a reader other than
+    /// node 1, and no writer of another node locks in the chunk.
+    #[test]
+    fn intent_grant_keeps_only_when_it_displaces_a_reader_and_no_other_node_writes() {
+        let intent = LockSource::Remote {
+            node: 1,
+            intent: true,
+        };
+        let shared = |sharers: Vec<NodeId>| DirState::Shared { sharers };
+        let keeps = |t: &LockTable<u32>, dir: &DirState| t.intent_keeps(5, 0..8, dir, 1);
+        let mut t: LockTable<u32> = LockTable::default();
+        assert!(t.acquire(5, LockKind::Write, intent.clone()).is_some());
+        assert!(keeps(&t, &shared(vec![1, 2])));
+        assert!(keeps(&t, &shared(vec![2])));
+        for dir in [
+            shared(vec![1]),
+            DirState::Unshared,
+            DirState::Dirty { owner: 2 },
+        ] {
+            assert!(!keeps(&t, &dir), "{dir:?}");
+        }
+        // Readers, locks outside the chunk and writers of node 1 itself
+        // (which share its copy) leave the rule alone.
+        assert!(t.acquire(6, LockKind::Read, remote(2)).is_some());
+        assert!(t.acquire(8, LockKind::Write, remote(2)).is_some());
+        assert!(t.acquire(7, LockKind::Write, remote(1)).is_some());
+        assert!(t.acquire(5, LockKind::Write, intent).is_none());
+        assert!(keeps(&t, &shared(vec![2])));
+        // Another node's writer, holding or queued, or a home thread's.
+        for (id, src) in [(4, remote(2)), (5, remote(3)), (3, local(0))] {
+            let mut t = t.clone();
+            t.acquire(id, LockKind::Write, src);
+            assert!(!keeps(&t, &shared(vec![2])), "writer on {id}");
+        }
     }
 
     #[test]

@@ -11,7 +11,8 @@
 //! A write-intent lock (DESIGN.md §4.5) also moves the element's chunk,
 //! through events the coherence protocol already runs: its grant makes the
 //! home pull the chunk from other holders and the grantee issue its write
-//! miss, and its release writes the grantee's copy back home.
+//! miss, and its release writes the grantee's copy back home, keeping a
+//! Shared copy when the grant said so.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -19,9 +20,9 @@ use std::sync::Arc;
 use dsim::{Ctx, WaitCell};
 use rdma_fabric::NodeId;
 
-use crate::msg::{ChunkId, Envelope, LockKind, Rpc};
+use crate::msg::{ChunkId, Envelope, Intent, LockKind, Rpc};
 use crate::protocol::locks::LockSource;
-use crate::protocol::Kind;
+use crate::protocol::{CacheEvent, Kind};
 use crate::shared::ArrayShared;
 use crate::state::LocalState;
 use crate::stats::NodeStats;
@@ -53,9 +54,14 @@ impl RuntimeThread {
                 {
                     NodeStats::bump(&self.stats().locks_granted);
                     let chunk = (id as usize / arr.layout.chunk_size()) as ChunkId;
+                    let intent = match intent {
+                        false => Intent::Plain,
+                        true if self.keeps(arr, id, chunk, n) => Intent::Keep,
+                        true => Intent::HandBack,
+                    };
                     let rpc = Rpc::LockGrant { id, kind, intent };
                     self.comm.send(ctx, n, Envelope::new(arr.id, chunk, rpc));
-                    if intent {
+                    if intent != Intent::Plain {
                         self.pull_for(ctx, arr, chunk, n);
                     }
                 }
@@ -74,18 +80,40 @@ impl RuntimeThread {
         }
     }
 
+    /// Does this runtime thread pull `chunk` for an intent grant? Only the
+    /// chunk's current home pulls (a chunk migrated away from its lock's
+    /// layout home is left to the grantee's miss), and only on the runtime
+    /// thread that owns the chunk: a peer-down sweep delivers every
+    /// element's grants from whichever thread runs it first.
+    fn pulls(&self, arr: &ArrayShared, chunk: ChunkId) -> bool {
+        arr.home_on(self.node, chunk as usize) == self.node
+            && self.shared.rt_index(arr.id, chunk) == self.rt_idx
+    }
+
+    /// The release rule of an intent grant of element `id` to `grantee`,
+    /// decided before the grant's pull changes the directory
+    /// (`LockTable::intent_keeps`): keep a Shared copy at unlock when the
+    /// pull displaces a reader and no other node's writer locks in the
+    /// chunk. A chunk this thread does not pull is handed back.
+    fn keeps(&self, arr: &ArrayShared, id: u64, chunk: ChunkId, grantee: NodeId) -> bool {
+        if !self.pulls(arr, chunk) {
+            return false;
+        }
+        let cs = arr.layout.chunk_size() as u64;
+        let elems = chunk as u64 * cs..(chunk as u64 + 1) * cs;
+        let dir = arr.per_node[self.node].home[chunk as usize].lock();
+        arr.per_node[self.node]
+            .lock_table
+            .lock()
+            .intent_keeps(id, elems, dir.state(), grantee)
+    }
+
     /// The home half of an intent grant to `grantee`: unless it already
     /// holds `chunk` alone, run the home node's own write miss, so the
     /// revoke round (invalidations, or the recall of the last writer)
-    /// overlaps the grant's flight. Only the chunk's current home pulls (a
-    /// chunk migrated away from its lock's layout home is left to the
-    /// grantee's miss), and only on the runtime thread that owns the chunk:
-    /// a peer-down sweep delivers every element's grants from whichever
-    /// thread runs it first.
+    /// overlaps the grant's flight.
     fn pull_for(&mut self, ctx: &mut Ctx, arr: &Arc<ArrayShared>, chunk: ChunkId, grantee: NodeId) {
-        if arr.home_on(self.node, chunk as usize) != self.node
-            || self.shared.rt_index(arr.id, chunk) != self.rt_idx
-        {
+        if !self.pulls(arr, chunk) {
             return;
         }
         let alone = arr.per_node[self.node].home[chunk as usize]
@@ -163,14 +191,24 @@ impl RuntimeThread {
         // Releases complete locally; the wire release is one-way.
         waiter.notify(ctx);
         // The release half of an intent lock: write this node's unused
-        // Exclusive copy back home (the ordinary eviction), so the next
-        // holder or reader is served by the home rather than by a recall.
+        // Exclusive copy back home, so the next holder or reader is served
+        // by the home rather than by a recall. It keeps a Shared copy (a
+        // voluntary downgrade) when its grant said so, and otherwise hands
+        // the chunk back whole (the ordinary eviction).
+        let keep = self.keep_at_unlock.remove(&(arr.id, index));
         let d = &arr.per_node[self.node].dentries[chunk as usize];
         if intent
             && d.state() == LocalState::Exclusive
             && arr.home_on(self.node, chunk as usize) != self.node
         {
-            self.evict_unused(ctx, arr, chunk);
+            let ev = if keep {
+                CacheEvent::Downgrade
+            } else {
+                CacheEvent::Evict
+            };
+            if self.release_unused(ctx, arr, chunk, ev) && keep {
+                NodeStats::bump(&self.stats().intent_keeps);
+            }
         }
     }
 
@@ -212,14 +250,15 @@ impl RuntimeThread {
 
     /// A grant arrived. For an intent grant, the ordinary write miss for
     /// the element's chunk goes out before the application thread wakes,
-    /// so its first access waits on that fill.
+    /// so its first access waits on that fill, and the unlock's release
+    /// rule is remembered until the unlock.
     pub(super) fn rpc_lock_grant(
         &mut self,
         ctx: &mut Ctx,
         arr: &Arc<ArrayShared>,
         id: u64,
         kind: LockKind,
-        intent: bool,
+        intent: Intent,
     ) {
         let popped = {
             let mut lw = arr.per_node[self.node].lock_waiters.lock();
@@ -232,7 +271,10 @@ impl RuntimeThread {
         let Some(w) = popped else {
             return self.lock_grant_invariant_violated(arr, id, kind);
         };
-        if intent {
+        if intent == Intent::Keep {
+            self.keep_at_unlock.insert((arr.id, id));
+        }
+        if intent != Intent::Plain {
             let chunk = (id as usize / arr.layout.chunk_size()) as ChunkId;
             self.local_data_req(ctx, arr, chunk, Kind::Write, WaitCell::new());
         }
@@ -295,12 +337,15 @@ impl RuntimeThread {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use dsim::{Sim, SimConfig};
+    use parking_lot::Mutex;
 
     use crate::dentry::LINE_NONE;
     use crate::msg::{Envelope, LockKind, Rpc, RtMsg};
     use crate::state::{DirState, LocalState};
-    use crate::{ArrayOptions, Cluster, ClusterConfig, DEFAULT_CHUNK_SIZE};
+    use crate::{ArrayOptions, Cluster, ClusterConfig, NodeStatsSnapshot, DEFAULT_CHUNK_SIZE};
 
     /// 3 nodes × 2 application threads run read-modify-writes under
     /// write-intent locks, each thread cycling through `elems`. All of
@@ -345,21 +390,40 @@ mod tests {
         intent_rmw(&[600, 700]);
     }
 
-    /// The grant brings the chunk along and the release hands it back: the
-    /// grant pulls a third node's copy, the caller is Exclusive after its
-    /// first access under the lock, and once it unlocks with no reference
-    /// held its line is free and the home holds the chunk alone again.
-    #[test]
-    fn intent_lock_brings_the_chunk_and_unlock_hands_it_back() {
-        const E: usize = DEFAULT_CHUNK_SIZE + 3; // chunk 1, homed on node 1
-        Sim::new(SimConfig::default()).run(|ctx| {
+    /// Chunk 1's element 3, homed on node 1.
+    const E: usize = DEFAULT_CHUNK_SIZE + 3;
+
+    /// What node 0's write-intent unlock left behind: its dentry state,
+    /// whether it kept a line, the home's directory state, and every
+    /// node's counters once all three nodes have read `E` back.
+    struct Unlocked {
+        state: LocalState,
+        line: bool,
+        dir: DirState,
+        stats: Vec<NodeStatsSnapshot>,
+    }
+
+    /// Node 0 takes a write-intent lock on `E`, reads it, writes 9 and
+    /// unlocks. Before the grant, node 2 reads `E` when `reader` (a copy
+    /// for the grant to pull), and takes a plain writer lock on another
+    /// element of chunk 1 when `writer`, which it holds across the grant.
+    fn intent_unlock(reader: bool, writer: bool) -> Unlocked {
+        const F: usize = DEFAULT_CHUNK_SIZE + 200;
+        Sim::new(SimConfig::default()).run(move |ctx| {
             let cluster = Cluster::new(ctx, ClusterConfig::with_nodes(3));
             let arr = cluster.alloc::<u64>(3 * DEFAULT_CHUNK_SIZE, ArrayOptions::default());
+            let seen = Arc::new(Mutex::new(None));
+            let out = seen.clone();
             cluster.run(ctx, 1, move |ctx, env| {
                 let a = arr.on(env.node);
                 let chunk = E / DEFAULT_CHUNK_SIZE;
                 if env.node == 2 {
-                    assert_eq!(a.get(ctx, E), 0); // a copy for the grant to pull
+                    if reader {
+                        assert_eq!(a.get(ctx, E), 0);
+                    }
+                    if writer {
+                        a.wlock(ctx, F);
+                    }
                 }
                 env.barrier(ctx);
                 if env.node == 0 {
@@ -370,18 +434,66 @@ mod tests {
                     a.unlock(ctx, E);
                     ctx.sleep(100_000);
                     let d = a.dentry(chunk);
-                    assert_eq!((d.state(), d.line()), (LocalState::Invalid, LINE_NONE));
-                    let home = a.arr.per_node[1].home[chunk].lock();
-                    assert_eq!(*home.state(), DirState::Unshared);
+                    let dir = a.arr.per_node[1].home[chunk].lock().state().clone();
+                    *out.lock() = Some((d.state(), d.line() != LINE_NONE, dir));
                 }
                 env.barrier(ctx);
+                if env.node == 2 && writer {
+                    a.unlock(ctx, F);
+                }
                 assert_eq!(a.get(ctx, E), 9);
             });
-            assert_eq!(cluster.stats(2).invalidations, 1);
-            assert_eq!(cluster.stats(0).evictions, 1);
-            assert_eq!(cluster.stats(0).recalls, 0);
+            let stats = (0..3).map(|n| cluster.stats(n)).collect();
             cluster.shutdown(ctx);
-        });
+            let (state, line, dir) = seen.lock().take().expect("node 0 unlocked");
+            Unlocked {
+                state,
+                line,
+                dir,
+                stats,
+            }
+        })
+    }
+
+    /// The grant pulls node 2's copy, so the unlock keeps a Shared copy:
+    /// node 0 writes the data home and keeps its line, the home is Shared
+    /// with node 0, and node 2's next read fills from the home with no
+    /// recall while node 0's hits.
+    #[test]
+    fn intent_unlock_keeps_a_shared_copy_when_its_grant_displaced_a_reader() {
+        let u = intent_unlock(true, false);
+        assert_eq!((u.state, u.line), (LocalState::Shared, true));
+        assert_eq!(u.dir, DirState::Shared { sharers: vec![0] });
+        let [n0, n1, n2] = [u.stats[0], u.stats[1], u.stats[2]];
+        assert_eq!((n0.intent_keeps, n0.evictions, n0.writebacks), (1, 0, 1));
+        assert_eq!((n0.fills, n2.fills, n2.invalidations), (1, 2, 1));
+        assert_eq!(n0.recalls + n1.recalls + n2.recalls, 0);
+    }
+
+    /// No reader to displace: the unlock hands the chunk back whole.
+    #[test]
+    fn intent_unlock_hands_the_chunk_back_when_no_reader_was_displaced() {
+        let u = intent_unlock(false, false);
+        assert_eq!((u.state, u.line), (LocalState::Invalid, false));
+        assert_eq!(u.dir, DirState::Unshared);
+        let [n0, n1, n2] = [u.stats[0], u.stats[1], u.stats[2]];
+        assert_eq!((n0.intent_keeps, n0.evictions, n0.writebacks), (0, 1, 1));
+        assert_eq!((n0.fills, n2.fills, n2.invalidations), (2, 1, 0));
+        assert_eq!(n0.recalls + n1.recalls + n2.recalls, 0);
+    }
+
+    /// Another node holds a writer lock in the chunk when the grant leaves,
+    /// so a kept copy would be revoked again: the unlock hands the chunk
+    /// back whole although the grant displaced node 2's copy.
+    #[test]
+    fn intent_unlock_hands_the_chunk_back_beside_another_writer() {
+        let u = intent_unlock(true, true);
+        assert_eq!((u.state, u.line), (LocalState::Invalid, false));
+        assert_eq!(u.dir, DirState::Unshared);
+        let [n0, n1, n2] = [u.stats[0], u.stats[1], u.stats[2]];
+        assert_eq!((n0.intent_keeps, n0.evictions, n0.writebacks), (0, 1, 1));
+        assert_eq!((n0.fills, n2.fills, n2.invalidations), (2, 2, 1));
+        assert_eq!(n0.recalls + n1.recalls + n2.recalls, 0);
     }
 
     /// An intent grant to a node the home has declared dead is released

@@ -25,6 +25,7 @@
 //! * **distributed locks** — the element-lock tables are orthogonal to the
 //!   coherence protocol and stay here.
 
+use std::collections::HashSet;
 use std::sync::Arc;
 
 use dsim::{Ctx, Mailbox, WaitCell};
@@ -79,6 +80,10 @@ pub(crate) struct RuntimeThread {
     /// low watermark, and the event loop evicts one line per idle mailbox
     /// slot until the free count reaches the high watermark.
     reclaiming: bool,
+    /// Write-intent locks this node holds whose grant said to keep a
+    /// Shared copy at unlock (DESIGN.md §4.5), by array and element. A
+    /// lock's grant and release both run on the thread owning its chunk.
+    keep_at_unlock: HashSet<(ArrayId, u64)>,
 }
 
 impl RuntimeThread {
@@ -101,6 +106,7 @@ impl RuntimeThread {
             ready: Vec::new(),
             last_miss: None,
             reclaiming: false,
+            keep_at_unlock: HashSet::new(),
         }
     }
 
@@ -813,23 +819,30 @@ impl RuntimeThread {
             let Some((aid, c)) = self.cache.owner(line) else {
                 continue;
             };
-            if self.evict_unused(ctx, &self.shared.array(aid), c) {
+            if self.release_unused(ctx, &self.shared.array(aid), c, CacheEvent::Evict) {
                 return true;
             }
         }
         false
     }
 
-    /// Evict this node's copy of `chunk` and run its drain continuation at
-    /// once; false when it is not evictable. The *selection* (skip
+    /// Feed this node's unused copy of `chunk` an eviction, or an intent
+    /// unlock's downgrade (`ev`), and run its drain continuation at once;
+    /// false when the copy is not evictable. The *selection* (skip
     /// referenced, mid-transition and in-flight lines) is executor policy;
-    /// the per-state eviction protocol is the cache machine's.
-    fn evict_unused(&mut self, ctx: &mut Ctx, arr: &Arc<ArrayShared>, chunk: ChunkId) -> bool {
+    /// the per-state protocol is the cache machine's.
+    fn release_unused(
+        &mut self,
+        ctx: &mut Ctx,
+        arr: &Arc<ArrayShared>,
+        chunk: ChunkId,
+        ev: CacheEvent,
+    ) -> bool {
         let d = &arr.per_node[self.node].dentries[chunk as usize];
         if d.delay_set() || d.refcnt() > 0 {
             return false; // accessed or mid-transition: not evictable
         }
-        let actions = CacheMachine::on_event(&self.cache_view(arr, chunk), CacheEvent::Evict);
+        let actions = CacheMachine::on_event(&self.cache_view(arr, chunk), ev);
         if actions.is_empty() {
             return false; // fill in flight: not evictable
         }

@@ -195,6 +195,12 @@ counters! {
     operated_reductions: runtime, sum, lower;
     /// Cachelines evicted by the reclamation scan.
     evictions: runtime, sum, lower;
+    /// Write-intent unlocks that kept a Shared copy, writing the data home
+    /// (DESIGN.md §4.5), where the others hand the chunk back as an
+    /// eviction. Lower, like `evictions`: each keep leaves a copy the next
+    /// put revokes, and with both rows lower a shift between keeps and
+    /// hand-backs fails the diff in either direction.
+    intent_keeps: runtime, sum, lower;
     /// Protocol state transitions executed by this node's machines (home
     /// directory + local cache), as emitted by `protocol::Transition`.
     transitions: runtime, sum, lower;

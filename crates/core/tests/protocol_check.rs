@@ -13,8 +13,9 @@
 //! * application requests (Read / Write / Operate, budget-limited),
 //! * element-lock acquire/release (budget-limited), including write-intent
 //!   locks (DESIGN.md §4.5) in the combined search: the grant also runs the
-//!   home's write miss for the lock's chunk and the grantee's, and the
-//!   release evicts the grantee's Exclusive copy,
+//!   home's write miss for the lock's chunk and the grantee's, and carries
+//!   the release rule, so the release either evicts the grantee's Exclusive
+//!   copy or downgrades it to Shared,
 //! * evictions (budget-limited), and
 //! * **node kills** — fail-stop crashes modeled exactly as the runtime sees
 //!   them: every surviving prefix of the victim's in-flight messages is
@@ -231,6 +232,8 @@ enum Frame {
     LockGrant {
         kind: LockKind,
         intent: bool,
+        /// The release rule: the grantee's unlock keeps a Shared copy.
+        keep: bool,
     },
     // remote → home
     LockAcq {
@@ -281,6 +284,8 @@ struct Remote {
     lock: Lock,
     /// The lock slot's request is a write-intent lock.
     intent: bool,
+    /// The held intent lock's grant said to keep a Shared copy at unlock.
+    keep: bool,
     req_budget: u8,
     lock_budget: u8,
     evict_budget: u8,
@@ -298,6 +303,7 @@ impl Remote {
             app: App::Idle,
             lock: Lock::Idle,
             intent: false,
+            keep: false,
             req_budget,
             lock_budget,
             evict_budget,
@@ -317,6 +323,7 @@ impl Remote {
             app: App::Idle,
             lock: Lock::Idle,
             intent: false,
+            keep: false,
             req_budget: 0,
             lock_budget: 0,
             evict_budget: 0,
@@ -509,6 +516,9 @@ struct Ck {
     intent_pulls: usize,
     /// Intent releases that evicted the grantee's Exclusive copy.
     hand_backs: usize,
+    /// Intent releases that downgraded the grantee's copy to Shared, as
+    /// their grant said.
+    keeps: usize,
     /// How remote chunks left the idle Operated state (the trigger of each
     /// transition out of `OperatedIdle`: a re-acquire, an idle recall, a
     /// request for other rights, a home restart).
@@ -966,18 +976,26 @@ impl Model for World {
                 };
                 r.lock = Lock::Idle;
                 let intent = std::mem::take(&mut r.intent);
+                let keep = std::mem::take(&mut r.keep);
                 if self.home.is_some() {
                     self.r2h[i].push_back(Frame::LockRel { kind: lk });
                 }
                 // Home already dead: the release would be sent to a corpse; the
                 // home's lock table died with it, so dropping is sound.
                 //
-                // An intent release then hands an unused Exclusive copy back
-                // with the ordinary eviction.
+                // An intent release then writes an unused Exclusive copy
+                // back: a downgrade if its grant said to keep a Shared copy,
+                // the ordinary eviction otherwise.
                 let r = &self.rem[i];
                 if intent && r.state == LocalState::Exclusive && r.after.is_none() {
-                    s.ck.hand_backs += 1;
-                    run_cache_event(self, s, i, CacheEvent::Evict);
+                    let ev = if keep {
+                        s.ck.keeps += 1;
+                        CacheEvent::Downgrade
+                    } else {
+                        s.ck.hand_backs += 1;
+                        CacheEvent::Evict
+                    };
+                    run_cache_event(self, s, i, ev);
                 }
             }
             Tr::Evict(i) => {
@@ -1540,15 +1558,16 @@ fn deliver_to_remote(w: &mut World, s: &mut Search<World>, i: usize, frame: Fram
                 &format!("home-side event {ev:?} delivered to r{}", i + 1),
             ),
         },
-        Frame::LockGrant { kind, intent } => {
+        Frame::LockGrant { kind, intent, keep } => {
             let r = &mut w.rem[i];
-            if r.lock != Lock::Waiting(kind) || r.intent != intent {
+            if r.lock != Lock::Waiting(kind) || r.intent != intent || keep && !intent {
                 s.fail(
                     w,
                     &format!("r{} got a {kind:?} lock grant it never asked for", i + 1),
                 );
             }
             r.lock = Lock::Holding(kind);
+            r.keep = keep;
             // The grantee's half of an intent grant: the runtime's write
             // miss for the lock's chunk, unless its rights already allow
             // the write.
@@ -1570,6 +1589,7 @@ fn deliver_to_remote(w: &mut World, s: &mut Search<World>, i: usize, frame: Fram
             // home are meaningless now: the table died with the home.
             r.lock = Lock::Idle;
             r.intent = false;
+            r.keep = false;
             run_cache_event(w, s, i, CacheEvent::HomeDown);
             // An application wait with no fill in flight will never be woken
             // by the protocol again — the runtime wakes it on the detector
@@ -1688,8 +1708,16 @@ fn deliver_lock_grants(
                     queue.extend(more);
                     continue;
                 }
+                // The release rule, decided before the pull changes the
+                // directory, as the runtime's `keeps` does. The model's
+                // chunk holds the one element.
+                let keep = intent && h.locks.intent_keeps(ELEM, ELEM..ELEM + 1, h.m.state(), n);
                 if w.rem[n - 1].alive {
-                    w.h2r[n - 1].push_back(Frame::LockGrant { kind: lk, intent });
+                    w.h2r[n - 1].push_back(Frame::LockGrant {
+                        kind: lk,
+                        intent,
+                        keep,
+                    });
                 }
                 // else: grantee died but the marker is still in flight; the
                 // grant message is lost with the node, and the marker's
@@ -2126,17 +2154,19 @@ fn crash_model_locks() {
 /// by the lock purge) is exercised with both subsystems mid-flight. Remote
 /// locks may be write-intent locks (DESIGN.md §4.5), whose grant runs the
 /// home's and the grantee's write misses for the chunk and whose release
-/// evicts the grantee's copy: single writer and lock exclusion must hold
-/// through every interleaving of those with the data traffic and the kill.
+/// evicts the grantee's copy, or downgrades it to Shared when the grant
+/// said to keep it: single writer, lock exclusion and directory agreement
+/// must hold through every interleaving of those with the data traffic
+/// and the kill.
 #[test]
 fn crash_model_combined() {
     let mut w = initial_world([1, 1], [1, 1], [0, 0], 0, 1, 1, 0);
     w.intent_locks = true;
     let s = explore("combined", w);
-    assert_eq!(s.seen.len(), 1_009_535);
+    assert_eq!(s.seen.len(), 1_048_695);
     println!(
-        "[combined-intent] intent_grants={} intent_pulls={} hand_backs={}",
-        s.ck.intent_grants, s.ck.intent_pulls, s.ck.hand_backs
+        "[combined-intent] intent_grants={} intent_pulls={} hand_backs={} keeps={}",
+        s.ck.intent_grants, s.ck.intent_pulls, s.ck.hand_backs, s.ck.keeps
     );
 
     assert!(
@@ -2151,6 +2181,7 @@ fn crash_model_combined() {
         s.ck.hand_backs > 0,
         "no intent release ever handed the chunk back"
     );
+    assert!(s.ck.keeps > 0, "no intent release ever kept a Shared copy");
     assert!(s.quiescent > 0, "the search never reached quiescence");
 }
 

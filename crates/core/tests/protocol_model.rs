@@ -457,6 +457,21 @@ fn operated(world: &mut World, op: u32, sharers: &[usize]) {
     assert_eq!(world.m.state().name(), "Operated");
 }
 
+/// Dirty, then the owner's voluntary downgrade (an intent unlock that keeps
+/// its copy, DESIGN.md §4.5): Shared with the former owner alone.
+fn downgraded(world: &mut World, owner: usize) {
+    dirty(world, owner);
+    world.rights[owner] = R::Read;
+    world.feed_msg(owner, Msg::WritebackNotice { downgrade: true });
+    world.quiesce();
+    assert_eq!(
+        world.m.state(),
+        &DirState::Shared {
+            sharers: vec![owner]
+        }
+    );
+}
+
 /// Operated, with the `idle` sharers' lines evicted and their rights kept.
 fn operated_idle(world: &mut World, op: u32, sharers: &[usize], idle: &[usize]) {
     operated(world, op, sharers);
@@ -493,6 +508,7 @@ fn exhaustive_state_by_request_matrix() {
     }
     for owner in REMOTES {
         configs.push(Box::new(move |w| dirty(w, owner)));
+        configs.push(Box::new(move |w| downgraded(w, owner)));
     }
 
     // ...crossed with every request kind from every requester.
@@ -544,6 +560,7 @@ fn exhaustive_state_by_request_matrix() {
 #[test]
 fn random_interleavings_preserve_invariants() {
     let mut transient_coverage = BTreeSet::new();
+    let mut downgrades = 0;
     for seed in 0..48u64 {
         let grace = if seed % 2 == 0 { 0 } else { 40 };
         // A third of the seeds run with persist-before-ack enabled so the
@@ -589,12 +606,15 @@ fn random_interleavings_preserve_invariants() {
                         }
                     }
                 }
-                // Voluntary writeback by the Dirty owner.
+                // Voluntary writeback by the Dirty owner: an eviction, or
+                // an intent unlock's downgrade that keeps a Shared copy.
                 6 => {
                     if w.m.transient().is_none() {
                         if let Some(&n) = REMOTES.iter().find(|&&n| w.rights[n] == R::Write) {
-                            w.rights[n] = R::None;
-                            w.feed_msg(n, Msg::WritebackNotice { downgrade: false });
+                            let downgrade = rng.below(2) == 0;
+                            w.rights[n] = if downgrade { R::Read } else { R::None };
+                            w.feed_msg(n, Msg::WritebackNotice { downgrade });
+                            downgrades += usize::from(downgrade);
                         }
                     }
                 }
@@ -642,6 +662,7 @@ fn random_interleavings_preserve_invariants() {
         transient_coverage.extend(w.transient_coverage);
     }
 
+    assert!(downgrades > 0, "no owner ever downgraded voluntarily");
     // The interleavings reached every multi-message transition phase.
     for (transient, event) in [
         ("AwaitInvAcks", "InvAck"),
@@ -688,6 +709,7 @@ fn all_cache_events() -> Vec<CacheEvent> {
     v.push(RecallDirty);
     v.push(DowngradeDirty);
     v.push(Evict);
+    v.push(Downgrade);
     let afters = [
         AfterDrain::Invalidate {
             line: 3,

@@ -291,13 +291,13 @@ fn tcp_matches_sim_through_join_and_migration() {
 /// turn `t`, every node first reads chunk 3 of every partition (the probe
 /// reads that leave Shared copies), then node `t` alone takes intent locks
 /// on its own element of each of those chunks, probes, writes one word and
-/// unlocks, twice per chunk. The first grant pulls the other nodes' copies;
-/// the second finds node `t` the sole sharer and pulls nothing; each unlock
-/// hands the chunk back. A blocking read of the same chunk after each
-/// unlock queues behind the release and the writeback on the same link and
-/// runtime thread, so every phase ends with no traffic in flight and the
-/// counts do not depend on the schedule. Node `t`'s lock on its own
-/// partition takes the plain path.
+/// unlocks, twice per chunk. The first grant pulls the other nodes' copies,
+/// so its unlock keeps a Shared copy; the second finds node `t` the sole
+/// sharer, pulls nothing, and its unlock hands the chunk back. A blocking
+/// read of the same chunk after each unlock queues behind the release and
+/// the writeback on the same link and runtime thread, so every phase ends
+/// with no traffic in flight and the counts do not depend on the schedule.
+/// Node `t`'s lock on its own partition takes the plain path.
 fn run_intent_workload(cfg: ClusterConfig) -> Vec<NodeStatsSnapshot> {
     Sim::new(SimConfig::default()).run(move |ctx| {
         let cluster = Cluster::new(ctx, cfg);
@@ -344,8 +344,9 @@ fn run_intent_workload(cfg: ClusterConfig) -> Vec<NodeStatsSnapshot> {
 }
 
 /// Write-intent locks move chunks through the ordinary protocol events
-/// (the home's and the grantee's write misses, the release's eviction),
-/// so their transition counts are as backend-independent as any other.
+/// (the home's and the grantee's write misses, the release's eviction or
+/// downgrade), so their transition counts are as backend-independent as
+/// any other.
 /// Only the grantee's first access after the grant races its fill: over
 /// TCP the fill may land before the application thread runs, so that
 /// access hits instead of handing a miss to the runtime. The two counters
@@ -368,11 +369,13 @@ fn tcp_matches_sim_with_write_intent_locks() {
         );
     }
     let sum = |f: fn(&NodeStatsSnapshot) -> u64| sim.iter().map(f).sum::<u64>();
-    // Two intent locks per (locker, remote home) pair, each handed back.
-    let intent_locks = (NODES * (NODES - 1) * 2) as u64;
-    assert_eq!(sum(|s| s.evictions), intent_locks);
+    // Two intent locks per (locker, remote home) pair: the first keeps a
+    // Shared copy, the second hands the chunk back.
+    let pairs = (NODES * (NODES - 1)) as u64;
+    assert_eq!(sum(|s| s.intent_keeps), pairs);
+    assert_eq!(sum(|s| s.evictions), pairs);
     assert!(sum(|s| s.invalidations) > 0, "no grant pulled a copy");
-    assert_eq!(sum(|s| s.recalls), 0, "a hand-back left a copy to recall");
+    assert_eq!(sum(|s| s.recalls), 0, "an unlock left a copy to recall");
 }
 
 /// [`parity_config`] with the async pump's batching knobs turned all the

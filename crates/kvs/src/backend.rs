@@ -37,8 +37,8 @@ impl KvBackend for DArrayBackend {
         self.0.set(ctx, i, v)
     }
     /// A write-intent lock: the grant brings the bucket's entry chunk
-    /// along and the unlock hands it back, so the put's probe and entry
-    /// write are local.
+    /// along and the unlock writes it back home, so the put's probe and
+    /// entry write are local.
     fn wlock(&self, ctx: &mut Ctx, i: usize) {
         self.0.wlock_for_write(ctx, i)
     }
