@@ -2,9 +2,11 @@
 //! (ns) with increasing node counts, one thread per node. With poor
 //! locality the coherence protocol's fills/evictions dominate DArray and
 //! GAM, while cache-less BCL stays flat at the RDMA round trip.
+//! `BENCH_fig18.json` carries every cell's ns as `metrics` and DArray's
+//! traffic.
 
 use darray_bench::micro::{micro, Op, Pattern, System};
-use darray_bench::report::{fmt, print_table, write_bench_json};
+use darray_bench::report::{fmt, print_table, write_bench_json_with_metrics};
 
 fn main() {
     let fast = darray_bench::fast_mode();
@@ -14,6 +16,7 @@ fn main() {
     let bcl_ops: u64 = if fast { 500 } else { 2_000 };
     let node_counts: &[usize] = if fast { &[1, 3] } else { &[1, 2, 4, 6, 8] };
 
+    let mut metrics = Vec::new();
     let mut traffic = Vec::new();
     for op in [Op::Read, Op::Write, Op::Operate] {
         let mut rows = Vec::new();
@@ -27,7 +30,8 @@ fn main() {
                 elems_per_node,
                 ops,
             );
-            traffic.push((format!("{}_{n}n", op.label()), d.protocol));
+            let label = format!("{}_{n}n", op.label());
+            traffic.push((label.clone(), d.protocol));
             let g = micro(System::Gam, op, Pattern::Random, n, 1, elems_per_node, ops);
             let b = if op == Op::Operate {
                 None
@@ -42,6 +46,11 @@ fn main() {
                     bcl_ops,
                 ))
             };
+            metrics.push((format!("{label}_ns"), d.avg_latency_ns(ops)));
+            metrics.push((format!("{label}_gam_ns"), g.avg_latency_ns(ops)));
+            if let Some(b) = &b {
+                metrics.push((format!("{label}_bcl_ns"), b.avg_latency_ns(bcl_ops)));
+            }
             rows.push(vec![
                 n.to_string(),
                 fmt(d.avg_latency_ns(ops)),
@@ -107,7 +116,7 @@ fn main() {
         &sweep_rows,
     );
     println!("\npaper: DArray/GAM latency grows with nodes (coherence + eviction overhead); BCL stays ≈2 µs; random writes cost more than reads (contention).");
-    match write_bench_json("fig18", &traffic) {
+    match write_bench_json_with_metrics("fig18", &metrics, &traffic) {
         Ok(p) => println!("protocol traffic written to {}", p.display()),
         Err(e) => eprintln!("could not write BENCH_fig18.json: {e}"),
     }

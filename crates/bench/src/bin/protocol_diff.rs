@@ -704,7 +704,11 @@ mod tests {
             epochs_aborted: 1,
             ..Default::default()
         };
-        let body = darray_bench::report::render_bench_json("rt", &[("w_1n".to_string(), t)]);
+        let body = darray_bench::report::render_bench_json_with_metrics(
+            "rt",
+            &[],
+            &[("w_1n".to_string(), t)],
+        );
         let parsed = parse_bench(&body).unwrap().traffic;
         assert_eq!(parsed["w_1n"]["fills"], 3);
         assert_eq!(parsed["w_1n"]["epochs_aborted"], 1);

@@ -64,18 +64,12 @@ fn traffic_json(t: &NodeStatsSnapshot) -> String {
     format!("{{{}}}", pairs.join(","))
 }
 
-/// Render the BENCH_*.json body: one protocol-traffic section per labelled
-/// configuration.
-pub fn render_bench_json(name: &str, sections: &[(String, NodeStatsSnapshot)]) -> String {
-    render_bench_json_with_metrics(name, &[], sections)
-}
-
-/// [`render_bench_json`] plus a `metrics` object of headline numbers
-/// (throughput, per-pool occupancy, …). Virtual-time determinism makes
-/// the floats — and hence the file — byte-identical across runs, so
-/// `protocol_diff` holds each metric exactly. With no metrics, the key
-/// is omitted entirely and the output is byte-identical to the
-/// pre-metrics format.
+/// Render the BENCH_*.json body: a `metrics` object of headline numbers
+/// (latency, throughput, per-pool occupancy, …) and one protocol-traffic
+/// section per labelled configuration. Virtual-time determinism makes the
+/// floats — and hence the file — byte-identical across runs, so
+/// `protocol_diff` holds each metric exactly. With no metrics the key is
+/// omitted.
 pub fn render_bench_json_with_metrics(
     name: &str,
     metrics: &[(String, f64)],
@@ -101,17 +95,8 @@ pub fn render_bench_json_with_metrics(
     s
 }
 
-/// Write `BENCH_<name>.json` into the current directory and return its
-/// path. Virtual-time determinism makes the file byte-identical across
-/// runs of the same binary.
-pub fn write_bench_json(
-    name: &str,
-    sections: &[(String, NodeStatsSnapshot)],
-) -> std::io::Result<PathBuf> {
-    write_bench_json_with_metrics(name, &[], sections)
-}
-
-/// [`write_bench_json`] with a metrics object.
+/// Write `BENCH_<name>.json` ([`render_bench_json_with_metrics`]) into
+/// the current directory and return its path.
 pub fn write_bench_json_with_metrics(
     name: &str,
     metrics: &[(String, f64)],
@@ -175,11 +160,8 @@ mod tests {
         );
         assert!(body.contains("\"metrics\": {"));
         assert!(body.contains("\"read_rt2_mops\": 12.500000"));
-        // No metrics -> byte-identical to the legacy format.
-        let legacy = render_bench_json("unit", &[("read_rt2".to_string(), t)]);
-        let via_full = render_bench_json_with_metrics("unit", &[], &[("read_rt2".to_string(), t)]);
-        assert_eq!(legacy, via_full);
-        assert!(!legacy.contains("metrics"));
+        let bare = render_bench_json_with_metrics("unit", &[], &[("read_rt2".to_string(), t)]);
+        assert!(!bare.contains("metrics"));
     }
 
     #[test]
@@ -188,8 +170,9 @@ mod tests {
             fills: 42,
             ..Default::default()
         };
-        let body = render_bench_json(
+        let body = render_bench_json_with_metrics(
             "unit",
+            &[],
             &[
                 ("seq_read".to_string(), t),
                 ("seq_write".to_string(), NodeStatsSnapshot::default()),

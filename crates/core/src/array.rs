@@ -175,15 +175,72 @@ impl<T: Element> DArray<T> {
         if d.delay_set() || state.in_flight() || state.permits(kind, || d.op_tag()) {
             return;
         }
-        if self.shared.protocol_fault.get().is_some() {
-            return;
-        }
         let home = self.arr.home_on(self.node, chunk);
-        if home != self.node && self.shared.is_peer_down(self.node, home) {
+        if self.serviceable(home).is_err() {
             return;
         }
         NodeStats::bump(&self.shared.stats[self.node].prefetches);
         self.submit(ctx, chunk, LocalKind::Access(kind));
+    }
+
+    /// Can the runtime serve a request on a chunk or lock homed on `home`?
+    /// Not once a protocol fault is latched, nor while `home` is declared
+    /// down. Every entry that would wait on the runtime asks this first: a
+    /// miss, a pin, a prefetch and a lock acquire.
+    pub(crate) fn serviceable(&self, home: NodeId) -> Result<(), DArrayError> {
+        if let Some(message) = self.shared.protocol_fault.get() {
+            return Err(DArrayError::ProtocolInvariant { message });
+        }
+        if home != self.node && self.shared.is_peer_down(self.node, home) {
+            return Err(self.shared.unavailable_error(self.node, home));
+        }
+        Ok(())
+    }
+
+    /// The acquire loop of Figure 4, shared by every access and
+    /// [`DArray::pin`]: charge `path_cost`, take a reference on `chunk`
+    /// with rights for `kind`, and on a miss wait for the runtime and
+    /// retry. Returns the line the held reference points at; the caller
+    /// releases the reference. With `chunk_lock` (the §4.1 strawman) each
+    /// attempt takes the chunk's lock, and a hit returns with it held.
+    /// Fails instead of waiting when the runtime cannot serve the miss.
+    #[inline]
+    pub(crate) fn acquire(
+        &self,
+        ctx: &mut Ctx,
+        chunk: usize,
+        kind: Kind,
+        path_cost: u64,
+        chunk_lock: bool,
+    ) -> Result<u32, DArrayError> {
+        let d = self.dentry(chunk);
+        loop {
+            if chunk_lock {
+                d.chunk_lock.lock(ctx, self.shared.cfg.cost.mutex_pair_ns);
+            }
+            ctx.charge(path_cost);
+            let missed = match d.acquire(kind) {
+                Acquire::Ok(line) => return Ok(line),
+                Acquire::Delayed => None,
+                Acquire::NoRights(st) => Some(st),
+            };
+            if chunk_lock {
+                d.chunk_lock.unlock(ctx);
+            }
+            let Some(st) = missed else {
+                ctx.spin_hint(20);
+                continue;
+            };
+            crate::trace::event(
+                self.arr.id,
+                chunk as u32,
+                self.node,
+                ctx.now(),
+                format_args!("APP-MISS want={:?} state={:?}", kind, st),
+            );
+            self.serviceable(self.arr.home_on(self.node, chunk))?;
+            self.slow_request(ctx, chunk, LocalKind::Access(kind));
+        }
     }
 
     /// Fast-path access skeleton: acquire rights for `kind`, run `body` on
@@ -201,62 +258,22 @@ impl<T: Element> DArray<T> {
         assert!(index < self.len(), "index {index} out of bounds");
         let layout = &self.arr.layout;
         let chunk = layout.chunk_of(index);
-        let off = layout.offset_in_chunk(index);
-        let d = self.dentry(chunk);
-        let cost = &self.shared.cfg.cost;
-        let path_cost = self
-            .shared
-            .cfg
+        let cfg = &self.shared.cfg;
+        let path_cost = cfg
             .fast_path_cost_ns
-            .unwrap_or_else(|| cost.darray_fast_path());
-        let lock_based = self.shared.cfg.access_path == AccessPath::LockBased;
-        loop {
-            if lock_based {
-                // §4.1 strawman: a per-chunk lock on every access. Large
-                // overhead and chunk-serialized concurrency.
-                d.chunk_lock.lock(ctx, cost.mutex_pair_ns);
-            }
-            ctx.charge(path_cost);
-            match d.acquire(kind) {
-                Acquire::Ok(line) => {
-                    let (region, word) =
-                        data_location(&self.shared, &self.arr, self.node, line, chunk, off);
-                    let r = body(region, word, self, ctx);
-                    d.release();
-                    if lock_based {
-                        d.chunk_lock.unlock(ctx);
-                    }
-                    NodeStats::bump(&self.shared.stats[self.node].fast_hits);
-                    return Ok(r);
-                }
-                Acquire::Delayed => {
-                    if lock_based {
-                        d.chunk_lock.unlock(ctx);
-                    }
-                    ctx.spin_hint(20);
-                }
-                Acquire::NoRights(st) => {
-                    if lock_based {
-                        d.chunk_lock.unlock(ctx);
-                    }
-                    crate::trace::event(
-                        self.arr.id,
-                        chunk as u32,
-                        self.node,
-                        ctx.now(),
-                        format_args!("APP-MISS want={:?} state={:?}", kind, st),
-                    );
-                    if let Some(message) = self.shared.protocol_fault.get() {
-                        return Err(DArrayError::ProtocolInvariant { message });
-                    }
-                    let home = self.arr.home_on(self.node, chunk);
-                    if home != self.node && self.shared.is_peer_down(self.node, home) {
-                        return Err(self.shared.unavailable_error(self.node, home));
-                    }
-                    self.slow_request(ctx, chunk, LocalKind::Access(kind));
-                }
-            }
+            .unwrap_or_else(|| cfg.cost.darray_fast_path());
+        let lock_based = cfg.access_path == AccessPath::LockBased;
+        let line = self.acquire(ctx, chunk, kind, path_cost, lock_based)?;
+        let off = layout.offset_in_chunk(index);
+        let (region, word) = data_location(&self.shared, &self.arr, self.node, line, chunk, off);
+        let r = body(region, word, self, ctx);
+        let d = self.dentry(chunk);
+        d.release();
+        if lock_based {
+            d.chunk_lock.unlock(ctx);
         }
+        NodeStats::bump(&self.shared.stats[self.node].fast_hits);
+        Ok(r)
     }
 
     /// Read element `index` (Figure 3 line 3). Panics if the element's home
@@ -411,12 +428,7 @@ impl<T: Element> DArray<T> {
     ) -> Result<(), DArrayError> {
         assert!(index < self.len());
         let home = self.arr.layout.home_of(index);
-        if let Some(message) = self.shared.protocol_fault.get() {
-            return Err(DArrayError::ProtocolInvariant { message });
-        }
-        if home != self.node && self.shared.is_peer_down(self.node, home) {
-            return Err(self.shared.unavailable_error(self.node, home));
-        }
+        self.serviceable(home)?;
         self.lock_request(
             ctx,
             index,
@@ -426,12 +438,7 @@ impl<T: Element> DArray<T> {
                 intent,
             },
         );
-        if let Some(message) = self.shared.protocol_fault.get() {
-            return Err(DArrayError::ProtocolInvariant { message });
-        }
-        if home != self.node && self.shared.is_peer_down(self.node, home) {
-            return Err(self.shared.unavailable_error(self.node, home));
-        }
+        self.serviceable(home)?;
         self.note_held(index, kind, intent);
         Ok(())
     }
@@ -545,7 +552,7 @@ impl<T: Element> DArray<T> {
 mod tests {
     use std::ops::Range;
 
-    use crate::msg::{LocalKind, RtMsg};
+    use crate::msg::{ChunkId, Envelope, Intent, LocalKind, Rpc, RtMsg};
     use crate::state::LocalState;
     use crate::{
         ArrayOptions, Cluster, ClusterConfig, DArrayError, FaultConfig, FaultPlan, LockKind,
@@ -896,6 +903,58 @@ mod tests {
             ));
             req.waiter.notify(ctx);
             h.join(ctx);
+        });
+    }
+
+    /// A `LockGrant` no thread waits for latches a protocol fault. From
+    /// then on every entry that needs the runtime fails with
+    /// `ProtocolInvariant` on a chunk node 0 holds no rights to, the pin
+    /// included; a prefetch sends nothing; a chunk node 0 holds still hits.
+    #[test]
+    fn a_poisoned_cluster_fails_every_entry_that_needs_the_runtime() {
+        const E: usize = 2 * 512 + 5; // chunk 2, homed on node 1
+        Sim::new(SimConfig::default()).run(|ctx| {
+            let cluster = Cluster::new(ctx, ClusterConfig::test_config(2));
+            let add = cluster.ops().register_add_u64();
+            let arr = cluster.alloc_with::<u64>(4 * 512, ArrayOptions::default(), |i| i as u64);
+            let a = arr.on(0);
+            let chunk = a.arr.layout.chunk_of(E) as ChunkId;
+            let grant = Rpc::LockGrant {
+                id: E as u64,
+                kind: LockKind::Write,
+                intent: Intent::Plain,
+            };
+            let env = Envelope::new(a.arr.id, chunk, grant);
+            let mb = a.shared.rt_mailbox(0, a.arr.id, chunk);
+            mb.send(ctx, RtMsg::Net { src: 1, env }, 0);
+            ctx.sleep(50_000);
+            assert!(a.shared.protocol_fault.get().is_some());
+            assert_eq!(a.dentry(chunk as usize).state(), LocalState::Invalid);
+            let poisoned = |r: Result<(), DArrayError>, what: &str| {
+                assert!(
+                    matches!(r, Err(DArrayError::ProtocolInvariant { .. })),
+                    "{what}: {r:?}"
+                );
+            };
+            poisoned(a.try_get(ctx, E).map(drop), "try_get");
+            poisoned(a.try_set(ctx, E + 1, 7), "try_set");
+            poisoned(a.try_update(ctx, E + 2, |v| v + 1), "try_update");
+            poisoned(a.try_apply(ctx, E + 3, add, 1), "try_apply");
+            poisoned(a.try_rlock(ctx, E + 4), "try_rlock");
+            poisoned(a.try_wlock(ctx, E + 5), "try_wlock");
+            poisoned(a.try_wlock_for_write(ctx, E + 6), "try_wlock_for_write");
+            poisoned(a.try_pin(ctx, E + 7, PinMode::Read).map(drop), "try_pin");
+            let before = cluster.stats(0);
+            a.prefetch(ctx, E, PinMode::Read);
+            ctx.sleep(50_000);
+            let after = cluster.stats(0);
+            assert_eq!(
+                (after.prefetches, after.frames),
+                (before.prefetches, before.frames)
+            );
+            // Node 0's own chunk is held: its accesses still hit.
+            assert_eq!(a.try_get(ctx, 5), Ok(5));
+            cluster.shutdown(ctx);
         });
     }
 }

@@ -34,8 +34,7 @@ pub struct PoolStats {
 /// free list, scanning pointer and watermark bookkeeping.
 ///
 /// The *data* of the cachelines lives in the node's cache `MemoryRegion`
-/// (word offset = `line * chunk_size`); this structure only manages
-/// allocation.
+/// (at `CacheConfig::line_off`); this structure only manages allocation.
 pub(crate) struct CacheRegion {
     /// First line index of this region (absolute within the node).
     base: u32,

@@ -509,7 +509,6 @@ impl Cluster {
         // in the home machine's sharer set, so later writes invalidate the
         // seeded copies through the ordinary protocol.
         for &(c, h) in &warm {
-            let line_words = self.shared.cfg.cache.line_words;
             let img = arr.subarrays[h].read_vec(arr.chunk_off(c), chunk_size);
             let r = self.shared.placement.rt_index(id, c as u32);
             for m in 0..nodes {
@@ -524,7 +523,7 @@ impl Cluster {
                     pool.free(line);
                     continue;
                 }
-                let dst = line as usize * line_words;
+                let dst = self.shared.cfg.cache.line_off(line);
                 for (i, &word) in img.iter().enumerate() {
                     self.shared.cache_regions[m].store(dst + i, word);
                 }

@@ -32,6 +32,15 @@ pub struct CacheConfig {
     pub line_words: usize,
 }
 
+impl CacheConfig {
+    /// Word offset of cacheline `line` in a node's cache region. Lines are
+    /// spaced by `line_words`, which may exceed an array's chunk size.
+    #[inline]
+    pub(crate) fn line_off(&self, line: u32) -> usize {
+        line as usize * self.line_words
+    }
+}
+
 impl Default for CacheConfig {
     fn default() -> Self {
         Self {

@@ -10,10 +10,8 @@ use dsim::Ctx;
 use rdma_fabric::MemoryRegion;
 
 use crate::array::DArray;
-use crate::dentry::Acquire;
 use crate::element::Element;
 use crate::error::DArrayError;
-use crate::msg::LocalKind;
 use crate::op::OpId;
 use crate::protocol::Kind;
 use crate::shared::data_location;
@@ -86,7 +84,10 @@ impl<T: Element> DArray<T> {
 
     /// Fallible [`DArray::pin`]: returns [`DArrayError::NodeUnavailable`]
     /// when the chunk's home node has been declared down and no local copy
-    /// is cached (only possible when `ClusterConfig::fault` is set).
+    /// is cached (only possible when `ClusterConfig::fault` is set), and
+    /// [`DArrayError::ProtocolInvariant`] once a protocol fault is latched
+    /// and the chunk is not held. A pin pays the fast path's cost but never
+    /// takes the §4.1 chunk lock.
     pub fn try_pin(
         &self,
         ctx: &mut Ctx,
@@ -96,38 +97,20 @@ impl<T: Element> DArray<T> {
         assert!(index < self.len(), "index {index} out of bounds");
         let layout = &self.arr.layout;
         let chunk = layout.chunk_of(index);
-        let d = self.dentry(chunk);
-        let cost = self.shared.cfg.cost.clone();
-        let kind = mode.kind();
-        loop {
-            ctx.charge(cost.darray_fast_path());
-            match d.acquire(kind) {
-                Acquire::Ok(line) => {
-                    // Keep the reference: that is the pin.
-                    let (region, base_word) =
-                        data_location(&self.shared, &self.arr, self.node, line, chunk, 0);
-                    let region = region.clone();
-                    return Ok(Pinned {
-                        arr: self.clone(),
-                        chunk,
-                        first: layout.chunk_first_elem(chunk),
-                        valid: layout.chunk_len(chunk),
-                        region,
-                        base_word,
-                        mode,
-                        released: false,
-                    });
-                }
-                Acquire::Delayed => ctx.spin_hint(20),
-                Acquire::NoRights(_) => {
-                    let home = self.arr.home_on(self.node, chunk);
-                    if home != self.node && self.shared.is_peer_down(self.node, home) {
-                        return Err(self.shared.unavailable_error(self.node, home));
-                    }
-                    self.slow_request(ctx, chunk, LocalKind::Access(kind));
-                }
-            }
-        }
+        let path_cost = self.shared.cfg.cost.darray_fast_path();
+        // Keep the reference: that is the pin.
+        let line = self.acquire(ctx, chunk, mode.kind(), path_cost, false)?;
+        let (region, base_word) = data_location(&self.shared, &self.arr, self.node, line, chunk, 0);
+        Ok(Pinned {
+            arr: self.clone(),
+            chunk,
+            first: layout.chunk_first_elem(chunk),
+            valid: layout.chunk_len(chunk),
+            region: region.clone(),
+            base_word,
+            mode,
+            released: false,
+        })
     }
 }
 

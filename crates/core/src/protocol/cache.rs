@@ -273,6 +273,8 @@ impl CacheMachine {
     /// Returns actions in execution order; an empty vector means the event
     /// is stale and deliberately ignored (crossing-message cases).
     pub fn on_event(view: &CacheView, ev: CacheEvent) -> Vec<CacheAction> {
+        // Does the chunk hold `state` with no drain pending?
+        let holds = |state| view.state == state && !view.draining;
         match ev {
             CacheEvent::Request {
                 kind,
@@ -280,114 +282,119 @@ impl CacheMachine {
                 drain_pending,
             } => Self::request(view, kind, home_down, drain_pending),
             CacheEvent::LineAllocated { line, kind } => Self::line_allocated(view, line, kind),
-            CacheEvent::FillDone { granted } => Self::fill_done(view, granted),
-            CacheEvent::GrantDone { op } => Self::grant_done(view, op),
-            CacheEvent::Invalidate { from } => {
-                if view.state == LocalState::Shared && !view.draining {
-                    vec![CacheAction::BeginDrain {
+            CacheEvent::FillDone { granted } => {
+                let expected = match granted {
+                    LocalState::Shared => LocalState::FillingShared,
+                    LocalState::Exclusive => LocalState::FillingExclusive,
+                    _ => unreachable!("fills grant Shared or Exclusive"),
+                };
+                // Stale unless the fill is still awaited: the line was torn
+                // down (e.g. HomeDown) while the fill was in flight. The data
+                // was RDMA-written into our line before this notification
+                // (RC FIFO ordering).
+                if view.state != expected {
+                    return vec![];
+                }
+                Self::complete(view, granted, NOTAG, Counter::Fills, "fill")
+            }
+            // An Operated grant carries no data: the operand buffer starts
+            // as the operator's identity. Stale unless still awaited.
+            CacheEvent::GrantDone { op } if view.state == LocalState::FillingOperated => {
+                let mut out = vec![CacheAction::InitOperandBuffer {
+                    line: view.line,
+                    op,
+                }];
+                out.extend(Self::complete(
+                    view,
+                    LocalState::Operated,
+                    op,
+                    Counter::Fills,
+                    "grant",
+                ));
+                out
+            }
+            // Drop a Shared copy and ack once it drains. Any other copy is
+            // already gone or on its way out — an EvictNotice (or upgrade
+            // drop) from us is already in flight on the same FIFO link and
+            // will satisfy the home's ack set. Sending an extra ack would be
+            // a *stale* ack that could corrupt a later invalidation epoch.
+            CacheEvent::Invalidate { from } if holds(LocalState::Shared) => {
+                vec![CacheAction::BeginDrain {
+                    target: LocalState::Invalid,
+                    tag: NOTAG,
+                    after: AfterDrain::Invalidate {
+                        line: view.line,
+                        reply_to: from,
+                    },
+                }]
+            }
+            // Write an Exclusive copy back and drop it. Without one, a
+            // voluntary writeback is already in flight (FIFO guarantees the
+            // home sees it).
+            CacheEvent::RecallDirty if holds(LocalState::Exclusive) => vec![
+                CacheAction::Count(Counter::Recalls),
+                CacheAction::BeginDrain {
+                    target: LocalState::Invalid,
+                    tag: NOTAG,
+                    after: AfterDrain::WritebackInvalidate { line: view.line },
+                },
+            ],
+            // The home's downgrade and an intent unlock's voluntary one
+            // drain alike; only the home's counts as a recall.
+            CacheEvent::DowngradeDirty | CacheEvent::Downgrade if holds(LocalState::Exclusive) => {
+                let drain = CacheAction::BeginDrain {
+                    target: LocalState::Shared,
+                    tag: NOTAG,
+                    after: AfterDrain::Downgrade { line: view.line },
+                };
+                if ev == CacheEvent::DowngradeDirty {
+                    vec![CacheAction::Count(Counter::Recalls), drain]
+                } else {
+                    vec![drain]
+                }
+            }
+            // Another operator's recall is a stale one, for an epoch this
+            // node already left.
+            CacheEvent::RecallOperated { op } if view.op_tag == op => match view.state {
+                LocalState::Operated if !view.draining => vec![
+                    CacheAction::Count(Counter::Recalls),
+                    CacheAction::BeginDrain {
                         target: LocalState::Invalid,
                         tag: NOTAG,
-                        after: AfterDrain::Invalidate {
+                        after: AfterDrain::FlushInvalidate {
                             line: view.line,
-                            reply_to: from,
+                            op,
                         },
-                    }]
-                } else {
-                    // Our copy is already gone or on its way out — an
-                    // EvictNotice (or upgrade drop) from us is already in
-                    // flight on the same FIFO link and will satisfy the
-                    // home's ack set. Sending an extra ack here would be a
-                    // *stale* ack that could corrupt a later invalidation
-                    // epoch.
-                    vec![]
-                }
-            }
-            CacheEvent::RecallDirty => {
-                if view.state == LocalState::Exclusive && !view.draining {
-                    vec![
-                        CacheAction::Count(Counter::Recalls),
-                        CacheAction::BeginDrain {
-                            target: LocalState::Invalid,
-                            tag: NOTAG,
-                            after: AfterDrain::WritebackInvalidate { line: view.line },
-                        },
-                    ]
-                } else {
-                    // A voluntary writeback is already in flight (FIFO
-                    // guarantees the home sees it).
-                    vec![]
-                }
-            }
-            CacheEvent::DowngradeDirty => {
-                if view.state == LocalState::Exclusive && !view.draining {
-                    vec![
-                        CacheAction::Count(Counter::Recalls),
-                        CacheAction::BeginDrain {
-                            target: LocalState::Shared,
-                            tag: NOTAG,
-                            after: AfterDrain::Downgrade { line: view.line },
-                        },
-                    ]
-                } else {
-                    vec![]
-                }
-            }
-            CacheEvent::RecallOperated { op } if view.op_tag == op => match view.state {
-                LocalState::Operated if !view.draining => {
-                    vec![
-                        CacheAction::Count(Counter::Recalls),
-                        CacheAction::BeginDrain {
-                            target: LocalState::Invalid,
-                            tag: NOTAG,
-                            after: AfterDrain::FlushInvalidate {
-                                line: view.line,
-                                op,
-                            },
-                        },
-                    ]
-                }
+                    },
+                ],
                 // Idle: the operands already went home in keep flushes,
                 // which the home does not count toward the epoch's close.
                 // Answer at once with an empty flush that does. Every
                 // recall reaching an idle chunk is for its current epoch:
                 // an older epoch's recall arrived before this epoch's
-                // grant, on the same FIFO link.
-                LocalState::OperatedIdle if !view.draining => {
-                    let mut out = vec![CacheAction::Count(Counter::Recalls)];
-                    out.extend(Self::leave_idle(view, "recall-idle", true));
-                    out
-                }
-                // Mid-eviction: the drain's own flush answers the recall
-                // once it leaves as an ordinary flush.
+                // grant, on the same FIFO link. Mid-eviction, the drain's
+                // own flush answers the recall once it leaves as an
+                // ordinary flush.
                 LocalState::OperatedIdle => {
+                    let trigger = if view.draining {
+                        "recall-evicting"
+                    } else {
+                        "recall-idle"
+                    };
                     let mut out = vec![CacheAction::Count(Counter::Recalls)];
-                    out.extend(Self::leave_idle(view, "recall-evicting", false));
+                    out.extend(Self::leave_idle(view, trigger, !view.draining));
                     out
                 }
                 // Nothing to flush — this node left the epoch with a flush
                 // that is already in flight on the same FIFO link (every
                 // way out of the Operated and idle states sends one) and
-                // will satisfy the home's flush set. Replying with an extra empty flush would be a *stale*
-                // message that could remove us from a LATER Operated
-                // epoch's sharer set (observed in property testing as a
-                // lost operand).
+                // will satisfy the home's flush set. Replying with an extra
+                // empty flush would be a *stale* message that could remove
+                // us from a LATER Operated epoch's sharer set (observed in
+                // property testing as a lost operand).
                 _ => vec![],
             },
-            // Another operator's recall is a stale one, for an epoch this
-            // node already left.
-            CacheEvent::RecallOperated { .. } => vec![],
             CacheEvent::Evict => Self::evict(view),
-            CacheEvent::Downgrade => {
-                if view.state == LocalState::Exclusive && !view.draining {
-                    vec![CacheAction::BeginDrain {
-                        target: LocalState::Shared,
-                        tag: NOTAG,
-                        after: AfterDrain::Downgrade { line: view.line },
-                    }]
-                } else {
-                    vec![]
-                }
-            }
             CacheEvent::Drained { after, home_down } => Self::drained(view, after, home_down),
             // A delayed (draining) chunk is torn down by its continuation's
             // own home-down check, so every reset below skips it.
@@ -397,30 +404,63 @@ impl CacheMachine {
             CacheEvent::HomeDown if view.state.in_flight() && !view.draining => {
                 Self::reset(view, "home-down")
             }
-            // A restarted or moved home that reaches an eviction drain
-            // toward idle: the drain's flush must leave rather than keep
-            // rights the new directory never granted.
-            CacheEvent::HomeRestarted | CacheEvent::HomeMoved
-                if view.state == LocalState::OperatedIdle && view.draining =>
-            {
-                let trigger = if ev == CacheEvent::HomeMoved {
-                    "home-moved-evicting"
-                } else {
-                    "home-restarted-evicting"
-                };
-                Self::leave_idle(view, trigger, false)
-            }
             // A restarted home (a restart is always preceded by a death
             // declaration) or a moved one (the recall fence already revoked
             // every sound copy) no longer remembers granting anything this
-            // node still holds.
-            CacheEvent::HomeRestarted if view.state != LocalState::Invalid && !view.draining => {
-                Self::reset(view, "home-restarted")
+            // node still holds. An eviction drain toward idle must leave
+            // rather than keep rights the new directory never granted.
+            CacheEvent::HomeRestarted | CacheEvent::HomeMoved
+                if view.state != LocalState::Invalid =>
+            {
+                let (reset, evicting) = if ev == CacheEvent::HomeMoved {
+                    ("home-moved", "home-moved-evicting")
+                } else {
+                    ("home-restarted", "home-restarted-evicting")
+                };
+                if !view.draining {
+                    Self::reset(view, reset)
+                } else if view.state == LocalState::OperatedIdle {
+                    Self::leave_idle(view, evicting, false)
+                } else {
+                    vec![]
+                }
             }
-            CacheEvent::HomeMoved if view.state != LocalState::Invalid && !view.draining => {
-                Self::reset(view, "home-moved")
-            }
-            CacheEvent::HomeDown | CacheEvent::HomeRestarted | CacheEvent::HomeMoved => vec![],
+            _ => vec![],
+        }
+    }
+
+    /// The structured trace of a move from the viewed state to `to`.
+    fn trace(view: &CacheView, to: LocalState, trigger: &'static str) -> CacheAction {
+        CacheAction::Trace(Transition {
+            from: view.state.name(),
+            to: to.name(),
+            trigger,
+        })
+    }
+
+    /// The rights a request waited for arrived: install them, count them
+    /// and wake every waiter.
+    fn complete(
+        view: &CacheView,
+        state: LocalState,
+        tag: u32,
+        counter: Counter,
+        trigger: &'static str,
+    ) -> Vec<CacheAction> {
+        vec![
+            CacheAction::Promote { state, tag },
+            CacheAction::Count(counter),
+            Self::trace(view, state, trigger),
+            CacheAction::WakeAllWaiters,
+        ]
+    }
+
+    /// The Filling state and operator tag a request of `kind` waits in.
+    fn filling(kind: Kind) -> (LocalState, u32) {
+        match kind {
+            Kind::Read => (LocalState::FillingShared, NOTAG),
+            Kind::Write => (LocalState::FillingExclusive, NOTAG),
+            Kind::Operate(op) => (LocalState::FillingOperated, op),
         }
     }
 
@@ -440,11 +480,7 @@ impl CacheMachine {
             });
             out.push(CacheAction::Count(Counter::OperandFlushes));
         }
-        out.push(CacheAction::Trace(Transition {
-            from: view.state.name(),
-            to: LocalState::Invalid.name(),
-            trigger,
-        }));
+        out.push(Self::trace(view, LocalState::Invalid, trigger));
         out.push(CacheAction::Promote {
             state: LocalState::Invalid,
             tag: NOTAG,
@@ -461,11 +497,7 @@ impl CacheMachine {
                 state: LocalState::Invalid,
                 tag: NOTAG,
             },
-            CacheAction::Trace(Transition {
-                from: view.state.name(),
-                to: LocalState::Invalid.name(),
-                trigger,
-            }),
+            Self::trace(view, LocalState::Invalid, trigger),
             CacheAction::WakeAllWaiters,
         ]
     }
@@ -477,89 +509,50 @@ impl CacheMachine {
         home_down: bool,
         drain_pending: bool,
     ) -> Vec<CacheAction> {
-        // A deferred transition on this chunk is pending: queue behind it.
-        if drain_pending {
+        // A deferred transition on this chunk, or a fill, is pending: queue
+        // behind it. With the chunk's home dead, the HomeDown reset (queued
+        // behind this request) wakes a waiter on a fill.
+        if drain_pending || view.state.in_flight() {
             return vec![CacheAction::QueueWaiter];
         }
-        // The chunk's home is dead: never start a fill that cannot
-        // complete. If a fill is already in flight, the HomeDown reset
-        // (queued behind this request) will wake the waiter; otherwise wake
-        // it now so the application thread re-checks and observes
-        // `NodeUnavailable`.
-        if home_down {
-            return if view.state.in_flight() {
-                vec![CacheAction::QueueWaiter]
-            } else {
-                vec![CacheAction::WakeRequester]
-            };
+        // The rights suffice, or the chunk's home is dead: never start a
+        // fill that cannot complete, but wake the requester so the
+        // application thread re-checks and observes `NodeUnavailable`.
+        if home_down || view.state.permits(kind, || view.op_tag) {
+            return vec![CacheAction::WakeRequester];
         }
-        match view.state {
-            s if s.in_flight() => vec![CacheAction::QueueWaiter],
-            LocalState::Exclusive => vec![CacheAction::WakeRequester],
-            LocalState::Shared => match kind {
-                Kind::Read => vec![CacheAction::WakeRequester],
-                Kind::Write => vec![
-                    CacheAction::QueueWaiter,
-                    CacheAction::BeginDrain {
-                        target: LocalState::FillingExclusive,
-                        tag: NOTAG,
-                        after: AfterDrain::Upgrade {
-                            line: view.line,
-                            kind: Kind::Write,
-                        },
-                    },
-                ],
-                Kind::Operate(op) => vec![
-                    CacheAction::QueueWaiter,
-                    CacheAction::BeginDrain {
-                        target: LocalState::FillingOperated,
-                        tag: op,
-                        after: AfterDrain::Upgrade {
-                            line: view.line,
-                            kind: Kind::Operate(op),
-                        },
-                    },
-                ],
+        let after = match view.state {
+            LocalState::Shared => AfterDrain::Upgrade {
+                line: view.line,
+                kind,
             },
-            LocalState::Operated => {
-                if kind == Kind::Operate(view.op_tag) {
-                    return vec![CacheAction::WakeRequester];
-                }
-                let (target, new_tag) = match kind {
-                    Kind::Read => (LocalState::FillingShared, NOTAG),
-                    Kind::Write => (LocalState::FillingExclusive, NOTAG),
-                    Kind::Operate(op) => (LocalState::FillingOperated, op),
-                };
-                vec![
-                    CacheAction::QueueWaiter,
-                    CacheAction::BeginDrain {
-                        target,
-                        tag: new_tag,
-                        after: AfterDrain::FlushThenUpgrade {
-                            line: view.line,
-                            old_op: view.op_tag,
-                            kind,
-                        },
-                    },
-                ]
-            }
-            // The same operator re-acquires: a line and an identity buffer,
-            // built locally once the line is allocated.
-            LocalState::OperatedIdle if kind == Kind::Operate(view.op_tag) => {
-                vec![CacheAction::QueueWaiter, CacheAction::AllocLine { kind }]
-            }
-            // Other rights: leave the epoch with an empty flush, as
+            LocalState::Operated => AfterDrain::FlushThenUpgrade {
+                line: view.line,
+                old_op: view.op_tag,
+                kind,
+            },
+            // The same operator re-acquires an idle chunk: a line and an
+            // identity buffer, built locally once the line is allocated.
+            // Other rights leave the epoch with an empty flush, as
             // `FlushThenUpgrade` does with a line, then miss as Invalid.
-            LocalState::OperatedIdle => {
-                let mut out = Self::leave_idle(view, "leave-idle", true);
+            LocalState::OperatedIdle | LocalState::Invalid => {
+                let mut out = if view.state == LocalState::OperatedIdle
+                    && kind != Kind::Operate(view.op_tag)
+                {
+                    Self::leave_idle(view, "leave-idle", true)
+                } else {
+                    Vec::new()
+                };
                 out.extend([CacheAction::QueueWaiter, CacheAction::AllocLine { kind }]);
-                out
+                return out;
             }
-            LocalState::Invalid => vec![CacheAction::QueueWaiter, CacheAction::AllocLine { kind }],
-            LocalState::FillingShared
-            | LocalState::FillingExclusive
-            | LocalState::FillingOperated => unreachable!("covered by in_flight arm"),
-        }
+            s => unreachable!("{s:?} permits every request or is in flight"),
+        };
+        let (target, tag) = Self::filling(kind);
+        vec![
+            CacheAction::QueueWaiter,
+            CacheAction::BeginDrain { target, tag, after },
+        ]
     }
 
     /// The executor allocated a line for a miss. An idle Operated chunk
@@ -569,113 +562,29 @@ impl CacheMachine {
     fn line_allocated(view: &CacheView, line: u32, kind: Kind) -> Vec<CacheAction> {
         let mut out = vec![CacheAction::SetLine { line }];
         if view.state == LocalState::OperatedIdle && kind == Kind::Operate(view.op_tag) {
-            out.extend([
-                CacheAction::InitOperandBuffer {
-                    line,
-                    op: view.op_tag,
-                },
-                CacheAction::Promote {
-                    state: LocalState::Operated,
-                    tag: view.op_tag,
-                },
-                CacheAction::Count(Counter::OperateReacquires),
-                CacheAction::Trace(Transition {
-                    from: view.state.name(),
-                    to: LocalState::Operated.name(),
-                    trigger: "reacquire",
-                }),
-                CacheAction::WakeAllWaiters,
-            ]);
+            let op = view.op_tag;
+            out.push(CacheAction::InitOperandBuffer { line, op });
+            out.extend(Self::complete(
+                view,
+                LocalState::Operated,
+                op,
+                Counter::OperateReacquires,
+                "reacquire",
+            ));
             return out;
         }
-        match kind {
-            Kind::Read => {
-                out.push(CacheAction::SetTransient {
-                    state: LocalState::FillingShared,
-                });
-                out.push(CacheAction::SendUpgrade {
-                    line,
-                    kind: Kind::Read,
-                });
-                // Prefetch only on read misses: write/operate fills are
-                // never speculatively useful.
-                out.push(CacheAction::PrefetchHint);
-            }
-            Kind::Write => {
-                out.push(CacheAction::SetTransient {
-                    state: LocalState::FillingExclusive,
-                });
-                out.push(CacheAction::SendUpgrade {
-                    line,
-                    kind: Kind::Write,
-                });
-            }
-            Kind::Operate(op) => {
-                out.push(CacheAction::Promote {
-                    state: LocalState::FillingOperated,
-                    tag: op,
-                });
-                out.push(CacheAction::SendUpgrade {
-                    line,
-                    kind: Kind::Operate(op),
-                });
-            }
+        let (state, tag) = Self::filling(kind);
+        out.push(match kind {
+            Kind::Operate(_) => CacheAction::Promote { state, tag },
+            Kind::Read | Kind::Write => CacheAction::SetTransient { state },
+        });
+        out.push(CacheAction::SendUpgrade { line, kind });
+        // Prefetch only on read misses: write/operate fills are never
+        // speculatively useful.
+        if kind == Kind::Read {
+            out.push(CacheAction::PrefetchHint);
         }
         out
-    }
-
-    /// A fill completed: the data was RDMA-written into our cacheline
-    /// before this notification (RC FIFO ordering).
-    fn fill_done(view: &CacheView, granted: LocalState) -> Vec<CacheAction> {
-        let expected = match granted {
-            LocalState::Shared => LocalState::FillingShared,
-            LocalState::Exclusive => LocalState::FillingExclusive,
-            _ => unreachable!("fills grant Shared or Exclusive"),
-        };
-        if view.state != expected {
-            // Stale: the line was torn down (e.g. HomeDown) while the fill
-            // was in flight.
-            return vec![];
-        }
-        vec![
-            CacheAction::Promote {
-                state: granted,
-                tag: NOTAG,
-            },
-            CacheAction::Count(Counter::Fills),
-            CacheAction::Trace(Transition {
-                from: view.state.name(),
-                to: granted.name(),
-                trigger: "fill",
-            }),
-            CacheAction::WakeAllWaiters,
-        ]
-    }
-
-    /// An Operated grant arrived: initialize the operand buffer to the
-    /// operator's identity (no data travels for grants).
-    fn grant_done(view: &CacheView, op: u32) -> Vec<CacheAction> {
-        if view.state != LocalState::FillingOperated {
-            // Stale: the line was torn down while the grant was in flight.
-            return vec![];
-        }
-        vec![
-            CacheAction::InitOperandBuffer {
-                line: view.line,
-                op,
-            },
-            CacheAction::Promote {
-                state: LocalState::Operated,
-                tag: op,
-            },
-            CacheAction::Count(Counter::Fills),
-            CacheAction::Trace(Transition {
-                from: view.state.name(),
-                to: LocalState::Operated.name(),
-                trigger: "grant",
-            }),
-            CacheAction::WakeAllWaiters,
-        ]
     }
 
     /// The eviction scan picked this line (executor already checked the
@@ -683,18 +592,20 @@ impl CacheMachine {
     /// requires. Shared and Exclusive copies drain towards Invalid; an
     /// Operated one drains towards idle, keeping its Operate rights.
     fn evict(view: &CacheView) -> Vec<CacheAction> {
-        let after = match view.state {
-            LocalState::Shared => AfterDrain::EvictShared { line: view.line },
-            LocalState::Exclusive => AfterDrain::WritebackInvalidate { line: view.line },
-            LocalState::Operated => AfterDrain::FlushInvalidate {
-                line: view.line,
-                op: view.op_tag,
-            },
+        let line = view.line;
+        let (target, tag, after) = match view.state {
+            LocalState::Shared => (LocalState::Invalid, NOTAG, AfterDrain::EvictShared { line }),
+            LocalState::Exclusive => (
+                LocalState::Invalid,
+                NOTAG,
+                AfterDrain::WritebackInvalidate { line },
+            ),
+            LocalState::Operated => {
+                let op = view.op_tag;
+                let after = AfterDrain::FlushInvalidate { line, op };
+                (LocalState::OperatedIdle, op, after)
+            }
             _ => return vec![], // in-flight, idle or Invalid: not evictable
-        };
-        let (target, tag) = match view.state {
-            LocalState::Operated => (LocalState::OperatedIdle, view.op_tag),
-            _ => (LocalState::Invalid, NOTAG),
         };
         vec![
             CacheAction::Count(Counter::Evictions),
@@ -703,160 +614,102 @@ impl CacheMachine {
     }
 
     /// A drain completed: perform the recorded follow-up.
-    ///
-    /// Every arm checks `home_down`: if the chunk's home died while the
-    /// drain was pending, no action may reference it — acks, notices,
-    /// writebacks and flushes would all be sent to a corpse (and a pending
-    /// upgrade would strand the chunk in a Filling state forever). Local
-    /// cleanup still runs, and waiters are woken so application threads
-    /// re-check and observe `NodeUnavailable`. Dirty data and combined
-    /// operands are dropped — fail-stop: data homed on a crashed node is
-    /// lost.
     fn drained(view: &CacheView, after: AfterDrain, home_down: bool) -> Vec<CacheAction> {
+        if home_down {
+            return Self::teardown(after);
+        }
         let notice = CacheAction::Send {
             to: view.home,
             msg: Msg::EvictNotice,
         };
         match after {
-            AfterDrain::Invalidate { line, reply_to } => {
-                if home_down {
-                    vec![
-                        CacheAction::ReleaseLine { line },
-                        CacheAction::Count(Counter::Invalidations),
-                        CacheAction::WakeAllWaiters,
-                    ]
-                } else {
-                    vec![
-                        CacheAction::ReleaseLine { line },
-                        CacheAction::Send {
-                            to: reply_to,
-                            msg: Msg::InvalidateAck,
-                        },
-                        CacheAction::Count(Counter::Invalidations),
-                        CacheAction::WakeAllWaiters,
-                    ]
-                }
+            AfterDrain::Invalidate { line, reply_to } => vec![
+                CacheAction::ReleaseLine { line },
+                CacheAction::Send {
+                    to: reply_to,
+                    msg: Msg::InvalidateAck,
+                },
+                CacheAction::Count(Counter::Invalidations),
+                CacheAction::WakeAllWaiters,
+            ],
+            AfterDrain::WritebackInvalidate { line } | AfterDrain::Downgrade { line } => {
+                let downgrade = matches!(after, AfterDrain::Downgrade { .. });
+                vec![
+                    CacheAction::SendWriteback {
+                        line,
+                        downgrade,
+                        release: !downgrade,
+                    },
+                    CacheAction::Count(Counter::Writebacks),
+                    CacheAction::WakeAllWaiters,
+                ]
             }
-            AfterDrain::WritebackInvalidate { line } => {
-                if home_down {
-                    vec![
-                        CacheAction::ReleaseLine { line },
-                        CacheAction::WakeAllWaiters,
-                    ]
-                } else {
-                    vec![
-                        CacheAction::SendWriteback {
-                            line,
-                            downgrade: false,
-                            release: true,
-                        },
-                        CacheAction::Count(Counter::Writebacks),
-                        CacheAction::WakeAllWaiters,
-                    ]
-                }
-            }
-            AfterDrain::Downgrade { line } => {
-                if home_down {
-                    // Keep the Shared copy the drain installed (graceful
-                    // degradation: it stays readable locally); just skip the
-                    // wire writeback.
-                    let _ = line;
-                    vec![CacheAction::WakeAllWaiters]
-                } else {
-                    vec![
-                        CacheAction::SendWriteback {
-                            line,
-                            downgrade: true,
-                            release: false,
-                        },
-                        CacheAction::Count(Counter::Writebacks),
-                        CacheAction::WakeAllWaiters,
-                    ]
-                }
-            }
-            AfterDrain::FlushInvalidate { line, op } => {
-                if home_down {
-                    // An eviction's idle rights go too.
-                    vec![
-                        CacheAction::ReleaseLine { line },
-                        CacheAction::Promote {
-                            state: LocalState::Invalid,
-                            tag: NOTAG,
-                        },
-                        CacheAction::WakeAllWaiters,
-                    ]
-                } else {
+            AfterDrain::FlushInvalidate { line, op } => vec![
+                CacheAction::SendFlush {
+                    line,
+                    op,
+                    release: true,
                     // Still idle: an eviction that nothing has revoked since.
-                    let keep = view.state == LocalState::OperatedIdle;
-                    vec![
-                        CacheAction::SendFlush {
-                            line,
-                            op,
-                            release: true,
-                            keep,
-                        },
-                        CacheAction::Count(Counter::OperandFlushes),
-                        CacheAction::WakeAllWaiters,
-                    ]
-                }
-            }
-            AfterDrain::EvictShared { line } => {
-                if home_down {
-                    vec![
-                        CacheAction::ReleaseLine { line },
-                        CacheAction::WakeAllWaiters,
-                    ]
-                } else {
-                    vec![
-                        CacheAction::ReleaseLine { line },
-                        notice,
-                        CacheAction::WakeAllWaiters,
-                    ]
-                }
-            }
+                    keep: view.state == LocalState::OperatedIdle,
+                },
+                CacheAction::Count(Counter::OperandFlushes),
+                CacheAction::WakeAllWaiters,
+            ],
+            AfterDrain::EvictShared { line } => vec![
+                CacheAction::ReleaseLine { line },
+                notice,
+                CacheAction::WakeAllWaiters,
+            ],
             AfterDrain::Upgrade { line, kind } => {
-                // If the home died while the drain was pending, an upgrade
-                // request would never be answered: reset to Invalid instead
-                // of stranding the chunk in a Filling state.
-                if home_down {
-                    vec![
-                        CacheAction::ReleaseLine { line },
-                        CacheAction::Promote {
-                            state: LocalState::Invalid,
-                            tag: NOTAG,
-                        },
-                        CacheAction::WakeAllWaiters,
-                    ]
-                } else {
-                    vec![notice, CacheAction::SendUpgrade { line, kind }]
-                }
+                vec![notice, CacheAction::SendUpgrade { line, kind }]
             }
-            AfterDrain::FlushThenUpgrade { line, old_op, kind } => {
-                if home_down {
-                    // The combined operands have nowhere to go (fail-stop:
-                    // data homed on a crashed node is lost).
-                    vec![
-                        CacheAction::ReleaseLine { line },
-                        CacheAction::Promote {
-                            state: LocalState::Invalid,
-                            tag: NOTAG,
-                        },
-                        CacheAction::WakeAllWaiters,
-                    ]
-                } else {
-                    vec![
-                        CacheAction::SendFlush {
-                            line,
-                            op: old_op,
-                            release: false,
-                            keep: false,
-                        },
-                        CacheAction::Count(Counter::OperandFlushes),
-                        CacheAction::SendUpgrade { line, kind },
-                    ]
-                }
-            }
+            AfterDrain::FlushThenUpgrade { line, old_op, kind } => vec![
+                CacheAction::SendFlush {
+                    line,
+                    op: old_op,
+                    release: false,
+                    keep: false,
+                },
+                CacheAction::Count(Counter::OperandFlushes),
+                CacheAction::SendUpgrade { line, kind },
+            ],
         }
+    }
+
+    /// A drain completed after the chunk's home died: no action may
+    /// reference the home — acks, notices, writebacks and flushes would all
+    /// be sent to a corpse. Local cleanup still runs, and waiters are woken
+    /// so application threads re-check and observe `NodeUnavailable`. Dirty
+    /// data and combined operands are dropped — fail-stop: data homed on a
+    /// crashed node is lost.
+    fn teardown(after: AfterDrain) -> Vec<CacheAction> {
+        let (line, then) = match after {
+            // Keep the Shared copy the drain installed (graceful
+            // degradation: it stays readable locally).
+            AfterDrain::Downgrade { .. } => return vec![CacheAction::WakeAllWaiters],
+            AfterDrain::Invalidate { line, .. } => {
+                (line, Some(CacheAction::Count(Counter::Invalidations)))
+            }
+            AfterDrain::WritebackInvalidate { line } | AfterDrain::EvictShared { line } => {
+                (line, None)
+            }
+            // A drain toward idle rights or a Filling state resets to
+            // Invalid: the idle rights go too, and an upgrade request would
+            // never be answered, stranding the chunk in a Filling state.
+            AfterDrain::FlushInvalidate { line, .. }
+            | AfterDrain::Upgrade { line, .. }
+            | AfterDrain::FlushThenUpgrade { line, .. } => (
+                line,
+                Some(CacheAction::Promote {
+                    state: LocalState::Invalid,
+                    tag: NOTAG,
+                }),
+            ),
+        };
+        let mut out = vec![CacheAction::ReleaseLine { line }];
+        out.extend(then);
+        out.push(CacheAction::WakeAllWaiters);
+        out
     }
 }
 

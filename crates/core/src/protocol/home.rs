@@ -535,37 +535,24 @@ impl<W> HomeMachine<W> {
                     self.progress(now, grace_ns, &mut out);
                 }
             }
-            HomeEvent::InvAck { from } => {
-                if matches!(self.transient, Transient::AwaitInvAcks { .. }) {
-                    // Only a live invalidation epoch may count the ack; a
-                    // stale ack (an EvictNotice already accounted for it)
-                    // is ignored.
-                    self.remove_sharer(from);
-                    if self.transient_remove(from) {
-                        self.finish_transient(now, grace_ns, &mut out);
-                    }
+            // An ack, or a crossing eviction, satisfies the ack set. Only a
+            // live invalidation epoch may count the ack; a stale ack (an
+            // EvictNotice already accounted for it) is ignored.
+            HomeEvent::InvAck { from } | HomeEvent::EvictNotice { from }
+                if matches!(self.transient, Transient::AwaitInvAcks { .. }) =>
+            {
+                if self.leave(from) {
+                    self.finish_transient(now, grace_ns, &mut out);
                 }
             }
-            HomeEvent::EvictNotice { from } => match &self.transient {
-                Transient::AwaitInvAcks { .. } => {
-                    // A crossing eviction satisfies the ack set.
-                    self.remove_sharer(from);
-                    if self.transient_remove(from) {
-                        self.finish_transient(now, grace_ns, &mut out);
-                    }
+            HomeEvent::InvAck { .. } => {}
+            HomeEvent::EvictNotice { from } => {
+                if matches!(self.state, DirState::Shared { .. }) && self.remove_sharer(from) {
+                    // Last sharer gone: home regains exclusivity (Figure 6
+                    // promotion).
+                    self.settle(DirState::Unshared, "last-sharer-evicted", &mut out);
                 }
-                _ => {
-                    if matches!(self.state, DirState::Shared { .. }) && self.remove_sharer(from) {
-                        // Last sharer gone: home regains exclusivity
-                        // (Figure 6 promotion).
-                        self.set_state(DirState::Unshared, "last-sharer-evicted", &mut out);
-                        out.push(HomeAction::SetHomeLocal {
-                            state: LocalState::Exclusive,
-                            tag: NOTAG,
-                        });
-                    }
-                }
-            },
+            }
             HomeEvent::Writeback { from, downgrade } => {
                 let expected =
                     matches!(&self.transient, Transient::AwaitWriteback { from: f } if *f == from);
@@ -588,19 +575,12 @@ impl<W> HomeMachine<W> {
                         (false, true) => "writeback",
                         (false, false) => "voluntary-writeback",
                     };
-                    let local = state.home_local();
-                    self.set_state(state, trigger, &mut out);
-                    out.push(HomeAction::SetHomeLocal {
-                        state: local,
-                        tag: NOTAG,
-                    });
+                    self.settle(state, trigger, &mut out);
                 }
                 if expected {
                     // Persist-before-ack: the recalled dirty image must be
                     // on the log before the parked requester resumes.
-                    if !self.begin_persist(&mut out) {
-                        self.finish_transient(now, grace_ns, &mut out);
-                    }
+                    self.persist_then_finish(now, grace_ns, &mut out);
                 } else if voluntary
                     && matches!(self.transient, Transient::None | Transient::GraceWait)
                 {
@@ -636,19 +616,12 @@ impl<W> HomeMachine<W> {
                     // kept its rights, may apply again, and answers the
                     // recall with a flush of its own.
                     Transient::AwaitFlushes { op: top, .. } if *top == op && !keep => {
-                        self.remove_sharer(from);
-                        if self.transient_remove(from) {
-                            self.set_state(DirState::Unshared, "flushes-complete", &mut out);
-                            out.push(HomeAction::SetHomeLocal {
-                                state: LocalState::Exclusive,
-                                tag: NOTAG,
-                            });
+                        if self.leave(from) {
+                            self.settle(DirState::Unshared, "flushes-complete", &mut out);
                             // Persist-before-ack: the fully-reduced epoch
                             // image must be on the log before the request
                             // that closed the epoch resumes.
-                            if !self.begin_persist(&mut out) {
-                                self.finish_transient(now, grace_ns, &mut out);
-                            }
+                            self.persist_then_finish(now, grace_ns, &mut out);
                         }
                     }
                     _ => {
@@ -962,6 +935,15 @@ impl<W> HomeMachine<W> {
         self.state = new;
     }
 
+    /// Record a stable-state change that needs no drain and give the home
+    /// dentry the rights the new state leaves it (a Figure-6 promotion,
+    /// [`DirState::home_local`]).
+    fn settle(&mut self, new: DirState, trigger: &'static str, out: &mut Vec<HomeAction<W>>) {
+        let state = new.home_local();
+        self.set_state(new, trigger, out);
+        out.push(HomeAction::SetHomeLocal { state, tag: NOTAG });
+    }
+
     /// Durable mode: ask the executor to persist the chunk's (just
     /// updated) home image and park the machine in
     /// [`Transient::AwaitPersist`] until [`HomeEvent::PersistDone`]
@@ -979,6 +961,14 @@ impl<W> HomeMachine<W> {
             seq: self.persist_seq,
         });
         true
+    }
+
+    /// Persist the home image if durable, else complete the pending
+    /// transient at once.
+    fn persist_then_finish(&mut self, now: u64, grace_ns: u64, out: &mut Vec<HomeAction<W>>) {
+        if !self.begin_persist(out) {
+            self.finish_transient(now, grace_ns, out);
+        }
     }
 
     /// Complete the pending transient: requeue the parked request and keep
@@ -1167,12 +1157,8 @@ impl<W> HomeMachine<W> {
             (DirState::Shared { sharers }, Kind::Write) if sharers.is_empty() => match req.source {
                 Requester::Local(w) => {
                     // Figure 6: R -> R/W/O at home is a pure promotion.
-                    self.set_state(DirState::Unshared, "local-write-promotion", out);
+                    self.settle(DirState::Unshared, "local-write-promotion", out);
                     self.granted_at = now;
-                    out.push(HomeAction::SetHomeLocal {
-                        state: LocalState::Exclusive,
-                        tag: NOTAG,
-                    });
                     out.push(HomeAction::Wake(w));
                     true
                 }
@@ -1288,11 +1274,7 @@ impl<W> HomeMachine<W> {
                 let targets = sharers.clone();
                 if targets.is_empty() {
                     // Only the home node was operating: Figure 6 promotion.
-                    self.set_state(DirState::Unshared, "operated-promotion", out);
-                    out.push(HomeAction::SetHomeLocal {
-                        state: LocalState::Exclusive,
-                        tag: NOTAG,
-                    });
+                    self.settle(DirState::Unshared, "operated-promotion", out);
                     self.pending.push_front(req);
                     true
                 } else {
@@ -1387,38 +1369,25 @@ impl<W> HomeMachine<W> {
             Transient::AwaitWriteback { from } if *from == dead => {
                 // The dirty data died with the peer (fail-stop): the home
                 // copy becomes authoritative again.
-                self.set_state(DirState::Unshared, "peer-down", out);
-                out.push(HomeAction::SetHomeLocal {
-                    state: LocalState::Exclusive,
-                    tag: NOTAG,
-                });
+                self.settle(DirState::Unshared, "peer-down", out);
                 self.finish_transient(now, grace_ns, out);
             }
             Transient::AwaitInvAcks { .. } => {
-                self.remove_sharer(dead);
-                if self.transient_remove(dead) {
+                if self.leave(dead) {
                     self.finish_transient(now, grace_ns, out);
                 }
             }
             Transient::AwaitFlushes { .. } => {
-                self.remove_sharer(dead);
-                if self.transient_remove(dead) {
+                if self.leave(dead) {
                     // Same completion as the last flush arriving — except
                     // the epoch closes by abort: the dead contributor's
-                    // operands are lost (fail-stop), never reduced.
+                    // operands are lost (fail-stop), never reduced. Live
+                    // contributors' flushes were already reduced into the
+                    // home image, so they persist before the parked
+                    // requester resumes.
                     out.push(HomeAction::Count(Counter::EpochsAborted));
-                    self.set_state(DirState::Unshared, "peer-down-epoch-abort", out);
-                    out.push(HomeAction::SetHomeLocal {
-                        state: LocalState::Exclusive,
-                        tag: NOTAG,
-                    });
-                    // Live contributors' flushes were already reduced into
-                    // the home image; persist them before the parked
-                    // requester resumes, exactly as on the normal
-                    // flushes-complete path.
-                    if !self.begin_persist(out) {
-                        self.finish_transient(now, grace_ns, out);
-                    }
+                    self.settle(DirState::Unshared, "peer-down-epoch-abort", out);
+                    self.persist_then_finish(now, grace_ns, out);
                 }
             }
             Transient::MigratingOut { to, .. } if *to == dead => {
@@ -1457,19 +1426,17 @@ impl<W> HomeMachine<W> {
                     _ => false,
                 };
                 if home_becomes_sole {
-                    self.set_state(DirState::Unshared, "peer-down", out);
-                    out.push(HomeAction::SetHomeLocal {
-                        state: LocalState::Exclusive,
-                        tag: NOTAG,
-                    });
+                    self.settle(DirState::Unshared, "peer-down", out);
                 }
             }
         }
     }
 
-    /// Remove `node` from a transient waiting set; returns true if the set
-    /// became empty (the transient completed).
-    fn transient_remove(&mut self, node: NodeId) -> bool {
+    /// `node` acked, flushed, evicted across the wait, or died: remove it
+    /// from the sharer set and the transient's wait set. Returns true if
+    /// the wait set became empty (the transient completed).
+    fn leave(&mut self, node: NodeId) -> bool {
+        self.remove_sharer(node);
         let set = match &mut self.transient {
             Transient::AwaitInvAcks { waiting } | Transient::AwaitFlushes { waiting, .. } => {
                 waiting
@@ -1811,17 +1778,17 @@ mod tests {
             epoch: 1,
             waiting: vec![1, 2, 3],
         };
-        assert!(!m.transient_remove(2));
-        assert!(!m.transient_remove(9)); // unknown node: no-op
-        assert!(!m.transient_remove(1));
-        assert!(m.transient_remove(3));
+        assert!(!m.leave(2));
+        assert!(!m.leave(9)); // unknown node: no-op
+        assert!(!m.leave(1));
+        assert!(m.leave(3));
     }
 
     #[test]
-    fn transient_remove_ignores_wrong_kind() {
+    fn leave_ignores_wrong_kind() {
         let mut m = M::new();
         m.transient = Transient::AwaitWriteback { from: 1 };
-        assert!(!m.transient_remove(1));
+        assert!(!m.leave(1));
     }
 
     #[test]

@@ -53,7 +53,7 @@ impl RuntimeThread {
                     if !self.shared.is_peer_down(self.node, n) =>
                 {
                     NodeStats::bump(&self.stats().locks_granted);
-                    let chunk = (id as usize / arr.layout.chunk_size()) as ChunkId;
+                    let chunk = arr.layout.chunk_of(id as usize) as ChunkId;
                     let intent = match intent {
                         false => Intent::Plain,
                         true if self.keeps(arr, id, chunk, n) => Intent::Keep,
@@ -155,7 +155,7 @@ impl RuntimeThread {
                 .entry((index, kind))
                 .or_default()
                 .push_back(waiter);
-            let chunk = (index as usize / arr.layout.chunk_size()) as ChunkId;
+            let chunk = arr.layout.chunk_of(index as usize) as ChunkId;
             let rpc = Rpc::LockAcquire {
                 id: index,
                 kind,
@@ -175,7 +175,7 @@ impl RuntimeThread {
         waiter: WaitCell,
     ) {
         let home = arr.layout.home_of(index as usize);
-        let chunk = (index as usize / arr.layout.chunk_size()) as ChunkId;
+        let chunk = arr.layout.chunk_of(index as usize) as ChunkId;
         if home == self.node {
             let woken = arr.per_node[self.node]
                 .lock_table
@@ -275,7 +275,7 @@ impl RuntimeThread {
             self.keep_at_unlock.insert((arr.id, id));
         }
         if intent != Intent::Plain {
-            let chunk = (id as usize / arr.layout.chunk_size()) as ChunkId;
+            let chunk = arr.layout.chunk_of(id as usize) as ChunkId;
             self.local_data_req(ctx, arr, chunk, Kind::Write, WaitCell::new());
         }
         w.notify(ctx);
@@ -309,7 +309,7 @@ impl RuntimeThread {
     #[cold]
     #[inline(never)]
     fn lock_grant_invariant_violated(&self, arr: &ArrayShared, id: u64, kind: LockKind) {
-        let chunk = id as usize / arr.layout.chunk_size();
+        let chunk = arr.layout.chunk_of(id as usize);
         let home = arr.layout.home_of(id as usize);
         let waiting: Vec<(u64, LockKind, usize)> = arr.per_node[self.node]
             .lock_waiters

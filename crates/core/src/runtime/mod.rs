@@ -114,12 +114,6 @@ impl RuntimeThread {
         &self.shared.stats[self.node]
     }
 
-    /// Word offset of a cacheline within the node's cache region.
-    #[inline]
-    fn line_off(&self, line: u32) -> usize {
-        line as usize * self.shared.cfg.cache.line_words
-    }
-
     /// Bump the `NodeStats` field a machine-emitted [`Counter`] names.
     fn count(&self, c: Counter) {
         if matches!(c, Counter::Evictions) {
@@ -574,7 +568,11 @@ impl RuntimeThread {
                 CacheAction::InitOperandBuffer { line, op } => {
                     let words = arr.layout.chunk_size();
                     let identity = self.shared.registry.identity(OpId(op));
-                    self.shared.cache_regions[self.node].fill(self.line_off(line), words, identity);
+                    self.shared.cache_regions[self.node].fill(
+                        self.shared.cfg.cache.line_off(line),
+                        words,
+                        identity,
+                    );
                     ctx.charge(self.shared.cfg.cost.memcpy(words));
                 }
                 CacheAction::Send { to, msg } => {
@@ -617,7 +615,7 @@ impl RuntimeThread {
                     self.comm.send(ctx, home, Envelope::new(arr.id, chunk, msg));
                 }
                 CacheAction::SendUpgrade { line, kind } => {
-                    let msg = Msg::request(kind, self.line_off(line) as u64);
+                    let msg = Msg::request(kind, self.shared.cfg.cache.line_off(line) as u64);
                     self.comm.send(ctx, home, Envelope::new(arr.id, chunk, msg));
                 }
                 CacheAction::PrefetchHint => {
@@ -643,7 +641,7 @@ impl RuntimeThread {
     }
 
     fn read_line(&self, ctx: &mut Ctx, line: u32, words: usize) -> Vec<u64> {
-        let off = self.line_off(line);
+        let off = self.shared.cfg.cache.line_off(line);
         ctx.charge(self.shared.cfg.cost.memcpy(words));
         self.shared.cache_regions[self.node].read_vec(off, words)
     }
@@ -753,7 +751,7 @@ impl RuntimeThread {
             d.set_line(line);
             d.set_transient(LocalState::FillingShared);
             let msg = Msg::ReadReq {
-                dst_off: self.line_off(line) as u64,
+                dst_off: self.shared.cfg.cache.line_off(line) as u64,
             };
             let home = arr.home_on(self.node, nc as usize);
             self.comm.send(ctx, home, Envelope::new(arr.id, nc, msg));

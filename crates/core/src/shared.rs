@@ -334,9 +334,7 @@ pub(crate) fn data_location<'a>(
         debug_assert_ne!(line, LINE_NONE);
         (
             &shared.cache_regions[node],
-            // Cachelines are spaced by the cluster-wide line size, which may
-            // exceed this array's chunk size.
-            line as usize * shared.cfg.cache.line_words + offset_in_chunk,
+            shared.cfg.cache.line_off(line) + offset_in_chunk,
         )
     }
 }
