@@ -4,7 +4,7 @@
 use std::marker::PhantomData;
 use std::sync::Arc;
 
-use dsim::{Ctx, JoinHandle, Mailbox, SimBarrier};
+use dsim::{Ctx, JoinHandle, Mailbox, SimBarrier, VTime};
 use parking_lot::RwLock;
 use rdma_fabric::{Fabric, NicStatsSnapshot, NodeId, SimTransport, Transport};
 
@@ -15,13 +15,14 @@ use crate::config::{ArrayOptions, ClusterConfig, TransportKind, DEFAULT_CHUNK_SI
 use crate::element::Element;
 use crate::error::DArrayError;
 use crate::layout::Layout;
+use crate::membership::{MembershipView, PeerHealth};
 use crate::msg::{NetMsg, RtMsg};
 use crate::op::{OpId, OpRegistry};
 use crate::placement::Placement;
 use crate::runtime::RuntimeThread;
 use crate::shared::{ArrayShared, ClusterShared};
 use crate::stats::NodeStatsSnapshot;
-use crate::store::{ChunkStore, LogChunkStore};
+use crate::store::LogChunkStore;
 
 /// Environment handed to each application thread by [`Cluster::run`].
 pub struct NodeEnv {
@@ -88,7 +89,6 @@ impl<T: Element> GlobalArray<T> {
 pub struct Cluster {
     shared: Arc<ClusterShared>,
     tx_queues: Vec<Option<Mailbox<TxReq>>>,
-    rel_queues: Vec<Option<Mailbox<RelMsg>>>,
     service_handles: Vec<JoinHandle>,
 }
 
@@ -216,55 +216,41 @@ impl Cluster {
         // Durable chunk stores: one append-only log per node, replayed
         // crash-safely on open (DESIGN.md §14). Recovered images are
         // overlaid onto home subarrays in `alloc_with`.
-        let stores: Vec<Option<Arc<dyn ChunkStore>>> = if cfg.durability.enabled() {
+        let stores: Vec<Option<Arc<LogChunkStore>>> = if cfg.durability.enabled() {
             let dir = cfg
                 .durability
                 .dir
                 .as_ref()
                 .expect("checked by try_validate");
-            let mut v: Vec<Option<Arc<dyn ChunkStore>>> = Vec::with_capacity(nodes);
-            for n in 0..nodes {
-                let store = LogChunkStore::open_with(
-                    &dir.join(format!("node{n}.log")),
-                    cfg.durability.policy,
-                    cfg.durability.checkpoint_config(),
-                )
-                .map_err(|e| crate::ConfigError::DurabilityBringUp {
-                    message: e.to_string(),
-                })?;
-                v.push(Some(Arc::new(store)));
-            }
+            let bring_up = |e: std::io::Error| crate::ConfigError::DurabilityBringUp {
+                message: e.to_string(),
+            };
+            let (policy, ckpt) = (cfg.durability.policy, cfg.durability.checkpoint_config());
+            let stores = (0..nodes)
+                .map(|n| {
+                    let log = dir.join(format!("node{n}.log"));
+                    let store = LogChunkStore::open_with(&log, policy, ckpt).map_err(bring_up)?;
+                    Ok(Some(Arc::new(store)))
+                })
+                .collect::<Result<_, crate::ConfigError>>()?;
             // First incarnation binds the directory to this cluster shape;
             // `try_validate` already rejected any mismatch with an earlier
             // record (ConfigError::RuntimeThreadsChanged /
             // ClusterNodesChanged).
-            crate::config::write_incarnation_meta(dir, cfg.runtime_threads, cfg.nodes).map_err(
-                |e| crate::ConfigError::DurabilityBringUp {
-                    message: e.to_string(),
-                },
-            )?;
-            v
+            crate::config::write_incarnation_meta(dir, cfg.runtime_threads, cfg.nodes)
+                .map_err(bring_up)?;
+            stores
         } else {
             (0..nodes).map(|_| None).collect()
         };
-        // One reliability-agent mailbox per node when fault injection is on.
-        let rel_queues: Vec<Option<Mailbox<RelMsg>>> = (0..nodes)
-            .map(|n| {
-                cfg.fault
-                    .as_ref()
-                    .map(|_| Mailbox::new(&format!("rel-{n}")))
-            })
-            .collect();
         // Elastic bring-up with spares: every view starts the suffix
         // `initial_nodes..nodes` in `Joining` — running the full service
         // stack, homing no chunks, holding no votes — until
         // [`Cluster::join_peer`] admits them under a burned epoch.
         let membership = (0..nodes)
             .map(|_| match cfg.initial_nodes {
-                Some(active) if active < nodes => {
-                    crate::membership::MembershipView::new_with_joining(nodes, active)
-                }
-                _ => crate::membership::MembershipView::new(nodes),
+                Some(active) if active < nodes => MembershipView::new_with_joining(nodes, active),
+                _ => MembershipView::new(nodes),
             })
             .collect();
         let shared = Arc::new(ClusterShared {
@@ -277,7 +263,14 @@ impl Cluster {
             cache_pools,
             rt_mailboxes,
             stats,
-            rel_mailboxes: rel_queues.clone(),
+            // One reliability-agent mailbox per node in fault mode.
+            rel_mailboxes: (0..nodes)
+                .map(|n| {
+                    cfg.fault
+                        .as_ref()
+                        .map(|_| Mailbox::new(&format!("rel-{n}")))
+                })
+                .collect(),
             rx_links: (0..nodes)
                 .map(|_| (0..nodes).map(|_| Default::default()).collect())
                 .collect(),
@@ -288,7 +281,7 @@ impl Cluster {
 
         let mut service_handles = Vec::new();
         let mut tx_queues = Vec::new();
-        for (node, rel_q) in rel_queues.iter().enumerate() {
+        for (node, rel_q) in shared.rel_mailboxes.iter().enumerate() {
             // Rx thread (always present; §3.1 communication layer).
             let sh = shared.clone();
             service_handles.push(ctx.spawn(&format!("rx-{node}"), move |c| {
@@ -337,7 +330,6 @@ impl Cluster {
         Ok(Self {
             shared,
             tx_queues,
-            rel_queues,
             service_handles,
         })
     }
@@ -586,7 +578,8 @@ impl Cluster {
             .as_ref()
             .map(|s| s.stats())
             .unwrap_or_default();
-        self.shared.stats[node].snapshot(&self.shared.transport_stats(node), &store)
+        let transport = self.shared.transport_stats(node);
+        self.shared.stats[node].snapshot(&transport, &store, &self.shared.membership[node])
     }
 
     /// Checkpoint barrier: snapshot every node's durable chunk store into
@@ -623,7 +616,7 @@ impl Cluster {
 
     /// Node `me`'s current membership opinion of `peer` (Alive / Suspected
     /// / Dead). Observational only; the reliability agent owns transitions.
-    pub fn peer_health(&self, me: NodeId, peer: NodeId) -> crate::membership::PeerHealth {
+    pub fn peer_health(&self, me: NodeId, peer: NodeId) -> PeerHealth {
         self.shared.membership[me].health(peer)
     }
 
@@ -667,7 +660,7 @@ impl Cluster {
                 continue;
             };
             readmitted += 1;
-            self.admit_peer(ctx, m, node, epoch);
+            self.admit_peer(ctx, m, node);
             for rt in &self.shared.rt_mailboxes[m] {
                 rt.send(ctx, RtMsg::PeerRestarted { node, epoch }, 0);
             }
@@ -676,7 +669,7 @@ impl Cluster {
     }
 
     /// First-contact bring-up of the `m` <-> `node` link after view `m`
-    /// admitted `node` under `epoch` — shared by [`Cluster::restart_peer`]
+    /// admitted `node` — shared by [`Cluster::restart_peer`]
     /// (re-admission of a restarted identity) and [`Cluster::join_peer`]
     /// (admission of a spare). Bring the reliable link up like a cold
     /// boot: any earlier incarnation's unacked frames carry sequence
@@ -685,8 +678,7 @@ impl Cluster {
     /// restart from seq 0 (the link is idle — see the settled-death /
     /// between-phases contracts), resets enqueued before any new traffic
     /// can be.
-    fn admit_peer(&self, ctx: &mut Ctx, m: NodeId, node: NodeId, epoch: u64) {
-        crate::stats::NodeStats::raise(&self.shared.stats[m].membership_epoch, epoch);
+    fn admit_peer(&self, ctx: &mut Ctx, m: NodeId, node: NodeId) {
         self.shared.rx_links[m][node].lock().reset();
         self.shared.rx_links[node][m].lock().reset();
         if let Some(rel) = &self.shared.rel_mailboxes[m] {
@@ -721,44 +713,26 @@ impl Cluster {
         );
         let nodes = self.shared.cfg.nodes;
         assert!(node < nodes);
-        if self.shared.cfg.fault.is_some() && self.shared.rel_mailboxes[node].is_some() {
-            let before: Vec<bool> = (0..nodes)
-                .map(|m| self.shared.membership[m].is_joining(node))
-                .collect();
-            if !before[node] {
+        if let Some(rel) = &self.shared.rel_mailboxes[node] {
+            let jv = &self.shared.membership[node];
+            if !jv.is_joining(node) {
                 return 0;
             }
-            if let Some(rel) = &self.shared.rel_mailboxes[node] {
-                rel.send(ctx, RelMsg::AnnounceJoin, 0);
-            }
+            rel.send(ctx, RelMsg::AnnounceJoin, 0);
             // Wait until the join settles: the joiner has self-admitted on
             // quorum and every peer it views alive has admitted it too.
-            let poll = self
-                .shared
-                .cfg
-                .fault
-                .as_ref()
-                .map(|f| f.suspect_poll_ns)
-                .unwrap_or(1_000);
-            loop {
-                let jv = &self.shared.membership[node];
-                let settled = !jv.is_joining(node)
-                    && (0..nodes).all(|m| {
-                        m == node
-                            || jv.health(m) != crate::membership::PeerHealth::Alive
-                            || self.shared.membership[m].health(node)
-                                == crate::membership::PeerHealth::Alive
-                    });
-                if settled {
-                    break;
-                }
-                ctx.sleep(poll);
+            while jv.is_joining(node)
+                || (0..nodes).any(|m| {
+                    m != node
+                        && jv.health(m) == PeerHealth::Alive
+                        && self.shared.membership[m].health(node) != PeerHealth::Alive
+                })
+            {
+                ctx.sleep(self.settle_poll_ns());
             }
             // Count the views that now hold the joiner Alive.
             (0..nodes)
-                .filter(|&m| {
-                    self.shared.membership[m].health(node) == crate::membership::PeerHealth::Alive
-                })
+                .filter(|&m| self.shared.membership[m].health(node) == PeerHealth::Alive)
                 .count()
         } else {
             // Fault-free path: no reliability agents exist, so admit the
@@ -766,14 +740,23 @@ impl Cluster {
             // to reset, but the bring-up is shared for uniformity).
             let mut admitted = 0;
             for m in 0..nodes {
-                let Some(epoch) = self.shared.membership[m].admit(node) else {
-                    continue;
-                };
-                admitted += 1;
-                self.admit_peer(ctx, m, node, epoch);
+                if self.shared.membership[m].admit(node).is_some() {
+                    admitted += 1;
+                    self.admit_peer(ctx, m, node);
+                }
             }
             admitted
         }
+    }
+
+    /// How often `join_peer` and `migrate_chunk` check whether their change
+    /// has settled: every quorum-poll interval in fault mode, else 1 µs.
+    fn settle_poll_ns(&self) -> VTime {
+        self.shared
+            .cfg
+            .fault
+            .as_ref()
+            .map_or(1_000, |f| f.suspect_poll_ns)
     }
 
     /// Re-home `chunk` of `arr` onto `to` while the cluster serves traffic
@@ -804,7 +787,7 @@ impl Cluster {
         let a = &arr.arr;
         assert!(chunk < a.layout.num_chunks());
         assert!(
-            self.shared.membership[to].health(to) == crate::membership::PeerHealth::Alive,
+            self.shared.membership[to].health(to) == PeerHealth::Alive,
             "migration target must be an admitted, live node"
         );
         // The current home by its own account (every settled view agrees;
@@ -826,13 +809,6 @@ impl Cluster {
             },
             0,
         );
-        let poll = self
-            .shared
-            .cfg
-            .fault
-            .as_ref()
-            .map(|f| f.suspect_poll_ns)
-            .unwrap_or(1_000);
         // Observe convergence through the target's view: every node it
         // holds alive (itself included) must have flipped its map. Dead or
         // still-joining nodes learn the new home on re-admission instead.
@@ -842,17 +818,17 @@ impl Cluster {
         // ack had already landed — commit to the corpse), so the source's
         // own map is the final answer.
         loop {
-            if self.shared.membership[home].health(to) == crate::membership::PeerHealth::Dead {
+            if self.shared.membership[home].health(to) == PeerHealth::Dead {
                 return a.home_on(home, chunk) == to;
             }
             let converged = (0..nodes).all(|m| {
-                self.shared.membership[to].health(m) != crate::membership::PeerHealth::Alive
+                self.shared.membership[to].health(m) != PeerHealth::Alive
                     || a.home_on(m, chunk) == to
             });
             if converged {
                 return true;
             }
-            ctx.sleep(poll);
+            ctx.sleep(self.settle_poll_ns());
         }
     }
 
@@ -869,7 +845,7 @@ impl Cluster {
             if let Some(tx) = &self.tx_queues[node] {
                 tx.send(ctx, TxReq::Shutdown, 0);
             }
-            if let Some(rel) = &self.rel_queues[node] {
+            if let Some(rel) = &self.shared.rel_mailboxes[node] {
                 rel.send(ctx, RelMsg::Shutdown, 0);
             }
             // Rx threads stop on a Halt self-send through the transport.

@@ -30,6 +30,9 @@
 //!   keeps its RC-FIFO assumptions verbatim, and **suppresses duplicates**
 //!   from retransmissions — re-acking them, since a duplicate usually means
 //!   the previous ack was lost.
+//! * The agent keeps one [`Link`] per peer (sequence counter, unacked
+//!   queue, suspicion, heartbeat stamp); the Rx thread forwards it every
+//!   ack and membership frame as received ([`RelMsg::Heard`]).
 //!
 //! ## Lease membership and quorum death declarations (DESIGN.md §12)
 //!
@@ -65,6 +68,7 @@ use std::sync::Arc;
 use dsim::{Ctx, Mailbox, VTime};
 use rdma_fabric::{MemoryRegion, NodeId, Transport};
 
+use crate::config::FaultConfig;
 use crate::membership::{quorum_needed, MembershipView, PeerHealth};
 use crate::msg::{Envelope, NetMsg, RtMsg};
 use crate::shared::ClusterShared;
@@ -113,30 +117,19 @@ pub(crate) enum RelMsg {
     /// Reliable post: the WRITE (the fault model never drops one), then a
     /// sequenced, tracked notification.
     Post(Post),
-    /// Cumulative ack from `from`, forwarded by the Rx thread.
-    Ack {
+    /// An ack or membership frame (`Ack`, `SuspectQuery`, `SuspectVote`,
+    /// `JoinReq`, `JoinVote`) the Rx thread received from `from`, forwarded
+    /// as received.
+    Heard {
         from: NodeId,
-        seq: u64,
+        msg: NetMsg,
     },
-    /// A peer's quorum poll about `suspect`, forwarded by the Rx thread;
-    /// the agent answers with its own lease verdict.
-    SuspectQuery {
-        from: NodeId,
-        suspect: NodeId,
-    },
-    /// Reset the sender side of the reliable link to `peer`: forget
-    /// outstanding frames, restart sequencing from 0, drop any suspicion.
-    /// Sent by [`crate::Cluster::restart_peer`] when a restarted peer is
-    /// re-admitted; pairs with a [`crate::shared::RxLink::reset`] on both
-    /// receiver sides so the link comes up like a cold boot.
+    /// Bring the sender side of the reliable link to `peer` up like a cold
+    /// boot ([`Link::reset`]). Sent by [`crate::Cluster::restart_peer`]
+    /// when a restarted peer is re-admitted; pairs with a
+    /// [`crate::shared::RxLink::reset`] on both receiver sides.
     ResetLink {
         peer: NodeId,
-    },
-    /// A vote answering this node's own poll, forwarded by the Rx thread.
-    SuspectVote {
-        from: NodeId,
-        suspect: NodeId,
-        alive: bool,
     },
     /// This (pre-provisioned, `Joining`) node should announce itself to the
     /// live cluster and collect admit votes. Injected by
@@ -144,19 +137,6 @@ pub(crate) enum RelMsg {
     /// `suspect_poll_ns` until a quorum of survivors has admitted it
     /// (DESIGN.md §15).
     AnnounceJoin,
-    /// A joiner's announcement, forwarded by the Rx thread: admit `from`
-    /// into this node's view, bring the reliable link up from seq 0 (the
-    /// first-contact generalization of `restart_peer`'s reset), and vote.
-    JoinReq {
-        from: NodeId,
-    },
-    /// A survivor's ballot on `node`'s join announcement, forwarded by the
-    /// Rx thread (meaningful on `node` itself).
-    JoinVote {
-        from: NodeId,
-        node: NodeId,
-        admit: bool,
-    },
     Shutdown,
 }
 
@@ -261,454 +241,388 @@ struct SuspectPoll {
     next_poll: VTime,
 }
 
-/// Outcome of counting a suspicion's ballots.
-enum Verdict {
-    /// Not enough ballots either way; keep polling.
-    Pending,
-    /// Someone has a fresh lease on the suspect: it lives.
-    Refuted,
-    /// A (possibly degenerate) quorum confirmed the death.
-    Confirmed,
+/// The sender side of this node's reliable link to one peer.
+#[derive(Default)]
+struct Link {
+    /// Sequence number of the next SEND.
+    next_seq: u64,
+    /// SENDs no cumulative ack has covered yet, oldest first.
+    outstanding: VecDeque<Pending>,
+    /// The quorum poll of an in-flight suspicion of the peer.
+    suspect: Option<SuspectPoll>,
+    /// When this node last transmitted to the peer (the heartbeat timer).
+    last_sent: VTime,
 }
 
-/// Count ballots for `suspect`. The electorate is every node except the
-/// suspect; the suspector's own exhausted retries count as its ballot. One
-/// `alive` vote refutes. A full majority of dead ballots confirms.
-///
-/// After `poll_rounds` query rounds the electorate degenerates to the
-/// *reachable* voters: silent members that are themselves Suspected/Dead in
-/// `view`, or whose lease on this node has lapsed (no receipt for
-/// `lease_ns` — they cannot deliver a ballot), abstain. If every member has
-/// either voted dead or abstained, the suspicion is confirmed on the
-/// remaining evidence. This is what lets two survivors of a three-node
-/// cluster agree on a real death, and what lets a node severed from
-/// *everyone* (its own NIC died) converge on its local view instead of
-/// polling forever — its declarations cannot propagate, so connected nodes'
-/// quorum safety is untouched. The cost is deliberate: a node hearing no
-/// peer at all cannot distinguish its own isolation from cluster death, and
-/// resolves in favor of its own liveness (fail-stop, DESIGN.md §12).
-#[allow(clippy::too_many_arguments)]
-fn poll_verdict(
-    st: &SuspectPoll,
-    view: &MembershipView,
-    me: NodeId,
-    suspect: NodeId,
-    nodes: usize,
-    poll_rounds: u32,
-    now: VTime,
-    lease_ns: VTime,
-) -> Verdict {
-    if st.votes.iter().flatten().any(|&alive| alive) {
-        return Verdict::Refuted;
+impl Link {
+    /// Bring the link up like a cold boot at `now`: an earlier
+    /// incarnation's unacked frames carry sequence numbers that are gone
+    /// for good, so sequencing restarts from 0, with nothing outstanding
+    /// and no suspicion.
+    fn reset(&mut self, now: VTime) {
+        *self = Link {
+            last_sent: now,
+            ..Link::default()
+        };
     }
-    let confirms = 1 + st.votes.iter().flatten().filter(|&&alive| !alive).count();
-    if confirms >= quorum_needed(nodes) {
-        return Verdict::Confirmed;
-    }
-    if st.rounds >= poll_rounds {
-        let all_resolved = (0..nodes).filter(|&v| v != me && v != suspect).all(|v| {
-            st.votes[v] == Some(false)
-                || view.health(v) != PeerHealth::Alive
-                || !view.lease_fresh(v, now, lease_ns)
-        });
-        if all_resolved {
-            return Verdict::Confirmed;
-        }
-    }
-    Verdict::Pending
 }
 
-/// Body of the per-node reliability agent (fault mode only): posts every
-/// outgoing RPC with a sequence number, tracks it until acked, retransmits
-/// on timeout with exponential backoff, keeps leases alive with idle
+/// The per-node reliability agent (fault mode only): posts every outgoing
+/// RPC with a sequence number, tracks it until acked, retransmits on
+/// timeout with exponential backoff, keeps leases alive with idle
 /// heartbeats, and runs the suspect → quorum-poll → confirm/refute
 /// membership protocol when a retry budget is exhausted (module docs).
+struct Agent<'a> {
+    shared: &'a ClusterShared,
+    node: NodeId,
+    transport: &'a dyn Transport<NetMsg>,
+    fault: &'a FaultConfig,
+    view: &'a MembershipView,
+    stats: &'a NodeStats,
+    /// `links[peer]`: the sender side of the link to `peer`.
+    links: Vec<Link>,
+    /// This node's own join ballot box, while it announces itself.
+    join: Option<JoinPoll>,
+}
+
+/// Body of the per-node reliability agent thread.
 pub(crate) fn rel_thread_main(
     ctx: &mut Ctx,
     shared: Arc<ClusterShared>,
     node: NodeId,
     queue: Mailbox<RelMsg>,
 ) {
-    let transport = shared.transports[node].clone();
-    let fault = shared
-        .cfg
-        .fault
-        .as_ref()
-        .expect("reliability agent requires FaultConfig");
-    let timeout = fault.rpc_timeout_ns;
-    let max_retries = fault.max_retries;
-    let lease_ns = fault.lease_ns;
-    let heartbeat_ns = fault.heartbeat_ns;
-    let poll_ns = fault.suspect_poll_ns;
-    let poll_rounds = fault.suspect_poll_rounds;
     let nodes = shared.cfg.nodes;
-    let stats = shared.stats[node].clone();
-    let view = &shared.membership[node];
-    let mut next_seq = vec![0u64; nodes];
-    let mut outstanding: Vec<VecDeque<Pending>> = (0..nodes).map(|_| VecDeque::new()).collect();
-    let mut suspects: Vec<Option<SuspectPoll>> = (0..nodes).map(|_| None).collect();
-    let mut last_sent = vec![0 as VTime; nodes];
-    let mut join: Option<JoinPoll> = None;
-
-    /// Re-admit a refuted suspect and replay its parked SENDs with their
-    /// original sequence numbers (the receiver deduplicates; the cumulative
-    /// ack the replay provokes clears whatever had in fact arrived).
-    #[allow(clippy::too_many_arguments)]
-    fn refute(
-        ctx: &mut Ctx,
-        transport: &dyn Transport<NetMsg>,
-        view: &MembershipView,
-        stats: &NodeStats,
-        parked: &mut VecDeque<Pending>,
-        slot: &mut Option<SuspectPoll>,
-        last_sent: &mut VTime,
-        dst: NodeId,
-        timeout: VTime,
-    ) {
-        view.readmit(dst);
-        NodeStats::bump(&stats.refutations);
-        *slot = None;
-        let now = ctx.now();
-        for p in parked.iter_mut() {
-            p.retries = 0;
-            p.deadline = now + timeout;
-            transport.send(
-                ctx,
-                dst,
-                NetMsg::SeqRpc {
-                    seq: p.seq,
-                    env: p.env.clone(),
-                },
-            );
-            NodeStats::bump(&stats.retransmits);
-        }
-        *last_sent = now;
-    }
-
-    /// Stamp a quorum-confirmed death into the membership view and fan the
-    /// epoch-numbered `PeerDown` out to every runtime thread.
-    fn confirm(
-        ctx: &mut Ctx,
-        shared: &ClusterShared,
-        stats: &NodeStats,
-        parked: &mut VecDeque<Pending>,
-        slot: &mut Option<SuspectPoll>,
-        node: NodeId,
-        dst: NodeId,
-    ) {
-        let Some(epoch) = shared.membership[node].confirm_dead(dst) else {
-            return;
-        };
-        NodeStats::bump(&stats.confirmed_deaths);
-        NodeStats::raise(&stats.membership_epoch, epoch);
-        parked.clear();
-        *slot = None;
-        for rt in &shared.rt_mailboxes[node] {
-            rt.send(ctx, RtMsg::PeerDown { node: dst, epoch }, 0);
-        }
-    }
-
+    let fault = shared.cfg.fault.as_ref();
+    let mut agent = Agent {
+        shared: &shared,
+        node,
+        transport: &*shared.transports[node],
+        fault: fault.expect("the agent runs only in fault mode"),
+        view: &shared.membership[node],
+        stats: &shared.stats[node],
+        links: (0..nodes).map(|_| Link::default()).collect(),
+        join: None,
+    };
     loop {
-        // Three timer families: the head retransmit timer of every live
-        // un-suspected link (acks are cumulative, so only heads matter),
-        // the poll timer of every suspicion, and each link's next idle
-        // heartbeat. Parked (suspected) queues deliberately have no timer.
-        let mut next_deadline: Option<VTime> = None;
-        {
-            let mut upd = |d: VTime| {
-                next_deadline = Some(next_deadline.map_or(d, |x: VTime| x.min(d)));
-            };
-            for dst in 0..nodes {
-                if dst == node || view.is_dead(dst) {
-                    continue;
-                }
-                match &suspects[dst] {
-                    Some(st) => upd(st.next_poll),
-                    None => {
-                        if let Some(p) = outstanding[dst].front() {
-                            upd(p.deadline);
-                        }
-                    }
-                }
-                upd(last_sent[dst] + heartbeat_ns);
-            }
-            if let Some(jp) = &join {
-                upd(jp.next_announce);
-            }
-        }
-        let msg = match next_deadline {
+        let msg = match agent.next_deadline() {
             Some(d) => queue.recv_deadline(ctx, d),
             None => Some(queue.recv(ctx)),
         };
         match msg {
-            Some(RelMsg::Post(post)) => {
-                let dst = post.dst;
-                if view.is_dead(dst) {
-                    continue; // fail-stop: traffic to a dead peer is dropped
+            Some(RelMsg::Post(post)) => agent.post(ctx, post),
+            Some(RelMsg::Heard { from, msg }) => agent.heard(ctx, from, msg),
+            // The peer restarted: its old incarnation's stream state is
+            // void on both ends, so sequencing starts over from 0.
+            Some(RelMsg::ResetLink { peer }) => agent.links[peer].reset(ctx.now()),
+            // Start (or restart) the announce loop; the first round goes
+            // out in the next timer pass.
+            Some(RelMsg::AnnounceJoin) => {
+                agent.join = Some(JoinPoll {
+                    admits: vec![false; nodes],
+                    next_announce: ctx.now(),
+                })
+            }
+            Some(RelMsg::Shutdown) => break,
+            None => agent.on_timer(ctx),
+        }
+    }
+}
+
+impl Agent<'_> {
+    /// The earliest of three timer families: the head retransmit timer of
+    /// every live un-suspected link (acks are cumulative, so only heads
+    /// matter), the poll timer of every suspicion, and each live link's
+    /// next idle heartbeat; plus the next join announcement. Parked
+    /// (suspected) queues deliberately have no timer.
+    fn next_deadline(&self) -> Option<VTime> {
+        let mut next = self.join.as_ref().map(|jp| jp.next_announce);
+        for (dst, link) in self.links.iter().enumerate() {
+            if dst == self.node || self.view.is_dead(dst) {
+                continue;
+            }
+            let head = match &link.suspect {
+                Some(st) => Some(st.next_poll),
+                None => link.outstanding.front().map(|p| p.deadline),
+            };
+            let heartbeat = Some(link.last_sent + self.fault.heartbeat_ns);
+            next = [next, head, heartbeat].into_iter().flatten().min();
+        }
+        next
+    }
+
+    /// Post `post` as the next SEND of its link and track it until acked.
+    fn post(&mut self, ctx: &mut Ctx, post: Post) {
+        let dst = post.dst;
+        if self.view.is_dead(dst) {
+            return; // fail-stop: traffic to a dead peer is dropped
+        }
+        // Posted even toward a Suspected peer: a WRITE always lands (the
+        // fault model never drops one-sided verbs), and the notification
+        // is tracked like any other — parked with the queue, replayed on
+        // re-admission.
+        let link = &mut self.links[dst];
+        let seq = link.next_seq;
+        link.next_seq += 1;
+        let env = post.env.clone();
+        post.transmit(ctx, self.transport, |env| NetMsg::SeqRpc { seq, env });
+        link.last_sent = ctx.now();
+        link.outstanding.push_back(Pending {
+            seq,
+            env,
+            deadline: ctx.now() + self.fault.rpc_timeout_ns,
+            retries: 0,
+        });
+    }
+
+    /// Act on a frame the Rx thread received from `from`.
+    fn heard(&mut self, ctx: &mut Ctx, from: NodeId, msg: NetMsg) {
+        match msg {
+            NetMsg::Ack { seq } => {
+                let queue = &mut self.links[from].outstanding;
+                while queue.front().is_some_and(|p| p.seq < seq) {
+                    queue.pop_front();
                 }
-                // Posted even toward a Suspected peer: a WRITE always lands
-                // (the fault model never drops one-sided verbs), and the
-                // notification is tracked like any other — parked with the
-                // queue, replayed on re-admission.
-                let seq = next_seq[dst];
-                next_seq[dst] += 1;
-                let env = post.env.clone();
-                post.transmit(ctx, &*transport, |env| NetMsg::SeqRpc { seq, env });
-                last_sent[dst] = ctx.now();
-                outstanding[dst].push_back(Pending {
-                    seq,
-                    env,
-                    deadline: ctx.now() + timeout,
-                    retries: 0,
-                });
             }
-            Some(RelMsg::Ack { from, seq }) => {
-                while outstanding[from].front().is_some_and(|p| p.seq < seq) {
-                    outstanding[from].pop_front();
-                }
-            }
-            Some(RelMsg::ResetLink { peer }) => {
-                // The peer restarted: its old incarnation's stream state is
-                // void on both ends, so sequencing starts over from 0.
-                next_seq[peer] = 0;
-                outstanding[peer].clear();
-                suspects[peer] = None;
-                last_sent[peer] = ctx.now();
-            }
-            Some(RelMsg::SuspectQuery { from, suspect }) => {
+            NetMsg::SuspectQuery { suspect } => {
                 // Vote with this node's own lease oracle. A suspect this
                 // node already confirmed dead gets a dead ballot even if a
                 // stale lease stamp survives.
                 let now = ctx.now();
-                let alive = !view.is_dead(suspect) && view.lease_fresh(suspect, now, lease_ns);
-                transport.send(ctx, from, NetMsg::SuspectVote { suspect, alive });
-                last_sent[from] = now;
+                let alive = !self.view.is_dead(suspect)
+                    && self.view.lease_fresh(suspect, now, self.fault.lease_ns);
+                self.transport
+                    .send(ctx, from, NetMsg::SuspectVote { suspect, alive });
+                self.links[from].last_sent = now;
             }
-            Some(RelMsg::SuspectVote {
-                from,
-                suspect,
-                alive,
-            }) => {
+            NetMsg::SuspectVote { suspect, alive } => {
                 // Votes for a peer this node is not currently suspecting
                 // are fenced (stale ballots from a resolved or refuted
                 // suspicion must not influence a later one).
-                if let Some(st) = suspects[suspect].as_mut() {
+                if let Some(st) = self.links[suspect].suspect.as_mut() {
                     st.votes[from] = Some(alive);
-                    let now = ctx.now();
-                    match poll_verdict(st, view, node, suspect, nodes, poll_rounds, now, lease_ns) {
-                        Verdict::Refuted => refute(
-                            ctx,
-                            &*transport,
-                            view,
-                            &stats,
-                            &mut outstanding[suspect],
-                            &mut suspects[suspect],
-                            &mut last_sent[suspect],
-                            suspect,
-                            timeout,
-                        ),
-                        Verdict::Confirmed => confirm(
-                            ctx,
-                            &shared,
-                            &stats,
-                            &mut outstanding[suspect],
-                            &mut suspects[suspect],
-                            node,
-                            suspect,
-                        ),
-                        Verdict::Pending => {}
-                    }
+                    self.resolve(ctx, suspect, ctx.now());
                 }
             }
-            Some(RelMsg::AnnounceJoin) => {
-                // Start (or restart) the announce loop; the first round goes
-                // out in the timer branch below.
-                join = Some(JoinPoll {
-                    admits: vec![false; nodes],
-                    next_announce: ctx.now(),
-                });
-            }
-            Some(RelMsg::JoinReq { from }) => {
-                // First contact from a pre-provisioned joiner: admit it into
-                // this node's view under a burned epoch and bring the
-                // reliable link up exactly like a restart re-admission —
-                // both directions start from sequence 0 with no suspicion.
-                let admit = if view.is_joining(from) {
-                    if view.admit(from).is_some() {
-                        next_seq[from] = 0;
-                        outstanding[from].clear();
-                        suspects[from] = None;
-                        shared.rx_links[node][from].lock().reset();
-                    }
+            // First contact from a pre-provisioned joiner (only the joiner
+            // itself may announce its join): admit it into this node's
+            // view under a burned epoch, bring the reliable link up as a
+            // restart re-admission does — both directions from sequence 0
+            // — and vote. A duplicate announcement after the admission is
+            // re-affirmed; a confirmed-dead "joiner" is refused.
+            NetMsg::JoinReq { node } if node == from => {
+                let admit = if self.view.admit(from).is_some() {
+                    self.links[from].reset(ctx.now());
+                    self.shared.rx_links[self.node][from].lock().reset();
                     true
                 } else {
-                    // Duplicate announcement after we already admitted it —
-                    // re-affirm; a confirmed-dead "joiner" is refused.
-                    !view.is_dead(from)
+                    !self.view.is_dead(from)
                 };
-                transport.send(ctx, from, NetMsg::JoinVote { node: from, admit });
-                last_sent[from] = ctx.now();
+                self.transport
+                    .send(ctx, from, NetMsg::JoinVote { node: from, admit });
+                self.links[from].last_sent = ctx.now();
             }
-            Some(RelMsg::JoinVote {
-                from,
-                node: who,
-                admit,
-            }) => {
-                if who == node && admit {
-                    if let Some(jp) = join.as_mut() {
-                        jp.admits[from] = true;
-                        let got = jp.admits.iter().filter(|&&v| v).count();
-                        // Electorate: the peers this joiner can see as
-                        // Alive. A majority of the full membership suffices;
-                        // a smaller live cluster must answer unanimously.
-                        let electorate = (0..nodes)
-                            .filter(|&p| p != node && view.health(p) == PeerHealth::Alive)
-                            .count();
-                        let needed = quorum_needed(nodes).min(electorate).max(1);
-                        if got >= needed {
-                            view.admit(node);
-                            join = None;
-                        }
-                    }
+            // A survivor admits this joiner. Electorate: the peers this
+            // joiner sees as Alive. A majority of the full membership
+            // suffices; a smaller live cluster must answer unanimously.
+            NetMsg::JoinVote { node, admit: true } if node == self.node => {
+                let Some(jp) = self.join.as_mut() else {
+                    return;
+                };
+                jp.admits[from] = true;
+                let got = jp.admits.iter().filter(|&&v| v).count();
+                let nodes = self.links.len();
+                let electorate = (0..nodes)
+                    .filter(|&p| p != node && self.view.health(p) == PeerHealth::Alive)
+                    .count();
+                if got >= quorum_needed(nodes).min(electorate).max(1) {
+                    self.view.admit(node);
+                    self.join = None;
                 }
             }
-            Some(RelMsg::Shutdown) => break,
-            None => {
-                let now = ctx.now();
-                // Join announce rounds: broadcast to every peer this joiner
-                // sees as Alive until the vote resolves.
-                let announce_due = matches!(&join, Some(jp) if now >= jp.next_announce);
-                if announce_due {
-                    let jp = join.as_mut().unwrap();
-                    jp.next_announce = now + poll_ns;
-                    for (dst, sent) in last_sent.iter_mut().enumerate().take(nodes) {
-                        if dst == node || view.health(dst) != PeerHealth::Alive || jp.admits[dst] {
-                            continue;
-                        }
-                        transport.send(ctx, dst, NetMsg::JoinReq { node });
-                        *sent = now;
-                    }
+            // Refusals, ballots on another node's join, and announcements
+            // not sent by their joiner.
+            _ => {}
+        }
+    }
+
+    /// The timer passes, in order: join announcements, idle heartbeats,
+    /// retransmits, then suspicion polls. Each stamp and deadline a pass
+    /// sets uses the time the timer fired, though every send charges its
+    /// post time.
+    fn on_timer(&mut self, ctx: &mut Ctx) {
+        let now = ctx.now();
+        let me = self.node;
+        let nodes = self.links.len();
+        // Join announce rounds: broadcast to every peer this joiner sees as
+        // Alive until the vote resolves.
+        if let Some(jp) = self.join.as_mut().filter(|jp| now >= jp.next_announce) {
+            jp.next_announce = now + self.fault.suspect_poll_ns;
+            for (dst, link) in self.links.iter_mut().enumerate() {
+                if dst == me || self.view.health(dst) != PeerHealth::Alive || jp.admits[dst] {
+                    continue;
                 }
-                // Idle heartbeats: renew this node's lease at every live
-                // peer it has not transmitted to for a heartbeat interval.
-                for (dst, sent) in last_sent.iter_mut().enumerate() {
-                    if dst == node || view.is_dead(dst) {
-                        continue;
-                    }
-                    if now >= *sent + heartbeat_ns {
-                        transport.send(ctx, dst, NetMsg::Heartbeat);
-                        *sent = now;
-                    }
+                self.transport.send(ctx, dst, NetMsg::JoinReq { node: me });
+                link.last_sent = now;
+            }
+        }
+        // Idle heartbeats: renew this node's lease at every live peer it
+        // has not transmitted to for a heartbeat interval.
+        for (dst, link) in self.links.iter_mut().enumerate() {
+            let idle = now >= link.last_sent + self.fault.heartbeat_ns;
+            if dst != me && !self.view.is_dead(dst) && idle {
+                self.transport.send(ctx, dst, NetMsg::Heartbeat);
+                link.last_sent = now;
+            }
+        }
+        // Retransmit pass over live, un-suspected links with an expired
+        // head timer.
+        for (dst, link) in self.links.iter_mut().enumerate() {
+            if dst == me || self.view.is_dead(dst) || link.suspect.is_some() {
+                continue;
+            }
+            let Some(head) = link.outstanding.front_mut() else {
+                continue;
+            };
+            if head.deadline > now {
+                continue;
+            }
+            NodeStats::bump(&self.stats.rpc_timeouts);
+            if head.retries >= self.fault.max_retries {
+                NodeStats::bump(&self.stats.suspicions);
+                if !self.view.lease_fresh(dst, now, self.fault.lease_ns) {
+                    self.view.suspect(dst);
+                    link.suspect = Some(SuspectPoll {
+                        votes: vec![None; nodes],
+                        rounds: 0,
+                        next_poll: now, // the first round goes out below
+                    });
+                    continue;
                 }
-                // Retransmit pass over live, un-suspected links with an
-                // expired head timer.
-                for dst in 0..nodes {
-                    if dst == node || view.is_dead(dst) || suspects[dst].is_some() {
-                        continue;
-                    }
-                    let Some(head) = outstanding[dst].front_mut() else {
-                        continue;
-                    };
-                    if head.deadline > now {
-                        continue;
-                    }
-                    NodeStats::bump(&stats.rpc_timeouts);
-                    if head.retries >= max_retries {
-                        NodeStats::bump(&stats.suspicions);
-                        if view.lease_fresh(dst, now, lease_ns) {
-                            // The peer is still talking to us: the loss is
-                            // one-way, so refute on the spot and keep
-                            // retransmitting from a fresh retry budget.
-                            NodeStats::bump(&stats.refutations);
-                            head.retries = 0;
-                        } else {
-                            view.suspect(dst);
-                            suspects[dst] = Some(SuspectPoll {
-                                votes: vec![None; nodes],
-                                rounds: 0,
-                                next_poll: now, // first round goes out below
-                            });
-                            continue;
-                        }
-                    } else {
-                        head.retries += 1;
-                    }
-                    head.deadline = now + (timeout << head.retries.min(16));
-                    transport.send(
-                        ctx,
-                        dst,
-                        NetMsg::SeqRpc {
-                            seq: head.seq,
-                            env: head.env.clone(),
-                        },
-                    );
-                    last_sent[dst] = now;
-                    NodeStats::bump(&stats.retransmits);
-                }
-                // Poll pass: evaluate and advance every due suspicion.
-                for dst in 0..nodes {
-                    let due = matches!(&suspects[dst], Some(st) if now >= st.next_poll);
-                    if !due {
-                        continue;
-                    }
-                    if view.lease_fresh(dst, now, lease_ns) {
-                        // The suspect spoke to us since the suspicion
-                        // (lease renewed by the Rx thread): self-refute.
-                        refute(
-                            ctx,
-                            &*transport,
-                            view,
-                            &stats,
-                            &mut outstanding[dst],
-                            &mut suspects[dst],
-                            &mut last_sent[dst],
-                            dst,
-                            timeout,
-                        );
-                        continue;
-                    }
-                    let st = suspects[dst].as_ref().unwrap();
-                    match poll_verdict(st, view, node, dst, nodes, poll_rounds, now, lease_ns) {
-                        Verdict::Refuted => refute(
-                            ctx,
-                            &*transport,
-                            view,
-                            &stats,
-                            &mut outstanding[dst],
-                            &mut suspects[dst],
-                            &mut last_sent[dst],
-                            dst,
-                            timeout,
-                        ),
-                        Verdict::Confirmed => confirm(
-                            ctx,
-                            &shared,
-                            &stats,
-                            &mut outstanding[dst],
-                            &mut suspects[dst],
-                            node,
-                            dst,
-                        ),
-                        Verdict::Pending => {
-                            // Another query round to everyone who has not
-                            // voted and is not confirmed dead.
-                            let st = suspects[dst].as_mut().unwrap();
-                            st.rounds += 1;
-                            st.next_poll = now + poll_ns;
-                            let pending_voters: Vec<NodeId> = (0..nodes)
-                                .filter(|&v| v != node && v != dst && st.votes[v].is_none())
-                                .collect();
-                            for v in pending_voters {
-                                if view.is_dead(v) {
-                                    continue;
-                                }
-                                transport.send(ctx, v, NetMsg::SuspectQuery { suspect: dst });
-                                last_sent[v] = now;
-                            }
-                        }
+                // The peer is still talking to us: the loss is one-way, so
+                // refute on the spot and keep retransmitting from a fresh
+                // retry budget.
+                NodeStats::bump(&self.stats.refutations);
+                head.retries = 0;
+            } else {
+                head.retries += 1;
+            }
+            head.deadline = now + (self.fault.rpc_timeout_ns << head.retries.min(16));
+            let resend = NetMsg::SeqRpc {
+                seq: head.seq,
+                env: head.env.clone(),
+            };
+            self.transport.send(ctx, dst, resend);
+            link.last_sent = now;
+            NodeStats::bump(&self.stats.retransmits);
+        }
+        // Poll pass: evaluate and advance every due suspicion.
+        for dst in 0..nodes {
+            if !matches!(&self.links[dst].suspect, Some(st) if now >= st.next_poll) {
+                continue;
+            }
+            if self.view.lease_fresh(dst, now, self.fault.lease_ns) {
+                // The suspect spoke to us since the suspicion (lease renewed
+                // by the Rx thread): self-refute.
+                self.refute(ctx, dst);
+            } else if self.resolve(ctx, dst, now) {
+                // Another query round to everyone who has not voted and is
+                // not confirmed dead.
+                let poll = self.links[dst].suspect.as_mut();
+                let st = poll.expect("a pending verdict keeps its suspicion");
+                st.rounds += 1;
+                st.next_poll = now + self.fault.suspect_poll_ns;
+                let voters: Vec<NodeId> = (0..nodes)
+                    .filter(|&v| v != me && v != dst && st.votes[v].is_none())
+                    .collect();
+                for v in voters {
+                    if !self.view.is_dead(v) {
+                        self.transport
+                            .send(ctx, v, NetMsg::SuspectQuery { suspect: dst });
+                        self.links[v].last_sent = now;
                     }
                 }
             }
+        }
+    }
+
+    /// Count the ballots on `suspect` as of `now` and act on the verdict:
+    /// refute, or confirm the death. Returns whether the verdict is still
+    /// pending. The electorate is every node except the suspect; the
+    /// suspector's own exhausted retries count as its ballot. One `alive`
+    /// vote refutes. A full majority of dead ballots confirms.
+    ///
+    /// After `suspect_poll_rounds` query rounds the electorate degenerates
+    /// to the *reachable* voters: silent members that are themselves
+    /// Suspected/Dead in the view, or whose lease on this node has lapsed
+    /// (no receipt for `lease_ns` — they cannot deliver a ballot), abstain.
+    /// If every member has either voted dead or abstained, the suspicion is
+    /// confirmed on the remaining evidence. This is what lets two survivors
+    /// of a three-node cluster agree on a real death, and what lets a node
+    /// severed from *everyone* (its own NIC died) converge on its local view
+    /// instead of polling forever — its declarations cannot propagate, so
+    /// connected nodes' quorum safety is untouched. The cost is deliberate:
+    /// a node hearing no peer at all cannot distinguish its own isolation
+    /// from cluster death, and resolves in favor of its own liveness
+    /// (fail-stop, DESIGN.md §12).
+    fn resolve(&mut self, ctx: &mut Ctx, suspect: NodeId, now: VTime) -> bool {
+        let poll = self.links[suspect].suspect.as_ref();
+        let st = poll.expect("a verdict needs a suspicion in flight");
+        let nodes = self.links.len();
+        let confirms = 1 + st.votes.iter().flatten().filter(|&&alive| !alive).count();
+        let abstained = |v: NodeId| {
+            self.view.health(v) != PeerHealth::Alive
+                || !self.view.lease_fresh(v, now, self.fault.lease_ns)
+        };
+        if st.votes.iter().flatten().any(|&alive| alive) {
+            self.refute(ctx, suspect);
+        } else if confirms >= quorum_needed(nodes)
+            || st.rounds >= self.fault.suspect_poll_rounds
+                && (0..nodes)
+                    .filter(|&v| v != self.node && v != suspect)
+                    .all(|v| st.votes[v] == Some(false) || abstained(v))
+        {
+            self.confirm(ctx, suspect);
+        } else {
+            return true;
+        }
+        false
+    }
+
+    /// Re-admit a refuted suspect and replay its parked SENDs with their
+    /// original sequence numbers (the receiver deduplicates; the cumulative
+    /// ack the replay provokes clears whatever had in fact arrived).
+    fn refute(&mut self, ctx: &mut Ctx, dst: NodeId) {
+        self.view.readmit(dst);
+        NodeStats::bump(&self.stats.refutations);
+        let link = &mut self.links[dst];
+        link.suspect = None;
+        let now = ctx.now();
+        for p in link.outstanding.iter_mut() {
+            p.retries = 0;
+            p.deadline = now + self.fault.rpc_timeout_ns;
+            let resend = NetMsg::SeqRpc {
+                seq: p.seq,
+                env: p.env.clone(),
+            };
+            self.transport.send(ctx, dst, resend);
+            NodeStats::bump(&self.stats.retransmits);
+        }
+        link.last_sent = now;
+    }
+
+    /// Stamp a quorum-confirmed death into the membership view, discard the
+    /// parked queue, and fan the epoch-numbered `PeerDown` out to every
+    /// runtime thread.
+    fn confirm(&mut self, ctx: &mut Ctx, dst: NodeId) {
+        let Some(epoch) = self.view.confirm_dead(dst) else {
+            return;
+        };
+        NodeStats::bump(&self.stats.confirmed_deaths);
+        self.links[dst].outstanding.clear();
+        self.links[dst].suspect = None;
+        for rt in &self.shared.rt_mailboxes[self.node] {
+            rt.send(ctx, RtMsg::PeerDown { node: dst, epoch }, 0);
         }
     }
 }
@@ -755,22 +669,13 @@ pub(crate) fn rx_thread_main(ctx: &mut Ctx, shared: Arc<ClusterShared>, node: No
             NetMsg::Heartbeat => {
                 // Lease already renewed above; nothing else to do.
             }
-            NetMsg::SuspectQuery { suspect } => {
+            msg @ (NetMsg::Ack { .. }
+            | NetMsg::SuspectQuery { .. }
+            | NetMsg::SuspectVote { .. }
+            | NetMsg::JoinReq { .. }
+            | NetMsg::JoinVote { .. }) => {
                 if let Some(rel) = &shared.rel_mailboxes[node] {
-                    rel.send(ctx, RelMsg::SuspectQuery { from: src, suspect }, 0);
-                }
-            }
-            NetMsg::SuspectVote { suspect, alive } => {
-                if let Some(rel) = &shared.rel_mailboxes[node] {
-                    rel.send(
-                        ctx,
-                        RelMsg::SuspectVote {
-                            from: src,
-                            suspect,
-                            alive,
-                        },
-                        0,
-                    );
+                    rel.send(ctx, RelMsg::Heard { from: src, msg }, 0);
                 }
             }
             NetMsg::SeqRpc { seq, env } => {
@@ -798,32 +703,6 @@ pub(crate) fn rx_thread_main(ctx: &mut Ctx, shared: Arc<ClusterShared>, node: No
                 // Ack cumulatively on every receipt — duplicates included,
                 // since a duplicate usually means our previous ack was lost.
                 transport.send(ctx, src, NetMsg::Ack { seq: ack });
-            }
-            NetMsg::Ack { seq } => {
-                if let Some(rel) = &shared.rel_mailboxes[node] {
-                    rel.send(ctx, RelMsg::Ack { from: src, seq }, 0);
-                }
-            }
-            NetMsg::JoinReq { node: who } => {
-                // Only the joiner itself may announce its own join.
-                if who == src {
-                    if let Some(rel) = &shared.rel_mailboxes[node] {
-                        rel.send(ctx, RelMsg::JoinReq { from: src }, 0);
-                    }
-                }
-            }
-            NetMsg::JoinVote { node: who, admit } => {
-                if let Some(rel) = &shared.rel_mailboxes[node] {
-                    rel.send(
-                        ctx,
-                        RelMsg::JoinVote {
-                            from: src,
-                            node: who,
-                            admit,
-                        },
-                        0,
-                    );
-                }
             }
         }
     }

@@ -6,13 +6,6 @@ use std::fmt;
 
 use rdma_fabric::NodeId;
 
-/// Errors surfaced by the fallible DArray operations (`try_get`, `try_set`,
-/// `try_apply`, `try_update`, `try_rlock`, `try_wlock`,
-/// `try_wlock_for_write`, `try_pin`).
-///
-/// The infallible variants (`get` & co.) panic on these — appropriate for
-/// workloads that assume a healthy cluster. Fault-tolerant applications use
-/// the `try_` forms and handle degradation themselves.
 /// How strongly the membership view believes a peer is gone, carried by
 /// [`DArrayError::NodeUnavailable`] so callers can distinguish transient
 /// suspicion (retry later; the peer may be re-admitted) from a
@@ -27,6 +20,13 @@ pub enum UnavailableKind {
     ConfirmedDead,
 }
 
+/// Errors surfaced by the fallible DArray operations (`try_get`, `try_set`,
+/// `try_apply`, `try_update`, `try_rlock`, `try_wlock`,
+/// `try_wlock_for_write`, `try_pin`).
+///
+/// The infallible variants (`get` & co.) panic on these — appropriate for
+/// workloads that assume a healthy cluster. Fault-tolerant applications use
+/// the `try_` forms and handle degradation themselves.
 #[derive(Debug, Clone, PartialEq)]
 pub enum DArrayError {
     /// The cluster configuration was rejected before bring-up (by

@@ -92,9 +92,7 @@ pub use op::{OpId, OpRegistry};
 pub use pin::{PinMode, Pinned};
 pub use state::{table1_rows, DirState, LocalState, Rights, Table1Row};
 pub use stats::{CounterRow, DiffClass, NodeStats, NodeStatsSnapshot, COUNTERS};
-pub use store::{
-    CheckpointConfig, ChunkStore, DurabilityPolicy, LogChunkStore, RecoveredChunk, StoreStats,
-};
+pub use store::{CheckpointConfig, DurabilityPolicy, LogChunkStore, RecoveredChunk, StoreStats};
 
 // Re-export the substrate types callers need to configure a cluster.
 pub use dsim::{Ctx, Sim, SimBarrier, SimConfig, VTime};

@@ -3,9 +3,10 @@
 //! Since the protocol extraction, this file is a thin **executor** for the
 //! sans-I/O machines in [`crate::protocol`]: it delivers each received
 //! coherence message through [`Msg::deliver`] to the per-chunk
-//! [`HomeMachine`] or the pure [`CacheMachine`], and executes the returned
-//! actions against the real world — the fabric, the cache region, the
-//! dentries, the simulator clock.
+//! [`HomeMachine`](crate::protocol::HomeMachine) or the pure
+//! [`CacheMachine`], and executes the returned actions against the real
+//! world — the fabric, the cache region, the dentries, the simulator
+//! clock.
 //! All protocol *decisions* (who to invalidate, when to recall, which
 //! crossing messages to ignore) live in the machines; everything here is
 //! mechanical translation plus the executor-only concerns the machines
@@ -947,25 +948,11 @@ impl RuntimeThread {
         }
         let arrays: Vec<Arc<ArrayShared>> = self.shared.arrays.read().clone();
         for arr in &arrays {
-            for c in 0..arr.layout.num_chunks() as ChunkId {
-                if self.shared.rt_index(arr.id, c) != self.rt_idx {
-                    continue;
-                }
-                let home = arr.home_on(self.node, c as usize);
-                if home == dead {
-                    self.cache_event(ctx, arr, c, CacheEvent::HomeDown, None);
-                } else if home == self.node {
-                    self.home_event(
-                        ctx,
-                        arr.id,
-                        c,
-                        HomeEvent::PeerDown {
-                            dead,
-                            view_epoch: epoch,
-                        },
-                    );
-                }
-            }
+            let home = HomeEvent::PeerDown {
+                dead,
+                view_epoch: epoch,
+            };
+            self.sweep_owned(ctx, arr, dead, CacheEvent::HomeDown, home);
             // Break the locks the dead node held in our table and hand them
             // to the next waiters in line.
             self.reclaim_peer_locks(ctx, arr, dead);
@@ -1014,24 +1001,34 @@ impl RuntimeThread {
         }
         let arrays: Vec<Arc<ArrayShared>> = self.shared.arrays.read().clone();
         for arr in &arrays {
-            for c in 0..arr.layout.num_chunks() as ChunkId {
-                if self.shared.rt_index(arr.id, c) != self.rt_idx {
-                    continue;
-                }
-                let home = arr.home_on(self.node, c as usize);
-                if home == node {
-                    self.cache_event(ctx, arr, c, CacheEvent::HomeRestarted, None);
-                } else if home == self.node {
-                    self.home_event(
-                        ctx,
-                        arr.id,
-                        c,
-                        HomeEvent::PeerRestarted {
-                            node,
-                            view_epoch: epoch,
-                        },
-                    );
-                }
+            let home = HomeEvent::PeerRestarted {
+                node,
+                view_epoch: epoch,
+            };
+            self.sweep_owned(ctx, arr, node, CacheEvent::HomeRestarted, home);
+        }
+    }
+
+    /// The owned-chunk sweep of a peer's death or restart: feed `cache` to
+    /// every chunk of `arr` this thread serves that is homed on `peer`, and
+    /// `home` to every one homed here.
+    fn sweep_owned(
+        &mut self,
+        ctx: &mut Ctx,
+        arr: &Arc<ArrayShared>,
+        peer: NodeId,
+        cache: CacheEvent,
+        home: HomeEvent<WaitCell>,
+    ) {
+        for c in 0..arr.layout.num_chunks() as ChunkId {
+            if self.shared.rt_index(arr.id, c) != self.rt_idx {
+                continue;
+            }
+            let h = arr.home_on(self.node, c as usize);
+            if h == peer {
+                self.cache_event(ctx, arr, c, cache, None);
+            } else if h == self.node {
+                self.home_event(ctx, arr.id, c, home.clone());
             }
         }
     }

@@ -24,7 +24,7 @@ use crate::protocol::locks::LockTable;
 use crate::protocol::HomeMachine;
 use crate::state::LocalState;
 use crate::stats::NodeStats;
-use crate::store::ChunkStore;
+use crate::store::LogChunkStore;
 
 /// Per-(array, node) protocol state.
 pub(crate) struct ArrayNode {
@@ -216,7 +216,7 @@ pub(crate) struct ClusterShared {
     /// Per-node durable chunk store (`Some` iff `cfg.durability.policy` is
     /// not `None`). Home machines with `durable` set emit `PersistChunk`
     /// actions that the runtime resolves against this store.
-    pub stores: Vec<Option<Arc<dyn ChunkStore>>>,
+    pub stores: Vec<Option<Arc<LogChunkStore>>>,
     /// `membership[me]`: node `me`'s epoch-numbered lease membership view
     /// of every peer (Alive / Suspected / Dead). Each node holds its own
     /// independent view — failure *observation* is local, exactly as on

@@ -15,6 +15,7 @@
 use dsim::SingleWriterU64;
 use rdma_fabric::TransportStats;
 
+use crate::membership::MembershipView;
 use crate::store::StoreStats;
 
 /// How `protocol_diff` judges a counter's change against its baseline.
@@ -46,17 +47,10 @@ impl NodeStats {
     pub(crate) fn bump(field: &SingleWriterU64) {
         field.add(1);
     }
-
-    /// Raise a gauge-style field to `v` (monotone; used for
-    /// `membership_epoch`, which tracks a level rather than a count).
-    #[inline]
-    pub(crate) fn raise(field: &SingleWriterU64, v: u64) {
-        field.raise(v);
-    }
 }
 
 /// Emit `NodeStats` with one word per `runtime` row; rows owned by the
-/// transport or the chunk store have none.
+/// transport, the chunk store or the membership view have none.
 macro_rules! node_stats {
     ([$($words:tt)*]) => {
         /// Monotonic counters describing one node's DArray activity.
@@ -66,7 +60,7 @@ macro_rules! node_stats {
         /// writer and a bump is a relaxed load and store
         /// ([`SingleWriterU64`]; debug builds check the writer). Build them
         /// on that OS thread, as `Cluster::new` does. Any thread may
-        /// snapshot with [`NodeStats::snapshot`].
+        /// snapshot a node's counters with [`crate::Cluster::stats`].
         #[derive(Debug, Default)]
         pub struct NodeStats { $($words)* }
     };
@@ -80,14 +74,17 @@ macro_rules! node_stats {
 
 /// Read one row from its owner.
 macro_rules! read {
-    (runtime, $name:ident, $rt:ident, $transport:ident, $store:ident) => {
+    (runtime, $name:ident, $rt:ident, $transport:ident, $store:ident, $view:ident) => {
         $rt.$name.get()
     };
-    (transport, $name:ident, $rt:ident, $transport:ident, $store:ident) => {
+    (transport, $name:ident, $rt:ident, $transport:ident, $store:ident, $view:ident) => {
         $transport.$name
     };
-    (store, $name:ident, $rt:ident, $transport:ident, $store:ident) => {
+    (store, $name:ident, $rt:ident, $transport:ident, $store:ident, $view:ident) => {
         $store.$name
+    };
+    (view, $name:ident, $rt:ident, $transport:ident, $store:ident, $view:ident) => {
+        $view.epoch()
     };
 }
 
@@ -117,7 +114,8 @@ macro_rules! diff_class {
 /// The counter table. Each row is `name: owner, aggregation, diff class;`
 /// under the counter's doc:
 /// - owner: `runtime` (a word in [`NodeStats`]), `transport` (a field of
-///   [`TransportStats`]) or `store` (a field of [`StoreStats`]);
+///   [`TransportStats`]), `store` (a field of [`StoreStats`]) or `view`
+///   (the node's membership view, whose one row is its epoch);
 /// - aggregation across nodes: `sum`, or `max` for gauges;
 /// - diff class: `lower`, `higher` or `band` (see [`DiffClass`]).
 ///
@@ -127,7 +125,8 @@ macro_rules! counters {
         node_stats!([] $( $(#[$doc])* $name $owner; )+);
 
         /// Point-in-time copy of every counter of one node: the
-        /// [`NodeStats`] words plus the transport and chunk-store rows.
+        /// [`NodeStats`] words plus the transport, chunk-store and
+        /// membership-view rows.
         /// `Cluster::stats` returns one per node; [`NodeStatsSnapshot::merge`]
         /// folds them into a cluster-wide total.
         #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -141,15 +140,16 @@ macro_rules! counters {
         ];
 
         impl NodeStats {
-            /// Copy out every counter, taking the transport and store rows
-            /// from their owners' stats.
-            pub fn snapshot(
+            /// Copy out every counter, taking the transport, store and view
+            /// rows from their owners.
+            pub(crate) fn snapshot(
                 &self,
                 transport: &TransportStats,
                 store: &StoreStats,
+                view: &MembershipView,
             ) -> NodeStatsSnapshot {
                 NodeStatsSnapshot {
-                    $( $name: read!($owner, $name, self, transport, store), )+
+                    $( $name: read!($owner, $name, self, transport, store, view), )+
                 }
             }
         }
@@ -223,9 +223,10 @@ counters! {
     /// Suspicions a quorum promoted to confirmed deaths: the peers this
     /// node declared down.
     confirmed_deaths: runtime, sum, lower;
-    /// Gauge (not a counter): this node's current membership-view epoch,
-    /// i.e. the number of deaths it has confirmed so far.
-    membership_epoch: runtime, max, lower;
+    /// Gauge (not a counter): this node's membership-view epoch, which
+    /// every confirmed death, restart re-admission and join admission on
+    /// its view burns.
+    membership_epoch: view, max, lower;
     /// Dirty-chunk flushes persisted to the durable chunk store before the
     /// protocol acknowledged them (persist-before-ack, DESIGN.md §14).
     /// Zero unless a durability policy is configured.
@@ -310,7 +311,8 @@ mod tests {
     use super::*;
 
     fn bare(s: &NodeStats) -> NodeStatsSnapshot {
-        s.snapshot(&TransportStats::default(), &StoreStats::default())
+        let view = MembershipView::new(2);
+        s.snapshot(&TransportStats::default(), &StoreStats::default(), &view)
     }
 
     #[test]

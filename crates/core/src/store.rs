@@ -2,13 +2,13 @@
 //!
 //! An optional persistence backend under the runtime executor: when
 //! [`crate::ClusterConfig::durability`] selects a policy other than
-//! [`DurabilityPolicy::None`], every node opens one [`ChunkStore`] and the
+//! [`DurabilityPolicy::None`], every node opens one [`LogChunkStore`] and the
 //! home-side directory machine routes dirty-chunk flushes through it
 //! *before* the protocol acknowledges them (persist-before-ack — see
 //! `protocol::home::Transient::AwaitPersist`).
 //!
-//! The shipped implementation, [`LogChunkStore`], is a single append-only
-//! log-structured file per node plus an optional checkpoint sidecar:
+//! The store is a single append-only log-structured file per node plus an
+//! optional checkpoint sidecar:
 //!
 //! * each log record is an epoch-stamped full-chunk image, CRC-framed so a
 //!   torn tail (a crash mid-append) is detected and truncated on reopen;
@@ -16,7 +16,7 @@
 //!   only the record with the highest persist epoch — later records always
 //!   win, so recovery is the last acknowledged image of every chunk;
 //! * `Writethrough` syncs the file after every record; `Writeback` buffers
-//!   appends and syncs at [`ChunkStore::sync`] points (the end of each
+//!   appends and syncs at [`LogChunkStore::sync`] points (the end of each
 //!   cache-reclaim episode, epoch closes, shutdown);
 //! * [`LogChunkStore::checkpoint`] snapshots the full live image into a
 //!   sidecar (`node<N>.ckpt`) via write-to-temp + CRC frame + atomic
@@ -25,10 +25,11 @@
 //!   newest-but-one checkpoint plus the untruncated log still reconstructs
 //!   every acked write, and a crash at any byte of the sequence is safe.
 //!
-//! The trait is deliberately tiny — the shape graft takes with its
-//! `FjallStorage` layering: a storage seam under the runtime, not a fork of
-//! the protocol. A different backend (an LSM tree, a block device, a
-//! remote object store) slots in behind the same methods.
+//! The store is a storage seam under the runtime, not a fork of the
+//! protocol — the shape graft takes with its `FjallStorage` layering. It is
+//! the one backend, so the runtime calls it directly; a second one (an LSM
+//! tree, a block device, a remote object store) would take its public
+//! methods as a trait.
 
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
@@ -76,9 +77,9 @@ impl DurabilityPolicy {
 #[derive(Debug, Clone, Copy)]
 pub struct CheckpointConfig {
     /// Take a checkpoint automatically once this many records have been
-    /// persisted since the last one ([`ChunkStore::maybe_checkpoint`] is
+    /// persisted since the last one ([`LogChunkStore::maybe_checkpoint`] is
     /// polled at the runtime's batch points). `None` disables periodic
-    /// checkpoints; explicit [`ChunkStore::checkpoint`] calls still work.
+    /// checkpoints; explicit [`LogChunkStore::checkpoint`] calls still work.
     pub every_persists: Option<u64>,
     /// Truncate the compacted log prefix after a successful checkpoint.
     /// With this off, checkpoints are written but the log only grows.
@@ -130,41 +131,6 @@ pub struct StoreStats {
     /// Log records dropped by compaction truncation (they were covered by
     /// a durable checkpoint).
     pub truncated_records: u64,
-}
-
-/// A per-node durable chunk store: the persistence seam under the runtime.
-///
-/// Implementations must be thread-safe — every runtime thread of the node
-/// persists through the same store.
-pub trait ChunkStore: Send + Sync {
-    /// Durably record `data` as the image of `(array, chunk)` at persist
-    /// epoch `epoch`. Whether the record is synced before return is the
-    /// policy's choice; [`ChunkStore::sync`] forces it.
-    fn persist(&self, array: ArrayId, chunk: ChunkId, epoch: u64, data: &[u64]) -> io::Result<()>;
-
-    /// Flush buffered records to stable storage.
-    fn sync(&self) -> io::Result<()>;
-
-    /// The chunk images recovered when the store was opened, sorted by
-    /// `(array, chunk)` for deterministic replay order.
-    fn recovered(&self) -> Vec<RecoveredChunk>;
-
-    /// Monotonic counters for stats overlay.
-    fn stats(&self) -> StoreStats;
-
-    /// Write a full-image checkpoint now (and compact the log when the
-    /// store is configured to). Default: no-op for backends that do not
-    /// checkpoint.
-    fn checkpoint(&self) -> io::Result<()> {
-        Ok(())
-    }
-
-    /// Checkpoint only if the periodic threshold has been reached; polled
-    /// by the runtime at batch points (reclaim-episode ends, epoch closes).
-    /// Returns whether a checkpoint ran.
-    fn maybe_checkpoint(&self) -> io::Result<bool> {
-        Ok(false)
-    }
 }
 
 /// Log file magic: `b"DACS"` ("DArray Chunk Store").
@@ -221,8 +187,10 @@ struct LogInner {
     truncated_records: u64,
 }
 
-/// The shipped [`ChunkStore`]: one append-only CRC-framed log file plus a
-/// checkpoint sidecar (`<log>.ckpt`, previous generation `<log>.ckpt.prev`).
+/// A per-node durable chunk store: one append-only CRC-framed log file plus
+/// a checkpoint sidecar (`<log>.ckpt`, previous generation
+/// `<log>.ckpt.prev`). Every runtime thread of the node persists through
+/// the same store.
 pub struct LogChunkStore {
     path: PathBuf,
     sync_every_record: bool,
@@ -407,6 +375,90 @@ impl LogChunkStore {
             persists: AtomicU64::new(0),
             log_replays,
         })
+    }
+
+    /// Durably record `data` as the image of `(array, chunk)` at persist
+    /// epoch `epoch`. Whether the record is synced before return is the
+    /// policy's choice; [`LogChunkStore::sync`] forces it.
+    pub fn persist(
+        &self,
+        array: ArrayId,
+        chunk: ChunkId,
+        epoch: u64,
+        data: &[u64],
+    ) -> io::Result<()> {
+        let rec = encode_record(array, chunk, epoch, data);
+        let mut g = self.inner.lock();
+        if self.sync_every_record {
+            g.buf.extend_from_slice(&rec);
+            let buf = std::mem::take(&mut g.buf);
+            g.file.write_all(&buf)?;
+            g.file.sync_data()?;
+            g.file_len += buf.len() as u64;
+        } else {
+            g.buf.extend_from_slice(&rec);
+        }
+        g.file_recs += 1;
+        g.persists_since_ckpt += 1;
+        // Keep the checkpoint source current: newest epoch per chunk.
+        let e = g.live.entry((array, chunk)).or_insert((0, Vec::new()));
+        if epoch >= e.0 || e.1.is_empty() {
+            *e = (epoch, data.to_vec());
+        }
+        self.persists.fetch_add(1, Ordering::Relaxed);
+        Ok(())
+    }
+
+    /// Flush buffered records to stable storage.
+    pub fn sync(&self) -> io::Result<()> {
+        let mut g = self.inner.lock();
+        if !g.buf.is_empty() {
+            let buf = std::mem::take(&mut g.buf);
+            g.file.write_all(&buf)?;
+            g.file_len += buf.len() as u64;
+        }
+        g.file.sync_data()
+    }
+
+    /// The chunk images recovered when the store was opened, sorted by
+    /// `(array, chunk)` for deterministic replay order.
+    pub fn recovered(&self) -> &[RecoveredChunk] {
+        &self.recovered
+    }
+
+    /// Monotonic counters for stats overlay.
+    pub fn stats(&self) -> StoreStats {
+        let g = self.inner.lock();
+        StoreStats {
+            persists: self.persists.load(Ordering::Relaxed),
+            log_replays: self.log_replays,
+            recovered_chunks: self.recovered.len() as u64,
+            log_bytes: g.file_len + g.buf.len() as u64,
+            checkpoint_bytes: g.ckpt_bytes,
+            compactions: g.compactions,
+            truncated_records: g.truncated_records,
+        }
+    }
+
+    /// Write a full-image checkpoint now (and compact the log when the
+    /// store is configured to).
+    pub fn checkpoint(&self) -> io::Result<()> {
+        let mut g = self.inner.lock();
+        self.checkpoint_locked(&mut g)
+    }
+
+    /// Checkpoint only if the periodic threshold has been reached; polled
+    /// by the runtime at batch points (reclaim-episode ends, epoch closes).
+    /// Returns whether a checkpoint ran.
+    pub fn maybe_checkpoint(&self) -> io::Result<bool> {
+        let mut g = self.inner.lock();
+        match self.ckpt_cfg.every_persists {
+            Some(k) if g.persists_since_ckpt >= k => {
+                self.checkpoint_locked(&mut g)?;
+                Ok(true)
+            }
+            _ => Ok(false),
+        }
     }
 
     /// The crash-safe snapshot → rotate → rename → truncate sequence, with
@@ -623,74 +675,6 @@ fn decode_checkpoint(bytes: &[u8]) -> Option<Vec<RecoveredChunk>> {
         return None;
     }
     Some(out)
-}
-
-impl ChunkStore for LogChunkStore {
-    fn persist(&self, array: ArrayId, chunk: ChunkId, epoch: u64, data: &[u64]) -> io::Result<()> {
-        let rec = encode_record(array, chunk, epoch, data);
-        let mut g = self.inner.lock();
-        if self.sync_every_record {
-            g.buf.extend_from_slice(&rec);
-            let buf = std::mem::take(&mut g.buf);
-            g.file.write_all(&buf)?;
-            g.file.sync_data()?;
-            g.file_len += buf.len() as u64;
-        } else {
-            g.buf.extend_from_slice(&rec);
-        }
-        g.file_recs += 1;
-        g.persists_since_ckpt += 1;
-        // Keep the checkpoint source current: newest epoch per chunk.
-        let e = g.live.entry((array, chunk)).or_insert((0, Vec::new()));
-        if epoch >= e.0 || e.1.is_empty() {
-            *e = (epoch, data.to_vec());
-        }
-        self.persists.fetch_add(1, Ordering::Relaxed);
-        Ok(())
-    }
-
-    fn sync(&self) -> io::Result<()> {
-        let mut g = self.inner.lock();
-        if !g.buf.is_empty() {
-            let buf = std::mem::take(&mut g.buf);
-            g.file.write_all(&buf)?;
-            g.file_len += buf.len() as u64;
-        }
-        g.file.sync_data()
-    }
-
-    fn recovered(&self) -> Vec<RecoveredChunk> {
-        self.recovered.clone()
-    }
-
-    fn stats(&self) -> StoreStats {
-        let g = self.inner.lock();
-        StoreStats {
-            persists: self.persists.load(Ordering::Relaxed),
-            log_replays: self.log_replays,
-            recovered_chunks: self.recovered.len() as u64,
-            log_bytes: g.file_len + g.buf.len() as u64,
-            checkpoint_bytes: g.ckpt_bytes,
-            compactions: g.compactions,
-            truncated_records: g.truncated_records,
-        }
-    }
-
-    fn checkpoint(&self) -> io::Result<()> {
-        let mut g = self.inner.lock();
-        self.checkpoint_locked(&mut g)
-    }
-
-    fn maybe_checkpoint(&self) -> io::Result<bool> {
-        let mut g = self.inner.lock();
-        match self.ckpt_cfg.every_persists {
-            Some(k) if g.persists_since_ckpt >= k => {
-                self.checkpoint_locked(&mut g)?;
-                Ok(true)
-            }
-            _ => Ok(false),
-        }
-    }
 }
 
 #[cfg(test)]

@@ -8,7 +8,7 @@ use std::sync::{Arc, Mutex};
 
 use darray::{
     ArrayOptions, Cluster, ClusterConfig, ConfigError, DArrayError, DurabilityPolicy, FaultConfig,
-    FaultPlan, PeerHealth, Sim, SimConfig,
+    FaultPlan, NodeStatsSnapshot, PeerHealth, Sim, SimConfig,
 };
 
 const LEN: usize = 3072;
@@ -20,6 +20,27 @@ fn elastic_config() -> ClusterConfig {
     cfg.elastic = true;
     cfg.initial_nodes = Some(2);
     cfg
+}
+
+/// The fault-layer counters of each node, in pin order: frames,
+/// rpc_timeouts, retransmits, dup_rpcs, suspicions, refutations,
+/// confirmed_deaths, membership_epoch.
+fn fault_rows(snaps: &[NodeStatsSnapshot]) -> Vec<[u64; 8]> {
+    snaps
+        .iter()
+        .map(|s| {
+            [
+                s.frames,
+                s.rpc_timeouts,
+                s.retransmits,
+                s.dup_rpcs,
+                s.suspicions,
+                s.refutations,
+                s.confirmed_deaths,
+                s.membership_epoch,
+            ]
+        })
+        .collect()
 }
 
 /// The whole lifecycle, fault-free: 2 active nodes + 1 spare; write while
@@ -119,6 +140,7 @@ fn join_then_migrate_serves_reads_and_writes() {
 fn join_and_migrate_under_reliable_channel() {
     Sim::new(SimConfig::default()).run(|ctx| {
         let mut cfg = elastic_config();
+        cfg.runtime_threads = 2;
         cfg.fault = Some(FaultConfig::new(FaultPlan::new(1)));
         let cluster = Cluster::new(ctx, cfg);
         let arr = cluster.alloc_with::<u64>(LEN, ArrayOptions::default(), |i| i as u64);
@@ -147,9 +169,22 @@ fn join_and_migrate_under_reliable_channel() {
                 assert_eq!(a.get(ctx, 9), 901);
             }
         });
-        let s2 = cluster.stats(2);
-        assert_eq!(s2.migrations_in, 1, "{s2:?}");
+        let snaps: Vec<NodeStatsSnapshot> = (0..NODES).map(|n| cluster.stats(n)).collect();
+        assert_eq!(snaps[2].migrations_in, 1, "{:?}", snaps[2]);
+        // The join burned one epoch on every view, and the stats read it
+        // from the view, as the fault-free join's do.
+        for (n, s) in snaps.iter().enumerate() {
+            assert_eq!(s.membership_epoch, cluster.membership_epoch(n), "node {n}");
+            assert_eq!(s.membership_epoch, 1, "node {n}");
+        }
         cluster.shutdown(ctx);
+        // Pinned at runtime_threads = 2.
+        let pin = vec![
+            [14, 0, 0, 0, 0, 0, 0, 1],
+            [11, 0, 0, 0, 0, 0, 0, 1],
+            [22, 0, 0, 0, 0, 0, 0, 1],
+        ];
+        assert_eq!((ctx.now(), fault_rows(&snaps)), (210_199, pin));
     });
 }
 

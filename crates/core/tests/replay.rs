@@ -18,30 +18,55 @@ fn faulty_plan(seed: u64) -> FaultPlan {
     plan
 }
 
-/// Run a small mixed workload under faults; return every node's final stats
-/// and the final virtual time.
+/// The fault-layer counters of each node, in pin order: frames,
+/// rpc_timeouts, retransmits, dup_rpcs, suspicions, refutations,
+/// confirmed_deaths, membership_epoch. Every pinned run sets
+/// `runtime_threads = 2`, so `DARRAY_RUNTIME_THREADS` cannot move a pin.
+fn fault_rows(snaps: &[NodeStatsSnapshot]) -> Vec<[u64; 8]> {
+    snaps
+        .iter()
+        .map(|s| {
+            [
+                s.frames,
+                s.rpc_timeouts,
+                s.retransmits,
+                s.dup_rpcs,
+                s.suspicions,
+                s.refutations,
+                s.confirmed_deaths,
+                s.membership_epoch,
+            ]
+        })
+        .collect()
+}
+
+/// Run a mixed workload under faults: four rounds in which every node
+/// writes, applies to and reads every chunk, so enough frames cross the
+/// lossy links that drops and retransmissions happen. Return every node's
+/// final stats and the final virtual time.
 fn run_once(cfg: ClusterConfig) -> (Vec<NodeStatsSnapshot>, VTime) {
     let nodes = cfg.nodes;
     Sim::new(SimConfig::default()).run(move |ctx| {
         let cluster = Cluster::new(ctx, cfg);
         let add = cluster.ops().register_add_u64();
-        let arr = cluster.alloc::<u64>(2048, ArrayOptions::default());
+        let arr = cluster.alloc::<u64>(16 * 512, ArrayOptions::default());
         cluster.run(ctx, 1, move |ctx, env| {
             let a = arr.on(env.node);
-            let stride = a.len() / env.nodes;
-            let base = env.node * stride;
-            for i in 0..64 {
-                a.set(ctx, base + i, (env.node * 1000 + i) as u64);
+            let peer = (env.node + 1) % env.nodes;
+            for r in 0..4 {
+                for c in 0..16 {
+                    a.set(ctx, c * 512 + env.node, (r * 100 + env.node) as u64);
+                }
+                env.barrier(ctx);
+                for c in 0..16 {
+                    a.apply(ctx, c * 512 + 300, add, 1);
+                }
+                env.barrier(ctx);
+                for c in 0..16 {
+                    assert_eq!(a.get(ctx, c * 512 + peer), (r * 100 + peer) as u64);
+                }
+                env.barrier(ctx);
             }
-            for i in 0..64 {
-                a.apply(ctx, (base + stride + i) % a.len(), add, 1);
-            }
-            env.barrier(ctx);
-            let mut sum = 0u64;
-            for i in 0..64 {
-                sum += a.get(ctx, base + i);
-            }
-            assert!(sum > 0);
         });
         let snaps: Vec<NodeStatsSnapshot> = (0..nodes).map(|n| cluster.stats(n)).collect();
         cluster.shutdown(ctx);
@@ -54,6 +79,7 @@ fn same_seed_replays_bit_identically() {
     let configs: Vec<ClusterConfig> = vec![
         {
             let mut c = ClusterConfig::with_nodes(2);
+            c.runtime_threads = 2;
             c.fault = Some(FaultConfig::new(faulty_plan(0xD15EA5E)));
             c
         },
@@ -65,7 +91,21 @@ fn same_seed_replays_bit_identically() {
             c
         },
     ];
-    for cfg in configs {
+    let pins = [
+        (
+            3_405_282,
+            vec![[686, 6, 6, 1, 0, 0, 0, 0], [690, 9, 9, 0, 0, 0, 0, 0]],
+        ),
+        (
+            5_619_758,
+            vec![
+                [1116, 8, 8, 0, 0, 0, 0, 0],
+                [1052, 11, 11, 2, 0, 0, 0, 0],
+                [1102, 9, 9, 0, 0, 0, 0, 0],
+            ],
+        ),
+    ];
+    for (cfg, pin) in configs.into_iter().zip(pins) {
         let (snaps_a, t_a) = run_once(cfg.clone());
         let (snaps_b, t_b) = run_once(cfg.clone());
         assert_eq!(snaps_a, snaps_b, "stats diverged for {} nodes", cfg.nodes);
@@ -74,6 +114,9 @@ fn same_seed_replays_bit_identically() {
             "final virtual time diverged for {} nodes",
             cfg.nodes
         );
+        let retransmits: u64 = snaps_a.iter().map(|s| s.retransmits).sum();
+        assert!(retransmits > 0, "no frame was dropped: {snaps_a:?}");
+        assert_eq!((t_a, fault_rows(&snaps_a)), pin);
     }
 }
 
@@ -129,6 +172,7 @@ fn mid_run_crash_replays_bit_identically() {
         fc.rpc_timeout_ns = 50_000;
         fc.max_retries = 3;
         let mut c = ClusterConfig::with_nodes(3);
+        c.runtime_threads = 2;
         c.fault = Some(fc);
         c
     };
@@ -136,6 +180,12 @@ fn mid_run_crash_replays_bit_identically() {
     let (snaps_b, t_b) = run_crash_once(mk());
     assert_eq!(snaps_a, snaps_b, "stats diverged across same-seed replays");
     assert_eq!(t_a, t_b, "final virtual time diverged");
+    let pin = vec![
+        [89, 4, 3, 0, 1, 0, 1, 1],
+        [90, 5, 4, 0, 1, 0, 1, 1],
+        [92, 5, 4, 0, 1, 0, 1, 1],
+    ];
+    assert_eq!((t_a, fault_rows(&snaps_a)), (3_571_584, pin));
     // The run must actually have exercised the recovery path: survivors
     // declared the crashed node dead (it cannot declare anyone itself —
     // fail-stop cuts its network, so count only nodes 0 and 2).
@@ -179,6 +229,7 @@ fn run_refute_once(seed: u64) -> (Vec<NodeStatsSnapshot>, VTime) {
     fc.suspect_poll_ns = 10_000;
     fc.suspect_poll_rounds = 3;
     let mut cfg = ClusterConfig::with_nodes(3);
+    cfg.runtime_threads = 2;
     cfg.fault = Some(fc);
     let nodes = cfg.nodes;
     Sim::new(SimConfig::default()).run(move |ctx| {
@@ -215,6 +266,12 @@ fn suspect_refute_readmit_replays_bit_identically() {
     let (snaps_b, t_b) = run_refute_once(0x5EED);
     assert_eq!(snaps_a, snaps_b, "stats diverged across same-seed replays");
     assert_eq!(t_a, t_b, "final virtual time diverged");
+    let pin = vec![
+        [159, 22, 22, 0, 7, 7, 0, 0],
+        [146, 0, 0, 0, 0, 0, 0, 0],
+        [148, 0, 0, 0, 0, 0, 0, 0],
+    ];
+    assert_eq!((t_a, fault_rows(&snaps_a)), (1_804_572, pin));
     // The run must actually have traversed the cycle: at least one
     // suspicion, every one of them refuted, and nobody declared dead.
     assert!(

@@ -602,6 +602,27 @@ fn short_partition_is_ridden_out_without_death() {
     }
 }
 
+/// The fault-layer counters of each node, in pin order: frames,
+/// rpc_timeouts, retransmits, dup_rpcs, suspicions, refutations,
+/// confirmed_deaths, membership_epoch.
+fn fault_rows(snaps: &[NodeStatsSnapshot]) -> Vec<[u64; 8]> {
+    snaps
+        .iter()
+        .map(|s| {
+            [
+                s.frames,
+                s.rpc_timeouts,
+                s.retransmits,
+                s.dup_rpcs,
+                s.suspicions,
+                s.refutations,
+                s.confirmed_deaths,
+                s.membership_epoch,
+            ]
+        })
+        .collect()
+}
+
 /// A permanent partition splits {0} from {1, 2}: the majority side reaches
 /// a 2-of-2 quorum and excommunicates node 0; the isolated minority, unable
 /// to reach any voter (every lease lapses), converges on its own degraded
@@ -619,6 +640,7 @@ fn partition_majority_excommunicates_minority() {
         fc.rpc_timeout_ns = 50_000;
         fc.max_retries = 3;
         let mut cfg = ClusterConfig::with_nodes(NODES);
+        cfg.runtime_threads = 2;
         cfg.fault = Some(fc);
         let cluster = Cluster::new(ctx, cfg);
         let arr = cluster.alloc::<u64>(LEN, ArrayOptions::default());
@@ -679,6 +701,13 @@ fn partition_majority_excommunicates_minority() {
         assert!(s0.suspicions >= 2, "{s0:?}");
         assert_eq!(s0.membership_epoch, 2);
         cluster.shutdown(ctx);
+        // Pinned at runtime_threads = 2.
+        let pin = vec![
+            [53, 8, 6, 0, 2, 0, 2, 2],
+            [50, 4, 3, 0, 1, 0, 1, 1],
+            [50, 4, 3, 0, 1, 0, 1, 1],
+        ];
+        assert_eq!((ctx.now(), fault_rows(&[s0, s1, s2])), (2_701_985, pin));
     });
 }
 
