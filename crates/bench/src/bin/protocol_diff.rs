@@ -34,7 +34,9 @@
 //! The `metrics` object (a figure's headline numbers: ns, Mops/s,
 //! speedups) is gated too, exactly, because virtual time is exact: a
 //! baseline metric that moved either way or is missing from the current
-//! file fails, and a new one is a note.
+//! file fails, and a new one is a note. A file from a run over TCP
+//! (`"transport": "tcp"`) carries wall-clock metrics, so the diff skips
+//! the metrics gate for it and says so in a note.
 //!
 //! `--update` replaces the baseline with the current file (after checking
 //! both parse) and exits 0 — the blessed way to regenerate baselines after
@@ -61,6 +63,8 @@ type Metrics = BTreeMap<String, f64>;
 struct Bench {
     metrics: Metrics,
     traffic: Traffic,
+    /// The run went over TCP: its metrics are wall-clock.
+    tcp: bool,
 }
 
 /// Minimal recursive-descent scanner over the report-writer's JSON shape.
@@ -191,10 +195,12 @@ fn parse_bench(body: &str) -> Result<Bench, String> {
     let mut bench = Bench {
         metrics: Metrics::new(),
         traffic: Traffic::new(),
+        tcp: false,
     };
     Scanner::new(body).object(|sc, key| {
         match key {
             "metrics" => bench.metrics = sc.object(|sc, _| sc.float())?,
+            "transport" => bench.tcp = sc.string()? == "tcp",
             "protocol_traffic" => {
                 bench.traffic = sc.object(|sc, _| sc.object(|sc, _| sc.number()))?
             }
@@ -303,6 +309,17 @@ fn diff(
         }
     }
     out
+}
+
+/// The metrics gate: exact, unless either file comes from a TCP run.
+fn gate_metrics(baseline: &Bench, current: &Bench) -> Vec<Finding> {
+    if baseline.tcp || current.tcp {
+        return vec![Finding {
+            fatal: false,
+            msg: "metrics not gated: a TCP run's timings are wall-clock".to_string(),
+        }];
+    }
+    diff_metrics(&baseline.metrics, &current.metrics)
 }
 
 /// Hold each baseline metric exactly.
@@ -419,24 +436,30 @@ fn main() -> ExitCode {
         slack,
         transport_pct,
     );
-    findings.extend(diff_metrics(&baseline.metrics, &current.metrics));
+    findings.extend(gate_metrics(&baseline, &current));
     let fatal = findings.iter().filter(|f| f.fatal).count();
     for f in &findings {
         println!("{} {}", if f.fatal { "FAIL" } else { "note" }, f.msg);
     }
+    let tcp = baseline.tcp || current.tcp;
     if fatal > 0 {
+        let metrics = if tcp { "not gated" } else { "exact" };
         println!(
             "protocol_diff: {fatal} regression(s) vs {bp} \
              (threshold {pct}% + {slack}, transport band ±{transport_pct}%, \
-             metrics exact)"
+             metrics {metrics})"
         );
         ExitCode::FAILURE
     } else {
+        let metrics = if tcp {
+            "metrics not gated (TCP run)".to_string()
+        } else {
+            format!("{} metric(s) unchanged", baseline.metrics.len())
+        };
         println!(
             "protocol_diff: OK — {} section(s), no counter above threshold {pct}% + {slack} \
-             (transport band ±{transport_pct}%); {} metric(s) unchanged",
+             (transport band ±{transport_pct}%); {metrics}",
             baseline.traffic.len(),
-            baseline.metrics.len()
         );
         ExitCode::SUCCESS
     }
@@ -519,6 +542,7 @@ mod tests {
     fn writer_metrics_output_parses() {
         let body = darray_bench::report::render_bench_json_with_metrics(
             "m",
+            darray::TransportKind::Sim,
             &[("x_mops".to_string(), 1.25)],
             &[(
                 "x".to_string(),
@@ -532,6 +556,28 @@ mod tests {
         assert_eq!(parsed.traffic.len(), 1);
         assert_eq!(parsed.traffic["x"]["fills"], 4);
         assert_eq!(parsed.metrics["x_mops"], 1.25);
+    }
+
+    /// A file from a TCP run is not held to its metrics, in either
+    /// position, and the diff says so; Sim files still are.
+    #[test]
+    fn a_tcp_run_skips_the_metrics_gate() {
+        let sim = parse_bench(METRICS).unwrap();
+        let mut moved = parse_bench(METRICS).unwrap();
+        moved.metrics.insert("read_t4_rt2_mops".into(), 3.0);
+        assert!(gate_metrics(&sim, &moved).iter().any(|f| f.fatal));
+        let body = darray_bench::report::render_bench_json_with_metrics(
+            "fig12",
+            darray::TransportKind::Tcp,
+            &[("read_t4_rt2_mops".to_string(), 3.0)],
+            &[],
+        );
+        let tcp = parse_bench(&body).unwrap();
+        assert!(tcp.tcp && !sim.tcp);
+        for f in [gate_metrics(&sim, &tcp), gate_metrics(&tcp, &sim)] {
+            assert!(f.iter().all(|x| !x.fatal), "a TCP run's metrics were gated");
+            assert!(f.iter().any(|x| x.msg.contains("not gated")), "no note");
+        }
     }
 
     #[test]
@@ -706,6 +752,7 @@ mod tests {
         };
         let body = darray_bench::report::render_bench_json_with_metrics(
             "rt",
+            darray::TransportKind::Sim,
             &[],
             &[("w_1n".to_string(), t)],
         );

@@ -4,7 +4,7 @@
 use std::io::Write;
 use std::path::PathBuf;
 
-use darray::{Cluster, NodeStatsSnapshot};
+use darray::{Cluster, NodeStatsSnapshot, TransportKind};
 
 /// Print a markdown table.
 pub fn print_table(title: &str, header: &[&str], rows: &[Vec<String>]) {
@@ -69,15 +69,20 @@ fn traffic_json(t: &NodeStatsSnapshot) -> String {
 /// section per labelled configuration. Virtual-time determinism makes the
 /// floats — and hence the file — byte-identical across runs, so
 /// `protocol_diff` holds each metric exactly. With no metrics the key is
-/// omitted.
+/// omitted. A run over TCP says so (`"transport": "tcp"`): its metrics
+/// are wall-clock, and `protocol_diff` does not gate them.
 pub fn render_bench_json_with_metrics(
     name: &str,
+    transport: TransportKind,
     metrics: &[(String, f64)],
     sections: &[(String, NodeStatsSnapshot)],
 ) -> String {
     let mut s = String::new();
     s.push_str("{\n");
     s.push_str(&format!("  \"bench\": \"{name}\",\n"));
+    if transport == TransportKind::Tcp {
+        s.push_str("  \"transport\": \"tcp\",\n");
+    }
     if !metrics.is_empty() {
         s.push_str("  \"metrics\": {\n");
         for (i, (label, v)) in metrics.iter().enumerate() {
@@ -95,8 +100,8 @@ pub fn render_bench_json_with_metrics(
     s
 }
 
-/// Write `BENCH_<name>.json` ([`render_bench_json_with_metrics`]) into
-/// the current directory and return its path.
+/// Write `BENCH_<name>.json` ([`render_bench_json_with_metrics`]) for
+/// this run's transport into the current directory and return its path.
 pub fn write_bench_json_with_metrics(
     name: &str,
     metrics: &[(String, f64)],
@@ -104,7 +109,8 @@ pub fn write_bench_json_with_metrics(
 ) -> std::io::Result<PathBuf> {
     let path = PathBuf::from(format!("BENCH_{name}.json"));
     let mut f = std::fs::File::create(&path)?;
-    f.write_all(render_bench_json_with_metrics(name, metrics, sections).as_bytes())?;
+    let body = render_bench_json_with_metrics(name, crate::transport_kind(), metrics, sections);
+    f.write_all(body.as_bytes())?;
     Ok(path)
 }
 
@@ -155,12 +161,18 @@ mod tests {
         let t = NodeStatsSnapshot::default();
         let body = render_bench_json_with_metrics(
             "unit",
+            TransportKind::Sim,
             &[("read_rt2_mops".to_string(), 12.5)],
             &[("read_rt2".to_string(), t)],
         );
         assert!(body.contains("\"metrics\": {"));
         assert!(body.contains("\"read_rt2_mops\": 12.500000"));
-        let bare = render_bench_json_with_metrics("unit", &[], &[("read_rt2".to_string(), t)]);
+        let bare = render_bench_json_with_metrics(
+            "unit",
+            TransportKind::Sim,
+            &[],
+            &[("read_rt2".to_string(), t)],
+        );
         assert!(!bare.contains("metrics"));
     }
 
@@ -172,6 +184,7 @@ mod tests {
         };
         let body = render_bench_json_with_metrics(
             "unit",
+            TransportKind::Sim,
             &[],
             &[
                 ("seq_read".to_string(), t),

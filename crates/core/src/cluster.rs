@@ -87,7 +87,7 @@ impl<T: Element> GlobalArray<T> {
 
 /// A running DArray cluster inside a `dsim` simulation.
 pub struct Cluster {
-    shared: Arc<ClusterShared>,
+    pub(crate) shared: Arc<ClusterShared>,
     tx_queues: Vec<Option<Mailbox<TxReq>>>,
     service_handles: Vec<JoinHandle>,
 }
@@ -390,6 +390,7 @@ impl Cluster {
             layout,
             self.shared.cfg.durability.enabled(),
             elastic,
+            self.shared.cfg.fault.is_some(),
         ));
         // In elastic mode one chunk's image can exist in more than one log
         // (the old home persisted it before a migration, the new home

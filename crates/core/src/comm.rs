@@ -715,3 +715,91 @@ fn route(ctx: &mut Ctx, shared: &ClusterShared, node: NodeId, src: NodeId, env: 
         .rt_mailbox(node, env.array, env.chunk)
         .send(ctx, RtMsg::Net { src, env }, 0);
 }
+
+#[cfg(test)]
+mod tests {
+    use std::sync::{Arc, Mutex};
+
+    use crate::{
+        ArrayOptions, AsymmetricLoss, Cluster, ClusterConfig, FaultConfig, FaultPlan, Sim,
+        SimConfig,
+    };
+
+    /// A vote answers a query with a send, and stamps the voter's heartbeat
+    /// timer toward the querier with the time read before that send, as
+    /// every reply's stamp does. So the voter's next heartbeat reaches the
+    /// querier exactly `heartbeat_ns` after its vote did. Node 0 loses node
+    /// 2 both ways for a while, suspects it and polls node 1, whose lease
+    /// on node 2 is fresh; node 1 sends node 0 nothing but votes and
+    /// heartbeats. Node 0 notes the receipt time of each frame from node 1:
+    /// no gap between two of them exceeds the heartbeat interval.
+    #[test]
+    fn a_vote_restarts_the_voters_heartbeat_timer() {
+        const HEARTBEAT_NS: u64 = 25_000;
+        let mut plan = FaultPlan::new(0x5EED);
+        plan.asym_loss = [(0, 2), (2, 0)]
+            .map(|(from, to)| AsymmetricLoss {
+                from,
+                to,
+                drop_ppm: 1_000_000,
+                from_ns: 300_000,
+                until_ns: 1_500_000,
+            })
+            .to_vec();
+        let mut fc = FaultConfig::new(plan);
+        fc.rpc_timeout_ns = 20_000;
+        fc.max_retries = 2;
+        fc.lease_ns = 100_000;
+        fc.heartbeat_ns = HEARTBEAT_NS;
+        fc.suspect_poll_ns = 10_000;
+        fc.suspect_poll_rounds = 3;
+        let mut cfg = ClusterConfig::with_nodes(3);
+        cfg.runtime_threads = 2;
+        cfg.fault = Some(fc);
+        let heard = Arc::new(Mutex::new(Vec::new()));
+        let log = heard.clone();
+        let suspicions = Sim::new(SimConfig::default()).run(move |ctx| {
+            let cluster = Cluster::new(ctx, cfg);
+            let shared = cluster.shared.clone();
+            let arr = cluster.alloc::<u64>(3 * 512, ArrayOptions::default());
+            cluster.run(ctx, 2, move |ctx, env| {
+                let a = arr.on(env.node);
+                match (env.node, env.thread) {
+                    (2, 0) => {
+                        a.set(ctx, 8, 42);
+                        ctx.sleep(1_800_000);
+                    }
+                    // The recall of node 2's copy is what node 0 retries.
+                    (0, 0) => {
+                        ctx.sleep(500_000);
+                        assert_eq!(a.get(ctx, 8), 42);
+                    }
+                    (0, 1) => {
+                        while ctx.now() < 1_800_000 {
+                            let at = shared.membership[0].last_heard(1);
+                            let mut log = log.lock().unwrap();
+                            if at > 0 && log.last() != Some(&at) {
+                                log.push(at);
+                            }
+                            drop(log);
+                            ctx.sleep(100);
+                        }
+                    }
+                    _ => {}
+                }
+            });
+            let suspicions = cluster.stats(0).suspicions;
+            cluster.shutdown(ctx);
+            suspicions
+        });
+        assert!(suspicions > 0, "node 0 never suspected node 2");
+        let heard = heard.lock().unwrap();
+        let gaps: Vec<u64> = heard.windows(2).map(|w| w[1] - w[0]).collect();
+        assert!(gaps.contains(&HEARTBEAT_NS), "no heartbeat: {gaps:?}");
+        assert!(gaps.iter().any(|&g| g < HEARTBEAT_NS), "no vote: {gaps:?}");
+        assert!(
+            gaps.iter().all(|&g| g <= HEARTBEAT_NS),
+            "a heartbeat came late: {gaps:?}"
+        );
+    }
+}

@@ -367,10 +367,10 @@ frames! {
         1 => Coherence(Msg::WriteReq) { dst_off: u64 },
         2 => Coherence(Msg::OperateReq) { op: u32 },
         3 => Coherence(Msg::EvictNotice),
-        4 => Coherence(Msg::WritebackNotice) { downgrade: bool },
+        4 => Coherence(Msg::WritebackNotice) { downgrade: bool, direct: bool = false },
         5 => Coherence(Msg::OperandFlush) { op: u32, data: Vec<u64>, keep: bool = false },
-        6 => Coherence(Msg::FillShared),
-        7 => Coherence(Msg::FillExclusive),
+        6 => Coherence(Msg::FillShared) { direct: bool = false },
+        7 => Coherence(Msg::FillExclusive) { direct: bool = false },
         8 => Coherence(Msg::GrantOperated) { op: u32 },
         9 => Coherence(Msg::Invalidate),
         10 => Coherence(Msg::InvalidateAck),
@@ -389,6 +389,12 @@ frames! {
         23 => LockGrant { id: u64, kind: LockKind, intent: Intent = HandBack },
         24 => Coherence(Msg::OperandFlush) { op: u32, data: Vec<u64>, keep: bool = true },
         25 => LockGrant { id: u64, kind: LockKind, intent: Intent = Keep },
+        26 => Coherence(Msg::RecallTo) { requester: NodeId, dst_off: u64, keep: bool = false },
+        27 => Coherence(Msg::RecallTo) { requester: NodeId, dst_off: u64, keep: bool = true },
+        28 => Coherence(Msg::FillAck),
+        29 => Coherence(Msg::WritebackNotice) { downgrade: bool, direct: bool = true },
+        30 => Coherence(Msg::FillShared) { direct: bool = true },
+        31 => Coherence(Msg::FillExclusive) { direct: bool = true },
     }
     NetMsg {
         0 => Rpc { env: Envelope },
@@ -514,7 +520,8 @@ mod tests {
             keep: false,
         });
         assert_eq!(m.payload_bytes(), 16 + 4096);
-        assert_eq!(Rpc::Coherence(Msg::FillShared).payload_bytes(), 16);
+        let fill = Msg::FillShared { direct: false };
+        assert_eq!(Rpc::Coherence(fill).payload_bytes(), 16);
     }
 
     fn encoded(msg: &NetMsg) -> Vec<u8> {
@@ -548,16 +555,22 @@ mod tests {
             kind,
         };
         let flush = |data, keep| Msg::OperandFlush { op: 1, data, keep };
+        let writeback = |downgrade, direct| Msg::WritebackNotice { downgrade, direct };
+        let recall_to = |keep| Msg::RecallTo {
+            requester: 3,
+            dst_off: 1 << 35,
+            keep,
+        };
         let rpcs = [
             rpc(Msg::ReadReq { dst_off: 1 << 40 }, 18),
             rpc(Msg::WriteReq { dst_off: 7 }, 18),
             rpc(Msg::OperateReq { op: 2 }, 14),
             rpc(Msg::EvictNotice, 10),
-            rpc(Msg::WritebackNotice { downgrade: true }, 11),
+            rpc(writeback(true, false), 11),
             rpc(flush(vec![u64::MAX, 0, 42], false), 42),
             rpc(flush(vec![], false), 18),
-            rpc(Msg::FillShared, 10),
-            rpc(Msg::FillExclusive, 10),
+            rpc(Msg::fill(false, false), 10),
+            rpc(Msg::fill(true, false), 10),
             rpc(Msg::GrantOperated { op: 3 }, 14),
             rpc(Msg::Invalidate, 10),
             rpc(Msg::InvalidateAck, 10),
@@ -579,6 +592,13 @@ mod tests {
             rpc(flush(vec![7, u64::MAX], true), 34),
             rpc(flush(vec![], true), 18),
             rpc(grant(104, LockKind::Write, Keep), 19),
+            rpc(recall_to(false), 22),
+            rpc(recall_to(true), 22),
+            rpc(Msg::FillAck, 10),
+            rpc(writeback(true, true), 11),
+            rpc(writeback(false, true), 11),
+            rpc(Msg::fill(false, true), 10),
+            rpc(Msg::fill(true, true), 10),
         ];
         let vote = |suspect, alive| NetMsg::SuspectVote { suspect, alive };
         let join = |node, admit| NetMsg::JoinVote { node, admit };
@@ -645,7 +665,7 @@ mod tests {
     fn unassigned_tags_are_rejected() {
         for tail in 0..=32 {
             let tail = vec![0u8; tail];
-            for tag in 26..=255u8 {
+            for tag in 32..=255u8 {
                 let frame = [&[0, 2, 0, 0, 0, 9, 0, 0, 0, tag], &tail[..]].concat();
                 assert!(NetMsg::decode(&frame).is_none(), "RPC tag {tag}");
             }
@@ -677,7 +697,7 @@ mod tests {
     fn wire_payload_bytes_match_pre_trait_call_sites() {
         assert_eq!(
             NetMsg::Rpc {
-                env: Envelope::new(0, 0, Msg::FillShared)
+                env: Envelope::new(0, 0, Msg::fill(false, false))
             }
             .payload_bytes(),
             16

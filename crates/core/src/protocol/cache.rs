@@ -51,6 +51,18 @@ pub enum AfterDrain {
         /// The cacheline holding the dirty data.
         line: u32,
     },
+    /// Fill a requester's line from this one (a three-leg recall), then
+    /// free the line, or (`keep`) write it back and keep it Shared.
+    FillRequester {
+        /// The cacheline holding the dirty data.
+        line: u32,
+        /// The requester the home named.
+        requester: NodeId,
+        /// Destination word offset in the requester's cache region.
+        dst_off: u64,
+        /// True for a read: keep a Shared copy and write back.
+        keep: bool,
+    },
     /// Flush combined operands and free the line. A recall drains to
     /// Invalid; an eviction drains to [`LocalState::OperatedIdle`] and
     /// keeps its Operate rights, unless a recall, home restart or home move
@@ -110,6 +122,9 @@ pub enum CacheEvent {
     FillDone {
         /// Rights granted: `Shared` or `Exclusive`.
         granted: LocalState,
+        /// A Dirty owner the home recalled with [`Msg::RecallTo`] wrote the
+        /// data, not the home.
+        direct: bool,
     },
     /// An Operated grant arrived (no data travels for grants).
     GrantDone {
@@ -125,6 +140,17 @@ pub enum CacheEvent {
     RecallDirty,
     /// The home downgrades our Dirty ownership (write back, keep Shared).
     DowngradeDirty,
+    /// The home recalls our Dirty ownership for `requester` (the three-leg
+    /// recall, DESIGN.md §4.2): fill its line from ours, then invalidate,
+    /// or (`keep`) write back and keep a Shared copy.
+    RecallTo {
+        /// The node whose request the recall serves.
+        requester: NodeId,
+        /// Destination word offset in the requester's cache region.
+        dst_off: u64,
+        /// True for a read.
+        keep: bool,
+    },
     /// The home recalls our Operated membership under `op`.
     RecallOperated {
         /// The operator epoch being closed.
@@ -235,6 +261,24 @@ pub enum CacheAction {
         downgrade: bool,
         /// True to detach and free the line afterwards.
         release: bool,
+        /// True for the writeback of a three-leg recall's read
+        /// ([`Msg::WritebackNotice`]'s `direct`).
+        direct: bool,
+    },
+    /// RDMA-write the line into node `to`'s cache region at `dst_off` and
+    /// send the matching fill notice (`FillExclusive` or `FillShared`)
+    /// behind it: a three-leg recall's fill.
+    SendFill {
+        /// The cacheline holding the data.
+        line: u32,
+        /// The requester.
+        to: NodeId,
+        /// Destination word offset in the requester's cache region.
+        dst_off: u64,
+        /// True for `FillExclusive`, false for `FillShared`.
+        exclusive: bool,
+        /// True to detach and free the line afterwards.
+        release: bool,
     },
     /// Send the line's combined operands to the home as `OperandFlush`.
     SendFlush {
@@ -282,20 +326,30 @@ impl CacheMachine {
                 drain_pending,
             } => Self::request(view, kind, home_down, drain_pending),
             CacheEvent::LineAllocated { line, kind } => Self::line_allocated(view, line, kind),
-            CacheEvent::FillDone { granted } => {
+            CacheEvent::FillDone { granted, direct } => {
                 let expected = match granted {
                     LocalState::Shared => LocalState::FillingShared,
                     LocalState::Exclusive => LocalState::FillingExclusive,
                     _ => unreachable!("fills grant Shared or Exclusive"),
                 };
+                // A three-leg recall's fill: the home holds the chunk until
+                // it hears the fill landed, so that none of its later
+                // messages, on another link, can overtake the fill.
+                let mut out = Vec::new();
+                if direct {
+                    out.push(CacheAction::Send {
+                        to: view.home,
+                        msg: Msg::FillAck,
+                    });
+                }
                 // Stale unless the fill is still awaited: the line was torn
                 // down (e.g. HomeDown) while the fill was in flight. The data
                 // was RDMA-written into our line before this notification
                 // (RC FIFO ordering).
-                if view.state != expected {
-                    return vec![];
+                if view.state == expected {
+                    out.extend(Self::complete(view, granted, NOTAG, Counter::Fills, "fill"));
                 }
-                Self::complete(view, granted, NOTAG, Counter::Fills, "fill")
+                out
             }
             // An Operated grant carries no data: the operand buffer starts
             // as the operator's identity. Stale unless still awaited.
@@ -337,6 +391,29 @@ impl CacheMachine {
                     target: LocalState::Invalid,
                     tag: NOTAG,
                     after: AfterDrain::WritebackInvalidate { line: view.line },
+                },
+            ],
+            // The three-leg form of both: the drain's follow-up fills the
+            // requester from our line.
+            CacheEvent::RecallTo {
+                requester,
+                dst_off,
+                keep,
+            } if holds(LocalState::Exclusive) => vec![
+                CacheAction::Count(Counter::Recalls),
+                CacheAction::BeginDrain {
+                    target: if keep {
+                        LocalState::Shared
+                    } else {
+                        LocalState::Invalid
+                    },
+                    tag: NOTAG,
+                    after: AfterDrain::FillRequester {
+                        line: view.line,
+                        requester,
+                        dst_off,
+                        keep,
+                    },
                 },
             ],
             // The home's downgrade and an intent unlock's voluntary one
@@ -639,10 +716,42 @@ impl CacheMachine {
                         line,
                         downgrade,
                         release: !downgrade,
+                        direct: false,
                     },
                     CacheAction::Count(Counter::Writebacks),
                     CacheAction::WakeAllWaiters,
                 ]
+            }
+            // The requester's fill leaves first: it is the one that waits.
+            AfterDrain::FillRequester {
+                line,
+                requester,
+                dst_off,
+                keep,
+            } => {
+                let mut out = vec![
+                    CacheAction::SendFill {
+                        line,
+                        to: requester,
+                        dst_off,
+                        exclusive: !keep,
+                        release: !keep,
+                    },
+                    CacheAction::Count(Counter::DirectFills),
+                ];
+                if keep {
+                    out.extend([
+                        CacheAction::SendWriteback {
+                            line,
+                            downgrade: true,
+                            release: false,
+                            direct: true,
+                        },
+                        CacheAction::Count(Counter::Writebacks),
+                    ]);
+                }
+                out.push(CacheAction::WakeAllWaiters);
+                out
             }
             AfterDrain::FlushInvalidate { line, op } => vec![
                 CacheAction::SendFlush {
@@ -686,13 +795,15 @@ impl CacheMachine {
         let (line, then) = match after {
             // Keep the Shared copy the drain installed (graceful
             // degradation: it stays readable locally).
-            AfterDrain::Downgrade { .. } => return vec![CacheAction::WakeAllWaiters],
+            AfterDrain::Downgrade { .. } | AfterDrain::FillRequester { keep: true, .. } => {
+                return vec![CacheAction::WakeAllWaiters]
+            }
             AfterDrain::Invalidate { line, .. } => {
                 (line, Some(CacheAction::Count(Counter::Invalidations)))
             }
-            AfterDrain::WritebackInvalidate { line } | AfterDrain::EvictShared { line } => {
-                (line, None)
-            }
+            AfterDrain::WritebackInvalidate { line }
+            | AfterDrain::EvictShared { line }
+            | AfterDrain::FillRequester { line, .. } => (line, None),
             // A drain toward idle rights or a Filling state resets to
             // Invalid: the idle rights go too, and an upgrade request would
             // never be answered, stranding the chunk in a Filling state.
@@ -883,7 +994,8 @@ mod tests {
             CacheAction::SendWriteback {
                 line: 5,
                 downgrade: false,
-                release: true
+                release: true,
+                direct: false,
             }
         );
     }
@@ -916,7 +1028,8 @@ mod tests {
             CacheAction::SendWriteback {
                 line: 5,
                 downgrade: true,
-                release: false
+                release: false,
+                direct: false,
             }
         );
         for state in [LocalState::Shared, LocalState::FillingExclusive] {
@@ -936,6 +1049,7 @@ mod tests {
             &v,
             CacheEvent::FillDone {
                 granted: LocalState::Shared,
+                direct: false,
             },
         );
         assert!(acts.contains(&CacheAction::Promote {
@@ -944,6 +1058,87 @@ mod tests {
         }));
         assert!(acts.contains(&CacheAction::Count(Counter::Fills)));
         assert_eq!(acts.last(), Some(&CacheAction::WakeAllWaiters));
+    }
+
+    /// A three-leg recall: the owner drains, fills the requester before
+    /// anything else leaves, and a read's owner then writes back and keeps
+    /// its copy; the requester acks the owner's fill, first, even when the
+    /// fill is stale.
+    #[test]
+    fn a_recalled_owner_fills_the_requester_which_acks() {
+        for keep in [false, true] {
+            let v = view(LocalState::Exclusive, NOTAG, 5);
+            let ev = CacheEvent::RecallTo {
+                requester: 2,
+                dst_off: 64,
+                keep,
+            };
+            let after = AfterDrain::FillRequester {
+                line: 5,
+                requester: 2,
+                dst_off: 64,
+                keep,
+            };
+            let target = if keep {
+                LocalState::Shared
+            } else {
+                LocalState::Invalid
+            };
+            assert_eq!(
+                CacheMachine::on_event(&v, ev),
+                [
+                    CacheAction::Count(Counter::Recalls),
+                    CacheAction::BeginDrain {
+                        target,
+                        tag: NOTAG,
+                        after,
+                    },
+                ]
+            );
+            let drained = CacheEvent::Drained {
+                after,
+                home_down: false,
+            };
+            let acts = CacheMachine::on_event(&view(target, NOTAG, 5), drained);
+            assert_eq!(
+                acts[0],
+                CacheAction::SendFill {
+                    line: 5,
+                    to: 2,
+                    dst_off: 64,
+                    exclusive: !keep,
+                    release: !keep,
+                }
+            );
+            let writeback = CacheAction::SendWriteback {
+                line: 5,
+                downgrade: true,
+                release: false,
+                direct: true,
+            };
+            assert_eq!(acts.contains(&writeback), keep, "{acts:?}");
+        }
+        // A recall that finds no Exclusive copy crossed its writeback.
+        let v = view(LocalState::Shared, NOTAG, 5);
+        let ev = CacheEvent::RecallTo {
+            requester: 2,
+            dst_off: 64,
+            keep: true,
+        };
+        assert!(CacheMachine::on_event(&v, ev).is_empty());
+        let ack = CacheAction::Send {
+            to: 0,
+            msg: Msg::FillAck,
+        };
+        for state in [LocalState::FillingShared, LocalState::Invalid] {
+            let fill = CacheEvent::FillDone {
+                granted: LocalState::Shared,
+                direct: true,
+            };
+            let acts = CacheMachine::on_event(&view(state, NOTAG, 1), fill);
+            assert_eq!(acts[0], ack);
+            assert_eq!(acts.len() > 1, state == LocalState::FillingShared);
+        }
     }
 
     #[test]

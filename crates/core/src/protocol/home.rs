@@ -14,6 +14,11 @@ use crate::state::{DirState, LocalState};
 
 use super::{Counter, Kind, Msg, NodeId, Request, Requester, Transition, NOTAG};
 
+/// Node ids the home machine tracks one by one for the three-leg recall
+/// (the bits of a `u32`); a requester with a higher id is filled from the
+/// home.
+const UNSETTLED_IDS: NodeId = u32::BITS as NodeId;
+
 /// Transient phase of a home-side transition that is waiting for remote
 /// replies or a local reference drain. While a transient is pending, new
 /// requests queue.
@@ -31,6 +36,23 @@ pub enum Transient {
     AwaitWriteback {
         /// The Dirty owner being recalled or downgraded.
         from: NodeId,
+    },
+    /// A three-leg recall (DESIGN.md §4.2): the Dirty `owner` was asked to
+    /// fill `requester` itself. Waiting for the requester's
+    /// [`HomeEvent::FillAck`], and for a read also the owner's direct
+    /// writeback. A writeback from the owner that is not the direct one
+    /// crossed the recall, which the owner then ignores: it ends the wait,
+    /// and the home serves the request from its fresh image. Once a read's
+    /// writeback landed, other reads are served during the wait.
+    AwaitDirectFill {
+        /// The Dirty owner being recalled.
+        owner: NodeId,
+        /// The node it fills.
+        requester: NodeId,
+        /// The requester's ack is still awaited.
+        ack: bool,
+        /// The owner's direct writeback is still awaited (reads only).
+        writeback: bool,
     },
     /// Waiting for operand flushes (of operator `op`) from these nodes.
     AwaitFlushes {
@@ -113,6 +135,7 @@ impl Transient {
             Transient::None => "None",
             Transient::AwaitInvAcks { .. } => "AwaitInvAcks",
             Transient::AwaitWriteback { .. } => "AwaitWriteback",
+            Transient::AwaitDirectFill { .. } => "AwaitDirectFill",
             Transient::AwaitFlushes { .. } => "AwaitFlushes",
             Transient::HomeDrain => "HomeDrain",
             Transient::GraceWait => "GraceWait",
@@ -147,6 +170,15 @@ pub enum HomeEvent<W> {
         from: NodeId,
         /// True if the sender kept a Shared copy.
         downgrade: bool,
+        /// True if this is a three-leg recall's writeback: the sender also
+        /// filled the requester.
+        direct: bool,
+    },
+    /// A requester's fill from a recalled owner landed (the last leg of a
+    /// three-leg recall).
+    FillAck {
+        /// The requester.
+        from: NodeId,
     },
     /// A remote node flushed its combined operands.
     Flush {
@@ -377,6 +409,24 @@ pub struct HomeMachine<W> {
     /// Monotone persist sequence; the latest value is what
     /// [`Transient::AwaitPersist`] waits for.
     persist_seq: u64,
+    /// True when a remote read or write of a Dirty chunk takes the
+    /// three-leg recall ([`Transient::AwaitDirectFill`]). Only where no
+    /// node can die, persist or move a home: the transient has no
+    /// recovery. False by default, which keeps the four-leg recall.
+    direct_fill: bool,
+    /// Nodes a revoke may still be travelling to, tracked only with
+    /// `direct_fill` on: a wait ended with something other than the node's
+    /// own answer to it. An `Invalidate` answered by a crossing eviction
+    /// is certainly still on its way; a recall answered by a writeback may
+    /// be, since a crossing writeback looks like the answer. A three-leg
+    /// fill, on another link, could overtake it, and the stale revoke would
+    /// then drop the fresh copy, or have it fill a requester that asked for
+    /// nothing. So such a node is filled from the home until a fill from
+    /// the home, behind the revoke on the same link, has been sent to it:
+    /// its next request then left after that fill, and after the revoke.
+    /// One bit per node id below [`UNSETTLED_IDS`], which keeps the machine
+    /// its size; a node with a higher id counts as unsettled always.
+    unsettled: u32,
     /// Set once a migration commits on the source side: the chunk's new
     /// home and the fence epoch it moved under. A machine with this set is
     /// a *former* home: it forwards arriving remote requests and bounces
@@ -404,6 +454,8 @@ impl<W> HomeMachine<W> {
             view_epoch: 0,
             durable: false,
             persist_seq: 0,
+            direct_fill: false,
+            unsettled: 0,
             migrated_to: None,
         }
     }
@@ -412,6 +464,13 @@ impl<W> HomeMachine<W> {
     /// at bring-up, before the machine has seen events.
     pub fn set_durable(&mut self, durable: bool) {
         self.durable = durable;
+    }
+
+    /// Turn the three-leg recall on or off (off by default). Flip this only
+    /// at bring-up, and only for a cluster where no node can die, persist
+    /// or move a home: a peer's death during the recall panics.
+    pub fn set_direct_fill(&mut self, direct_fill: bool) {
+        self.direct_fill = direct_fill;
     }
 
     /// Number of persists requested so far (the latest persist sequence).
@@ -520,6 +579,7 @@ impl<W> HomeMachine<W> {
                 return out;
             }
         }
+        let evicted = matches!(ev, HomeEvent::EvictNotice { .. });
         match ev {
             HomeEvent::Request(req) => {
                 if self.migrated_to.is_some() {
@@ -537,10 +597,14 @@ impl<W> HomeMachine<W> {
             }
             // An ack, or a crossing eviction, satisfies the ack set. Only a
             // live invalidation epoch may count the ack; a stale ack (an
-            // EvictNotice already accounted for it) is ignored.
+            // EvictNotice already accounted for it) is ignored. A crossing
+            // eviction leaves the Invalidate it crossed on its way.
             HomeEvent::InvAck { from } | HomeEvent::EvictNotice { from }
                 if matches!(self.transient, Transient::AwaitInvAcks { .. }) =>
             {
+                if evicted && self.in_wait_set(from) {
+                    self.unsettle(from);
+                }
                 if self.leave(from) {
                     self.finish_transient(now, grace_ns, &mut out);
                 }
@@ -553,14 +617,36 @@ impl<W> HomeMachine<W> {
                     self.settle(DirState::Unshared, "last-sharer-evicted", &mut out);
                 }
             }
-            HomeEvent::Writeback { from, downgrade } => {
-                let expected =
-                    matches!(&self.transient, Transient::AwaitWriteback { from: f } if *f == from);
+            HomeEvent::Writeback {
+                from,
+                downgrade: _,
+                direct: true,
+            } => self.direct_fill_arrived(now, grace_ns, from, false, &mut out),
+            HomeEvent::FillAck { from } => {
+                self.direct_fill_arrived(now, grace_ns, from, true, &mut out)
+            }
+            HomeEvent::Writeback {
+                from,
+                downgrade,
+                direct: false,
+            } => {
+                // The owner a recall waits for. A three-leg recall's owner
+                // that wrote back first crossed the recall and ignores it.
+                let expected = match &self.transient {
+                    Transient::AwaitWriteback { from: f } => *f == from,
+                    Transient::AwaitDirectFill { owner, .. } => *owner == from,
+                    _ => false,
+                };
                 // Unsolicited, from the Dirty owner: a voluntary eviction, or
                 // an intent unlock that keeps a Shared copy (a downgrade,
                 // DESIGN.md §4.5).
                 let voluntary =
                     !expected && matches!(self.state, DirState::Dirty { owner } if owner == from);
+                if expected {
+                    // This writeback may have crossed the recall, which is
+                    // then still on its way to the owner.
+                    self.unsettle(from);
+                }
                 if expected || voluntary {
                     let state = if downgrade {
                         DirState::Shared {
@@ -877,6 +963,7 @@ impl<W> HomeMachine<W> {
             HomeEvent::InvAck { from }
             | HomeEvent::EvictNotice { from }
             | HomeEvent::Writeback { from, .. }
+            | HomeEvent::FillAck { from }
             | HomeEvent::Flush { from, .. }
             | HomeEvent::MigrateData { from, .. }
             | HomeEvent::MigrateAck { from, .. }
@@ -991,16 +1078,29 @@ impl<W> HomeMachine<W> {
         self.progress(now, grace_ns, out);
     }
 
-    /// Service queued requests until one starts a transient or the queue
-    /// empties.
+    /// Service queued requests until one starts a transient, or the next
+    /// one must wait.
     fn progress(&mut self, now: u64, grace_ns: u64, out: &mut Vec<HomeAction<W>>) {
-        while self.transient.is_none() {
-            let Some(req) = self.pending.pop_front() else {
-                return;
-            };
+        while self.pending.front().is_some_and(|req| self.ready(req)) {
+            let req = self.pending.pop_front().expect("a ready request");
             if !self.service(now, grace_ns, req, out) {
                 return;
             }
+        }
+    }
+
+    /// May `req` be served now? Any request while the chunk is stable. A
+    /// read also while a three-leg read recall waits only for its
+    /// requester's ack: the owner's writeback has landed, so the home
+    /// image is fresh, and a read sends that requester nothing that could
+    /// overtake its fill.
+    fn ready(&self, req: &Request<W>) -> bool {
+        match self.transient {
+            Transient::None => true,
+            Transient::AwaitDirectFill {
+                writeback: false, ..
+            } => req.kind == Kind::Read && matches!(self.state, DirState::Shared { .. }),
+            _ => false,
         }
     }
 
@@ -1120,25 +1220,14 @@ impl<W> HomeMachine<W> {
                 }
                 Requester::Remote { node, dst_off } => {
                     self.add_sharer(node);
-                    self.granted_at = now;
-                    out.push(HomeAction::SendFill {
-                        to: node,
-                        dst_off,
-                        exclusive: false,
-                    });
+                    self.fill(now, node, dst_off, false, out);
                     true
                 }
                 Requester::Migration { .. } => unreachable!("a migration requests Write"),
             },
             (DirState::Dirty { owner }, Kind::Read) => {
                 let owner = *owner;
-                self.transient = Transient::AwaitWriteback { from: owner };
-                self.current = Some(req);
-                out.push(HomeAction::Send {
-                    to: owner,
-                    msg: Msg::DowngradeDirty,
-                });
-                false
+                self.recall(now, owner, req, out)
             }
 
             // ---------------- Write ----------------
@@ -1250,22 +1339,11 @@ impl<W> HomeMachine<W> {
                 // still recalls it.
                 if let Requester::Remote { node, dst_off } = req.source {
                     if node == owner && kind == Kind::Write {
-                        self.granted_at = now;
-                        out.push(HomeAction::SendFill {
-                            to: node,
-                            dst_off,
-                            exclusive: true,
-                        });
+                        self.fill(now, node, dst_off, true, out);
                         return true;
                     }
                 }
-                self.transient = Transient::AwaitWriteback { from: owner };
-                self.current = Some(req);
-                out.push(HomeAction::Send {
-                    to: owner,
-                    msg: Msg::RecallDirty,
-                });
-                false
+                self.recall(now, owner, req, out)
             }
             // Operated chunk asked for Read/Write/different op: recall all
             // operand caches and reduce, then retry from Unshared.
@@ -1293,6 +1371,146 @@ impl<W> HomeMachine<W> {
                     false
                 }
             }
+        }
+    }
+
+    /// Grant `node` its fill from the home image, at `dst_off`.
+    fn fill(
+        &mut self,
+        now: u64,
+        node: NodeId,
+        dst_off: u64,
+        exclusive: bool,
+        out: &mut Vec<HomeAction<W>>,
+    ) {
+        self.granted_at = now;
+        if node < UNSETTLED_IDS {
+            self.unsettled &= !(1 << node);
+        }
+        out.push(HomeAction::SendFill {
+            to: node,
+            dst_off,
+            exclusive,
+        });
+    }
+
+    /// A revoke the home sent `node` may still be on its way there (see
+    /// `unsettled`).
+    fn unsettle(&mut self, node: NodeId) {
+        if self.direct_fill && node < UNSETTLED_IDS {
+            self.unsettled |= 1 << node;
+        }
+    }
+
+    /// May a revoke the home sent `node` still be on its way there?
+    fn unsettled(&self, node: NodeId) -> bool {
+        node >= UNSETTLED_IDS || self.unsettled & (1 << node) != 0
+    }
+
+    /// Take the Dirty `owner`'s copy back for `req`, which waits as the
+    /// current request. A remote read or write of another node takes the
+    /// three-leg recall where it is on: the owner fills the requester
+    /// itself, which is the grant, so the grace window counts from here.
+    /// Anything else has the owner write back (a read's keeps a Shared
+    /// copy), and `req` is served again from the fresh home image.
+    /// Returns false: a transient began.
+    fn recall(
+        &mut self,
+        now: u64,
+        owner: NodeId,
+        req: Request<W>,
+        out: &mut Vec<HomeAction<W>>,
+    ) -> bool {
+        let keep = req.kind == Kind::Read;
+        let msg = match req.source {
+            Requester::Remote { node, dst_off }
+                if self.direct_fill
+                    && node != owner
+                    && !self.unsettled(node)
+                    && (keep || req.kind == Kind::Write) =>
+            {
+                self.granted_at = now;
+                self.transient = Transient::AwaitDirectFill {
+                    owner,
+                    requester: node,
+                    ack: true,
+                    writeback: keep,
+                };
+                Msg::RecallTo {
+                    requester: node,
+                    dst_off,
+                    keep,
+                }
+            }
+            _ => {
+                self.transient = Transient::AwaitWriteback { from: owner };
+                if keep {
+                    Msg::DowngradeDirty
+                } else {
+                    Msg::RecallDirty
+                }
+            }
+        };
+        self.current = Some(req);
+        out.push(HomeAction::Send { to: owner, msg });
+        false
+    }
+
+    /// One of the things a three-leg recall waits for arrived from `from`:
+    /// the requester's ack of its fill (`acked`), or the owner's direct
+    /// writeback. The directory takes the new state at the first of them;
+    /// the home image is fresh, and the home dentry readable again, only
+    /// once the writeback landed, and from then on reads are served. The
+    /// last one ends the transient.
+    fn direct_fill_arrived(
+        &mut self,
+        now: u64,
+        grace_ns: u64,
+        from: NodeId,
+        acked: bool,
+        out: &mut Vec<HomeAction<W>>,
+    ) {
+        let Transient::AwaitDirectFill {
+            owner,
+            requester,
+            ack,
+            writeback,
+        } = &mut self.transient
+        else {
+            return;
+        };
+        let (owner, requester) = (*owner, *requester);
+        let awaited = if acked {
+            from == requester && std::mem::take(ack)
+        } else {
+            from == owner && std::mem::take(writeback)
+        };
+        if !awaited {
+            return;
+        }
+        let done = !*ack && !*writeback;
+        if matches!(self.state, DirState::Dirty { .. }) {
+            let read = self.current.as_ref().is_some_and(|r| r.kind == Kind::Read);
+            let (state, trigger) = if read {
+                let sharers = vec![owner, requester];
+                (DirState::Shared { sharers }, "direct-read-fill")
+            } else {
+                (DirState::Dirty { owner: requester }, "direct-write-fill")
+            };
+            self.set_state(state, trigger, out);
+        }
+        if !acked {
+            // The owner's line landed in the home image.
+            out.push(HomeAction::SetHomeLocal {
+                state: self.state.home_local(),
+                tag: NOTAG,
+            });
+        }
+        if done {
+            self.current = None;
+            self.finish_transient(now, grace_ns, out);
+        } else {
+            self.progress(now, grace_ns, out);
         }
     }
 
@@ -1371,6 +1589,9 @@ impl<W> HomeMachine<W> {
                 // copy becomes authoritative again.
                 self.settle(DirState::Unshared, "peer-down", out);
                 self.finish_transient(now, grace_ns, out);
+            }
+            Transient::AwaitDirectFill { .. } => {
+                unreachable!("the three-leg recall runs only where no peer can die")
             }
             Transient::AwaitInvAcks { .. } => {
                 if self.leave(dead) {
@@ -1514,6 +1735,92 @@ mod tests {
             source: Requester::Local(w),
             kind,
         })
+    }
+
+    /// A machine with the three-leg recall on and remote 1 the Dirty owner.
+    fn dirty_direct() -> M {
+        let mut m = M::new();
+        m.set_direct_fill(true);
+        m.on_event(0, 0, remote(1, Kind::Write));
+        m.on_event(0, 0, HomeEvent::Drained);
+        assert_eq!(m.state(), &DirState::Dirty { owner: 1 });
+        m
+    }
+
+    fn writeback(from: NodeId, downgrade: bool, direct: bool) -> HomeEvent<u32> {
+        HomeEvent::Writeback {
+            from,
+            downgrade,
+            direct,
+        }
+    }
+
+    /// Remote 2 reads remote 1's Dirty chunk: the home names it in the
+    /// recall, takes Shared{1, 2} at the first of the ack and the owner's
+    /// writeback, makes its own dentry readable only at the writeback, and
+    /// serves a read queued meanwhile once the writeback has landed.
+    #[test]
+    fn a_three_leg_read_recall_waits_for_the_ack_and_the_writeback() {
+        for ack_first in [false, true] {
+            let mut m = dirty_direct();
+            let acts = m.on_event(1, 0, remote(2, Kind::Read));
+            let recall = Msg::RecallTo {
+                requester: 2,
+                dst_off: 0,
+                keep: true,
+            };
+            assert!(acts.contains(&HomeAction::Send { to: 1, msg: recall }));
+            let ack = HomeEvent::FillAck { from: 2 };
+            let wb = writeback(1, true, true);
+            let (first, second) = if ack_first { (ack, wb) } else { (wb, ack) };
+            let acts = m.on_event(2, 0, first);
+            let readable = HomeAction::SetHomeLocal {
+                state: LocalState::Shared,
+                tag: NOTAG,
+            };
+            assert_eq!(acts.contains(&readable), !ack_first, "{acts:?}");
+            let sharers = vec![1, 2];
+            assert_eq!(m.state(), &DirState::Shared { sharers });
+            assert_eq!(m.transient().name(), "AwaitDirectFill");
+            // A home read is served once the owner's data has landed.
+            let acts = m.on_event(3, 0, local(7, Kind::Read));
+            assert_eq!(acts.contains(&HomeAction::Wake(7)), !ack_first);
+            let acts = m.on_event(4, 0, second);
+            assert!(m.transient().is_none());
+            assert_eq!(acts.contains(&HomeAction::Wake(7)), ack_first);
+        }
+    }
+
+    /// A write recall ends at the requester's ack, with no data at the
+    /// home; a writeback from the owner during the wait crossed the recall,
+    /// and the home serves the request itself from its fresh image.
+    #[test]
+    fn a_three_leg_write_recall_ends_at_the_ack_or_a_crossing_writeback() {
+        let mut m = dirty_direct();
+        m.on_event(1, 0, remote(2, Kind::Write));
+        assert_eq!(m.transient().name(), "AwaitDirectFill");
+        let acts = m.on_event(2, 0, HomeEvent::FillAck { from: 2 });
+        assert_eq!(m.state(), &DirState::Dirty { owner: 2 });
+        assert!(m.transient().is_none());
+        assert!(acts.iter().all(|a| !matches!(
+            a,
+            HomeAction::SendFill { .. } | HomeAction::SetHomeLocal { .. }
+        )));
+
+        let mut m = dirty_direct();
+        m.on_event(1, 0, remote(2, Kind::Write));
+        m.on_event(2, 0, writeback(1, false, false));
+        assert_eq!(m.state(), &DirState::Dirty { owner: 2 });
+        let acts = m.on_event(3, 0, HomeEvent::Drained);
+        assert!(acts.contains(&HomeAction::SendFill {
+            to: 2,
+            dst_off: 0,
+            exclusive: true
+        }));
+        // The recall the writeback crossed may still reach node 1, so its
+        // next recall-served request is filled from the home.
+        m.on_event(4, 0, remote(1, Kind::Read));
+        assert_eq!(m.transient().name(), "AwaitWriteback");
     }
 
     #[test]
@@ -2005,6 +2312,7 @@ mod tests {
             HomeEvent::Writeback {
                 from: 1,
                 downgrade: true,
+                direct: false,
             },
         );
         m
@@ -2068,6 +2376,7 @@ mod tests {
             HomeEvent::Writeback {
                 from: 1,
                 downgrade: false,
+                direct: false,
             },
         );
         assert!(acts.contains(&HomeAction::PersistChunk { seq: 1 }));
@@ -2088,6 +2397,7 @@ mod tests {
         let downgrade = HomeEvent::Writeback {
             from: 1,
             downgrade: true,
+            direct: false,
         };
         let acts = m.on_event(0, 0, downgrade.clone());
         assert_eq!(
@@ -2126,6 +2436,7 @@ mod tests {
             HomeEvent::Writeback {
                 from: 1,
                 downgrade: true,
+                direct: false,
             },
         );
         assert!(acts.contains(&HomeAction::PersistChunk { seq: 1 }));
@@ -2153,6 +2464,7 @@ mod tests {
             HomeEvent::Writeback {
                 from: 1,
                 downgrade: true,
+                direct: false,
             },
         );
         assert!(!acts
@@ -2381,6 +2693,7 @@ mod tests {
             HomeEvent::Writeback {
                 from: 1,
                 downgrade: false,
+                direct: false,
             },
         );
         assert!(acts.iter().any(|a| matches!(
@@ -2482,6 +2795,7 @@ mod tests {
             HomeEvent::Writeback {
                 from: 1,
                 downgrade: false,
+                direct: false,
             },
         ));
         acts.extend(m.on_event(0, 0, HomeEvent::Drained));
@@ -2544,6 +2858,7 @@ mod tests {
         let wb = |from| HomeEvent::Writeback {
             from,
             downgrade: false,
+            direct: false,
         };
         feed(&mut m, wb(1));
         // Node 2 holds the chunk Dirty when the migration asks for it, so
@@ -2944,6 +3259,7 @@ mod tests {
             HomeEvent::Writeback {
                 from: 2,
                 downgrade: false,
+                direct: false,
             },
         );
         assert!(acts

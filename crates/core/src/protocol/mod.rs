@@ -134,6 +134,9 @@ pub enum Counter {
     OperandFlushes,
     /// A recall (dirty recall, downgrade, or Operated recall) was honored.
     Recalls,
+    /// A recalled owner filled the requester's line itself (the three-leg
+    /// recall, DESIGN.md §4.2).
+    DirectFills,
     /// A remote flush was reduced into the home subarray.
     OperatedReductions,
     /// A cacheline was evicted by the reclamation scan.

@@ -42,6 +42,10 @@ pub enum Msg {
     WritebackNotice {
         /// True if the sender keeps a Shared copy.
         downgrade: bool,
+        /// True if the sender also filled the requester a [`Msg::RecallTo`]
+        /// named: this writeback is the one that recall waits for. Any
+        /// other writeback from the owner crossed the recall.
+        direct: bool,
     },
     /// Requester → home: combined operands, reduced into the home image.
     OperandFlush {
@@ -54,10 +58,22 @@ pub enum Msg {
         /// closing the epoch.
         keep: bool,
     },
-    /// Home → requester: a read fill landed in the requester's line.
-    FillShared,
-    /// Home → requester: an exclusive fill landed in the requester's line.
-    FillExclusive,
+    /// Home (or a recalled owner) → requester: a read fill landed in the
+    /// requester's line.
+    FillShared {
+        /// Sent by a Dirty owner the home recalled with [`Msg::RecallTo`]:
+        /// the requester acks it to the home.
+        direct: bool,
+    },
+    /// Home (or a recalled owner) → requester: an exclusive fill landed in
+    /// the requester's line.
+    FillExclusive {
+        /// Sent by a recalled owner, as for [`Msg::FillShared`].
+        direct: bool,
+    },
+    /// Requester → home: a recalled owner's fill landed (the last leg of a
+    /// [`Msg::RecallTo`]).
+    FillAck,
     /// Home → requester: Operated access under `op`; the requester starts
     /// its operand buffer from the identity.
     GrantOperated {
@@ -72,6 +88,18 @@ pub enum Msg {
     RecallDirty,
     /// Home → Dirty owner: write back but keep a Shared copy.
     DowngradeDirty,
+    /// Home → Dirty owner: the three-leg recall (DESIGN.md §4.2). Fill
+    /// `requester`'s line at `dst_off` straight from the owner's, then
+    /// invalidate (a write), or write back and keep a Shared copy (`keep`,
+    /// a read).
+    RecallTo {
+        /// The node whose request the recall serves.
+        requester: NodeId,
+        /// Destination word offset in the requester's cache region.
+        dst_off: u64,
+        /// True for a read: the owner keeps a Shared copy and writes back.
+        keep: bool,
+    },
     /// Home → Operated sharer: flush the operands of `op` and invalidate.
     RecallOperated {
         /// The operator epoch being closed.
@@ -134,6 +162,16 @@ impl Msg {
         }
     }
 
+    /// The fill notice of an exclusive or a read fill; `direct` for one a
+    /// recalled owner sends.
+    pub fn fill(exclusive: bool, direct: bool) -> Msg {
+        if exclusive {
+            Msg::FillExclusive { direct }
+        } else {
+            Msg::FillShared { direct }
+        }
+    }
+
     /// The event this message becomes at its receiver; `from` is the node
     /// that sent it.
     pub fn deliver<W>(self, from: NodeId) -> Delivery<W> {
@@ -154,7 +192,11 @@ impl Msg {
                 kind,
             } => request(requester, dst_off, kind),
             Msg::EvictNotice => Home(HomeEvent::EvictNotice { from }),
-            Msg::WritebackNotice { downgrade } => Home(HomeEvent::Writeback { from, downgrade }),
+            Msg::WritebackNotice { downgrade, direct } => Home(HomeEvent::Writeback {
+                from,
+                downgrade,
+                direct,
+            }),
             Msg::OperandFlush { op, data, keep } => Home(HomeEvent::Flush {
                 from,
                 op,
@@ -162,19 +204,31 @@ impl Msg {
                 keep,
             }),
             Msg::InvalidateAck => Home(HomeEvent::InvAck { from }),
+            Msg::FillAck => Home(HomeEvent::FillAck { from }),
             Msg::MigrateData { mig_epoch } => Home(HomeEvent::MigrateData { from, mig_epoch }),
             Msg::MigrateAck { mig_epoch } => Home(HomeEvent::MigrateAck { from, mig_epoch }),
             Msg::MigrateCommit { mig_epoch } => Home(HomeEvent::MigrateCommit { from, mig_epoch }),
-            Msg::FillShared => Cache(CacheEvent::FillDone {
+            Msg::FillShared { direct } => Cache(CacheEvent::FillDone {
                 granted: LocalState::Shared,
+                direct,
             }),
-            Msg::FillExclusive => Cache(CacheEvent::FillDone {
+            Msg::FillExclusive { direct } => Cache(CacheEvent::FillDone {
                 granted: LocalState::Exclusive,
+                direct,
             }),
             Msg::GrantOperated { op } => Cache(CacheEvent::GrantDone { op }),
             Msg::Invalidate => Cache(CacheEvent::Invalidate { from }),
             Msg::RecallDirty => Cache(CacheEvent::RecallDirty),
             Msg::DowngradeDirty => Cache(CacheEvent::DowngradeDirty),
+            Msg::RecallTo {
+                requester,
+                dst_off,
+                keep,
+            } => Cache(CacheEvent::RecallTo {
+                requester,
+                dst_off,
+                keep,
+            }),
             Msg::RecallOperated { op } => Cache(CacheEvent::RecallOperated { op }),
             Msg::HomeMoved { .. } => Cache(CacheEvent::HomeMoved),
         }
@@ -196,19 +250,21 @@ mod tests {
             Msg::EvictNotice => 3,
             Msg::WritebackNotice { .. } => 4,
             Msg::OperandFlush { .. } => 5,
-            Msg::FillShared => 6,
-            Msg::FillExclusive => 7,
-            Msg::GrantOperated { .. } => 8,
-            Msg::Invalidate => 9,
-            Msg::InvalidateAck => 10,
-            Msg::RecallDirty => 11,
-            Msg::DowngradeDirty => 12,
-            Msg::RecallOperated { .. } => 13,
-            Msg::MigrateData { .. } => 14,
-            Msg::MigrateAck { .. } => 15,
-            Msg::MigrateCommit { .. } => 16,
-            Msg::HomeMoved { .. } => 17,
-            Msg::MigrateForward { .. } => 18,
+            Msg::FillShared { .. } => 6,
+            Msg::FillExclusive { .. } => 7,
+            Msg::FillAck => 8,
+            Msg::GrantOperated { .. } => 9,
+            Msg::Invalidate => 10,
+            Msg::InvalidateAck => 11,
+            Msg::RecallDirty => 12,
+            Msg::DowngradeDirty => 13,
+            Msg::RecallTo { .. } => 14,
+            Msg::RecallOperated { .. } => 15,
+            Msg::MigrateData { .. } => 16,
+            Msg::MigrateAck { .. } => 17,
+            Msg::MigrateCommit { .. } => 18,
+            Msg::HomeMoved { .. } => 19,
+            Msg::MigrateForward { .. } => 20,
         }
     }
 
@@ -233,10 +289,14 @@ mod tests {
                 Delivery::Home(HomeEvent::EvictNotice { from: FROM }),
             ),
             (
-                Msg::WritebackNotice { downgrade: true },
+                Msg::WritebackNotice {
+                    downgrade: true,
+                    direct: false,
+                },
                 Delivery::Home(HomeEvent::Writeback {
                     from: FROM,
                     downgrade: true,
+                    direct: false,
                 }),
             ),
             (
@@ -253,15 +313,17 @@ mod tests {
                 }),
             ),
             (
-                Msg::FillShared,
+                Msg::FillShared { direct: false },
                 Delivery::Cache(CacheEvent::FillDone {
                     granted: LocalState::Shared,
+                    direct: false,
                 }),
             ),
             (
-                Msg::FillExclusive,
+                Msg::FillExclusive { direct: true },
                 Delivery::Cache(CacheEvent::FillDone {
                     granted: LocalState::Exclusive,
+                    direct: true,
                 }),
             ),
             (
@@ -321,6 +383,22 @@ mod tests {
                     kind: Kind::Operate(8),
                 },
                 remote(1, 128, Kind::Operate(8)),
+            ),
+            (
+                Msg::FillAck,
+                Delivery::Home(HomeEvent::FillAck { from: FROM }),
+            ),
+            (
+                Msg::RecallTo {
+                    requester: 2,
+                    dst_off: 192,
+                    keep: true,
+                },
+                Delivery::Cache(CacheEvent::RecallTo {
+                    requester: 2,
+                    dst_off: 192,
+                    keep: true,
+                }),
             ),
         ];
         let mut covered = vec![false; table.len()];

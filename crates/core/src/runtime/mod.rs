@@ -30,7 +30,7 @@ use std::collections::HashSet;
 use std::sync::Arc;
 
 use dsim::{Ctx, Mailbox, WaitCell};
-use rdma_fabric::NodeId;
+use rdma_fabric::{MemoryRegion, NodeId};
 
 use crate::cache::CacheRegion;
 use crate::comm::CommHandle;
@@ -130,6 +130,7 @@ impl RuntimeThread {
             Counter::Writebacks => &s.writebacks,
             Counter::OperandFlushes => &s.operand_flushes,
             Counter::Recalls => &s.recalls,
+            Counter::DirectFills => &s.direct_fills,
             Counter::OperatedReductions => &s.operated_reductions,
             Counter::Evictions => &s.evictions,
             Counter::SharersPruned => &s.sharers_pruned,
@@ -481,11 +482,7 @@ impl RuntimeThread {
         let words = arr.layout.chunk_size();
         let off = arr.chunk_off(chunk as usize);
         let data = arr.subarrays[self.node].read_vec(off, words);
-        let msg = if exclusive {
-            Msg::FillExclusive
-        } else {
-            Msg::FillShared
-        };
+        let msg = Msg::fill(exclusive, false);
         self.comm.write_send(
             ctx,
             node,
@@ -583,22 +580,23 @@ impl RuntimeThread {
                     line,
                     downgrade,
                     release,
+                    direct,
                 } => {
-                    let words = arr.layout.chunk_size();
-                    let data = self.read_line(ctx, line, words);
-                    if release {
-                        d.set_line(LINE_NONE);
-                        self.cache.free(line);
-                    }
-                    let off = arr.chunk_off(chunk as usize);
-                    self.comm.write_send(
-                        ctx,
-                        home,
-                        &arr.subarrays[home],
-                        off,
-                        data,
-                        Envelope::new(arr.id, chunk, Msg::WritebackNotice { downgrade }),
-                    );
+                    let dst = (home, &arr.subarrays[home], arr.chunk_off(chunk as usize));
+                    let env =
+                        Envelope::new(arr.id, chunk, Msg::WritebackNotice { downgrade, direct });
+                    self.send_line(ctx, arr, line, release, dst, env);
+                }
+                CacheAction::SendFill {
+                    line,
+                    to,
+                    dst_off,
+                    exclusive,
+                    release,
+                } => {
+                    let dst = (to, &self.shared.cache_regions[to], dst_off as usize);
+                    let env = Envelope::new(arr.id, chunk, Msg::fill(exclusive, true));
+                    self.send_line(ctx, arr, line, release, dst, env);
                 }
                 CacheAction::SendFlush {
                     line,
@@ -639,6 +637,26 @@ impl RuntimeThread {
             }
         }
         debug_assert!(requester.is_none(), "machine left a requester unhandled");
+    }
+
+    /// RDMA-write cacheline `line` of `env`'s chunk to `off` in node `to`'s
+    /// `region`, with `env` behind it; `release` detaches and frees the
+    /// line first.
+    fn send_line(
+        &self,
+        ctx: &mut Ctx,
+        arr: &ArrayShared,
+        line: u32,
+        release: bool,
+        (to, region, off): (NodeId, &MemoryRegion, usize),
+        env: Envelope,
+    ) {
+        let data = self.read_line(ctx, line, arr.layout.chunk_size());
+        if release {
+            arr.per_node[self.node].dentries[env.chunk as usize].set_line(LINE_NONE);
+            self.cache.free(line);
+        }
+        self.comm.write_send(ctx, to, region, off, data, env);
     }
 
     fn read_line(&self, ctx: &mut Ctx, line: u32, words: usize) -> Vec<u64> {

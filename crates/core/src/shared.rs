@@ -67,8 +67,16 @@ impl ArrayShared {
     /// on a durable-store persist (DESIGN.md §14); false keeps the protocol
     /// bit-identical to the persistence-free build. `elastic` sizes every
     /// subarray to hold the whole array and activates the per-node home
-    /// maps so chunks can be re-homed live.
-    pub(crate) fn new(id: ArrayId, layout: Layout, durable: bool, elastic: bool) -> Self {
+    /// maps so chunks can be re-homed live. `fault` says that peers can
+    /// die. A cluster with none of the three recalls a Dirty chunk for a
+    /// remote read or write in three legs (DESIGN.md §4.2).
+    pub(crate) fn new(
+        id: ArrayId,
+        layout: Layout,
+        durable: bool,
+        elastic: bool,
+        fault: bool,
+    ) -> Self {
         let nodes = layout.nodes();
         let chunks = layout.num_chunks();
         let subarrays: Vec<MemoryRegion> = (0..nodes)
@@ -95,6 +103,7 @@ impl ArrayShared {
                     .map(|_| {
                         let mut m = HomeMachine::new();
                         m.set_durable(durable);
+                        m.set_direct_fill(!(durable || elastic || fault));
                         Mutex::new(m)
                     })
                     .collect();
@@ -346,7 +355,7 @@ mod tests {
     #[test]
     fn array_shared_initializes_home_rights() {
         let layout = Layout::even(2048, 2, 512);
-        let a = ArrayShared::new(0, layout, false, false);
+        let a = ArrayShared::new(0, layout, false, false, false);
         // Node 0 owns chunks 0,1; node 1 owns 2,3.
         assert_eq!(a.per_node[0].dentries[0].state(), LocalState::Exclusive);
         assert_eq!(a.per_node[0].dentries[0].line(), LINE_HOME);
@@ -359,7 +368,7 @@ mod tests {
     #[test]
     fn elastic_home_map_is_monotone_under_epochs() {
         let layout = Layout::even_prefix(2048, 3, 2, 512);
-        let a = ArrayShared::new(0, layout, false, true);
+        let a = ArrayShared::new(0, layout, false, true, false);
         // Full-size subarrays on every node, shared slot offsets.
         assert_eq!(a.subarrays[2].len(), 4 * 512);
         assert_eq!(a.chunk_off(3), 3 * 512);

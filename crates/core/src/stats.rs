@@ -188,6 +188,10 @@ counters! {
     recalls: runtime, sum, lower;
     /// Dirty writebacks sent (voluntary or recalled).
     writebacks: runtime, sum, lower;
+    /// Fills this node RDMA-wrote from its own Dirty line straight into a
+    /// requester's line, at a three-leg recall (DESIGN.md §4.2). The
+    /// requester counts the fill in `fills` as usual.
+    direct_fills: runtime, sum, lower;
     /// Operand flushes sent (voluntary or recalled).
     operand_flushes: runtime, sum, lower;
     /// Operand flushes *reduced into* this node's home subarray (each is one

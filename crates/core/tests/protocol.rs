@@ -2,7 +2,13 @@
 //! reads, writes, ownership migration, the Operated state, eviction under
 //! cache pressure, distributed locks, pins, and determinism.
 
-use darray::{AccessPath, ArrayOptions, Cluster, ClusterConfig, Ctx, PinMode, Sim, SimConfig};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+
+use darray::{
+    AccessPath, ArrayOptions, Cluster, ClusterConfig, Ctx, FaultConfig, FaultPlan, PinMode, Sim,
+    SimConfig,
+};
 
 fn sim() -> Sim {
     Sim::new(SimConfig::default())
@@ -674,4 +680,59 @@ fn prefetch_reduces_misses_on_sequential_scan() {
         with < without,
         "prefetch should absorb misses: {with} >= {without}"
     );
+}
+
+/// Node 2's misses on an element of node 0's chunk that node 1 holds
+/// Dirty, on 3 nodes at the default network with two runtime threads: the
+/// virtual ns of a read, then of a write, and of a plain remote fill of an
+/// untouched chunk node 0 homes; and the bytes node 0 posted during the
+/// write miss.
+fn dirty_miss_probe(fault: Option<FaultConfig>) -> ([u64; 3], u64) {
+    let mut cfg = ClusterConfig::with_nodes(3);
+    cfg.runtime_threads = 2;
+    cfg.fault = fault;
+    with_cluster(cfg, |ctx, cluster| {
+        // Node 0 homes chunks 0..4.
+        let arr = cluster.alloc::<u64>(12 * 512, ArrayOptions::default());
+        // One access by `node`, alone in the cluster: a set of `write`, or
+        // a get that must read `want`. Returns its virtual ns.
+        let access = |ctx: &mut Ctx, node: usize, index: usize, write: Option<u64>, want: u64| {
+            let (took, arr) = (Arc::new(AtomicU64::new(0)), arr.clone());
+            let out = took.clone();
+            cluster.run(ctx, 1, move |ctx, env| {
+                if env.node != node {
+                    return;
+                }
+                let a = arr.on(env.node);
+                let t0 = ctx.now();
+                match write {
+                    Some(v) => a.set(ctx, index, v),
+                    None => assert_eq!(a.get(ctx, index), want),
+                }
+                out.store(ctx.now() - t0, Ordering::Relaxed);
+            });
+            took.load(Ordering::Relaxed)
+        };
+        access(ctx, 1, 8, Some(42), 0);
+        let read = access(ctx, 2, 8, None, 42);
+        access(ctx, 1, 8, Some(43), 0);
+        let before = cluster.stats(0).bytes_tx;
+        let write = access(ctx, 2, 8, Some(44), 0);
+        let home_bytes = cluster.stats(0).bytes_tx - before;
+        let plain = access(ctx, 2, 512 + 8, None, 0);
+        ([read, write, plain], home_bytes)
+    })
+}
+
+/// The three-leg recall (DESIGN.md §4.2): node 1 fills node 2 itself, so
+/// a read or a write of node 1's Dirty copy takes 4,269 ns where the
+/// four-leg recall took 5,764 and 5,804 (a plain remote fill takes 2,993).
+/// For the write the home posts only the 48 bytes of its recall, no 4 KiB
+/// fill. A cluster with a fault config, even a benign one, keeps the
+/// four-leg recall and its timings.
+#[test]
+fn a_dirty_miss_takes_three_legs() {
+    assert_eq!(dirty_miss_probe(None), ([4_269, 4_269, 2_993], 48));
+    let benign = Some(FaultConfig::new(FaultPlan::new(1)));
+    assert_eq!(dirty_miss_probe(benign), ([5_764, 5_804, 2_993], 4_304));
 }

@@ -228,6 +228,12 @@ where
 enum Frame {
     /// A coherence message, delivered through [`Msg::deliver`].
     Coherence(Msg),
+    /// A fill or writeback notice behind the one-sided WRITE of the value
+    /// it carries (only the three-leg world tracks values).
+    Data {
+        msg: Msg,
+        val: u8,
+    },
     // home → remote
     LockGrant {
         kind: LockKind,
@@ -289,6 +295,8 @@ struct Remote {
     req_budget: u8,
     lock_budget: u8,
     evict_budget: u8,
+    /// The value in this node's line (the three-leg world tracks it).
+    val: u8,
 }
 
 impl Remote {
@@ -307,6 +315,7 @@ impl Remote {
             req_budget,
             lock_budget,
             evict_budget,
+            val: 0,
         }
     }
 
@@ -327,6 +336,7 @@ impl Remote {
             req_budget: 0,
             lock_budget: 0,
             evict_budget: 0,
+            val: 0,
         }
     }
 }
@@ -347,6 +357,8 @@ struct Home {
     lock: Lock,
     req_budget: u8,
     lock_budget: u8,
+    /// The value in the home image (the three-leg world tracks it).
+    image: u8,
 }
 
 /// One explorable world state, memoized by its derived `Hash`: every field
@@ -361,6 +373,9 @@ struct World {
     h2r: [VecDeque<Frame>; NREM],
     /// FIFO link remote `i+1` → home.
     r2h: [VecDeque<Frame>; NREM],
+    /// FIFO link remote `i+1` → the other remote: a three-leg recall's
+    /// fill.
+    r2r: [VecDeque<Frame>; NREM],
     /// The home's minimum-hold grace window (`grace_ns`), constant within
     /// a search.
     grace: u64,
@@ -409,6 +424,14 @@ struct World {
     compact_budget: u8,
     /// Remote lock acquires may also take write-intent locks.
     intent_locks: bool,
+    /// The home recalls a Dirty chunk for a remote read or write in three
+    /// legs, and the world tracks the chunk's values: the last value
+    /// written, which every readable copy must hold. Only reads and writes
+    /// are issued (Operate takes no three-leg path, and its combined
+    /// values are not tracked).
+    three_leg: bool,
+    /// The last value written (three-leg world).
+    latest: u8,
 }
 
 /// The crash-atomic phases of `LogChunkStore::checkpoint` (DESIGN.md §14),
@@ -523,6 +546,19 @@ struct Ck {
     /// transition out of `OperatedIdle`: a re-acquire, an idle recall, a
     /// request for other rights, a home restart).
     idle_exits: BTreeSet<&'static str>,
+    /// Three-leg fills a recalled owner sent, read (keep) and write.
+    direct_read_fills: usize,
+    direct_write_fills: usize,
+    /// Owner writebacks that crossed a three-leg recall: a voluntary
+    /// writeback (an eviction) and an intent unlock's downgrade.
+    crossing_writebacks: usize,
+    crossing_downgrades: usize,
+    /// Requests that reached the home while a three-leg recall was
+    /// pending, and queued behind it.
+    queued_behind_direct: usize,
+    /// Reads the home served while a three-leg read recall awaited its
+    /// requester's ack.
+    reads_during_direct: usize,
 }
 
 impl Display for Ck {
@@ -574,6 +610,8 @@ impl Display for Ck {
 enum Tr {
     DeliverH2R(usize),
     DeliverR2H(usize),
+    /// Deliver the next frame from remote `i+1` to the other remote.
+    DeliverR2R(usize),
     DrainRemote(usize),
     DrainHome,
     Retry,
@@ -622,6 +660,17 @@ enum Tr {
     Refute(usize),
 }
 
+impl World {
+    /// The request kinds the application slots issue.
+    fn kinds(&self) -> &'static [Kind] {
+        if self.three_leg {
+            &KINDS[..2]
+        } else {
+            &KINDS
+        }
+    }
+}
+
 impl Model for World {
     type Tr = Tr;
     type Ck = Ck;
@@ -638,6 +687,9 @@ impl Model for World {
             }
             if self.home.is_some() && !self.r2h[i].is_empty() {
                 out.push(Tr::DeliverR2H(i));
+            }
+            if self.rem[1 - i].alive && !self.r2r[i].is_empty() {
+                out.push(Tr::DeliverR2R(i));
             }
             if self.rem[i].alive && self.rem[i].after.is_some() {
                 out.push(Tr::DrainRemote(i));
@@ -675,7 +727,7 @@ impl Model for World {
         let mut out = Vec::new();
         if let Some(h) = &self.home {
             if h.app == App::Idle && h.req_budget > 0 {
-                for kind in KINDS {
+                for &kind in self.kinds() {
                     if !h.dentry.0.permits(kind, || h.dentry.1) {
                         out.push(Tr::AppHome(kind));
                     }
@@ -696,7 +748,7 @@ impl Model for World {
                 continue;
             }
             if r.app == App::Idle && r.req_budget > 0 && !r.home_down {
-                for kind in KINDS {
+                for &kind in self.kinds() {
                     if !r.state.permits(kind, || r.op_tag) {
                         out.push(Tr::AppRemote(i, kind));
                     }
@@ -850,6 +902,12 @@ impl Model for World {
                 i + 1,
                 self.r2h[i].front().unwrap()
             ),
+            Tr::DeliverR2R(i) => format!(
+                "deliver r{}->r{}: {:?}",
+                i + 1,
+                2 - i,
+                self.r2r[i].front().unwrap()
+            ),
             Tr::DrainRemote(i) => format!(
                 "drain completes on r{}: {:?}",
                 i + 1,
@@ -898,7 +956,11 @@ impl Model for World {
         match tr {
             Tr::DeliverH2R(i) => {
                 let msg = self.h2r[i].pop_front().unwrap();
-                deliver_to_remote(self, s, i, msg);
+                deliver_to_remote(self, s, i, HOME, msg);
+            }
+            Tr::DeliverR2R(i) => {
+                let msg = self.r2r[i].pop_front().unwrap();
+                deliver_to_remote(self, s, 1 - i, i + 1, msg);
             }
             Tr::DeliverR2H(i) => {
                 let msg = self.r2h[i].pop_front().unwrap();
@@ -1099,6 +1161,7 @@ impl Model for World {
                         lock: Lock::Idle,
                         req_budget: 0,
                         lock_budget: 0,
+                        image: 0,
                     });
                     // Announce the new incarnation to every survivor, FIFO
                     // *after* the old incarnation's Down marker: a remote always
@@ -1174,6 +1237,7 @@ impl Model for World {
                     let i = victim - 1;
                     self.rem[i] = Remote::dead();
                     self.h2r[i].clear();
+                    self.r2r[i].clear();
                     self.r2h[i].truncate(keep[0]);
                     if self.home.is_some() {
                         self.r2h[i].push_back(Frame::Down { dead: victim });
@@ -1188,6 +1252,7 @@ impl Model for World {
                 for (i, &kept) in keep.iter().enumerate() {
                     self.rem[i] = Remote::dead();
                     self.h2r[i].clear();
+                    self.r2r[i].clear();
                     self.r2h[i].truncate(kept);
                     // Generation guards on a live home; each victim's marker
                     // rides its own FIFO, so the home learns of the two deaths
@@ -1331,10 +1396,44 @@ impl Model for World {
                 }
             }
             if let Some(h) = &self.home {
-                if !matches!(h.m.state(), DirState::Dirty { owner } if *owner == e + 1) {
+                // A node whose three-leg fill is in flight holds the chunk
+                // already; the directory names it once its ack arrives.
+                let direct = matches!(h.m.transient(),
+                    darray::protocol::Transient::AwaitDirectFill { requester, .. }
+                        if *requester == e + 1);
+                if !direct && !matches!(h.m.state(), DirState::Dirty { owner } if *owner == e + 1) {
                     s.fail(
                         self,
                         &format!("r{} is Exclusive but directory is {:?}", e + 1, h.m.state()),
+                    );
+                }
+            }
+        }
+        // Data values: every readable copy holds the last value written.
+        if self.three_leg {
+            for (i, r) in self.rem.iter().enumerate() {
+                let readable = matches!(r.state, LocalState::Shared | LocalState::Exclusive);
+                if r.alive && readable && r.val != self.latest {
+                    s.fail(
+                        self,
+                        &format!(
+                            "r{} {:?} reads {} but {} was written last",
+                            i + 1,
+                            r.state,
+                            r.val,
+                            self.latest
+                        ),
+                    );
+                }
+            }
+            if let Some(h) = &self.home {
+                if h.dentry.0.permits(Kind::Read, || h.dentry.1) && h.image != self.latest {
+                    s.fail(
+                        self,
+                        &format!(
+                            "the home {:?} reads {} but {} was written last",
+                            h.dentry.0, h.image, self.latest
+                        ),
                     );
                 }
             }
@@ -1548,10 +1647,22 @@ impl Model for World {
 // Execution: the steps `apply` is made of
 // ---------------------------------------------------------------------------
 
-/// Deliver one frame to remote `i` (node id `i+1`).
-fn deliver_to_remote(w: &mut World, s: &mut Search<World>, i: usize, frame: Frame) {
+/// Deliver one frame from node `from` (the home, or the other remote) to
+/// remote `i` (node id `i+1`).
+fn deliver_to_remote(w: &mut World, s: &mut Search<World>, i: usize, from: usize, frame: Frame) {
     match frame {
-        Frame::Coherence(msg) => match msg.deliver::<u32>(HOME) {
+        // A fill's WRITE lands in the line it was sent for.
+        Frame::Data { msg, val } => {
+            let r = &mut w.rem[i];
+            if matches!(
+                r.state,
+                LocalState::FillingShared | LocalState::FillingExclusive
+            ) {
+                r.val = val;
+            }
+            deliver_to_remote(w, s, i, from, Frame::Coherence(msg));
+        }
+        Frame::Coherence(msg) => match msg.deliver::<u32>(from) {
             Delivery::Cache(ev) => run_cache_event(w, s, i, ev),
             Delivery::Home(ev) => s.fail(
                 w,
@@ -1626,8 +1737,35 @@ fn deliver_to_home(w: &mut World, s: &mut Search<World>, i: usize, frame: Frame)
         );
     }
     match frame {
+        // A writeback's WRITE lands in the home image, whatever the notice
+        // then does.
+        Frame::Data { msg, val } => {
+            w.home.as_mut().unwrap().image = val;
+            deliver_to_home(w, s, i, Frame::Coherence(msg));
+        }
         Frame::Coherence(msg) => match msg.deliver(from) {
-            Delivery::Home(ev) => run_home_event(w, s, ev),
+            Delivery::Home(ev) => {
+                if let darray::protocol::Transient::AwaitDirectFill { owner, .. } =
+                    w.home.as_ref().unwrap().m.transient()
+                {
+                    match ev {
+                        HomeEvent::Writeback {
+                            downgrade,
+                            direct: false,
+                            ..
+                        } if *owner == from => {
+                            if downgrade {
+                                s.ck.crossing_downgrades += 1;
+                            } else {
+                                s.ck.crossing_writebacks += 1;
+                            }
+                        }
+                        HomeEvent::Request(_) => s.ck.queued_behind_direct += 1,
+                        _ => {}
+                    }
+                }
+                run_home_event(w, s, ev)
+            }
             Delivery::Cache(ev) => s.fail(w, &format!("cache-side event {ev:?} sent to the home")),
         },
         Frame::LockAcq { kind, intent } => {
@@ -1787,7 +1925,17 @@ fn write_miss_remote(w: &mut World, s: &mut Search<World>, i: usize) {
 /// Feed one event to the home machine and execute its actions.
 fn run_home_event(w: &mut World, s: &mut Search<World>, ev: HomeEvent<u32>) {
     let (now, grace) = (w.now, w.grace);
-    let actions = w.home.as_mut().unwrap().m.on_event(now, grace, ev);
+    let m = &mut w.home.as_mut().unwrap().m;
+    let actions = m.on_event(now, grace, ev);
+    if matches!(
+        m.transient(),
+        darray::protocol::Transient::AwaitDirectFill { .. }
+    ) {
+        s.ck.reads_during_direct += actions
+            .iter()
+            .filter(|a| matches!(a, HomeAction::SendFill { .. } | HomeAction::Wake(APP_TOKEN)))
+            .count();
+    }
     for a in actions {
         match a {
             HomeAction::ChargeDirUpdate => {}
@@ -1798,15 +1946,28 @@ fn run_home_event(w: &mut World, s: &mut Search<World>, ev: HomeEvent<u32>) {
                 if !matches!(h.app, App::Waiting(_)) {
                     s.fail(w, "home app woken while not waiting");
                 }
+                if w.three_leg && h.app == App::Waiting(Kind::Write) {
+                    w.latest += 1;
+                    h.image = w.latest;
+                }
                 h.app = App::Idle;
             }
             HomeAction::SendFill { to, exclusive, .. } => {
-                let fill = if exclusive {
-                    Msg::FillExclusive
+                let fill = Msg::fill(exclusive, false);
+                let h = w.home.as_ref().unwrap();
+                if w.three_leg {
+                    send_h2r_frame(
+                        w,
+                        s,
+                        to,
+                        Frame::Data {
+                            msg: fill,
+                            val: h.image,
+                        },
+                    );
                 } else {
-                    Msg::FillShared
-                };
-                send_h2r(w, s, to, fill);
+                    send_h2r(w, s, to, fill);
+                }
             }
             // Migration messages cannot be sent in this world (no
             // `BeginMigration` is ever injected); the elastic re-homing
@@ -1868,14 +2029,19 @@ fn run_home_event(w: &mut World, s: &mut Search<World>, ev: HomeEvent<u32>) {
 /// node the home has already declared dead is a recovery bug — the whole
 /// point of `forget_peer` is that no action ever references a corpse.
 fn send_h2r(w: &mut World, s: &mut Search<World>, to: usize, msg: Msg) {
+    send_h2r_frame(w, s, to, Frame::Coherence(msg));
+}
+
+/// [`send_h2r`] for any frame.
+fn send_h2r_frame(w: &mut World, s: &mut Search<World>, to: usize, frame: Frame) {
     if w.home.as_ref().unwrap().knows_dead[to - 1] {
         s.fail(
             w,
-            &format!("home sent {msg:?} to node {to} it knows is dead"),
+            &format!("home sent {frame:?} to node {to} it knows is dead"),
         );
     }
     if w.rem[to - 1].alive {
-        w.h2r[to - 1].push_back(Frame::Coherence(msg));
+        w.h2r[to - 1].push_back(frame);
     }
     // else: the node died but the detector hasn't fired yet; the message is
     // lost in flight (prefix truncation already modeled it).
@@ -1930,9 +2096,41 @@ fn run_cache_event(w: &mut World, s: &mut Search<World>, i: usize, first: CacheE
                     send_r2h(w, s, i, msg);
                 }
                 CacheAction::SendWriteback {
-                    downgrade, release, ..
+                    downgrade,
+                    release,
+                    direct,
+                    ..
                 } => {
-                    send_r2h(w, s, i, Msg::WritebackNotice { downgrade });
+                    let msg = Msg::WritebackNotice { downgrade, direct };
+                    if w.three_leg {
+                        let val = w.rem[i].val;
+                        send_r2h_frame(w, s, i, Frame::Data { msg, val });
+                    } else {
+                        send_r2h(w, s, i, msg);
+                    }
+                    if release {
+                        w.rem[i].line = LINE_NONE;
+                    }
+                }
+                CacheAction::SendFill {
+                    to,
+                    exclusive,
+                    release,
+                    ..
+                } => {
+                    assert_eq!(to, 2 - i, "a three-leg fill goes to the other remote");
+                    if exclusive {
+                        s.ck.direct_write_fills += 1;
+                    } else {
+                        s.ck.direct_read_fills += 1;
+                    }
+                    let frame = Frame::Data {
+                        msg: Msg::fill(exclusive, true),
+                        val: w.rem[i].val,
+                    };
+                    if w.rem[1 - i].alive {
+                        w.r2r[i].push_back(frame);
+                    }
                     if release {
                         w.rem[i].line = LINE_NONE;
                     }
@@ -1973,14 +2171,19 @@ fn run_cache_event(w: &mut World, s: &mut Search<World>, i: usize, first: CacheE
 /// node consumed the home's `Down` marker is a recovery bug: every cache
 /// path must go local-only once the home is known dead.
 fn send_r2h(w: &mut World, s: &mut Search<World>, i: usize, msg: Msg) {
+    send_r2h_frame(w, s, i, Frame::Coherence(msg));
+}
+
+/// [`send_r2h`] for any frame.
+fn send_r2h_frame(w: &mut World, s: &mut Search<World>, i: usize, frame: Frame) {
     if w.rem[i].home_down {
         s.fail(
             w,
-            &format!("r{} sent {msg:?} to a home it knows is dead", i + 1),
+            &format!("r{} sent {frame:?} to a home it knows is dead", i + 1),
         );
     }
     if w.home.is_some() {
-        w.r2h[i].push_back(Frame::Coherence(msg));
+        w.r2h[i].push_back(frame);
     }
     // else: home died, marker in flight; the message is never consumed.
 }
@@ -1995,6 +2198,11 @@ fn recheck_app(w: &mut World, i: usize, events: &mut VecDeque<CacheEvent>) {
     };
     if r.state.permits(kind, || r.op_tag) || r.home_down {
         r.app = App::Idle;
+        // A write writes a fresh value (three-leg world).
+        if w.three_leg && kind == Kind::Write && !r.home_down {
+            w.latest += 1;
+            r.val = w.latest;
+        }
     } else {
         let drain_pending = r.after.is_some();
         events.push_back(CacheEvent::Request {
@@ -2029,6 +2237,7 @@ fn initial_world(
             lock: Lock::Idle,
             req_budget: home_req,
             lock_budget: home_locks,
+            image: 0,
         }),
         rem: [
             Remote::fresh(req[0], locks[0], evicts[0]),
@@ -2036,6 +2245,7 @@ fn initial_world(
         ],
         h2r: [VecDeque::new(), VecDeque::new()],
         r2h: [VecDeque::new(), VecDeque::new()],
+        r2r: [VecDeque::new(), VecDeque::new()],
         grace: 0,
         now: 0,
         retry_at: None,
@@ -2053,6 +2263,8 @@ fn initial_world(
         compacting: None,
         compact_budget: 0,
         intent_locks: false,
+        three_leg: false,
+        latest: 0,
     }
 }
 
@@ -2071,6 +2283,15 @@ fn durable_world(mut w: World, restarts: u8) -> World {
 fn compaction_world(mut w: World, compactions: u8) -> World {
     assert!(w.durable, "compaction requires the durable world");
     w.compact_budget = compactions;
+    w
+}
+
+/// Three-leg world: the home recalls a Dirty chunk for a remote read or
+/// write in three legs (DESIGN.md §4.2), the remotes have a link to each
+/// other for the owner's fill, and the world tracks the chunk's values.
+fn three_leg_world(mut w: World) -> World {
+    w.three_leg = true;
+    w.home.as_mut().unwrap().m.set_direct_fill(true);
     w
 }
 
@@ -2364,6 +2585,60 @@ fn crash_model_grace_window() {
         s.ck.pd_transients
     );
     assert!(s.quiescent > 0);
+}
+
+/// Three-leg recall search (DESIGN.md §4.2), fault-free: no kill and no
+/// suspicion, as the short path runs only where no node can die. Remote 1
+/// reads or writes once, evicts once and may take a write-intent lock
+/// whose unlock downgrades its copy; remote 2 reads or writes twice; the
+/// home reads or writes once. So a recall can find its owner's voluntary
+/// writeback or intent downgrade already on the way (the crossing), a
+/// stale Invalidate can still be on its way to a requester, requests
+/// queue behind a pending fill, and reads are served while a read's
+/// recall awaits its ack.
+/// Safety holds single writer (a node whose three-leg fill is in flight
+/// holds the chunk already) and that every readable copy, the home
+/// image's included, holds the last value written; quiescence holds
+/// directory agreement, as in every search.
+#[test]
+fn crash_model_three_leg_recall() {
+    let mut w = three_leg_world(initial_world([1, 2], [1, 0], [1, 0], 1, 0, 0, 0));
+    w.intent_locks = true;
+    let s = explore("three-leg", w);
+    println!(
+        "[three-leg-paths] read_fills={} write_fills={} crossing_writebacks={} \
+         crossing_downgrades={} queued={} reads_during={}",
+        s.ck.direct_read_fills,
+        s.ck.direct_write_fills,
+        s.ck.crossing_writebacks,
+        s.ck.crossing_downgrades,
+        s.ck.queued_behind_direct,
+        s.ck.reads_during_direct
+    );
+    assert_eq!(s.seen.len(), 253_972);
+    for (what, n) in [
+        ("three-leg read fill", s.ck.direct_read_fills),
+        ("three-leg write fill", s.ck.direct_write_fills),
+        (
+            "voluntary writeback crossing a recall",
+            s.ck.crossing_writebacks,
+        ),
+        (
+            "intent downgrade crossing a recall",
+            s.ck.crossing_downgrades,
+        ),
+        (
+            "request queued behind a three-leg fill",
+            s.ck.queued_behind_direct,
+        ),
+        (
+            "read served during a read recall's ack wait",
+            s.ck.reads_during_direct,
+        ),
+    ] {
+        assert!(n > 0, "no {what}");
+    }
+    assert!(s.quiescent > 0, "the search never reached quiescence");
 }
 
 // ===========================================================================
@@ -2923,11 +3198,7 @@ mod migration {
                 HomeAction::ChargeDirUpdate | HomeAction::Trace(_) => {}
                 HomeAction::Wake(_) => s.fail(w, "home woke a local waiter (none modeled)"),
                 HomeAction::SendFill { to, exclusive, .. } => {
-                    let fill = if exclusive {
-                        Msg::FillExclusive
-                    } else {
-                        Msg::FillShared
-                    };
+                    let fill = Msg::fill(exclusive, false);
                     m_send(w, s, h, to, fill, Some(w.img[h]));
                 }
                 // Operands combine into the image; the no-lost-write theorem
@@ -3152,7 +3423,7 @@ mod migration {
         match msg.deliver::<u32>(from) {
             Delivery::Cache(ev) => {
                 // A fill's RDMA WRITE lands in the line it was sent for.
-                if let (CacheEvent::FillDone { granted }, Some(val)) = (ev, write) {
+                if let (CacheEvent::FillDone { granted, .. }, Some(val)) = (ev, write) {
                     let filling = match granted {
                         LocalState::Shared => LocalState::FillingShared,
                         _ => LocalState::FillingExclusive,
@@ -3205,10 +3476,14 @@ mod migration {
                     CacheAction::InitOperandBuffer { .. } => {}
                     CacheAction::Send { to, msg } => m_req_send(w, to, msg, None),
                     CacheAction::SendWriteback {
-                        downgrade, release, ..
+                        downgrade,
+                        release,
+                        direct,
+                        ..
                     } => {
                         let (to, val) = (w.r_home, w.r_val);
-                        m_req_send(w, to, Msg::WritebackNotice { downgrade }, Some(val));
+                        let msg = Msg::WritebackNotice { downgrade, direct };
+                        m_req_send(w, to, msg, Some(val));
                         if release {
                             w.r_line = LINE_NONE;
                         }
@@ -3230,6 +3505,10 @@ mod migration {
                     CacheAction::SendUpgrade { kind, .. } => {
                         m_req_send(w, w.r_home, Msg::request(kind, 0), None);
                     }
+                    CacheAction::SendFill { .. } => s.fail(
+                        w,
+                        "a three-leg fill in a world that never recalls to a requester",
+                    ),
                     CacheAction::PrefetchHint | CacheAction::Trace(_) | CacheAction::Count(_) => {}
                 }
             }

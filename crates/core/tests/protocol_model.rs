@@ -53,6 +53,12 @@ enum R {
 #[derive(Debug, Clone)]
 enum Reply {
     Msg(usize, Msg),
+    /// A recalled `owner`'s fill of `requester`'s line landing.
+    DirectFill {
+        owner: usize,
+        requester: usize,
+        keep: bool,
+    },
     Drained,
     Retry(u64),
     PersistDone(u64),
@@ -70,6 +76,7 @@ fn event_name(ev: &HomeEvent<u32>) -> &'static str {
         HomeEvent::InvAck { .. } => "InvAck",
         HomeEvent::EvictNotice { .. } => "EvictNotice",
         HomeEvent::Writeback { .. } => "Writeback",
+        HomeEvent::FillAck { .. } => "FillAck",
         HomeEvent::Flush { .. } => "Flush",
         HomeEvent::Drained => "Drained",
         HomeEvent::RetryExpired => "RetryExpired",
@@ -111,22 +118,31 @@ struct World {
     transient_coverage: BTreeSet<(String, String)>,
     /// Recalls that reached an idle holder, answered with an empty flush.
     idle_recalls: usize,
+    /// (stable-state name, keep) of every three-leg recall sent.
+    direct_recalls: BTreeSet<(String, bool)>,
 }
 
 impl World {
     fn new(grace: u64) -> Self {
-        Self::build(grace, false)
+        Self::build(grace, false, false)
     }
 
     /// A world whose home machine persists dirty data before acking
     /// (the `AwaitPersist` transient between writeback and wake).
     fn new_durable(grace: u64) -> Self {
-        Self::build(grace, true)
+        Self::build(grace, true, false)
     }
 
-    fn build(grace: u64, durable: bool) -> Self {
+    /// A world whose home machine recalls a Dirty chunk for a remote read
+    /// or write in three legs (the `AwaitDirectFill` transient).
+    fn new_direct(grace: u64) -> Self {
+        Self::build(grace, false, true)
+    }
+
+    fn build(grace: u64, durable: bool, direct: bool) -> Self {
         let mut m = HomeMachine::new();
         m.set_durable(durable);
+        m.set_direct_fill(direct);
         Self {
             m,
             grace,
@@ -141,6 +157,7 @@ impl World {
             request_coverage: BTreeSet::new(),
             transient_coverage: BTreeSet::new(),
             idle_recalls: 0,
+            direct_recalls: BTreeSet::new(),
         }
     }
 
@@ -222,8 +239,28 @@ impl World {
                 return;
             }
             Msg::Invalidate => Msg::InvalidateAck,
-            Msg::RecallDirty => Msg::WritebackNotice { downgrade: false },
-            Msg::DowngradeDirty => Msg::WritebackNotice { downgrade: true },
+            Msg::RecallDirty => Msg::WritebackNotice {
+                downgrade: false,
+                direct: false,
+            },
+            Msg::DowngradeDirty => Msg::WritebackNotice {
+                downgrade: true,
+                direct: false,
+            },
+            // The three-leg recall: the owner fills the requester, which
+            // acks; a read's owner also writes back and keeps a copy.
+            &Msg::RecallTo {
+                requester, keep, ..
+            } => {
+                self.direct_recalls
+                    .insert((self.m.state().name().to_string(), keep));
+                self.inflight.push(Reply::DirectFill {
+                    owner: node,
+                    requester,
+                    keep,
+                });
+                return;
+            }
             // An idle holder's operands already went home in keep
             // flushes: it answers at once with an empty one.
             Msg::RecallOperated { op } if self.rights[node] == R::Idle(*op) => {
@@ -252,13 +289,32 @@ impl World {
         match reply {
             Reply::Msg(n, msg) => {
                 // The cache gave up what it replies for; a downgrade keeps
-                // a Shared copy.
-                self.rights[n] = if msg == (Msg::WritebackNotice { downgrade: true }) {
-                    R::Read
-                } else {
-                    R::None
-                };
+                // a Shared copy, and an ack keeps the fill it acknowledges.
+                match msg {
+                    Msg::FillAck => {}
+                    Msg::WritebackNotice {
+                        downgrade: true, ..
+                    } => self.rights[n] = R::Read,
+                    _ => self.rights[n] = R::None,
+                }
                 self.feed_msg(n, msg);
+            }
+            Reply::DirectFill {
+                owner,
+                requester,
+                keep,
+            } => {
+                self.rights[owner] = if keep { R::Read } else { R::None };
+                self.rights[requester] = if keep { R::Read } else { R::Write };
+                self.check_invariants();
+                self.inflight.push(Reply::Msg(requester, Msg::FillAck));
+                if keep {
+                    let wb = Msg::WritebackNotice {
+                        downgrade: true,
+                        direct: true,
+                    };
+                    self.inflight.push(Reply::Msg(owner, wb));
+                }
             }
             Reply::Drained => {
                 if let Some(t) = self.drain_target.take() {
@@ -462,7 +518,13 @@ fn operated(world: &mut World, op: u32, sharers: &[usize]) {
 fn downgraded(world: &mut World, owner: usize) {
     dirty(world, owner);
     world.rights[owner] = R::Read;
-    world.feed_msg(owner, Msg::WritebackNotice { downgrade: true });
+    world.feed_msg(
+        owner,
+        Msg::WritebackNotice {
+            downgrade: true,
+            direct: false,
+        },
+    );
     world.quiesce();
     assert_eq!(
         world.m.state(),
@@ -544,6 +606,36 @@ fn exhaustive_state_by_request_matrix() {
     assert!(idle_recalls > 0, "no recall ever reached an idle holder");
     assert!(idle_requests > 0, "no idle holder ever requested");
 
+    // The three-leg cells: a remote read or write of a Dirty chunk by the
+    // node that does not own it, with the short path on. The owner fills
+    // the requester, and the directory must come out as the four-leg
+    // recall leaves it.
+    let mut direct = BTreeSet::new();
+    for owner in REMOTES {
+        let requester = 3 - owner;
+        for (kind, keep) in [(Kind::Read, true), (Kind::Write, false)] {
+            let mut w = World::new_direct(0);
+            dirty(&mut w, owner);
+            w.remote_request(requester, kind);
+            w.quiesce();
+            let want = if keep {
+                DirState::Shared {
+                    sharers: vec![owner, requester],
+                }
+            } else {
+                DirState::Dirty { owner: requester }
+            };
+            assert_eq!(w.m.state(), &want, "{kind:?} of r{owner}'s Dirty chunk");
+            direct.extend(w.direct_recalls);
+        }
+    }
+    for keep in [false, true] {
+        assert!(
+            direct.contains(&("Dirty".to_string(), keep)),
+            "no three-leg recall with keep={keep}: {direct:?}"
+        );
+    }
+
     // Every stable state saw every request kind from both requester sides.
     for state in ["Unshared", "Shared", "Dirty", "Operated"] {
         for kind in ["Read", "Write", "Operate"] {
@@ -613,7 +705,8 @@ fn random_interleavings_preserve_invariants() {
                         if let Some(&n) = REMOTES.iter().find(|&&n| w.rights[n] == R::Write) {
                             let downgrade = rng.below(2) == 0;
                             w.rights[n] = if downgrade { R::Read } else { R::None };
-                            w.feed_msg(n, Msg::WritebackNotice { downgrade });
+                            let direct = false;
+                            w.feed_msg(n, Msg::WritebackNotice { downgrade, direct });
                             downgrades += usize::from(downgrade);
                         }
                     }
@@ -699,7 +792,10 @@ fn all_cache_events() -> Vec<CacheEvent> {
         v.push(LineAllocated { line: 3, kind });
     }
     for granted in [LocalState::Shared, LocalState::Exclusive] {
-        v.push(FillDone { granted });
+        // From the home, and from a recalled owner.
+        for direct in [false, true] {
+            v.push(FillDone { granted, direct });
+        }
     }
     for op in [5, 9] {
         v.push(GrantDone { op });
@@ -708,6 +804,13 @@ fn all_cache_events() -> Vec<CacheEvent> {
     v.push(Invalidate { from: 0 });
     v.push(RecallDirty);
     v.push(DowngradeDirty);
+    for keep in [false, true] {
+        v.push(RecallTo {
+            requester: 2,
+            dst_off: 64,
+            keep,
+        });
+    }
     v.push(Evict);
     v.push(Downgrade);
     let afters = [
@@ -727,6 +830,18 @@ fn all_cache_events() -> Vec<CacheEvent> {
             line: 3,
             old_op: 5,
             kind: Kind::Operate(9),
+        },
+        AfterDrain::FillRequester {
+            line: 3,
+            requester: 2,
+            dst_off: 64,
+            keep: false,
+        },
+        AfterDrain::FillRequester {
+            line: 3,
+            requester: 2,
+            dst_off: 64,
+            keep: true,
         },
     ];
     for after in afters {

@@ -378,6 +378,68 @@ fn tcp_matches_sim_with_write_intent_locks() {
     assert_eq!(sum(|s| s.recalls), 0, "an unlock left a copy to recall");
 }
 
+/// A read after a remote write, then a write after a remote write: each
+/// node writes its peer's chunk 1 and chunk 3, and the third node of each
+/// (writer, home) pair then reads chunk 1 and writes chunk 3. Both misses
+/// find the chunk Dirty at another node than the home, so the owner fills
+/// the third node itself (the three-leg recall, DESIGN.md §4.2). The home
+/// reads its chunk 3 back last, recalling the third node's write.
+fn run_three_leg_workload(cfg: ClusterConfig) -> Vec<NodeStatsSnapshot> {
+    Sim::new(SimConfig::default()).run(move |ctx| {
+        let cluster = Cluster::new(ctx, cfg);
+        let arr = cluster.alloc::<u64>(
+            NODES * CHUNKS_PER_NODE * DEFAULT_CHUNK_SIZE,
+            ArrayOptions::default(),
+        );
+        cluster.run(ctx, 1, move |ctx, env| {
+            let a = arr.on(env.node);
+            let peer = (env.node + 1) % NODES;
+            for k in 0..8 {
+                a.set(ctx, base(peer, 1) + k, k as u64 + 1);
+                a.set(ctx, base(peer, 3) + k, k as u64 + 1);
+            }
+            env.barrier(ctx);
+            let home = (env.node + 2) % NODES;
+            for k in 0..8 {
+                assert_eq!(a.get(ctx, base(home, 1) + k), k as u64 + 1);
+                a.set(ctx, base(home, 3) + k, k as u64 + 10);
+            }
+            env.barrier(ctx);
+            for k in 0..8 {
+                assert_eq!(a.get(ctx, base(env.node, 3) + k), k as u64 + 10);
+            }
+            env.barrier(ctx);
+            for d in 1..NODES {
+                let h = (env.node + d) % NODES;
+                assert_eq!(a.get(ctx, base(h, 5) + env.node), 0);
+            }
+            env.barrier(ctx);
+        });
+        let stats = (0..NODES).map(|n| cluster.stats(n)).collect();
+        cluster.shutdown(ctx);
+        stats
+    })
+}
+
+/// A recalled owner's fill travels over the owner-to-requester link and
+/// the requester acks it to the home; the transitions and `direct_fills`
+/// this makes are the same on both backends.
+#[test]
+fn tcp_matches_sim_through_three_leg_recalls() {
+    let sim = run_three_leg_workload(parity_config(TransportKind::Sim));
+    let tcp = run_three_leg_workload(parity_config(TransportKind::Tcp));
+    for node in 0..NODES {
+        assert_eq!(
+            protocol_view(sim[node]),
+            protocol_view(tcp[node]),
+            "node {node}: three-leg recall counters must not depend on the backend"
+        );
+    }
+    // One read and one write fill per (writer, home) pair.
+    let direct: u64 = sim.iter().map(|s| s.direct_fills).sum();
+    assert_eq!(direct, 2 * NODES as u64);
+}
+
 /// [`parity_config`] with the async pump's batching knobs turned all the
 /// way from their defaults: a shallow 4-frame egress ring, selective
 /// signaling every 8th frame, and a single pump thread multiplexing every

@@ -475,7 +475,11 @@ mod tests {
             );
             let (rounds, cc) = on_8_nodes(&el, None, pin);
             assert_eq!(rounds, 3);
-            assert_eq!(traffic(&cc), [645, 597, 576, 2602], "CC, pin {pin}");
+            // CC's convergence flags share one chunk, which the nodes
+            // write and read in turn. Its recalls take three legs
+            // (DESIGN.md §4.2): one frame fewer for a write, and one more,
+            // the requester's ack, for a read.
+            assert_eq!(traffic(&cc), [645, 597, 576, 2596], "CC, pin {pin}");
             // Without hints each round's scatter alone waits once per
             // target. CC partitions the symmetrized graph. Node 0's count
             // also holds the gather after the rounds, so take out that
