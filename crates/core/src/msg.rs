@@ -395,6 +395,8 @@ frames! {
         29 => Coherence(Msg::WritebackNotice) { downgrade: bool, direct: bool = true },
         30 => Coherence(Msg::FillShared) { direct: bool = true },
         31 => Coherence(Msg::FillExclusive) { direct: bool = true },
+        32 => Coherence(Msg::DirectedInvalidate) { requester: NodeId },
+        33 => Coherence(Msg::DirectedFill) { acks: u32 },
     }
     NetMsg {
         0 => Rpc { env: Envelope },
@@ -599,6 +601,8 @@ mod tests {
             rpc(writeback(false, true), 11),
             rpc(Msg::fill(false, true), 10),
             rpc(Msg::fill(true, true), 10),
+            rpc(Msg::DirectedInvalidate { requester: 2 }, 14),
+            rpc(Msg::DirectedFill { acks: 3 }, 14),
         ];
         let vote = |suspect, alive| NetMsg::SuspectVote { suspect, alive };
         let join = |node, admit| NetMsg::JoinVote { node, admit };
@@ -665,7 +669,7 @@ mod tests {
     fn unassigned_tags_are_rejected() {
         for tail in 0..=32 {
             let tail = vec![0u8; tail];
-            for tag in 32..=255u8 {
+            for tag in 34..=255u8 {
                 let frame = [&[0, 2, 0, 0, 0, 9, 0, 0, 0, tag], &tail[..]].concat();
                 assert!(NetMsg::decode(&frame).is_none(), "RPC tag {tag}");
             }

@@ -27,6 +27,11 @@ pub struct CacheView {
     pub draining: bool,
     /// The chunk's home as this node's home map names it.
     pub home: NodeId,
+    /// A directed write's ack count on its requester (DESIGN.md §4.2): the
+    /// `InvalidateAck`s still to come once the fill has landed (positive),
+    /// or minus the acks that landed ahead of the fill (negative); 0
+    /// otherwise. The executor keeps it beside the dentry.
+    pub acks: i64,
 }
 
 /// What to do once a Figure-5 drain completes. Mirrors the runtime's
@@ -118,6 +123,14 @@ pub enum CacheEvent {
         /// The miss kind it serves.
         kind: Kind,
     },
+    /// A directed write's exclusive fill arrived (data already RDMA-written
+    /// to our line): the chunk is ours once `acks` sharers have acked too.
+    DirectedFill {
+        /// The `InvalidateAck`s this fill waits for.
+        acks: u32,
+    },
+    /// A sharer acknowledged the directed write this node waits for.
+    InvAck,
     /// A fill notification arrived (data already RDMA-written to our line).
     FillDone {
         /// Rights granted: `Shared` or `Exclusive`.
@@ -135,6 +148,12 @@ pub enum CacheEvent {
     Invalidate {
         /// Home node to acknowledge to.
         from: NodeId,
+    },
+    /// The home asks us to drop our Shared copy for a directed write
+    /// (DESIGN.md §4.2) and acknowledge to its writer, whatever we hold.
+    DirectedInvalidate {
+        /// The writer to acknowledge to.
+        requester: NodeId,
     },
     /// The home recalls our Dirty ownership (write it back, invalidate).
     RecallDirty,
@@ -251,6 +270,17 @@ pub enum CacheAction {
         to: NodeId,
         /// The coherence message.
         msg: Msg,
+    },
+    /// Send `InvalidateAck` to node `to` once the drain under way has
+    /// completed: a directed invalidation that found the copy draining.
+    AckAfterDrain {
+        /// The writer to acknowledge to.
+        to: NodeId,
+    },
+    /// Record the directed write's ack count ([`CacheView::acks`]).
+    SetAcks {
+        /// The new count.
+        acks: i64,
     },
     /// RDMA-write the line back to the home subarray and send
     /// `WritebackNotice`.
@@ -381,6 +411,41 @@ impl CacheMachine {
                         reply_to: from,
                     },
                 }]
+            }
+            // A directed write's invalidation is acked to its writer whatever
+            // this node holds, one ack for each: a Shared copy drains first,
+            // as above; a drain under way (an eviction, or an upgrade that
+            // drops the copy) acks once it completes; a copy already gone
+            // (its eviction crossed the invalidation), or a fill awaited
+            // after a new request, acks at once. The home counts no
+            // eviction toward a directed write.
+            CacheEvent::DirectedInvalidate { requester } => {
+                if holds(LocalState::Shared) {
+                    vec![CacheAction::BeginDrain {
+                        target: LocalState::Invalid,
+                        tag: NOTAG,
+                        after: AfterDrain::Invalidate {
+                            line: view.line,
+                            reply_to: requester,
+                        },
+                    }]
+                } else if view.draining {
+                    vec![CacheAction::AckAfterDrain { to: requester }]
+                } else {
+                    vec![CacheAction::Send {
+                        to: requester,
+                        msg: Msg::InvalidateAck,
+                    }]
+                }
+            }
+            // The directed write's fill and its sharers' acks land in any
+            // order. Nothing tears a fill down where directed writes run, so
+            // both always find the write awaited.
+            CacheEvent::DirectedFill { acks } if view.state == LocalState::FillingExclusive => {
+                Self::collect(view, view.acks + i64::from(acks), true)
+            }
+            CacheEvent::InvAck if view.state == LocalState::FillingExclusive => {
+                Self::collect(view, view.acks - 1, view.acks > 0)
             }
             // Write an Exclusive copy back and drop it. Without one, a
             // voluntary writeback is already in flight (FIFO guarantees the
@@ -530,6 +595,30 @@ impl CacheMachine {
             Self::trace(view, state, trigger),
             CacheAction::WakeAllWaiters,
         ]
+    }
+
+    /// A directed write's requester counted an ack or its fill: `due` is
+    /// the new [`CacheView::acks`], and `landed` says the fill is in. Once
+    /// the data and every ack are in, the chunk is the requester's: it
+    /// wakes its waiters, then acks to the home, which holds the chunk
+    /// until then so that nothing it sends later reaches a node still
+    /// filling.
+    fn collect(view: &CacheView, due: i64, landed: bool) -> Vec<CacheAction> {
+        let mut out = vec![CacheAction::SetAcks { acks: due }];
+        if landed && due == 0 {
+            out.extend(Self::complete(
+                view,
+                LocalState::Exclusive,
+                NOTAG,
+                Counter::Fills,
+                "directed-fill",
+            ));
+            out.push(CacheAction::Send {
+                to: view.home,
+                msg: Msg::FillAck,
+            });
+        }
+        out
     }
 
     /// The Filling state and operator tag a request of `kind` waits in.
@@ -835,6 +924,7 @@ mod tests {
             line,
             draining: false,
             home: 0,
+            acks: 0,
         }
     }
 
@@ -1138,6 +1228,98 @@ mod tests {
             let acts = CacheMachine::on_event(&view(state, NOTAG, 1), fill);
             assert_eq!(acts[0], ack);
             assert_eq!(acts.len() > 1, state == LocalState::FillingShared);
+        }
+    }
+
+    /// A directed write's requester counts two acks whether they land
+    /// before, around or after its fill. It holds the chunk only once the
+    /// data and both acks are in: then it wakes its waiters, and then it
+    /// acks the home.
+    #[test]
+    fn a_directed_writer_collects_two_acks_around_its_fill() {
+        let (ack, fill) = (CacheEvent::InvAck, CacheEvent::DirectedFill { acks: 2 });
+        for order in [[ack, ack, fill], [ack, fill, ack], [fill, ack, ack]] {
+            let mut v = view(LocalState::FillingExclusive, NOTAG, 3);
+            for (k, ev) in order.into_iter().enumerate() {
+                let acts = CacheMachine::on_event(&v, ev);
+                let CacheAction::SetAcks { acks } = acts[0] else {
+                    panic!("{order:?} step {k}: {acts:?}")
+                };
+                v.acks = acks;
+                let held = acts.contains(&CacheAction::Promote {
+                    state: LocalState::Exclusive,
+                    tag: NOTAG,
+                });
+                assert_eq!(held, k == 2, "{order:?} step {k}: {acts:?}");
+                if held {
+                    assert_eq!(v.acks, 0);
+                    assert_eq!(
+                        acts[acts.len() - 2..],
+                        [
+                            CacheAction::WakeAllWaiters,
+                            CacheAction::Send {
+                                to: 0,
+                                msg: Msg::FillAck
+                            }
+                        ]
+                    );
+                }
+            }
+        }
+    }
+
+    /// A directed invalidation is acked to the writer it names whatever the
+    /// sharer holds: a Shared copy drains first, a drain under way acks
+    /// when it completes, and a copy already gone or still filling acks at
+    /// once.
+    #[test]
+    fn a_directed_invalidation_is_acked_to_its_writer() {
+        let ev = CacheEvent::DirectedInvalidate { requester: 2 };
+        let acts = CacheMachine::on_event(&view(LocalState::Shared, NOTAG, 5), ev);
+        let after = AfterDrain::Invalidate {
+            line: 5,
+            reply_to: 2,
+        };
+        assert_eq!(
+            acts,
+            [CacheAction::BeginDrain {
+                target: LocalState::Invalid,
+                tag: NOTAG,
+                after,
+            }]
+        );
+        let drained = CacheEvent::Drained {
+            after,
+            home_down: false,
+        };
+        let acts = CacheMachine::on_event(&view(LocalState::Invalid, NOTAG, 5), drained);
+        let ack = CacheAction::Send {
+            to: 2,
+            msg: Msg::InvalidateAck,
+        };
+        assert!(acts.contains(&ack), "{acts:?}");
+        for state in [
+            LocalState::Invalid,
+            LocalState::FillingShared,
+            LocalState::FillingExclusive,
+        ] {
+            let line = if state == LocalState::Invalid {
+                super::super::LINE_NONE
+            } else {
+                5
+            };
+            let mut v = view(state, NOTAG, line);
+            assert_eq!(
+                CacheMachine::on_event(&v, ev),
+                std::slice::from_ref(&ack),
+                "{state:?}"
+            );
+            v.draining = true;
+            assert_eq!(
+                CacheMachine::on_event(&v, ev),
+                [CacheAction::AckAfterDrain { to: 2 }],
+                "{state:?} draining"
+            );
         }
     }
 

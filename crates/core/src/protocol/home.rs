@@ -43,10 +43,13 @@ pub enum Transient {
     /// writeback. A writeback from the owner that is not the direct one
     /// crossed the recall, which the owner then ignores: it ends the wait,
     /// and the home serves the request from its fresh image. Once a read's
-    /// writeback landed, other reads are served during the wait.
+    /// writeback landed, other reads are served during the wait. A
+    /// directed write waits here too, for its requester's ack alone: the
+    /// requester acks once its sharers' acks and the home's fill are in.
     AwaitDirectFill {
-        /// The Dirty owner being recalled.
-        owner: NodeId,
+        /// The Dirty owner being recalled; `None` for a directed write,
+        /// which recalls nobody.
+        owner: Option<NodeId>,
         /// The node it fills.
         requester: NodeId,
         /// The requester's ack is still awaited.
@@ -295,6 +298,10 @@ pub enum HomeAction<W> {
         dst_off: u64,
         /// True for `FillExclusive`, false for `FillShared`.
         exclusive: bool,
+        /// The sharers' acks a directed write's requester collects besides
+        /// the fill ([`Msg::DirectedFill`], DESIGN.md §4.2); 0 for every
+        /// other fill.
+        acks: u32,
     },
     /// Reduce a flush's operands into the home subarray under operator
     /// `op` (operand data must never be lost).
@@ -427,6 +434,12 @@ pub struct HomeMachine<W> {
     /// One bit per node id below [`UNSETTLED_IDS`], which keeps the machine
     /// its size; a node with a higher id counts as unsettled always.
     unsettled: u32,
+    /// The sharers' acks the current directed write's requester collects
+    /// (DESIGN.md §4.2): counted when its `DirectedInvalidate`s leave, and
+    /// sent with its fill once the home dentry drained; 0 otherwise. A
+    /// `u16` fits in padding, which keeps the machine its size; a write to
+    /// a chunk with more sharers collects its acks at the home.
+    directed_acks: u16,
     /// Set once a migration commits on the source side: the chunk's new
     /// home and the fence epoch it moved under. A machine with this set is
     /// a *former* home: it forwards arriving remote requests and bounces
@@ -456,6 +469,7 @@ impl<W> HomeMachine<W> {
             persist_seq: 0,
             direct_fill: false,
             unsettled: 0,
+            directed_acks: 0,
             migrated_to: None,
         }
     }
@@ -466,9 +480,10 @@ impl<W> HomeMachine<W> {
         self.durable = durable;
     }
 
-    /// Turn the three-leg recall on or off (off by default). Flip this only
-    /// at bring-up, and only for a cluster where no node can die, persist
-    /// or move a home: a peer's death during the recall panics.
+    /// Turn the three-leg recall and the directed write on or off (off by
+    /// default). Flip this only at bring-up, and only for a cluster where
+    /// no node can die, persist or move a home: a peer's death during
+    /// either panics.
     pub fn set_direct_fill(&mut self, direct_fill: bool) {
         self.direct_fill = direct_fill;
     }
@@ -634,7 +649,7 @@ impl<W> HomeMachine<W> {
                 // that wrote back first crossed the recall and ignores it.
                 let expected = match &self.transient {
                     Transient::AwaitWriteback { from: f } => *f == from,
-                    Transient::AwaitDirectFill { owner, .. } => *owner == from,
+                    Transient::AwaitDirectFill { owner, .. } => *owner == Some(from),
                     _ => false,
                 };
                 // Unsolicited, from the Dirty owner: a voluntary eviction, or
@@ -1194,6 +1209,9 @@ impl<W> HomeMachine<W> {
             out.push(HomeAction::ScheduleRetry { at: resume_at });
             return false;
         }
+        if let Some((node, sharers)) = self.directed(&req) {
+            return self.direct_write(node, sharers, req, out);
+        }
         match (&self.state, req.kind) {
             // ---------------- Read ----------------
             (DirState::Unshared, Kind::Read) => match req.source {
@@ -1220,7 +1238,7 @@ impl<W> HomeMachine<W> {
                 }
                 Requester::Remote { node, dst_off } => {
                     self.add_sharer(node);
-                    self.fill(now, node, dst_off, false, out);
+                    self.fill(now, node, dst_off, false, 0, out);
                     true
                 }
                 Requester::Migration { .. } => unreachable!("a migration requests Write"),
@@ -1336,11 +1354,24 @@ impl<W> HomeMachine<W> {
                 // The recorded owner resuming its write grant after our own
                 // HomeDrain gets its fill; anything else recalls the owner.
                 // A migration never resumes, so migrating to the owner
-                // still recalls it.
+                // still recalls it. A directed write's fill carries its
+                // ack count, and the home holds the chunk until the
+                // requester acks it.
                 if let Requester::Remote { node, dst_off } = req.source {
                     if node == owner && kind == Kind::Write {
-                        self.fill(now, node, dst_off, true, out);
-                        return true;
+                        let acks = u32::from(std::mem::take(&mut self.directed_acks));
+                        self.fill(now, node, dst_off, true, acks, out);
+                        if acks == 0 {
+                            return true;
+                        }
+                        self.transient = Transient::AwaitDirectFill {
+                            owner: None,
+                            requester: node,
+                            ack: true,
+                            writeback: false,
+                        };
+                        self.current = Some(req);
+                        return false;
                     }
                 }
                 self.recall(now, owner, req, out)
@@ -1374,13 +1405,56 @@ impl<W> HomeMachine<W> {
         }
     }
 
-    /// Grant `node` its fill from the home image, at `dst_off`.
+    /// The requester of `req` and the sharers it invalidates, if the home
+    /// serves `req` as a directed write (DESIGN.md §4.2): where the
+    /// three-leg switch is on, a remote write to a chunk that other remotes
+    /// share, few enough of them for `directed_acks`.
+    fn directed(&self, req: &Request<W>) -> Option<(NodeId, Vec<NodeId>)> {
+        if !self.direct_fill || req.kind != Kind::Write {
+            return None;
+        }
+        let (DirState::Shared { sharers }, &Requester::Remote { node, .. }) =
+            (&self.state, &req.source)
+        else {
+            return None;
+        };
+        let others: Vec<NodeId> = sharers.iter().copied().filter(|&n| n != node).collect();
+        let fits = !others.is_empty() && others.len() <= usize::from(u16::MAX);
+        fits.then_some((node, others))
+    }
+
+    /// Serve `node`'s write `req` directed: name `node` the owner at once,
+    /// and have each of `sharers` ack it, not the home; once the home
+    /// dentry drained, the fill tells `node` how many acks to collect.
+    /// Returns false: a transient began.
+    fn direct_write(
+        &mut self,
+        node: NodeId,
+        sharers: Vec<NodeId>,
+        req: Request<W>,
+        out: &mut Vec<HomeAction<W>>,
+    ) -> bool {
+        self.directed_acks = u16::try_from(sharers.len()).expect("bounded by `directed`");
+        self.set_state(DirState::Dirty { owner: node }, "directed-write", out);
+        for n in sharers {
+            out.push(HomeAction::Send {
+                to: n,
+                msg: Msg::DirectedInvalidate { requester: node },
+            });
+        }
+        out.push(HomeAction::Count(Counter::DirectWrites));
+        self.drain_home(req, LocalState::Invalid, NOTAG, out)
+    }
+
+    /// Grant `node` its fill from the home image, at `dst_off`; `acks` for
+    /// a directed write's.
     fn fill(
         &mut self,
         now: u64,
         node: NodeId,
         dst_off: u64,
         exclusive: bool,
+        acks: u32,
         out: &mut Vec<HomeAction<W>>,
     ) {
         self.granted_at = now;
@@ -1391,6 +1465,7 @@ impl<W> HomeMachine<W> {
             to: node,
             dst_off,
             exclusive,
+            acks,
         });
     }
 
@@ -1431,7 +1506,7 @@ impl<W> HomeMachine<W> {
             {
                 self.granted_at = now;
                 self.transient = Transient::AwaitDirectFill {
-                    owner,
+                    owner: Some(owner),
                     requester: node,
                     ack: true,
                     writeback: keep,
@@ -1458,10 +1533,11 @@ impl<W> HomeMachine<W> {
 
     /// One of the things a three-leg recall waits for arrived from `from`:
     /// the requester's ack of its fill (`acked`), or the owner's direct
-    /// writeback. The directory takes the new state at the first of them;
-    /// the home image is fresh, and the home dentry readable again, only
-    /// once the writeback landed, and from then on reads are served. The
-    /// last one ends the transient.
+    /// writeback. The directory takes the new state at the first of them
+    /// (a directed write named its requester at once); the home image is
+    /// fresh, and the home dentry readable again, only once the writeback
+    /// landed, and from then on reads are served. The last one ends the
+    /// transient.
     fn direct_fill_arrived(
         &mut self,
         now: u64,
@@ -1483,13 +1559,13 @@ impl<W> HomeMachine<W> {
         let awaited = if acked {
             from == requester && std::mem::take(ack)
         } else {
-            from == owner && std::mem::take(writeback)
+            Some(from) == owner && std::mem::take(writeback)
         };
         if !awaited {
             return;
         }
         let done = !*ack && !*writeback;
-        if matches!(self.state, DirState::Dirty { .. }) {
+        if let (DirState::Dirty { .. }, Some(owner)) = (&self.state, owner) {
             let read = self.current.as_ref().is_some_and(|r| r.kind == Kind::Read);
             let (state, trigger) = if read {
                 let sharers = vec![owner, requester];
@@ -1791,6 +1867,77 @@ mod tests {
         }
     }
 
+    /// A remote write to a chunk remote 1 shares, with the switch on: the
+    /// home names remote 2 the owner at once and sends remote 1 an
+    /// invalidation naming it; once its own dentry drained it fills remote
+    /// 2 with the ack count, and holds the chunk until remote 2 acks.
+    /// Remote 2's own copy, dropped by its upgrade, is no other sharer, and
+    /// remote 1's crossing eviction counts for nothing.
+    #[test]
+    fn a_directed_write_holds_the_chunk_until_the_writer_acks() {
+        let mut m = M::new();
+        m.set_direct_fill(true);
+        m.on_event(0, 0, remote(1, Kind::Read));
+        m.on_event(0, 0, HomeEvent::Drained);
+        m.on_event(0, 0, remote(2, Kind::Read));
+        assert_eq!(
+            m.state(),
+            &DirState::Shared {
+                sharers: vec![1, 2]
+            }
+        );
+        m.on_event(1, 0, HomeEvent::EvictNotice { from: 2 });
+        let acts = m.on_event(1, 0, remote(2, Kind::Write));
+        assert_eq!(m.state(), &DirState::Dirty { owner: 2 });
+        let invalidate = Msg::DirectedInvalidate { requester: 2 };
+        assert!(acts.contains(&HomeAction::Send {
+            to: 1,
+            msg: invalidate
+        }));
+        assert!(acts.contains(&HomeAction::Count(Counter::DirectWrites)));
+        assert!(!acts
+            .iter()
+            .any(|a| matches!(a, HomeAction::SendFill { .. })));
+        let acts = m.on_event(2, 0, HomeEvent::Drained);
+        assert!(acts.contains(&HomeAction::SendFill {
+            to: 2,
+            dst_off: 0,
+            exclusive: true,
+            acks: 1,
+        }));
+        assert_eq!(m.transient().name(), "AwaitDirectFill");
+        assert!(m
+            .on_event(3, 0, HomeEvent::EvictNotice { from: 1 })
+            .is_empty());
+        m.on_event(3, 0, remote(1, Kind::Read));
+        assert_eq!(m.pending_len(), 1);
+        let acts = m.on_event(4, 0, HomeEvent::FillAck { from: 2 });
+        let recall = Msg::RecallTo {
+            requester: 1,
+            dst_off: 0,
+            keep: true,
+        };
+        assert!(acts.contains(&HomeAction::Send { to: 2, msg: recall }));
+    }
+
+    /// With the switch on, a home-local write and an Operate request of a
+    /// chunk remotes share still collect the acks at the home.
+    #[test]
+    fn only_a_remote_write_is_directed() {
+        for req in [local(7, Kind::Write), remote(2, Kind::Operate(3))] {
+            let mut m = M::new();
+            m.set_direct_fill(true);
+            m.on_event(0, 0, remote(1, Kind::Read));
+            m.on_event(0, 0, HomeEvent::Drained);
+            let acts = m.on_event(1, 0, req);
+            assert!(acts.contains(&HomeAction::Send {
+                to: 1,
+                msg: Msg::Invalidate
+            }));
+            assert_eq!(m.transient(), &Transient::AwaitInvAcks { waiting: vec![1] });
+        }
+    }
+
     /// A write recall ends at the requester's ack, with no data at the
     /// home; a writeback from the owner during the wait crossed the recall,
     /// and the home serves the request itself from its fresh image.
@@ -1815,7 +1962,8 @@ mod tests {
         assert!(acts.contains(&HomeAction::SendFill {
             to: 2,
             dst_off: 0,
-            exclusive: true
+            exclusive: true,
+            acks: 0,
         }));
         // The recall the writeback crossed may still reach node 1, so its
         // next recall-served request is filled from the home.

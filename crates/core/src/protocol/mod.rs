@@ -137,6 +137,9 @@ pub enum Counter {
     /// A recalled owner filled the requester's line itself (the three-leg
     /// recall, DESIGN.md §4.2).
     DirectFills,
+    /// A remote write to a chunk other remotes shared was served directed:
+    /// the sharers acknowledged the writer, not the home (DESIGN.md §4.2).
+    DirectWrites,
     /// A remote flush was reduced into the home subarray.
     OperatedReductions,
     /// A cacheline was evicted by the reclamation scan.

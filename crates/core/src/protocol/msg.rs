@@ -82,7 +82,10 @@ pub enum Msg {
     },
     /// Home → sharer: drop the Shared copy and acknowledge.
     Invalidate,
-    /// Sharer → the node that sent the `Invalidate`: the copy is gone.
+    /// Sharer → the home that sent the `Invalidate`, or the writer a
+    /// [`Msg::DirectedInvalidate`] named: the copy is gone. The receiver
+    /// tells which it answers: the chunk's home counts it toward its own
+    /// wait, any other node toward its directed write.
     InvalidateAck,
     /// Home → Dirty owner: write back and invalidate.
     RecallDirty,
@@ -99,6 +102,20 @@ pub enum Msg {
         dst_off: u64,
         /// True for a read: the owner keeps a Shared copy and writes back.
         keep: bool,
+    },
+    /// Home → sharer: a directed write's invalidation (DESIGN.md §4.2).
+    /// Drop the Shared copy and acknowledge to `requester`, whatever this
+    /// node holds: one ack for every directed invalidation.
+    DirectedInvalidate {
+        /// The writer that collects the acks.
+        requester: NodeId,
+    },
+    /// Home → requester: a directed write's exclusive fill landed. The
+    /// requester holds the chunk once `acks` sharers' `InvalidateAck`s
+    /// have landed too, then acks to the home with [`Msg::FillAck`].
+    DirectedFill {
+        /// The `InvalidateAck`s the requester collects.
+        acks: u32,
     },
     /// Home → Operated sharer: flush the operands of `op` and invalidate.
     RecallOperated {
@@ -172,9 +189,20 @@ impl Msg {
         }
     }
 
+    /// The notice of a fill from the home image: a directed write's, which
+    /// carries the `acks` its requester collects, or an ordinary exclusive
+    /// or read fill (`acks` 0).
+    pub fn home_fill(exclusive: bool, acks: u32) -> Msg {
+        match acks {
+            0 => Msg::fill(exclusive, false),
+            acks => Msg::DirectedFill { acks },
+        }
+    }
+
     /// The event this message becomes at its receiver; `from` is the node
-    /// that sent it.
-    pub fn deliver<W>(self, from: NodeId) -> Delivery<W> {
+    /// that sent it, and `at_home` says the receiver homes the chunk (only
+    /// an `InvalidateAck` reaches both a home and a cache machine).
+    pub fn deliver<W>(self, from: NodeId, at_home: bool) -> Delivery<W> {
         use Delivery::{Cache, Home};
         let request = |node, dst_off, kind| {
             Home(HomeEvent::Request(Request {
@@ -203,7 +231,8 @@ impl Msg {
                 data,
                 keep,
             }),
-            Msg::InvalidateAck => Home(HomeEvent::InvAck { from }),
+            Msg::InvalidateAck if at_home => Home(HomeEvent::InvAck { from }),
+            Msg::InvalidateAck => Cache(CacheEvent::InvAck),
             Msg::FillAck => Home(HomeEvent::FillAck { from }),
             Msg::MigrateData { mig_epoch } => Home(HomeEvent::MigrateData { from, mig_epoch }),
             Msg::MigrateAck { mig_epoch } => Home(HomeEvent::MigrateAck { from, mig_epoch }),
@@ -218,6 +247,10 @@ impl Msg {
             }),
             Msg::GrantOperated { op } => Cache(CacheEvent::GrantDone { op }),
             Msg::Invalidate => Cache(CacheEvent::Invalidate { from }),
+            Msg::DirectedInvalidate { requester } => {
+                Cache(CacheEvent::DirectedInvalidate { requester })
+            }
+            Msg::DirectedFill { acks } => Cache(CacheEvent::DirectedFill { acks }),
             Msg::RecallDirty => Cache(CacheEvent::RecallDirty),
             Msg::DowngradeDirty => Cache(CacheEvent::DowngradeDirty),
             Msg::RecallTo {
@@ -265,12 +298,15 @@ mod tests {
             Msg::MigrateCommit { .. } => 18,
             Msg::HomeMoved { .. } => 19,
             Msg::MigrateForward { .. } => 20,
+            Msg::DirectedInvalidate { .. } => 21,
+            Msg::DirectedFill { .. } => 22,
         }
     }
 
     /// Every message delivers to the event its receiver's machine consumes:
     /// a request names its requester and fill offset, everything else
-    /// names its sender where the machine needs it.
+    /// names its sender where the machine needs it. Every message but an
+    /// `InvalidateAck` becomes the same event whichever node receives it.
     #[test]
     fn deliver_maps_every_message_to_its_event() {
         const FROM: NodeId = 4;
@@ -338,6 +374,14 @@ mod tests {
                 Msg::InvalidateAck,
                 Delivery::Home(HomeEvent::InvAck { from: FROM }),
             ),
+            (
+                Msg::DirectedInvalidate { requester: 3 },
+                Delivery::Cache(CacheEvent::DirectedInvalidate { requester: 3 }),
+            ),
+            (
+                Msg::DirectedFill { acks: 2 },
+                Delivery::Cache(CacheEvent::DirectedFill { acks: 2 }),
+            ),
             (Msg::RecallDirty, Delivery::Cache(CacheEvent::RecallDirty)),
             (
                 Msg::DowngradeDirty,
@@ -404,11 +448,20 @@ mod tests {
         let mut covered = vec![false; table.len()];
         for (msg, want) in table {
             covered[variant(&msg)] = true;
-            assert_eq!(msg.clone().deliver::<u32>(FROM), want, "{msg:?}");
+            let at_home = matches!(want, Delivery::Home(_));
+            assert_eq!(msg.clone().deliver::<u32>(FROM, at_home), want, "{msg:?}");
+            if msg != Msg::InvalidateAck {
+                assert_eq!(msg.clone().deliver::<u32>(FROM, !at_home), want, "{msg:?}");
+            }
         }
         assert!(
             covered.iter().all(|&c| c),
             "every variant once: {covered:?}"
+        );
+        // A directed write's ack reaches its writer's cache machine.
+        assert_eq!(
+            Msg::InvalidateAck.deliver::<u32>(FROM, false),
+            Delivery::Cache(CacheEvent::InvAck)
         );
     }
 
@@ -422,7 +475,7 @@ mod tests {
                 40
             };
             assert_eq!(
-                Msg::request(kind, 40).deliver::<u32>(3),
+                Msg::request(kind, 40).deliver::<u32>(3, true),
                 Delivery::Home(HomeEvent::Request(Request {
                     source: Requester::Remote { node: 3, dst_off },
                     kind,

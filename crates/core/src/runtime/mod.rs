@@ -26,7 +26,7 @@
 //! * **distributed locks** — the element-lock tables are orthogonal to the
 //!   coherence protocol and stay here.
 
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use dsim::{Ctx, Mailbox, WaitCell};
@@ -56,6 +56,9 @@ enum Cont {
     /// A requester-side drain finished: deliver [`CacheEvent::Drained`]
     /// carrying the follow-up the cache machine recorded at drain start.
     Cache(AfterDrain),
+    /// A directed invalidation found a drain under way
+    /// ([`CacheAction::AckAfterDrain`]): acknowledge it to this writer.
+    Ack(NodeId),
 }
 
 struct Deferred {
@@ -85,6 +88,10 @@ pub(crate) struct RuntimeThread {
     /// Shared copy at unlock (DESIGN.md §4.5), by array and element. A
     /// lock's grant and release both run on the thread owning its chunk.
     keep_at_unlock: HashSet<(ArrayId, u64)>,
+    /// The ack count of each directed write this node waits for
+    /// ([`CacheView::acks`], DESIGN.md §4.2), by array and chunk; absent
+    /// means 0. Every message about a chunk runs on the thread owning it.
+    acks: HashMap<(ArrayId, ChunkId), i64>,
 }
 
 impl RuntimeThread {
@@ -108,6 +115,7 @@ impl RuntimeThread {
             last_miss: None,
             reclaiming: false,
             keep_at_unlock: HashSet::new(),
+            acks: HashMap::new(),
         }
     }
 
@@ -131,6 +139,7 @@ impl RuntimeThread {
             Counter::OperandFlushes => &s.operand_flushes,
             Counter::Recalls => &s.recalls,
             Counter::DirectFills => &s.direct_fills,
+            Counter::DirectWrites => &s.direct_writes,
             Counter::OperatedReductions => &s.operated_reductions,
             Counter::Evictions => &s.evictions,
             Counter::SharersPruned => &s.sharers_pruned,
@@ -286,6 +295,10 @@ impl RuntimeThread {
                     None,
                 );
             }
+            Cont::Ack(to) => {
+                self.comm
+                    .send(ctx, to, Envelope::new(aid, chunk, Msg::InvalidateAck));
+            }
         }
     }
 
@@ -325,7 +338,11 @@ impl RuntimeThread {
                 to,
                 dst_off,
                 exclusive,
-            } => self.send_fill(ctx, arr, chunk, to, dst_off, exclusive),
+                acks,
+            } => {
+                let msg = Msg::home_fill(exclusive, acks);
+                self.send_fill(ctx, arr, chunk, to, dst_off, msg);
+            }
             HomeAction::ApplyFlushData { op, data } => {
                 self.apply_flush_data(ctx, arr, chunk, op, &data);
             }
@@ -469,7 +486,8 @@ impl RuntimeThread {
         ctx.charge(cost.memcpy(words) + applied * cost.op_apply_ns);
     }
 
-    /// RDMA-write the chunk's data into the requester's cacheline and notify.
+    /// RDMA-write the chunk's data into the requester's cacheline and send
+    /// the fill notice `msg` behind it.
     fn send_fill(
         &mut self,
         ctx: &mut Ctx,
@@ -477,12 +495,11 @@ impl RuntimeThread {
         chunk: ChunkId,
         node: NodeId,
         dst_off: u64,
-        exclusive: bool,
+        msg: Msg,
     ) {
         let words = arr.layout.chunk_size();
         let off = arr.chunk_off(chunk as usize);
         let data = arr.subarrays[self.node].read_vec(off, words);
-        let msg = Msg::fill(exclusive, false);
         self.comm.write_send(
             ctx,
             node,
@@ -506,6 +523,7 @@ impl RuntimeThread {
             line: d.line(),
             draining: d.delay_set(),
             home: arr.home_on(self.node, chunk as usize),
+            acks: self.acks.get(&(arr.id, chunk)).copied().unwrap_or(0),
         }
     }
 
@@ -575,6 +593,18 @@ impl RuntimeThread {
                 }
                 CacheAction::Send { to, msg } => {
                     self.comm.send(ctx, to, Envelope::new(arr.id, chunk, msg));
+                }
+                CacheAction::AckAfterDrain { to } => self.deferred.push(Deferred {
+                    array: arr.id,
+                    chunk,
+                    cont: Cont::Ack(to),
+                }),
+                CacheAction::SetAcks { acks } => {
+                    if acks == 0 {
+                        self.acks.remove(&(arr.id, chunk));
+                    } else {
+                        self.acks.insert((arr.id, chunk), acks);
+                    }
                 }
                 CacheAction::SendWriteback {
                     line,
@@ -928,7 +958,8 @@ impl RuntimeThread {
                 return;
             }
         }
-        match msg.deliver(src) {
+        let at_home = arr.home_on(self.node, chunk as usize) == self.node;
+        match msg.deliver(src, at_home) {
             Delivery::Home(ev) => self.home_event(ctx, arr.id, chunk, ev),
             Delivery::Cache(ev) => self.cache_event(ctx, &arr, chunk, ev, None),
         }

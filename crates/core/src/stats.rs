@@ -192,6 +192,10 @@ counters! {
     /// requester's line, at a three-leg recall (DESIGN.md §4.2). The
     /// requester counts the fill in `fills` as usual.
     direct_fills: runtime, sum, lower;
+    /// Remote writes to a chunk other remotes shared that this node's
+    /// directory served directed (DESIGN.md §4.2): each sharer acked the
+    /// writer, and the fill told the writer how many acks to expect.
+    direct_writes: runtime, sum, lower;
     /// Operand flushes sent (voluntary or recalled).
     operand_flushes: runtime, sum, lower;
     /// Operand flushes *reduced into* this node's home subarray (each is one

@@ -6,8 +6,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use darray::{
-    AccessPath, ArrayOptions, Cluster, ClusterConfig, Ctx, FaultConfig, FaultPlan, PinMode, Sim,
-    SimConfig,
+    AccessPath, ArrayOptions, Cluster, ClusterConfig, Ctx, FaultConfig, FaultPlan, GlobalArray,
+    PinMode, Sim, SimConfig,
 };
 
 fn sim() -> Sim {
@@ -682,36 +682,57 @@ fn prefetch_reduces_misses_on_sequential_scan() {
     );
 }
 
-/// Node 2's misses on an element of node 0's chunk that node 1 holds
-/// Dirty, on 3 nodes at the default network with two runtime threads: the
-/// virtual ns of a read, then of a write, and of a plain remote fill of an
-/// untouched chunk node 0 homes; and the bytes node 0 posted during the
-/// write miss.
-fn dirty_miss_probe(fault: Option<FaultConfig>) -> ([u64; 3], u64) {
+/// One access by `node` of `arr`, alone in `cluster`: a set of `write`,
+/// or a get that must read `want`. Returns its virtual ns.
+fn timed_access(
+    ctx: &mut Ctx,
+    cluster: &Cluster,
+    arr: &GlobalArray<u64>,
+    node: usize,
+    index: usize,
+    write: Option<u64>,
+    want: u64,
+) -> u64 {
+    let (took, arr) = (Arc::new(AtomicU64::new(0)), arr.clone());
+    let out = took.clone();
+    cluster.run(ctx, 1, move |ctx, env| {
+        if env.node != node {
+            return;
+        }
+        let a = arr.on(env.node);
+        let t0 = ctx.now();
+        match write {
+            Some(v) => a.set(ctx, index, v),
+            None => assert_eq!(a.get(ctx, index), want),
+        }
+        out.store(ctx.now() - t0, Ordering::Relaxed);
+    });
+    took.load(Ordering::Relaxed)
+}
+
+/// A 3-node cluster at the default network with two runtime threads and
+/// an array of 12 chunks, of which node 0 homes chunks 0..4.
+fn probe_cluster<R: Send + 'static>(
+    fault: Option<FaultConfig>,
+    f: impl FnOnce(&mut Ctx, &Cluster, GlobalArray<u64>) -> R + Send + 'static,
+) -> R {
     let mut cfg = ClusterConfig::with_nodes(3);
     cfg.runtime_threads = 2;
     cfg.fault = fault;
     with_cluster(cfg, |ctx, cluster| {
-        // Node 0 homes chunks 0..4.
         let arr = cluster.alloc::<u64>(12 * 512, ArrayOptions::default());
-        // One access by `node`, alone in the cluster: a set of `write`, or
-        // a get that must read `want`. Returns its virtual ns.
-        let access = |ctx: &mut Ctx, node: usize, index: usize, write: Option<u64>, want: u64| {
-            let (took, arr) = (Arc::new(AtomicU64::new(0)), arr.clone());
-            let out = took.clone();
-            cluster.run(ctx, 1, move |ctx, env| {
-                if env.node != node {
-                    return;
-                }
-                let a = arr.on(env.node);
-                let t0 = ctx.now();
-                match write {
-                    Some(v) => a.set(ctx, index, v),
-                    None => assert_eq!(a.get(ctx, index), want),
-                }
-                out.store(ctx.now() - t0, Ordering::Relaxed);
-            });
-            took.load(Ordering::Relaxed)
+        f(ctx, cluster, arr)
+    })
+}
+
+/// Node 2's misses on an element of node 0's chunk that node 1 holds
+/// Dirty: the virtual ns of a read, then of a write, and of a plain remote
+/// fill of an untouched chunk node 0 homes; and the bytes node 0 posted
+/// during the write miss.
+fn dirty_miss_probe(fault: Option<FaultConfig>) -> ([u64; 3], u64) {
+    probe_cluster(fault, |ctx, cluster, arr| {
+        let access = |ctx: &mut Ctx, node, index, write, want| {
+            timed_access(ctx, cluster, &arr, node, index, write, want)
         };
         access(ctx, 1, 8, Some(42), 0);
         let read = access(ctx, 2, 8, None, 42);
@@ -721,6 +742,31 @@ fn dirty_miss_probe(fault: Option<FaultConfig>) -> ([u64; 3], u64) {
         let home_bytes = cluster.stats(0).bytes_tx - before;
         let plain = access(ctx, 2, 512 + 8, None, 0);
         ([read, write, plain], home_bytes)
+    })
+}
+
+/// Writes of chunks node 0 homes that other nodes read first: node 2
+/// writes a chunk node 1 read, then a chunk nodes 1 and 2 read (node 2
+/// upgrades its own copy), and node 0 writes a chunk node 1 read. The
+/// virtual ns of each write, and the bytes node 0 posted during the first.
+fn shared_write_probe(fault: Option<FaultConfig>) -> ([u64; 3], u64) {
+    probe_cluster(fault, |ctx, cluster, arr| {
+        let access = |ctx: &mut Ctx, node, index, write, want| {
+            timed_access(ctx, cluster, &arr, node, index, write, want)
+        };
+        access(ctx, 1, 8, None, 0);
+        let before = cluster.stats(0).bytes_tx;
+        let write = access(ctx, 2, 8, Some(44), 0);
+        let home_bytes = cluster.stats(0).bytes_tx - before;
+        access(ctx, 1, 512 + 8, None, 0);
+        access(ctx, 2, 512 + 8, None, 0);
+        let upgrade = access(ctx, 2, 512 + 8, Some(45), 0);
+        access(ctx, 1, 1024 + 8, None, 0);
+        let home_write = access(ctx, 0, 1024 + 8, Some(46), 0);
+        for (index, want) in [(8, 44), (512 + 8, 45), (1024 + 8, 46)] {
+            access(ctx, 1, index, None, want);
+        }
+        ([write, upgrade, home_write], home_bytes)
     })
 }
 
@@ -735,4 +781,19 @@ fn a_dirty_miss_takes_three_legs() {
     assert_eq!(dirty_miss_probe(None), ([4_269, 4_269, 2_993], 48));
     let benign = Some(FaultConfig::new(FaultPlan::new(1)));
     assert_eq!(dirty_miss_probe(benign), ([5_764, 5_804, 2_993], 4_304));
+}
+
+/// A remote write to a chunk other nodes read takes three legs (DESIGN.md
+/// §4.2): the sharers ack the writer itself, and the home's fill tells it
+/// how many acks to collect. Node 2's write of a chunk node 1 read takes
+/// 3,826 ns where the four-leg path took 5,441, and its upgrade of a chunk
+/// it and node 1 read takes 3,946 where it took 5,561; node 0 still posts
+/// the 4,224 bytes of one invalidation and the fill. Node 0's own write of
+/// a chunk node 1 read is home-local and keeps its 2,632. A cluster with a
+/// fault config, even a benign one, keeps the four-leg path.
+#[test]
+fn a_write_to_a_shared_chunk_takes_three_legs() {
+    assert_eq!(shared_write_probe(None), ([3_826, 3_946, 2_632], 4_224));
+    let benign = Some(FaultConfig::new(FaultPlan::new(1)));
+    assert_eq!(shared_write_probe(benign), ([5_441, 5_611, 2_632], 4_304));
 }

@@ -297,6 +297,12 @@ struct Remote {
     evict_budget: u8,
     /// The value in this node's line (the three-leg world tracks it).
     val: u8,
+    /// The directed-write ack count (`CacheView::acks`) the executor keeps
+    /// beside the dentry.
+    acks: i64,
+    /// A directed invalidation found the pending drain: the writer it
+    /// named, acked once the drain completes.
+    ack_after_drain: Option<usize>,
 }
 
 impl Remote {
@@ -316,6 +322,8 @@ impl Remote {
             lock_budget,
             evict_budget,
             val: 0,
+            acks: 0,
+            ack_after_drain: None,
         }
     }
 
@@ -337,6 +345,8 @@ impl Remote {
             lock_budget: 0,
             evict_budget: 0,
             val: 0,
+            acks: 0,
+            ack_after_drain: None,
         }
     }
 }
@@ -559,6 +569,19 @@ struct Ck {
     /// Reads the home served while a three-leg read recall awaited its
     /// requester's ack.
     reads_during_direct: usize,
+    /// Directed writes the home served (DESIGN.md §4.2).
+    directed_writes: usize,
+    /// Sharers' acks that reached a directed writer ahead of its fill.
+    acks_before_fill: usize,
+    /// Directed invalidations that found their sharer's copy already gone
+    /// (its eviction crossed them), mid-drain, or still filling after a
+    /// new request.
+    directed_crossed: usize,
+    directed_mid_drain: usize,
+    directed_filling: usize,
+    /// Requests that reached the home while it awaited a directed writer's
+    /// ack, and queued behind it.
+    queued_behind_directed: usize,
 }
 
 impl Display for Ck {
@@ -970,6 +993,9 @@ impl Model for World {
                 let after = self.rem[i].after.take().unwrap();
                 let home_down = self.rem[i].home_down;
                 run_cache_event(self, s, i, CacheEvent::Drained { after, home_down });
+                if let Some(to) = self.rem[i].ack_after_drain.take() {
+                    send_r2r(self, i, to, Frame::Coherence(Msg::InvalidateAck));
+                }
             }
             Tr::DrainHome => {
                 self.home.as_mut().unwrap().draining = false;
@@ -1662,8 +1688,24 @@ fn deliver_to_remote(w: &mut World, s: &mut Search<World>, i: usize, from: usize
             }
             deliver_to_remote(w, s, i, from, Frame::Coherence(msg));
         }
-        Frame::Coherence(msg) => match msg.deliver::<u32>(from) {
-            Delivery::Cache(ev) => run_cache_event(w, s, i, ev),
+        Frame::Coherence(msg) => match msg.deliver::<u32>(from, false) {
+            Delivery::Cache(ev) => {
+                let r = &w.rem[i];
+                match ev {
+                    CacheEvent::InvAck if r.acks <= 0 => s.ck.acks_before_fill += 1,
+                    CacheEvent::DirectedInvalidate { .. } if r.after.is_some() => {
+                        s.ck.directed_mid_drain += 1;
+                    }
+                    CacheEvent::DirectedInvalidate { .. } if r.state == LocalState::Invalid => {
+                        s.ck.directed_crossed += 1;
+                    }
+                    CacheEvent::DirectedInvalidate { .. } if r.state.in_flight() => {
+                        s.ck.directed_filling += 1;
+                    }
+                    _ => {}
+                }
+                run_cache_event(w, s, i, ev)
+            }
             Delivery::Home(ev) => s.fail(
                 w,
                 &format!("home-side event {ev:?} delivered to r{}", i + 1),
@@ -1743,7 +1785,7 @@ fn deliver_to_home(w: &mut World, s: &mut Search<World>, i: usize, frame: Frame)
             w.home.as_mut().unwrap().image = val;
             deliver_to_home(w, s, i, Frame::Coherence(msg));
         }
-        Frame::Coherence(msg) => match msg.deliver(from) {
+        Frame::Coherence(msg) => match msg.deliver(from, true) {
             Delivery::Home(ev) => {
                 if let darray::protocol::Transient::AwaitDirectFill { owner, .. } =
                     w.home.as_ref().unwrap().m.transient()
@@ -1753,12 +1795,15 @@ fn deliver_to_home(w: &mut World, s: &mut Search<World>, i: usize, frame: Frame)
                             downgrade,
                             direct: false,
                             ..
-                        } if *owner == from => {
+                        } if *owner == Some(from) => {
                             if downgrade {
                                 s.ck.crossing_downgrades += 1;
                             } else {
                                 s.ck.crossing_writebacks += 1;
                             }
+                        }
+                        HomeEvent::Request(_) if owner.is_none() => {
+                            s.ck.queued_behind_directed += 1;
                         }
                         HomeEvent::Request(_) => s.ck.queued_behind_direct += 1,
                         _ => {}
@@ -1929,7 +1974,7 @@ fn run_home_event(w: &mut World, s: &mut Search<World>, ev: HomeEvent<u32>) {
     let actions = m.on_event(now, grace, ev);
     if matches!(
         m.transient(),
-        darray::protocol::Transient::AwaitDirectFill { .. }
+        darray::protocol::Transient::AwaitDirectFill { owner: Some(_), .. }
     ) {
         s.ck.reads_during_direct += actions
             .iter()
@@ -1952,8 +1997,13 @@ fn run_home_event(w: &mut World, s: &mut Search<World>, ev: HomeEvent<u32>) {
                 }
                 h.app = App::Idle;
             }
-            HomeAction::SendFill { to, exclusive, .. } => {
-                let fill = Msg::fill(exclusive, false);
+            HomeAction::SendFill {
+                to,
+                exclusive,
+                acks,
+                ..
+            } => {
+                let fill = Msg::home_fill(exclusive, acks);
                 let h = w.home.as_ref().unwrap();
                 if w.three_leg {
                     send_h2r_frame(
@@ -2001,6 +2051,7 @@ fn run_home_event(w: &mut World, s: &mut Search<World>, ev: HomeEvent<u32>) {
             }
             HomeAction::Trace(_) => {}
             HomeAction::Count(c) => match c {
+                Counter::DirectWrites => s.ck.directed_writes += 1,
                 Counter::EpochsAborted => s.ck.epochs_aborted += 1,
                 Counter::SharersPruned => s.ck.sharers_pruned += 1,
                 Counter::FlushPersists => s.ck.persist_acks += 1,
@@ -2060,6 +2111,7 @@ fn run_cache_event(w: &mut World, s: &mut Search<World>, i: usize, first: CacheE
             line: r.line,
             draining: r.after.is_some(),
             home: HOME,
+            acks: r.acks,
         };
         let mut wake = false;
         for a in CacheMachine::on_event(&view, ev) {
@@ -2091,10 +2143,16 @@ fn run_cache_event(w: &mut World, s: &mut Search<World>, i: usize, first: CacheE
                     r.op_tag = tag;
                 }
                 CacheAction::InitOperandBuffer { .. } => {}
-                CacheAction::Send { to, msg } => {
-                    assert_eq!(to, HOME);
-                    send_r2h(w, s, i, msg);
+                CacheAction::Send { to: HOME, msg } => send_r2h(w, s, i, msg),
+                // A sharer's ack of a directed write, to its writer.
+                CacheAction::Send { to, msg } => send_r2r(w, i, to, Frame::Coherence(msg)),
+                CacheAction::AckAfterDrain { to } => {
+                    let r = &mut w.rem[i];
+                    if r.after.is_none() || r.ack_after_drain.replace(to).is_some() {
+                        s.fail(w, "an ack deferred past no drain, or two at once");
+                    }
                 }
+                CacheAction::SetAcks { acks } => w.rem[i].acks = acks,
                 CacheAction::SendWriteback {
                     downgrade,
                     release,
@@ -2118,7 +2176,6 @@ fn run_cache_event(w: &mut World, s: &mut Search<World>, i: usize, first: CacheE
                     release,
                     ..
                 } => {
-                    assert_eq!(to, 2 - i, "a three-leg fill goes to the other remote");
                     if exclusive {
                         s.ck.direct_write_fills += 1;
                     } else {
@@ -2128,9 +2185,7 @@ fn run_cache_event(w: &mut World, s: &mut Search<World>, i: usize, first: CacheE
                         msg: Msg::fill(exclusive, true),
                         val: w.rem[i].val,
                     };
-                    if w.rem[1 - i].alive {
-                        w.r2r[i].push_back(frame);
-                    }
+                    send_r2r(w, i, to, frame);
                     if release {
                         w.rem[i].line = LINE_NONE;
                     }
@@ -2164,6 +2219,19 @@ fn run_cache_event(w: &mut World, s: &mut Search<World>, i: usize, first: CacheE
         if wake {
             recheck_app(w, i, &mut events);
         }
+    }
+}
+
+/// Send a frame from remote `i` to node `to`, the other remote: a
+/// three-leg fill, or a sharer's ack of a directed write.
+fn send_r2r(w: &mut World, i: usize, to: usize, frame: Frame) {
+    assert_eq!(
+        to,
+        2 - i,
+        "a remote-to-remote frame goes to the other remote"
+    );
+    if w.rem[1 - i].alive {
+        w.r2r[i].push_back(frame);
     }
 }
 
@@ -2595,11 +2663,16 @@ fn crash_model_grace_window() {
 /// writeback or intent downgrade already on the way (the crossing), a
 /// stale Invalidate can still be on its way to a requester, requests
 /// queue behind a pending fill, and reads are served while a read's
-/// recall awaits its ack.
+/// recall awaits its ack. A remote write of a chunk the other remote
+/// shares is directed: the sharer acks the writer over the remotes' link,
+/// whether its copy is Shared, mid-drain, already gone or refilling, the
+/// ack can land before the home's fill, and requests queue behind the
+/// writer's `FillAck`.
 /// Safety holds single writer (a node whose three-leg fill is in flight
-/// holds the chunk already) and that every readable copy, the home
-/// image's included, holds the last value written; quiescence holds
-/// directory agreement, as in every search.
+/// holds the chunk already, and a directed writer holds it only once its
+/// acks and data are in) and that every readable copy, the home image's
+/// included, holds the last value written; quiescence holds directory
+/// agreement, as in every search.
 #[test]
 fn crash_model_three_leg_recall() {
     let mut w = three_leg_world(initial_world([1, 2], [1, 0], [1, 0], 1, 0, 0, 0));
@@ -2607,15 +2680,26 @@ fn crash_model_three_leg_recall() {
     let s = explore("three-leg", w);
     println!(
         "[three-leg-paths] read_fills={} write_fills={} crossing_writebacks={} \
-         crossing_downgrades={} queued={} reads_during={}",
+         crossing_downgrades={} queued={} reads_during={} directed_writes={} \
+         acks_before_fill={} directed_crossed={} directed_mid_drain={} \
+         directed_filling={} queued_directed={}",
         s.ck.direct_read_fills,
         s.ck.direct_write_fills,
         s.ck.crossing_writebacks,
         s.ck.crossing_downgrades,
         s.ck.queued_behind_direct,
-        s.ck.reads_during_direct
+        s.ck.reads_during_direct,
+        s.ck.directed_writes,
+        s.ck.acks_before_fill,
+        s.ck.directed_crossed,
+        s.ck.directed_mid_drain,
+        s.ck.directed_filling,
+        s.ck.queued_behind_directed
     );
-    assert_eq!(s.seen.len(), 253_972);
+    // 253,972 before the directed write: the acks it sends over the
+    // remotes' link, and the count its writer keeps, are states the
+    // home-collected acks never had.
+    assert_eq!(s.seen.len(), 288_422);
     for (what, n) in [
         ("three-leg read fill", s.ck.direct_read_fills),
         ("three-leg write fill", s.ck.direct_write_fills),
@@ -2634,6 +2718,21 @@ fn crash_model_three_leg_recall() {
         (
             "read served during a read recall's ack wait",
             s.ck.reads_during_direct,
+        ),
+        ("directed write", s.ck.directed_writes),
+        ("sharer's ack ahead of the fill", s.ck.acks_before_fill),
+        (
+            "directed invalidation crossing an eviction",
+            s.ck.directed_crossed,
+        ),
+        ("directed invalidation mid-drain", s.ck.directed_mid_drain),
+        (
+            "directed invalidation of a filling sharer",
+            s.ck.directed_filling,
+        ),
+        (
+            "request queued behind a directed write's ack",
+            s.ck.queued_behind_directed,
         ),
     ] {
         assert!(n > 0, "no {what}");
@@ -3197,8 +3296,13 @@ mod migration {
             match a {
                 HomeAction::ChargeDirUpdate | HomeAction::Trace(_) => {}
                 HomeAction::Wake(_) => s.fail(w, "home woke a local waiter (none modeled)"),
-                HomeAction::SendFill { to, exclusive, .. } => {
-                    let fill = Msg::fill(exclusive, false);
+                HomeAction::SendFill {
+                    to,
+                    exclusive,
+                    acks,
+                    ..
+                } => {
+                    let fill = Msg::home_fill(exclusive, acks);
                     m_send(w, s, h, to, fill, Some(w.img[h]));
                 }
                 // Operands combine into the image; the no-lost-write theorem
@@ -3357,7 +3461,7 @@ mod migration {
                 if let Some(val) = write {
                     w.img[h] = val;
                 }
-                match msg.deliver(from) {
+                match msg.deliver(from, true) {
                     Delivery::Home(ev) => ev,
                     Delivery::Cache(_) => s.fail(w, "home received a remote-only message"),
                 }
@@ -3420,7 +3524,7 @@ mod migration {
             s.ck.moved_states
                 .insert(format!("{}{drain}", w.r_state.name()));
         }
-        match msg.deliver::<u32>(from) {
+        match msg.deliver::<u32>(from, false) {
             Delivery::Cache(ev) => {
                 // A fill's RDMA WRITE lands in the line it was sent for.
                 if let (CacheEvent::FillDone { granted, .. }, Some(val)) = (ev, write) {
@@ -3449,6 +3553,7 @@ mod migration {
                 line: w.r_line,
                 draining: w.r_after.is_some(),
                 home: w.r_home,
+                acks: 0,
             };
             let mut wake = false;
             for a in CacheMachine::on_event(&view, ev) {
@@ -3509,6 +3614,9 @@ mod migration {
                         w,
                         "a three-leg fill in a world that never recalls to a requester",
                     ),
+                    CacheAction::AckAfterDrain { .. } | CacheAction::SetAcks { .. } => {
+                        s.fail(w, "a directed write in a world that never directs one")
+                    }
                     CacheAction::PrefetchHint | CacheAction::Trace(_) | CacheAction::Count(_) => {}
                 }
             }

@@ -28,8 +28,8 @@
 use std::collections::BTreeSet;
 
 use darray::protocol::{
-    AfterDrain, CacheAction, CacheEvent, CacheMachine, CacheView, Delivery, HomeAction, HomeEvent,
-    HomeMachine, Kind, Msg, Request, Requester, LINE_NONE, NOTAG,
+    AfterDrain, CacheAction, CacheEvent, CacheMachine, CacheView, Counter, Delivery, HomeAction,
+    HomeEvent, HomeMachine, Kind, Msg, Request, Requester, LINE_NONE, NOTAG,
 };
 use darray::{DirState, LocalState};
 
@@ -58,6 +58,11 @@ enum Reply {
         owner: usize,
         requester: usize,
         keep: bool,
+    },
+    /// A sharer's ack of a directed write reaching its `requester`.
+    DirectedAck {
+        sharer: usize,
+        requester: usize,
     },
     Drained,
     Retry(u64),
@@ -120,6 +125,11 @@ struct World {
     idle_recalls: usize,
     /// (stable-state name, keep) of every three-leg recall sent.
     direct_recalls: BTreeSet<(String, bool)>,
+    /// Each node's directed-write ack count (`CacheView::acks`), and
+    /// whether its fill landed.
+    directed: [(i64, bool); 3],
+    /// Directed writes the home served.
+    directed_writes: usize,
 }
 
 impl World {
@@ -158,12 +168,14 @@ impl World {
             transient_coverage: BTreeSet::new(),
             idle_recalls: 0,
             direct_recalls: BTreeSet::new(),
+            directed: [(0, false); 3],
+            directed_writes: 0,
         }
     }
 
     /// Deliver `msg` from remote `from` to the home machine.
     fn feed_msg(&mut self, from: usize, msg: Msg) {
-        match msg.deliver(from) {
+        match msg.deliver(from, true) {
             Delivery::Home(ev) => self.feed(ev),
             Delivery::Cache(ev) => panic!("cache event {ev:?} delivered to the home"),
         }
@@ -198,12 +210,20 @@ impl World {
     fn apply(&mut self, actions: &[HomeAction<u32>]) {
         for a in actions {
             match a {
+                HomeAction::Count(Counter::DirectWrites) => self.directed_writes += 1,
                 HomeAction::ChargeDirUpdate
                 | HomeAction::ApplyFlushData { .. }
                 | HomeAction::Trace(_)
                 | HomeAction::Count(_) => {}
                 HomeAction::Wake(w) => {
                     assert!(self.woken.insert(*w), "waiter {w} woken twice");
+                }
+                // A directed write's fill: the requester writes once its
+                // acks are in too.
+                &HomeAction::SendFill { to, acks, .. } if acks > 0 => {
+                    self.directed[to].0 += i64::from(acks);
+                    self.directed[to].1 = true;
+                    self.collect(to);
                 }
                 HomeAction::SendFill { to, exclusive, .. } => {
                     self.rights[*to] = if *exclusive { R::Write } else { R::Read };
@@ -239,6 +259,14 @@ impl World {
                 return;
             }
             Msg::Invalidate => Msg::InvalidateAck,
+            // A directed write's: the sharer acks the writer, not the home.
+            &Msg::DirectedInvalidate { requester } => {
+                self.inflight.push(Reply::DirectedAck {
+                    sharer: node,
+                    requester,
+                });
+                return;
+            }
             Msg::RecallDirty => Msg::WritebackNotice {
                 downgrade: false,
                 direct: false,
@@ -316,6 +344,11 @@ impl World {
                     self.inflight.push(Reply::Msg(owner, wb));
                 }
             }
+            Reply::DirectedAck { sharer, requester } => {
+                self.rights[sharer] = R::None;
+                self.directed[requester].0 -= 1;
+                self.collect(requester);
+            }
             Reply::Drained => {
                 if let Some(t) = self.drain_target.take() {
                     self.home_local = t;
@@ -327,6 +360,17 @@ impl World {
                 self.feed(HomeEvent::RetryExpired);
             }
             Reply::PersistDone(seq) => self.feed(HomeEvent::PersistDone { seq }),
+        }
+    }
+
+    /// A directed write's requester holds the chunk once its fill and every
+    /// sharer's ack are in, and then acks to the home.
+    fn collect(&mut self, node: usize) {
+        if self.directed[node] == (0, true) {
+            self.directed[node] = (0, false);
+            self.rights[node] = R::Write;
+            self.check_invariants();
+            self.inflight.push(Reply::Msg(node, Msg::FillAck));
         }
     }
 
@@ -636,6 +680,33 @@ fn exhaustive_state_by_request_matrix() {
         );
     }
 
+    // The directed-write cells: Shared with remote sharers x remote Write,
+    // switch on. Each sharer other than the writer acks the writer, whose
+    // own copy an upgrade dropped first; the directory names the writer.
+    let mut directed = 0;
+    for s in sharer_sets {
+        for requester in REMOTES {
+            if s == [requester] {
+                continue; // no other sharer
+            }
+            let mut w = World::new_direct(0);
+            shared(&mut w, s);
+            if w.rights[requester] == R::Read {
+                w.rights[requester] = R::None;
+                w.feed_msg(requester, Msg::EvictNotice);
+            }
+            w.remote_request(requester, Kind::Write);
+            w.quiesce();
+            let want = DirState::Dirty { owner: requester };
+            assert_eq!(w.m.state(), &want, "r{requester} writes Shared{s:?}");
+            assert!(w
+                .request_coverage
+                .contains(&("Shared".into(), "Write:Remote".into())));
+            directed += w.directed_writes;
+        }
+    }
+    assert_eq!(directed, 4, "one directed write per cell");
+
     // Every stable state saw every request kind from both requester sides.
     for state in ["Unshared", "Shared", "Dirty", "Operated"] {
         for kind in ["Read", "Write", "Operate"] {
@@ -802,6 +873,9 @@ fn all_cache_events() -> Vec<CacheEvent> {
         v.push(RecallOperated { op });
     }
     v.push(Invalidate { from: 0 });
+    v.push(DirectedInvalidate { requester: 2 });
+    v.push(DirectedFill { acks: 2 });
+    v.push(InvAck);
     v.push(RecallDirty);
     v.push(DowngradeDirty);
     for keep in [false, true] {
@@ -871,13 +945,14 @@ fn cache_machine_total_over_view_event_product() {
     for state in states {
         for line in [LINE_NONE, 3] {
             for draining in [false, true] {
-                for op_tag in [NOTAG, 5] {
+                for (op_tag, acks) in [(NOTAG, -1), (NOTAG, 0), (NOTAG, 1), (5, 0)] {
                     let view = CacheView {
                         state,
                         op_tag,
                         line,
                         draining,
                         home: HOME,
+                        acks,
                     };
                     for ev in all_cache_events() {
                         let is_request = matches!(ev, CacheEvent::Request { .. });
@@ -920,6 +995,6 @@ fn cache_machine_total_over_view_event_product() {
             }
         }
     }
-    // 8 states x 2 lines x 2 drain flags x 2 tags x |events|.
+    // 8 states x 2 lines x 2 drain flags x 4 (tag, acks) x |events|.
     assert!(pairs > 1_500, "sweep unexpectedly small: {pairs} pairs");
 }

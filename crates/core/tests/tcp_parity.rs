@@ -440,6 +440,75 @@ fn tcp_matches_sim_through_three_leg_recalls() {
     assert_eq!(direct, 2 * NODES as u64);
 }
 
+/// Writes to chunks other nodes read, which the home serves directed
+/// (DESIGN.md §4.2): every chunk's writer is fixed, and each home's two
+/// peers read its chunk 0, whose first reader then upgrades its copy
+/// while the second reader holds one; the first reader also upgrades its
+/// sole copy of chunk 2; and the second peer writes chunk 4, which only
+/// the first reads. Each home then reads its chunks back.
+fn run_directed_workload(cfg: ClusterConfig) -> Vec<NodeStatsSnapshot> {
+    Sim::new(SimConfig::default()).run(move |ctx| {
+        let cluster = Cluster::new(ctx, cfg);
+        let arr = cluster.alloc::<u64>(
+            NODES * CHUNKS_PER_NODE * DEFAULT_CHUNK_SIZE,
+            ArrayOptions::default(),
+        );
+        cluster.run(ctx, 1, move |ctx, env| {
+            let a = arr.on(env.node);
+            // This node is the first peer of `prev` and the second of `next`.
+            let (next, prev) = ((env.node + 1) % NODES, (env.node + 2) % NODES);
+            for k in 0..8 {
+                for c in [0, 2, 4] {
+                    assert_eq!(a.get(ctx, base(prev, c) + k), 0);
+                }
+                assert_eq!(a.get(ctx, base(next, 0) + k), 0);
+            }
+            env.barrier(ctx);
+            for k in 0..8 {
+                a.set(ctx, base(prev, 0) + k, k as u64 + 1);
+                a.set(ctx, base(prev, 2) + k, k as u64 + 3);
+                a.set(ctx, base(next, 4) + k, k as u64 + 5);
+            }
+            env.barrier(ctx);
+            for k in 0..8 {
+                for (c, v) in [(0, 1), (2, 3), (4, 5)] {
+                    assert_eq!(a.get(ctx, base(env.node, c) + k), k as u64 + v);
+                }
+            }
+            env.barrier(ctx);
+            for d in 1..NODES {
+                let h = (env.node + d) % NODES;
+                assert_eq!(a.get(ctx, base(h, 5) + env.node), 0);
+            }
+            env.barrier(ctx);
+        });
+        let stats = (0..NODES).map(|n| cluster.stats(n)).collect();
+        cluster.shutdown(ctx);
+        stats
+    })
+}
+
+/// A directed write's sharer acks the writer over the sharer-to-writer
+/// link, and the writer acks its fill to the home once every ack is in;
+/// the transitions and `direct_writes` this makes are the same on both
+/// backends.
+#[test]
+fn tcp_matches_sim_through_directed_writes() {
+    let sim = run_directed_workload(parity_config(TransportKind::Sim));
+    let tcp = run_directed_workload(parity_config(TransportKind::Tcp));
+    for node in 0..NODES {
+        assert_eq!(
+            protocol_view(sim[node]),
+            protocol_view(tcp[node]),
+            "node {node}: directed-write counters must not depend on the backend"
+        );
+    }
+    // Chunks 0 and 4 of every home; an upgrade of a sole copy has no
+    // other sharer to invalidate.
+    let directed: u64 = sim.iter().map(|s| s.direct_writes).sum();
+    assert_eq!(directed, 2 * NODES as u64);
+}
+
 /// [`parity_config`] with the async pump's batching knobs turned all the
 /// way from their defaults: a shallow 4-frame egress ring, selective
 /// signaling every 8th frame, and a single pump thread multiplexing every
