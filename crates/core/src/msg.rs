@@ -40,6 +40,18 @@ pub(crate) enum Rpc {
         id: u64,
         kind: LockKind,
     },
+    /// A write-intent grant at which the home served the grantee's write
+    /// (DESIGN.md §4.5): the grantee keeps its Shared copy, or takes the
+    /// chunk's words `data` (empty for a listed sharer), and takes
+    /// Exclusive once `acks` sharers have acked it. `keep` is the release
+    /// rule, as [`Intent::Keep`] against [`Intent::HandBack`].
+    DirectedGrant {
+        id: u64,
+        kind: LockKind,
+        keep: bool,
+        acks: u32,
+        data: Vec<u64>,
+    },
 }
 
 /// What a lock grant asks of its grantee besides the lock (DESIGN.md
@@ -48,8 +60,9 @@ pub(crate) enum Rpc {
 pub(crate) enum Intent {
     /// A plain grant.
     Plain,
-    /// A write-intent grant: the grantee issues its write miss for the
-    /// element's chunk, and its unlock hands the chunk back home.
+    /// A write-intent grant: the grantee writes the element's chunk, after
+    /// its own write miss unless the grant was directed
+    /// ([`Rpc::DirectedGrant`]), and its unlock hands the chunk back home.
     HandBack,
     /// A write-intent grant whose unlock keeps a Shared copy and writes
     /// the data home.
@@ -67,7 +80,9 @@ impl Rpc {
     /// Wire payload size in bytes (the fabric adds a fixed header).
     pub(crate) fn payload_bytes(&self) -> u64 {
         match self {
-            Rpc::Coherence(Msg::OperandFlush { data, .. }) => 16 + data.len() as u64 * 8,
+            Rpc::Coherence(Msg::OperandFlush { data, .. }) | Rpc::DirectedGrant { data, .. } => {
+                16 + data.len() as u64 * 8
+            }
             _ => 16,
         }
     }
@@ -397,6 +412,9 @@ frames! {
         31 => Coherence(Msg::FillExclusive) { direct: bool = true },
         32 => Coherence(Msg::DirectedInvalidate) { requester: NodeId },
         33 => Coherence(Msg::DirectedFill) { acks: u32 },
+        34 => DirectedGrant { id: u64, kind: LockKind, keep: bool = false, acks: u32, data: Vec<u64> },
+        35 => DirectedGrant { id: u64, kind: LockKind, keep: bool = true, acks: u32, data: Vec<u64> },
+        36 => Coherence(Msg::EmptyAck),
     }
     NetMsg {
         0 => Rpc { env: Envelope },
@@ -550,6 +568,13 @@ mod tests {
         let lock = |id, kind, intent| Rpc::LockAcquire { id, kind, intent };
         let grant = |id, kind, intent| Rpc::LockGrant { id, kind, intent };
         let release = |id, kind| Rpc::LockRelease { id, kind };
+        let directed = |id, keep, acks, data| Rpc::DirectedGrant {
+            id,
+            kind: LockKind::Write,
+            keep,
+            acks,
+            data,
+        };
         let moved = |new_home, epoch| Msg::HomeMoved { new_home, epoch };
         let forward = |kind| Msg::MigrateForward {
             requester: 1,
@@ -603,6 +628,9 @@ mod tests {
             rpc(Msg::fill(true, true), 10),
             rpc(Msg::DirectedInvalidate { requester: 2 }, 14),
             rpc(Msg::DirectedFill { acks: 3 }, 14),
+            rpc(directed(105, false, 2, vec![]), 27),
+            rpc(directed(106, true, 0, vec![3, u64::MAX]), 43),
+            rpc(Msg::EmptyAck, 10),
         ];
         let vote = |suspect, alive| NetMsg::SuspectVote { suspect, alive };
         let join = |node, admit| NetMsg::JoinVote { node, admit };
@@ -669,7 +697,7 @@ mod tests {
     fn unassigned_tags_are_rejected() {
         for tail in 0..=32 {
             let tail = vec![0u8; tail];
-            for tag in 34..=255u8 {
+            for tag in 37..=255u8 {
                 let frame = [&[0, 2, 0, 0, 0, 9, 0, 0, 0, tag], &tail[..]].concat();
                 assert!(NetMsg::decode(&frame).is_none(), "RPC tag {tag}");
             }

@@ -27,11 +27,15 @@ pub struct CacheView {
     pub draining: bool,
     /// The chunk's home as this node's home map names it.
     pub home: NodeId,
-    /// A directed write's ack count on its requester (DESIGN.md §4.2): the
-    /// `InvalidateAck`s still to come once the fill has landed (positive),
-    /// or minus the acks that landed ahead of the fill (negative); 0
-    /// otherwise. The executor keeps it beside the dentry.
+    /// A directed write's ack count on its requester (DESIGN.md §4.2), or
+    /// a directed grant's on its grantee (§4.5): the `InvalidateAck`s
+    /// still to come once the fill or the grant has landed (positive), or
+    /// minus the acks that landed ahead of it (negative); 0 otherwise. The
+    /// executor keeps it beside the dentry.
     pub acks: i64,
+    /// A positive `acks` counts toward a directed grant, which brought no
+    /// data, not toward a directed write's fill.
+    pub granted: bool,
 }
 
 /// What to do once a Figure-5 drain completes. Mirrors the runtime's
@@ -129,7 +133,19 @@ pub enum CacheEvent {
         /// The `InvalidateAck`s this fill waits for.
         acks: u32,
     },
-    /// A sharer acknowledged the directed write this node waits for.
+    /// A write-intent lock's grant arrived, and the home served this
+    /// node's write at it (DESIGN.md §4.5): the Shared copy the grant
+    /// counted on, or the chunk's words it carries (`data`), becomes
+    /// Exclusive once `acks` sharers have acked too.
+    DirectedGrant {
+        /// The `InvalidateAck`s this grant waits for.
+        acks: u32,
+        /// The grant carries the chunk's words: the home did not list this
+        /// node.
+        data: bool,
+    },
+    /// A sharer acknowledged the directed write or grant this node waits
+    /// for.
     InvAck,
     /// A fill notification arrived (data already RDMA-written to our line).
     FillDone {
@@ -271,16 +287,27 @@ pub enum CacheAction {
         /// The coherence message.
         msg: Msg,
     },
-    /// Send `InvalidateAck` to node `to` once the drain under way has
-    /// completed: a directed invalidation that found the copy draining.
-    AckAfterDrain {
-        /// The writer to acknowledge to.
+    /// Send `msg` to node `to` once the drain under way has completed: the
+    /// `InvalidateAck` of a directed invalidation that found the copy
+    /// draining, or the `EmptyAck` of a directed grant's grantee whose
+    /// copy is draining, so that no reader of it overlaps the next
+    /// writer.
+    SendAfterDrain {
+        /// The receiving node.
         to: NodeId,
+        /// The message.
+        msg: Msg,
     },
-    /// Record the directed write's ack count ([`CacheView::acks`]).
+    /// Allocate a line, write the directed grant's chunk words into it,
+    /// attach it and install Shared rights.
+    InstallGrant,
+    /// Record the directed write's or grant's ack count
+    /// ([`CacheView::acks`] and [`CacheView::granted`]).
     SetAcks {
         /// The new count.
         acks: i64,
+        /// The count is a landed grant's.
+        granted: bool,
     },
     /// RDMA-write the line back to the home subarray and send
     /// `WritebackNotice`.
@@ -430,7 +457,10 @@ impl CacheMachine {
                         },
                     }]
                 } else if view.draining {
-                    vec![CacheAction::AckAfterDrain { to: requester }]
+                    vec![CacheAction::SendAfterDrain {
+                        to: requester,
+                        msg: Msg::InvalidateAck,
+                    }]
                 } else {
                     vec![CacheAction::Send {
                         to: requester,
@@ -438,15 +468,16 @@ impl CacheMachine {
                     }]
                 }
             }
-            // The directed write's fill and its sharers' acks land in any
-            // order. Nothing tears a fill down where directed writes run, so
-            // both always find the write awaited.
+            // The directed write's fill, or the directed grant, and the
+            // sharers' acks land in any order. Nothing tears a fill down
+            // where directed writes run, so both always find the write
+            // awaited, and every ack a node other than the home receives is
+            // one it counts.
             CacheEvent::DirectedFill { acks } if view.state == LocalState::FillingExclusive => {
-                Self::collect(view, view.acks + i64::from(acks), true)
+                Self::collect(view, view.acks + i64::from(acks), true, false)
             }
-            CacheEvent::InvAck if view.state == LocalState::FillingExclusive => {
-                Self::collect(view, view.acks - 1, view.acks > 0)
-            }
+            CacheEvent::DirectedGrant { acks, data } => Self::grant(view, acks, data),
+            CacheEvent::InvAck => Self::collect(view, view.acks - 1, view.acks > 0, view.granted),
             // Write an Exclusive copy back and drop it. Without one, a
             // voluntary writeback is already in flight (FIFO guarantees the
             // home sees it).
@@ -597,15 +628,45 @@ impl CacheMachine {
         ]
     }
 
-    /// A directed write's requester counted an ack or its fill: `due` is
-    /// the new [`CacheView::acks`], and `landed` says the fill is in. Once
-    /// the data and every ack are in, the chunk is the requester's: it
-    /// wakes its waiters, then acks to the home, which holds the chunk
-    /// until then so that nothing it sends later reaches a node still
-    /// filling.
-    fn collect(view: &CacheView, due: i64, landed: bool) -> Vec<CacheAction> {
-        let mut out = vec![CacheAction::SetAcks { acks: due }];
-        if landed && due == 0 {
+    /// A directed grant landed with `acks` to collect. Its chunk words
+    /// (`data`) make a Shared copy in a fresh line when this node holds
+    /// and awaits nothing; a node with a fill or a drain under way declines
+    /// them and collects its acks copy-less.
+    fn grant(view: &CacheView, acks: u32, data: bool) -> Vec<CacheAction> {
+        let due = view.acks + i64::from(acks);
+        if !(data && view.state == LocalState::Invalid && !view.draining) {
+            return Self::collect(view, due, true, true);
+        }
+        let shared = CacheView {
+            state: LocalState::Shared,
+            ..*view
+        };
+        let mut out = vec![
+            CacheAction::InstallGrant,
+            CacheAction::Count(Counter::Fills),
+            Self::trace(view, LocalState::Shared, "grant-data"),
+        ];
+        out.extend(Self::collect(&shared, due, true, true));
+        out
+    }
+
+    /// A directed write's requester or a directed grant's grantee counted
+    /// an ack, or what tells it how many to expect: `due` is the new
+    /// [`CacheView::acks`], `landed` says the fill or the grant is in, and
+    /// `grant` that a grant is what the acks count toward. Once it and
+    /// every ack are in, the chunk is this node's: a fill's data, or the
+    /// Shared copy a grant counted on, becomes Exclusive and its waiters
+    /// wake. Then it acks to the home, which holds the chunk until then so
+    /// that nothing it sends later reaches a node still filling. A grantee
+    /// whose copy is gone, or going, holds nothing and says so in its ack,
+    /// which waits for a drain under way.
+    fn collect(view: &CacheView, due: i64, landed: bool, grant: bool) -> Vec<CacheAction> {
+        let granted = grant && landed && due != 0;
+        let mut out = vec![CacheAction::SetAcks { acks: due, granted }];
+        if !landed || due != 0 {
+            return out;
+        }
+        if !grant {
             out.extend(Self::complete(
                 view,
                 LocalState::Exclusive,
@@ -613,11 +674,24 @@ impl CacheMachine {
                 Counter::Fills,
                 "directed-fill",
             ));
-            out.push(CacheAction::Send {
-                to: view.home,
-                msg: Msg::FillAck,
-            });
+        } else if view.state == LocalState::Shared && !view.draining {
+            out.extend([
+                CacheAction::Promote {
+                    state: LocalState::Exclusive,
+                    tag: NOTAG,
+                },
+                Self::trace(view, LocalState::Exclusive, "directed-grant"),
+                CacheAction::WakeAllWaiters,
+            ]);
         }
+        let holds = !grant || view.state == LocalState::Shared && !view.draining;
+        let msg = if holds { Msg::FillAck } else { Msg::EmptyAck };
+        let to = view.home;
+        out.push(if view.draining {
+            CacheAction::SendAfterDrain { to, msg }
+        } else {
+            CacheAction::Send { to, msg }
+        });
         out
     }
 
@@ -686,6 +760,11 @@ impl CacheMachine {
         // application thread re-checks and observes `NodeUnavailable`.
         if home_down || view.state.permits(kind, || view.op_tag) {
             return vec![CacheAction::WakeRequester];
+        }
+        // A Shared copy counting acks toward a directed grant (DESIGN.md
+        // §4.5) becomes Exclusive at its last ack: wait for it.
+        if view.state == LocalState::Shared && view.acks != 0 {
+            return vec![CacheAction::QueueWaiter];
         }
         let after = match view.state {
             LocalState::Shared => AfterDrain::Upgrade {
@@ -760,6 +839,8 @@ impl CacheMachine {
     fn evict(view: &CacheView) -> Vec<CacheAction> {
         let line = view.line;
         let (target, tag, after) = match view.state {
+            // A copy counting acks toward a directed grant stays.
+            LocalState::Shared if view.acks != 0 => return vec![],
             LocalState::Shared => (LocalState::Invalid, NOTAG, AfterDrain::EvictShared { line }),
             LocalState::Exclusive => (
                 LocalState::Invalid,
@@ -925,6 +1006,7 @@ mod tests {
             draining: false,
             home: 0,
             acks: 0,
+            granted: false,
         }
     }
 
@@ -1242,9 +1324,10 @@ mod tests {
             let mut v = view(LocalState::FillingExclusive, NOTAG, 3);
             for (k, ev) in order.into_iter().enumerate() {
                 let acts = CacheMachine::on_event(&v, ev);
-                let CacheAction::SetAcks { acks } = acts[0] else {
+                let CacheAction::SetAcks { acks, granted } = acts[0] else {
                     panic!("{order:?} step {k}: {acts:?}")
                 };
+                assert!(!granted);
                 v.acks = acks;
                 let held = acts.contains(&CacheAction::Promote {
                     state: LocalState::Exclusive,
@@ -1317,10 +1400,214 @@ mod tests {
             v.draining = true;
             assert_eq!(
                 CacheMachine::on_event(&v, ev),
-                [CacheAction::AckAfterDrain { to: 2 }],
+                [CacheAction::SendAfterDrain {
+                    to: 2,
+                    msg: Msg::InvalidateAck
+                }],
                 "{state:?} draining"
             );
         }
+    }
+
+    /// Feed `events` to a grantee whose dentry starts as `v`, carrying the
+    /// ack count between steps; the actions of each step.
+    fn grantee_steps(mut v: CacheView, events: &[CacheEvent]) -> Vec<Vec<CacheAction>> {
+        events
+            .iter()
+            .map(|&ev| {
+                let acts = CacheMachine::on_event(&v, ev);
+                for a in &acts {
+                    if let CacheAction::SetAcks { acks, granted } = a {
+                        (v.acks, v.granted) = (*acks, *granted);
+                    }
+                }
+                if acts.contains(&CacheAction::InstallGrant) {
+                    (v.state, v.line) = (LocalState::Shared, 3);
+                }
+                if let Some(CacheAction::Promote { state, .. }) = acts
+                    .iter()
+                    .find(|a| matches!(a, CacheAction::Promote { .. }))
+                {
+                    v.state = *state;
+                }
+                acts
+            })
+            .collect()
+    }
+
+    /// A directed grant's grantee keeps its Shared copy and counts two
+    /// acks whether they land before, around or after the grant. Only
+    /// once the grant and both acks are in does the copy become Exclusive:
+    /// then it wakes its waiters, and then it acks the home.
+    #[test]
+    fn a_directed_grantee_collects_two_acks_around_its_grant() {
+        let grant = CacheEvent::DirectedGrant {
+            acks: 2,
+            data: false,
+        };
+        let ack = CacheEvent::InvAck;
+        let done = [
+            CacheAction::Promote {
+                state: LocalState::Exclusive,
+                tag: NOTAG,
+            },
+            CacheAction::Trace(Transition {
+                from: "Shared",
+                to: "Exclusive",
+                trigger: "directed-grant",
+            }),
+            CacheAction::WakeAllWaiters,
+            CacheAction::Send {
+                to: 0,
+                msg: Msg::FillAck,
+            },
+        ];
+        for order in [[ack, ack, grant], [ack, grant, ack], [grant, ack, ack]] {
+            let steps = grantee_steps(view(LocalState::Shared, NOTAG, 3), &order);
+            for (k, acts) in steps.iter().enumerate() {
+                assert_eq!(acts[1..] == done, k == 2, "{order:?} step {k}: {acts:?}");
+            }
+        }
+        // A sole sharer has no ack to wait for: the grant alone completes.
+        let steps = grantee_steps(
+            view(LocalState::Shared, NOTAG, 3),
+            &[CacheEvent::DirectedGrant {
+                acks: 0,
+                data: false,
+            }],
+        );
+        assert_eq!(steps[0][1..], done);
+    }
+
+    /// A grant that carries the chunk's words to a node that holds and
+    /// awaits nothing installs them in a fresh line as a Shared copy,
+    /// which then counts its ack as a sharer's does.
+    #[test]
+    fn a_data_grant_installs_a_shared_copy_and_counts_its_acks() {
+        let grant = CacheEvent::DirectedGrant {
+            acks: 1,
+            data: true,
+        };
+        let v = view(LocalState::Invalid, NOTAG, super::super::LINE_NONE);
+        let steps = grantee_steps(v, &[grant, CacheEvent::InvAck]);
+        assert_eq!(
+            steps[0][..3],
+            [
+                CacheAction::InstallGrant,
+                CacheAction::Count(Counter::Fills),
+                CacheAction::Trace(Transition {
+                    from: "Invalid",
+                    to: "Shared",
+                    trigger: "grant-data",
+                }),
+            ]
+        );
+        let last = &steps[1];
+        assert!(last.contains(&CacheAction::Promote {
+            state: LocalState::Exclusive,
+            tag: NOTAG
+        }));
+        assert_eq!(
+            last.last(),
+            Some(&CacheAction::Send {
+                to: 0,
+                msg: Msg::FillAck
+            })
+        );
+    }
+
+    /// While its acks come in, the grantee's Shared copy serves reads, and
+    /// queues writes until the last ack. It is not evictable meanwhile.
+    #[test]
+    fn a_grantee_reads_and_queues_its_write_until_the_last_ack() {
+        let mut v = view(LocalState::Shared, NOTAG, 3);
+        v.acks = 1;
+        v.granted = true;
+        let req = |kind| CacheEvent::Request {
+            kind,
+            home_down: false,
+            drain_pending: false,
+        };
+        assert_eq!(
+            CacheMachine::on_event(&v, req(Kind::Read)),
+            [CacheAction::WakeRequester]
+        );
+        assert_eq!(
+            CacheMachine::on_event(&v, req(Kind::Write)),
+            [CacheAction::QueueWaiter]
+        );
+        assert!(CacheMachine::on_event(&v, CacheEvent::Evict).is_empty());
+        let last = CacheMachine::on_event(&v, CacheEvent::InvAck);
+        assert!(last.contains(&CacheAction::WakeAllWaiters), "{last:?}");
+        // Early acks: the grant is on its way, and the write waits for it.
+        v.acks = -1;
+        v.granted = false;
+        assert_eq!(
+            CacheMachine::on_event(&v, req(Kind::Write)),
+            [CacheAction::QueueWaiter]
+        );
+    }
+
+    /// A grantee whose copy the grant counted on is gone, or that declines
+    /// a grant's words with a fill or drain under way, holds nothing: it
+    /// counts its acks, then acks the home with `EmptyAck`, never
+    /// promoting. Its copy still draining, the ack waits for the drain. A
+    /// refill it asked for meanwhile stays awaited.
+    #[test]
+    fn a_grantee_without_its_copy_acks_empty() {
+        let ack = CacheAction::Send {
+            to: 0,
+            msg: Msg::EmptyAck,
+        };
+        for (state, draining, data) in [
+            (LocalState::Invalid, false, false),
+            (LocalState::Invalid, true, false),
+            (LocalState::Invalid, true, true),
+            (LocalState::FillingShared, false, false),
+            (LocalState::FillingShared, false, true),
+            (LocalState::FillingExclusive, false, true),
+            (LocalState::FillingExclusive, true, false),
+        ] {
+            {
+                let grant = CacheEvent::DirectedGrant { acks: 1, data };
+                let mut v = view(state, NOTAG, 3);
+                v.draining = draining;
+                let steps = grantee_steps(v, &[grant, CacheEvent::InvAck]);
+                assert_eq!(
+                    steps[0],
+                    [CacheAction::SetAcks {
+                        acks: 1,
+                        granted: true
+                    }]
+                );
+                let last = &steps[1];
+                assert!(
+                    !last
+                        .iter()
+                        .any(|a| matches!(a, CacheAction::Promote { .. })),
+                    "{state:?}: {last:?}"
+                );
+                let want = if draining {
+                    CacheAction::SendAfterDrain {
+                        to: 0,
+                        msg: Msg::EmptyAck,
+                    }
+                } else {
+                    ack.clone()
+                };
+                assert_eq!(last.last(), Some(&want), "{state:?} draining {draining}");
+            }
+        }
+        // The refill's own fill then completes as any fill does.
+        let fill = CacheEvent::FillDone {
+            granted: LocalState::Exclusive,
+            direct: false,
+        };
+        let acts = CacheMachine::on_event(&view(LocalState::FillingExclusive, NOTAG, 3), fill);
+        assert!(acts.contains(&CacheAction::Promote {
+            state: LocalState::Exclusive,
+            tag: NOTAG
+        }));
     }
 
     #[test]

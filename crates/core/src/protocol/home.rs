@@ -19,6 +19,12 @@ use super::{Counter, Kind, Msg, NodeId, Request, Requester, Transition, NOTAG};
 /// home.
 const UNSETTLED_IDS: NodeId = u32::BITS as NodeId;
 
+/// The fill offset of a directed grant's request (DESIGN.md §4.5): the home
+/// serves it with the lock grant, not a fill. [`GRANT_DATA`] marks a grant
+/// to a node the directory does not list, which carries the chunk's words.
+const GRANT: u64 = u64::MAX;
+const GRANT_DATA: u64 = u64::MAX - 1;
+
 /// Transient phase of a home-side transition that is waiting for remote
 /// replies or a local reference drain. While a transient is pending, new
 /// requests queue.
@@ -46,6 +52,8 @@ pub enum Transient {
     /// writeback landed, other reads are served during the wait. A
     /// directed write waits here too, for its requester's ack alone: the
     /// requester acks once its sharers' acks and the home's fill are in.
+    /// So does a directed grant (DESIGN.md §4.5), whose grantee acks once
+    /// its sharers' acks and the lock grant are in.
     AwaitDirectFill {
         /// The Dirty owner being recalled; `None` for a directed write,
         /// which recalls nobody.
@@ -178,10 +186,23 @@ pub enum HomeEvent<W> {
         direct: bool,
     },
     /// A requester's fill from a recalled owner landed (the last leg of a
-    /// three-leg recall).
+    /// three-leg recall), or a directed write's or grant's last ack did.
     FillAck {
         /// The requester.
         from: NodeId,
+    },
+    /// A directed grant's acks are in at its grantee, which holds no copy
+    /// (DESIGN.md §4.5): the chunk is back with the home.
+    EmptyAck {
+        /// The grantee.
+        from: NodeId,
+    },
+    /// A write-intent lock on an element of the chunk is granted to the
+    /// remote `grantee`, and [`HomeMachine::directs_grant`] said the home
+    /// serves the grantee's write at the grant (DESIGN.md §4.5).
+    IntentGrant {
+        /// The grantee.
+        grantee: NodeId,
     },
     /// A remote node flushed its combined operands.
     Flush {
@@ -302,6 +323,18 @@ pub enum HomeAction<W> {
         /// the fill ([`Msg::DirectedFill`], DESIGN.md §4.2); 0 for every
         /// other fill.
         acks: u32,
+    },
+    /// Send the write-intent lock grant of the last
+    /// [`HomeEvent::IntentGrant`] to its grantee `to`, carrying the
+    /// sharers' acks it collects before its write (DESIGN.md §4.5).
+    SendGrant {
+        /// The grantee.
+        to: NodeId,
+        /// The `InvalidateAck`s the grantee collects.
+        acks: u32,
+        /// The grant carries the home image's words: the directory did not
+        /// list the grantee.
+        data: bool,
     },
     /// Reduce a flush's operands into the home subarray under operator
     /// `op` (operand data must never be lost).
@@ -438,7 +471,8 @@ pub struct HomeMachine<W> {
     /// (DESIGN.md §4.2): counted when its `DirectedInvalidate`s leave, and
     /// sent with its fill once the home dentry drained; 0 otherwise. A
     /// `u16` fits in padding, which keeps the machine its size; a write to
-    /// a chunk with more sharers collects its acks at the home.
+    /// a chunk with more sharers collects its acks at the home. A directed
+    /// grant's count waits here for the home drain too.
     directed_acks: u16,
     /// Set once a migration commits on the source side: the chunk's new
     /// home and the fence epoch it moved under. A machine with this set is
@@ -577,6 +611,17 @@ impl<W> HomeMachine<W> {
         }
     }
 
+    /// Does the home serve the write of `grantee`, to which a write-intent
+    /// lock on an element of the chunk is about to be granted, at the
+    /// grant (DESIGN.md §4.5)? Where the three-leg switch is on, when the
+    /// chunk is stable and Shared, and invalidating the sharers other than
+    /// `grantee` would not cut a fresh grant's grace window short. The executor feeds [`HomeEvent::IntentGrant`] only then;
+    /// otherwise it sends the plain grant and runs the home's own write
+    /// miss for the grantee.
+    pub fn directs_grant(&self, now: u64, grace_ns: u64, grantee: NodeId) -> bool {
+        self.grant_sharers(now, grace_ns, grantee).is_some()
+    }
+
     /// Feed one event; returns the actions the executor must perform, in
     /// order. `now` is the current (virtual) time and `grace_ns` the
     /// minimum-hold grace window of fresh grants (0 disables it).
@@ -606,9 +651,28 @@ impl<W> HomeMachine<W> {
                         self.trace("forward-after-migration", &mut out);
                     }
                 } else {
+                    let queued = matches!(self.transient, Transient::AwaitDirectFill { .. })
+                        && !(self.pending.is_empty() && self.ready(&req));
+                    if queued {
+                        out.push(HomeAction::Count(Counter::QueuedBehindDirect));
+                    }
                     self.pending.push_back(req);
                     self.progress(now, grace_ns, &mut out);
                 }
+            }
+            HomeEvent::IntentGrant { grantee } => {
+                let (others, data) = self
+                    .grant_sharers(now, grace_ns, grantee)
+                    .expect("the executor asks `directs_grant` first");
+                let req = Request {
+                    source: Requester::Remote {
+                        node: grantee,
+                        dst_off: if data { GRANT_DATA } else { GRANT },
+                    },
+                    kind: Kind::Write,
+                };
+                out.push(HomeAction::ChargeDirUpdate);
+                self.direct_write(grantee, others, req, &mut out);
             }
             // An ack, or a crossing eviction, satisfies the ack set. Only a
             // live invalidation epoch may count the ack; a stale ack (an
@@ -638,6 +702,14 @@ impl<W> HomeMachine<W> {
                 direct: true,
             } => self.direct_fill_arrived(now, grace_ns, from, false, &mut out),
             HomeEvent::FillAck { from } => {
+                self.direct_fill_arrived(now, grace_ns, from, true, &mut out)
+            }
+            HomeEvent::EmptyAck { from } => {
+                if matches!(self.transient,
+                    Transient::AwaitDirectFill { owner: None, requester, .. } if requester == from)
+                {
+                    self.set_state(DirState::Unshared, "grantee-empty", &mut out);
+                }
                 self.direct_fill_arrived(now, grace_ns, from, true, &mut out)
             }
             HomeEvent::Writeback {
@@ -756,7 +828,21 @@ impl<W> HomeMachine<W> {
             }
             HomeEvent::Drained => {
                 debug_assert_eq!(self.transient, Transient::HomeDrain);
-                self.finish_transient(now, grace_ns, &mut out);
+                let grant = matches!(
+                    self.current,
+                    Some(Request {
+                        source: Requester::Remote {
+                            dst_off: GRANT | GRANT_DATA,
+                            ..
+                        },
+                        ..
+                    })
+                );
+                if grant {
+                    self.send_grant(now, &mut out);
+                } else {
+                    self.finish_transient(now, grace_ns, &mut out);
+                }
             }
             HomeEvent::RetryExpired => {
                 if self.transient == Transient::GraceWait {
@@ -979,6 +1065,7 @@ impl<W> HomeMachine<W> {
             | HomeEvent::EvictNotice { from }
             | HomeEvent::Writeback { from, .. }
             | HomeEvent::FillAck { from }
+            | HomeEvent::EmptyAck { from }
             | HomeEvent::Flush { from, .. }
             | HomeEvent::MigrateData { from, .. }
             | HomeEvent::MigrateAck { from, .. }
@@ -1364,12 +1451,7 @@ impl<W> HomeMachine<W> {
                         if acks == 0 {
                             return true;
                         }
-                        self.transient = Transient::AwaitDirectFill {
-                            owner: None,
-                            requester: node,
-                            ack: true,
-                            writeback: false,
-                        };
+                        self.await_ack(node);
                         self.current = Some(req);
                         return false;
                     }
@@ -1425,8 +1507,10 @@ impl<W> HomeMachine<W> {
 
     /// Serve `node`'s write `req` directed: name `node` the owner at once,
     /// and have each of `sharers` ack it, not the home; once the home
-    /// dentry drained, the fill tells `node` how many acks to collect.
-    /// Returns false: a transient began.
+    /// dentry drained, the fill, or the lock grant of a write-intent grant
+    /// (`req` at [`GRANT`] or [`GRANT_DATA`], DESIGN.md §4.5), tells `node`
+    /// how many acks to
+    /// collect. Returns false: a transient began.
     fn direct_write(
         &mut self,
         node: NodeId,
@@ -1434,16 +1518,82 @@ impl<W> HomeMachine<W> {
         req: Request<W>,
         out: &mut Vec<HomeAction<W>>,
     ) -> bool {
+        let (trigger, counter) = match req.source {
+            Requester::Remote {
+                dst_off: GRANT | GRANT_DATA,
+                ..
+            } => ("directed-grant", Counter::DirectedGrants),
+            _ => ("directed-write", Counter::DirectWrites),
+        };
         self.directed_acks = u16::try_from(sharers.len()).expect("bounded by `directed`");
-        self.set_state(DirState::Dirty { owner: node }, "directed-write", out);
+        self.set_state(DirState::Dirty { owner: node }, trigger, out);
         for n in sharers {
             out.push(HomeAction::Send {
                 to: n,
                 msg: Msg::DirectedInvalidate { requester: node },
             });
         }
-        out.push(HomeAction::Count(Counter::DirectWrites));
+        out.push(HomeAction::Count(counter));
         self.drain_home(req, LocalState::Invalid, NOTAG, out)
+    }
+
+    /// The sharers other than `grantee` a directed grant invalidates, few
+    /// enough for `directed_acks`, and whether the grant carries the
+    /// chunk's words (the directory does not list `grantee`), if the home
+    /// serves `grantee`'s write at its grant (see [`Self::directs_grant`]).
+    fn grant_sharers(
+        &self,
+        now: u64,
+        grace_ns: u64,
+        grantee: NodeId,
+    ) -> Option<(Vec<NodeId>, bool)> {
+        let DirState::Shared { sharers } = &self.state else {
+            return None;
+        };
+        let others: Vec<NodeId> = sharers.iter().copied().filter(|&n| n != grantee).collect();
+        let data = others.len() == sharers.len();
+        let graced = !others.is_empty() && grace_ns > 0 && now < self.granted_at + grace_ns;
+        let fits = others.len() <= usize::from(u16::MAX);
+        (self.direct_fill
+            && self.transient.is_none()
+            && self.migrated_to.is_none()
+            && fits
+            && !graced)
+            .then_some((others, data))
+    }
+
+    /// The home dentry drained for a directed grant: send the grant, which
+    /// is a grant of rights as a fill is, and hold the chunk until the
+    /// grantee acks it, as for a directed write. The grantee acks even
+    /// with no sharer to wait for, since its ack also says whether it holds
+    /// the copy: its eviction may have crossed the grant.
+    fn send_grant(&mut self, now: u64, out: &mut Vec<HomeAction<W>>) {
+        let Some(Request {
+            source: Requester::Remote { node, dst_off },
+            ..
+        }) = self.current
+        else {
+            unreachable!("a directed grant drains for its grantee");
+        };
+        self.grant_to(now, node);
+        let acks = u32::from(std::mem::take(&mut self.directed_acks));
+        out.push(HomeAction::SendGrant {
+            to: node,
+            acks,
+            data: dst_off == GRANT_DATA,
+        });
+        self.await_ack(node);
+    }
+
+    /// Hold the chunk until `node`, the writer a directed write filled or
+    /// a directed grant's grantee, acks that its acks are in.
+    fn await_ack(&mut self, node: NodeId) {
+        self.transient = Transient::AwaitDirectFill {
+            owner: None,
+            requester: node,
+            ack: true,
+            writeback: false,
+        };
     }
 
     /// Grant `node` its fill from the home image, at `dst_off`; `acks` for
@@ -1457,16 +1607,23 @@ impl<W> HomeMachine<W> {
         acks: u32,
         out: &mut Vec<HomeAction<W>>,
     ) {
-        self.granted_at = now;
-        if node < UNSETTLED_IDS {
-            self.unsettled &= !(1 << node);
-        }
+        self.grant_to(now, node);
         out.push(HomeAction::SendFill {
             to: node,
             dst_off,
             exclusive,
             acks,
         });
+    }
+
+    /// Rights leave for `node` now, by a fill or a directed grant: the
+    /// grace window starts, and the message travels behind any revoke the
+    /// home sent `node` earlier, so `node` is settled (see `unsettled`).
+    fn grant_to(&mut self, now: u64, node: NodeId) {
+        self.granted_at = now;
+        if node < UNSETTLED_IDS {
+            self.unsettled &= !(1 << node);
+        }
     }
 
     /// A revoke the home sent `node` may still be on its way there (see
@@ -1575,8 +1732,10 @@ impl<W> HomeMachine<W> {
             };
             self.set_state(state, trigger, out);
         }
-        if !acked {
-            // The owner's line landed in the home image.
+        if !acked || self.state == DirState::Unshared {
+            // The owner's line landed in the home image, or a directed
+            // grant ended whose grantee holds no copy: the other sharers'
+            // copies are gone too, and the home holds the chunk.
             out.push(HomeAction::SetHomeLocal {
                 state: self.state.home_local(),
                 tag: NOTAG,
@@ -1918,6 +2077,154 @@ mod tests {
             keep: true,
         };
         assert!(acts.contains(&HomeAction::Send { to: 2, msg: recall }));
+    }
+
+    /// A machine with the switch on whose chunk remotes `sharers` read.
+    fn shared_by(sharers: &[NodeId]) -> M {
+        let mut m = M::new();
+        m.set_direct_fill(true);
+        for &n in sharers {
+            m.on_event(0, 0, remote(n, Kind::Read));
+            if m.transient() == &Transient::HomeDrain {
+                m.on_event(0, 0, HomeEvent::Drained);
+            }
+        }
+        let sharers = sharers.to_vec();
+        assert_eq!(m.state(), &DirState::Shared { sharers });
+        m
+    }
+
+    /// An intent grant to a sharer serves its write (DESIGN.md §4.5): the
+    /// home names remote 2 the owner, sends remote 1 an invalidation that
+    /// names it and no fill to anyone, and once its own dentry drained
+    /// sends the grant with one ack to collect. It holds the chunk until
+    /// remote 2 acks, and a request arriving meanwhile queues, counted. A
+    /// sole sharer's grant counts no ack.
+    #[test]
+    fn a_grant_to_a_sharer_sends_no_fill_and_counts_the_other_sharers() {
+        let mut m = shared_by(&[1, 2]);
+        assert!(m.directs_grant(1, 0, 2));
+        let acts = m.on_event(1, 0, HomeEvent::IntentGrant { grantee: 2 });
+        assert_eq!(m.state(), &DirState::Dirty { owner: 2 });
+        let invalidate = Msg::DirectedInvalidate { requester: 2 };
+        assert!(acts.contains(&HomeAction::Send {
+            to: 1,
+            msg: invalidate
+        }));
+        assert!(acts.contains(&HomeAction::Count(Counter::DirectedGrants)));
+        let acts = m.on_event(2, 0, HomeEvent::Drained);
+        assert_eq!(
+            acts,
+            [HomeAction::SendGrant {
+                to: 2,
+                acks: 1,
+                data: false
+            }]
+        );
+        assert_eq!(m.transient().name(), "AwaitDirectFill");
+        let acts = m.on_event(3, 0, remote(1, Kind::Read));
+        assert_eq!(acts, [HomeAction::Count(Counter::QueuedBehindDirect)]);
+        let acts = m.on_event(4, 0, HomeEvent::FillAck { from: 2 });
+        let recall = Msg::RecallTo {
+            requester: 1,
+            dst_off: 0,
+            keep: true,
+        };
+        assert!(acts.contains(&HomeAction::Send { to: 2, msg: recall }));
+        assert!(!acts
+            .iter()
+            .any(|a| matches!(a, HomeAction::SendFill { .. })));
+
+        let mut m = shared_by(&[2]);
+        m.on_event(1, 0, HomeEvent::IntentGrant { grantee: 2 });
+        let acts = m.on_event(2, 0, HomeEvent::Drained);
+        assert_eq!(
+            acts,
+            [HomeAction::SendGrant {
+                to: 2,
+                acks: 0,
+                data: false
+            }]
+        );
+        m.on_event(3, 0, HomeEvent::FillAck { from: 2 });
+        assert!(m.transient().is_none());
+        assert_eq!(m.state(), &DirState::Dirty { owner: 2 });
+    }
+
+    /// A grant to a node the directory does not list carries the chunk's
+    /// words, and the other sharer's copy acks the grantee.
+    #[test]
+    fn a_grant_to_a_non_sharer_carries_the_data() {
+        let mut m = shared_by(&[1]);
+        assert!(m.directs_grant(1, 0, 2));
+        let acts = m.on_event(1, 0, HomeEvent::IntentGrant { grantee: 2 });
+        assert_eq!(m.state(), &DirState::Dirty { owner: 2 });
+        assert!(acts.contains(&HomeAction::Send {
+            to: 1,
+            msg: Msg::DirectedInvalidate { requester: 2 },
+        }));
+        let acts = m.on_event(2, 0, HomeEvent::Drained);
+        let grant = HomeAction::SendGrant {
+            to: 2,
+            acks: 1,
+            data: true,
+        };
+        assert_eq!(acts, [grant]);
+        m.on_event(3, 0, HomeEvent::FillAck { from: 2 });
+        assert!(m.transient().is_none());
+    }
+
+    /// Only a grant for a stable Shared chunk is directed: not for an
+    /// Unshared chunk, not for one Dirty at another node or mid-transition,
+    /// not with the switch off, and not while invalidating would cut a
+    /// fresh grant's grace window short. Those keep the home's pull and
+    /// the grantee's write miss.
+    #[test]
+    fn a_grant_the_directory_cannot_serve_keeps_the_pull() {
+        let mut unshared = M::new();
+        unshared.set_direct_fill(true);
+        assert!(!unshared.directs_grant(1, 0, 2));
+        assert!(!dirty_direct().directs_grant(1, 0, 2));
+        let mut m = shared_by(&[1, 2]);
+        m.on_event(1, 0, local(7, Kind::Write));
+        assert!(!m.directs_grant(1, 0, 2), "{:?}", m.transient());
+        let mut off = M::new();
+        off.on_event(0, 0, remote(2, Kind::Read));
+        off.on_event(0, 0, HomeEvent::Drained);
+        assert!(!off.directs_grant(1, 0, 2));
+        let m = shared_by(&[1, 2]);
+        assert!(!m.directs_grant(0, 10, 2));
+        assert!(m.directs_grant(10, 10, 2));
+        assert!(shared_by(&[2]).directs_grant(0, 10, 2));
+    }
+
+    /// A grantee that holds no copy when its acks are in, because its
+    /// eviction crossed the grant, acks empty: the home takes the chunk
+    /// back, with its dentry writable, once the other sharer dropped its
+    /// copy. The crossing eviction notice changes nothing.
+    #[test]
+    fn a_grant_that_ends_empty_leaves_the_chunk_unshared() {
+        for during_drain in [false, true] {
+            let mut m = shared_by(&[1, 2]);
+            m.on_event(1, 0, HomeEvent::IntentGrant { grantee: 2 });
+            let evict = HomeEvent::EvictNotice { from: 2 };
+            if during_drain {
+                m.on_event(1, 0, evict.clone());
+            }
+            m.on_event(2, 0, HomeEvent::Drained);
+            if !during_drain {
+                m.on_event(2, 0, evict);
+            }
+            assert_eq!(m.state(), &DirState::Dirty { owner: 2 });
+            assert_eq!(m.transient().name(), "AwaitDirectFill");
+            let acts = m.on_event(3, 0, HomeEvent::EmptyAck { from: 2 });
+            assert_eq!(m.state(), &DirState::Unshared);
+            assert!(acts.contains(&HomeAction::SetHomeLocal {
+                state: LocalState::Exclusive,
+                tag: NOTAG,
+            }));
+            assert!(m.transient().is_none());
+        }
     }
 
     /// With the switch on, a home-local write and an Operate request of a

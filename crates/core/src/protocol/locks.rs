@@ -263,7 +263,7 @@ impl<W> LockTable<W> {
     /// `grantee` (DESIGN.md §4.5): does the grantee keep a Shared copy of
     /// the element's chunk when it unlocks? `dir` is the chunk's directory
     /// state as the grant leaves, and `chunk` the ids of the chunk's
-    /// elements. It keeps when the grant's pull revokes another node's
+    /// elements. It keeps when the grant revokes another node's
     /// Shared copy, so the chunk is being read elsewhere, and no writer of
     /// another node (the home's threads included) holds or waits for a
     /// lock on an element of the chunk: its grant would revoke the kept

@@ -140,6 +140,14 @@ pub enum Counter {
     /// A remote write to a chunk other remotes shared was served directed:
     /// the sharers acknowledged the writer, not the home (DESIGN.md §4.2).
     DirectWrites,
+    /// A write-intent lock grant served its grantee's write: the grantee
+    /// kept its Shared copy and collected the other sharers' acks
+    /// (DESIGN.md §4.5).
+    DirectedGrants,
+    /// A request reached the home while it held the chunk for a three-leg
+    /// fill's, a directed write's or a directed grant's ack, and queued
+    /// behind that wait ([`Transient::AwaitDirectFill`](home::Transient)).
+    QueuedBehindDirect,
     /// A remote flush was reduced into the home subarray.
     OperatedReductions,
     /// A cacheline was evicted by the reclamation scan.

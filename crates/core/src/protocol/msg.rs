@@ -72,8 +72,13 @@ pub enum Msg {
         direct: bool,
     },
     /// Requester → home: a recalled owner's fill landed (the last leg of a
-    /// [`Msg::RecallTo`]).
+    /// [`Msg::RecallTo`]), or a directed write's or grant's acks are in.
     FillAck,
+    /// Grantee → home: a directed grant's acks are in, but the grantee
+    /// holds no copy: its eviction crossed the grant, or it declined the
+    /// chunk's words with a fill or drain of its own under way (DESIGN.md
+    /// §4.5).
+    EmptyAck,
     /// Home → requester: Operated access under `op`; the requester starts
     /// its operand buffer from the identity.
     GrantOperated {
@@ -234,6 +239,7 @@ impl Msg {
             Msg::InvalidateAck if at_home => Home(HomeEvent::InvAck { from }),
             Msg::InvalidateAck => Cache(CacheEvent::InvAck),
             Msg::FillAck => Home(HomeEvent::FillAck { from }),
+            Msg::EmptyAck => Home(HomeEvent::EmptyAck { from }),
             Msg::MigrateData { mig_epoch } => Home(HomeEvent::MigrateData { from, mig_epoch }),
             Msg::MigrateAck { mig_epoch } => Home(HomeEvent::MigrateAck { from, mig_epoch }),
             Msg::MigrateCommit { mig_epoch } => Home(HomeEvent::MigrateCommit { from, mig_epoch }),
@@ -300,6 +306,7 @@ mod tests {
             Msg::MigrateForward { .. } => 20,
             Msg::DirectedInvalidate { .. } => 21,
             Msg::DirectedFill { .. } => 22,
+            Msg::EmptyAck => 23,
         }
     }
 
@@ -431,6 +438,10 @@ mod tests {
             (
                 Msg::FillAck,
                 Delivery::Home(HomeEvent::FillAck { from: FROM }),
+            ),
+            (
+                Msg::EmptyAck,
+                Delivery::Home(HomeEvent::EmptyAck { from: FROM }),
             ),
             (
                 Msg::RecallTo {

@@ -8,11 +8,13 @@
 //! executor glue that turns grants into `LockGrant` messages or wait-cell
 //! notifications, and drives `forget_peer` when a peer is declared dead.
 //!
-//! A write-intent lock (DESIGN.md §4.5) also moves the element's chunk,
-//! through events the coherence protocol already runs: its grant makes the
-//! home pull the chunk from other holders and the grantee issue its write
-//! miss, and its release writes the grantee's copy back home, keeping a
-//! Shared copy when the grant said so.
+//! A write-intent lock (DESIGN.md §4.5) also moves the element's chunk.
+//! Where the grantee shares it, the home serves the grantee's write at the
+//! grant: the other sharers ack the grantee, and the grant says how many
+//! acks to expect. Otherwise the grant makes the home pull the chunk from
+//! other holders and the grantee issue its write miss. The release writes
+//! the grantee's copy back home, keeping a Shared copy when the grant said
+//! so.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -22,7 +24,7 @@ use rdma_fabric::NodeId;
 
 use crate::msg::{ChunkId, Envelope, Intent, LockKind, Rpc};
 use crate::protocol::locks::LockSource;
-use crate::protocol::{CacheEvent, Kind};
+use crate::protocol::{CacheEvent, HomeEvent, Kind};
 use crate::shared::ArrayShared;
 use crate::state::LocalState;
 use crate::stats::NodeStats;
@@ -59,6 +61,13 @@ impl RuntimeThread {
                         true if self.keeps(arr, id, chunk, n) => Intent::Keep,
                         true => Intent::HandBack,
                     };
+                    if intent != Intent::Plain && self.directs(ctx, arr, chunk, n) {
+                        let keep = intent == Intent::Keep;
+                        self.grants.insert((arr.id, chunk), (id, kind, keep));
+                        let grant = HomeEvent::IntentGrant { grantee: n };
+                        self.home_event(ctx, arr.id, chunk, grant);
+                        continue;
+                    }
                     let rpc = Rpc::LockGrant { id, kind, intent };
                     self.comm.send(ctx, n, Envelope::new(arr.id, chunk, rpc));
                     if intent != Intent::Plain {
@@ -90,10 +99,20 @@ impl RuntimeThread {
             && self.shared.rt_index(arr.id, chunk) == self.rt_idx
     }
 
+    /// Does the home serve `grantee`'s write at this intent grant of an
+    /// element of `chunk` (`HomeMachine::directs_grant`, DESIGN.md §4.5)?
+    /// Only on the thread that pulls the chunk.
+    fn directs(&self, ctx: &Ctx, arr: &ArrayShared, chunk: ChunkId, grantee: NodeId) -> bool {
+        self.pulls(arr, chunk)
+            && arr.per_node[self.node].home[chunk as usize]
+                .lock()
+                .directs_grant(ctx.now(), self.shared.cfg.grant_grace_ns, grantee)
+    }
+
     /// The release rule of an intent grant of element `id` to `grantee`,
-    /// decided before the grant's pull changes the directory
+    /// decided before the grant changes the directory
     /// (`LockTable::intent_keeps`): keep a Shared copy at unlock when the
-    /// pull displaces a reader and no other node's writer locks in the
+    /// grant displaces a reader and no other node's writer locks in the
     /// chunk. A chunk this thread does not pull is handed back.
     fn keeps(&self, arr: &ArrayShared, id: u64, chunk: ChunkId, grantee: NodeId) -> bool {
         if !self.pulls(arr, chunk) {
@@ -248,10 +267,12 @@ impl RuntimeThread {
         }
     }
 
-    /// A grant arrived. For an intent grant, the ordinary write miss for
-    /// the element's chunk goes out before the application thread wakes,
-    /// so its first access waits on that fill, and the unlock's release
-    /// rule is remembered until the unlock.
+    /// A grant arrived. For an intent grant, the unlock's release rule is
+    /// remembered until the unlock. A directed grant (`acks`) counts toward
+    /// the write the home served at the grant, and the grantee reads its
+    /// Shared copy meanwhile; for any other intent grant, the ordinary
+    /// write miss for the element's chunk goes out before the application
+    /// thread wakes, so its first access waits on that fill.
     pub(super) fn rpc_lock_grant(
         &mut self,
         ctx: &mut Ctx,
@@ -259,6 +280,7 @@ impl RuntimeThread {
         id: u64,
         kind: LockKind,
         intent: Intent,
+        acks: Option<u32>,
     ) {
         let popped = {
             let mut lw = arr.per_node[self.node].lock_waiters.lock();
@@ -274,9 +296,18 @@ impl RuntimeThread {
         if intent == Intent::Keep {
             self.keep_at_unlock.insert((arr.id, id));
         }
-        if intent != Intent::Plain {
-            let chunk = arr.layout.chunk_of(id as usize) as ChunkId;
-            self.local_data_req(ctx, arr, chunk, Kind::Write, WaitCell::new());
+        let chunk = arr.layout.chunk_of(id as usize) as ChunkId;
+        match acks {
+            Some(acks) => {
+                let data = !self.grant_words.is_empty();
+                let grant = CacheEvent::DirectedGrant { acks, data };
+                self.cache_event(ctx, arr, chunk, grant, None);
+                self.grant_words.clear();
+            }
+            None if intent != Intent::Plain => {
+                self.local_data_req(ctx, arr, chunk, Kind::Write, WaitCell::new());
+            }
+            None => {}
         }
         w.notify(ctx);
     }
@@ -345,7 +376,9 @@ mod tests {
     use crate::dentry::LINE_NONE;
     use crate::msg::{Envelope, LockKind, Rpc, RtMsg};
     use crate::state::{DirState, LocalState};
-    use crate::{ArrayOptions, Cluster, ClusterConfig, NodeStatsSnapshot, DEFAULT_CHUNK_SIZE};
+    use crate::{
+        ArrayOptions, Cluster, ClusterConfig, NodeStatsSnapshot, PinMode, DEFAULT_CHUNK_SIZE,
+    };
 
     /// 3 nodes × 2 application threads run read-modify-writes under
     /// write-intent locks, each thread cycling through `elems`. All of
@@ -406,8 +439,9 @@ mod tests {
     /// Node 0 takes a write-intent lock on `E`, reads it, writes 9 and
     /// unlocks. Before the grant, node 2 reads `E` when `reader` (a copy
     /// for the grant to pull), and takes a plain writer lock on another
-    /// element of chunk 1 when `writer`, which it holds across the grant.
-    fn intent_unlock(reader: bool, writer: bool) -> Unlocked {
+    /// element of chunk 1 when `writer`, which it holds across the grant;
+    /// node 0 reads `E` when `shares`, so the grant serves its write.
+    fn intent_unlock(reader: bool, writer: bool, shares: bool) -> Unlocked {
         const F: usize = DEFAULT_CHUNK_SIZE + 200;
         Sim::new(SimConfig::default()).run(move |ctx| {
             let cluster = Cluster::new(ctx, ClusterConfig::with_nodes(3));
@@ -425,12 +459,15 @@ mod tests {
                         a.wlock(ctx, F);
                     }
                 }
+                if env.node == 0 && shares {
+                    assert_eq!(a.get(ctx, E), 0);
+                }
                 env.barrier(ctx);
                 if env.node == 0 {
                     a.wlock_for_write(ctx, E);
                     assert_eq!(a.get(ctx, E), 0);
-                    assert_eq!(a.dentry(chunk).state(), LocalState::Exclusive);
                     a.set(ctx, E, 9);
+                    assert_eq!(a.dentry(chunk).state(), LocalState::Exclusive);
                     a.unlock(ctx, E);
                     ctx.sleep(100_000);
                     let d = a.dentry(chunk);
@@ -455,28 +492,34 @@ mod tests {
         })
     }
 
-    /// The grant pulls node 2's copy, so the unlock keeps a Shared copy:
+    /// The grant takes node 2's copy, so the unlock keeps a Shared copy:
     /// node 0 writes the data home and keeps its line, the home is Shared
     /// with node 0, and node 2's next read fills from the home with no
-    /// recall while node 0's hits.
+    /// recall while node 0's hits. Node 0 read nothing before, so its
+    /// grant carries the chunk (DESIGN.md §4.5), which counts as the fill
+    /// its write miss made before, and node 2's copy acks node 0.
     #[test]
     fn intent_unlock_keeps_a_shared_copy_when_its_grant_displaced_a_reader() {
-        let u = intent_unlock(true, false);
+        let u = intent_unlock(true, false, false);
         assert_eq!((u.state, u.line), (LocalState::Shared, true));
         assert_eq!(u.dir, DirState::Shared { sharers: vec![0] });
         let [n0, n1, n2] = [u.stats[0], u.stats[1], u.stats[2]];
+        assert_eq!(n1.directed_grants, 1);
         assert_eq!((n0.intent_keeps, n0.evictions, n0.writebacks), (1, 0, 1));
         assert_eq!((n0.fills, n2.fills, n2.invalidations), (1, 2, 1));
         assert_eq!(n0.recalls + n1.recalls + n2.recalls, 0);
     }
 
-    /// No reader to displace: the unlock hands the chunk back whole.
+    /// No reader to displace: the unlock hands the chunk back whole. The
+    /// chunk is Unshared, so the grant takes the home's pull and node 0's
+    /// write miss.
     #[test]
     fn intent_unlock_hands_the_chunk_back_when_no_reader_was_displaced() {
-        let u = intent_unlock(false, false);
+        let u = intent_unlock(false, false, false);
         assert_eq!((u.state, u.line), (LocalState::Invalid, false));
         assert_eq!(u.dir, DirState::Unshared);
         let [n0, n1, n2] = [u.stats[0], u.stats[1], u.stats[2]];
+        assert_eq!(n1.directed_grants, 0);
         assert_eq!((n0.intent_keeps, n0.evictions, n0.writebacks), (0, 1, 1));
         assert_eq!((n0.fills, n2.fills, n2.invalidations), (2, 1, 0));
         assert_eq!(n0.recalls + n1.recalls + n2.recalls, 0);
@@ -487,13 +530,99 @@ mod tests {
     /// back whole although the grant displaced node 2's copy.
     #[test]
     fn intent_unlock_hands_the_chunk_back_beside_another_writer() {
-        let u = intent_unlock(true, true);
+        let u = intent_unlock(true, true, false);
         assert_eq!((u.state, u.line), (LocalState::Invalid, false));
         assert_eq!(u.dir, DirState::Unshared);
         let [n0, n1, n2] = [u.stats[0], u.stats[1], u.stats[2]];
         assert_eq!((n0.intent_keeps, n0.evictions, n0.writebacks), (0, 1, 1));
         assert_eq!((n0.fills, n2.fills, n2.invalidations), (2, 2, 1));
         assert_eq!(n0.recalls + n1.recalls + n2.recalls, 0);
+    }
+
+    /// Node 0 shares the chunk with node 2, so its grant serves its write
+    /// (DESIGN.md §4.5): node 0 keeps the copy it read, node 2's copy acks
+    /// node 0, and no fill moves to node 0 (one fill, its first read,
+    /// against two with the pull). The grant displaced node 2's copy, so
+    /// the unlock keeps a Shared one.
+    #[test]
+    fn intent_unlock_keeps_a_shared_copy_after_a_directed_grant() {
+        let u = intent_unlock(true, false, true);
+        assert_eq!((u.state, u.line), (LocalState::Shared, true));
+        assert_eq!(u.dir, DirState::Shared { sharers: vec![0] });
+        let [n0, n1, n2] = [u.stats[0], u.stats[1], u.stats[2]];
+        assert_eq!(n1.directed_grants, 1);
+        assert_eq!((n0.intent_keeps, n0.evictions, n0.writebacks), (1, 0, 1));
+        assert_eq!((n0.fills, n2.fills, n2.invalidations), (1, 2, 1));
+        assert_eq!(n0.recalls + n1.recalls + n2.recalls, 0);
+    }
+
+    /// As the chunk's sole sharer, node 0 waits for no ack: its grant makes
+    /// its copy Exclusive at once, and as no reader was displaced, the
+    /// unlock hands the chunk back.
+    #[test]
+    fn intent_unlock_hands_the_chunk_back_after_a_sole_sharers_grant() {
+        let u = intent_unlock(false, false, true);
+        assert_eq!((u.state, u.line), (LocalState::Invalid, false));
+        assert_eq!(u.dir, DirState::Unshared);
+        let [n0, n1, n2] = [u.stats[0], u.stats[1], u.stats[2]];
+        assert_eq!(n1.directed_grants, 1);
+        assert_eq!((n0.intent_keeps, n0.evictions, n0.writebacks), (0, 1, 1));
+        assert_eq!((n0.fills, n2.fills, n2.invalidations), (2, 1, 0));
+        assert_eq!(n0.recalls + n1.recalls + n2.recalls, 0);
+    }
+
+    /// While a directed grant's ack is outstanding, the grantee's node
+    /// reads its Shared copy: node 2 pins the chunk, so its ack waits for
+    /// the unpin at 50 µs, and meanwhile node 0's second thread reads the
+    /// chunk with no slow miss. Node 0's set waits for the ack.
+    #[test]
+    fn a_grantee_node_reads_its_copy_during_the_ack_wait() {
+        const PIN_NS: u64 = 50_000;
+        Sim::new(SimConfig::default()).run(|ctx| {
+            let cluster = Cluster::new(ctx, ClusterConfig::with_nodes(3));
+            let arr = cluster.alloc::<u64>(3 * DEFAULT_CHUNK_SIZE, ArrayOptions::default());
+            let seen = Arc::new(Mutex::new(None));
+            let out = seen.clone();
+            cluster.run(ctx, 2, move |ctx, env| {
+                let a = arr.on(env.node);
+                let chunk = E / DEFAULT_CHUNK_SIZE;
+                if env.thread == 0 && env.node != 1 {
+                    assert_eq!(a.get(ctx, E), 0);
+                }
+                env.barrier(ctx);
+                let t0 = ctx.now();
+                match (env.node, env.thread) {
+                    (2, 0) => {
+                        let pin = a.pin(ctx, E, PinMode::Read);
+                        ctx.sleep(PIN_NS);
+                        pin.unpin();
+                    }
+                    (0, 0) => {
+                        ctx.sleep(1_000);
+                        a.wlock_for_write(ctx, E);
+                        assert_eq!(a.get(ctx, E), 0);
+                        ctx.sleep(20_000);
+                        a.set(ctx, E, 9);
+                        assert!(ctx.now() - t0 > PIN_NS, "the set waited for the ack");
+                        a.unlock(ctx, E);
+                    }
+                    (0, 1) => {
+                        ctx.sleep(10_000);
+                        let state = a.dentry(chunk).state();
+                        let misses = || a.shared.stats[0].slow_misses.get();
+                        let before = misses();
+                        for i in 0..8 {
+                            assert_eq!(a.get(ctx, DEFAULT_CHUNK_SIZE + 64 * i), 0);
+                        }
+                        *out.lock() = Some((state, misses() - before));
+                    }
+                    _ => {}
+                }
+            });
+            assert_eq!(*seen.lock(), Some((LocalState::Shared, 0)));
+            assert_eq!(cluster.stats(1).directed_grants, 1);
+            cluster.shutdown(ctx);
+        });
     }
 
     /// An intent grant to a node the home has declared dead is released

@@ -35,7 +35,7 @@ use rdma_fabric::{MemoryRegion, NodeId};
 use crate::cache::CacheRegion;
 use crate::comm::CommHandle;
 use crate::dentry::{LINE_HOME, LINE_NONE};
-use crate::msg::{ArrayId, ChunkId, Envelope, LocalKind, LocalReq, LockKind, Rpc, RtMsg};
+use crate::msg::{ArrayId, ChunkId, Envelope, Intent, LocalKind, LocalReq, LockKind, Rpc, RtMsg};
 use crate::op::OpId;
 use crate::protocol::{
     AfterDrain, CacheAction, CacheEvent, CacheMachine, CacheView, Counter, Delivery, HomeAction,
@@ -56,9 +56,9 @@ enum Cont {
     /// A requester-side drain finished: deliver [`CacheEvent::Drained`]
     /// carrying the follow-up the cache machine recorded at drain start.
     Cache(AfterDrain),
-    /// A directed invalidation found a drain under way
-    /// ([`CacheAction::AckAfterDrain`]): acknowledge it to this writer.
-    Ack(NodeId),
+    /// A message waits for a drain under way
+    /// ([`CacheAction::SendAfterDrain`]): send it.
+    Send(NodeId, Msg),
 }
 
 struct Deferred {
@@ -88,10 +88,19 @@ pub(crate) struct RuntimeThread {
     /// Shared copy at unlock (DESIGN.md §4.5), by array and element. A
     /// lock's grant and release both run on the thread owning its chunk.
     keep_at_unlock: HashSet<(ArrayId, u64)>,
-    /// The ack count of each directed write this node waits for
-    /// ([`CacheView::acks`], DESIGN.md §4.2), by array and chunk; absent
-    /// means 0. Every message about a chunk runs on the thread owning it.
-    acks: HashMap<(ArrayId, ChunkId), i64>,
+    /// The ack count of each directed write or grant this node waits for
+    /// ([`CacheView::acks`] and [`CacheView::granted`], DESIGN.md §4.2 and
+    /// §4.5), by array and chunk; absent means 0. Every message about a
+    /// chunk runs on the thread owning it.
+    acks: HashMap<(ArrayId, ChunkId), (i64, bool)>,
+    /// The lock grant a directed grant sends once its home dentry drained
+    /// (`HomeAction::SendGrant`, DESIGN.md §4.5): the element, the lock
+    /// kind and the release rule, by array and chunk. The chunk's machine
+    /// serves one directed grant at a time.
+    grants: HashMap<(ArrayId, ChunkId), (u64, LockKind, bool)>,
+    /// The chunk words of the directed grant being delivered, which
+    /// `CacheAction::InstallGrant` writes into a fresh line.
+    grant_words: Vec<u64>,
 }
 
 impl RuntimeThread {
@@ -116,6 +125,8 @@ impl RuntimeThread {
             reclaiming: false,
             keep_at_unlock: HashSet::new(),
             acks: HashMap::new(),
+            grants: HashMap::new(),
+            grant_words: Vec::new(),
         }
     }
 
@@ -140,6 +151,8 @@ impl RuntimeThread {
             Counter::Recalls => &s.recalls,
             Counter::DirectFills => &s.direct_fills,
             Counter::DirectWrites => &s.direct_writes,
+            Counter::DirectedGrants => &s.directed_grants,
+            Counter::QueuedBehindDirect => &s.queued_behind_direct,
             Counter::OperatedReductions => &s.operated_reductions,
             Counter::Evictions => &s.evictions,
             Counter::SharersPruned => &s.sharers_pruned,
@@ -295,9 +308,8 @@ impl RuntimeThread {
                     None,
                 );
             }
-            Cont::Ack(to) => {
-                self.comm
-                    .send(ctx, to, Envelope::new(aid, chunk, Msg::InvalidateAck));
+            Cont::Send(to, msg) => {
+                self.comm.send(ctx, to, Envelope::new(aid, chunk, msg));
             }
         }
     }
@@ -342,6 +354,27 @@ impl RuntimeThread {
             } => {
                 let msg = Msg::home_fill(exclusive, acks);
                 self.send_fill(ctx, arr, chunk, to, dst_off, msg);
+            }
+            HomeAction::SendGrant { to, acks, data } => {
+                let (id, kind, keep) = self
+                    .grants
+                    .remove(&(arr.id, chunk))
+                    .expect("a directed grant waits for its send");
+                let data = if data {
+                    let words = arr.layout.chunk_size();
+                    ctx.charge(self.shared.cfg.cost.memcpy(words));
+                    arr.subarrays[self.node].read_vec(arr.chunk_off(chunk as usize), words)
+                } else {
+                    Vec::new()
+                };
+                let rpc = Rpc::DirectedGrant {
+                    id,
+                    kind,
+                    keep,
+                    acks,
+                    data,
+                };
+                self.comm.send(ctx, to, Envelope::new(arr.id, chunk, rpc));
             }
             HomeAction::ApplyFlushData { op, data } => {
                 self.apply_flush_data(ctx, arr, chunk, op, &data);
@@ -517,13 +550,15 @@ impl RuntimeThread {
     /// Snapshot a chunk's dentry for the cache machine.
     fn cache_view(&self, arr: &ArrayShared, chunk: ChunkId) -> CacheView {
         let d = &arr.per_node[self.node].dentries[chunk as usize];
+        let (acks, granted) = self.acks.get(&(arr.id, chunk)).copied().unwrap_or_default();
         CacheView {
             state: d.state(),
             op_tag: d.op_tag(),
             line: d.line(),
             draining: d.delay_set(),
             home: arr.home_on(self.node, chunk as usize),
-            acks: self.acks.get(&(arr.id, chunk)).copied().unwrap_or(0),
+            acks,
+            granted,
         }
     }
 
@@ -573,6 +608,16 @@ impl RuntimeThread {
                     self.run_cache_actions(ctx, arr, chunk, acts, None);
                 }
                 CacheAction::SetLine { line } => d.set_line(line),
+                CacheAction::InstallGrant => {
+                    let words = std::mem::take(&mut self.grant_words);
+                    let line = self.alloc_line(ctx, arr, chunk);
+                    let off = self.shared.cfg.cache.line_off(line);
+                    self.shared.cache_regions[self.node].write_slice(off, &words);
+                    ctx.charge(self.shared.cfg.cost.memcpy(words.len()));
+                    let d = &arr.per_node[self.node].dentries[chunk as usize];
+                    d.set_line(line);
+                    d.promote_to(LocalState::Shared, crate::protocol::NOTAG);
+                }
                 CacheAction::ReleaseLine { line } => {
                     d.set_line(LINE_NONE);
                     if line != LINE_NONE && line != LINE_HOME {
@@ -594,16 +639,16 @@ impl RuntimeThread {
                 CacheAction::Send { to, msg } => {
                     self.comm.send(ctx, to, Envelope::new(arr.id, chunk, msg));
                 }
-                CacheAction::AckAfterDrain { to } => self.deferred.push(Deferred {
+                CacheAction::SendAfterDrain { to, msg } => self.deferred.push(Deferred {
                     array: arr.id,
                     chunk,
-                    cont: Cont::Ack(to),
+                    cont: Cont::Send(to, msg),
                 }),
-                CacheAction::SetAcks { acks } => {
+                CacheAction::SetAcks { acks, granted } => {
                     if acks == 0 {
                         self.acks.remove(&(arr.id, chunk));
                     } else {
-                        self.acks.insert((arr.id, chunk), acks);
+                        self.acks.insert((arr.id, chunk), (acks, granted));
                     }
                 }
                 CacheAction::SendWriteback {
@@ -943,7 +988,18 @@ impl RuntimeThread {
                 return self.rpc_lock_acquire(ctx, &arr, id, kind, intent, src)
             }
             Rpc::LockGrant { id, kind, intent } => {
-                return self.rpc_lock_grant(ctx, &arr, id, kind, intent)
+                return self.rpc_lock_grant(ctx, &arr, id, kind, intent, None)
+            }
+            Rpc::DirectedGrant {
+                id,
+                kind,
+                keep,
+                acks,
+                data,
+            } => {
+                let intent = if keep { Intent::Keep } else { Intent::HandBack };
+                self.grant_words = data;
+                return self.rpc_lock_grant(ctx, &arr, id, kind, intent, Some(acks));
             }
             Rpc::LockRelease { id, kind } => {
                 return self.rpc_lock_release(ctx, &arr, id, kind, src)

@@ -196,6 +196,14 @@ counters! {
     /// directory served directed (DESIGN.md §4.2): each sharer acked the
     /// writer, and the fill told the writer how many acks to expect.
     direct_writes: runtime, sum, lower;
+    /// Write-intent grants this node's directory served with the write
+    /// (DESIGN.md §4.5): the grantee kept its Shared copy, each other
+    /// sharer acked the grantee, and the grant said how many acks to
+    /// expect.
+    directed_grants: runtime, sum, lower;
+    /// Requests this node's directory queued behind a three-leg fill's, a
+    /// directed write's or a directed grant's ack wait (DESIGN.md §4.2).
+    queued_behind_direct: runtime, sum, lower;
     /// Operand flushes sent (voluntary or recalled).
     operand_flushes: runtime, sum, lower;
     /// Operand flushes *reduced into* this node's home subarray (each is one

@@ -240,6 +240,13 @@ enum Frame {
         intent: bool,
         /// The release rule: the grantee's unlock keeps a Shared copy.
         keep: bool,
+        /// A directed grant (DESIGN.md §4.5): the home served the
+        /// grantee's write at the grant, and the grantee collects this
+        /// many sharers' acks.
+        acks: Option<u32>,
+        /// The chunk's value a directed grant to a node the directory did
+        /// not list carries.
+        data: Option<u8>,
     },
     // remote → home
     LockAcq {
@@ -297,12 +304,14 @@ struct Remote {
     evict_budget: u8,
     /// The value in this node's line (the three-leg world tracks it).
     val: u8,
-    /// The directed-write ack count (`CacheView::acks`) the executor keeps
-    /// beside the dentry.
+    /// The directed write's or grant's ack count (`CacheView::acks`, and
+    /// `CacheView::granted`) the executor keeps beside the dentry.
     acks: i64,
-    /// A directed invalidation found the pending drain: the writer it
-    /// named, acked once the drain completes.
-    ack_after_drain: Option<usize>,
+    granted: bool,
+    /// A message that waits for the pending drain: a directed
+    /// invalidation's ack to the writer it named, or a directed grant's
+    /// ack to the home.
+    send_after_drain: Option<(usize, Msg)>,
 }
 
 impl Remote {
@@ -323,7 +332,8 @@ impl Remote {
             evict_budget,
             val: 0,
             acks: 0,
-            ack_after_drain: None,
+            granted: false,
+            send_after_drain: None,
         }
     }
 
@@ -346,7 +356,8 @@ impl Remote {
             evict_budget: 0,
             val: 0,
             acks: 0,
-            ack_after_drain: None,
+            granted: false,
+            send_after_drain: None,
         }
     }
 }
@@ -369,6 +380,9 @@ struct Home {
     lock_budget: u8,
     /// The value in the home image (the three-leg world tracks it).
     image: u8,
+    /// A directed grant waiting for the home drain to send it: the lock
+    /// kind and the release rule.
+    grant: Option<(LockKind, bool)>,
 }
 
 /// One explorable world state, memoized by its derived `Hash`: every field
@@ -582,6 +596,22 @@ struct Ck {
     /// Requests that reached the home while it awaited a directed writer's
     /// ack, and queued behind it.
     queued_behind_directed: usize,
+    /// Write-intent grants served directed (DESIGN.md §4.5), to a sharer
+    /// of the chunk and, carrying the chunk's value, to a node the
+    /// directory did not list; data grants a filling grantee declined; and
+    /// intent grants that pulled the chunk as before.
+    grants_to_sharers: usize,
+    grants_to_non_sharers: usize,
+    grants_declined: usize,
+    grants_pulled: usize,
+    /// Sharers' acks that reached a grantee ahead of its directed grant.
+    acks_before_grant: usize,
+    /// Eviction notices from a directed grant's grantee that crossed the
+    /// grant, and grants that ended with the grantee holding no copy.
+    evictions_crossing_grant: usize,
+    grants_empty: usize,
+    /// Intent unlocks while the directed grant still counted acks.
+    unlocks_before_last_ack: usize,
 }
 
 impl Display for Ck {
@@ -993,8 +1023,10 @@ impl Model for World {
                 let after = self.rem[i].after.take().unwrap();
                 let home_down = self.rem[i].home_down;
                 run_cache_event(self, s, i, CacheEvent::Drained { after, home_down });
-                if let Some(to) = self.rem[i].ack_after_drain.take() {
-                    send_r2r(self, i, to, Frame::Coherence(Msg::InvalidateAck));
+                match self.rem[i].send_after_drain.take() {
+                    Some((HOME, msg)) => send_r2h(self, s, i, msg),
+                    Some((to, msg)) => send_r2r(self, i, to, Frame::Coherence(msg)),
+                    None => {}
                 }
             }
             Tr::DrainHome => {
@@ -1075,6 +1107,9 @@ impl Model for World {
                 // back: a downgrade if its grant said to keep a Shared copy,
                 // the ordinary eviction otherwise.
                 let r = &self.rem[i];
+                if r.granted {
+                    s.ck.unlocks_before_last_ack += 1;
+                }
                 if intent && r.state == LocalState::Exclusive && r.after.is_none() {
                     let ev = if keep {
                         s.ck.keeps += 1;
@@ -1188,6 +1223,7 @@ impl Model for World {
                         req_budget: 0,
                         lock_budget: 0,
                         image: 0,
+                        grant: None,
                     });
                     // Announce the new incarnation to every survivor, FIFO
                     // *after* the old incarnation's Down marker: a remote always
@@ -1691,7 +1727,12 @@ fn deliver_to_remote(w: &mut World, s: &mut Search<World>, i: usize, from: usize
         Frame::Coherence(msg) => match msg.deliver::<u32>(from, false) {
             Delivery::Cache(ev) => {
                 let r = &w.rem[i];
+                let granting = w.home.as_ref().is_some_and(|h| h.grant.is_some())
+                    || w.h2r[i]
+                        .iter()
+                        .any(|f| matches!(f, Frame::LockGrant { acks: Some(_), .. }));
                 match ev {
+                    CacheEvent::InvAck if granting => s.ck.acks_before_grant += 1,
                     CacheEvent::InvAck if r.acks <= 0 => s.ck.acks_before_fill += 1,
                     CacheEvent::DirectedInvalidate { .. } if r.after.is_some() => {
                         s.ck.directed_mid_drain += 1;
@@ -1711,7 +1752,13 @@ fn deliver_to_remote(w: &mut World, s: &mut Search<World>, i: usize, from: usize
                 &format!("home-side event {ev:?} delivered to r{}", i + 1),
             ),
         },
-        Frame::LockGrant { kind, intent, keep } => {
+        Frame::LockGrant {
+            kind,
+            intent,
+            keep,
+            acks,
+            data,
+        } => {
             let r = &mut w.rem[i];
             if r.lock != Lock::Waiting(kind) || r.intent != intent || keep && !intent {
                 s.fail(
@@ -1721,11 +1768,26 @@ fn deliver_to_remote(w: &mut World, s: &mut Search<World>, i: usize, from: usize
             }
             r.lock = Lock::Holding(kind);
             r.keep = keep;
-            // The grantee's half of an intent grant: the runtime's write
-            // miss for the lock's chunk, unless its rights already allow
-            // the write.
-            if intent {
-                write_miss_remote(w, s, i);
+            // The grantee's half of an intent grant: the acks toward the
+            // write the home served at a directed grant, or else the
+            // runtime's write miss for the lock's chunk, unless its rights
+            // already allow the write.
+            match acks {
+                Some(acks) => {
+                    // A data grant's value lands in a fresh line only on a
+                    // node that holds and awaits nothing.
+                    if let Some(val) = data {
+                        if r.state == LocalState::Invalid && r.after.is_none() {
+                            r.val = val;
+                        } else {
+                            s.ck.grants_declined += 1;
+                        }
+                    }
+                    let data = data.is_some();
+                    run_cache_event(w, s, i, CacheEvent::DirectedGrant { acks, data });
+                }
+                None if intent => write_miss_remote(w, s, i),
+                None => {}
             }
         }
         Frame::Down { dead } => {
@@ -1787,6 +1849,15 @@ fn deliver_to_home(w: &mut World, s: &mut Search<World>, i: usize, frame: Frame)
         }
         Frame::Coherence(msg) => match msg.deliver(from, true) {
             Delivery::Home(ev) => {
+                let m = &w.home.as_ref().unwrap().m;
+                if matches!(ev, HomeEvent::EvictNotice { .. })
+                    && *m.state() == (DirState::Dirty { owner: from })
+                {
+                    s.ck.evictions_crossing_grant += 1;
+                }
+                if matches!(ev, HomeEvent::EmptyAck { .. }) {
+                    s.ck.grants_empty += 1;
+                }
                 if let darray::protocol::Transient::AwaitDirectFill { owner, .. } =
                     w.home.as_ref().unwrap().m.transient()
                 {
@@ -1895,11 +1966,28 @@ fn deliver_lock_grants(
                 // directory, as the runtime's `keeps` does. The model's
                 // chunk holds the one element.
                 let keep = intent && h.locks.intent_keeps(ELEM, ELEM..ELEM + 1, h.m.state(), n);
+                // A directed grant leaves once the home dentry drained.
+                if intent && h.m.directs_grant(w.now, w.grace, n) {
+                    s.ck.intent_grants += 1;
+                    if matches!(h.m.state(), DirState::Shared { sharers } if sharers.contains(&n)) {
+                        s.ck.grants_to_sharers += 1;
+                    } else {
+                        s.ck.grants_to_non_sharers += 1;
+                    }
+                    h.grant = Some((lk, keep));
+                    run_home_event(w, s, HomeEvent::IntentGrant { grantee: n });
+                    continue;
+                }
+                if intent && w.three_leg && !h.m.state().held_alone_by(n) {
+                    s.ck.grants_pulled += 1;
+                }
                 if w.rem[n - 1].alive {
                     w.h2r[n - 1].push_back(Frame::LockGrant {
                         kind: lk,
                         intent,
                         keep,
+                        acks: None,
+                        data: None,
                     });
                 }
                 // else: grantee died but the marker is still in flight; the
@@ -2019,6 +2107,25 @@ fn run_home_event(w: &mut World, s: &mut Search<World>, ev: HomeEvent<u32>) {
                     send_h2r(w, s, to, fill);
                 }
             }
+            HomeAction::SendGrant { to, acks, data } => {
+                let h = w.home.as_mut().unwrap();
+                let Some((kind, keep)) = h.grant.take() else {
+                    s.fail(w, "a directed grant sent that nobody granted");
+                };
+                let data = data.then_some(h.image);
+                send_h2r_frame(
+                    w,
+                    s,
+                    to,
+                    Frame::LockGrant {
+                        kind,
+                        intent: true,
+                        keep,
+                        acks: Some(acks),
+                        data,
+                    },
+                );
+            }
             // Migration messages cannot be sent in this world (no
             // `BeginMigration` is ever injected); the elastic re-homing
             // search in the `migration` module covers them.
@@ -2112,6 +2219,7 @@ fn run_cache_event(w: &mut World, s: &mut Search<World>, i: usize, first: CacheE
             draining: r.after.is_some(),
             home: HOME,
             acks: r.acks,
+            granted: r.granted,
         };
         let mut wake = false;
         for a in CacheMachine::on_event(&view, ev) {
@@ -2131,6 +2239,11 @@ fn run_cache_event(w: &mut World, s: &mut Search<World>, i: usize, first: CacheE
                     events.push_back(CacheEvent::LineAllocated { line: LINE, kind });
                 }
                 CacheAction::SetLine { line } => w.rem[i].line = line,
+                // The grant's value already landed (`deliver_to_remote`).
+                CacheAction::InstallGrant => {
+                    let r = &mut w.rem[i];
+                    (r.line, r.state, r.op_tag) = (LINE, LocalState::Shared, NOTAG);
+                }
                 CacheAction::ReleaseLine { line } => {
                     if line != LINE_NONE {
                         w.rem[i].line = LINE_NONE;
@@ -2146,13 +2259,16 @@ fn run_cache_event(w: &mut World, s: &mut Search<World>, i: usize, first: CacheE
                 CacheAction::Send { to: HOME, msg } => send_r2h(w, s, i, msg),
                 // A sharer's ack of a directed write, to its writer.
                 CacheAction::Send { to, msg } => send_r2r(w, i, to, Frame::Coherence(msg)),
-                CacheAction::AckAfterDrain { to } => {
+                CacheAction::SendAfterDrain { to, msg } => {
                     let r = &mut w.rem[i];
-                    if r.after.is_none() || r.ack_after_drain.replace(to).is_some() {
+                    if r.after.is_none() || r.send_after_drain.replace((to, msg)).is_some() {
                         s.fail(w, "an ack deferred past no drain, or two at once");
                     }
                 }
-                CacheAction::SetAcks { acks } => w.rem[i].acks = acks,
+                CacheAction::SetAcks { acks, granted } => {
+                    let r = &mut w.rem[i];
+                    (r.acks, r.granted) = (acks, granted);
+                }
                 CacheAction::SendWriteback {
                     downgrade,
                     release,
@@ -2306,6 +2422,7 @@ fn initial_world(
             req_budget: home_req,
             lock_budget: home_locks,
             image: 0,
+            grant: None,
         }),
         rem: [
             Remote::fresh(req[0], locks[0], evicts[0]),
@@ -2667,7 +2784,12 @@ fn crash_model_grace_window() {
 /// shares is directed: the sharer acks the writer over the remotes' link,
 /// whether its copy is Shared, mid-drain, already gone or refilling, the
 /// ack can land before the home's fill, and requests queue behind the
-/// writer's `FillAck`.
+/// writer's `FillAck`. Remote 1's write-intent grants are served directed
+/// (DESIGN.md §4.5) whenever the chunk is stable and Shared: to a sharer,
+/// which keeps its copy, or to a non-sharer, with the value;
+/// another sharer's ack can land before the grant, remote 1's eviction
+/// can cross it, a grant's data can find remote 1 refilling, and the
+/// unlock can come before the last ack.
 /// Safety holds single writer (a node whose three-leg fill is in flight
 /// holds the chunk already, and a directed writer holds it only once its
 /// acks and data are in) and that every readable copy, the home image's
@@ -2682,7 +2804,9 @@ fn crash_model_three_leg_recall() {
         "[three-leg-paths] read_fills={} write_fills={} crossing_writebacks={} \
          crossing_downgrades={} queued={} reads_during={} directed_writes={} \
          acks_before_fill={} directed_crossed={} directed_mid_drain={} \
-         directed_filling={} queued_directed={}",
+         directed_filling={} queued_directed={} grants_to_sharers={} \
+         grants_to_non_sharers={} grants_declined={} grants_pulled={} acks_before_grant={} \
+         evictions_crossing_grant={} grants_empty={} unlocks_before_last_ack={}",
         s.ck.direct_read_fills,
         s.ck.direct_write_fills,
         s.ck.crossing_writebacks,
@@ -2694,12 +2818,24 @@ fn crash_model_three_leg_recall() {
         s.ck.directed_crossed,
         s.ck.directed_mid_drain,
         s.ck.directed_filling,
-        s.ck.queued_behind_directed
+        s.ck.queued_behind_directed,
+        s.ck.grants_to_sharers,
+        s.ck.grants_to_non_sharers,
+        s.ck.grants_declined,
+        s.ck.grants_pulled,
+        s.ck.acks_before_grant,
+        s.ck.evictions_crossing_grant,
+        s.ck.grants_empty,
+        s.ck.unlocks_before_last_ack
     );
     // 253,972 before the directed write: the acks it sends over the
     // remotes' link, and the count its writer keeps, are states the
-    // home-collected acks never had.
-    assert_eq!(s.seen.len(), 288_422);
+    // home-collected acks never had. 288,422 before the directed grant:
+    // a grant to a sharer replaces the home's pull and the grantee's write
+    // miss, and a grant of a shared chunk's value to a non-sharer adds
+    // the install, the value a refilling grantee declines, and the empty
+    // ack.
+    assert_eq!(s.seen.len(), 295_084);
     for (what, n) in [
         ("three-leg read fill", s.ck.direct_read_fills),
         ("three-leg write fill", s.ck.direct_write_fills),
@@ -2734,6 +2870,20 @@ fn crash_model_three_leg_recall() {
             "request queued behind a directed write's ack",
             s.ck.queued_behind_directed,
         ),
+        ("directed grant to a sharer", s.ck.grants_to_sharers),
+        ("directed grant to a non-sharer", s.ck.grants_to_non_sharers),
+        (
+            "data grant declined by a filling grantee",
+            s.ck.grants_declined,
+        ),
+        ("intent grant that pulled", s.ck.grants_pulled),
+        ("sharer's ack ahead of the grant", s.ck.acks_before_grant),
+        (
+            "eviction notice crossing a directed grant",
+            s.ck.evictions_crossing_grant,
+        ),
+        ("grant ending with no copy", s.ck.grants_empty),
+        ("unlock before the last ack", s.ck.unlocks_before_last_ack),
     ] {
         assert!(n > 0, "no {what}");
     }
@@ -3351,6 +3501,7 @@ mod migration {
                     home.draining = true;
                 }
                 HomeAction::ScheduleRetry { .. } => s.fail(w, "grace retry scheduled with grace=0"),
+                HomeAction::SendGrant { .. } => s.fail(w, "a lock grant in a lock-free world"),
                 HomeAction::PersistChunk { seq } => {
                     if !w.durable {
                         s.fail(w, "non-durable machine emitted PersistChunk");
@@ -3554,6 +3705,7 @@ mod migration {
                 draining: w.r_after.is_some(),
                 home: w.r_home,
                 acks: 0,
+                granted: false,
             };
             let mut wake = false;
             for a in CacheMachine::on_event(&view, ev) {
@@ -3614,7 +3766,9 @@ mod migration {
                         w,
                         "a three-leg fill in a world that never recalls to a requester",
                     ),
-                    CacheAction::AckAfterDrain { .. } | CacheAction::SetAcks { .. } => {
+                    CacheAction::SendAfterDrain { .. }
+                    | CacheAction::SetAcks { .. }
+                    | CacheAction::InstallGrant => {
                         s.fail(w, "a directed write in a world that never directs one")
                     }
                     CacheAction::PrefetchHint | CacheAction::Trace(_) | CacheAction::Count(_) => {}

@@ -246,6 +246,11 @@ impl World {
                 | HomeAction::AdoptChunk { .. } => {
                     panic!("migration action in a migration-free harness: {a:?}")
                 }
+                // This harness takes no locks; `protocol_check.rs` serves
+                // write-intent grants directed.
+                HomeAction::SendGrant { .. } => {
+                    panic!("lock grant in a lock-free harness: {a:?}")
+                }
             }
         }
     }
@@ -875,6 +880,9 @@ fn all_cache_events() -> Vec<CacheEvent> {
     v.push(Invalidate { from: 0 });
     v.push(DirectedInvalidate { requester: 2 });
     v.push(DirectedFill { acks: 2 });
+    for data in [false, true] {
+        v.push(DirectedGrant { acks: 2, data });
+    }
     v.push(InvAck);
     v.push(RecallDirty);
     v.push(DowngradeDirty);
@@ -945,7 +953,13 @@ fn cache_machine_total_over_view_event_product() {
     for state in states {
         for line in [LINE_NONE, 3] {
             for draining in [false, true] {
-                for (op_tag, acks) in [(NOTAG, -1), (NOTAG, 0), (NOTAG, 1), (5, 0)] {
+                for (op_tag, acks, granted) in [
+                    (NOTAG, -1, false),
+                    (NOTAG, 0, false),
+                    (NOTAG, 1, false),
+                    (NOTAG, 1, true),
+                    (5, 0, false),
+                ] {
                     let view = CacheView {
                         state,
                         op_tag,
@@ -953,6 +967,7 @@ fn cache_machine_total_over_view_event_product() {
                         draining,
                         home: HOME,
                         acks,
+                        granted,
                     };
                     for ev in all_cache_events() {
                         let is_request = matches!(ev, CacheEvent::Request { .. });
@@ -995,6 +1010,7 @@ fn cache_machine_total_over_view_event_product() {
             }
         }
     }
-    // 8 states x 2 lines x 2 drain flags x 4 (tag, acks) x |events|.
+    // 8 states x 2 lines x 2 drain flags x 5 (tag, acks, granted) x
+    // |events|.
     assert!(pairs > 1_500, "sweep unexpectedly small: {pairs} pairs");
 }

@@ -291,9 +291,10 @@ fn tcp_matches_sim_through_join_and_migration() {
 /// turn `t`, every node first reads chunk 3 of every partition (the probe
 /// reads that leave Shared copies), then node `t` alone takes intent locks
 /// on its own element of each of those chunks, probes, writes one word and
-/// unlocks, twice per chunk. The first grant pulls the other nodes' copies,
+/// unlocks, twice per chunk. Node `t` shares each chunk, so each grant
+/// serves its write. The first has the other nodes' copies ack node `t`,
 /// so its unlock keeps a Shared copy; the second finds node `t` the sole
-/// sharer, pulls nothing, and its unlock hands the chunk back. A blocking
+/// sharer, waits for no ack, and its unlock hands the chunk back. A blocking
 /// read of the same chunk after each unlock queues behind the release and
 /// the writeback on the same link and runtime thread, so every phase ends
 /// with no traffic in flight and the counts do not depend on the schedule.
@@ -343,15 +344,14 @@ fn run_intent_workload(cfg: ClusterConfig) -> Vec<NodeStatsSnapshot> {
     })
 }
 
-/// Write-intent locks move chunks through the ordinary protocol events
-/// (the home's and the grantee's write misses, the release's eviction or
-/// downgrade), so their transition counts are as backend-independent as
-/// any other.
-/// Only the grantee's first access after the grant races its fill: over
-/// TCP the fill may land before the application thread runs, so that
-/// access hits instead of handing a miss to the runtime. The two counters
+/// Write-intent locks move chunks through protocol events (the directed
+/// grant, the sharers' acks, the release's eviction or downgrade), so
+/// their transition counts are as backend-independent as any other.
+/// Only the grantee's first write after the grant races its last ack:
+/// over TCP the ack may land before the application thread runs, so that
+/// write hits instead of handing a miss to the runtime. The two counters
 /// of that handoff (`slow_misses`, `local_handled`) are left out; every
-/// protocol counter is compared.
+/// protocol counter, `directed_grants` included, is compared.
 #[test]
 fn tcp_matches_sim_with_write_intent_locks() {
     let view = |s: NodeStatsSnapshot| NodeStatsSnapshot {
@@ -376,6 +376,11 @@ fn tcp_matches_sim_with_write_intent_locks() {
     assert_eq!(sum(|s| s.evictions), pairs);
     assert!(sum(|s| s.invalidations) > 0, "no grant pulled a copy");
     assert_eq!(sum(|s| s.recalls), 0, "an unlock left a copy to recall");
+    assert_eq!(
+        sum(|s| s.directed_grants),
+        2 * pairs,
+        "every grant served its write"
+    );
 }
 
 /// A read after a remote write, then a write after a remote write: each

@@ -246,7 +246,10 @@ fn gets_racing_puts_see_whole_values() {
     // reading. Two writers put random keys out of 8 (every put frees the
     // key's previous pair); every other thread gets random keys and checks
     // that each value is one whole pair of that key, and that no present
-    // key reads as absent. Real latencies widen the race.
+    // key reads as absent. Real latencies widen the race. Some puts find
+    // their bucket's entry chunk shared by their own node, so the grant
+    // serves their write and the check runs on that path too (DESIGN.md
+    // §4.5).
     const KEYS: u64 = 8;
     const RUN_NS: u64 = 500_000;
     let nodes = 3;
@@ -300,6 +303,8 @@ fn gets_racing_puts_see_whole_values() {
                 bad[0]
             );
         });
+        let directed: u64 = (0..nodes).map(|n| cluster.stats(n).directed_grants).sum();
+        assert!(directed > 0, "no put's grant served its write");
         cluster.shutdown(ctx);
     });
 }
