@@ -406,7 +406,7 @@ frames! {
         25 => LockGrant { id: u64, kind: LockKind, intent: Intent = Keep },
         26 => Coherence(Msg::RecallTo) { requester: NodeId, dst_off: u64, keep: bool = false },
         27 => Coherence(Msg::RecallTo) { requester: NodeId, dst_off: u64, keep: bool = true },
-        28 => Coherence(Msg::FillAck),
+        28 => Coherence(Msg::FillAck) { holds: bool = true },
         29 => Coherence(Msg::WritebackNotice) { downgrade: bool, direct: bool = true },
         30 => Coherence(Msg::FillShared) { direct: bool = true },
         31 => Coherence(Msg::FillExclusive) { direct: bool = true },
@@ -414,7 +414,7 @@ frames! {
         33 => Coherence(Msg::DirectedFill) { acks: u32 },
         34 => DirectedGrant { id: u64, kind: LockKind, keep: bool = false, acks: u32, data: Vec<u64> },
         35 => DirectedGrant { id: u64, kind: LockKind, keep: bool = true, acks: u32, data: Vec<u64> },
-        36 => Coherence(Msg::EmptyAck),
+        36 => Coherence(Msg::FillAck) { holds: bool = false },
     }
     NetMsg {
         0 => Rpc { env: Envelope },
@@ -621,7 +621,7 @@ mod tests {
             rpc(grant(104, LockKind::Write, Keep), 19),
             rpc(recall_to(false), 22),
             rpc(recall_to(true), 22),
-            rpc(Msg::FillAck, 10),
+            rpc(Msg::FillAck { holds: true }, 10),
             rpc(writeback(true, true), 11),
             rpc(writeback(false, true), 11),
             rpc(Msg::fill(false, true), 10),
@@ -630,7 +630,7 @@ mod tests {
             rpc(Msg::DirectedFill { acks: 3 }, 14),
             rpc(directed(105, false, 2, vec![]), 27),
             rpc(directed(106, true, 0, vec![3, u64::MAX]), 43),
-            rpc(Msg::EmptyAck, 10),
+            rpc(Msg::FillAck { holds: false }, 10),
         ];
         let vote = |suspect, alive| NetMsg::SuspectVote { suspect, alive };
         let join = |node, admit| NetMsg::JoinVote { node, admit };

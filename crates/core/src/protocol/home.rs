@@ -190,12 +190,9 @@ pub enum HomeEvent<W> {
     FillAck {
         /// The requester.
         from: NodeId,
-    },
-    /// A directed grant's acks are in at its grantee, which holds no copy
-    /// (DESIGN.md §4.5): the chunk is back with the home.
-    EmptyAck {
-        /// The grantee.
-        from: NodeId,
+        /// False for a directed grant's grantee that holds no copy
+        /// (DESIGN.md §4.5): the chunk is back with the home.
+        holds: bool,
     },
     /// A write-intent lock on an element of the chunk is granted to the
     /// remote `grantee`, and [`HomeMachine::directs_grant`] said the home
@@ -701,12 +698,10 @@ impl<W> HomeMachine<W> {
                 downgrade: _,
                 direct: true,
             } => self.direct_fill_arrived(now, grace_ns, from, false, &mut out),
-            HomeEvent::FillAck { from } => {
-                self.direct_fill_arrived(now, grace_ns, from, true, &mut out)
-            }
-            HomeEvent::EmptyAck { from } => {
-                if matches!(self.transient,
-                    Transient::AwaitDirectFill { owner: None, requester, .. } if requester == from)
+            HomeEvent::FillAck { from, holds } => {
+                if !holds
+                    && matches!(self.transient,
+                        Transient::AwaitDirectFill { owner: None, requester, .. } if requester == from)
                 {
                     self.set_state(DirState::Unshared, "grantee-empty", &mut out);
                 }
@@ -828,18 +823,16 @@ impl<W> HomeMachine<W> {
             }
             HomeEvent::Drained => {
                 debug_assert_eq!(self.transient, Transient::HomeDrain);
-                let grant = matches!(
-                    self.current,
-                    Some(Request {
-                        source: Requester::Remote {
-                            dst_off: GRANT | GRANT_DATA,
-                            ..
+                if let Some(Request {
+                    source:
+                        Requester::Remote {
+                            node,
+                            dst_off: dst_off @ (GRANT | GRANT_DATA),
                         },
-                        ..
-                    })
-                );
-                if grant {
-                    self.send_grant(now, &mut out);
+                    ..
+                }) = self.current
+                {
+                    self.hand_over(now, node, dst_off, &mut out);
                 } else {
                     self.finish_transient(now, grace_ns, &mut out);
                 }
@@ -1064,8 +1057,7 @@ impl<W> HomeMachine<W> {
             HomeEvent::InvAck { from }
             | HomeEvent::EvictNotice { from }
             | HomeEvent::Writeback { from, .. }
-            | HomeEvent::FillAck { from }
-            | HomeEvent::EmptyAck { from }
+            | HomeEvent::FillAck { from, .. }
             | HomeEvent::Flush { from, .. }
             | HomeEvent::MigrateData { from, .. }
             | HomeEvent::MigrateAck { from, .. }
@@ -1446,14 +1438,11 @@ impl<W> HomeMachine<W> {
                 // requester acks it.
                 if let Requester::Remote { node, dst_off } = req.source {
                     if node == owner && kind == Kind::Write {
-                        let acks = u32::from(std::mem::take(&mut self.directed_acks));
-                        self.fill(now, node, dst_off, true, acks, out);
-                        if acks == 0 {
-                            return true;
+                        let served = self.hand_over(now, node, dst_off, out);
+                        if !served {
+                            self.current = Some(req);
                         }
-                        self.await_ack(node);
-                        self.current = Some(req);
-                        return false;
+                        return served;
                     }
                 }
                 self.recall(now, owner, req, out)
@@ -1487,29 +1476,32 @@ impl<W> HomeMachine<W> {
         }
     }
 
-    /// The requester of `req` and the sharers it invalidates, if the home
-    /// serves `req` as a directed write (DESIGN.md §4.2): where the
-    /// three-leg switch is on, a remote write to a chunk that other remotes
-    /// share, few enough of them for `directed_acks`.
-    fn directed(&self, req: &Request<W>) -> Option<(NodeId, Vec<NodeId>)> {
-        if !self.direct_fill || req.kind != Kind::Write {
-            return None;
-        }
-        let (DirState::Shared { sharers }, &Requester::Remote { node, .. }) =
-            (&self.state, &req.source)
-        else {
+    /// Where the three-leg switch is on and the chunk is Shared: the sharers
+    /// other than `node`, few enough for `directed_acks`, and whether the
+    /// directory lists `node` too.
+    fn other_sharers(&self, node: NodeId) -> Option<(Vec<NodeId>, bool)> {
+        let DirState::Shared { sharers } = &self.state else {
             return None;
         };
         let others: Vec<NodeId> = sharers.iter().copied().filter(|&n| n != node).collect();
-        let fits = !others.is_empty() && others.len() <= usize::from(u16::MAX);
-        fits.then_some((node, others))
+        let listed = others.len() < sharers.len();
+        (self.direct_fill && others.len() <= usize::from(u16::MAX)).then_some((others, listed))
+    }
+
+    /// The requester of `req` and the sharers it invalidates, if the home
+    /// serves `req` as a directed write (DESIGN.md §4.2): a remote write to
+    /// a chunk that other remotes share (see [`Self::other_sharers`]).
+    fn directed(&self, req: &Request<W>) -> Option<(NodeId, Vec<NodeId>)> {
+        let (Kind::Write, &Requester::Remote { node, .. }) = (req.kind, &req.source) else {
+            return None;
+        };
+        let (others, _) = self.other_sharers(node)?;
+        (!others.is_empty()).then_some((node, others))
     }
 
     /// Serve `node`'s write `req` directed: name `node` the owner at once,
     /// and have each of `sharers` ack it, not the home; once the home
-    /// dentry drained, the fill, or the lock grant of a write-intent grant
-    /// (`req` at [`GRANT`] or [`GRANT_DATA`], DESIGN.md §4.5), tells `node`
-    /// how many acks to
+    /// dentry drained, [`Self::hand_over`] tells `node` how many acks to
     /// collect. Returns false: a transient began.
     fn direct_write(
         &mut self,
@@ -1525,7 +1517,7 @@ impl<W> HomeMachine<W> {
             } => ("directed-grant", Counter::DirectedGrants),
             _ => ("directed-write", Counter::DirectWrites),
         };
-        self.directed_acks = u16::try_from(sharers.len()).expect("bounded by `directed`");
+        self.directed_acks = u16::try_from(sharers.len()).expect("bounded by `other_sharers`");
         self.set_state(DirState::Dirty { owner: node }, trigger, out);
         for n in sharers {
             out.push(HomeAction::Send {
@@ -1537,63 +1529,58 @@ impl<W> HomeMachine<W> {
         self.drain_home(req, LocalState::Invalid, NOTAG, out)
     }
 
-    /// The sharers other than `grantee` a directed grant invalidates, few
-    /// enough for `directed_acks`, and whether the grant carries the
-    /// chunk's words (the directory does not list `grantee`), if the home
-    /// serves `grantee`'s write at its grant (see [`Self::directs_grant`]).
+    /// The sharers other than `grantee` a directed grant invalidates, and
+    /// whether the grant carries the chunk's words (the directory does not
+    /// list `grantee`), if the home serves `grantee`'s write at its grant
+    /// (see [`Self::directs_grant`]).
     fn grant_sharers(
         &self,
         now: u64,
         grace_ns: u64,
         grantee: NodeId,
     ) -> Option<(Vec<NodeId>, bool)> {
-        let DirState::Shared { sharers } = &self.state else {
-            return None;
-        };
-        let others: Vec<NodeId> = sharers.iter().copied().filter(|&n| n != grantee).collect();
-        let data = others.len() == sharers.len();
+        let (others, listed) = self.other_sharers(grantee)?;
         let graced = !others.is_empty() && grace_ns > 0 && now < self.granted_at + grace_ns;
-        let fits = others.len() <= usize::from(u16::MAX);
-        (self.direct_fill
-            && self.transient.is_none()
-            && self.migrated_to.is_none()
-            && fits
-            && !graced)
-            .then_some((others, data))
+        (self.transient.is_none() && self.migrated_to.is_none() && !graced)
+            .then_some((others, !listed))
     }
 
-    /// The home dentry drained for a directed grant: send the grant, which
-    /// is a grant of rights as a fill is, and hold the chunk until the
-    /// grantee acks it, as for a directed write. The grantee acks even
-    /// with no sharer to wait for, since its ack also says whether it holds
-    /// the copy: its eviction may have crossed the grant.
-    fn send_grant(&mut self, now: u64, out: &mut Vec<HomeAction<W>>) {
-        let Some(Request {
-            source: Requester::Remote { node, dst_off },
-            ..
-        }) = self.current
-        else {
-            unreachable!("a directed grant drains for its grantee");
-        };
-        self.grant_to(now, node);
+    /// The home dentry drained for `node`, the owner a directed write or
+    /// grant named: its fill, or the lock grant of a request at [`GRANT`]
+    /// or [`GRANT_DATA`] (a grant of rights, as a fill is), carries the
+    /// sharers' acks it collects, and the home holds the chunk until `node`
+    /// acks that they are in. A grantee acks even with no sharer to wait
+    /// for, since its ack also says whether it holds the copy: its eviction
+    /// may have crossed the grant. Returns true for a fill with no acks,
+    /// which ends the write.
+    fn hand_over(
+        &mut self,
+        now: u64,
+        node: NodeId,
+        dst_off: u64,
+        out: &mut Vec<HomeAction<W>>,
+    ) -> bool {
         let acks = u32::from(std::mem::take(&mut self.directed_acks));
-        out.push(HomeAction::SendGrant {
-            to: node,
-            acks,
-            data: dst_off == GRANT_DATA,
-        });
-        self.await_ack(node);
-    }
-
-    /// Hold the chunk until `node`, the writer a directed write filled or
-    /// a directed grant's grantee, acks that its acks are in.
-    fn await_ack(&mut self, node: NodeId) {
+        if matches!(dst_off, GRANT | GRANT_DATA) {
+            self.grant_to(now, node);
+            out.push(HomeAction::SendGrant {
+                to: node,
+                acks,
+                data: dst_off == GRANT_DATA,
+            });
+        } else {
+            self.fill(now, node, dst_off, true, acks, out);
+            if acks == 0 {
+                return true;
+            }
+        }
         self.transient = Transient::AwaitDirectFill {
             owner: None,
             requester: node,
             ack: true,
             writeback: false,
         };
+        false
     }
 
     /// Grant `node` its fill from the home image, at `dst_off`; `acks` for
@@ -1982,6 +1969,10 @@ mod tests {
         m
     }
 
+    fn ack(from: NodeId, holds: bool) -> HomeEvent<u32> {
+        HomeEvent::FillAck { from, holds }
+    }
+
     fn writeback(from: NodeId, downgrade: bool, direct: bool) -> HomeEvent<u32> {
         HomeEvent::Writeback {
             from,
@@ -2005,7 +1996,7 @@ mod tests {
                 keep: true,
             };
             assert!(acts.contains(&HomeAction::Send { to: 1, msg: recall }));
-            let ack = HomeEvent::FillAck { from: 2 };
+            let ack = ack(2, true);
             let wb = writeback(1, true, true);
             let (first, second) = if ack_first { (ack, wb) } else { (wb, ack) };
             let acts = m.on_event(2, 0, first);
@@ -2070,7 +2061,7 @@ mod tests {
             .is_empty());
         m.on_event(3, 0, remote(1, Kind::Read));
         assert_eq!(m.pending_len(), 1);
-        let acts = m.on_event(4, 0, HomeEvent::FillAck { from: 2 });
+        let acts = m.on_event(4, 0, ack(2, true));
         let recall = Msg::RecallTo {
             requester: 1,
             dst_off: 0,
@@ -2124,7 +2115,7 @@ mod tests {
         assert_eq!(m.transient().name(), "AwaitDirectFill");
         let acts = m.on_event(3, 0, remote(1, Kind::Read));
         assert_eq!(acts, [HomeAction::Count(Counter::QueuedBehindDirect)]);
-        let acts = m.on_event(4, 0, HomeEvent::FillAck { from: 2 });
+        let acts = m.on_event(4, 0, ack(2, true));
         let recall = Msg::RecallTo {
             requester: 1,
             dst_off: 0,
@@ -2146,7 +2137,7 @@ mod tests {
                 data: false
             }]
         );
-        m.on_event(3, 0, HomeEvent::FillAck { from: 2 });
+        m.on_event(3, 0, ack(2, true));
         assert!(m.transient().is_none());
         assert_eq!(m.state(), &DirState::Dirty { owner: 2 });
     }
@@ -2170,7 +2161,7 @@ mod tests {
             data: true,
         };
         assert_eq!(acts, [grant]);
-        m.on_event(3, 0, HomeEvent::FillAck { from: 2 });
+        m.on_event(3, 0, ack(2, true));
         assert!(m.transient().is_none());
     }
 
@@ -2217,7 +2208,7 @@ mod tests {
             }
             assert_eq!(m.state(), &DirState::Dirty { owner: 2 });
             assert_eq!(m.transient().name(), "AwaitDirectFill");
-            let acts = m.on_event(3, 0, HomeEvent::EmptyAck { from: 2 });
+            let acts = m.on_event(3, 0, ack(2, false));
             assert_eq!(m.state(), &DirState::Unshared);
             assert!(acts.contains(&HomeAction::SetHomeLocal {
                 state: LocalState::Exclusive,
@@ -2253,7 +2244,7 @@ mod tests {
         let mut m = dirty_direct();
         m.on_event(1, 0, remote(2, Kind::Write));
         assert_eq!(m.transient().name(), "AwaitDirectFill");
-        let acts = m.on_event(2, 0, HomeEvent::FillAck { from: 2 });
+        let acts = m.on_event(2, 0, ack(2, true));
         assert_eq!(m.state(), &DirState::Dirty { owner: 2 });
         assert!(m.transient().is_none());
         assert!(acts.iter().all(|a| !matches!(
@@ -2506,6 +2497,71 @@ mod tests {
                 msg: Msg::DowngradeDirty
             }
         )));
+    }
+
+    /// A migration cuts a grace wait short, so the retry the wait scheduled
+    /// fires during the migration's recall: it changes nothing and serves
+    /// nothing.
+    #[test]
+    fn a_stale_retry_during_a_recall_changes_nothing() {
+        let mut m = held_by(Kind::Operate(3), &[1]);
+        m.on_event(10, 1_000, remote(2, Kind::Read));
+        assert_eq!(m.transient(), &Transient::GraceWait);
+        m.on_event(20, 1_000, HomeEvent::BeginMigration { to: 3 });
+        let before = (m.state().clone(), m.transient().clone(), m.pending_len());
+        assert_eq!(before.1.name(), "AwaitFlushes");
+        assert!(m.on_event(1_000, 1_000, HomeEvent::RetryExpired).is_empty());
+        assert_eq!(
+            (m.state().clone(), m.transient().clone(), m.pending_len()),
+            before
+        );
+    }
+
+    /// A machine whose remotes `holders`, in order, asked for `kind`.
+    fn held_by(kind: Kind, holders: &[NodeId]) -> M {
+        let mut m = M::new();
+        for &n in holders {
+            m.on_event(0, 0, remote(n, kind));
+            if m.transient() == &Transient::HomeDrain {
+                m.on_event(0, 0, HomeEvent::Drained);
+            }
+        }
+        m
+    }
+
+    /// A home request its dentry's rights cover wakes its waiter and
+    /// changes nothing, whatever the remotes hold: every kind on an
+    /// Unshared chunk, a read of a Shared one, and the operator of an
+    /// Operated one. The executor answers these from the home dentry, so
+    /// no model-checker world feeds them to the machine.
+    #[test]
+    fn a_home_request_its_dentry_covers_changes_nothing() {
+        let op = Kind::Operate(3);
+        let mut operated_alone = held_by(op, &[1]);
+        let leave = HomeEvent::Flush {
+            from: 1,
+            op: 3,
+            data: Vec::new(),
+            keep: false,
+        };
+        operated_alone.on_event(0, 0, leave);
+        let cells = [
+            (M::new(), Kind::Read),
+            (M::new(), Kind::Write),
+            (M::new(), op),
+            (held_by(Kind::Read, &[1]), Kind::Read),
+            (held_by(Kind::Read, &[1, 2]), Kind::Read),
+            (operated_alone, op),
+            (held_by(op, &[1]), op),
+            (held_by(op, &[1, 2]), op),
+        ];
+        for (mut m, kind) in cells {
+            let state = m.state().clone();
+            let acts = m.on_event(5, 0, local(7, kind));
+            assert_eq!(acts, [HomeAction::ChargeDirUpdate, HomeAction::Wake(7)]);
+            assert_eq!(m.state(), &state);
+            assert!(m.transient().is_none());
+        }
     }
 
     #[test]

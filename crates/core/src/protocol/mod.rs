@@ -20,10 +20,14 @@
 //! simulator context, no channels, no threads, no locks, no memory regions.
 //! Time enters only as an integer argument; randomness never enters. The
 //! runtime layer (`crate::runtime`) is a thin *executor* that delivers
-//! received messages as events and executes actions as fabric calls, and
-//! the test suite (`tests/protocol_model.rs`, `tests/protocol_check.rs`)
-//! drives the machines through exhaustive event interleavings with plain
-//! function calls — no cluster required.
+//! received messages as events and executes actions as fabric calls. Two
+//! kinds of tests drive the machines with plain function calls, no cluster
+//! required: each module's unit tests (the cache machine's among them
+//! sweep every view × event pair), and one model checker,
+//! `tests/protocol_check.rs`, which searches every interleaving of small
+//! worlds around the real machines and records the (stable state ×
+//! request) cells, (transient × event) pairs and home transitions each
+//! search reaches.
 //!
 //! The module is deliberately dependency-free with respect to the execution
 //! substrate: it imports nothing from `dsim`, `crate::comm`, `crate::msg`

@@ -73,12 +73,12 @@ pub enum Msg {
     },
     /// Requester → home: a recalled owner's fill landed (the last leg of a
     /// [`Msg::RecallTo`]), or a directed write's or grant's acks are in.
-    FillAck,
-    /// Grantee → home: a directed grant's acks are in, but the grantee
-    /// holds no copy: its eviction crossed the grant, or it declined the
-    /// chunk's words with a fill or drain of its own under way (DESIGN.md
-    /// §4.5).
-    EmptyAck,
+    FillAck {
+        /// False for a directed grant's grantee that holds no copy: its
+        /// eviction crossed the grant, or it declined the chunk's words
+        /// with a fill or drain of its own under way (DESIGN.md §4.5).
+        holds: bool,
+    },
     /// Home → requester: Operated access under `op`; the requester starts
     /// its operand buffer from the identity.
     GrantOperated {
@@ -238,8 +238,7 @@ impl Msg {
             }),
             Msg::InvalidateAck if at_home => Home(HomeEvent::InvAck { from }),
             Msg::InvalidateAck => Cache(CacheEvent::InvAck),
-            Msg::FillAck => Home(HomeEvent::FillAck { from }),
-            Msg::EmptyAck => Home(HomeEvent::EmptyAck { from }),
+            Msg::FillAck { holds } => Home(HomeEvent::FillAck { from, holds }),
             Msg::MigrateData { mig_epoch } => Home(HomeEvent::MigrateData { from, mig_epoch }),
             Msg::MigrateAck { mig_epoch } => Home(HomeEvent::MigrateAck { from, mig_epoch }),
             Msg::MigrateCommit { mig_epoch } => Home(HomeEvent::MigrateCommit { from, mig_epoch }),
@@ -291,7 +290,7 @@ mod tests {
             Msg::OperandFlush { .. } => 5,
             Msg::FillShared { .. } => 6,
             Msg::FillExclusive { .. } => 7,
-            Msg::FillAck => 8,
+            Msg::FillAck { .. } => 8,
             Msg::GrantOperated { .. } => 9,
             Msg::Invalidate => 10,
             Msg::InvalidateAck => 11,
@@ -306,7 +305,6 @@ mod tests {
             Msg::MigrateForward { .. } => 20,
             Msg::DirectedInvalidate { .. } => 21,
             Msg::DirectedFill { .. } => 22,
-            Msg::EmptyAck => 23,
         }
     }
 
@@ -436,12 +434,11 @@ mod tests {
                 remote(1, 128, Kind::Operate(8)),
             ),
             (
-                Msg::FillAck,
-                Delivery::Home(HomeEvent::FillAck { from: FROM }),
-            ),
-            (
-                Msg::EmptyAck,
-                Delivery::Home(HomeEvent::EmptyAck { from: FROM }),
+                Msg::FillAck { holds: false },
+                Delivery::Home(HomeEvent::FillAck {
+                    from: FROM,
+                    holds: false,
+                }),
             ),
             (
                 Msg::RecallTo {

@@ -41,12 +41,17 @@
 //! implements [`Model`]: this `World` and the elastic re-homing world of
 //! [`migration`]. It memoizes each world by its derived `Hash`, so the
 //! search explores each reachable world once. At every state the checker
-//! asserts crash-safety invariants (single writer, no bookkeeping references
-//! to known-dead nodes, no orphaned lock holders); at every *quiescent*
-//! state (no internal transition enabled) it asserts liveness: no transient
-//! pending, no application thread parked forever, every lock waiter has a
-//! live holder to wait on, and the directory agrees with every survivor's
-//! dentry. Any violation panics with the transition trace that reached it
+//! asserts crash-safety invariants (single writer, one operator at a time,
+//! a directory that lists each holder once and never the home, a stable
+//! directory with nothing queued and the home dentry its state implies, no
+//! bookkeeping references to known-dead nodes, no orphaned lock holders);
+//! at every *quiescent* state (no internal transition enabled) it asserts
+//! liveness: no transient pending, no application thread parked forever,
+//! every lock waiter has a live holder to wait on, and the directory agrees
+//! with every survivor's dentry. Every search records the (stable state ×
+//! request) cells, (transient × event) pairs and home transitions it fed
+//! the home machines ([`Cells`]) and asserts the ones it exists to reach.
+//! Any violation panics with the transition trace that reached it
 //! and writes it to `DARRAY_MC_TRACE_FILE` (default
 //! `target/model-check-counterexample.txt`), the one knob. The trace is the
 //! first path the search found, not necessarily the shortest. A search that
@@ -72,6 +77,8 @@ const NREM: usize = 2;
 const ELEM: u64 = 7;
 /// The operator id used by `Kind::Operate` requests.
 const OP: u32 = 7;
+/// The second operator of a world whose operators mix.
+const OP2: u32 = 9;
 /// Completion token for the home node's application slot.
 const APP_TOKEN: u32 = 100;
 /// Completion token for the home node's lock slot.
@@ -82,7 +89,14 @@ const PULL_TOKEN: u32 = 300;
 /// The one cacheline index the model allocates.
 const LINE: u32 = 1;
 
-const KINDS: [Kind; 3] = [Kind::Read, Kind::Write, Kind::Operate(OP)];
+/// The request kinds: a world issues the first three, a three-leg world
+/// the first two, and a world whose operators mix all four.
+const KINDS: [Kind; 4] = [
+    Kind::Read,
+    Kind::Write,
+    Kind::Operate(OP),
+    Kind::Operate(OP2),
+];
 const LKINDS: [LockKind; 2] = [LockKind::Read, LockKind::Write];
 
 // ---------------------------------------------------------------------------
@@ -198,7 +212,7 @@ impl<M: Model> Search<M> {
 /// line. A search that prunes a state fails, so `depth_pruned` is always 0.
 fn explore<M: Model>(name: &str, w: M) -> Search<M>
 where
-    M::Ck: Display,
+    M::Ck: Display + AsRef<Cells>,
 {
     let path = std::env::var("DARRAY_MC_TRACE_FILE").unwrap_or_else(|_| {
         concat!(
@@ -215,7 +229,103 @@ where
         s.quiescent,
         s.ck
     );
+    println!("[{name}-cells] {}", s.ck.as_ref());
     s
+}
+
+/// What a search fed its home machines, recorded at every `on_event` call:
+/// the (stable state × request) cells, the (transient × event) pairs and
+/// the home transitions. Each search asserts the ones it exists to reach,
+/// and prints how many of each it reached on its `[<name>-cells]` line.
+#[derive(Default)]
+struct Cells {
+    /// (state, its holders, kind, requester) of every request that reached
+    /// a stable machine. An Operated chunk's holders are its sharers, and
+    /// `Operate-other` names another operator than its own.
+    requests: BTreeSet<(&'static str, usize, &'static str, &'static str)>,
+    /// (transient, event) of every event fed.
+    pairs: BTreeSet<(&'static str, &'static str)>,
+    /// (from, to, trigger) of every home transition traced.
+    transitions: BTreeSet<(&'static str, &'static str, &'static str)>,
+}
+
+impl Cells {
+    /// Feed `ev` to `m` and record it and the transitions it traced.
+    fn run(
+        &mut self,
+        m: &mut HomeMachine<u32>,
+        now: u64,
+        grace: u64,
+        ev: HomeEvent<u32>,
+    ) -> Vec<HomeAction<u32>> {
+        use HomeEvent as E;
+        let event = match &ev {
+            E::Request(_) => "Request",
+            E::InvAck { .. } => "InvAck",
+            E::EvictNotice { .. } => "EvictNotice",
+            E::Writeback { .. } => "Writeback",
+            E::FillAck { .. } => "FillAck",
+            E::IntentGrant { .. } => "IntentGrant",
+            E::Flush { .. } => "Flush",
+            E::Drained => "Drained",
+            E::RetryExpired => "RetryExpired",
+            E::PeerDown { .. } => "PeerDown",
+            E::PersistDone { .. } => "PersistDone",
+            E::PeerRestarted { .. } => "PeerRestarted",
+            E::BeginMigration { .. } => "BeginMigration",
+            E::MigrateData { .. } => "MigrateData",
+            E::MigrateAck { .. } => "MigrateAck",
+            E::MigrateCommit { .. } => "MigrateCommit",
+        };
+        self.pairs.insert((m.transient().name(), event));
+        if let (E::Request(req), true) = (&ev, m.transient().is_none()) {
+            let (holders, op) = match m.state() {
+                DirState::Unshared => (0, None),
+                DirState::Dirty { .. } => (1, None),
+                DirState::Shared { sharers } => (sharers.len(), None),
+                DirState::Operated { op, sharers } => (sharers.len(), Some(op.0)),
+            };
+            let kind = match req.kind {
+                Kind::Read => "Read",
+                Kind::Write => "Write",
+                Kind::Operate(o) if op.is_some_and(|op| op != o) => "Operate-other",
+                Kind::Operate(_) => "Operate",
+            };
+            let source = match req.source {
+                Requester::Local(_) => "Local",
+                Requester::Remote { .. } => "Remote",
+                Requester::Migration { .. } => "Migration",
+            };
+            self.requests
+                .insert((m.state().name(), holders, kind, source));
+        }
+        let actions = m.on_event(now, grace, ev);
+        for a in &actions {
+            if let HomeAction::Trace(t) = a {
+                self.transitions.insert((t.from, t.to, t.trigger));
+            }
+        }
+        actions
+    }
+}
+
+/// Fail unless a search reached every one of `want`.
+fn assert_reached<T: Ord + Debug>(reached: &BTreeSet<T>, want: &[T]) {
+    for cell in want {
+        assert!(reached.contains(cell), "never reached: {cell:?}");
+    }
+}
+
+impl Display for Cells {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "requests={} pairs={} transitions={}",
+            self.requests.len(),
+            self.pairs.len(),
+            self.transitions.len()
+        )
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -456,6 +566,10 @@ struct World {
     three_leg: bool,
     /// The last value written (three-leg world).
     latest: u8,
+    /// Requests may also name a second operator ([`OP2`]), so that an
+    /// Operated chunk meets another operator's request (Figure 9's recall
+    /// when operators mix).
+    second_op: bool,
 }
 
 /// The crash-atomic phases of `LogChunkStore::checkpoint` (DESIGN.md §14),
@@ -612,6 +726,14 @@ struct Ck {
     grants_empty: usize,
     /// Intent unlocks while the directed grant still counted acks.
     unlocks_before_last_ack: usize,
+    /// What the search fed the home machine, printed on its own line.
+    cells: Cells,
+}
+
+impl AsRef<Cells> for Ck {
+    fn as_ref(&self) -> &Cells {
+        &self.cells
+    }
 }
 
 impl Display for Ck {
@@ -716,10 +838,10 @@ enum Tr {
 impl World {
     /// The request kinds the application slots issue.
     fn kinds(&self) -> &'static [Kind] {
-        if self.three_leg {
-            &KINDS[..2]
-        } else {
-            &KINDS
+        match (self.three_leg, self.second_op) {
+            (true, _) => &KINDS[..2],
+            (false, true) => &KINDS,
+            (false, false) => &KINDS[..3],
         }
     }
 }
@@ -1500,9 +1622,9 @@ impl Model for World {
                 }
             }
         }
-        // Operated epoch agreement: all alive Operated remotes, with a line
-        // or idle, carry one tag.
-        let tags: Vec<u32> = (0..NREM)
+        // Concurrent operators agree: every alive Operated remote, with a
+        // line or idle, and the home dentry carry one operator.
+        let mut tags: Vec<u32> = (0..NREM)
             .filter(|&i| {
                 self.rem[i].alive
                     && !zombie(i)
@@ -1513,8 +1635,10 @@ impl Model for World {
             })
             .map(|i| self.rem[i].op_tag)
             .collect();
+        let home = self.home.iter().map(|h| h.dentry);
+        tags.extend(home.filter(|d| d.0 == LocalState::Operated).map(|d| d.1));
         if tags.windows(2).any(|t| t[0] != t[1]) {
-            s.fail(self, "two alive remotes Operated under different ops");
+            s.fail(self, &format!("operators {tags:?} hold the chunk at once"));
         }
         // Dentry/line consistency (drains excepted: the line detaches at the
         // continuation, not at drain start): only Invalid and idle chunks
@@ -1547,6 +1671,41 @@ impl Model for World {
             );
         }
         let Some(h) = &self.home else { return };
+        // The directory lists each holder once, and never the home.
+        let listed = match h.m.state() {
+            DirState::Shared { sharers } | DirState::Operated { sharers, .. } => &sharers[..],
+            DirState::Dirty { owner } => std::slice::from_ref(owner),
+            DirState::Unshared => &[],
+        };
+        if listed.contains(&HOME) || (1..listed.len()).any(|i| listed[..i].contains(&listed[i])) {
+            s.fail(
+                self,
+                &format!("directory {:?} lists the home or a node twice", h.m.state()),
+            );
+        }
+        // A stable directory has served everything queued, and the home
+        // dentry holds the rights the state leaves it.
+        if h.m.transient().is_none() {
+            if h.m.pending_len() != 0 || h.m.has_current() {
+                s.fail(self, "stable directory with requests still queued");
+            }
+            let want = (
+                h.m.state().home_local(),
+                match h.m.state() {
+                    DirState::Operated { op, .. } => op.0,
+                    _ => NOTAG,
+                },
+            );
+            if h.dentry != want {
+                s.fail(
+                    self,
+                    &format!(
+                        "home dentry {:?} disagrees with directory (want {want:?})",
+                        h.dentry
+                    ),
+                );
+            }
+        }
         // The machine's dead set and the executor's detector agree.
         for n in 1..=NREM {
             if h.m.is_dead(n) != h.knows_dead[n - 1] {
@@ -1599,31 +1758,11 @@ impl Model for World {
                     ),
                 );
             }
-            if h.m.pending_len() != 0 || h.m.has_current() {
-                s.fail(self, "quiescent with directory requests still queued");
-            }
             if matches!(h.app, App::Waiting(_)) {
                 s.fail(self, "home app thread parked forever");
             }
             if matches!(h.lock, Lock::Waiting(_)) && !live_holder {
                 s.fail(self, "home lock waiter blocked with no live holder");
-            }
-            // Home dentry must mirror the directory state.
-            let want = (
-                h.m.state().home_local(),
-                match h.m.state() {
-                    DirState::Operated { op, .. } => op.0,
-                    _ => NOTAG,
-                },
-            );
-            if h.dentry != want {
-                s.fail(
-                    self,
-                    &format!(
-                        "home dentry {:?} disagrees with directory (want {want:?})",
-                        h.dentry
-                    ),
-                );
             }
             // Directory ↔ survivor dentries, both directions.
             for (i, r) in self.rem.iter().enumerate() {
@@ -1855,7 +1994,7 @@ fn deliver_to_home(w: &mut World, s: &mut Search<World>, i: usize, frame: Frame)
                 {
                     s.ck.evictions_crossing_grant += 1;
                 }
-                if matches!(ev, HomeEvent::EmptyAck { .. }) {
+                if matches!(ev, HomeEvent::FillAck { holds: false, .. }) {
                     s.ck.grants_empty += 1;
                 }
                 if let darray::protocol::Transient::AwaitDirectFill { owner, .. } =
@@ -2059,7 +2198,7 @@ fn write_miss_remote(w: &mut World, s: &mut Search<World>, i: usize) {
 fn run_home_event(w: &mut World, s: &mut Search<World>, ev: HomeEvent<u32>) {
     let (now, grace) = (w.now, w.grace);
     let m = &mut w.home.as_mut().unwrap().m;
-    let actions = m.on_event(now, grace, ev);
+    let actions = s.ck.cells.run(m, now, grace, ev);
     if matches!(
         m.transient(),
         darray::protocol::Transient::AwaitDirectFill { owner: Some(_), .. }
@@ -2450,6 +2589,7 @@ fn initial_world(
         intent_locks: false,
         three_leg: false,
         latest: 0,
+        second_op: false,
     }
 }
 
@@ -2536,6 +2676,41 @@ fn crash_model_coherence_no_grace() {
             s.ck.idle_exits
         );
     }
+    // Every stable state serves each kind of request from a remote that
+    // holds nothing, and from the home each one its dentry's rights do not
+    // cover (the executor answers the rest from the dentry; `home.rs`'s
+    // unit tests feed those to the machine).
+    let rows = [
+        ("Unshared", 0, LocalState::Exclusive),
+        ("Shared", 0, LocalState::Shared),
+        ("Shared", 1, LocalState::Shared),
+        ("Shared", 2, LocalState::Shared),
+        ("Dirty", 1, LocalState::Invalid),
+        ("Operated", 0, LocalState::Operated),
+        ("Operated", 1, LocalState::Operated),
+        ("Operated", 2, LocalState::Operated),
+    ];
+    let mut want = Vec::new();
+    for (state, holders, dentry) in rows {
+        for (kind, name) in KINDS.into_iter().zip(["Read", "Write", "Operate"]) {
+            if holders < NREM {
+                want.push((state, holders, name, "Remote"));
+            }
+            if !dentry.permits(kind, || OP) {
+                want.push((state, holders, name, "Local"));
+            }
+        }
+    }
+    assert_reached(&s.ck.cells.requests, &want);
+    assert_reached(
+        &s.ck.cells.pairs,
+        &[
+            ("AwaitInvAcks", "InvAck"),
+            ("AwaitWriteback", "Writeback"),
+            ("AwaitFlushes", "Flush"),
+            ("HomeDrain", "Drained"),
+        ],
+    );
     assert!(s.quiescent > 0, "the search never reached quiescence");
 }
 
@@ -2669,6 +2844,7 @@ fn crash_model_durable_restart() {
             s.ck.idle_exits
         );
     }
+    assert_reached(&s.ck.cells.pairs, &[("AwaitPersist", "PersistDone")]);
     assert!(s.quiescent > 0, "the search never reached quiescence");
 }
 
@@ -2751,13 +2927,21 @@ fn crash_model_double_kill() {
 
 /// Grace-window variant: with `grace_ns = 1` every fresh grant opens a
 /// GraceWait window, so kills and retries land inside it. Smaller budgets
-/// keep the (now time-carrying) state space in check.
+/// keep the (now time-carrying) state space in check. Requests may name a
+/// second operator, so an Operated chunk with no, one or two remote
+/// sharers meets another operator's request, from the home or from a
+/// remote holding nothing, and Figure 9's recall when operators mix runs
+/// with the kill; remote 1's eviction lands a keep flush in the window.
 #[test]
 fn crash_model_grace_window() {
-    let mut w = initial_world([1, 1], [0, 0], [0, 0], 1, 0, 1, 0);
+    let mut w = initial_world([1, 1], [0, 0], [1, 0], 1, 0, 1, 0);
     w.grace = 1;
+    w.second_op = true;
     let s = explore("grace", w);
-    assert_eq!(s.seen.len(), 4_361);
+    // 4,361 before requests could name a second operator and remote 1
+    // evict: one operator's recall for another's, with the kill anywhere
+    // in it, and a keep flush are states a one-operator world never had.
+    assert_eq!(s.seen.len(), 13_825);
 
     assert!(
         s.ck.retry_transients.contains("GraceWait"),
@@ -2768,6 +2952,21 @@ fn crash_model_grace_window() {
         s.ck.pd_transients.contains("GraceWait"),
         "no kill was consumed during GraceWait: {:?}",
         s.ck.pd_transients
+    );
+    let mixed = "Operate-other";
+    assert_reached(
+        &s.ck.cells.requests,
+        &[
+            ("Operated", 0, mixed, "Local"),
+            ("Operated", 1, mixed, "Local"),
+            ("Operated", 2, mixed, "Local"),
+            ("Operated", 0, mixed, "Remote"),
+            ("Operated", 1, mixed, "Remote"),
+        ],
+    );
+    assert_reached(
+        &s.ck.cells.pairs,
+        &[("GraceWait", "RetryExpired"), ("GraceWait", "Flush")],
     );
     assert!(s.quiescent > 0);
 }
@@ -3066,6 +3265,14 @@ mod migration {
         /// The requester's dentry state at each `HomeMoved` its cache
         /// machine consumed, `+drain` while a drain was pending.
         moved_states: BTreeSet<String>,
+        /// What the search fed the two home machines.
+        cells: Cells,
+    }
+
+    impl AsRef<Cells> for MCk {
+        fn as_ref(&self) -> &Cells {
+            &self.cells
+        }
     }
 
     impl Display for MCk {
@@ -3170,7 +3377,7 @@ mod migration {
                 && !self.r_state.in_flight()
                 && !self.r_knows_dead[self.r_home]
             {
-                for kind in KINDS {
+                for &kind in &KINDS[..3] {
                     if !self.r_state.permits(kind, || self.r_op) {
                         out.push(MTr::AppReq(kind));
                     }
@@ -3441,7 +3648,9 @@ mod migration {
 
     /// Feed one event to home `h`'s machine and execute its actions.
     fn m_run_home(w: &mut MigWorld, s: &mut Search<MigWorld>, h: usize, ev: HomeEvent<u32>) {
-        let actions = w.homes[h].as_mut().unwrap().m.on_event(0, 0, ev);
+        let actions =
+            s.ck.cells
+                .run(&mut w.homes[h].as_mut().unwrap().m, 0, 0, ev);
         for a in actions {
             match a {
                 HomeAction::ChargeDirUpdate | HomeAction::Trace(_) => {}
